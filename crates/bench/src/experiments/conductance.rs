@@ -1,7 +1,7 @@
 //! E1 — Theorem 5: the sandwich `φ*/(2ℓ*) ≤ φ_avg ≤ L·φ*/ℓ*` across graph
 //! families and latency schemes.
 
-use gossip_conductance::{analyze, Method};
+use gossip_conductance::{analyze, Method, MAX_AUTO_EXACT_NODES};
 use gossip_graph::latency::LatencyScheme;
 use gossip_graph::{generators, Graph};
 use rand::rngs::SmallRng;
@@ -79,8 +79,9 @@ pub fn e1_theorem5(scale: Scale) -> Table {
         ],
     );
     for (name, g) in families(scale, &mut rng) {
-        // Exact cut enumeration for small graphs; sweep-cut estimates otherwise.
-        let exact = g.node_count() <= 14;
+        // `Method::Auto` enumerates every cut on small graphs (the sandwich
+        // must hold exactly) and estimates with sweep cuts otherwise.
+        let exact = g.node_count() <= MAX_AUTO_EXACT_NODES;
         let report = match analyze(&g, Method::Auto) {
             Ok(r) => r,
             Err(e) => {

@@ -1,22 +1,26 @@
 //! Top-level conductance analysis API: `φ_ℓ`, `φ*`, `ℓ*`, `φ_avg`.
 
-use gossip_graph::cut::Cut;
 use gossip_graph::{Graph, Latency};
 
-use crate::cut_eval::{nonempty_latency_classes, phi_avg_of_cut, phi_ell_of_cut};
-use crate::exact::{enumerate_cuts, MAX_EXACT_NODES};
-use crate::sweep::candidate_cuts;
+use crate::cut_eval::nonempty_latency_classes;
+use crate::cut_sweep::{CutSweep, Minima};
+use crate::exact::MAX_EXACT_NODES;
 use crate::ConductanceError;
+
+/// Largest node count for which [`Method::Auto`] enumerates every cut
+/// ([`Method::Exact`]); larger graphs get [`Method::SweepCut`].
+pub const MAX_AUTO_EXACT_NODES: usize = 14;
 
 /// How the minimisation over cuts is carried out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Method {
     /// Enumerate every cut (exact); only graphs up to
-    /// [`MAX_EXACT_NODES`](crate::exact::MAX_EXACT_NODES) nodes are accepted.
+    /// [`MAX_EXACT_NODES`] nodes are accepted.
     Exact,
     /// Spectral sweep cuts plus targeted candidates (upper-bound estimate).
     SweepCut,
-    /// Exact for graphs with at most 14 nodes, sweep cuts otherwise.
+    /// Exact for graphs with at most [`MAX_AUTO_EXACT_NODES`] nodes, sweep
+    /// cuts otherwise.
     #[default]
     Auto,
 }
@@ -25,7 +29,7 @@ impl Method {
     fn resolve(self, g: &Graph) -> Method {
         match self {
             Method::Auto => {
-                if g.node_count() <= 14 {
+                if g.node_count() <= MAX_AUTO_EXACT_NODES {
                     Method::Exact
                 } else {
                     Method::SweepCut
@@ -96,17 +100,17 @@ impl ConductanceReport {
     }
 }
 
-fn validate(g: &Graph) -> Result<(), ConductanceError> {
+/// Folds every cut `method` considers into one [`Minima`], visiting each cut
+/// with a single node flip from the previous one.
+fn minima(g: &Graph, method: Method) -> Result<Minima, ConductanceError> {
     if g.node_count() < 2 {
         return Err(ConductanceError::TooFewNodes);
     }
     if g.edge_count() == 0 {
         return Err(ConductanceError::NoEdges);
     }
-    Ok(())
-}
-
-fn cuts_for(g: &Graph, method: Method) -> Result<Vec<Cut>, ConductanceError> {
+    let mut cut = CutSweep::new(g);
+    let mut minima = Minima::new(g);
     match method.resolve(g) {
         Method::Exact => {
             if g.node_count() > MAX_EXACT_NODES {
@@ -115,11 +119,12 @@ fn cuts_for(g: &Graph, method: Method) -> Result<Vec<Cut>, ConductanceError> {
                     limit: MAX_EXACT_NODES,
                 });
             }
-            enumerate_cuts(g)
+            cut.enumerate(&mut minima);
         }
-        Method::SweepCut => Ok(candidate_cuts(g)),
+        Method::SweepCut => cut.sweep_candidates(&mut minima),
         Method::Auto => unreachable!("resolve() never returns Auto"),
     }
+    Ok(minima)
 }
 
 /// Weight-ℓ conductance `φ_ℓ(G)` (Definition 1): minimum over cuts of `φ_ℓ(C)`.
@@ -133,19 +138,9 @@ pub fn weight_ell_conductance(
     ell: Latency,
     method: Method,
 ) -> Result<f64, ConductanceError> {
-    validate(g)?;
-    let cuts = cuts_for(g, method)?;
-    let mut best = f64::INFINITY;
-    for cut in &cuts {
-        if let Some(v) = phi_ell_of_cut(g, cut, ell) {
-            best = best.min(v);
-        }
-    }
-    if best.is_finite() {
-        Ok(best)
-    } else {
-        Err(ConductanceError::NoEdges)
-    }
+    minima(g, method)?
+        .phi_ell(ell)
+        .ok_or(ConductanceError::NoEdges)
 }
 
 /// Classical conductance: `φ_ℓ` with `ℓ = ℓ_max` (i.e. ignoring latencies).
@@ -170,45 +165,16 @@ pub fn critical_conductance(
     g: &Graph,
     method: Method,
 ) -> Result<CriticalConductance, ConductanceError> {
-    validate(g)?;
-    let cuts = cuts_for(g, method)?;
-    let thresholds = g.distinct_latencies();
+    critical_of(&minima(g, method)?)
+}
 
-    // For every cut, a sorted list of its cut-edge latencies lets us evaluate
-    // all thresholds with a single pass per cut.
-    let mut profile: Vec<(Latency, f64)> = Vec::with_capacity(thresholds.len());
-    let mut minima = vec![f64::INFINITY; thresholds.len()];
-    for cut in &cuts {
-        if !cut.is_proper() {
-            continue;
-        }
-        let min_vol = cut.min_volume(g);
-        if min_vol == 0 {
-            continue;
-        }
-        let mut latencies: Vec<Latency> = g
-            .edges()
-            .filter(|rec| cut.contains(rec.u) != cut.contains(rec.v))
-            .map(|rec| rec.latency)
-            .collect();
-        latencies.sort_unstable();
-        for (i, &ell) in thresholds.iter().enumerate() {
-            let count = latencies.partition_point(|&l| l <= ell);
-            let value = count as f64 / min_vol as f64;
-            minima[i] = minima[i].min(value);
-        }
-    }
-    for (i, &ell) in thresholds.iter().enumerate() {
-        if minima[i].is_finite() {
-            profile.push((ell, minima[i]));
-        }
-    }
-    if profile.is_empty() {
+fn critical_of(minima: &Minima) -> Result<CriticalConductance, ConductanceError> {
+    let profile = minima.profile();
+    let Some((&first, rest)) = profile.split_first() else {
         return Err(ConductanceError::NoEdges);
-    }
-
-    let mut best = profile[0];
-    for &(ell, phi) in &profile[1..] {
+    };
+    let mut best = first;
+    for &(ell, phi) in rest {
         let ratio = phi / ell as f64;
         let best_ratio = best.1 / best.0 as f64;
         if ratio > best_ratio + 1e-15 {
@@ -229,36 +195,28 @@ pub fn critical_conductance(
 ///
 /// Same conditions as [`weight_ell_conductance`].
 pub fn average_conductance(g: &Graph, method: Method) -> Result<f64, ConductanceError> {
-    validate(g)?;
-    let cuts = cuts_for(g, method)?;
-    let mut best = f64::INFINITY;
-    for cut in &cuts {
-        if let Some(v) = phi_avg_of_cut(g, cut) {
-            best = best.min(v);
-        }
-    }
-    if best.is_finite() {
-        Ok(best)
-    } else {
-        Err(ConductanceError::NoEdges)
-    }
+    minima(g, method)?
+        .phi_avg()
+        .ok_or(ConductanceError::NoEdges)
 }
 
 /// Computes the full [`ConductanceReport`]: `φ*`, `ℓ*`, `φ_avg`, the classical
-/// conductance, and the number of non-empty latency classes.
+/// conductance, and the number of non-empty latency classes, from a single
+/// pass over the cuts `method` considers.
 ///
 /// # Errors
 ///
 /// Same conditions as [`weight_ell_conductance`].
 pub fn analyze(g: &Graph, method: Method) -> Result<ConductanceReport, ConductanceError> {
-    let critical = critical_conductance(g, method)?;
-    let phi_avg = average_conductance(g, method)?;
-    let phi_classical = classical_conductance(g, method)?;
+    let minima = minima(g, method)?;
+    let critical = critical_of(&minima)?;
     Ok(ConductanceReport {
         phi_star: critical.phi_star,
         ell_star: critical.ell_star,
-        phi_avg,
-        phi_classical,
+        phi_avg: minima.phi_avg().ok_or(ConductanceError::NoEdges)?,
+        phi_classical: minima
+            .phi_ell(g.max_latency().max(1))
+            .ok_or(ConductanceError::NoEdges)?,
         nonempty_classes: nonempty_latency_classes(g),
         profile: critical.profile,
     })

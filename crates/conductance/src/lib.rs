@@ -26,6 +26,20 @@
 //! which give an upper bound on each `φ_ℓ` (and therefore estimates that are
 //! validated against the exact values in the test-suite).
 //!
+//! ## Cost
+//!
+//! Every analysis entry point makes one pass over the cuts its method
+//! considers, moving a single node across the cut from one cut to the next
+//! and updating the volume and per-latency cut-edge counts in `O(deg v)`;
+//! no cut is materialised.  [`analyze`] derives all its quantities from that
+//! one pass.  [`Method::SweepCut`] costs one Fiedler solve per sweep
+//! threshold (see [`candidate_cuts`]) plus `O(m + n·L)` per ordering, with
+//! `L` the number of distinct latencies; [`Method::Exact`] costs
+//! `O(2^{n-1}·(Δ + L))` over a Gray-code order.  The results are
+//! bit-identical to minimising [`phi_ell_of_cut`] and [`phi_avg_of_cut`] over
+//! [`candidate_cuts`] / [`enumerate_cuts`], which remain the per-cut
+//! reference.
+//!
 //! ```rust
 //! use gossip_graph::generators;
 //! use gossip_conductance::{analyze, Method};
@@ -45,15 +59,16 @@
 
 mod analysis;
 mod cut_eval;
+mod cut_sweep;
 mod error;
 mod exact;
 mod sweep;
 
 pub use analysis::{
     analyze, average_conductance, classical_conductance, critical_conductance,
-    weight_ell_conductance, ConductanceReport, CriticalConductance, Method,
+    weight_ell_conductance, ConductanceReport, CriticalConductance, Method, MAX_AUTO_EXACT_NODES,
 };
 pub use cut_eval::{nonempty_latency_classes, phi_avg_of_cut, phi_ell_of_cut};
 pub use error::ConductanceError;
-pub use exact::{enumerate_cuts, exact_minimum};
+pub use exact::{enumerate_cuts, exact_minimum, MAX_EXACT_NODES};
 pub use sweep::{candidate_cuts, fiedler_ordering, sweep_minimum};

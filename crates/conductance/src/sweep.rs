@@ -44,11 +44,23 @@ pub fn fiedler_ordering(g: &Graph, ell: Latency) -> Vec<NodeId> {
         .map(|&x| if norm1 > 0.0 { x / norm1 } else { 0.0 })
         .collect();
 
+    // The arcs of G_ℓ with their normalising weight `√deg(u)·√deg(v)`, built
+    // once in edge order so every iteration accumulates in the same order.
+    let arcs: Vec<(usize, usize, f64)> = g
+        .edges()
+        .filter(|rec| rec.latency <= ell)
+        .map(|rec| {
+            let (ui, vi) = (rec.u.index(), rec.v.index());
+            (ui, vi, sqrt_deg[ui] * sqrt_deg[vi])
+        })
+        .collect();
+
     // Deterministic pseudo-random start vector (no RNG needed: a fixed
     // quasi-random sequence keeps the whole analysis reproducible).
     let mut x: Vec<f64> = (0..n)
         .map(|i| (i as f64 * 0.754_877_666 + 0.1).sin())
         .collect();
+    let mut y = vec![0f64; n];
 
     for _ in 0..POWER_ITERATIONS {
         // Deflate: x <- x - (x·v1) v1
@@ -56,17 +68,11 @@ pub fn fiedler_ordering(g: &Graph, ell: Latency) -> Vec<NodeId> {
         for i in 0..n {
             x[i] -= dot * v1[i];
         }
-        // y = M x
-        let mut y = vec![0f64; n];
-        for rec in g.edges() {
-            if rec.latency > ell {
-                continue;
-            }
-            let (ui, vi) = (rec.u.index(), rec.v.index());
-            if sqrt_deg[ui] > 0.0 && sqrt_deg[vi] > 0.0 {
-                y[ui] += x[vi] / (sqrt_deg[ui] * sqrt_deg[vi]);
-                y[vi] += x[ui] / (sqrt_deg[ui] * sqrt_deg[vi]);
-            }
+        // y = M x (both endpoints of an arc have degree >= 1 in G_ℓ).
+        y.fill(0.0);
+        for &(ui, vi, weight) in &arcs {
+            y[ui] += x[vi] / weight;
+            y[vi] += x[ui] / weight;
         }
         // Shift by +I to make the dominant (in magnitude) eigenvalue the largest
         // algebraic one: y <- y + x.  This keeps the iteration from locking onto
@@ -84,49 +90,62 @@ pub fn fiedler_ordering(g: &Graph, ell: Latency) -> Vec<NodeId> {
     }
 
     // Sweep coordinate: the Fiedler value is D^{-1/2} x.
+    let key: Vec<f64> = (0..n)
+        .map(|i| {
+            if sqrt_deg[i] > 0.0 {
+                x[i] / sqrt_deg[i]
+            } else {
+                f64::INFINITY
+            }
+        })
+        .collect();
     let mut order: Vec<NodeId> = (0..n).map(NodeId::new).collect();
     order.sort_by(|a, b| {
-        let fa = if sqrt_deg[a.index()] > 0.0 {
-            x[a.index()] / sqrt_deg[a.index()]
-        } else {
-            f64::INFINITY
-        };
-        let fb = if sqrt_deg[b.index()] > 0.0 {
-            x[b.index()] / sqrt_deg[b.index()]
-        } else {
-            f64::INFINITY
-        };
-        fa.partial_cmp(&fb)
+        key[a.index()]
+            .partial_cmp(&key[b.index()])
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.index().cmp(&b.index()))
     });
     order
 }
 
+/// The latency thresholds whose Fiedler orderings the sweep heuristic uses,
+/// given the distinct latencies of the graph (ascending): all of them when
+/// there are at most 16, otherwise every `(len/16 + 1)`-th one from the
+/// smallest (at most 16 of them) plus the largest when the stride skips it —
+/// so at most 17 thresholds in total.
+pub(crate) fn sweep_thresholds(thresholds: Vec<Latency>) -> Vec<Latency> {
+    if thresholds.len() <= 16 {
+        return thresholds;
+    }
+    // Keep a spread of thresholds (always including the extremes).
+    let step = thresholds.len() / 16 + 1;
+    let mut kept: Vec<Latency> = thresholds.iter().copied().step_by(step).collect();
+    if let Some(&last) = thresholds.last() {
+        if kept.last() != Some(&last) {
+            kept.push(last);
+        }
+    }
+    kept
+}
+
 /// Generates the candidate cuts evaluated by the sweep heuristic:
 ///
-/// * all prefix cuts of the Fiedler ordering of `G_ℓ` for each distinct
-///   latency threshold `ℓ` in the graph (capped at 16 thresholds),
+/// * all prefix cuts of the Fiedler ordering of `G_ℓ` for each latency
+///   threshold `ℓ`: every distinct latency of the graph when there are at
+///   most 16, otherwise a stride of at most 16 of them plus the largest —
+///   at most 17 thresholds (47 distinct latencies keep 16 + 1),
 /// * every singleton cut `({v}, rest)`,
 /// * the balanced "first half / second half" node-id cut (useful for the
 ///   planted-cut families where node ids encode the partition).
+///
+/// The analysis entry points visit exactly this set of cuts without
+/// materialising it; this function is the per-cut reference.
 pub fn candidate_cuts(g: &Graph) -> Vec<Cut> {
     let n = g.node_count();
     let mut cuts = Vec::new();
 
-    let mut thresholds = g.distinct_latencies();
-    if thresholds.len() > 16 {
-        // Keep a spread of thresholds (always including the extremes).
-        let step = thresholds.len() / 16 + 1;
-        let mut kept: Vec<Latency> = thresholds.iter().copied().step_by(step).collect();
-        if let Some(&last) = thresholds.last() {
-            if kept.last() != Some(&last) {
-                kept.push(last);
-            }
-        }
-        thresholds = kept;
-    }
-
+    let thresholds = sweep_thresholds(g.distinct_latencies());
     for ell in thresholds {
         let order = fiedler_ordering(g, ell);
         let mut membership = vec![false; n];
@@ -218,6 +237,35 @@ mod tests {
         let cuts = candidate_cuts(&g);
         assert!(!cuts.is_empty());
         assert!(cuts.iter().all(|c| c.is_proper()));
+    }
+
+    #[test]
+    fn threshold_cap_keeps_at_most_sixteen_strided_plus_the_last() {
+        let kept = |len: u64| sweep_thresholds((1..=len).collect());
+        assert_eq!(kept(16), (1..=16).collect::<Vec<_>>());
+        // 17 distinct: stride 2 reaches the last one itself.
+        assert_eq!(kept(17).len(), 9);
+        // 47 distinct: stride 3 gives 16 strided thresholds, then the last.
+        assert_eq!(kept(47).len(), 17);
+        assert_eq!(kept(47)[15..], [46, 47]);
+        assert_eq!(kept(48).len(), 13);
+        for len in 17..=400 {
+            let k = kept(len);
+            assert!(k.len() <= 17, "{len} distinct latencies kept {}", k.len());
+            assert_eq!((k[0], k[k.len() - 1]), (1, len));
+        }
+    }
+
+    #[test]
+    fn candidate_cuts_sweep_seventeen_orderings_for_47_latencies() {
+        let mut b = gossip_graph::GraphBuilder::new(48);
+        for u in 0..47 {
+            b.add_edge(u, u + 1, u as Latency + 1).unwrap();
+        }
+        let g = b.build().unwrap();
+        assert_eq!(g.distinct_latencies().len(), 47);
+        // 17 orderings × 47 prefix cuts, 48 singletons and the half cut.
+        assert_eq!(candidate_cuts(&g).len(), 17 * 47 + 48 + 1);
     }
 
     #[test]

@@ -45,8 +45,6 @@ pub mod push_pull;
 pub mod rr_broadcast;
 pub mod spanner;
 pub mod spanner_broadcast;
-#[cfg(test)]
-mod spanner_old;
 pub mod unified;
 
 pub use report::{DisseminationReport, Phase};

@@ -110,8 +110,9 @@ impl Default for AuditConfig {
             "RoundRobinFlood::decision_shards",
             "RoundRobinFlood::shard_on_round",
             "RoundRobinFlood::shard_activity",
-            // The mid-size dense-bitset oracle is driven from the test and
-            // bench harnesses only, so it roots itself.
+            // The dense-bitset oracle, the executable spec the engine is
+            // checked against, is driven only from the test harnesses, so it
+            // roots itself.
             "OracleSimulation::run",
             // Rumor-set merge operations (the parallel-merge contract).
             "RumorSet::insert",
@@ -693,8 +694,8 @@ mod tests {
 
     #[test]
     fn test_mod_candidates_resolve_siblings() {
-        let got = test_mod_candidates(Path::new("crates/core/src/lib.rs"), "spanner_old");
-        assert!(got.contains(&PathBuf::from("crates/core/src/spanner_old.rs")));
+        let got = test_mod_candidates(Path::new("crates/core/src/lib.rs"), "fixtures");
+        assert!(got.contains(&PathBuf::from("crates/core/src/fixtures.rs")));
     }
 
     #[test]

@@ -74,10 +74,10 @@
 //!   latency is a bitset with two bits per edge (one per endpoint); the
 //!   latency itself is read from the graph.
 //!
-//! The previous snapshot-per-exchange implementation is preserved verbatim in
-//! [`crate::reference`] and pinned against this engine by the
+//! The dense-bitset spec [`crate::oracle`] states the same semantics with none
+//! of these structures and is pinned against this engine by the
 //! `engine_equivalence` integration suite: both must produce byte-identical
-//! [`RunReport`]s and rumor states on the standard scenario grid.
+//! semantic [`RunReport`]s and rumor states on the standard scenario grid.
 
 use std::collections::HashMap;
 
@@ -224,8 +224,8 @@ impl SimConfig {
 /// The decision RNG stream for one `(round, node)` cell, derived from the
 /// run seed by a splitmix64-style avalanche over the three coordinates.
 ///
-/// Every engine (the sharded one, [`crate::reference`], and the dense
-/// mid-size oracle) draws a node's round decision from this stream and from
+/// Every engine (the serial one, the sharded one, and the dense-bitset
+/// [`crate::oracle`]) draws a node's round decision from this stream and from
 /// nothing else, which is what makes the decision pass shardable: a worker
 /// can decide any subset of nodes in any order without desynchronising the
 /// draws of the others.  The historical single sequential stream would have
@@ -306,7 +306,7 @@ pub(crate) struct LatencyOracle<'a> {
 }
 
 /// Where an oracle looks up per-node discovery state.  The engine uses the
-/// flat bitset; the reference engine keeps the historical per-node maps.
+/// flat bitset; the oracle keeps plain per-node maps.
 #[derive(Debug)]
 pub(crate) enum OracleSource<'a> {
     Flat {
@@ -478,9 +478,9 @@ pub trait Protocol {
     /// [`Activity`]: while idle or quiescent, any `on_round` call the engine
     /// elides would have returned `None` without drawing from the RNG and
     /// without mutating the protocol.  Violating the contract desynchronises
-    /// the run from the reference semantics (and from the same protocol run
-    /// under [`crate::reference::ReferenceSimulation`], which still asks
-    /// every node every round).
+    /// the run from the spec semantics (and from the same protocol run
+    /// under [`crate::oracle::OracleSimulation`], which asks every node
+    /// every round).
     // gossip-audit: contract(pure)
     fn activity(&self, view: &NodeView<'_>) -> Activity {
         let _ = view;
@@ -1209,10 +1209,9 @@ impl<'g> Progress<'g> {
     ///   and a destination's tasks keep their flight order (the sort is
     ///   stable).  Snapshots are taken only on round boundaries, after the
     ///   phase has fully landed, so no in-phase interleaving is observable.
-    ///   (The per-merge insertion order already differed from the reference
-    ///   engine — shadow and saturated-peer unions yield ascending rumor
-    ///   ids, not learn order — for exactly this reason; `engine_equivalence`
-    ///   pins it.)
+    ///   (The per-merge insertion order is unobservable for exactly this
+    ///   reason — shadow and saturated-peer unions yield ascending rumor
+    ///   ids, not learn order; `engine_equivalence` pins the final sets.)
     /// * **Shard cuts fall only between destinations** ([`partition_tasks`]),
     ///   so phase A mutates disjoint `rumors` slices and phase B disjoint
     ///   `logs`/`counts`/`informed_times` slices; everything else is read
@@ -2266,12 +2265,12 @@ impl<'g> Simulation<'g> {
                 //    this round's termination check, and for
                 //    [`Termination::Quiescent`] a final `on_round` call may
                 //    have flipped the last `is_idle` — state the check
-                //    could not see but that the reference engine observes
-                //    at the next round's boundary.  Nothing can change
-                //    *during* a gap (no protocol calls, frozen counters),
-                //    so one re-check at `round + 1` is exact: if the run is
-                //    done there, walk a single round and let the loop
-                //    terminate where the reference engine does.
+                //    could not see but that the oracle observes at the next
+                //    round's boundary.  Nothing can change *during* a gap
+                //    (no protocol calls, frozen counters), so one re-check
+                //    at `round + 1` is exact: if the run is done there, walk
+                //    a single round and let the loop terminate where the
+                //    oracle does.
                 if worklist.is_empty() {
                     let mut next = next_event_round(round, ring_len, &calendar, &shadow_ring)
                         .unwrap_or(self.config.max_rounds)
@@ -2345,7 +2344,7 @@ impl<'g> Simulation<'g> {
         };
         // Graceful-degradation accounting: present exactly when a fault plan
         // was attached (even an inert one), and computed identically by the
-        // reference engine — it is part of the semantic report.
+        // oracle — it is part of the semantic report.
         let faults = alive.map(|av| {
             let (residual_components, largest_component) = av.residual_components(self.graph);
             FaultReport {

@@ -4,10 +4,10 @@
 //! failures (with optional amnesiac rejoin), fail-stop link cuts, and a
 //! per-exchange message-loss rate — attached to a simulation through
 //! [`SimConfig::faults`](crate::SimConfig::faults).  The plan is pure data:
-//! both the snapshot-free engine and the reference engine interpret the same
-//! schedule with the same round-start semantics, which is what lets the
-//! `fault_equivalence` suite pin the fault path byte-identical across
-//! engines.
+//! both the snapshot-free engine and the dense-bitset spec
+//! ([`crate::oracle`]) interpret the same schedule with the same round-start
+//! semantics, which is what lets the `fault_equivalence` suite pin the fault
+//! path byte-identical across engines.
 //!
 //! # Semantics
 //!

@@ -47,8 +47,6 @@ mod rumor;
 #[doc(hidden)]
 pub mod oracle;
 pub mod protocols;
-#[doc(hidden)]
-pub mod reference;
 
 pub use engine::{
     Activity, ExchangeEvent, ExchangeMode, NodeView, Protocol, ShardedProtocol, SimConfig,

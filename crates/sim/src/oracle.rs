@@ -1,23 +1,31 @@
-//! The mid-size oracle: dense-bitset snapshot semantics, `O(n · rounds)`.
+//! The executable spec: dense-bitset snapshot semantics, `O(n · rounds)`.
 //!
-//! [`OracleSimulation`] replays the same protocol semantics as
-//! [`crate::reference::ReferenceSimulation`] — snapshot both endpoints at
-//! initiation, deliver after the edge latency, merge the peer's snapshot —
-//! but stores every rumor state as one flat dense bitset row (`universe /
-//! 64` words per node).  There are no interval logs, no shadows, no
-//! watermarks and no paged sets anywhere: a snapshot is a `memcpy` of one
-//! row and a merge is a word-wise OR, so the oracle stays fast well past the
-//! reference engine's toy sizes and lets the `engine_equivalence` property
-//! tests cross 10³–10⁴ nodes.
+//! [`OracleSimulation`] is the one plain statement of the model the
+//! production engine is checked against: every round it applies that round's
+//! faults, delivers the exchanges completing now (each endpoint merges the
+//! snapshot of its peer taken at initiation), checks termination, and then
+//! asks every alive node for a decision.  Every rumor state is one flat dense
+//! bitset row (`universe / 64` words per node).  There are no interval logs,
+//! no shadows, no watermarks, no paged unions and no skipped rounds: a
+//! snapshot is a `memcpy` of one row and a merge is a word-wise OR (the paged
+//! [`RumorSet`] mirror protocols observe is fed one `insert` per new bit), so
+//! a bug in the engine's bulk set operations cannot hide here, and the oracle
+//! stays fast enough for the `engine_equivalence` property tests to cross
+//! 10³–10⁴ nodes.
 //!
-//! Like the reference engine it draws each node's per-round RNG from
+//! The oracle never consults [`Protocol::activity`] and never elides an
+//! `on_round` call, so running a protocol here and through
+//! [`Simulation`](crate::Simulation) pins the event-driven scheduler's
+//! skipping as unobservable (the `activity_equivalence` and `engine_skip`
+//! suites rely on this).  It draws each node's per-round RNG from
 //! [`decision_rng`]`(seed, round, node)`, keeping protocol decisions
-//! byte-aligned with the rewritten engine at any thread count.  Reports
-//! compare via [`RunReport::semantics`](crate::RunReport::semantics) (the
-//! oracle reports no memory counters).
+//! byte-aligned with the engine at any thread count.  Reports compare via
+//! [`RunReport::semantics`](crate::RunReport::semantics) (the oracle reports
+//! no memory counters).  Any intentional semantic change to the engine must
+//! be mirrored here.
 //!
-//! This module is exported for the test suites and benchmarks; it is not
-//! part of the supported API surface.
+//! This module is exported for the test suites; it is not part of the
+//! supported API surface.
 
 use std::collections::HashMap;
 
@@ -106,13 +114,8 @@ impl<'g> OracleSimulation<'g> {
         }
     }
 
-    /// Read access to the current rumor sets (indexed by node).
-    pub fn rumor_sets(&self) -> &[RumorSet] {
-        &self.sets
-    }
-
     /// Consumes the oracle and returns the rumor sets (after a run).
-    pub fn into_rumor_sets(self) -> Vec<RumorSet> {
+    pub fn into_rumors(self) -> Vec<RumorSet> {
         self.sets
     }
 
@@ -143,8 +146,7 @@ impl<'g> OracleSimulation<'g> {
     }
 
     /// Runs `protocol` with snapshot-at-initiation semantics over the dense
-    /// rows; the structure is a line-for-line port of
-    /// [`ReferenceSimulation::run`](crate::reference::ReferenceSimulation::run).
+    /// rows, walking and asking every alive node every round.
     // gossip-lint: allow(panic-path): node/edge indices come from the graph's own CSR bounds
     pub fn run<P: Protocol>(&mut self, protocol: &mut P) -> RunReport {
         let n = self.graph.node_count();
@@ -420,8 +422,8 @@ impl<'g> OracleSimulation<'g> {
                         [target.index() * stride..(target.index() + 1) * stride]
                         .to_vec(),
                     // Drawn exactly once per *accepted* initiation, from the
-                    // dedicated loss stream — the same call points as both
-                    // other engines, keeping the streams aligned.
+                    // dedicated loss stream — the same call points as the
+                    // engine, keeping the streams aligned.
                     lost: fault::draw_loss(&mut loss),
                 });
             }

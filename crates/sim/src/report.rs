@@ -10,7 +10,7 @@ use std::fmt;
 /// All byte figures are *estimates derived from deterministic counters*
 /// (entries × entry size), not allocator measurements, so they are
 /// reproducible across machines and usable as regression gates.  The engine
-/// fills them in; the reference engine reports `None` — these diagnostics
+/// fills them in; the dense-bitset oracle reports `None` — these diagnostics
 /// are engine-specific and excluded from semantic equivalence (see
 /// [`RunReport::semantics`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -139,7 +139,7 @@ pub struct RunReport {
     pub faults: Option<FaultReport>,
     /// Engine diagnostics: peak-memory counters of the dissemination state
     /// plus the scheduler's skipped-round / active-set accounting
-    /// (`None` for the reference engine, which predates the counters).
+    /// (`None` for the dense-bitset oracle, which has no such structures).
     ///
     /// Deterministic, but engine-specific: strip with
     /// [`semantics`](Self::semantics) before comparing reports across engines.

@@ -13,6 +13,50 @@
 
 use std::path::PathBuf;
 
+use gossip_graph::Graph;
+use gossip_sim::oracle::OracleSimulation;
+use gossip_sim::{Protocol, RunReport, SimConfig, Simulation};
+
+/// Runs one protocol under one config on the production engine and on the
+/// dense-bitset spec [`OracleSimulation`], and requires identical semantic
+/// reports and identical final rumor sets.
+///
+/// Reports are compared through [`RunReport::semantics`]: the engine fills in
+/// [`MemStats`](gossip_sim::MemStats) diagnostics the oracle (by design) does
+/// not have; every other field must be byte-identical.  Returns the engine's
+/// report, diagnostics included, for suite-specific checks.
+///
+/// # Panics
+///
+/// Panics (naming `label`) if the two runs differ.
+pub fn assert_matches_oracle<P: Protocol>(
+    g: &Graph,
+    config: &SimConfig,
+    make_protocol: impl Fn() -> P,
+    label: &str,
+) -> RunReport {
+    let mut sim = Simulation::new(g, config.clone());
+    let report = sim.run(&mut make_protocol());
+    let mut oracle = OracleSimulation::new(g, config.clone());
+    let oracle_report = oracle.run(&mut make_protocol());
+
+    assert!(
+        report.mem.is_some() && oracle_report.mem.is_none(),
+        "the engine reports memory diagnostics, the oracle does not: {label}"
+    );
+    assert_eq!(
+        report.semantics(),
+        oracle_report.semantics(),
+        "report mismatch: {label}"
+    );
+    assert_eq!(
+        sim.into_rumors(),
+        oracle.into_rumors(),
+        "rumor-state mismatch: {label}"
+    );
+    report
+}
+
 /// Locates a compiled example binary next to the running test executable.
 ///
 /// Under `cargo test`, integration-test binaries live in

@@ -6,13 +6,14 @@
 //! replay, and moved the RR-broadcast phase simulation onto the spanner
 //! subgraph.  All three must be pure performance changes:
 //!
-//! * The reference engine never consults `activity()` and never elides an
-//!   `on_round` call, so running the same protocol through [`Simulation`] and
-//!   [`ReferenceSimulation`] and requiring identical
-//!   [`RunReport::semantics`] plus identical final rumor state pins the
-//!   ported protocols to their pre-port behavior — if retiring a node or
-//!   replaying a log prefix ever changed what a node hears (or when), the
-//!   two engines would diverge.
+//! * The dense-bitset spec
+//!   [`OracleSimulation`](gossip_sim::oracle::OracleSimulation) never
+//!   consults `activity()` and never elides an `on_round` call, so running
+//!   the same protocol through [`Simulation`] and the oracle and requiring
+//!   identical [`RunReport::semantics`](gossip_sim::RunReport::semantics)
+//!   plus identical final rumor state pins the ported protocols to their
+//!   pre-port behavior — if retiring a node or replaying a log prefix ever
+//!   changed what a node hears (or when), the two engines would diverge.
 //! * RR Broadcast only ever targets spanner out-edges, so simulating it over
 //!   the materialised spanner subgraph must produce the same trace as the
 //!   full parent graph.
@@ -22,40 +23,12 @@ use gossip_bench::Scale;
 use gossip_core::dtg::EllDtg;
 use gossip_core::rr_broadcast::RrBroadcast;
 use gossip_core::spanner::log_spanner;
-use gossip_graph::{generators, Graph};
-use gossip_sim::reference::ReferenceSimulation;
-use gossip_sim::{ExchangeMode, Protocol, SimConfig, Simulation, Termination};
+use gossip_graph::generators;
+use gossip_sim::{ExchangeMode, SimConfig, Simulation, Termination};
+use gossip_tests::assert_matches_oracle;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-
-/// Runs one protocol under one config on both engines and requires identical
-/// semantics and identical final rumor sets.
-fn assert_engines_agree<P: Protocol, F: Fn() -> P>(
-    g: &Graph,
-    config: &SimConfig,
-    make_protocol: F,
-    label: &str,
-) {
-    let mut new_protocol = make_protocol();
-    let mut new_sim = Simulation::new(g, config.clone());
-    let new_report = new_sim.run(&mut new_protocol);
-
-    let mut ref_protocol = make_protocol();
-    let mut ref_sim = ReferenceSimulation::new(g, config.clone());
-    let ref_report = ref_sim.run(&mut ref_protocol);
-
-    assert_eq!(
-        new_report.semantics(),
-        ref_report.semantics(),
-        "report mismatch: {label}"
-    );
-    assert_eq!(
-        new_sim.into_rumors(),
-        ref_sim.into_rumors(),
-        "rumor-state mismatch: {label}"
-    );
-}
 
 /// ℓ-DTG's driver configuration: quiescence-terminated, generously capped.
 fn dtg_config(seed: u64, mode: ExchangeMode) -> SimConfig {
@@ -65,7 +38,7 @@ fn dtg_config(seed: u64, mode: ExchangeMode) -> SimConfig {
         .max_rounds(20_000)
 }
 
-/// The acceptance gate: `EllDtg` agrees with the reference engine on every
+/// The acceptance gate: `EllDtg` agrees with the oracle on every
 /// scenario of the Quick sweep grid, both exchange modes, three seeds.
 #[test]
 fn ell_dtg_matches_reference_on_the_quick_grid() {
@@ -88,7 +61,7 @@ fn ell_dtg_matches_reference_on_the_quick_grid() {
                                 size,
                                 profile.name(),
                             );
-                            assert_engines_agree(
+                            assert_matches_oracle(
                                 &g,
                                 &dtg_config(seed, mode),
                                 || EllDtg::new(&g, bound),
@@ -102,7 +75,7 @@ fn ell_dtg_matches_reference_on_the_quick_grid() {
     }
 }
 
-/// `RrBroadcast` agrees with the reference engine on every scenario of the
+/// `RrBroadcast` agrees with the oracle on every scenario of the
 /// Quick sweep grid (simulated, as in production, over the spanner subgraph).
 #[test]
 fn rr_broadcast_matches_reference_on_the_quick_grid() {
@@ -122,7 +95,7 @@ fn rr_broadcast_matches_reference_on_the_quick_grid() {
                         .max_rounds(20_000);
                     let label =
                         format!("{}/{}/{}/seed{seed}", family.name(), size, profile.name(),);
-                    assert_engines_agree(
+                    assert_matches_oracle(
                         &sub,
                         &config,
                         || RrBroadcast::new(&g, &spanner, k),
@@ -174,7 +147,7 @@ fn rr_broadcast_subgraph_simulation_equals_full_graph_simulation() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Log-replay ℓ-DTG equals the reference engine on random weighted
+    /// Log-replay ℓ-DTG equals the oracle on random weighted
     /// Erdős–Rényi instances, both exchange modes.
     #[test]
     fn ell_dtg_matches_reference_on_random_graphs(
@@ -190,7 +163,7 @@ proptest! {
             .unwrap();
         let bound = 1 + seed % max_latency;
         for mode in [ExchangeMode::Blocking, ExchangeMode::NonBlocking] {
-            assert_engines_agree(
+            assert_matches_oracle(
                 &g,
                 &dtg_config(seed, mode),
                 || EllDtg::new(&g, bound),

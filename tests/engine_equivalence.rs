@@ -1,105 +1,46 @@
-//! Equivalence of the snapshot-free engine and the reference engine.
+//! Equivalence of the snapshot-free engine and the executable spec.
 //!
-//! The engine rewrite (acquisition logs + calendar queue + incremental
-//! termination counters) must be a pure performance change: on every scenario
-//! of the standard Quick sweep grid, for three seeds, [`Simulation`] and the
-//! preserved original implementation [`ReferenceSimulation`] must produce
-//! **byte-identical** [`RunReport`]s and identical final rumor states, under
-//! every termination condition and both exchange modes.  A proptest block
-//! repeats the comparison over random Erdős–Rényi instances.
+//! The engine (acquisition logs + calendar queue + incremental termination
+//! counters + event-driven skipping) must be a pure performance change: on
+//! every scenario of the standard Quick sweep grid, for three seeds,
+//! [`Simulation`] and the dense-bitset spec
+//! [`OracleSimulation`](gossip_sim::oracle::OracleSimulation) must produce
+//! **byte-identical** semantic [`RunReport`]s and identical final rumor
+//! states, under every termination condition and both exchange modes.
+//! Proptest blocks repeat the comparison over random Erdős–Rényi instances
+//! and over shapes that force the engine's shadow, collapse and skipping
+//! machinery.
 //!
-//! The *mid-size* tier swaps the reference engine for the dense-bitset
-//! [`OracleSimulation`] — same round-by-round semantics, `O(n · rounds)`
-//! instead of per-exchange snapshot cloning — which is itself pinned
-//! `semantics`-identical to the reference on the full Quick grid, and then
-//! carries the equivalence proptests into the 2048+-node regime the
-//! reference engine cannot reach.
+//! The *mid-size* tier carries those structure-forcing proptests into the
+//! 2048+-node regime, where every compression mechanism is genuinely
+//! exercised, with the engine's passes sharded across 4 workers.
 
 use gossip_bench::sweep::SweepSpec;
 use gossip_bench::Scale;
 use gossip_graph::{generators, Graph, NodeId};
 use gossip_sim::oracle::OracleSimulation;
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
-use gossip_sim::reference::ReferenceSimulation;
 use gossip_sim::{
-    ExchangeMode, Protocol, RumorId, RumorSet, RunReport, ShardedProtocol, SimConfig, Simulation,
-    Termination,
+    ExchangeMode, RumorId, RumorSet, RunReport, ShardedProtocol, SimConfig, Simulation, Termination,
 };
+use gossip_tests::assert_matches_oracle;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Runs one protocol under one config on both engines and requires identical
-/// reports and identical final rumor sets.
-///
-/// Reports are compared through [`RunReport::semantics`]: the engine fills in
-/// [`MemStats`](gossip_sim::MemStats) diagnostics the reference engine (by
-/// design) does not have; every other field must be byte-identical.
-fn assert_equivalent<P: Protocol, F: Fn() -> P>(
+/// Reruns one protocol through the sharded decision pass and requires the
+/// report of the same config's [`Simulation::run`] — memory diagnostics
+/// included — so each mid-size case also witnesses thread-count invariance
+/// of the parallel decision pass at sizes where it genuinely fans out.
+fn assert_sharded_reproduces<P: ShardedProtocol>(
     g: &Graph,
     config: &SimConfig,
-    make_protocol: F,
+    make_protocol: impl Fn() -> P,
+    expected: &RunReport,
     label: &str,
-) -> RunReport {
-    let mut new_protocol = make_protocol();
-    let mut new_sim = Simulation::new(g, config.clone());
-    let new_report = new_sim.run(&mut new_protocol);
-
-    let mut ref_protocol = make_protocol();
-    let mut ref_sim = ReferenceSimulation::new(g, config.clone());
-    let ref_report = ref_sim.run(&mut ref_protocol);
-
-    assert!(
-        new_report.mem.is_some() && ref_report.mem.is_none(),
-        "engine reports memory diagnostics, the reference does not: {label}"
-    );
-    assert_eq!(
-        new_report.semantics(),
-        ref_report.semantics(),
-        "report mismatch: {label}"
-    );
-    assert_eq!(
-        new_sim.into_rumors(),
-        ref_sim.into_rumors(),
-        "rumor-state mismatch: {label}"
-    );
-    new_report
-}
-
-/// Runs one protocol under one config on the *sharded* engine (4 workers)
-/// and on the dense-bitset oracle, requiring identical semantic reports and
-/// identical final rumor sets — the mid-size analogue of
-/// [`assert_equivalent`], for sizes the per-exchange-snapshot reference
-/// engine cannot reach.
-fn assert_oracle_equivalent<P: ShardedProtocol, F: Fn() -> P>(
-    g: &Graph,
-    config: &SimConfig,
-    make_protocol: F,
-    label: &str,
-) -> RunReport {
-    let mut protocol = make_protocol();
-    let mut sim = Simulation::new(g, config.clone().threads(4));
-    let report = sim.run_sharded(&mut protocol);
-
-    let mut oracle_protocol = make_protocol();
-    let mut oracle = OracleSimulation::new(g, config.clone());
-    let oracle_report = oracle.run(&mut oracle_protocol);
-
-    assert!(
-        report.mem.is_some() && oracle_report.mem.is_none(),
-        "the engine reports memory diagnostics, the oracle does not: {label}"
-    );
-    assert_eq!(
-        report.semantics(),
-        oracle_report.semantics(),
-        "oracle report mismatch: {label}"
-    );
-    assert_eq!(
-        sim.into_rumors(),
-        oracle.into_rumor_sets(),
-        "oracle rumor-state mismatch: {label}"
-    );
-    report
+) {
+    let report = Simulation::new(g, config.clone()).run_sharded(&mut make_protocol());
+    assert_eq!(&report, expected, "sharded report mismatch: {label}");
 }
 
 /// The configurations equivalence is checked under: every termination
@@ -156,13 +97,13 @@ fn engines_agree_on_the_full_quick_grid() {
                             seed,
                             config_label
                         );
-                        assert_equivalent(
+                        assert_matches_oracle(
                             &g,
                             &config,
                             || RandomPushPull::new(&g),
                             &format!("push-pull {label}"),
                         );
-                        assert_equivalent(
+                        assert_matches_oracle(
                             &g,
                             &config,
                             || RoundRobinFlood::new(&g),
@@ -175,68 +116,6 @@ fn engines_agree_on_the_full_quick_grid() {
         }
     }
     // 7 families x 2 sizes x 4 profiles x 3 seeds x 4 configs x 2 protocols.
-    assert_eq!(checked, 7 * 2 * 4 * 3 * 4 * 2);
-}
-
-/// The oracle's own pin: on every scenario of the Quick grid (three seeds,
-/// both protocols, all four config shapes) the dense-bitset oracle must be
-/// `semantics`-identical to the preserved reference engine — so promoting
-/// the oracle to the mid-size equivalence witness never weakens the chain
-/// `engine == oracle == reference`.
-#[test]
-fn oracle_matches_reference_on_the_full_quick_grid() {
-    fn oracle_vs_reference<P: Protocol, F: Fn() -> P>(
-        g: &Graph,
-        config: &SimConfig,
-        make_protocol: F,
-        label: &str,
-    ) {
-        let mut oracle = OracleSimulation::new(g, config.clone());
-        let oracle_report = oracle.run(&mut make_protocol());
-        let mut reference = ReferenceSimulation::new(g, config.clone());
-        let ref_report = reference.run(&mut make_protocol());
-        assert!(
-            oracle_report.mem.is_none() && ref_report.mem.is_none(),
-            "neither oracle reports memory diagnostics: {label}"
-        );
-        assert_eq!(
-            oracle_report.semantics(),
-            ref_report.semantics(),
-            "oracle/reference report mismatch: {label}"
-        );
-        assert_eq!(
-            oracle.into_rumor_sets(),
-            reference.into_rumors(),
-            "oracle/reference rumor-state mismatch: {label}"
-        );
-    }
-
-    let spec = SweepSpec::standard(Scale::Quick);
-    let mut checked = 0usize;
-    for family in &spec.families {
-        for &size in &spec.sizes {
-            for profile in &spec.profiles {
-                for seed in [1u64, 2, 3] {
-                    let mut graph_rng = SmallRng::seed_from_u64(seed ^ 0xA11CE);
-                    let base = family.build(size, &mut graph_rng);
-                    let g = profile.apply(&base, &mut graph_rng);
-                    for (config, config_label) in configs(seed, g.node_count()) {
-                        let label = format!(
-                            "oracle {}/{}/{}/seed{}/{}",
-                            family.name(),
-                            size,
-                            profile.name(),
-                            seed,
-                            config_label
-                        );
-                        oracle_vs_reference(&g, &config, || RandomPushPull::new(&g), &label);
-                        oracle_vs_reference(&g, &config, || RoundRobinFlood::new(&g), &label);
-                        checked += 2;
-                    }
-                }
-            }
-        }
-    }
     assert_eq!(checked, 7 * 2 * 4 * 3 * 4 * 2);
 }
 
@@ -257,13 +136,13 @@ fn engines_agree_on_quiescent_and_preseeded_state() {
         .termination(Termination::Quiescent)
         .max_rounds(200);
 
-    let mut new_sim = Simulation::with_rumors(&g, config.clone(), initial.clone());
-    let new_report = new_sim.run(&mut gossip_sim::protocols::Silent);
-    let mut ref_sim = ReferenceSimulation::with_rumors(&g, config, initial);
-    let ref_report = ref_sim.run(&mut gossip_sim::protocols::Silent);
-    assert_eq!(new_report.semantics(), ref_report.semantics());
-    assert_eq!(new_sim.rumors(), ref_sim.rumors());
-    assert!(new_report.completed);
+    let mut sim = Simulation::with_rumors(&g, config.clone(), initial.clone());
+    let report = sim.run(&mut gossip_sim::protocols::Silent);
+    let mut oracle = OracleSimulation::with_rumors(&g, config, initial);
+    let oracle_report = oracle.run(&mut gossip_sim::protocols::Silent);
+    assert_eq!(report.semantics(), oracle_report.semantics());
+    assert_eq!(sim.into_rumors(), oracle.into_rumors());
+    assert!(report.completed);
 }
 
 proptest! {
@@ -286,9 +165,9 @@ proptest! {
             .unwrap();
         for (config, label) in configs(seed, g.node_count()) {
             let report =
-                assert_equivalent(&g, &config, || RandomPushPull::new(&g), label);
+                assert_matches_oracle(&g, &config, || RandomPushPull::new(&g), label);
             prop_assert_eq!(report.rejections, 0);
-            assert_equivalent(&g, &config, || RoundRobinFlood::new(&g), label);
+            assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), label);
         }
     }
 
@@ -297,8 +176,8 @@ proptest! {
     /// truncated) as soon as the calendar allows, on graphs with
     /// `max_latency > 1` so snapshots genuinely straddle the frontier.  Every
     /// counter maintained inside the merge — `informed_times`, `rejections`,
-    /// `min_rumors_known`, completion — must still match the reference
-    /// engine, and the run must actually have exercised truncation.
+    /// `min_rumors_known`, completion — must still match the spec, and the
+    /// run must actually have exercised truncation.
     #[test]
     fn truncated_log_merges_match_reference_with_forced_shadows(
         n in 6usize..40,
@@ -319,7 +198,12 @@ proptest! {
             .termination(Termination::FixedRounds(12 * g.max_latency()))
             .track_rumor(RumorId::from(n / 3))
             .shadow_compaction(0);
-        let report = assert_equivalent(&g, &config, || RandomPushPull::new(&g), "forced-shadows");
+        let report = assert_matches_oracle(
+            &g,
+            &config,
+            || RandomPushPull::new(&g),
+            "forced-shadows",
+        );
         prop_assert_eq!(report.rejections, 0);
         let mem = report.mem.unwrap();
         // Truncation must genuinely have happened — through shadow
@@ -330,7 +214,7 @@ proptest! {
             "forced compaction must advance shadows or collapse saturated nodes"
         );
         prop_assert!(mem.truncated_runs > 0, "advancement must truncate log runs");
-        assert_equivalent(&g, &config, || RoundRobinFlood::new(&g), "forced-shadows flood");
+        assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), "forced-shadows flood");
     }
 
     /// Saturation collapse, specifically: all-to-all on small universes with
@@ -340,7 +224,7 @@ proptest! {
     /// short-circuited to the `O(pages)` "peer is saturated" merge — while
     /// `shadow_compaction(0)` keeps ordinary frontier advancement busy on
     /// the not-yet-saturated nodes.  Every observable must still match the
-    /// reference engine exactly, and the run must genuinely have collapsed.
+    /// spec exactly, and the run must genuinely have collapsed.
     #[test]
     fn saturation_collapse_matches_reference_mid_run(
         n in 6usize..32,
@@ -361,7 +245,7 @@ proptest! {
             .track_rumor(RumorId::from(n / 2))
             .shadow_compaction(0);
         let report =
-            assert_equivalent(&g, &config, || RandomPushPull::new(&g), "saturation-collapse");
+            assert_matches_oracle(&g, &config, || RandomPushPull::new(&g), "saturation-collapse");
         prop_assert_eq!(report.rejections, 0);
         let mem = report.mem.unwrap();
         if report.min_rumors_known == n {
@@ -373,15 +257,20 @@ proptest! {
             prop_assert_eq!(mem.live_log_runs, 0, "collapsed logs retain no runs");
         }
         prop_assert!(mem.truncated_runs > 0);
-        assert_equivalent(&g, &config, || RoundRobinFlood::new(&g), "saturation-collapse flood");
+        assert_matches_oracle(
+            &g,
+            &config,
+            || RoundRobinFlood::new(&g),
+            "saturation-collapse flood",
+        );
     }
 
     /// The event-driven scheduler, specifically: sparse stars with latencies
     /// ≥ 2 and a `FixedRounds` budget far past all-to-all saturation force
     /// long windows in which every node is idle (flood: clean laps;
     /// push–pull: saturation quiescence), so the engine must *fast-forward*
-    /// the round clock across empty calendar stretches — while the reference
-    /// engine walks every round and asks every node.  `informed_times`,
+    /// the round clock across empty calendar stretches — while the oracle
+    /// walks every round and asks every node.  `informed_times`,
     /// activation/rejection counters, `min_rumors_known` and the final rumor
     /// sets must all be unchanged, and the run must genuinely have skipped.
     #[test]
@@ -428,22 +317,21 @@ proptest! {
             );
         };
         check(
-            assert_equivalent(&g, &config, || RandomPushPull::new(&g), "skip push-pull"),
+            assert_matches_oracle(&g, &config, || RandomPushPull::new(&g), "skip push-pull"),
             "skip push-pull",
         );
         check(
-            assert_equivalent(&g, &config, || RoundRobinFlood::new(&g), "skip flood"),
+            assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), "skip flood"),
             "skip flood",
         );
     }
 }
 
-// The mid-size tier: the dense-bitset oracle carries the same three
-// structure-forcing equivalence arguments (shadows, collapse, skipping) into
-// the 2048+-node regime, against the *sharded* engine — so each case also
-// witnesses thread-count invariance of the parallel decision and merge
-// passes at sizes where both genuinely fan out.  Case counts are small: each
-// case runs thousands of nodes through both engines.
+// The mid-size tier: the same three structure-forcing equivalence arguments
+// (shadows, collapse, skipping) in the 2048+-node regime, with the engine's
+// merge pass sharded across 4 workers against the oracle and the sharded
+// decision pass rerun against that report.  Case counts are small:
+// each case runs thousands of nodes through every engine.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -464,9 +352,10 @@ proptest! {
             .termination(Termination::AllKnowRumorOf(NodeId::new(n / 3)))
             .track_rumor(RumorId::from(n / 3))
             .shadow_compaction(0)
-            .max_rounds(400);
-        let report =
-            assert_oracle_equivalent(&g, &config, || RandomPushPull::new(&g), "mid shadows");
+            .max_rounds(400)
+            .threads(4);
+        let report = assert_matches_oracle(&g, &config, || RandomPushPull::new(&g), "mid shadows");
+        assert_sharded_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid shadows");
         let mem = report.mem.unwrap();
         prop_assert!(
             mem.shadow_advances > 0,
@@ -489,13 +378,10 @@ proptest! {
             .unwrap();
         let config = SimConfig::new(seed)
             .termination(Termination::FixedRounds(40 * g.max_latency()))
-            .shadow_compaction(0);
-        let report = assert_oracle_equivalent(
-            &g,
-            &config,
-            || RandomPushPull::new(&g),
-            "mid collapse",
-        );
+            .shadow_compaction(0)
+            .threads(4);
+        let report = assert_matches_oracle(&g, &config, || RandomPushPull::new(&g), "mid collapse");
+        assert_sharded_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid collapse");
         let mem = report.mem.unwrap();
         if report.min_rumors_known == n {
             prop_assert_eq!(mem.collapsed_nodes, n as u64, "saturated nodes must collapse");
@@ -524,14 +410,27 @@ proptest! {
         let config = SimConfig::new(seed)
             .termination(Termination::FixedRounds(600))
             .track_rumor(RumorId::from(0usize))
-            .shadow_compaction(0);
-        let report =
-            assert_oracle_equivalent(&g, &config, || RandomPushPull::new(&g), "mid skip");
+            .shadow_compaction(0)
+            .threads(4);
+        let report = assert_matches_oracle(&g, &config, || RandomPushPull::new(&g), "mid skip");
+        assert_sharded_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid skip");
         let mem = report.mem.unwrap();
         prop_assert!(
             mem.rounds_skipped > 0,
             "the saturated endgame must fast-forward ({mem:?})"
         );
-        assert_oracle_equivalent(&g, &config, || RoundRobinFlood::new(&g), "mid skip flood");
+        let report = assert_matches_oracle(
+            &g,
+            &config,
+            || RoundRobinFlood::new(&g),
+            "mid skip flood",
+        );
+        assert_sharded_reproduces(
+            &g,
+            &config,
+            || RoundRobinFlood::new(&g),
+            &report,
+            "mid skip flood",
+        );
     }
 }

@@ -3,7 +3,9 @@
 //! When the active worklist empties, the engine jumps the round clock to the
 //! next non-empty calendar bucket instead of walking empty rounds.  The ring
 //! addressing (`fire time % (max_latency + 1)`) makes three situations easy
-//! to get wrong, and each is pinned here against the reference engine:
+//! to get wrong, and each is pinned here against the dense-bitset spec
+//! [`OracleSimulation`](gossip_sim::oracle::OracleSimulation), which walks
+//! every round and asks every node:
 //!
 //! * a jump whose next event sits **exactly one full ring lap away**
 //!   (bucket index == current round's bucket, the wraparound case);
@@ -15,8 +17,8 @@
 
 use gossip_graph::{generators, NodeId};
 use gossip_sim::protocols::RoundRobinFlood;
-use gossip_sim::reference::ReferenceSimulation;
-use gossip_sim::{Activity, NodeView, Protocol, RumorId, SimConfig, Simulation, Termination};
+use gossip_sim::{Activity, NodeView, Protocol, RumorId, SimConfig, Termination};
+use gossip_tests::assert_matches_oracle;
 use rand::rngs::SmallRng;
 
 /// Fires one exchange per node at round 0, then idles forever (but only
@@ -58,23 +60,6 @@ impl Protocol for OneShot {
     }
 }
 
-/// Runs one config on both engines with the given protocol constructor and
-/// requires identical semantics and final rumor state; returns the engine
-/// report (with its `MemStats`).
-fn assert_equivalent<P: Protocol>(
-    g: &gossip_graph::Graph,
-    config: &SimConfig,
-    mut make: impl FnMut() -> P,
-) -> gossip_sim::RunReport {
-    let mut new_sim = Simulation::new(g, config.clone());
-    let new_report = new_sim.run(&mut make());
-    let mut ref_sim = ReferenceSimulation::new(g, config.clone());
-    let ref_report = ref_sim.run(&mut make());
-    assert_eq!(new_report.semantics(), ref_report.semantics());
-    assert_eq!(new_sim.into_rumors(), ref_sim.into_rumors());
-    new_report
-}
-
 /// The wraparound case: with `OneShot` on a latency-`L` edge, the round-`L`
 /// delivery changes rumor state and queues a shadow lap into bucket
 /// `L % (L + 1) = L` — the *current* bucket — which therefore fires exactly
@@ -89,7 +74,12 @@ fn fast_forward_wraps_across_the_ring_boundary() {
         let config = SimConfig::new(1)
             .termination(Termination::FixedRounds(budget))
             .shadow_compaction(0);
-        let report = assert_equivalent(&g, &config, OneShot::default);
+        let report = assert_matches_oracle(
+            &g,
+            &config,
+            OneShot::default,
+            &format!("ring wrap, latency {latency}"),
+        );
         assert_eq!(report.rounds, budget, "latency {latency}");
         assert_eq!(report.activations, 2);
         assert_eq!(report.min_rumors_known, 2, "the exchange must land");
@@ -119,7 +109,7 @@ fn fast_forward_wraps_across_the_ring_boundary() {
 
 /// A shadow-compaction lap queued while the worklist is occupied must still
 /// fire when its bucket comes up inside a *later* skipped window, truncating
-/// logs at exactly the round the reference semantics imply.  Flood on a
+/// logs at exactly the round the spec semantics imply.  Flood on a
 /// two-node high-latency path: the nodes wake at each delivery, relay once,
 /// and idle again, so every shadow lap fires inside a skipped stretch.
 #[test]
@@ -129,7 +119,7 @@ fn shadow_lap_queued_during_a_skipped_window_fires() {
         .termination(Termination::FixedRounds(200))
         .track_rumor(RumorId::from(0usize))
         .shadow_compaction(0);
-    let report = assert_equivalent(&g, &config, || RoundRobinFlood::new(&g));
+    let report = assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), "shadow lap");
     assert_eq!(report.rounds, 200);
     assert_eq!(report.min_rumors_known, 3, "the path must saturate");
     let mem = report.mem.unwrap();
@@ -143,12 +133,13 @@ fn shadow_lap_queued_during_a_skipped_window_fires() {
 
 /// `FixedRounds` landing strictly inside a skipped gap: the clock must stop
 /// exactly on the target — with the exchange that would have completed later
-/// dropped, exactly like the reference engine that walks every round.
+/// dropped, exactly like the oracle that walks every round.
 #[test]
 fn fixed_rounds_lands_inside_a_skipped_gap() {
     let g = generators::path(2, 10).unwrap();
     let config = SimConfig::new(1).termination(Termination::FixedRounds(7));
-    let report = assert_equivalent(&g, &config, || RoundRobinFlood::new(&g));
+    let report =
+        assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), "fixed-rounds gap");
     assert_eq!(report.rounds, 7, "the clock must stop on the target");
     assert!(report.completed);
     assert_eq!(
@@ -166,7 +157,7 @@ fn fixed_rounds_lands_inside_a_skipped_gap() {
 /// Counts down a fixed number of silent rounds per node, then reports idle.
 /// The last `on_round` call *mutates protocol state the current round's
 /// termination check has already consumed* — `Termination::Quiescent` must
-/// still fire at the exact round boundary the reference engine sees, not be
+/// still fire at the exact round boundary the oracle sees, not be
 /// overshot by a fast-forward.
 struct Countdown {
     remaining: Vec<u32>,
@@ -199,7 +190,7 @@ impl Protocol for Countdown {
 /// `Termination::Quiescent` depends on protocol state that the decision
 /// phase can change *after* the round's termination check ran.  When the
 /// worklist then empties, the engine must not fast-forward past the round
-/// boundary at which the reference engine observes the quiescence.
+/// boundary at which the oracle observes the quiescence.
 #[test]
 fn quiescent_termination_fires_at_the_reference_round_despite_skipping() {
     for rounds in [1u32, 3, 7] {
@@ -207,12 +198,17 @@ fn quiescent_termination_fires_at_the_reference_round_despite_skipping() {
         let config = SimConfig::new(2)
             .termination(Termination::Quiescent)
             .max_rounds(100_000);
-        let report = assert_equivalent(&g, &config, || Countdown {
-            remaining: vec![rounds; 4],
-        });
+        let report = assert_matches_oracle(
+            &g,
+            &config,
+            || Countdown {
+                remaining: vec![rounds; 4],
+            },
+            &format!("countdown {rounds}"),
+        );
         assert!(report.completed, "countdown {rounds}");
         // The last decrement happens in round `rounds - 1`'s decision
-        // phase; the reference engine sees all-idle at the next boundary.
+        // phase; the oracle sees all-idle at the next boundary.
         assert_eq!(
             u32::try_from(report.rounds).unwrap(),
             rounds,
@@ -223,7 +219,7 @@ fn quiescent_termination_fires_at_the_reference_round_despite_skipping() {
 
 /// The cap interaction: when nothing is in flight, nothing is queued, and no
 /// node is active, the engine jumps straight to `max_rounds` — reporting the
-/// identical not-completed run the reference engine reaches by spinning.
+/// identical not-completed run the oracle reaches by spinning.
 #[test]
 fn empty_universe_jumps_to_the_round_cap() {
     let g = generators::path(2, 3).unwrap();
@@ -233,7 +229,7 @@ fn empty_universe_jumps_to_the_round_cap() {
     // OneShot disseminates 0's rumor to node 1 and then nothing further can
     // happen; AllKnowRumorOf(0) is satisfied at the delivery, so use a
     // protocol that never acts instead to pin the never-completing path.
-    let report = assert_equivalent(&g, &config, || gossip_sim::protocols::Silent);
+    let report = assert_matches_oracle(&g, &config, || gossip_sim::protocols::Silent, "round cap");
     assert!(!report.completed);
     assert_eq!(report.rounds, 50_000);
     let mem = report.mem.unwrap();

@@ -4,7 +4,8 @@
 //! message loss — see `gossip_sim::FaultPlan`) are interpreted by two
 //! engines: the snapshot-free [`Simulation`] with its engine surgery
 //! (calendar cancellation, watermark invalidation, counter re-derivation)
-//! and the snapshot-per-exchange [`ReferenceSimulation`] oracle.  Both must
+//! and the dense-bitset spec
+//! [`OracleSimulation`](gossip_sim::oracle::OracleSimulation).  Both must
 //! produce **byte-identical** semantic reports — including the
 //! [`FaultReport`](gossip_sim::FaultReport) graceful-degradation section —
 //! and identical final rumor states, on the standard grid and on random
@@ -22,49 +23,13 @@
 
 use gossip_bench::sweep::SweepSpec;
 use gossip_bench::Scale;
-use gossip_graph::{generators, Graph, NodeId};
+use gossip_graph::{generators, NodeId};
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
-use gossip_sim::reference::ReferenceSimulation;
-use gossip_sim::{
-    ChurnSpec, FaultPlan, Protocol, RumorId, RunReport, SimConfig, Simulation, Termination,
-};
+use gossip_sim::{ChurnSpec, FaultPlan, RumorId, SimConfig, Simulation, Termination};
+use gossip_tests::assert_matches_oracle;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-
-/// Runs one protocol under one faulted config on both engines and requires
-/// identical semantic reports (fault section included) and identical final
-/// rumor states.
-fn assert_fault_equivalent<P: Protocol, F: Fn() -> P>(
-    g: &Graph,
-    config: &SimConfig,
-    make_protocol: F,
-    label: &str,
-) -> RunReport {
-    let mut new_protocol = make_protocol();
-    let mut new_sim = Simulation::new(g, config.clone());
-    let new_report = new_sim.run(&mut new_protocol);
-
-    let mut ref_protocol = make_protocol();
-    let mut ref_sim = ReferenceSimulation::new(g, config.clone());
-    let ref_report = ref_sim.run(&mut ref_protocol);
-
-    assert!(
-        new_report.faults.is_some() && ref_report.faults.is_some(),
-        "a run with an attached fault plan must report a fault section: {label}"
-    );
-    assert_eq!(
-        new_report.semantics(),
-        ref_report.semantics(),
-        "report mismatch: {label}"
-    );
-    assert_eq!(
-        new_sim.into_rumors(),
-        ref_sim.into_rumors(),
-        "rumor-state mismatch: {label}"
-    );
-    new_report
-}
 
 /// The faulted configurations equivalence is checked under.  Round caps are
 /// finite because churn can strand rumors and make dissemination conditions
@@ -134,19 +99,26 @@ fn engines_agree_on_seeded_churn_over_the_quick_grid() {
                         profile.name(),
                         config_label
                     );
-                    assert_fault_equivalent(
-                        &g,
-                        &config,
-                        || RandomPushPull::new(&g),
-                        &format!("push-pull {label}"),
-                    );
-                    assert_fault_equivalent(
-                        &g,
-                        &config,
-                        || RoundRobinFlood::new(&g),
-                        &format!("flood {label}"),
-                    );
-                    checked += 2;
+                    for report in [
+                        assert_matches_oracle(
+                            &g,
+                            &config,
+                            || RandomPushPull::new(&g),
+                            &format!("push-pull {label}"),
+                        ),
+                        assert_matches_oracle(
+                            &g,
+                            &config,
+                            || RoundRobinFlood::new(&g),
+                            &format!("flood {label}"),
+                        ),
+                    ] {
+                        assert!(
+                            report.faults.is_some(),
+                            "a run with an attached fault plan must report a fault section: {label}"
+                        );
+                        checked += 1;
+                    }
                 }
             }
         }
@@ -200,7 +172,7 @@ fn crash_inside_own_delivery_window_cancels_instead_of_delivering() {
         .shadow_compaction(0)
         .max_rounds(40)
         .faults(plan);
-    let report = assert_fault_equivalent(
+    let report = assert_matches_oracle(
         &g,
         &config,
         || RoundRobinFlood::new(&g),
@@ -228,7 +200,9 @@ fn crash_inside_own_delivery_window_cancels_instead_of_delivering() {
         .shadow_compaction(0)
         .max_rounds(40)
         .faults(plan);
-    assert_fault_equivalent(&g, &config, || RoundRobinFlood::new(&g), "crash-mid-window");
+    let report =
+        assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), "crash-mid-window");
+    assert!(report.faults.is_some(), "a fault section is reported");
 }
 
 proptest! {
@@ -267,8 +241,12 @@ proptest! {
         };
         let plan = FaultPlan::random_churn(&g, seed, &churn);
         for (config, label) in faulted_configs(seed, g.node_count(), &plan) {
-            assert_fault_equivalent(&g, &config, || RandomPushPull::new(&g), label);
-            assert_fault_equivalent(&g, &config, || RoundRobinFlood::new(&g), label);
+            for report in [
+                assert_matches_oracle(&g, &config, || RandomPushPull::new(&g), label),
+                assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), label),
+            ] {
+                prop_assert!(report.faults.is_some(), "{label}: a fault section is reported");
+            }
         }
     }
 
@@ -311,7 +289,7 @@ proptest! {
 
         let plan = FaultPlan::new().crash(horizon, NodeId::new(victim));
         let faulted_config = base.faults(plan);
-        let report = assert_fault_equivalent(
+        let report = assert_matches_oracle(
             &g,
             &faulted_config,
             || RandomPushPull::new(&g),

@@ -10,7 +10,7 @@ fn bench_pattern(c: &mut Criterion) {
 
     let cycle = generators::cycle(12, 2).unwrap();
     group.bench_function("pattern_known_d_cycle12", |b| {
-        b.iter(|| pattern::run_known_diameter(&cycle, 1))
+        b.iter(|| pattern::run_known_diameter_with(&cycle, gossip_core::diameter_bound(&cycle), 1))
     });
 
     let dumbbell = generators::dumbbell(5, 8).unwrap();

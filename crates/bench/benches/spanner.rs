@@ -22,7 +22,13 @@ fn bench_spanner(c: &mut Criterion) {
 
     let small = generators::ring_of_cliques(4, 6, 8).unwrap();
     group.bench_function("spanner_broadcast_known_d_n24", |b| {
-        b.iter(|| spanner_broadcast::run_known_diameter(&small, 3))
+        b.iter(|| {
+            spanner_broadcast::run_known_diameter_with(
+                &small,
+                gossip_core::diameter_bound(&small),
+                3,
+            )
+        })
     });
     group.bench_function("spanner_broadcast_unknown_d_n24", |b| {
         b.iter(|| spanner_broadcast::run_unknown_diameter(&small, 3))

@@ -10,7 +10,14 @@ fn bench_unified(c: &mut Criterion) {
 
     let clique = generators::clique(32, 1).unwrap();
     group.bench_function("unified_known_latencies_clique32", |b| {
-        b.iter(|| unified::run_known_latencies(&clique, NodeId::new(0), 5))
+        b.iter(|| {
+            unified::run_known_latencies_with(
+                &clique,
+                NodeId::new(0),
+                gossip_core::diameter_bound(&clique),
+                5,
+            )
+        })
     });
 
     let dumbbell = generators::dumbbell(8, 64).unwrap();

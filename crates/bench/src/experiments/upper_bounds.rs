@@ -164,7 +164,8 @@ pub fn e6_spanner_broadcast(scale: Scale) -> Table {
     for (name, g) in graphs {
         let d = metrics::estimate_diameter(&g).map(|e| e.upper).unwrap_or(0);
         let bound = d as f64 * log2(g.node_count()).powi(3);
-        let known = spanner_broadcast::run_known_diameter(&g, 0x66);
+        let known =
+            spanner_broadcast::run_known_diameter_with(&g, gossip_core::diameter_bound(&g), 0x66);
         let unknown = spanner_broadcast::run_unknown_diameter(&g, 0x66);
         table.push_row(vec![
             Cell::from(name),
@@ -221,7 +222,7 @@ pub fn e7_pattern(scale: Scale) -> Table {
             .unwrap_or(1)
             .max(1);
         let bound = d as f64 * log2(g.node_count()).powi(2) * (d as f64).log2().max(1.0);
-        let report = pattern::run_known_diameter(&g, 0x77);
+        let report = pattern::run_known_diameter_with(&g, gossip_core::diameter_bound(&g), 0x77);
         table.push_row(vec![
             Cell::from(name),
             Cell::from(g.node_count()),
@@ -286,7 +287,12 @@ pub fn e8_unified(scale: Scale) -> Table {
         ],
     );
     for (name, g) in graphs {
-        let r = unified::run_known_latencies(&g, NodeId::new(0), 0x88);
+        let r = unified::run_known_latencies_with(
+            &g,
+            NodeId::new(0),
+            gossip_core::diameter_bound(&g),
+            0x88,
+        );
         table.push_row(vec![
             Cell::from(name),
             Cell::from(g.node_count()),

@@ -323,11 +323,6 @@ impl ProtocolKind {
         )
     }
 
-    /// Runs one trial of this protocol (broadcasts start at node 0).
-    pub fn run(&self, g: &Graph, seed: u64) -> TrialMeasurement {
-        self.run_with_diameter_bound(g, None, seed)
-    }
-
     /// Runs one fault-injected trial: derives a [`FaultPlan`] from the trial
     /// seed via [`FaultPlan::random_churn`] and drives the engine directly
     /// with the plan attached, so the measurement carries the engine's
@@ -375,12 +370,13 @@ impl ProtocolKind {
         }
     }
 
-    /// [`run`](Self::run) with the diameter bound the heavy protocols' "known
-    /// D" oracle would compute supplied by the caller (`None` computes it on
-    /// the spot).  The sweep computes the bound once per shared topology and
-    /// feeds it to every trial over that topology, so the heavy protocols at
-    /// 8192+ nodes don't each redo the Dijkstra sweeps.  The lightweight
-    /// protocols ignore the bound entirely.
+    /// Runs one trial of this protocol (broadcasts start at node 0), with
+    /// the diameter bound the heavy protocols' "known D" oracle would
+    /// compute supplied by the caller (`None` computes it on the spot).  The
+    /// sweep computes the bound once per shared topology and feeds it to
+    /// every trial over that topology, so the heavy protocols at 8192+ nodes
+    /// don't each redo the Dijkstra sweeps.  The lightweight protocols
+    /// ignore the bound entirely.
     pub fn run_with_diameter_bound(
         &self,
         g: &Graph,

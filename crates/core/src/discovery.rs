@@ -22,7 +22,6 @@ use crate::DisseminationReport;
 #[derive(Debug, Clone)]
 struct ProbeAll {
     next: Vec<usize>,
-    degrees: Vec<usize>,
     // gossip-lint: allow(unordered-iter): keyed insert/contains_key per edge only, never iterated
     discovered: Vec<HashMap<EdgeId, Latency>>,
 }
@@ -31,7 +30,6 @@ impl ProbeAll {
     fn new(g: &Graph) -> Self {
         ProbeAll {
             next: vec![0; g.node_count()],
-            degrees: g.nodes().map(|v| g.degree(v)).collect(),
             discovered: vec![HashMap::new(); g.node_count()],
         }
     }
@@ -54,13 +52,6 @@ impl Protocol for ProbeAll {
 
     fn on_exchange(&mut self, node: NodeId, event: &ExchangeEvent) {
         self.discovered[node.index()].insert(event.edge, event.latency);
-    }
-
-    fn is_idle(&self, node: NodeId) -> bool {
-        // A node is idle once it has sent all its probes; in-flight responses
-        // are the engine's concern (Quiescent termination also requires an
-        // empty in-flight set).
-        self.next[node.index()] >= self.degrees[node.index()]
     }
 }
 

@@ -78,9 +78,9 @@ pub struct EllDtg {
     /// never re-scan merged history.
     // gossip-lint: allow(unordered-iter): keyed watermark lookups only, never iterated — order can't reach any observable
     merged: HashMap<(u32, u32), u32>,
-    /// Scratch reused across completions (log segments, newly heard ids).
+    /// Scratch reused across completions (log segments, newly heard runs).
     scratch_segments: Vec<(RumorId, u32)>,
-    scratch_new: Vec<RumorId>,
+    scratch_new: Vec<(RumorId, u32)>,
 }
 
 impl EllDtg {
@@ -146,18 +146,17 @@ impl EllDtg {
         self.heard_log[src].for_each_segment(from, upto, |first, len| {
             segments.push((first, len));
         });
-        let mut new_ids = std::mem::take(&mut self.scratch_new);
+        let mut new_runs = std::mem::take(&mut self.scratch_new);
         for &(first, len) in &segments {
-            new_ids.clear();
-            self.heard[dst].insert_consecutive(first, len, &mut new_ids);
-            for &id in &new_ids {
-                self.heard_log[dst].push(id);
-            }
+            self.heard[dst].insert_run(first, len, &mut new_runs);
+        }
+        for &(first, len) in &new_runs {
+            self.heard_log[dst].push_run(first, len);
         }
         segments.clear();
-        new_ids.clear();
+        new_runs.clear();
         self.scratch_segments = segments;
-        self.scratch_new = new_ids;
+        self.scratch_new = new_runs;
     }
 
     /// Latency bound ℓ of this invocation.
@@ -256,10 +255,6 @@ impl Protocol for EllDtg {
         self.nodes[v].queue_pos += 1;
     }
 
-    fn is_idle(&self, node: NodeId) -> bool {
-        self.nodes[node.index()].done
-    }
-
     // gossip-audit: contract(pure)
     fn activity(&self, view: &NodeView<'_>) -> Activity {
         let state = &self.nodes[view.node.index()];
@@ -285,20 +280,10 @@ impl Protocol for EllDtg {
 /// The run stops when every node's program has finished (which implies every
 /// node has exchanged rumors with all of its ≤ ℓ neighbors).
 pub fn local_broadcast(g: &Graph, bound: Latency, seed: u64) -> DisseminationReport {
-    let config = SimConfig::new(seed)
-        .termination(Termination::Quiescent)
-        .max_rounds(round_cap(g, bound));
-    let mut protocol = EllDtg::new(g, bound);
-    let mut sim = Simulation::new(g, config);
-    let report = sim.run(&mut protocol);
+    let (mut report, rumors, _) = run_with_rumors(g, bound, seed, crate::initial_rumors(g), false);
     // Double-check the local-broadcast postcondition against the rumor state.
-    let achieved = local_broadcast_achieved(g, bound, sim.rumors());
-    DisseminationReport::single(
-        "ell-dtg",
-        report.rounds,
-        report.activations,
-        report.completed && achieved,
-    )
+    report.completed &= local_broadcast_achieved(g, bound, &rumors);
+    report
 }
 
 /// Runs one ℓ-DTG invocation starting from the supplied rumor sets and returns

@@ -10,6 +10,7 @@ use gossip_graph::{Graph, NodeId};
 use gossip_sim::protocols::RoundRobinFlood;
 use gossip_sim::{RumorId, SimConfig, Simulation, Termination};
 
+use crate::push_pull::round_cap;
 use crate::DisseminationReport;
 
 /// One-to-all dissemination from `source` by round-robin flooding.
@@ -41,13 +42,6 @@ pub fn all_to_all(g: &Graph, seed: u64) -> DisseminationReport {
         report.completed,
     )
     .with_mem(report.mem)
-}
-
-fn round_cap(g: &Graph) -> u64 {
-    (g.node_count() as u64)
-        .saturating_mul(g.max_latency().max(1))
-        .saturating_mul(4)
-        .max(10_000)
 }
 
 #[cfg(test)]

@@ -28,7 +28,8 @@
 //! // Two 8-cliques joined by a slow bridge.
 //! let g = generators::dumbbell(8, 64).unwrap();
 //! let pp = push_pull::broadcast(&g, NodeId::new(0), 7);
-//! let sb = spanner_broadcast::run_known_diameter(&g, 7);
+//! let d = gossip_core::diameter_bound(&g);
+//! let sb = spanner_broadcast::run_known_diameter_with(&g, d, 7);
 //! assert!(pp.completed && sb.completed);
 //! ```
 
@@ -55,11 +56,32 @@ pub use report::{DisseminationReport, Phase};
 /// latency for disconnected graphs — on which no all-to-all algorithm can
 /// complete, so any positive guess only bounds the wasted work.
 ///
-/// Exposed so drivers that amortise the bound across runs (the sweep caches
-/// one per shared topology) feed the `*_with` entry points the exact same
-/// value the plain entry points would compute.
+/// Callers pass it to the known-diameter entry points
+/// (`run_known_diameter_with`, `run_known_latencies_with`); drivers that
+/// amortise the bound across runs (the sweep caches one per shared
+/// topology) compute it once.
 pub fn diameter_bound(g: &gossip_graph::Graph) -> gossip_graph::Latency {
     gossip_graph::metrics::estimate_diameter(g)
         .map(|e| e.upper)
         .unwrap_or_else(|| g.max_latency().max(1))
+}
+
+/// The canonical starting state: node `i` knows exactly rumor `i`.
+pub(crate) fn initial_rumors(g: &gossip_graph::Graph) -> Vec<gossip_sim::RumorSet> {
+    let n = g.node_count();
+    (0..n)
+        .map(|i| gossip_sim::RumorSet::singleton(n, gossip_sim::RumorId::from(i)))
+        .collect()
+}
+
+/// Largest diameter guess the guess-and-double drivers try: the total
+/// latency (a trivial upper bound on the diameter), rounded up to a power of
+/// two.
+pub(crate) fn guess_cap(g: &gossip_graph::Graph) -> gossip_graph::Latency {
+    let total: u128 = g.total_latency().max(1);
+    let mut cap: gossip_graph::Latency = 1;
+    while (cap as u128) < total && cap < gossip_graph::Latency::MAX / 2 {
+        cap *= 2;
+    }
+    cap
 }

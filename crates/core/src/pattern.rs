@@ -17,7 +17,7 @@
 //! algorithm (Algorithm 5).
 
 use gossip_graph::{Graph, Latency};
-use gossip_sim::{RumorId, RumorSet};
+use gossip_sim::RumorSet;
 
 use crate::{dtg, DisseminationReport, Phase};
 
@@ -71,20 +71,14 @@ pub fn run_schedule(
     )
 }
 
-/// Pattern Broadcast with a known diameter: runs `T(D)` once (Lemma 27).
+/// Pattern Broadcast with a known diameter `d`: runs `T(d)` once (Lemma 27).
 ///
-/// "Known D" is served by the diameter-bound oracle (exact below the
-/// threshold, an upper bound `≥ D` above it); the schedule rounds `k` up to
-/// a power of two anyway, so a constant-factor overshoot only ever doubles
-/// the top-level `k`.
-pub fn run_known_diameter(g: &Graph, seed: u64) -> DisseminationReport {
-    run_known_diameter_with(g, crate::diameter_bound(g), seed)
-}
-
-/// [`run_known_diameter`] with the diameter (or an upper bound on it)
-/// supplied by the caller instead of recomputed from the graph.
+/// "Known D" is usually [`crate::diameter_bound`]`(g)`, the diameter-bound
+/// oracle (exact below the threshold, an upper bound `≥ D` above it); the
+/// schedule rounds `k` up to a power of two anyway, so a constant-factor
+/// overshoot only ever doubles the top-level `k`.
 pub fn run_known_diameter_with(g: &Graph, d: Latency, seed: u64) -> DisseminationReport {
-    run_schedule(g, d.max(1), seed, initial_rumors(g), true).0
+    run_schedule(g, d.max(1), seed, crate::initial_rumors(g), true).0
 }
 
 /// Pattern Broadcast with an unknown diameter (Algorithm 5): guess-and-double
@@ -93,9 +87,9 @@ pub fn run_known_diameter_with(g: &Graph, d: Latency, seed: u64) -> Disseminatio
 /// the same schedule).
 pub fn run_unknown_diameter(g: &Graph, seed: u64) -> DisseminationReport {
     let mut phases: Vec<Phase> = Vec::new();
-    let mut rumors = initial_rumors(g);
+    let mut rumors = crate::initial_rumors(g);
     let mut guess: Latency = 1;
-    let cap = guess_cap(g);
+    let cap = crate::guess_cap(g);
     let mut completed = false;
 
     while guess <= cap {
@@ -121,22 +115,6 @@ pub fn run_unknown_diameter(g: &Graph, seed: u64) -> DisseminationReport {
     }
 
     DisseminationReport::from_phases("pattern-broadcast (unknown D)", phases, completed)
-}
-
-fn initial_rumors(g: &Graph) -> Vec<RumorSet> {
-    let n = g.node_count();
-    (0..n)
-        .map(|i| RumorSet::singleton(n, RumorId::from(i)))
-        .collect()
-}
-
-fn guess_cap(g: &Graph) -> Latency {
-    let total: u128 = g.total_latency().max(1);
-    let mut cap: Latency = 1;
-    while (cap as u128) < total && cap < Latency::MAX / 2 {
-        cap *= 2;
-    }
-    cap
 }
 
 #[cfg(test)]
@@ -172,7 +150,7 @@ mod tests {
             generators::cycle(12, 1).unwrap(),
             generators::grid(3, 4, 1).unwrap(),
         ] {
-            let r = run_known_diameter(&g, 3);
+            let r = run_known_diameter_with(&g, crate::diameter_bound(&g), 3);
             assert!(
                 r.completed,
                 "pattern broadcast failed on {} nodes",
@@ -184,7 +162,7 @@ mod tests {
     #[test]
     fn known_diameter_completes_with_mixed_latencies() {
         let g = generators::dumbbell(4, 8).unwrap();
-        let r = run_known_diameter(&g, 5);
+        let r = run_known_diameter_with(&g, crate::diameter_bound(&g), 5);
         assert!(r.completed);
         // The schedule must have included an 8-DTG (or larger) phase to cross the bridge.
         assert!(r
@@ -208,7 +186,7 @@ mod tests {
     #[test]
     fn phases_sum_to_total_rounds() {
         let g = generators::ring_of_cliques(3, 3, 4).unwrap();
-        let r = run_known_diameter(&g, 9);
+        let r = run_known_diameter_with(&g, crate::diameter_bound(&g), 9);
         assert_eq!(r.rounds, r.phases.iter().map(|p| p.rounds).sum::<u64>());
     }
 
@@ -216,7 +194,7 @@ mod tests {
     fn nonblocking_schedule_also_completes() {
         let g = generators::cycle(8, 2).unwrap();
         let d = gossip_graph::metrics::weighted_diameter(&g).unwrap();
-        let (r, rumors) = run_schedule(&g, d, 1, initial_rumors(&g), false);
+        let (r, rumors) = run_schedule(&g, d, 1, crate::initial_rumors(&g), false);
         assert!(r.completed);
         assert!(rumors.iter().all(RumorSet::is_full));
     }

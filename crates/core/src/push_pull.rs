@@ -69,7 +69,7 @@ pub fn local_broadcast(g: &Graph, bound: gossip_graph::Latency, seed: u64) -> Di
     .with_mem(report.mem)
 }
 
-fn round_cap(g: &Graph) -> u64 {
+pub(crate) fn round_cap(g: &Graph) -> u64 {
     // Generous cap: n rounds per unit of maximum latency, at least 10_000.
     (g.node_count() as u64)
         .saturating_mul(g.max_latency().max(1))

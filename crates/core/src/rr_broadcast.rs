@@ -106,19 +106,7 @@ pub fn all_to_all(
     k: Latency,
     seed: u64,
 ) -> DisseminationReport {
-    let mut protocol = RrBroadcast::new(g, spanner, k);
-    let budget = budget(g, &protocol, k);
-    let config = SimConfig::new(seed)
-        .termination(Termination::AllKnowAll)
-        .max_rounds(budget);
-    let sim_graph = phase_graph(g, spanner);
-    let report = Simulation::new(&sim_graph, config).run(&mut protocol);
-    DisseminationReport::single(
-        "rr-broadcast",
-        report.rounds,
-        report.activations,
-        report.completed,
-    )
+    run_with_rumors(g, spanner, k, seed, crate::initial_rumors(g)).0
 }
 
 /// Runs RR Broadcast starting from the given rumor sets; returns the report

@@ -18,7 +18,7 @@
 //! nodes stop in the same phase.
 
 use gossip_graph::{Graph, Latency};
-use gossip_sim::{RumorId, RumorSet};
+use gossip_sim::RumorSet;
 
 use crate::{dtg, rr_broadcast, spanner, DisseminationReport, Phase};
 
@@ -27,22 +27,15 @@ fn ceil_log2(n: usize) -> u64 {
     64 - (n - 1).leading_zeros() as u64
 }
 
-/// Runs Spanner Broadcast with a known diameter (Algorithm 2 / Lemma 23).
+/// Runs Spanner Broadcast with a known diameter `d` (Algorithm 2 / Lemma 23).
 ///
-/// "Known D" is served by the diameter-bound oracle
-/// ([`gossip_graph::metrics::estimate_diameter`]): exact below the threshold, a
-/// constant-sweep upper bound `≥ D` above it — the algorithm's phases only
-/// need `D` up to constant factors, which the bound preserves.  Callers that
-/// already hold a bound (the sweep caches one per topology) use
-/// [`run_known_diameter_with`].
-pub fn run_known_diameter(g: &Graph, seed: u64) -> DisseminationReport {
-    run_known_diameter_with(g, crate::diameter_bound(g), seed)
-}
-
-/// [`run_known_diameter`] with the diameter (or an upper bound on it)
-/// supplied by the caller instead of recomputed from the graph.
+/// "Known D" is usually [`crate::diameter_bound`]`(g)`, the diameter-bound
+/// oracle: exact below the threshold, a constant-sweep upper bound `≥ D`
+/// above it — the algorithm's phases only need `D` up to constant factors,
+/// which the bound preserves.  Callers that already hold a bound (the sweep
+/// caches one per topology) pass it instead of recomputing it.
 pub fn run_known_diameter_with(g: &Graph, d: Latency, seed: u64) -> DisseminationReport {
-    run_with_guess(g, d.max(1), seed, initial_rumors(g)).0
+    run_with_guess(g, d.max(1), seed, crate::initial_rumors(g)).0
 }
 
 /// Runs Spanner Broadcast with the guess-and-double strategy for an unknown
@@ -54,9 +47,9 @@ pub fn run_known_diameter_with(g: &Graph, d: Latency, seed: u64) -> Disseminatio
 /// over the same spanner (Algorithm 3).
 pub fn run_unknown_diameter(g: &Graph, seed: u64) -> DisseminationReport {
     let mut phases: Vec<Phase> = Vec::new();
-    let mut rumors = initial_rumors(g);
+    let mut rumors = crate::initial_rumors(g);
     let mut guess: Latency = 1;
-    let cap = guess_cap(g);
+    let cap = crate::guess_cap(g);
     let mut completed = false;
 
     while guess <= cap {
@@ -128,24 +121,6 @@ pub fn run_with_guess(
     (report, rumors)
 }
 
-fn initial_rumors(g: &Graph) -> Vec<RumorSet> {
-    let n = g.node_count();
-    (0..n)
-        .map(|i| RumorSet::singleton(n, RumorId::from(i)))
-        .collect()
-}
-
-fn guess_cap(g: &Graph) -> Latency {
-    // The doubling guess never needs to exceed the total latency (a trivial
-    // upper bound on the diameter), rounded up to a power of two.
-    let total: u128 = g.total_latency().max(1);
-    let mut cap: Latency = 1;
-    while (cap as u128) < total && cap < Latency::MAX / 2 {
-        cap *= 2;
-    }
-    cap
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,7 +134,7 @@ mod tests {
             generators::ring_of_cliques(4, 4, 4).unwrap(),
             generators::grid(4, 4, 2).unwrap(),
         ] {
-            let r = run_known_diameter(&g, 3);
+            let r = run_known_diameter_with(&g, crate::diameter_bound(&g), 3);
             assert!(
                 r.completed,
                 "spanner broadcast failed on {} nodes",
@@ -174,7 +149,7 @@ mod tests {
     #[test]
     fn unknown_diameter_completes_and_costs_more_than_known() {
         let g = generators::dumbbell(6, 8).unwrap();
-        let known = run_known_diameter(&g, 7);
+        let known = run_known_diameter_with(&g, crate::diameter_bound(&g), 7);
         let unknown = run_unknown_diameter(&g, 7);
         assert!(known.completed && unknown.completed);
         assert!(
@@ -201,7 +176,7 @@ mod tests {
     #[test]
     fn report_phases_sum_to_total() {
         let g = generators::ring_of_cliques(3, 4, 4).unwrap();
-        let r = run_known_diameter(&g, 5);
+        let r = run_known_diameter_with(&g, crate::diameter_bound(&g), 5);
         let sum: u64 = r.phases.iter().map(|p| p.rounds).sum();
         assert_eq!(sum, r.rounds);
     }
@@ -212,8 +187,8 @@ mod tests {
         // spanner broadcast cost should grow with D.
         let small_d = generators::clique(24, 1).unwrap();
         let large_d = generators::path(24, 8).unwrap();
-        let a = run_known_diameter(&small_d, 2);
-        let b = run_known_diameter(&large_d, 2);
+        let a = run_known_diameter_with(&small_d, crate::diameter_bound(&small_d), 2);
+        let b = run_known_diameter_with(&large_d, crate::diameter_bound(&large_d), 2);
         assert!(a.completed && b.completed);
         assert!(
             b.rounds > a.rounds,

@@ -107,14 +107,8 @@ pub fn run_unknown_latencies(g: &Graph, source: NodeId, seed: u64) -> UnifiedRep
 
 /// Unified algorithm in the *known latency* setting (Theorem 31, second
 /// bound): push–pull races against spanner broadcast with the known diameter
-/// (served by the diameter-bound oracle; see
-/// [`spanner_broadcast::run_known_diameter`]).
-pub fn run_known_latencies(g: &Graph, source: NodeId, seed: u64) -> UnifiedReport {
-    run_known_latencies_with(g, source, crate::diameter_bound(g), seed)
-}
-
-/// [`run_known_latencies`] with the diameter (or an upper bound on it)
-/// supplied by the caller instead of recomputed from the graph.
+/// `d` (usually [`crate::diameter_bound`]`(g)`; see
+/// [`spanner_broadcast::run_known_diameter_with`]).
 pub fn run_known_latencies_with(
     g: &Graph,
     source: NodeId,
@@ -138,7 +132,7 @@ mod tests {
             generators::dumbbell(6, 8).unwrap(),
             generators::ring_of_cliques(3, 4, 6).unwrap(),
         ] {
-            let r = run_known_latencies(&g, NodeId::new(0), 3);
+            let r = run_known_latencies_with(&g, NodeId::new(0), crate::diameter_bound(&g), 3);
             assert!(r.completed);
             assert!(r.rounds <= r.push_pull.rounds.max(r.spanner_route.rounds));
         }
@@ -149,7 +143,7 @@ mod tests {
         // A unit-latency clique: ℓ*/φ*·log n is tiny, while the spanner route
         // pays log³ n discovery overhead.
         let g = generators::clique(32, 1).unwrap();
-        let r = run_known_latencies(&g, NodeId::new(0), 5);
+        let r = run_known_latencies_with(&g, NodeId::new(0), crate::diameter_bound(&g), 5);
         assert!(r.completed);
         assert_eq!(r.winner, Winner::PushPull);
     }
@@ -165,7 +159,7 @@ mod tests {
     #[test]
     fn to_report_exposes_both_phases() {
         let g = generators::cycle(10, 2).unwrap();
-        let r = run_known_latencies(&g, NodeId::new(0), 1);
+        let r = run_known_latencies_with(&g, NodeId::new(0), crate::diameter_bound(&g), 1);
         let rep = r.to_report();
         assert!(rep.phase_rounds("push-pull") > 0);
         assert!(rep.phase_rounds("spanner-route") > 0);

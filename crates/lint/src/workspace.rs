@@ -116,9 +116,7 @@ impl Default for AuditConfig {
             "OracleSimulation::run",
             // Rumor-set merge operations (the parallel-merge contract).
             "RumorSet::insert",
-            "RumorSet::insert_consecutive",
             "RumorSet::insert_all",
-            "RumorSet::union_with",
             "RumorSet::union_words_collect_new_runs",
             // Acquisition-log operations driven from the merge path.
             "AcquisitionLog::push",
@@ -359,6 +357,12 @@ fn root_matches(root: &str, item: &Item) -> bool {
 /// `fn` line (so one reasoned pragma covers the fn), with the per-site
 /// lines in the human-only detail and the BFS path from the root in the
 /// message.
+///
+/// A root that matches no non-test fn (renamed or deleted) would audit
+/// nothing, so it is reported on the line of the string literal declaring
+/// it.  A root declared outside the analysed sources (a partial source set
+/// under the default configuration, as in unit tests) has no such line and
+/// is not reported.
 fn audit_panic_path(
     files: &[SourceFile],
     lexed: &[Lexed],
@@ -368,6 +372,29 @@ fn audit_panic_path(
     config: &AuditConfig,
     raw: &mut Vec<Finding>,
 ) {
+    for root in &config.panic_roots {
+        if items.iter().any(|it| !it.is_test && root_matches(root, it)) {
+            continue;
+        }
+        let literal = format!("\"{root}\"");
+        let declared = files
+            .iter()
+            .zip(ctxs)
+            .enumerate()
+            .find_map(|(fi, (file, ctx))| {
+                let at = file.content.lines().position(|l| l.contains(&literal))?;
+                (!ctx.whole_file_test).then_some((fi, at as u32 + 1))
+            });
+        if let Some((fi, line)) = declared {
+            raw.push(Finding::new(
+                "panic-path",
+                &files[fi].rel,
+                line,
+                &ctxs[fi].module,
+                format!("panic-path root `{root}` matches no non-test fn, so it audits nothing; rename or remove it"),
+            ));
+        }
+    }
     let roots: Vec<usize> = items
         .iter()
         .enumerate()
@@ -765,6 +792,53 @@ fn helper(i: usize) -> u64 {
             report.findings
         );
         assert_eq!(report.suppressed_by_rule.get("panic-path"), Some(&1));
+    }
+
+    #[test]
+    fn stale_panic_roots_are_reported_where_they_are_declared() {
+        let src = SourceFile {
+            rel: "crates/sim/src/demo.rs".to_string(),
+            content: "pub struct Simulation;
+impl Simulation {
+    pub fn run(&self) {}
+}
+pub const ROOTS: [&str; 3] = [\"Simulation::run\", \"Simulation::gone\", \"helper\"];
+#[cfg(test)]
+fn helper() {}
+"
+            .to_string(),
+        };
+        let config = AuditConfig {
+            panic_roots: [
+                "Simulation::run",
+                "Simulation::gone",
+                "helper",
+                "undeclared",
+            ]
+            .iter()
+            .map(|s| s.to_string())
+            .collect(),
+            ..AuditConfig::default()
+        };
+        let report = analyze_sources_with(std::slice::from_ref(&src), &config);
+        let stale: Vec<&str> = report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "panic-path")
+            .map(|f| f.message.as_str())
+            .collect();
+        // `helper` matches only test code; `undeclared` has no declaring line.
+        assert_eq!(stale.len(), 2, "{:?}", report.findings);
+        assert!(stale.iter().any(|m| m.contains("`Simulation::gone`")));
+        assert!(stale.iter().any(|m| m.contains("`helper`")));
+        assert!(report.findings.iter().all(|f| f.line == 5));
+
+        // With every root live the configuration is clean.
+        let config = AuditConfig {
+            panic_roots: vec!["Simulation::run".to_string()],
+            ..AuditConfig::default()
+        };
+        assert!(analyze_sources_with(&[src], &config).clean());
     }
 
     #[test]

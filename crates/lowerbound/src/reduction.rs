@@ -45,10 +45,6 @@ impl<P: Protocol> Protocol for CrossEdgeRecorder<'_, P> {
     fn on_exchange(&mut self, node: NodeId, event: &gossip_sim::ExchangeEvent) {
         self.inner.on_exchange(node, event);
     }
-
-    fn is_idle(&self, node: NodeId) -> bool {
-        self.inner.is_idle(node)
-    }
 }
 
 /// Outcome of one reduction experiment.

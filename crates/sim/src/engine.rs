@@ -113,7 +113,9 @@ pub enum Termination {
     LocalBroadcast(Latency),
     /// Run for exactly this many rounds.
     FixedRounds(u64),
-    /// Stop when the protocol reports every node idle and no exchange is in flight.
+    /// Stop when no exchange is in flight and every alive node's
+    /// [`Protocol::activity`] is [`Activity::Quiescent`] (checked at round
+    /// boundaries, like every condition).
     Quiescent,
 }
 
@@ -356,9 +358,13 @@ impl NodeView<'_> {
 /// [`Protocol::activity`] and consumed by the engine's event-driven
 /// scheduler.
 ///
-/// The engine consults `activity` for a node only directly after that node's
+/// The scheduler consults `activity` for a node directly after that node's
 /// [`on_round`](Protocol::on_round) returned `None` in the same round, with
-/// the same [`NodeView`].  Anything other than [`Activity::Active`] is a
+/// the same [`NodeView`].  Under [`Termination::Quiescent`] the engine (and
+/// the oracle) also asks every alive node at each round boundary, with the
+/// view its next `on_round` call would get: the run ends once every answer
+/// is [`Activity::Quiescent`] and nothing is in flight.  Anything other than
+/// [`Activity::Active`] is a
 /// *binding promise* about future `on_round` calls — see the variants — that
 /// lets the engine skip those calls entirely; because a skipped call would
 /// have returned `None` without touching the RNG or the protocol state,
@@ -392,7 +398,8 @@ pub enum Activity {
     /// node act again.  The engine retires the node permanently — it is
     /// *not* re-activated by wake events — so this is only sound when the
     /// silence derives from irreversible state (a full rumor set, an
-    /// isolated node, a finished program).
+    /// isolated node, a finished program).  It is also the node's "finished"
+    /// answer to [`Termination::Quiescent`].
     ///
     /// **Fault events are outside this promise.**  A topology change from a
     /// [`FaultPlan`](crate::FaultPlan) (a neighbor crashing or rejoining, an
@@ -458,21 +465,16 @@ pub trait Protocol {
         let _ = (node, event);
     }
 
-    /// Whether this node has finished its program (used by [`Termination::Quiescent`]).
-    fn is_idle(&self, node: NodeId) -> bool {
-        let _ = node;
-        false
-    }
-
     /// The node's quiescence promise, consulted by the event-driven
     /// scheduler directly after an [`on_round`](Self::on_round) call that
-    /// returned `None` (with the same `view`).
+    /// returned `None` (with the same `view`), and at round boundaries by
+    /// [`Termination::Quiescent`].
     ///
     /// The default returns [`Activity::Active`], which makes no promise:
     /// the engine keeps asking the node every round, so **third-party
     /// protocols that do not override this method keep the exact
     /// pre-scheduler behavior** — every node is consulted every round and no
-    /// rounds are skipped.
+    /// rounds are skipped (and a `Quiescent` run only ends at `max_rounds`).
     ///
     /// Overriding implementations must uphold the contract documented on
     /// [`Activity`]: while idle or quiescent, any `on_round` call the engine
@@ -1658,29 +1660,30 @@ impl<'g> Progress<'g> {
         );
     }
 
+    /// Evaluates `termination` at the round boundary `ctx.round`.
+    /// `Quiescent` asks every alive node's [`Protocol::activity`] through
+    /// the same views the decision pass builds.
     fn is_done<P: Protocol>(
         &self,
         termination: &Termination,
-        round: u64,
+        ctx: &DecisionCtx<'_>,
         protocol: &P,
         in_flight_count: usize,
-        alive: Option<&AliveView>,
     ) -> bool {
         // Under faults, dissemination conditions quantify over *alive* nodes
         // only (counters never count dead nodes); with no node alive they
         // hold vacuously.
-        let n_alive = alive.map_or(self.counts.len(), AliveView::alive_count);
+        let n_alive = ctx.alive.map_or(self.counts.len(), AliveView::alive_count);
         match *termination {
             Termination::AllKnowRumorOf(_) => self.source_known_by == n_alive,
             Termination::AllKnowAll => self.full_nodes == n_alive,
             Termination::LocalBroadcast(_) => self.lb_deficit == 0,
-            Termination::FixedRounds(target) => round >= target,
+            Termination::FixedRounds(target) => ctx.round >= target,
             Termination::Quiescent => {
                 in_flight_count == 0
-                    && self
-                        .graph
-                        .nodes()
-                        .all(|v| alive.is_some_and(|a| !a.is_node_alive(v)) || protocol.is_idle(v))
+                    && self.graph.nodes().all(|v| {
+                        ctx.is_dead(v) || protocol.activity(&ctx.view(v)) == Activity::Quiescent
+                    })
             }
         }
     }
@@ -1736,6 +1739,28 @@ impl<'g> Simulation<'g> {
     /// Consumes the simulation and returns the rumor sets (after a run).
     pub fn into_rumors(self) -> Vec<RumorSet> {
         self.rumors
+    }
+
+    /// The read-only inputs every [`NodeView`] of round `round` is built from.
+    fn decision_ctx<'a>(
+        &'a self,
+        alive: Option<&'a AliveView>,
+        discovered: &'a DiscoveredLatencies,
+        pending_own: &'a [usize],
+        round: u64,
+    ) -> DecisionCtx<'a> {
+        DecisionCtx {
+            graph: self.graph,
+            rumors: &self.rumors,
+            alive,
+            discovered,
+            pending_own,
+            mode: self.config.mode,
+            latencies_known: self.config.latencies_known,
+            seed: self.config.seed,
+            round,
+            threads: self.config.threads.max(1),
+        }
     }
 
     /// Runs `protocol` until the termination condition or the round cap is
@@ -1864,10 +1889,9 @@ impl<'g> Simulation<'g> {
         let mut round: u64 = 0;
         let mut completed = progress.is_done(
             &self.config.termination,
-            0,
+            &self.decision_ctx(alive.as_ref(), &discovered, &pending_own, 0),
             protocol,
             in_flight_count,
-            alive.as_ref(),
         );
         if !completed {
             while round < self.config.max_rounds {
@@ -2111,14 +2135,11 @@ impl<'g> Simulation<'g> {
                 }
                 calendar[bucket] = completions; // keep the bucket's capacity
 
-                // 2. Check termination (conditions are evaluated on round boundaries).
-                if progress.is_done(
-                    &self.config.termination,
-                    round,
-                    protocol,
-                    in_flight_count,
-                    alive.as_ref(),
-                ) {
+                // 2. Check termination (conditions are evaluated on round
+                //    boundaries) against the round-start state the decision
+                //    pass below reads too.
+                let ctx = self.decision_ctx(alive.as_ref(), &discovered, &pending_own, round);
+                if progress.is_done(&self.config.termination, &ctx, protocol, in_flight_count) {
                     completed = true;
                     break;
                 }
@@ -2171,21 +2192,7 @@ impl<'g> Simulation<'g> {
                 //    `None` and whose `activity` promises silence leave the
                 //    worklist here.
                 decides.clear();
-                {
-                    let ctx = DecisionCtx {
-                        graph: self.graph,
-                        rumors: &self.rumors,
-                        alive: alive.as_ref(),
-                        discovered: &discovered,
-                        pending_own: &pending_own,
-                        mode: self.config.mode,
-                        latencies_known: self.config.latencies_known,
-                        seed: self.config.seed,
-                        round,
-                        threads,
-                    };
-                    D::decide(protocol, &ctx, &worklist, &mut decides);
-                }
+                D::decide(protocol, &ctx, &worklist, &mut decides);
                 debug_assert_eq!(decides.len(), worklist.len());
                 let mut kept = 0;
                 for (k, &decide) in decides.iter().enumerate() {
@@ -2264,13 +2271,13 @@ impl<'g> Simulation<'g> {
                 //    One caveat: this round's *decision phase* ran after
                 //    this round's termination check, and for
                 //    [`Termination::Quiescent`] a final `on_round` call may
-                //    have flipped the last `is_idle` — state the check
-                //    could not see but that the oracle observes at the next
-                //    round's boundary.  Nothing can change *during* a gap
-                //    (no protocol calls, frozen counters), so one re-check
-                //    at `round + 1` is exact: if the run is done there, walk
-                //    a single round and let the loop terminate where the
-                //    oracle does.
+                //    have turned the last node's `activity` to `Quiescent` —
+                //    state the check could not see but that the oracle
+                //    observes at the next round's boundary.  Nothing can
+                //    change *during* a gap (no protocol calls, frozen
+                //    counters), so one re-check at `round + 1` is exact: if
+                //    the run is done there, walk a single round and let the
+                //    loop terminate where the oracle does.
                 if worklist.is_empty() {
                     let mut next = next_event_round(round, ring_len, &calendar, &shadow_ring)
                         .unwrap_or(self.config.max_rounds)
@@ -2289,10 +2296,9 @@ impl<'g> Simulation<'g> {
                     }
                     if progress.is_done(
                         &self.config.termination,
-                        round + 1,
+                        &self.decision_ctx(alive.as_ref(), &discovered, &pending_own, round + 1),
                         protocol,
                         in_flight_count,
-                        alive.as_ref(),
                     ) {
                         next = next.min(round + 1);
                     }
@@ -2308,10 +2314,9 @@ impl<'g> Simulation<'g> {
         if !completed {
             completed = progress.is_done(
                 &self.config.termination,
-                round,
+                &self.decision_ctx(alive.as_ref(), &discovered, &pending_own, round),
                 protocol,
                 in_flight_count,
-                alive.as_ref(),
             );
         }
         let rumor_set_bytes = progress.mem.pages_peak * RumorSet::page_cost_bytes()

@@ -13,11 +13,12 @@
 //! stays fast enough for the `engine_equivalence` property tests to cross
 //! 10³–10⁴ nodes.
 //!
-//! The oracle never consults [`Protocol::activity`] and never elides an
-//! `on_round` call, so running a protocol here and through
-//! [`Simulation`](crate::Simulation) pins the event-driven scheduler's
-//! skipping as unobservable (the `activity_equivalence` and `engine_skip`
-//! suites rely on this).  It draws each node's per-round RNG from
+//! The oracle consults [`Protocol::activity`] only to decide
+//! [`Termination::Quiescent`] and never elides an `on_round` call, so
+//! running a protocol here and through [`Simulation`](crate::Simulation)
+//! pins the event-driven scheduler's skipping as unobservable (the
+//! `activity_equivalence` and `engine_skip` suites rely on this).  It draws
+//! each node's per-round RNG from
 //! [`decision_rng`]`(seed, round, node)`, keeping protocol decisions
 //! byte-aligned with the engine at any thread count.  Reports compare via
 //! [`RunReport::semantics`](crate::RunReport::semantics) (the oracle reports
@@ -32,8 +33,8 @@ use std::collections::HashMap;
 use gossip_graph::{AliveView, EdgeId, Graph, Latency, NodeId};
 
 use crate::engine::{
-    decision_rng, ExchangeEvent, ExchangeMode, LatencyOracle, NodeView, OracleSource, Protocol,
-    SimConfig, Termination,
+    decision_rng, Activity, ExchangeEvent, ExchangeMode, LatencyOracle, NodeView, OracleSource,
+    Protocol, SimConfig, Termination,
 };
 use crate::fault::{self, FaultEvent, FaultPlan};
 use crate::report::{FaultReport, RunReport};
@@ -68,6 +69,9 @@ pub struct OracleSimulation<'g> {
     sets: Vec<RumorSet>,
     /// Incremental popcount of each row (avoids termination re-scans).
     counts: Vec<usize>,
+    /// Incident edge latencies each node has discovered in the current run.
+    // gossip-lint: allow(unordered-iter): keyed inserts and `get` only, never iterated
+    discovered: Vec<HashMap<EdgeId, Latency>>,
 }
 
 impl<'g> OracleSimulation<'g> {
@@ -111,6 +115,7 @@ impl<'g> OracleSimulation<'g> {
             rows,
             sets: initial,
             counts,
+            discovered: Vec::new(),
         }
     }
 
@@ -152,8 +157,7 @@ impl<'g> OracleSimulation<'g> {
         let n = self.graph.node_count();
         let stride = self.stride;
         let mut in_flight: Vec<InFlight> = Vec::new();
-        // gossip-lint: allow(unordered-iter): keyed inserts and `get` only, never iterated
-        let mut discovered: Vec<HashMap<EdgeId, Latency>> = vec![HashMap::new(); n];
+        self.discovered = vec![HashMap::new(); n];
         let mut pending_own = vec![0usize; n];
         let mut activations: u64 = 0;
         let mut rejections: u64 = 0;
@@ -188,13 +192,7 @@ impl<'g> OracleSimulation<'g> {
         };
 
         let mut round: u64 = 0;
-        let mut completed = self.is_done(
-            &self.config.termination,
-            0,
-            protocol,
-            &in_flight,
-            alive.as_ref(),
-        );
+        let mut completed = self.is_done(0, protocol, &in_flight, alive.as_ref(), &pending_own);
 
         while !completed && round < self.config.max_rounds {
             // 0. Apply fault events scheduled for this round, before this
@@ -242,7 +240,7 @@ impl<'g> OracleSimulation<'g> {
                         self.rows[i * stride + v.index() / 64] |= 1 << (v.index() % 64);
                         self.sets[i] = RumorSet::singleton(self.universe, RumorId::of_node(v));
                         self.counts[i] = 1;
-                        discovered[i].clear();
+                        self.discovered[i].clear();
                         if let Some(r) = self.config.tracked_rumor {
                             if informed_times[i].is_none() && self.sets[i].contains(r) {
                                 informed_times[i] = Some(round);
@@ -307,8 +305,8 @@ impl<'g> OracleSimulation<'g> {
                 // Both endpoints merge the peer's snapshot taken at initiation.
                 self.merge_snapshot(ex.initiator, &ex.responder_snapshot);
                 self.merge_snapshot(ex.responder, &ex.initiator_snapshot);
-                discovered[ex.initiator.index()].insert(ex.edge, latency);
-                discovered[ex.responder.index()].insert(ex.edge, latency);
+                self.discovered[ex.initiator.index()].insert(ex.edge, latency);
+                self.discovered[ex.responder.index()].insert(ex.edge, latency);
                 if let Some(r) = self.config.tracked_rumor {
                     for endpoint in [ex.initiator, ex.responder] {
                         if informed_times[endpoint.index()].is_none()
@@ -348,49 +346,31 @@ impl<'g> OracleSimulation<'g> {
             }
 
             // 2. Check termination (conditions are evaluated on round boundaries).
-            if self.is_done(
-                &self.config.termination,
-                round,
-                protocol,
-                &in_flight,
-                alive.as_ref(),
-            ) {
+            if self.is_done(round, protocol, &in_flight, alive.as_ref(), &pending_own) {
                 completed = true;
                 break;
             }
 
             // 3. Let every *alive* node act, each on its own
             //    `(seed, round, node)` RNG stream.
-            for i in 0..n {
+            for (i, pending) in pending_own.iter_mut().enumerate() {
                 let node = NodeId::new(i);
                 if let Some(av) = &alive {
                     if !av.is_node_alive(node) {
                         continue;
                     }
                 }
-                let can_initiate = match self.config.mode {
-                    ExchangeMode::NonBlocking => true,
-                    ExchangeMode::Blocking => pending_own[i] == 0,
-                };
-                let choice = {
-                    let view = NodeView {
+                let (choice, can_initiate) = {
+                    let view = self.view(
                         node,
                         round,
-                        rumors: &self.sets[i],
-                        neighbors: match &alive {
-                            Some(av) => av.neighbor_slice(self.graph, node),
-                            None => self.graph.neighbor_slice(node),
-                        },
-                        can_initiate,
-                        pending_own: pending_own[i],
-                        latency_oracle: LatencyOracle {
-                            graph: self.graph,
-                            known_all: self.config.latencies_known,
-                            source: OracleSource::Map(&discovered[i]),
-                        },
-                    };
+                        *pending,
+                        alive.as_ref(),
+                        &self.sets[i],
+                        OracleSource::Map(&self.discovered[i]),
+                    );
                     let mut rng = decision_rng(self.config.seed, round, i as u32);
-                    protocol.on_round(&view, &mut rng)
+                    (protocol.on_round(&view, &mut rng), view.can_initiate)
                 };
                 let Some(target) = choice else { continue };
                 if !can_initiate {
@@ -411,7 +391,7 @@ impl<'g> OracleSimulation<'g> {
                 }
                 let latency = self.graph.latency(edge);
                 activations += 1;
-                pending_own[i] += 1;
+                *pending += 1;
                 in_flight.push(InFlight {
                     initiator: node,
                     responder: target,
@@ -432,13 +412,7 @@ impl<'g> OracleSimulation<'g> {
         }
 
         if !completed {
-            completed = self.is_done(
-                &self.config.termination,
-                round,
-                protocol,
-                &in_flight,
-                alive.as_ref(),
-            );
+            completed = self.is_done(round, protocol, &in_flight, alive.as_ref(), &pending_own);
         }
         let faults = alive.map(|av| {
             let (residual_components, largest_component) = av.residual_components(self.graph);
@@ -475,20 +449,52 @@ impl<'g> OracleSimulation<'g> {
         }
     }
 
+    /// What a protocol sees of `node` at `round` — the one view
+    /// construction the decision pass and the `Quiescent` check share.
+    fn view<'a>(
+        &'a self,
+        node: NodeId,
+        round: u64,
+        pending_own: usize,
+        alive: Option<&'a AliveView>,
+        rumors: &'a RumorSet,
+        discovered: OracleSource<'a>,
+    ) -> NodeView<'a> {
+        NodeView {
+            node,
+            round,
+            rumors,
+            neighbors: match alive {
+                Some(av) => av.neighbor_slice(self.graph, node),
+                None => self.graph.neighbor_slice(node),
+            },
+            can_initiate: match self.config.mode {
+                ExchangeMode::NonBlocking => true,
+                ExchangeMode::Blocking => pending_own == 0,
+            },
+            pending_own,
+            latency_oracle: LatencyOracle {
+                graph: self.graph,
+                known_all: self.config.latencies_known,
+                source: discovered,
+            },
+        }
+    }
+
     // gossip-lint: allow(panic-path): counts/sets are sized n at construction; node ids are dense
     fn is_done<P: Protocol>(
         &self,
-        termination: &Termination,
         round: u64,
         protocol: &P,
         in_flight: &[InFlight],
         alive: Option<&AliveView>,
+        pending_own: &[usize],
     ) -> bool {
         // Under faults, dissemination conditions quantify over *alive* nodes
         // and un-cut edges only (vacuously true with no node alive).
         let node_alive = |v: NodeId| alive.is_none_or(|a| a.is_node_alive(v));
         let edge_alive = |e: EdgeId| alive.is_none_or(|a| a.is_edge_alive(e));
-        match *termination {
+        match self.config.termination {
             Termination::AllKnowRumorOf(source) => {
                 let r = RumorId::of_node(source);
                 self.graph
@@ -511,10 +517,18 @@ impl<'g> OracleSimulation<'g> {
             Termination::FixedRounds(target) => round >= target,
             Termination::Quiescent => {
                 in_flight.is_empty()
-                    && self
-                        .graph
-                        .nodes()
-                        .all(|v| !node_alive(v) || protocol.is_idle(v))
+                    && self.graph.nodes().all(|v| {
+                        let i = v.index();
+                        !node_alive(v)
+                            || protocol.activity(&self.view(
+                                v,
+                                round,
+                                pending_own[i],
+                                alive,
+                                &self.sets[i],
+                                OracleSource::Map(&self.discovered[i]),
+                            )) == Activity::Quiescent
+                    })
             }
         }
     }

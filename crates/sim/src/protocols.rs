@@ -316,10 +316,6 @@ impl Protocol for Silent {
         None
     }
 
-    fn is_idle(&self, _node: NodeId) -> bool {
-        true
-    }
-
     // gossip-audit: contract(pure)
     fn activity(&self, _view: &NodeView<'_>) -> Activity {
         Activity::Quiescent
@@ -449,9 +445,6 @@ mod tests {
         }
         fn on_exchange(&mut self, node: NodeId, event: &crate::ExchangeEvent) {
             self.inner.on_exchange(node, event);
-        }
-        fn is_idle(&self, node: NodeId) -> bool {
-            self.inner.is_idle(node)
         }
         fn activity(&self, view: &NodeView<'_>) -> Activity {
             self.inner.activity(view)

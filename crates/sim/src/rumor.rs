@@ -303,109 +303,6 @@ impl RumorSet {
         self.len == self.universe
     }
 
-    /// Unions `other` into `self`; returns `true` if any new rumor was added.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sets have different universes.
-    // gossip-lint: allow(panic-path): page counts match by the asserted universe equality
-    pub fn union_with(&mut self, other: &RumorSet) -> bool {
-        assert_eq!(
-            self.universe, other.universe,
-            "rumor sets must share a universe"
-        );
-        if self.len == self.universe || other.len == 0 {
-            return false;
-        }
-        if other.len == other.universe {
-            self.pages = Vec::new();
-            self.len = self.universe;
-            return true;
-        }
-        let mut changed = false;
-        for src in &other.pages {
-            let cap = self.page_capacity(src.index);
-            let added = match self.pages.binary_search_by_key(&src.index, |e| e.index) {
-                Err(at) => {
-                    self.pages.insert(
-                        at,
-                        PageEntry {
-                            index: src.index,
-                            ones: src.ones,
-                            state: src.state.clone(),
-                        },
-                    );
-                    src.ones
-                }
-                Ok(p) => {
-                    let entry = &mut self.pages[p];
-                    match (&mut entry.state, &src.state) {
-                        (PageState::Full, _) => 0,
-                        (PageState::Dense(_), PageState::Full) => {
-                            let added = cap - entry.ones;
-                            entry.state = PageState::Full;
-                            entry.ones = cap;
-                            added
-                        }
-                        (PageState::Dense(a), PageState::Dense(b)) => {
-                            let mut added = 0u32;
-                            for (x, y) in a.iter_mut().zip(b.iter()) {
-                                added += (*y & !*x).count_ones();
-                                *x |= *y;
-                            }
-                            entry.ones += added;
-                            if entry.ones == cap {
-                                entry.state = PageState::Full;
-                            }
-                            added
-                        }
-                    }
-                }
-            };
-            if added > 0 {
-                self.len += added as usize;
-                changed = true;
-            }
-        }
-        self.collapse_if_full();
-        changed
-    }
-
-    /// Returns `true` if `self` is a superset of `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sets have different universes.
-    pub fn is_superset(&self, other: &RumorSet) -> bool {
-        assert_eq!(
-            self.universe, other.universe,
-            "rumor sets must share a universe"
-        );
-        if other.len > self.len {
-            return false;
-        }
-        if self.len == self.universe {
-            return true;
-        }
-        // `self` is not full here, so a full `other` cannot be covered (and
-        // the length check above already rejected it).
-        for src in &other.pages {
-            match self.pages.binary_search_by_key(&src.index, |e| e.index) {
-                Err(_) => return false,
-                Ok(p) => match (&self.pages[p].state, &src.state) {
-                    (PageState::Full, _) => {}
-                    (PageState::Dense(_), PageState::Full) => return false,
-                    (PageState::Dense(a), PageState::Dense(b)) => {
-                        if a.iter().zip(b.iter()).any(|(x, y)| x & y != *y) {
-                            return false;
-                        }
-                    }
-                },
-            }
-        }
-        true
-    }
-
     /// Iterator over the rumors present in the set, in increasing id order.
     ///
     /// Runs in `O(pages·words + len)` — it walks the non-empty pages word by
@@ -442,7 +339,7 @@ impl RumorSet {
     ///
     /// Panics if the run extends past the universe.
     // gossip-lint: allow(panic-path): run bounds are asserted against the universe on entry
-    pub(crate) fn insert_run(&mut self, first: RumorId, len: u32, out_new: &mut Vec<RumorRun>) {
+    pub fn insert_run(&mut self, first: RumorId, len: u32, out_new: &mut Vec<RumorRun>) {
         if len == 0 {
             return;
         }
@@ -514,22 +411,6 @@ impl RumorSet {
             self.len += added as usize;
         }
         self.collapse_if_full();
-    }
-
-    /// Compatibility wrapper over [`insert_run`](Self::insert_run) that
-    /// expands the new runs into individual rumor ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run extends past the universe.
-    pub fn insert_consecutive(&mut self, first: RumorId, len: u32, out_new: &mut Vec<RumorId>) {
-        let mut runs = Vec::new();
-        self.insert_run(first, len, &mut runs);
-        for (f, l) in runs {
-            for k in 0..l {
-                out_new.push(RumorId(f.0 + k));
-            }
-        }
     }
 
     /// Unions a raw dense word slice (universe layout, as used by the
@@ -1020,18 +901,6 @@ mod tests {
     }
 
     #[test]
-    fn union_and_superset() {
-        let mut a = RumorSet::singleton(100, RumorId(1));
-        let b = RumorSet::singleton(100, RumorId(70));
-        assert!(a.union_with(&b));
-        assert!(!a.union_with(&b));
-        assert!(a.contains(RumorId(70)));
-        assert!(a.is_superset(&b));
-        assert!(!b.is_superset(&a));
-        assert_eq!(a.len(), 2);
-    }
-
-    #[test]
     fn full_set_detection() {
         let mut s = RumorSet::empty(3);
         for i in 0..3 {
@@ -1069,14 +938,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must share a universe")]
-    fn union_of_mismatched_universes_panics() {
-        let mut a = RumorSet::empty(4);
-        let b = RumorSet::empty(5);
-        a.union_with(&b);
-    }
-
-    #[test]
     fn iter_walks_pages_in_order() {
         // Rumors spread across multiple pages, including word and page edges.
         let ids = [0usize, 1, 63, 64, 4095, 4096, 8191, 8192, 9000];
@@ -1100,28 +961,27 @@ mod tests {
     }
 
     #[test]
-    fn insert_consecutive_matches_individual_inserts() {
+    fn insert_run_matches_individual_inserts() {
         let mut a = RumorSet::empty(200);
         a.insert(RumorId(70));
         a.insert(RumorId(128));
         let mut b = a.clone();
 
         let mut new = Vec::new();
-        a.insert_consecutive(RumorId(60), 80, &mut new);
-        let mut expected_new = Vec::new();
+        a.insert_run(RumorId(60), 80, &mut new);
         for i in 60..140u32 {
-            if b.insert(RumorId(i)) {
-                expected_new.push(RumorId(i));
-            }
+            b.insert(RumorId(i));
         }
         assert_eq!(a, b);
-        assert_eq!(new, expected_new);
-        assert!(!new.contains(&RumorId(70)));
-        assert!(new.contains(&RumorId(139)));
+        assert_eq!(
+            new,
+            vec![(RumorId(60), 10), (RumorId(71), 57), (RumorId(129), 11)],
+            "maximal runs of the ids that were not already present"
+        );
 
         // Zero-length runs are a no-op.
         new.clear();
-        a.insert_consecutive(RumorId(0), 0, &mut new);
+        a.insert_run(RumorId(0), 0, &mut new);
         assert!(new.is_empty());
     }
 
@@ -1179,7 +1039,7 @@ mod tests {
     #[test]
     fn equality_is_canonical_across_construction_orders() {
         // The same contents must compare equal no matter how they were built:
-        // bit-by-bit, by run, or via union.
+        // bit-by-bit or by run.
         let n = PAGE_BITS + 10;
         let mut by_bits = RumorSet::empty(n);
         for i in 0..n {
@@ -1202,9 +1062,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "outside universe")]
-    fn insert_consecutive_past_universe_panics() {
+    fn insert_run_past_universe_panics() {
         let mut s = RumorSet::empty(10);
-        s.insert_consecutive(RumorId(8), 3, &mut Vec::new());
+        s.insert_run(RumorId(8), 3, &mut Vec::new());
     }
 
     #[test]
@@ -1249,43 +1109,6 @@ mod tests {
             .collect();
         let expected: Vec<usize> = (PAGE_BITS..n).filter(|&i| i != PAGE_BITS + 10).collect();
         assert_eq!(expanded, expected);
-    }
-
-    #[test]
-    fn union_with_full_source_and_randomish_mix_matches_naive() {
-        let n = 2 * PAGE_BITS + 77;
-        let mut naive_a = vec![false; n];
-        let mut naive_b = vec![false; n];
-        let mut a = RumorSet::empty(n);
-        let mut b = RumorSet::empty(n);
-        // Deterministic scatter over both sets (multiplicative hashing).
-        for k in 0..800usize {
-            let i = (k.wrapping_mul(2654435761)) % n;
-            let j = (k.wrapping_mul(40503) + 17) % n;
-            a.insert(RumorId::from(i));
-            naive_a[i] = true;
-            b.insert(RumorId::from(j));
-            naive_b[j] = true;
-        }
-        assert_matches_naive(&a, &naive_a);
-        assert_matches_naive(&b, &naive_b);
-        let mut merged = a.clone();
-        assert!(merged.union_with(&b));
-        let naive_merged: Vec<bool> = (0..n).map(|i| naive_a[i] || naive_b[i]).collect();
-        assert_matches_naive(&merged, &naive_merged);
-        assert!(merged.is_superset(&a));
-        assert!(merged.is_superset(&b));
-        assert!(!a.is_superset(&b));
-
-        // A full source saturates the destination in one step.
-        let mut full = RumorSet::empty(n);
-        full.insert_run(RumorId(0), n as u32, &mut Vec::new());
-        assert!(full.is_full());
-        let mut c = a.clone();
-        assert!(c.union_with(&full));
-        assert!(c.is_full());
-        assert_eq!(c, full);
-        assert!(!c.union_with(&b), "full destinations absorb nothing");
     }
 
     #[test]

@@ -82,8 +82,9 @@ fn main() {
 
         let source = NodeId::new(0);
         let pp = push_pull::broadcast(&g, source, 11);
-        let sb = spanner_broadcast::run_known_diameter(&g, 11);
-        let uni = unified::run_known_latencies(&g, source, 11);
+        let bound = gossip_core::diameter_bound(&g);
+        let sb = spanner_broadcast::run_known_diameter_with(&g, bound, 11);
+        let uni = unified::run_known_latencies_with(&g, source, bound, 11);
 
         println!(
             "{:>12} {:>12} {:>10.4} {:>10} {:>12} {:>14} {:>10}",

@@ -64,19 +64,20 @@ fn main() {
         pp.rounds, pp.completed
     );
 
-    let sb = spanner_broadcast::run_known_diameter(&g, 7);
+    let d = gossip_core::diameter_bound(&g);
+    let sb = spanner_broadcast::run_known_diameter_with(&g, d, 7);
     println!(
         "  spanner broadcast (Thm 20/25): {:>6} rounds (completed: {})",
         sb.rounds, sb.completed
     );
 
-    let pb = pattern::run_known_diameter(&g, 7);
+    let pb = pattern::run_known_diameter_with(&g, d, 7);
     println!(
         "  pattern broadcast (Lem 26-28): {:>6} rounds (completed: {})",
         pb.rounds, pb.completed
     );
 
-    let uni = unified::run_known_latencies(&g, source, 7);
+    let uni = unified::run_known_latencies_with(&g, source, d, 7);
     println!(
         "  unified (Thm 31):              {:>6} rounds, winner = {:?}",
         uni.rounds, uni.winner

@@ -53,8 +53,9 @@ fn push_pull_broadcast_report_is_deterministic() {
 #[test]
 fn spanner_broadcast_report_is_deterministic() {
     let g = generators::dumbbell(8, 32).unwrap();
-    let a = spanner_broadcast::run_known_diameter(&g, 5);
-    let b = spanner_broadcast::run_known_diameter(&g, 5);
+    let d = gossip_core::diameter_bound(&g);
+    let a = spanner_broadcast::run_known_diameter_with(&g, d, 5);
+    let b = spanner_broadcast::run_known_diameter_with(&g, d, 5);
     assert_eq!(a, b);
     assert!(a.completed);
 
@@ -66,13 +67,14 @@ fn spanner_broadcast_report_is_deterministic() {
 #[test]
 fn pattern_and_unified_reports_are_deterministic() {
     let g = generators::dumbbell(6, 16).unwrap();
+    let d = gossip_core::diameter_bound(&g);
     assert_eq!(
-        pattern::run_known_diameter(&g, 9),
-        pattern::run_known_diameter(&g, 9)
+        pattern::run_known_diameter_with(&g, d, 9),
+        pattern::run_known_diameter_with(&g, d, 9)
     );
 
-    let a = unified::run_known_latencies(&g, NodeId::new(0), 9);
-    let b = unified::run_known_latencies(&g, NodeId::new(0), 9);
+    let a = unified::run_known_latencies_with(&g, NodeId::new(0), d, 9);
+    let b = unified::run_known_latencies_with(&g, NodeId::new(0), d, 9);
     assert_eq!(a.rounds, b.rounds);
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.push_pull, b.push_pull);

@@ -21,12 +21,13 @@ use gossip_graph::{generators, Graph, NodeId};
 use gossip_sim::oracle::OracleSimulation;
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
 use gossip_sim::{
-    ExchangeMode, RumorId, RumorSet, RunReport, ShardedProtocol, SimConfig, Simulation, Termination,
+    ExchangeMode, NodeView, Protocol, RumorId, RumorSet, RunReport, ShardedProtocol, SimConfig,
+    Simulation, Termination,
 };
 use gossip_tests::assert_matches_oracle;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Reruns one protocol through the sharded decision pass and requires the
 /// report of the same config's [`Simulation::run`] — memory diagnostics
@@ -117,6 +118,116 @@ fn engines_agree_on_the_full_quick_grid() {
     }
     // 7 families x 2 sizes x 4 profiles x 3 seeds x 4 configs x 2 protocols.
     assert_eq!(checked, 7 * 2 * 4 * 3 * 4 * 2);
+}
+
+/// Random push–pull biased toward fast links it knows of: a coin flip picks
+/// either a uniformly random neighbor or the fastest incident edge whose
+/// latency [`NodeView::known_latency`] reveals (the random one while none is
+/// known).
+struct FastestKnown;
+
+impl Protocol for FastestKnown {
+    fn on_round(&mut self, view: &NodeView<'_>, rng: &mut SmallRng) -> Option<NodeId> {
+        if view.neighbors.is_empty() || view.rumors.is_full() {
+            return None;
+        }
+        let random = view.neighbors[rng.gen_range(0..view.neighbors.len())].0;
+        if rng.gen_bool(0.5) {
+            return Some(random);
+        }
+        let fastest = view
+            .neighbors
+            .iter()
+            .filter_map(|&(w, e)| view.known_latency(e).map(|l| (l, w)))
+            .min();
+        Some(fastest.map_or(random, |(_, w)| w))
+    }
+}
+
+/// Latency knowledge reaches protocols identically in both engines: with
+/// [`SimConfig::latencies_known`] off, through per-exchange discovery (the
+/// engine's flat bitset vs the oracle's per-node maps); with it on, from the
+/// graph directly.  One seed of the Quick grid, every config shape.
+#[test]
+fn engines_agree_on_latency_knowledge_on_the_quick_grid() {
+    let spec = SweepSpec::standard(Scale::Quick);
+    let mut knowledge_mattered = false;
+    for family in &spec.families {
+        for &size in &spec.sizes {
+            for profile in &spec.profiles {
+                let mut graph_rng = SmallRng::seed_from_u64(0x1A7E);
+                let base = family.build(size, &mut graph_rng);
+                let g = profile.apply(&base, &mut graph_rng);
+                for (config, config_label) in configs(4, g.node_count()) {
+                    let label = format!(
+                        "{}/{}/{}/{}",
+                        family.name(),
+                        size,
+                        profile.name(),
+                        config_label
+                    );
+                    let [discovered, known] = [false, true].map(|known| {
+                        assert_matches_oracle(
+                            &g,
+                            &config.clone().latencies_known(known),
+                            || FastestKnown,
+                            &format!("{label}/latencies-known={known}"),
+                        )
+                    });
+                    knowledge_mattered |= discovered.semantics() != known.semantics();
+                }
+            }
+        }
+    }
+    assert!(
+        knowledge_mattered,
+        "knowing latencies up front must change some run"
+    );
+}
+
+/// `RandomPushPull` reports `Quiescent` once saturated, so under
+/// `Termination::Quiescent` it stops when every node is full and the last
+/// in-flight exchange has landed: no earlier than the `AllKnowAll` round and
+/// at most `max_latency` rounds after it.
+#[test]
+fn push_pull_under_quiescent_stops_once_saturated_and_drained() {
+    let mut drained_after_saturation = false;
+    for (name, g) in [
+        ("dumbbell", generators::dumbbell(6, 9).unwrap()),
+        ("grid", generators::grid(4, 5, 3).unwrap()),
+        (
+            "ring of cliques",
+            generators::ring_of_cliques(3, 4, 5).unwrap(),
+        ),
+    ] {
+        for seed in [1u64, 2, 3] {
+            let config = SimConfig::new(seed).max_rounds(10_000);
+            let saturated = assert_matches_oracle(
+                &g,
+                &config.clone().termination(Termination::AllKnowAll),
+                || RandomPushPull::new(&g),
+                &format!("{name}/seed{seed}/all-know-all"),
+            );
+            let quiescent = assert_matches_oracle(
+                &g,
+                &config.termination(Termination::Quiescent),
+                || RandomPushPull::new(&g),
+                &format!("{name}/seed{seed}/quiescent"),
+            );
+            assert!(saturated.completed && quiescent.completed, "{name}/{seed}");
+            assert!(
+                (saturated.rounds..=saturated.rounds + g.max_latency()).contains(&quiescent.rounds),
+                "{name}/{seed}: quiescent at {} vs saturated at {}",
+                quiescent.rounds,
+                saturated.rounds
+            );
+            drained_after_saturation |= quiescent.rounds > saturated.rounds;
+        }
+    }
+    assert!(
+        drained_after_saturation,
+        "some run must still have exchanges in flight at saturation"
+    );
 }
 
 /// Quiescent termination and pre-seeded rumor state go through

@@ -267,7 +267,11 @@ fn spanner_broadcast_on_an_8192_node_grid_completes_within_budget() {
     let g = generators::grid(91, 90, 2).unwrap();
     assert!(g.node_count() >= 8190);
     let started = std::time::Instant::now();
-    let report = gossip_core::spanner_broadcast::run_known_diameter(&g, 21);
+    let report = gossip_core::spanner_broadcast::run_known_diameter_with(
+        &g,
+        gossip_core::diameter_bound(&g),
+        21,
+    );
     let elapsed = started.elapsed();
     assert!(report.completed, "all-to-all must saturate: {report:?}");
     assert!(report.phase_rounds("discovery") > 0);

@@ -154,11 +154,11 @@ fn fixed_rounds_lands_inside_a_skipped_gap() {
     assert_eq!(mem.rounds_simulated, 3, "{mem:?}");
 }
 
-/// Counts down a fixed number of silent rounds per node, then reports idle.
-/// The last `on_round` call *mutates protocol state the current round's
-/// termination check has already consumed* — `Termination::Quiescent` must
-/// still fire at the exact round boundary the oracle sees, not be
-/// overshot by a fast-forward.
+/// Counts down a fixed number of silent rounds per node, then reports
+/// quiescent (reaching 0 is irreversible).  The last `on_round` call
+/// *mutates protocol state the current round's termination check has
+/// already consumed* — `Termination::Quiescent` must still fire at the exact
+/// round boundary the oracle sees, not be overshot by a fast-forward.
 struct Countdown {
     remaining: Vec<u32>,
 }
@@ -174,13 +174,9 @@ impl Protocol for Countdown {
         None
     }
 
-    fn is_idle(&self, node: NodeId) -> bool {
-        self.remaining[node.index()] == 0
-    }
-
     fn activity(&self, view: &NodeView<'_>) -> Activity {
         if self.remaining[view.node.index()] == 0 {
-            Activity::IdleUntilWoken
+            Activity::Quiescent
         } else {
             Activity::Active
         }

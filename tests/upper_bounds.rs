@@ -69,7 +69,8 @@ fn push_pull_beats_the_flooding_baseline_on_poorly_conductive_graphs() {
 fn spanner_broadcast_completes_within_theorem25_bound() {
     for (name, g) in battery() {
         let d = metrics::weighted_diameter(&g).unwrap();
-        let report = spanner_broadcast::run_known_diameter(&g, 5);
+        let report =
+            spanner_broadcast::run_known_diameter_with(&g, gossip_core::diameter_bound(&g), 5);
         assert!(
             report.completed,
             "{name}: spanner broadcast did not complete"
@@ -93,7 +94,8 @@ fn unknown_diameter_costs_at_most_a_constant_factor_more() {
         ),
         ("grid", generators::grid(4, 6, 3).unwrap()),
     ] {
-        let known = spanner_broadcast::run_known_diameter(&g, 8);
+        let known =
+            spanner_broadcast::run_known_diameter_with(&g, gossip_core::diameter_bound(&g), 8);
         let unknown = spanner_broadcast::run_unknown_diameter(&g, 8);
         assert!(known.completed && unknown.completed, "{name}");
         // The doubling driver pays every failed guess plus a termination check
@@ -120,7 +122,7 @@ fn pattern_broadcast_completes_within_lemma27_bound() {
         ),
     ] {
         let d = metrics::weighted_diameter(&g).unwrap().max(1);
-        let report = pattern::run_known_diameter(&g, 3);
+        let report = pattern::run_known_diameter_with(&g, gossip_core::diameter_bound(&g), 3);
         assert!(
             report.completed,
             "{name}: pattern broadcast did not complete"
@@ -152,7 +154,12 @@ fn spanner_has_logarithmic_stretch_size_and_out_degree() {
 #[test]
 fn unified_always_matches_the_better_route() {
     for (name, g) in battery() {
-        let r = unified::run_known_latencies(&g, NodeId::new(0), 21);
+        let r = unified::run_known_latencies_with(
+            &g,
+            NodeId::new(0),
+            gossip_core::diameter_bound(&g),
+            21,
+        );
         assert!(r.completed, "{name}: unified run failed");
         assert_eq!(
             r.rounds,
@@ -177,8 +184,11 @@ fn every_algorithm_disseminates_on_a_weighted_random_graph() {
     assert!(push_pull::broadcast(&g, NodeId::new(0), 1).completed);
     assert!(push_pull::all_to_all(&g, 1).completed);
     assert!(gossip_core::flooding::all_to_all(&g, 1).completed);
-    assert!(spanner_broadcast::run_known_diameter(&g, 1).completed);
+    assert!(
+        spanner_broadcast::run_known_diameter_with(&g, gossip_core::diameter_bound(&g), 1)
+            .completed
+    );
     assert!(spanner_broadcast::run_unknown_diameter(&g, 1).completed);
-    assert!(pattern::run_known_diameter(&g, 1).completed);
+    assert!(pattern::run_known_diameter_with(&g, gossip_core::diameter_bound(&g), 1).completed);
     assert!(pattern::run_unknown_diameter(&g, 1).completed);
 }

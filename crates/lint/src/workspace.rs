@@ -81,18 +81,21 @@ impl Default for AuditConfig {
             // The engine's top-level driver and its merge/delivery/calendar
             // internals.  `run`/`run_sharded` reach `run_inner` through a
             // turbofish call (`self.run_inner::<P, D>(..)`) the name-based
-            // call graph cannot see, and `run_inner` dispatches the decision
-            // pass through `D::decide` — so the inner driver and both
-            // decision drivers are roots of their own.
+            // call graph cannot see; `run_inner` reaches its decision phase
+            // the same way (`st.decide_and_initiate::<P, D>(..)`), which
+            // dispatches the decision pass through `D::decide` — so the
+            // inner driver, the decision phase and both decision drivers are
+            // roots of their own.
             "Simulation::run",
             "Simulation::run_sharded",
             "Simulation::run_inner",
+            "RoundState::decide_and_initiate",
             "SerialDecisions::decide",
             "ShardedDecisions::decide",
             "Progress::merge_completions",
             "Progress::advance_shadow",
             "Progress::collapse_node",
-            "next_event_round",
+            "Calendar::next_event",
             // The sharded merge/decision machinery: shard phase workers, the
             // destination partitioner and the pool fan-out helper (also
             // reachable by name from `merge_completions`; listed explicitly

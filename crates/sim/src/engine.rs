@@ -74,12 +74,26 @@
 //!   latency is a bitset with two bits per edge (one per endpoint); the
 //!   latency itself is read from the graph.
 //!
+//! # Round phases
+//!
+//! All of a run's mutable state lives in one `RoundState`, and each round
+//! calls its phases in this order:
+//!
+//! 1. `apply_faults` — crash, rejoin and cut events due this round;
+//! 2. `advance_shadows` — shadow laps and saturation collapses due now;
+//! 3. `deliver` — the completions merge in canonical order;
+//! 4. `is_done` — the termination check at the round boundary;
+//! 5. `admit_woken` — woken nodes rejoin the sorted worklist;
+//! 6. `decide_and_initiate` — the decision pass and the initiations;
+//! 7. `advance_clock` — the next round, fast-forwarding idle gaps.
+//!
 //! The dense-bitset spec [`crate::oracle`] states the same semantics with none
 //! of these structures and is pinned against this engine by the
 //! `engine_equivalence` integration suite: both must produce byte-identical
 //! semantic [`RunReport`]s and rumor states on the standard scenario grid.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use gossip_graph::{AliveView, EdgeId, Graph, Latency, NodeId};
 use rand::rngs::SmallRng;
@@ -215,8 +229,8 @@ impl SimConfig {
     ///
     /// Purely a wall-clock knob: every shard boundary is resolved by a
     /// deterministic reduction in shard order, so reports are
-    /// **byte-identical for every setting** (pinned by the `engine_threads`
-    /// suite).  Values are clamped to at least 1.
+    /// **byte-identical for every setting** (pinned by the
+    /// `tests/engine_parallel.rs` suite).  Values are clamped to at least 1.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -261,23 +275,23 @@ impl DiscoveredLatencies {
         }
     }
 
+    /// Records (`known`) or forgets one endpoint's discovery of an edge
+    /// latency.  Forgetting serves the amnesiac rejoin: the rejoining node
+    /// must re-learn its incident latencies.
     // gossip-lint: allow(panic-path): discovery bitmaps are sized 2 * edge_count at construction
-    fn mark(&mut self, edge: EdgeId, second_endpoint: bool) {
+    fn set(&mut self, edge: EdgeId, second_endpoint: bool, known: bool) {
         let i = edge.index() * 2 + second_endpoint as usize;
-        self.bits[i / 64] |= 1 << (i % 64);
+        let bit = 1 << (i % 64);
+        if known {
+            self.bits[i / 64] |= bit;
+        } else {
+            self.bits[i / 64] &= !bit;
+        }
     }
 
     fn known(&self, edge: EdgeId, second_endpoint: bool) -> bool {
         let i = edge.index() * 2 + second_endpoint as usize;
         self.bits[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// Forgets one endpoint's discovery of an edge latency (amnesiac
-    /// rejoin: the rejoining node must re-learn its incident latencies).
-    // gossip-lint: allow(panic-path): discovery bitmaps are sized 2 * edge_count at construction
-    fn unmark(&mut self, edge: EdgeId, second_endpoint: bool) {
-        let i = edge.index() * 2 + second_endpoint as usize;
-        self.bits[i / 64] &= !(1 << (i % 64));
     }
 }
 
@@ -559,11 +573,8 @@ struct DecisionCtx<'a> {
     alive: Option<&'a AliveView>,
     discovered: &'a DiscoveredLatencies,
     pending_own: &'a [usize],
-    mode: ExchangeMode,
-    latencies_known: bool,
-    seed: u64,
+    config: &'a SimConfig,
     round: u64,
-    threads: usize,
 }
 
 impl<'a> DecisionCtx<'a> {
@@ -582,14 +593,14 @@ impl<'a> DecisionCtx<'a> {
                 Some(av) => av.neighbor_slice(self.graph, node),
                 None => self.graph.neighbor_slice(node),
             },
-            can_initiate: match self.mode {
+            can_initiate: match self.config.mode {
                 ExchangeMode::NonBlocking => true,
                 ExchangeMode::Blocking => self.pending_own[i] == 0,
             },
             pending_own: self.pending_own[i],
             latency_oracle: LatencyOracle {
                 graph: self.graph,
-                known_all: self.latencies_known,
+                known_all: self.config.latencies_known,
                 source: OracleSource::Flat {
                     node,
                     discovered: self.discovered,
@@ -623,7 +634,7 @@ fn decide_node(
         return Decide::Dead;
     }
     let view = ctx.view(node);
-    let mut rng = decision_rng(ctx.seed, ctx.round, u);
+    let mut rng = decision_rng(ctx.config.seed, ctx.round, u);
     f(&view, &mut rng)
 }
 
@@ -653,38 +664,27 @@ const MIN_PAR_DECISIONS: usize = 256;
 enum ShardedDecisions {}
 
 impl<P: ShardedProtocol> DecisionDriver<P> for ShardedDecisions {
-    // gossip-lint: allow(panic-path): chunk bounds derive from div_ceil over the worklist length
     fn decide(protocol: &mut P, ctx: &DecisionCtx<'_>, worklist: &[u32], out: &mut Vec<Decide>) {
         if worklist.is_empty() {
             return;
         }
-        let shard_count = if ctx.threads <= 1 || worklist.len() < MIN_PAR_DECISIONS {
+        let threads = ctx.config.threads;
+        let shard_count = if threads <= 1 || worklist.len() < MIN_PAR_DECISIONS {
             1
         } else {
-            ctx.threads.min(worklist.len())
+            threads.min(worklist.len())
         };
-        let per = worklist.len().div_ceil(shard_count);
-        let shard_count = worklist.len().div_ceil(per);
-        let mut cuts: Vec<u32> = Vec::with_capacity(shard_count + 1);
-        cuts.push(0);
-        for k in 1..shard_count {
-            // First node of chunk k; the worklist is sorted, so chunk k's
-            // nodes all fall in `cuts[k] .. cuts[k+1]`.
-            cuts.push(worklist[k * per]);
-        }
-        cuts.push(ctx.graph.node_count() as u32);
-        let shards = protocol.decision_shards(&cuts);
-        debug_assert_eq!(shards.len(), shard_count, "one shard per cut interval");
-        let jobs: Vec<(&[u32], P::Shard<'_>)> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(k, shard)| {
-                let lo = k * per;
-                let hi = ((k + 1) * per).min(worklist.len());
-                (&worklist[lo..hi], shard)
-            })
+        let chunks = worklist.chunks(worklist.len().div_ceil(shard_count));
+        // Chunk k starts shard k at its first node; the worklist is sorted,
+        // so chunk k's nodes all fall in `cuts[k] .. cuts[k+1]`.
+        let cuts: Vec<u32> = std::iter::once(0)
+            .chain(chunks.clone().skip(1).filter_map(|c| c.first().copied()))
+            .chain(std::iter::once(ctx.graph.node_count() as u32))
             .collect();
-        let results = run_jobs(ctx.threads, jobs, |(chunk, mut shard)| {
+        let shards = protocol.decision_shards(&cuts);
+        debug_assert_eq!(shards.len(), chunks.len(), "one shard per cut interval");
+        let jobs: Vec<(&[u32], P::Shard<'_>)> = chunks.zip(shards).collect();
+        let results = run_jobs(threads, jobs, |(chunk, mut shard)| {
             let mut decides = Vec::with_capacity(chunk.len());
             for &u in chunk {
                 decides.push(decide_node(ctx, u, |view, rng| {
@@ -730,48 +730,142 @@ enum NodeState {
     Quiescent,
 }
 
-/// Force-wakes a node on a fault event: unlike ordinary wake events (which
-/// only re-activate [`NodeState::Idle`] nodes), fault events re-activate even
-/// [`NodeState::Quiescent`] nodes — see [`Activity::Quiescent`], whose
-/// retirement promise excludes topology changes.  Re-waking an already-woken
-/// node is a no-op (it is already `Active` and queued).
-// gossip-lint: allow(panic-path): node_state is sized n at construction; node ids are dense
-fn force_wake(node_state: &mut [NodeState], woken: &mut Vec<u32>, i: usize) {
-    if node_state[i] != NodeState::Active {
-        node_state[i] = NodeState::Active;
-        woken.push(i as u32);
+/// The event-driven scheduler: a per-node [`NodeState`], the sorted worklist
+/// of active nodes (ascending node order keeps protocol calls — and
+/// therefore RNG draws — in exactly the order of an all-nodes sweep), and
+/// the buffer wake events accumulate in before being merged back into the
+/// worklist.
+struct Scheduler {
+    state: Vec<NodeState>,
+    worklist: Vec<u32>,
+    woken: Vec<u32>,
+    /// Scratch the next worklist is built in, then swapped with `worklist`.
+    spare: Vec<u32>,
+    /// Peak worklist length.  Every node starts in the worklist, so the peak
+    /// is at least `n` even for runs that complete before their first
+    /// decision phase (keeps the `active_peak >= active_final` invariant).
+    active_peak: u64,
+}
+
+impl Scheduler {
+    fn new(n: usize) -> Self {
+        Scheduler {
+            state: vec![NodeState::Active; n],
+            worklist: (0..n as u32).collect(),
+            woken: Vec::new(),
+            spare: Vec::new(),
+            active_peak: n as u64,
+        }
+    }
+
+    /// An ordinary wake event: re-activates node `i` if it is
+    /// [`NodeState::Idle`].
+    fn wake(&mut self, i: usize) {
+        self.wake_where(i, |s| s == NodeState::Idle);
+    }
+
+    /// A fault wake event: unlike ordinary wake events, it re-activates even
+    /// [`NodeState::Quiescent`] nodes — see [`Activity::Quiescent`], whose
+    /// retirement promise excludes topology changes.
+    fn force_wake(&mut self, i: usize) {
+        self.wake_where(i, |s| s != NodeState::Active);
+    }
+
+    /// Force-wakes every alive node among `nodes`: a fault changed the
+    /// topology under them.
+    fn wake_survivors(&mut self, alive: &AliveView, nodes: impl IntoIterator<Item = NodeId>) {
+        for v in nodes {
+            if alive.is_node_alive(v) {
+                self.force_wake(v.index());
+            }
+        }
+    }
+
+    /// Re-activates node `i` if its state satisfies `wakes`.  Re-waking an
+    /// already-woken node is a no-op: it is `Active` and queued.
+    // gossip-lint: allow(panic-path): state is sized n at construction; node ids are dense
+    fn wake_where(&mut self, i: usize, wakes: impl Fn(NodeState) -> bool) {
+        if wakes(self.state[i]) {
+            self.state[i] = NodeState::Active;
+            self.woken.push(i as u32);
+        }
+    }
+
+    /// Phase 5: merges the woken nodes into the worklist, keeping it sorted
+    /// so decisions stay in ascending node order.  Wakes arrive in
+    /// completion order and may repeat across a node's events, hence sort +
+    /// dedup.
+    fn admit_woken(&mut self) {
+        if !self.woken.is_empty() {
+            self.woken.sort_unstable();
+            self.woken.dedup();
+            self.spare.clear();
+            self.spare.reserve(self.worklist.len() + self.woken.len());
+            let mut woken = self.woken.iter().copied().peekable();
+            for &u in &self.worklist {
+                while let Some(w) = woken.next_if(|&w| w < u) {
+                    self.spare.push(w);
+                }
+                // Under faults a node that crashed and rejoined in the same
+                // round is still in the stale worklist *and* woken: emitting
+                // it twice would double its `on_round` call and
+                // desynchronise the RNG.
+                woken.next_if_eq(&u);
+                self.spare.push(u);
+            }
+            self.spare.extend(woken);
+            std::mem::swap(&mut self.worklist, &mut self.spare);
+            self.woken.clear();
+        }
+        self.active_peak = self.active_peak.max(self.worklist.len() as u64);
     }
 }
 
-/// The next round strictly after `round` at which any calendar bucket fires:
-/// in-flight exchange completions (`calendar`) or queued shadow/collapse
-/// laps (`shadow_ring`).  Both rings map a fire time `t` to bucket
-/// `t % ring_len`, and every queued entry fires within one lap, so bucket
-/// `b` fires at the unique `t ∈ (round, round + ring_len]` with
-/// `t ≡ b (mod ring_len)` — including the wraparound case `b == round %
-/// ring_len`, which (being already drained for the current round) can only
-/// mean `t = round + ring_len`.
-// gossip-lint: allow(panic-path): ring_len >= 1 always (max latency + 1), so the modulus is never zero
-fn next_event_round(
-    round: u64,
-    ring_len: usize,
-    calendar: &[Vec<Flight>],
-    shadow_ring: &[Vec<(u32, u32, u32)>],
-) -> Option<u64> {
-    let cur = (round % ring_len as u64) as usize;
-    let mut best: Option<u64> = None;
-    for (b, (flights, advances)) in calendar.iter().zip(shadow_ring).enumerate() {
-        if flights.is_empty() && advances.is_empty() {
-            continue;
-        }
-        let delta = match (b + ring_len - cur) % ring_len {
-            0 => ring_len as u64,
-            d => d as u64,
-        };
-        let t = round + delta;
-        best = Some(best.map_or(t, |prev| prev.min(t)));
+/// A queued shadow-frontier advance: `(node, target log position, the
+/// node's fault epoch at queue time)`.
+type ShadowAdvance = (u32, u32, u32);
+
+/// Everything that fires at one round: the exchanges completing then, in
+/// initiation order, and the shadow advances queued one lap earlier.
+#[derive(Default)]
+struct Bucket {
+    flights: Vec<Flight>,
+    advances: Vec<ShadowAdvance>,
+}
+
+/// The calendar ring of `ring_len = max_latency + 1` buckets: round `t` fires
+/// bucket `t % ring_len`.  A node whose rumor count changed in round `r` is
+/// queued for shadow advancement at `r + ring_len`, when every snapshot still
+/// in flight was taken after `r`; so every queued entry fires within one lap.
+struct Calendar {
+    buckets: Vec<Bucket>,
+    /// Exchanges in flight, summed over all buckets.
+    in_flight: usize,
+}
+
+impl Calendar {
+    /// The bucket that fires at round `t`.
+    // gossip-lint: allow(panic-path): the ring has max_latency + 1 >= 1 buckets, so the modulus is nonzero and the slot in range
+    fn bucket(&mut self, t: u64) -> &mut Bucket {
+        let len = self.buckets.len() as u64;
+        &mut self.buckets[(t % len) as usize]
     }
-    best
+
+    /// The next round strictly after `round` at which any bucket fires.
+    /// Every queued entry fires within one lap, so bucket `b` fires at the
+    /// unique `t ∈ (round, round + ring_len]` with `t ≡ b (mod ring_len)` —
+    /// including `b == round % ring_len`, which (being already drained for
+    /// the current round) can only mean `t = round + ring_len`.
+    // gossip-lint: allow(panic-path): ring_len >= 1 always (max latency + 1), so the modulus is never zero and cur + 1 <= ring_len
+    fn next_event(&self, round: u64) -> Option<u64> {
+        let cur = (round % self.buckets.len() as u64) as usize;
+        let (through_cur, after_cur) = self.buckets.split_at(cur + 1);
+        after_cur
+            .iter()
+            .chain(through_cur)
+            .position(|b| !b.flights.is_empty() || !b.advances.is_empty())
+            .map(|d| round + d as u64 + 1)
+    }
 }
 
 /// Deterministic memory accounting of the dissemination state (the source of
@@ -810,14 +904,26 @@ impl MemCounters {
         self.pages_peak = self.pages_peak.max(self.pages_live);
     }
 
-    /// Folds one shard's dense-page trace into the live/peak counters.
-    /// Must be applied in shard order — the trace composition law makes the
-    /// result independent of where the shard cuts fell, but not of the order
-    /// the shards are folded in.
+    /// Folds a phase's dense-page trace into the live/peak counters: the
+    /// counters are themselves a trace (`pages_peak >= pages_live`), and the
+    /// phase composes after it.
     fn apply_page_trace(&mut self, trace: PageTrace) {
-        let live = self.pages_live as i64;
-        self.pages_peak = self.pages_peak.max((live + trace.max_prefix.max(0)) as u64);
-        self.pages_live = (live + trace.delta) as u64;
+        let now = PageTrace {
+            delta: self.pages_live as i64,
+            max_prefix: self.pages_peak as i64,
+        }
+        .then(trace);
+        self.pages_live = now.delta as u64;
+        self.pages_peak = now.max_prefix as u64;
+    }
+
+    /// Frees one node's acquisition log and shadow bitset (saturation
+    /// collapse, crash, rejoin).
+    fn release(&mut self, log: &mut AcquisitionLog, shadow: &mut Vec<u64>) {
+        let freed = log.truncate_all() as u64;
+        self.live_runs -= freed;
+        self.truncated_runs += freed;
+        self.shadow_words_live -= std::mem::take(shadow).len() as u64;
     }
 }
 
@@ -856,6 +962,14 @@ impl PageTrace {
     fn record(&mut self, before: usize, after: usize) {
         self.delta += after as i64 - before as i64;
         self.max_prefix = self.max_prefix.max(self.delta);
+    }
+
+    /// The composition law: this trace, then `next`.
+    fn then(self, next: PageTrace) -> PageTrace {
+        PageTrace {
+            delta: self.delta + next.delta,
+            max_prefix: self.max_prefix.max(self.delta + next.max_prefix),
+        }
     }
 }
 
@@ -1026,26 +1140,43 @@ fn merge_shard_phase_b(
 /// Cuts `tasks` (sorted by destination) into at most `max_shards` contiguous
 /// ranges of roughly equal length whose destination sets are disjoint — a
 /// cut never splits one destination's task group, so every destination's
-/// state is owned by exactly one shard.  Returns each shard's end index.
+/// state is owned by exactly one shard.  Returns each shard's task count and
+/// the destination range it owns; the ranges tile `0..n`.
 ///
 /// The cut positions depend on `max_shards` (i.e. on the thread count), but
 /// never the results: phase outputs are reduced in shard order, and
 /// concatenating per-shard walks of a sorted task list in shard order is the
 /// canonical serial walk regardless of where the cuts fall.
 // gossip-lint: allow(panic-path): hi is only indexed while strictly below tasks.len(), and hi >= 1 inside the loop
-fn partition_tasks(tasks: &[MergeTask], max_shards: usize) -> Vec<usize> {
-    let mut ends = Vec::with_capacity(max_shards);
+fn partition_tasks(tasks: &[MergeTask], max_shards: usize, n: usize) -> Vec<(usize, Range<usize>)> {
+    let mut shards = Vec::with_capacity(max_shards);
     let target = tasks.len().div_ceil(max_shards.max(1));
-    let mut lo = 0usize;
+    let (mut lo, mut dst_lo) = (0usize, 0usize);
     while lo < tasks.len() {
         let mut hi = (lo + target).min(tasks.len());
         while hi < tasks.len() && tasks[hi].dst == tasks[hi - 1].dst {
             hi += 1;
         }
-        ends.push(hi);
-        lo = hi;
+        let dst_hi = if hi < tasks.len() {
+            tasks[hi].dst as usize
+        } else {
+            n
+        };
+        shards.push((hi - lo, dst_lo..dst_hi));
+        (lo, dst_lo) = (hi, dst_hi);
     }
-    ends
+    shards
+}
+
+/// Splits `slice` into consecutive pieces of the given lengths.
+fn split_lens<T>(mut slice: &mut [T], lens: impl IntoIterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.into_iter()
+        .map(|len| {
+            let (piece, rest) = std::mem::take(&mut slice).split_at_mut(len);
+            slice = rest;
+            piece
+        })
+        .collect()
 }
 
 /// Minimum per-phase work before a pass fans out to worker threads; below
@@ -1114,6 +1245,8 @@ struct Progress<'g> {
     /// Worst observed re-dissemination latency over recovered rejoiners
     /// ([`FaultReport::recovery_latency`]).
     recovery_latency: Option<u64>,
+    /// [`SimConfig::shadow_compaction`]'s materialisation threshold.
+    min_truncate_runs: usize,
     mem: MemCounters,
 }
 
@@ -1129,7 +1262,6 @@ struct FaultTally {
 }
 
 impl<'g> Progress<'g> {
-    // gossip-lint: allow(panic-path): initial rumor vec length is asserted to equal n
     fn new(graph: &'g Graph, config: &SimConfig, rumors: &[RumorSet]) -> Self {
         let source_rumor = match config.termination {
             Termination::AllKnowRumorOf(source) => Some(RumorId::of_node(source)),
@@ -1139,25 +1271,11 @@ impl<'g> Progress<'g> {
             Termination::LocalBroadcast(bound) => Some(bound),
             _ => None,
         };
-        let lb_deficit = lb_bound.map_or(0, |bound| {
-            graph
-                .nodes()
-                .map(|v| {
-                    graph
-                        .neighbors(v)
-                        .filter(|&(w, e)| {
-                            graph.latency(e) <= bound
-                                && !rumors[v.index()].contains(RumorId::of_node(w))
-                        })
-                        .count() as u64
-                })
-                .sum()
-        });
         let logs: Vec<AcquisitionLog> = rumors.iter().map(AcquisitionLog::from_set).collect();
         let live_runs: u64 = logs.iter().map(|l| l.retained_runs() as u64).sum();
         let pages_live: u64 = rumors.iter().map(|s| s.live_pages() as u64).sum();
         let n = rumors.len();
-        Progress {
+        let mut progress = Progress {
             graph,
             logs,
             shadows: vec![Vec::new(); n],
@@ -1169,7 +1287,7 @@ impl<'g> Progress<'g> {
             source_known_by: source_rumor
                 .map_or(0, |r| rumors.iter().filter(|s| s.contains(r)).count()),
             lb_bound,
-            lb_deficit,
+            lb_deficit: 0,
             tracked: config.tracked_rumor,
             informed_times: match config.tracked_rumor {
                 Some(r) => rumors
@@ -1180,6 +1298,7 @@ impl<'g> Progress<'g> {
             },
             pending_recovery: Vec::new(),
             recovery_latency: None,
+            min_truncate_runs: config.shadow_min_truncate_runs,
             mem: MemCounters {
                 live_runs,
                 peak_runs: live_runs,
@@ -1187,7 +1306,21 @@ impl<'g> Progress<'g> {
                 pages_peak: pages_live,
                 ..MemCounters::default()
             },
+        };
+        if lb_bound.is_some() {
+            progress.lb_deficit = graph
+                .edge_ids()
+                .map(|e| progress.lb_missing(rumors, e))
+                .sum();
         }
+        // Nodes that start fully saturated (trivial universes, pre-seeded
+        // states) have no outstanding snapshots at all: collapse immediately.
+        for (i, set) in rumors.iter().enumerate() {
+            if set.is_full() {
+                progress.collapse_node(i);
+            }
+        }
+        progress
     }
 
     /// Executes a delivery phase's resolved merge tasks in the **canonical
@@ -1227,7 +1360,6 @@ impl<'g> Progress<'g> {
     /// The two phases are separated by a barrier: phase B appends to
     /// `logs[dst]` while phase A *reads* `logs[src]`, and any `src` may be
     /// another shard's `dst`.
-    // gossip-lint: allow(panic-path): shard end indices come from partition_tasks over the same task slice, and per-shard vectors are built one entry per shard
     fn merge_completions(
         &mut self,
         rumors: &mut [RumorSet],
@@ -1247,8 +1379,16 @@ impl<'g> Progress<'g> {
         } else {
             threads
         };
-        let ends = partition_tasks(tasks, shard_count);
-        let n = rumors.len();
+        // The shard bounds, computed once: both phases split their
+        // per-destination slices along the same destination ranges.
+        let shards = partition_tasks(tasks, shard_count, rumors.len());
+        let dst_lens = || shards.iter().map(|(_, dsts)| dsts.len());
+        let shard_tasks: Vec<(&[MergeTask], usize)> =
+            split_lens(tasks, shards.iter().map(|&(count, _)| count))
+                .into_iter()
+                .zip(&shards)
+                .map(|(tasks, (_, dsts))| (&*tasks, dsts.start))
+                .collect();
 
         let Progress {
             graph,
@@ -1270,38 +1410,15 @@ impl<'g> Progress<'g> {
         let (source_rumor, tracked, lb_bound) = (*source_rumor, *tracked, *lb_bound);
 
         // Phase A: union prefixes into the destinations' paged rumor sets.
-        struct PhaseAJob<'a> {
-            tasks: &'a [MergeTask],
-            base: usize,
-            rumors: &'a mut [RumorSet],
-        }
         let new_runs: Vec<MergeShardNew> = {
             let (logs, shadows, shadow_len, collapsed) =
                 (&**logs, &**shadows, &**shadow_len, &**collapsed);
-            let mut jobs: Vec<PhaseAJob<'_>> = Vec::with_capacity(ends.len());
-            let mut rest: &mut [RumorSet] = rumors;
-            let mut base = 0usize;
-            let mut task_lo = 0usize;
-            for (k, &task_hi) in ends.iter().enumerate() {
-                let dst_hi = if k + 1 < ends.len() {
-                    tasks[task_hi].dst as usize
-                } else {
-                    n
-                };
-                let (mine, tail) = rest.split_at_mut(dst_hi - base);
-                jobs.push(PhaseAJob {
-                    tasks: &tasks[task_lo..task_hi],
-                    base,
-                    rumors: mine,
-                });
-                rest = tail;
-                base = dst_hi;
-                task_lo = task_hi;
-            }
-            run_jobs(threads, jobs, |job| {
-                merge_shard_phase_a(
-                    job.tasks, job.base, job.rumors, logs, shadows, shadow_len, collapsed,
-                )
+            let jobs: Vec<_> = shard_tasks
+                .iter()
+                .zip(split_lens(rumors, dst_lens()))
+                .collect();
+            run_jobs(threads, jobs, |(&(tasks, base), rumors)| {
+                merge_shard_phase_a(tasks, base, rumors, logs, shadows, shadow_len, collapsed)
             })
         };
 
@@ -1318,42 +1435,23 @@ impl<'g> Progress<'g> {
         let deltas: Vec<MergeShardDelta> = {
             let rumors = &*rumors;
             let graph: &Graph = graph;
-            let mut jobs: Vec<PhaseBJob<'_>> = Vec::with_capacity(ends.len());
-            let mut logs_rest: &mut [AcquisitionLog] = logs;
-            let mut counts_rest: &mut [usize] = counts;
-            let mut informed_rest: Option<&mut [Option<u64>]> =
-                tracked.is_some().then_some(&mut informed_times[..]);
-            let mut base = 0usize;
-            let mut task_lo = 0usize;
-            for (k, &task_hi) in ends.iter().enumerate() {
-                let dst_hi = if k + 1 < ends.len() {
-                    tasks[task_hi].dst as usize
-                } else {
-                    n
-                };
-                let (logs_mine, logs_tail) = logs_rest.split_at_mut(dst_hi - base);
-                let (counts_mine, counts_tail) = counts_rest.split_at_mut(dst_hi - base);
-                let (informed_mine, informed_tail) = match informed_rest {
-                    Some(slice) => {
-                        let (a, b) = slice.split_at_mut(dst_hi - base);
-                        (Some(a), Some(b))
-                    }
-                    None => (None, None),
-                };
-                jobs.push(PhaseBJob {
-                    tasks: &tasks[task_lo..task_hi],
-                    new: &new_runs[k],
+            let mut informed = tracked
+                .is_some()
+                .then(|| split_lens(informed_times, dst_lens()).into_iter());
+            let jobs: Vec<PhaseBJob<'_>> = shard_tasks
+                .iter()
+                .zip(&new_runs)
+                .zip(split_lens(logs, dst_lens()))
+                .zip(split_lens(counts, dst_lens()))
+                .map(|(((&(tasks, base), new), logs), counts)| PhaseBJob {
+                    tasks,
+                    new,
                     base,
-                    logs: logs_mine,
-                    counts: counts_mine,
-                    informed_times: informed_mine,
-                });
-                logs_rest = logs_tail;
-                counts_rest = counts_tail;
-                informed_rest = informed_tail;
-                base = dst_hi;
-                task_lo = task_hi;
-            }
+                    logs,
+                    counts,
+                    informed_times: informed.as_mut().and_then(Iterator::next),
+                })
+                .collect();
             run_jobs(threads, jobs, |job| {
                 merge_shard_phase_b(
                     job.tasks,
@@ -1374,14 +1472,11 @@ impl<'g> Progress<'g> {
         };
 
         // Deterministic reduction, in shard order.
-        let mut pages = PageTrace::default();
-        for new in &new_runs {
-            pages = PageTrace {
-                delta: pages.delta + new.pages.delta,
-                max_prefix: pages.max_prefix.max(pages.delta + new.pages.max_prefix),
-            };
-        }
-        mem.apply_page_trace(pages);
+        mem.apply_page_trace(
+            new_runs
+                .iter()
+                .fold(PageTrace::default(), |pages, new| pages.then(new.pages)),
+        );
         for delta in deltas {
             mem.live_runs += delta.appended_runs;
             *full_nodes += delta.full_nodes;
@@ -1399,7 +1494,7 @@ impl<'g> Progress<'g> {
     /// can still be in flight), then truncates the log behind the frontier.
     ///
     /// The shadow bitset is materialised lazily: until at least
-    /// `min_truncate_runs` whole runs would be reclaimed, advancing is
+    /// [`min_truncate_runs`](Self::min_truncate_runs) whole runs would be reclaimed, advancing is
     /// skipped entirely — the retained log *is* the prefix, and stays small.
     ///
     /// Saturated nodes take the **collapse** path instead: once the queued
@@ -1409,31 +1504,27 @@ impl<'g> Progress<'g> {
     /// truncated entirely, and the node marked collapsed: all future merges
     /// from it short-circuit.  While a saturated node waits for that lap,
     /// ordinary advances are skipped (no point materialising a shadow the
-    /// collapse is about to free).
+    /// collapse is about to free).  Returns whether this advance collapsed
+    /// the node, which is a wake event.
     // gossip-lint: allow(panic-path): shadow ring buckets and node indices are bounded by the ring/CSR invariants
-    fn advance_shadow(
-        &mut self,
-        rumors: &[RumorSet],
-        node: usize,
-        target: u32,
-        min_truncate_runs: usize,
-    ) {
+    fn advance_shadow(&mut self, rumors: &[RumorSet], node: usize, target: u32) -> bool {
         if self.collapsed[node] {
-            return;
+            return false;
         }
         if self.counts[node] >= rumors[node].universe() {
-            if target as usize == rumors[node].universe() {
+            let lap_done = target as usize == rumors[node].universe();
+            if lap_done {
                 self.collapse_node(node);
             }
-            return;
+            return lap_done;
         }
         let current = self.shadow_len[node];
         if target <= current {
-            return;
+            return false;
         }
         if self.shadows[node].is_empty() {
-            if self.logs[node].runs_entirely_below(target) < min_truncate_runs {
-                return;
+            if self.logs[node].runs_entirely_below(target) < self.min_truncate_runs {
+                return false;
             }
             let words = vec![0u64; rumors[node].word_count()];
             self.mem.shadow_words_live += words.len() as u64;
@@ -1449,6 +1540,7 @@ impl<'g> Progress<'g> {
         self.mem.live_runs -= freed;
         self.mem.truncated_runs += freed;
         self.mem.shadow_advances += 1;
+        false
     }
 
     /// Saturation collapse of `node`: frees its shadow, truncates its entire
@@ -1463,11 +1555,8 @@ impl<'g> Progress<'g> {
     // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids are dense
     fn collapse_node(&mut self, node: usize) {
         debug_assert!(!self.collapsed[node]);
-        let freed = self.logs[node].truncate_all() as u64;
-        self.mem.live_runs -= freed;
-        self.mem.truncated_runs += freed;
-        let shadow = std::mem::take(&mut self.shadows[node]);
-        self.mem.shadow_words_live -= shadow.len() as u64;
+        self.mem
+            .release(&mut self.logs[node], &mut self.shadows[node]);
         self.shadow_len[node] = self.logs[node].len();
         self.collapsed[node] = true;
         self.mem.collapsed_nodes += 1;
@@ -1489,30 +1578,16 @@ impl<'g> Progress<'g> {
                 self.source_known_by -= 1;
             }
         }
-        if let Some(bound) = self.lb_bound {
-            // Pairs incident to the dead node leave the local-broadcast
-            // obligation.  Only pairs whose *other* endpoint is alive over an
-            // un-cut edge were still counted.
-            for (w, e) in self.graph.neighbors(node) {
-                if self.graph.latency(e) <= bound
-                    && alive.is_node_alive(w)
-                    && alive.is_edge_alive(e)
-                {
-                    if !rumors[i].contains(RumorId::of_node(w)) {
-                        self.lb_deficit -= 1;
-                    }
-                    if !rumors[w.index()].contains(RumorId::of_node(node)) {
-                        self.lb_deficit -= 1;
-                    }
-                }
+        // Pairs incident to the dead node leave the local-broadcast
+        // obligation.  Only pairs whose *other* endpoint is alive over an
+        // un-cut edge were still counted.
+        for (w, e) in self.graph.neighbors(node) {
+            if alive.is_node_alive(w) && alive.is_edge_alive(e) {
+                self.lb_deficit -= self.lb_missing(rumors, e);
             }
         }
         if !self.collapsed[i] {
-            let freed = self.logs[i].truncate_all() as u64;
-            self.mem.live_runs -= freed;
-            self.mem.truncated_runs += freed;
-            let shadow = std::mem::take(&mut self.shadows[i]);
-            self.mem.shadow_words_live -= shadow.len() as u64;
+            self.mem.release(&mut self.logs[i], &mut self.shadows[i]);
             self.shadow_len[i] = self.logs[i].len();
         }
         if let Some(pos) = self
@@ -1545,11 +1620,7 @@ impl<'g> Progress<'g> {
         self.mem
             .record_page_delta(pages_before, rumors[i].live_pages());
         if !self.collapsed[i] {
-            let freed = self.logs[i].truncate_all() as u64;
-            self.mem.live_runs -= freed;
-            self.mem.truncated_runs += freed;
-            let shadow = std::mem::take(&mut self.shadows[i]);
-            self.mem.shadow_words_live -= shadow.len() as u64;
+            self.mem.release(&mut self.logs[i], &mut self.shadows[i]);
         }
         self.logs[i] = AcquisitionLog::from_set(&rumors[i]);
         self.mem.live_runs += self.logs[i].retained_runs() as u64;
@@ -1570,83 +1641,57 @@ impl<'g> Progress<'g> {
                 self.informed_times[i] = Some(round);
             }
         }
-        if let Some(bound) = self.lb_bound {
-            // The rejoined node re-enters the local-broadcast obligation in
-            // both directions of every usable incident edge: it forgot its
-            // neighbors' rumors, and its neighbors still hold its (identical)
-            // rumor or not — re-count from the actual sets.
-            for (w, e) in self.graph.neighbors(node) {
-                if self.graph.latency(e) <= bound
-                    && alive.is_node_alive(w)
-                    && alive.is_edge_alive(e)
-                {
-                    if !rumors[i].contains(RumorId::of_node(w)) {
-                        self.lb_deficit += 1;
-                    }
-                    if !rumors[w.index()].contains(RumorId::of_node(node)) {
-                        self.lb_deficit += 1;
-                    }
-                }
+        // The rejoined node re-enters the local-broadcast obligation in both
+        // directions of every usable incident edge: it forgot its neighbors'
+        // rumors, and its neighbors still hold its (identical) rumor or not —
+        // re-count from the actual sets.
+        for (w, e) in self.graph.neighbors(node) {
+            if alive.is_node_alive(w) && alive.is_edge_alive(e) {
+                self.lb_deficit += self.lb_missing(rumors, e);
             }
         }
-        let recovered = match self.recovery_target() {
-            Some(r) => rumors[i].contains(r),
-            None => rumors[i].is_full(),
-        };
-        if recovered {
+        if self.recovered(&rumors[i]) {
             self.note_recovery(0);
         } else {
             self.pending_recovery.push((i as u32, round));
         }
     }
 
-    /// Retires the local-broadcast pairs of a freshly cut edge (both
-    /// directions, if both endpoints are alive — dead-endpoint pairs were
-    /// already retired by the crash).  Must be called with the *post-cut*
-    /// alive view.
-    // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids are dense
-    fn cut_edge_pairs(&mut self, rumors: &[RumorSet], edge: EdgeId, alive: &AliveView) {
-        let Some(bound) = self.lb_bound else {
-            return;
-        };
-        if self.graph.latency(edge) > bound {
-            return;
+    /// The local-broadcast pairs edge `e` still owes: one per endpoint that
+    /// misses the other's rumor, when `e` is within the local-broadcast
+    /// bound (and 0 otherwise, or under any other termination).  Callers
+    /// apply their own alive filtering.
+    // gossip-lint: allow(panic-path): edge endpoints are node ids < n, and rumors is sized n
+    fn lb_missing(&self, rumors: &[RumorSet], e: EdgeId) -> u64 {
+        if self
+            .lb_bound
+            .is_none_or(|bound| self.graph.latency(e) > bound)
+        {
+            return 0;
         }
-        let rec = self.graph.edge(edge);
-        if !alive.is_node_alive(rec.u) || !alive.is_node_alive(rec.v) {
-            return;
-        }
-        if !rumors[rec.u.index()].contains(RumorId::of_node(rec.v)) {
-            self.lb_deficit -= 1;
-        }
-        if !rumors[rec.v.index()].contains(RumorId::of_node(rec.u)) {
-            self.lb_deficit -= 1;
-        }
+        let rec = self.graph.edge(e);
+        let misses =
+            |a: NodeId, b: NodeId| u64::from(!rumors[a.index()].contains(RumorId::of_node(b)));
+        misses(rec.u, rec.v) + misses(rec.v, rec.u)
     }
 
-    /// The rumor a rejoined node must re-learn to count as *recovered*: the
+    /// Whether a rejoined node holding `set` has recovered: it knows the
     /// tracked rumor if any, else the `AllKnowRumorOf` source rumor, else
-    /// (`None`) its whole set.
-    fn recovery_target(&self) -> Option<RumorId> {
-        self.tracked.or(self.source_rumor)
+    /// (with neither) everything.
+    fn recovered(&self, set: &RumorSet) -> bool {
+        match self.tracked.or(self.source_rumor) {
+            Some(r) => set.contains(r),
+            None => set.is_full(),
+        }
     }
 
-    /// If `node` is awaiting recovery and now holds its target, records the
-    /// re-dissemination latency and stops tracking it.
-    // gossip-lint: allow(panic-path): pending_recovery rounds never exceed the current round
-    fn check_recovery(&mut self, rumors: &[RumorSet], node: usize, round: u64) {
-        let Some(pos) = self
-            .pending_recovery
-            .iter()
-            .position(|&(v, _)| v as usize == node)
-        else {
+    /// If `node` is awaiting recovery and now holds its target in `set`,
+    /// records the re-dissemination latency and stops tracking it.
+    fn check_recovery(&mut self, node: u32, set: &RumorSet, round: u64) {
+        let Some(pos) = self.pending_recovery.iter().position(|&(v, _)| v == node) else {
             return;
         };
-        let recovered = match self.recovery_target() {
-            Some(r) => rumors[node].contains(r),
-            None => rumors[node].is_full(),
-        };
-        if recovered {
+        if self.recovered(set) {
             let (_, since) = self.pending_recovery.swap_remove(pos);
             self.note_recovery(round - since);
         }
@@ -1658,34 +1703,6 @@ impl<'g> Progress<'g> {
             self.recovery_latency
                 .map_or(latency, |cur| cur.max(latency)),
         );
-    }
-
-    /// Evaluates `termination` at the round boundary `ctx.round`.
-    /// `Quiescent` asks every alive node's [`Protocol::activity`] through
-    /// the same views the decision pass builds.
-    fn is_done<P: Protocol>(
-        &self,
-        termination: &Termination,
-        ctx: &DecisionCtx<'_>,
-        protocol: &P,
-        in_flight_count: usize,
-    ) -> bool {
-        // Under faults, dissemination conditions quantify over *alive* nodes
-        // only (counters never count dead nodes); with no node alive they
-        // hold vacuously.
-        let n_alive = ctx.alive.map_or(self.counts.len(), AliveView::alive_count);
-        match *termination {
-            Termination::AllKnowRumorOf(_) => self.source_known_by == n_alive,
-            Termination::AllKnowAll => self.full_nodes == n_alive,
-            Termination::LocalBroadcast(_) => self.lb_deficit == 0,
-            Termination::FixedRounds(target) => ctx.round >= target,
-            Termination::Quiescent => {
-                in_flight_count == 0
-                    && self.graph.nodes().all(|v| {
-                        ctx.is_dead(v) || protocol.activity(&ctx.view(v)) == Activity::Quiescent
-                    })
-            }
-        }
     }
 }
 
@@ -1741,28 +1758,6 @@ impl<'g> Simulation<'g> {
         self.rumors
     }
 
-    /// The read-only inputs every [`NodeView`] of round `round` is built from.
-    fn decision_ctx<'a>(
-        &'a self,
-        alive: Option<&'a AliveView>,
-        discovered: &'a DiscoveredLatencies,
-        pending_own: &'a [usize],
-        round: u64,
-    ) -> DecisionCtx<'a> {
-        DecisionCtx {
-            graph: self.graph,
-            rumors: &self.rumors,
-            alive,
-            discovered,
-            pending_own,
-            mode: self.config.mode,
-            latencies_known: self.config.latencies_known,
-            seed: self.config.seed,
-            round,
-            threads: self.config.threads.max(1),
-        }
-    }
-
     /// Runs `protocol` until the termination condition or the round cap is
     /// reached and returns the run report.
     ///
@@ -1812,519 +1807,521 @@ impl<'g> Simulation<'g> {
         self.run_inner::<P, ShardedDecisions>(protocol)
     }
 
-    // gossip-lint: allow(panic-path): node/edge indices come from the graph's own CSR bounds; ring_len >= 1
+    /// Drives the round loop: one [`RoundState`] phase call per step, in the
+    /// order the module doc lists.
     fn run_inner<P: Protocol, D: DecisionDriver<P>>(&mut self, protocol: &mut P) -> RunReport {
-        let n = self.graph.node_count();
-        let threads = self.config.threads.max(1);
+        let max_rounds = self.config.max_rounds;
+        let mut st = RoundState::new(self.graph, &self.config, &mut self.rumors);
+        let mut round = 0;
+        let mut completed = st.is_done(protocol, round);
+        while !completed && round < max_rounds {
+            st.rounds_simulated += 1;
+            st.apply_faults(round);
+            st.advance_shadows(round);
+            st.deliver(protocol, round);
+            if st.is_done(protocol, round) {
+                completed = true;
+                break;
+            }
+            st.sched.admit_woken();
+            st.decide_and_initiate::<P, D>(protocol, round);
+            round = st.advance_clock(protocol, round);
+        }
+        if !completed {
+            completed = st.is_done(protocol, round);
+        }
+        st.into_report(protocol, round, completed)
+    }
+}
 
-        // Fault machinery — all empty/`None` without a plan, so fault-free
-        // runs pay nothing beyond a few predictable branches.
-        let fault_plan = self.config.faults.clone();
-        let fault_events: &[(u64, FaultEvent)] = match &fault_plan {
-            Some(plan) => plan.events(),
-            None => &[],
-        };
-        let mut fault_cursor = 0usize;
-        let mut fault_tally = FaultTally::default();
-        let mut loss = fault_plan.as_ref().and_then(FaultPlan::loss_stream);
-        let mut alive: Option<AliveView> = fault_plan.as_ref().map(|_| AliveView::new(self.graph));
-        // Per-node fault epoch: queued shadow-ring entries carry the epoch at
-        // queue time, and a crash or rejoin bumps it — stale entries (whose
-        // log positions refer to a freed or reset log) are dropped on pop.
-        let mut epoch: Vec<u32> = if fault_plan.is_some() {
-            vec![0; n]
-        } else {
-            Vec::new()
-        };
+/// The fault machinery of a run with an attached [`FaultPlan`].
+struct FaultState<'a> {
+    /// The plan's `(round, event)` pairs, sorted by round; `cursor` indexes
+    /// the next one to apply.
+    events: &'a [(u64, FaultEvent)],
+    cursor: usize,
+    tally: FaultTally,
+    /// The dedicated message-loss stream ([`fault::draw_loss`]).
+    loss: Option<(SmallRng, u32)>,
+    alive: AliveView,
+    /// Per-node fault epoch: queued shadow advances carry the epoch at queue
+    /// time, and a crash or rejoin bumps it — stale entries (whose log
+    /// positions refer to a freed or reset log) are dropped on pop.
+    epoch: Vec<u32>,
+}
 
-        let mut progress = Progress::new(self.graph, &self.config, &self.rumors);
-        // Nodes that start fully saturated (trivial universes, pre-seeded
-        // states) have no outstanding snapshots at all: collapse immediately.
-        for i in 0..n {
-            if progress.counts[i] >= self.rumors[i].universe() {
-                progress.collapse_node(i);
+/// Everything one run mutates, for the length of its round loop.  Each
+/// phase of a round is one method, called by [`Simulation::run_inner`].
+struct RoundState<'a> {
+    graph: &'a Graph,
+    config: &'a SimConfig,
+    rumors: &'a mut [RumorSet],
+    progress: Progress<'a>,
+    calendar: Calendar,
+    /// Per-edge merge watermarks: how much of `v`'s log `u` has already
+    /// merged over this edge (`[0]`) and vice versa (`[1]`).
+    watermarks: Vec<[u32; 2]>,
+    discovered: DiscoveredLatencies,
+    /// Per-node count of initiated exchanges still in flight.
+    pending_own: Vec<usize>,
+    sched: Scheduler,
+    /// Present exactly when a fault plan is attached, so fault-free runs
+    /// pay nothing beyond a few predictable branches.
+    faults: Option<FaultState<'a>>,
+    // Per-round scratch, kept to reuse its capacity.
+    merge_tasks: Vec<MergeTask>,
+    changed_dsts: Vec<u32>,
+    decides: Vec<Decide>,
+    activations: u64,
+    rejections: u64,
+    rounds_simulated: u64,
+    rounds_skipped: u64,
+}
+
+impl<'a> RoundState<'a> {
+    fn new(graph: &'a Graph, config: &'a SimConfig, rumors: &'a mut [RumorSet]) -> Self {
+        let n = graph.node_count();
+        RoundState {
+            graph,
+            config,
+            progress: Progress::new(graph, config, rumors),
+            rumors,
+            calendar: Calendar {
+                buckets: (0..=graph.max_latency())
+                    .map(|_| Bucket::default())
+                    .collect(),
+                in_flight: 0,
+            },
+            watermarks: vec![[0, 0]; graph.edge_count()],
+            discovered: DiscoveredLatencies::new(graph.edge_count()),
+            pending_own: vec![0; n],
+            sched: Scheduler::new(n),
+            faults: config.faults.as_ref().map(|plan| FaultState {
+                events: plan.events(),
+                cursor: 0,
+                tally: FaultTally::default(),
+                loss: plan.loss_stream(),
+                alive: AliveView::new(graph),
+                epoch: vec![0; n],
+            }),
+            merge_tasks: Vec::new(),
+            changed_dsts: Vec::new(),
+            decides: Vec::new(),
+            activations: 0,
+            rejections: 0,
+            rounds_simulated: 0,
+            rounds_skipped: 0,
+        }
+    }
+
+    /// The read-only inputs every [`NodeView`] of round `round` is built from.
+    fn ctx(&self, round: u64) -> DecisionCtx<'_> {
+        DecisionCtx {
+            graph: self.graph,
+            rumors: self.rumors,
+            alive: self.faults.as_ref().map(|f| &f.alive),
+            discovered: &self.discovered,
+            pending_own: &self.pending_own,
+            config: self.config,
+            round,
+        }
+    }
+
+    /// Node `node`'s fault epoch (always 0 without a fault plan).
+    fn epoch(&self, node: u32) -> u32 {
+        self.faults
+            .as_ref()
+            .and_then(|f| f.epoch.get(node as usize))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Phase 1: applies the fault events scheduled up to `round` — *before*
+    /// shadow advances and deliveries, so an exchange completing this very
+    /// round but incident to a node that crashes now (or riding an edge cut
+    /// now) is cancelled, never delivered; a crash therefore can never
+    /// double-adjust a counter a delivery already touched.  An event that
+    /// changes nothing (crashing a dead node, reviving a live one, cutting a
+    /// cut edge) is an uncounted no-op.
+    // gossip-lint: allow(panic-path): node and edge ids come from the graph's own CSR bounds; per-node and per-edge vecs are sized n and m at construction
+    fn apply_faults(&mut self, round: u64) {
+        let Some(mut faults) = self.faults.take() else {
+            return;
+        };
+        while let Some(&(_, event)) = faults
+            .events
+            .get(faults.cursor)
+            .filter(|&&(at, _)| at <= round)
+        {
+            faults.cursor += 1;
+            match event {
+                FaultEvent::Crash(v) => {
+                    if !faults.alive.kill_node(self.graph, v) {
+                        continue;
+                    }
+                    faults.tally.crashes += 1;
+                    self.cancel_flights(&mut faults, |fl| fl.initiator == v || fl.responder == v);
+                    self.pending_own[v.index()] = 0;
+                    self.progress.crash_node(self.rumors, v, &faults.alive);
+                    faults.epoch[v.index()] = faults.epoch[v.index()].wrapping_add(1);
+                    self.sched.state[v.index()] = NodeState::Quiescent;
+                    let neighbors = self.graph.neighbors(v).map(|(w, _)| w);
+                    self.sched.wake_survivors(&faults.alive, neighbors);
+                }
+                FaultEvent::Rejoin(v) => {
+                    if !faults.alive.revive_node(self.graph, v) {
+                        continue;
+                    }
+                    faults.tally.rejoins += 1;
+                    // Amnesiac restart: zero *both* directions of every
+                    // incident watermark (the peer's stale high-water mark
+                    // would otherwise skip the fresh log's prefix, and v must
+                    // re-merge everything), and v forgets its discovered
+                    // latencies.
+                    for (_, e) in self.graph.neighbors(v) {
+                        self.watermarks[e.index()] = [0, 0];
+                        self.discovered.set(e, self.graph.edge(e).v == v, false);
+                    }
+                    self.progress
+                        .rejoin_node(self.rumors, v, round, &faults.alive);
+                    faults.epoch[v.index()] = faults.epoch[v.index()].wrapping_add(1);
+                    let neighbors = self.graph.neighbors(v).map(|(w, _)| w);
+                    self.sched
+                        .wake_survivors(&faults.alive, std::iter::once(v).chain(neighbors));
+                }
+                FaultEvent::CutLink(e) => {
+                    if !faults.alive.cut_edge(self.graph, e) {
+                        continue;
+                    }
+                    faults.tally.links_cut += 1;
+                    self.cancel_flights(&mut faults, |fl| fl.edge == e);
+                    // The cut edge's local-broadcast pairs retire with it,
+                    // unless a crash already retired them.
+                    let rec = self.graph.edge(e);
+                    if faults.alive.is_node_alive(rec.u) && faults.alive.is_node_alive(rec.v) {
+                        self.progress.lb_deficit -= self.progress.lb_missing(self.rumors, e);
+                    }
+                    self.sched.wake_survivors(&faults.alive, [rec.u, rec.v]);
+                }
             }
         }
-        // Calendar queue: `completes_at % ring_len` addresses the bucket of
-        // exchanges completing at `completes_at`.  Latencies are in
-        // `1..=max_latency`, so at any instant the live completion times
-        // occupy distinct buckets.
-        let ring_len = self.graph.max_latency() as usize + 1;
-        let mut calendar: Vec<Vec<Flight>> = (0..ring_len).map(|_| Vec::new()).collect();
-        let mut in_flight_count = 0usize;
-        // Per-edge merge watermarks: how much of `v`'s log `u` has already
-        // merged over this edge (`[0]`) and vice versa (`[1]`).
-        let mut watermarks: Vec<[u32; 2]> = vec![[0, 0]; self.graph.edge_count()];
-        let mut discovered = DiscoveredLatencies::new(self.graph.edge_count());
-        let mut pending_own = vec![0usize; n];
-        let mut activations: u64 = 0;
-        let mut rejections: u64 = 0;
-        // Shadow-advancement calendar: a node whose rumor count changed in
-        // round `r` is queued with its end-of-round count, and popped
-        // `ring_len` rounds later — by then every snapshot still in flight
-        // was taken *after* round `r`, so the frontier may move there.
-        let mut shadow_ring: Vec<Vec<(u32, u32, u32)>> =
-            (0..ring_len).map(|_| Vec::new()).collect();
-        let mut merge_tasks: Vec<MergeTask> = Vec::new();
-        let mut changed_dsts: Vec<u32> = Vec::new();
-        let mut decides: Vec<Decide> = Vec::new();
-        let min_truncate_runs = self.config.shadow_min_truncate_runs;
+        self.faults = Some(faults);
+    }
 
-        // Event-driven scheduler state: the sorted worklist of active nodes
-        // (ascending node order keeps protocol calls — and therefore RNG
-        // draws — in exactly the order of the historical all-nodes sweep),
-        // a per-node state, and the buffer wake events accumulate in before
-        // being merged back into the worklist.
-        let mut node_state: Vec<NodeState> = vec![NodeState::Active; n];
-        let mut worklist: Vec<u32> = (0..n as u32).collect();
-        let mut woken: Vec<u32> = Vec::new();
-        let mut merge_buf: Vec<u32> = Vec::new();
-        let mut rounds_simulated: u64 = 0;
-        let mut rounds_skipped: u64 = 0;
-        // Every node starts in the worklist, so the peak is at least `n`
-        // even for runs that complete before their first decision phase
-        // (keeps the `active_peak >= active_final` invariant).
-        let mut active_peak: u64 = worklist.len() as u64;
+    /// Cancels every in-flight exchange `doomed` selects.  A surviving
+    /// initiator gets its slot back, which is a wake event.
+    // gossip-lint: allow(panic-path): initiators are node ids < n, and pending_own is sized n
+    fn cancel_flights(&mut self, faults: &mut FaultState<'_>, doomed: impl Fn(&Flight) -> bool) {
+        for bucket in &mut self.calendar.buckets {
+            bucket.flights.retain(|fl| {
+                if !doomed(fl) {
+                    return true;
+                }
+                faults.tally.cancelled += 1;
+                self.calendar.in_flight -= 1;
+                if faults.alive.is_node_alive(fl.initiator) {
+                    let i = fl.initiator.index();
+                    self.pending_own[i] = self.pending_own[i].saturating_sub(1);
+                    self.sched.force_wake(i);
+                }
+                false
+            });
+        }
+    }
 
-        let mut round: u64 = 0;
-        let mut completed = progress.is_done(
-            &self.config.termination,
-            &self.decision_ctx(alive.as_ref(), &discovered, &pending_own, 0),
-            protocol,
-            in_flight_count,
-        );
-        if !completed {
-            while round < self.config.max_rounds {
-                rounds_simulated += 1;
-                let bucket = round as usize % ring_len;
+    /// Phase 2: advances the shadow frontiers queued one lap ago and
+    /// truncates the logs behind them.  A finished saturation-collapse lap
+    /// is a wake event (see [`Activity::IdleUntilWoken`]).
+    fn advance_shadows(&mut self, round: u64) {
+        let mut advances = std::mem::take(&mut self.calendar.bucket(round).advances);
+        for (node, target, epoch) in advances.drain(..) {
+            // A stale epoch means the node crashed or rejoined since this
+            // advance was queued: the target refers to a freed or reset log.
+            if epoch == self.epoch(node)
+                && self
+                    .progress
+                    .advance_shadow(self.rumors, node as usize, target)
+            {
+                self.sched.wake(node as usize);
+            }
+        }
+        self.calendar.bucket(round).advances = advances; // keep the bucket's capacity
+    }
 
-                // 0a. Apply fault events scheduled for this round — *before*
-                //     shadow advances and deliveries, so an exchange
-                //     completing this very round but incident to a node that
-                //     crashes now (or riding an edge cut now) is cancelled,
-                //     never delivered; the crash therefore can never
-                //     double-adjust a counter a delivery already touched.
-                while fault_events
-                    .get(fault_cursor)
-                    .is_some_and(|&(r, _)| r <= round)
+    /// Phase 3: delivers the exchanges completing at `round`.  A serial
+    /// prologue, in flight order, frees initiator slots, tallies losses and
+    /// resolves the per-edge watermarks into merge tasks; the merges run in
+    /// canonical order whatever the thread count; each changed destination
+    /// queues its shadow advance and settles a pending rejoin recovery; last,
+    /// both endpoints of every delivered exchange get `on_exchange`.
+    // gossip-lint: allow(panic-path): node and edge ids come from the graph's own CSR bounds; per-node and per-edge vecs are sized n and m at construction
+    fn deliver<P: Protocol>(&mut self, protocol: &mut P, round: u64) {
+        let mut completions = std::mem::take(&mut self.calendar.bucket(round).flights);
+        self.calendar.in_flight -= completions.len();
+        for fl in &completions {
+            let ii = fl.initiator.index();
+            self.pending_own[ii] = self.pending_own[ii].saturating_sub(1);
+            if fl.lost {
+                // Timed out in transit: the initiator's slot frees up (a
+                // wake event) but nothing is delivered — no merge, no
+                // latency discovery, no `on_exchange`.
+                if let Some(faults) = &mut self.faults {
+                    faults.tally.lost += 1;
+                }
+                self.sched.force_wake(ii);
+                continue;
+            }
+            // Both endpoints merge the peer's log prefix as of initiation,
+            // minus what already crossed this edge.
+            let rec = self.graph.edge(fl.edge);
+            let [toward_u, toward_v] = &mut self.watermarks[fl.edge.index()];
+            let (toward_initiator, toward_responder) = if fl.initiator == rec.u {
+                (toward_u, toward_v)
+            } else {
+                (toward_v, toward_u)
+            };
+            for (dst, src, upto, mark) in [
+                (
+                    fl.initiator,
+                    fl.responder,
+                    fl.responder_known,
+                    toward_initiator,
+                ),
+                (
+                    fl.responder,
+                    fl.initiator,
+                    fl.initiator_known,
+                    toward_responder,
+                ),
+            ] {
+                let start = (*mark).min(upto);
+                *mark = (*mark).max(upto);
+                if start < upto
+                    && self.progress.counts[dst.index()] < self.rumors[dst.index()].universe()
                 {
-                    let (_, event) = fault_events[fault_cursor];
-                    fault_cursor += 1;
-                    let av = alive.as_mut().expect("fault events imply an alive view");
-                    match event {
-                        FaultEvent::Crash(v) => {
-                            if !av.kill_node(self.graph, v) {
-                                continue; // already dead: uncounted no-op
-                            }
-                            fault_tally.crashes += 1;
-                            // Cancel every in-flight exchange touching v; a
-                            // surviving initiator gets its slot back (a wake
-                            // event).
-                            for bucket_flights in calendar.iter_mut() {
-                                bucket_flights.retain(|fl| {
-                                    if fl.initiator != v && fl.responder != v {
-                                        return true;
-                                    }
-                                    fault_tally.cancelled += 1;
-                                    in_flight_count -= 1;
-                                    if fl.initiator != v {
-                                        let ii = fl.initiator.index();
-                                        pending_own[ii] = pending_own[ii].saturating_sub(1);
-                                        force_wake(&mut node_state, &mut woken, ii);
-                                    }
-                                    false
-                                });
-                            }
-                            pending_own[v.index()] = 0;
-                            progress.crash_node(&self.rumors, v, av);
-                            epoch[v.index()] = epoch[v.index()].wrapping_add(1);
-                            node_state[v.index()] = NodeState::Quiescent;
-                            // Topology changed under the survivors.
-                            for (w, _) in self.graph.neighbors(v) {
-                                if av.is_node_alive(w) {
-                                    force_wake(&mut node_state, &mut woken, w.index());
-                                }
-                            }
-                        }
-                        FaultEvent::Rejoin(v) => {
-                            if !av.revive_node(self.graph, v) {
-                                continue; // already alive: uncounted no-op
-                            }
-                            fault_tally.rejoins += 1;
-                            // Amnesiac restart: zero *both* directions of
-                            // every incident watermark (the peer's stale
-                            // high-water mark would otherwise skip the fresh
-                            // log's prefix, and v must re-merge everything),
-                            // and v forgets its discovered latencies.
-                            for (_, e) in self.graph.neighbors(v) {
-                                watermarks[e.index()] = [0, 0];
-                                discovered.unmark(e, self.graph.edge(e).v == v);
-                            }
-                            progress.rejoin_node(&mut self.rumors, v, round, av);
-                            epoch[v.index()] = epoch[v.index()].wrapping_add(1);
-                            force_wake(&mut node_state, &mut woken, v.index());
-                            for (w, _) in self.graph.neighbors(v) {
-                                if av.is_node_alive(w) {
-                                    force_wake(&mut node_state, &mut woken, w.index());
-                                }
-                            }
-                        }
-                        FaultEvent::CutLink(e) => {
-                            if !av.cut_edge(self.graph, e) {
-                                continue; // already cut: uncounted no-op
-                            }
-                            fault_tally.links_cut += 1;
-                            for bucket_flights in calendar.iter_mut() {
-                                bucket_flights.retain(|fl| {
-                                    if fl.edge != e {
-                                        return true;
-                                    }
-                                    fault_tally.cancelled += 1;
-                                    in_flight_count -= 1;
-                                    let ii = fl.initiator.index();
-                                    pending_own[ii] = pending_own[ii].saturating_sub(1);
-                                    force_wake(&mut node_state, &mut woken, ii);
-                                    false
-                                });
-                            }
-                            progress.cut_edge_pairs(&self.rumors, e, av);
-                            let rec = self.graph.edge(e);
-                            for w in [rec.u, rec.v] {
-                                if av.is_node_alive(w) {
-                                    force_wake(&mut node_state, &mut woken, w.index());
-                                }
-                            }
-                        }
-                    }
-                }
-
-                // 0. Advance shadow frontiers queued `ring_len` rounds ago and
-                //    truncate the logs behind them.  A finished
-                //    saturation-collapse lap is a wake event (see
-                //    [`Activity::IdleUntilWoken`]).
-                let mut advances = std::mem::take(&mut shadow_ring[bucket]);
-                for (node, target, entry_epoch) in advances.drain(..) {
-                    let i = node as usize;
-                    if epoch.get(i).copied().unwrap_or(0) != entry_epoch {
-                        // The node crashed or rejoined since this advance was
-                        // queued: the target refers to a freed or reset log.
-                        continue;
-                    }
-                    let was_collapsed = progress.collapsed[i];
-                    progress.advance_shadow(&self.rumors, i, target, min_truncate_runs);
-                    if !was_collapsed && progress.collapsed[i] && node_state[i] == NodeState::Idle {
-                        node_state[i] = NodeState::Active;
-                        woken.push(node);
-                    }
-                }
-                shadow_ring[bucket] = advances; // keep the bucket's capacity
-
-                // 1. Deliver exchanges completing at the start of this round.
-                //    Serial prologue, in flight order: free initiator slots,
-                //    tally losses, resolve the per-edge watermarks, and emit
-                //    one merge task per receiving endpoint.
-                let mut completions = std::mem::take(&mut calendar[bucket]);
-                in_flight_count -= completions.len();
-                for fl in completions.iter() {
-                    let rec = self.graph.edge(fl.edge);
-                    pending_own[fl.initiator.index()] =
-                        pending_own[fl.initiator.index()].saturating_sub(1);
-                    if fl.lost {
-                        // Timed out in transit: the initiator's slot frees up
-                        // (a wake event) but nothing is delivered — no merge,
-                        // no latency discovery, no `on_exchange`.
-                        fault_tally.lost += 1;
-                        force_wake(&mut node_state, &mut woken, fl.initiator.index());
-                        continue;
-                    }
-                    // Both endpoints merge the peer's log prefix as of
-                    // initiation, minus what already crossed this edge.
-                    let [toward_u, toward_v] = &mut watermarks[fl.edge.index()];
-                    let (toward_initiator, toward_responder) = if fl.initiator == rec.u {
-                        (toward_u, toward_v)
-                    } else {
-                        (toward_v, toward_u)
-                    };
-                    for (dst, src, upto, mark) in [
-                        (
-                            fl.initiator,
-                            fl.responder,
-                            fl.responder_known,
-                            toward_initiator,
-                        ),
-                        (
-                            fl.responder,
-                            fl.initiator,
-                            fl.initiator_known,
-                            toward_responder,
-                        ),
-                    ] {
-                        let start = (*mark).min(upto);
-                        *mark = (*mark).max(upto);
-                        if start < upto
-                            && progress.counts[dst.index()] < self.rumors[dst.index()].universe()
-                        {
-                            merge_tasks.push(MergeTask {
-                                dst: dst.index() as u32,
-                                src: src.index() as u32,
-                                start,
-                                upto,
-                            });
-                        }
-                    }
-                    discovered.mark(fl.edge, fl.initiator == rec.v);
-                    discovered.mark(fl.edge, fl.responder == rec.v);
-                }
-
-                // Canonical merge order — ascending destination, flight order
-                // within a destination — regardless of thread count.
-                changed_dsts.clear();
-                progress.merge_completions(
-                    &mut self.rumors,
-                    &mut merge_tasks,
-                    round,
-                    alive.as_ref(),
-                    threads,
-                    &mut changed_dsts,
-                );
-                merge_tasks.clear();
-
-                // Queue this round's growth for shadow advancement one ring
-                // revolution from now, and settle pending rejoin recoveries —
-                // per changed destination, in ascending node order.
-                for &node in changed_dsts.iter() {
-                    shadow_ring[bucket].push((
-                        node,
-                        progress.counts[node as usize] as u32,
-                        epoch.get(node as usize).copied().unwrap_or(0),
-                    ));
-                }
-                if !progress.pending_recovery.is_empty() {
-                    for &node in changed_dsts.iter() {
-                        progress.check_recovery(&self.rumors, node as usize, round);
-                    }
-                }
-
-                // Protocol notifications and wake events, in flight order.
-                for fl in completions.drain(..) {
-                    if fl.lost {
-                        continue;
-                    }
-                    let latency = self.graph.latency(fl.edge);
-                    for (node, here) in [(fl.initiator, true), (fl.responder, false)] {
-                        protocol.on_exchange(
-                            node,
-                            &ExchangeEvent {
-                                peer: if here { fl.responder } else { fl.initiator },
-                                edge: fl.edge,
-                                latency,
-                                initiated_here: here,
-                                round,
-                            },
-                        );
-                        // A completed incident exchange is a wake event: the
-                        // node may have merged new rumors, its `on_exchange`
-                        // state changed, and (Blocking mode) `can_initiate`
-                        // may have flipped.
-                        let i = node.index();
-                        if node_state[i] == NodeState::Idle {
-                            node_state[i] = NodeState::Active;
-                            woken.push(i as u32);
-                        }
-                    }
-                }
-                calendar[bucket] = completions; // keep the bucket's capacity
-
-                // 2. Check termination (conditions are evaluated on round
-                //    boundaries) against the round-start state the decision
-                //    pass below reads too.
-                let ctx = self.decision_ctx(alive.as_ref(), &discovered, &pending_own, round);
-                if progress.is_done(&self.config.termination, &ctx, protocol, in_flight_count) {
-                    completed = true;
-                    break;
-                }
-
-                // Re-activate woken nodes, keeping the worklist sorted so
-                // decisions stay in ascending node order (wakes arrive in
-                // completion order and may repeat across a node's two
-                // endpoints' events, hence sort + dedup).
-                if !woken.is_empty() {
-                    woken.sort_unstable();
-                    woken.dedup();
-                    merge_buf.clear();
-                    merge_buf.reserve(worklist.len() + woken.len());
-                    let (mut a, mut b) = (0, 0);
-                    while a < worklist.len() && b < woken.len() {
-                        // The `Equal` arm matters under faults: a node that
-                        // crashed and rejoined in the same round is still in
-                        // the stale worklist *and* in `woken` — emitting it
-                        // twice would double its `on_round` call and
-                        // desynchronise the RNG.
-                        match worklist[a].cmp(&woken[b]) {
-                            std::cmp::Ordering::Less => {
-                                merge_buf.push(worklist[a]);
-                                a += 1;
-                            }
-                            std::cmp::Ordering::Greater => {
-                                merge_buf.push(woken[b]);
-                                b += 1;
-                            }
-                            std::cmp::Ordering::Equal => {
-                                merge_buf.push(worklist[a]);
-                                a += 1;
-                                b += 1;
-                            }
-                        }
-                    }
-                    merge_buf.extend_from_slice(&worklist[a..]);
-                    merge_buf.extend_from_slice(&woken[b..]);
-                    std::mem::swap(&mut worklist, &mut merge_buf);
-                    woken.clear();
-                }
-                active_peak = active_peak.max(worklist.len() as u64);
-
-                // 3. Let every *active* node act: the decision pass records
-                //    one `Decide` per worklist entry (serially or across
-                //    worker shards — byte-identical either way, since each
-                //    node's RNG stream is independent and decisions only read
-                //    round-start state), then the serial epilogue applies
-                //    them in worklist order.  Nodes whose `on_round` returned
-                //    `None` and whose `activity` promises silence leave the
-                //    worklist here.
-                decides.clear();
-                D::decide(protocol, &ctx, &worklist, &mut decides);
-                debug_assert_eq!(decides.len(), worklist.len());
-                let mut kept = 0;
-                for (k, &decide) in decides.iter().enumerate() {
-                    let i = worklist[k] as usize;
-                    let node = NodeId::new(i);
-                    let target = match decide {
-                        // Crashed while queued: drop from the worklist (its
-                        // state is already `Quiescent`; a rejoin force-wake
-                        // re-admits it).
-                        Decide::Dead => continue,
-                        Decide::Silent(activity) => {
-                            match activity {
-                                Activity::Active => {
-                                    worklist[kept] = i as u32;
-                                    kept += 1;
-                                }
-                                Activity::IdleUntilWoken => node_state[i] = NodeState::Idle,
-                                Activity::Quiescent => node_state[i] = NodeState::Quiescent,
-                            }
-                            continue;
-                        }
-                        Decide::Target(target) => target,
-                    };
-                    worklist[kept] = i as u32;
-                    kept += 1;
-                    let can_initiate = match self.config.mode {
-                        ExchangeMode::NonBlocking => true,
-                        // Unchanged since the decision pass: only `i`'s own
-                        // epilogue step can bump `pending_own[i]`, and each
-                        // node appears in the worklist once.
-                        ExchangeMode::Blocking => pending_own[i] == 0,
-                    };
-                    if !can_initiate {
-                        continue;
-                    }
-                    let Some(edge) = self.graph.find_edge(node, target) else {
-                        rejections += 1;
-                        protocol.on_rejected(node, target, round);
-                        continue;
-                    };
-                    if let Some(av) = &alive {
-                        // A dead peer or cut edge rejects like a non-neighbor
-                        // (the filtered view means a well-behaved protocol
-                        // never picks one).
-                        if !av.is_edge_alive(edge) || !av.is_node_alive(target) {
-                            rejections += 1;
-                            protocol.on_rejected(node, target, round);
-                            continue;
-                        }
-                    }
-                    let latency = self.graph.latency(edge);
-                    activations += 1;
-                    pending_own[i] += 1;
-                    calendar[(round + latency) as usize % ring_len].push(Flight {
-                        initiator: node,
-                        responder: target,
-                        edge,
-                        initiator_known: progress.counts[i] as u32,
-                        responder_known: progress.counts[target.index()] as u32,
-                        // Drawn exactly once per *accepted* initiation, from
-                        // the dedicated loss stream (never the protocol RNG).
-                        lost: fault::draw_loss(&mut loss),
+                    self.merge_tasks.push(MergeTask {
+                        dst: dst.index() as u32,
+                        src: src.index() as u32,
+                        start,
+                        upto,
                     });
-                    in_flight_count += 1;
-                }
-                worklist.truncate(kept);
-
-                // 4. Advance the round clock.  With an empty worklist no
-                //    node can act until the next calendar event, and rounds
-                //    without events are no-ops (no deliveries, no shadow
-                //    laps, no decisions) — so fast-forward straight past
-                //    them instead of spinning, stopping early at a
-                //    `FixedRounds` target or the `max_rounds` cap, both of
-                //    which are evaluated on the round counter itself.
-                //
-                //    One caveat: this round's *decision phase* ran after
-                //    this round's termination check, and for
-                //    [`Termination::Quiescent`] a final `on_round` call may
-                //    have turned the last node's `activity` to `Quiescent` —
-                //    state the check could not see but that the oracle
-                //    observes at the next round's boundary.  Nothing can
-                //    change *during* a gap (no protocol calls, frozen
-                //    counters), so one re-check at `round + 1` is exact: if
-                //    the run is done there, walk a single round and let the
-                //    loop terminate where the oracle does.
-                if worklist.is_empty() {
-                    let mut next = next_event_round(round, ring_len, &calendar, &shadow_ring)
-                        .unwrap_or(self.config.max_rounds)
-                        .min(self.config.max_rounds);
-                    if let Termination::FixedRounds(target) = self.config.termination {
-                        // `target > round`, else step 2 would have completed.
-                        next = next.min(target);
-                    }
-                    // A pending fault event is a hard stop for the gap: it
-                    // changes topology (and wakes nodes), so rounds past it
-                    // are not provably no-ops.  Pending events all lie
-                    // strictly after `round` (step 0a drained the rest); the
-                    // `max` is defensive.
-                    if let Some(&(r, _)) = fault_events.get(fault_cursor) {
-                        next = next.min(r.max(round + 1));
-                    }
-                    if progress.is_done(
-                        &self.config.termination,
-                        &self.decision_ctx(alive.as_ref(), &discovered, &pending_own, round + 1),
-                        protocol,
-                        in_flight_count,
-                    ) {
-                        next = next.min(round + 1);
-                    }
-                    debug_assert!(next > round);
-                    rounds_skipped += next - round - 1;
-                    round = next;
-                } else {
-                    round += 1;
                 }
             }
+            self.discovered.set(fl.edge, fl.initiator == rec.v, true);
+            self.discovered.set(fl.edge, fl.responder == rec.v, true);
         }
 
-        if !completed {
-            completed = progress.is_done(
-                &self.config.termination,
-                &self.decision_ctx(alive.as_ref(), &discovered, &pending_own, round),
-                protocol,
-                in_flight_count,
+        self.changed_dsts.clear();
+        self.progress.merge_completions(
+            self.rumors,
+            &mut self.merge_tasks,
+            round,
+            self.faults.as_ref().map(|f| &f.alive),
+            self.config.threads,
+            &mut self.changed_dsts,
+        );
+        self.merge_tasks.clear();
+        for &node in &self.changed_dsts {
+            let advance = (
+                node,
+                self.progress.counts[node as usize] as u32,
+                self.epoch(node),
             );
+            self.calendar.bucket(round).advances.push(advance);
+            self.progress
+                .check_recovery(node, &self.rumors[node as usize], round);
         }
+
+        for fl in completions.drain(..).filter(|fl| !fl.lost) {
+            let latency = self.graph.latency(fl.edge);
+            for (node, peer, initiated_here) in [
+                (fl.initiator, fl.responder, true),
+                (fl.responder, fl.initiator, false),
+            ] {
+                protocol.on_exchange(
+                    node,
+                    &ExchangeEvent {
+                        peer,
+                        edge: fl.edge,
+                        latency,
+                        initiated_here,
+                        round,
+                    },
+                );
+                // A completed incident exchange is a wake event: the node
+                // may have merged new rumors, its `on_exchange` state
+                // changed, and (Blocking mode) `can_initiate` may have
+                // flipped.
+                self.sched.wake(node.index());
+            }
+        }
+        self.calendar.bucket(round).flights = completions; // keep the bucket's capacity
+    }
+
+    /// Phase 4: evaluates the termination condition at the round boundary
+    /// `round`.  Under faults, dissemination conditions quantify over
+    /// *alive* nodes only (counters never count dead nodes); with no node
+    /// alive they hold vacuously.  `Quiescent` asks every alive node's
+    /// [`Protocol::activity`] through the same views the decision pass
+    /// builds.
+    fn is_done<P: Protocol>(&self, protocol: &P, round: u64) -> bool {
+        let ctx = self.ctx(round);
+        let n_alive = ctx.alive.map_or(self.rumors.len(), AliveView::alive_count);
+        let progress = &self.progress;
+        match self.config.termination {
+            Termination::AllKnowRumorOf(_) => progress.source_known_by == n_alive,
+            Termination::AllKnowAll => progress.full_nodes == n_alive,
+            Termination::LocalBroadcast(_) => progress.lb_deficit == 0,
+            Termination::FixedRounds(target) => round >= target,
+            Termination::Quiescent => {
+                self.calendar.in_flight == 0
+                    && self.graph.nodes().all(|v| {
+                        ctx.is_dead(v) || protocol.activity(&ctx.view(v)) == Activity::Quiescent
+                    })
+            }
+        }
+    }
+
+    /// Phase 6: lets every *active* node act.  The decision pass records one
+    /// `Decide` per worklist entry — serially or across worker shards,
+    /// byte-identical either way, since each node's RNG stream is
+    /// independent and decisions only read round-start state — then this
+    /// serial epilogue applies them in worklist order.  Nodes whose
+    /// `on_round` returned `None` and whose `activity` promises silence
+    /// leave the worklist here.
+    // gossip-lint: allow(panic-path): worklist entries and protocol targets accepted by find_edge are node ids < n, and per-node vecs are sized n
+    fn decide_and_initiate<P: Protocol, D: DecisionDriver<P>>(
+        &mut self,
+        protocol: &mut P,
+        round: u64,
+    ) {
+        let mut decides = std::mem::take(&mut self.decides);
+        decides.clear();
+        D::decide(
+            protocol,
+            &self.ctx(round),
+            &self.sched.worklist,
+            &mut decides,
+        );
+        debug_assert_eq!(decides.len(), self.sched.worklist.len());
+        self.sched.spare.clear();
+        for (&u, &decide) in self.sched.worklist.iter().zip(&decides) {
+            let i = u as usize;
+            let node = NodeId::new(i);
+            let target = match decide {
+                // Crashed while queued: drop from the worklist (its state is
+                // already `Quiescent`; a rejoin force-wake re-admits it).
+                Decide::Dead => continue,
+                Decide::Silent(activity) => {
+                    match activity {
+                        Activity::Active => self.sched.spare.push(u),
+                        Activity::IdleUntilWoken => self.sched.state[i] = NodeState::Idle,
+                        Activity::Quiescent => self.sched.state[i] = NodeState::Quiescent,
+                    }
+                    continue;
+                }
+                Decide::Target(target) => target,
+            };
+            self.sched.spare.push(u);
+            // Unchanged since the decision pass: only `i`'s own epilogue
+            // step can bump `pending_own[i]`, and each node appears in the
+            // worklist once.
+            if self.config.mode == ExchangeMode::Blocking && self.pending_own[i] > 0 {
+                continue;
+            }
+            // A dead peer or cut edge rejects like a non-neighbor (the
+            // filtered view means a well-behaved protocol never picks one).
+            let edge = self.graph.find_edge(node, target).filter(|&e| {
+                self.faults
+                    .as_ref()
+                    .is_none_or(|f| f.alive.is_edge_alive(e) && f.alive.is_node_alive(target))
+            });
+            let Some(edge) = edge else {
+                self.rejections += 1;
+                protocol.on_rejected(node, target, round);
+                continue;
+            };
+            self.activations += 1;
+            self.pending_own[i] += 1;
+            let flight = Flight {
+                initiator: node,
+                responder: target,
+                edge,
+                initiator_known: self.progress.counts[i] as u32,
+                responder_known: self.progress.counts[target.index()] as u32,
+                // Drawn exactly once per *accepted* initiation, from the
+                // dedicated loss stream (never the protocol RNG).
+                lost: self
+                    .faults
+                    .as_mut()
+                    .is_some_and(|f| fault::draw_loss(&mut f.loss)),
+            };
+            let completes_at = round + self.graph.latency(edge);
+            self.calendar.bucket(completes_at).flights.push(flight);
+            self.calendar.in_flight += 1;
+        }
+        std::mem::swap(&mut self.sched.worklist, &mut self.sched.spare);
+        self.decides = decides;
+    }
+
+    /// Phase 7: advances the round clock, returning the next round to
+    /// simulate.  With an empty worklist no node can act until the next
+    /// calendar event, and rounds without events are no-ops (no deliveries,
+    /// no shadow laps, no decisions) — so the clock fast-forwards straight
+    /// past them instead of spinning, stopping early at a `FixedRounds`
+    /// target or the `max_rounds` cap, both of which are evaluated on the
+    /// round counter itself.
+    ///
+    /// One caveat: this round's decision phase ran after this round's
+    /// termination check, and for [`Termination::Quiescent`] a final
+    /// `on_round` call may have turned the last node's `activity` to
+    /// `Quiescent` — state the check could not see but that the oracle
+    /// observes at the next round's boundary.  Nothing can change *during* a
+    /// gap (no protocol calls, frozen counters), so one re-check at
+    /// `round + 1` is exact: if the run is done there, walk a single round
+    /// and let the loop terminate where the oracle does.
+    fn advance_clock<P: Protocol>(&mut self, protocol: &P, round: u64) -> u64 {
+        if !self.sched.worklist.is_empty() {
+            return round + 1;
+        }
+        let max_rounds = self.config.max_rounds;
+        let mut next = self
+            .calendar
+            .next_event(round)
+            .unwrap_or(max_rounds)
+            .min(max_rounds);
+        if let Termination::FixedRounds(target) = self.config.termination {
+            // `target > round`, else the termination check would have
+            // completed the run.
+            next = next.min(target);
+        }
+        // A pending fault event is a hard stop for the gap: it changes
+        // topology (and wakes nodes), so rounds past it are not provably
+        // no-ops.  Pending events all lie strictly after `round` (phase 1
+        // applied the rest); the `max` is defensive.
+        if let Some(&(at, _)) = self.faults.as_ref().and_then(|f| f.events.get(f.cursor)) {
+            next = next.min(at.max(round + 1));
+        }
+        if self.is_done(protocol, round + 1) {
+            next = next.min(round + 1);
+        }
+        debug_assert!(next > round);
+        self.rounds_skipped += next - round - 1;
+        next
+    }
+
+    /// Builds the run report: the deterministic [`MemStats`] counters and,
+    /// exactly when a fault plan was attached (even an inert one), the
+    /// graceful-degradation [`FaultReport`] — computed identically by the
+    /// oracle, so it is part of the semantic report.
+    fn into_report<P: Protocol>(self, protocol: &P, round: u64, completed: bool) -> RunReport {
+        let progress = self.progress;
         let rumor_set_bytes = progress.mem.pages_peak * RumorSet::page_cost_bytes()
-            + n as u64 * RumorSet::base_cost_bytes();
+            + self.rumors.len() as u64 * RumorSet::base_cost_bytes();
         let peak_log_bytes = progress.mem.peak_runs * 8; // a Run is two u32s
         let shadow_bytes = progress.mem.shadow_words_peak * 8;
-        let watermark_bytes = self.graph.edge_count() as u64 * 8;
-        let discovery_bytes = discovered.bits.len() as u64 * 8;
+        let watermark_bytes = self.watermarks.len() as u64 * 8;
+        let discovery_bytes = self.discovered.bits.len() as u64 * 8;
         let mem = MemStats {
             peak_log_runs: progress.mem.peak_runs,
             peak_log_bytes,
@@ -2342,36 +2339,33 @@ impl<'g> Simulation<'g> {
                 + peak_log_bytes
                 + watermark_bytes
                 + discovery_bytes,
-            rounds_simulated,
-            rounds_skipped,
-            active_peak,
-            active_final: worklist.len() as u64,
+            rounds_simulated: self.rounds_simulated,
+            rounds_skipped: self.rounds_skipped,
+            active_peak: self.sched.active_peak,
+            active_final: self.sched.worklist.len() as u64,
         };
-        // Graceful-degradation accounting: present exactly when a fault plan
-        // was attached (even an inert one), and computed identically by the
-        // oracle — it is part of the semantic report.
-        let faults = alive.map(|av| {
-            let (residual_components, largest_component) = av.residual_components(self.graph);
+        let faults = self.faults.map(|f| {
+            let (residual_components, largest_component) = f.alive.residual_components(self.graph);
             FaultReport {
-                crashes: fault_tally.crashes,
-                rejoins: fault_tally.rejoins,
-                links_cut: fault_tally.links_cut,
-                exchanges_cancelled: fault_tally.cancelled,
-                exchanges_lost: fault_tally.lost,
-                alive_nodes: av.alive_count() as u64,
+                crashes: f.tally.crashes,
+                rejoins: f.tally.rejoins,
+                links_cut: f.tally.links_cut,
+                exchanges_cancelled: f.tally.cancelled,
+                exchanges_lost: f.tally.lost,
+                alive_nodes: f.alive.alive_count() as u64,
                 residual_components,
                 largest_component,
-                stranded_rumors: fault::stranded_rumors(&self.rumors, &av),
+                stranded_rumors: fault::stranded_rumors(self.rumors, &f.alive),
                 recovery_latency: progress.recovery_latency,
             }
         });
         RunReport {
             protocol: protocol.name().to_string(),
             rounds: round,
-            activations,
-            messages: activations * 2,
+            activations: self.activations,
+            messages: self.activations * 2,
             completed,
-            rejections,
+            rejections: self.rejections,
             informed_times: if progress.informed_times.is_empty() {
                 None
             } else {

@@ -18,6 +18,7 @@
 //! * a crash landing inside a victim's own `max_latency + 1` delivery
 //!   window never double-adjusts a termination counter (the
 //!   silent-overcount regression),
+//! * a node that crashes and rejoins in the same round is scheduled once,
 //! * residual reachability and stranded-rumor accounting agree with a
 //!   brute-force recomputation at scale.
 
@@ -203,6 +204,48 @@ fn crash_inside_own_delivery_window_cancels_instead_of_delivering() {
     let report =
         assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), "crash-mid-window");
     assert!(report.faults.is_some(), "a fault section is reported");
+}
+
+/// A node that crashes and rejoins in the same round while it is still
+/// active sits both in the stale worklist and in the rejoin's wake list: the
+/// worklist merge must admit it once, or its `on_round` call doubles and the
+/// run drifts from the oracle.  On a latency-3 clique nobody saturates or
+/// finishes a flood lap by round 2, so both protocols still have the victim
+/// active there.  (Local broadcast over its latency-1 edges is vacuous here
+/// and ends at round 0, before the faults.)
+#[test]
+fn crash_and_rejoin_in_the_same_round_admits_the_node_once() {
+    let g = generators::clique(8, 3).unwrap();
+    let v = NodeId::new(3);
+    let plan = FaultPlan::new().crash(2, v).rejoin(2, v);
+    let mut applied = 0;
+    for (config, label) in faulted_configs(7, g.node_count(), &plan) {
+        for report in [
+            assert_matches_oracle(
+                &g,
+                &config,
+                || RandomPushPull::new(&g),
+                &format!("push-pull {label}"),
+            ),
+            assert_matches_oracle(
+                &g,
+                &config,
+                || RoundRobinFlood::new(&g),
+                &format!("flood {label}"),
+            ),
+        ] {
+            let section = report.faults.unwrap();
+            if report.rounds >= 2 {
+                assert_eq!((section.crashes, section.rejoins), (1, 1), "{label}");
+                applied += 1;
+            }
+        }
+    }
+    assert_eq!(
+        applied,
+        3 * 2,
+        "every config but local broadcast reaches round 2"
+    );
 }
 
 proptest! {

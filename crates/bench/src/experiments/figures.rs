@@ -96,10 +96,7 @@ pub fn f8_dtg(scale: Scale) -> Table {
     for &n in &sizes {
         for &ell in &ells {
             let g = generators::clique(n, ell).unwrap();
-            let universe = g.node_count();
-            let rumors: Vec<gossip_sim::RumorSet> = (0..universe)
-                .map(|i| gossip_sim::RumorSet::singleton(universe, gossip_sim::RumorId::from(i)))
-                .collect();
+            let rumors = gossip_sim::Seeding::AllToAll.initial_sets(g.node_count());
             let (report, final_rumors, iterations) =
                 dtg::run_with_rumors(&g, ell, 0xF8 + n as u64, rumors, false);
             assert!(dtg::local_broadcast_achieved(&g, ell, &final_rumors));

@@ -343,12 +343,16 @@ impl ProtocolKind {
             .max(10_000);
         let source = NodeId::new(0);
         let config = SimConfig::new(seed ^ 0x03).max_rounds(cap).faults(plan);
-        let config = match self {
-            ProtocolKind::PushPull | ProtocolKind::Flooding => config
-                .termination(Termination::AllKnowRumorOf(source))
-                .track_rumor(RumorId::of_node(source)),
+        let mut sim = match self {
+            ProtocolKind::PushPull | ProtocolKind::Flooding => Simulation::broadcast(
+                g,
+                config
+                    .termination(Termination::AllKnowRumorOf(source))
+                    .track_rumor(RumorId::of_node(source)),
+                source,
+            ),
             ProtocolKind::PushPullAllToAll | ProtocolKind::FloodingAllToAll => {
-                config.termination(Termination::AllKnowAll)
+                Simulation::new(g, config.termination(Termination::AllKnowAll))
             }
             _ => panic!(
                 "fault injection supports the single-phase protocols only, not {}",
@@ -357,9 +361,9 @@ impl ProtocolKind {
         };
         let report = match self {
             ProtocolKind::PushPull | ProtocolKind::PushPullAllToAll => {
-                Simulation::new(g, config).run(&mut RandomPushPull::new(g))
+                sim.run(&mut RandomPushPull::new(g))
             }
-            _ => Simulation::new(g, config).run(&mut RoundRobinFlood::new(g)),
+            _ => sim.run(&mut RoundRobinFlood::new(g)),
         };
         TrialMeasurement {
             rounds: report.rounds,

@@ -27,8 +27,8 @@ use std::collections::HashMap;
 
 use gossip_graph::{Graph, Latency, NodeId};
 use gossip_sim::{
-    AcquisitionLog, Activity, ExchangeEvent, NodeView, Protocol, RumorId, RumorSet, SimConfig,
-    Simulation, Termination,
+    AcquisitionLog, Activity, ExchangeEvent, NodeView, Protocol, RumorId, RumorSet, Seeding,
+    SimConfig, Simulation, Termination,
 };
 use rand::rngs::SmallRng;
 
@@ -106,9 +106,7 @@ impl EllDtg {
                 }
             })
             .collect();
-        let heard: Vec<RumorSet> = (0..n)
-            .map(|i| RumorSet::singleton(n, RumorId::from(i)))
-            .collect();
+        let heard = Seeding::AllToAll.initial_sets(n);
         let heard_log = heard.iter().map(AcquisitionLog::from_set).collect();
         EllDtg {
             bound,
@@ -280,7 +278,8 @@ impl Protocol for EllDtg {
 /// The run stops when every node's program has finished (which implies every
 /// node has exchanged rumors with all of its ≤ ℓ neighbors).
 pub fn local_broadcast(g: &Graph, bound: Latency, seed: u64) -> DisseminationReport {
-    let (mut report, rumors, _) = run_with_rumors(g, bound, seed, crate::initial_rumors(g), false);
+    let rumors = Seeding::AllToAll.initial_sets(g.node_count());
+    let (mut report, rumors, _) = run_with_rumors(g, bound, seed, rumors, false);
     // Double-check the local-broadcast postcondition against the rumor state.
     report.completed &= local_broadcast_achieved(g, bound, &rumors);
     report
@@ -427,9 +426,7 @@ mod tests {
         let g = generators::path(6, 2).unwrap();
         let n = g.node_count();
         // Start from a state where node 0 already knows everything.
-        let mut initial: Vec<RumorSet> = (0..n)
-            .map(|i| RumorSet::singleton(n, RumorId::from(i)))
-            .collect();
+        let mut initial = Seeding::AllToAll.initial_sets(n);
         for i in 0..n {
             initial[0].insert(RumorId::from(i));
         }
@@ -446,9 +443,7 @@ mod tests {
     fn blocking_mode_also_completes() {
         let g = generators::cycle(10, 3).unwrap();
         let n = g.node_count();
-        let initial: Vec<RumorSet> = (0..n)
-            .map(|i| RumorSet::singleton(n, RumorId::from(i)))
-            .collect();
+        let initial = Seeding::AllToAll.initial_sets(n);
         let (report, rumors, _) = run_with_rumors(&g, 3, 4, initial, true);
         assert!(report.completed);
         assert!(local_broadcast_achieved(&g, 3, &rumors));

@@ -1,10 +1,13 @@
 //! Deterministic round-robin flooding — the baseline the paper's introduction
 //! measures everything against.
 //!
-//! Flooding contacts neighbors one at a time in round-robin order.  On a star
-//! (footnote 3 of the paper) push-only flooding needs `Ω(n·D)` time; with the
-//! model's automatic pull it is simply a slow but simple baseline whose cost
-//! grows with the maximum degree instead of the conductance.
+//! Flooding contacts neighbors one at a time in round-robin order, and only
+//! while it has something new to relay.  In a broadcast only informed nodes
+//! relay, so flooding is push-only: on a star (footnote 3 of the paper) it
+//! needs `Ω(n·D)` time.  All-to-all, every node relays its own rumor from
+//! round 0, so the model's automatic pull makes it a slow but simple
+//! baseline whose cost grows with the maximum degree instead of the
+//! conductance.
 
 use gossip_graph::{Graph, NodeId};
 use gossip_sim::protocols::RoundRobinFlood;
@@ -13,13 +16,14 @@ use gossip_sim::{RumorId, SimConfig, Simulation, Termination};
 use crate::push_pull::round_cap;
 use crate::DisseminationReport;
 
-/// One-to-all dissemination from `source` by round-robin flooding.
+/// One-to-all dissemination from `source` by round-robin flooding; only the
+/// source starts with a rumor ([`Simulation::broadcast`]).
 pub fn broadcast(g: &Graph, source: NodeId, seed: u64) -> DisseminationReport {
     let config = SimConfig::new(seed)
         .termination(Termination::AllKnowRumorOf(source))
         .track_rumor(RumorId::of_node(source))
         .max_rounds(round_cap(g));
-    let report = Simulation::new(g, config).run(&mut RoundRobinFlood::new(g));
+    let report = Simulation::broadcast(g, config, source).run(&mut RoundRobinFlood::new(g));
     DisseminationReport::single(
         "flooding",
         report.rounds,

@@ -66,14 +66,6 @@ pub fn diameter_bound(g: &gossip_graph::Graph) -> gossip_graph::Latency {
         .unwrap_or_else(|| g.max_latency().max(1))
 }
 
-/// The canonical starting state: node `i` knows exactly rumor `i`.
-pub(crate) fn initial_rumors(g: &gossip_graph::Graph) -> Vec<gossip_sim::RumorSet> {
-    let n = g.node_count();
-    (0..n)
-        .map(|i| gossip_sim::RumorSet::singleton(n, gossip_sim::RumorId::from(i)))
-        .collect()
-}
-
 /// Largest diameter guess the guess-and-double drivers try: the total
 /// latency (a trivial upper bound on the diameter), rounded up to a power of
 /// two.

@@ -17,7 +17,7 @@
 //! algorithm (Algorithm 5).
 
 use gossip_graph::{Graph, Latency};
-use gossip_sim::RumorSet;
+use gossip_sim::{RumorSet, Seeding};
 
 use crate::{dtg, DisseminationReport, Phase};
 
@@ -78,7 +78,8 @@ pub fn run_schedule(
 /// schedule rounds `k` up to a power of two anyway, so a constant-factor
 /// overshoot only ever doubles the top-level `k`.
 pub fn run_known_diameter_with(g: &Graph, d: Latency, seed: u64) -> DisseminationReport {
-    run_schedule(g, d.max(1), seed, crate::initial_rumors(g), true).0
+    let rumors = Seeding::AllToAll.initial_sets(g.node_count());
+    run_schedule(g, d.max(1), seed, rumors, true).0
 }
 
 /// Pattern Broadcast with an unknown diameter (Algorithm 5): guess-and-double
@@ -87,7 +88,7 @@ pub fn run_known_diameter_with(g: &Graph, d: Latency, seed: u64) -> Disseminatio
 /// the same schedule).
 pub fn run_unknown_diameter(g: &Graph, seed: u64) -> DisseminationReport {
     let mut phases: Vec<Phase> = Vec::new();
-    let mut rumors = crate::initial_rumors(g);
+    let mut rumors = Seeding::AllToAll.initial_sets(g.node_count());
     let mut guess: Latency = 1;
     let cap = crate::guess_cap(g);
     let mut completed = false;
@@ -194,7 +195,8 @@ mod tests {
     fn nonblocking_schedule_also_completes() {
         let g = generators::cycle(8, 2).unwrap();
         let d = gossip_graph::metrics::weighted_diameter(&g).unwrap();
-        let (r, rumors) = run_schedule(&g, d, 1, crate::initial_rumors(&g), false);
+        let rumors = Seeding::AllToAll.initial_sets(g.node_count());
+        let (r, rumors) = run_schedule(&g, d, 1, rumors, false);
         assert!(r.completed);
         assert!(rumors.iter().all(RumorSet::is_full));
     }

@@ -17,14 +17,15 @@ use crate::DisseminationReport;
 
 /// One-to-all dissemination from `source` using push–pull.
 ///
-/// Runs until every node knows the source's rumor (or an internal round cap
+/// Only the source starts with a rumor
+/// ([`Simulation::broadcast`]).  Runs until every node knows it (or an internal round cap
 /// proportional to `n · ℓ_max` is hit, in which case `completed` is `false`).
 pub fn broadcast(g: &Graph, source: NodeId, seed: u64) -> DisseminationReport {
     let config = SimConfig::new(seed)
         .termination(Termination::AllKnowRumorOf(source))
         .track_rumor(RumorId::of_node(source))
         .max_rounds(round_cap(g));
-    let report = Simulation::new(g, config).run(&mut RandomPushPull::new(g));
+    let report = Simulation::broadcast(g, config, source).run(&mut RandomPushPull::new(g));
     DisseminationReport::single(
         "push-pull",
         report.rounds,

@@ -10,7 +10,9 @@
 
 use gossip_graph::spanner::DirectedSpanner;
 use gossip_graph::{Graph, Latency, NodeId};
-use gossip_sim::{Activity, NodeView, Protocol, RumorSet, SimConfig, Simulation, Termination};
+use gossip_sim::{
+    Activity, NodeView, Protocol, RumorSet, Seeding, SimConfig, Simulation, Termination,
+};
 use rand::rngs::SmallRng;
 
 use crate::DisseminationReport;
@@ -106,7 +108,8 @@ pub fn all_to_all(
     k: Latency,
     seed: u64,
 ) -> DisseminationReport {
-    run_with_rumors(g, spanner, k, seed, crate::initial_rumors(g)).0
+    let rumors = Seeding::AllToAll.initial_sets(g.node_count());
+    run_with_rumors(g, spanner, k, seed, rumors).0
 }
 
 /// Runs RR Broadcast starting from the given rumor sets; returns the report
@@ -212,9 +215,7 @@ mod tests {
         let g = generators::path(5, 2).unwrap();
         let s = log_spanner(&g, 1);
         let n = g.node_count();
-        let rumors: Vec<RumorSet> = (0..n)
-            .map(|i| gossip_sim::RumorSet::singleton(n, gossip_sim::RumorId::from(i)))
-            .collect();
+        let rumors = Seeding::AllToAll.initial_sets(n);
         let (r, final_rumors) = run_with_rumors(&g, &s, 20, 3, rumors);
         assert!(r.completed);
         assert!(final_rumors.iter().all(RumorSet::is_full));

@@ -18,7 +18,7 @@
 //! nodes stop in the same phase.
 
 use gossip_graph::{Graph, Latency};
-use gossip_sim::RumorSet;
+use gossip_sim::{RumorSet, Seeding};
 
 use crate::{dtg, rr_broadcast, spanner, DisseminationReport, Phase};
 
@@ -35,7 +35,8 @@ fn ceil_log2(n: usize) -> u64 {
 /// which the bound preserves.  Callers that already hold a bound (the sweep
 /// caches one per topology) pass it instead of recomputing it.
 pub fn run_known_diameter_with(g: &Graph, d: Latency, seed: u64) -> DisseminationReport {
-    run_with_guess(g, d.max(1), seed, crate::initial_rumors(g)).0
+    let rumors = Seeding::AllToAll.initial_sets(g.node_count());
+    run_with_guess(g, d.max(1), seed, rumors).0
 }
 
 /// Runs Spanner Broadcast with the guess-and-double strategy for an unknown
@@ -47,7 +48,7 @@ pub fn run_known_diameter_with(g: &Graph, d: Latency, seed: u64) -> Disseminatio
 /// over the same spanner (Algorithm 3).
 pub fn run_unknown_diameter(g: &Graph, seed: u64) -> DisseminationReport {
     let mut phases: Vec<Phase> = Vec::new();
-    let mut rumors = crate::initial_rumors(g);
+    let mut rumors = Seeding::AllToAll.initial_sets(g.node_count());
     let mut guess: Latency = 1;
     let cap = crate::guess_cap(g);
     let mut completed = false;

@@ -102,7 +102,7 @@ use rayon::prelude::*;
 
 use crate::fault::{self, FaultEvent, FaultPlan};
 use crate::report::{FaultReport, MemStats, RunReport};
-use crate::rumor::{self, AcquisitionLog, RumorId, RumorRun, RumorSet};
+use crate::rumor::{self, AcquisitionLog, RumorId, RumorRun, RumorSet, Seeding};
 
 /// Whether a node may start a new exchange while one it initiated is still in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1601,7 +1601,7 @@ impl<'g> Progress<'g> {
         }
     }
 
-    /// Amnesiac rejoin: resets the node to a fresh singleton rumor state
+    /// Amnesiac rejoin: resets the node to its `seeding` initial rumor set
     /// (fresh log, no shadow, not collapsed), re-enters it into every
     /// termination counter, and starts its re-dissemination recovery clock.
     /// Must be called with the *post-revive* alive view.
@@ -1612,11 +1612,12 @@ impl<'g> Progress<'g> {
         node: NodeId,
         round: u64,
         alive: &AliveView,
+        seeding: Seeding,
     ) {
         let i = node.index();
         let universe = rumors[i].universe();
         let pages_before = rumors[i].live_pages();
-        rumors[i] = RumorSet::singleton(universe, RumorId::of_node(node));
+        rumors[i] = seeding.initial_set(universe, node);
         self.mem
             .record_page_delta(pages_before, rumors[i].live_pages());
         if !self.collapsed[i] {
@@ -1711,26 +1712,41 @@ pub struct Simulation<'g> {
     graph: &'g Graph,
     config: SimConfig,
     rumors: Vec<RumorSet>,
+    /// The initial-state rule an amnesiac rejoin resets a node to.
+    seeding: Seeding,
 }
 
 impl<'g> Simulation<'g> {
-    /// Creates a simulation where node `i` initially knows exactly rumor `i`
-    /// (the all-to-all starting state, which also covers one-to-all: just
-    /// terminate on [`Termination::AllKnowRumorOf`]).
+    /// Creates an all-to-all simulation: node `i` initially knows exactly
+    /// rumor `i` ([`Seeding::AllToAll`]).
     pub fn new(graph: &'g Graph, config: SimConfig) -> Self {
-        let n = graph.node_count();
-        let rumors = (0..n)
-            .map(|i| RumorSet::singleton(n, RumorId::from(i)))
-            .collect();
+        Self::seeded(graph, config, Seeding::AllToAll)
+    }
+
+    /// Creates a one-to-all simulation from `source`: the source initially
+    /// knows its own rumor and every other node knows nothing
+    /// ([`Seeding::Broadcast`]).  Pair it with
+    /// [`Termination::AllKnowRumorOf`]`(source)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is not a node of `graph`.
+    pub fn broadcast(graph: &'g Graph, config: SimConfig, source: NodeId) -> Self {
+        Self::seeded(graph, config, Seeding::Broadcast(source))
+    }
+
+    fn seeded(graph: &'g Graph, config: SimConfig, seeding: Seeding) -> Self {
         Simulation {
             graph,
             config,
-            rumors,
+            rumors: seeding.initial_sets(graph.node_count()),
+            seeding,
         }
     }
 
     /// Creates a simulation with explicitly provided initial rumor sets
     /// (used to chain protocol phases, e.g. the pattern-broadcast schedule).
+    /// An amnesiac rejoin resets a node to its [`Seeding::AllToAll`] set.
     ///
     /// # Panics
     ///
@@ -1745,6 +1761,7 @@ impl<'g> Simulation<'g> {
             graph,
             config,
             rumors: initial,
+            seeding: Seeding::AllToAll,
         }
     }
 
@@ -1811,7 +1828,7 @@ impl<'g> Simulation<'g> {
     /// order the module doc lists.
     fn run_inner<P: Protocol, D: DecisionDriver<P>>(&mut self, protocol: &mut P) -> RunReport {
         let max_rounds = self.config.max_rounds;
-        let mut st = RoundState::new(self.graph, &self.config, &mut self.rumors);
+        let mut st = RoundState::new(self.graph, &self.config, self.seeding, &mut self.rumors);
         let mut round = 0;
         let mut completed = st.is_done(protocol, round);
         while !completed && round < max_rounds {
@@ -1844,6 +1861,8 @@ struct FaultState<'a> {
     /// The dedicated message-loss stream ([`fault::draw_loss`]).
     loss: Option<(SmallRng, u32)>,
     alive: AliveView,
+    /// The run's initial-state rule, which a rejoin resets a node to.
+    seeding: Seeding,
     /// Per-node fault epoch: queued shadow advances carry the epoch at queue
     /// time, and a crash or rejoin bumps it — stale entries (whose log
     /// positions refer to a freed or reset log) are dropped on pop.
@@ -1879,7 +1898,12 @@ struct RoundState<'a> {
 }
 
 impl<'a> RoundState<'a> {
-    fn new(graph: &'a Graph, config: &'a SimConfig, rumors: &'a mut [RumorSet]) -> Self {
+    fn new(
+        graph: &'a Graph,
+        config: &'a SimConfig,
+        seeding: Seeding,
+        rumors: &'a mut [RumorSet],
+    ) -> Self {
         let n = graph.node_count();
         RoundState {
             graph,
@@ -1902,6 +1926,7 @@ impl<'a> RoundState<'a> {
                 tally: FaultTally::default(),
                 loss: plan.loss_stream(),
                 alive: AliveView::new(graph),
+                seeding,
                 epoch: vec![0; n],
             }),
             merge_tasks: Vec::new(),
@@ -1983,7 +2008,7 @@ impl<'a> RoundState<'a> {
                         self.discovered.set(e, self.graph.edge(e).v == v, false);
                     }
                     self.progress
-                        .rejoin_node(self.rumors, v, round, &faults.alive);
+                        .rejoin_node(self.rumors, v, round, &faults.alive, faults.seeding);
                     faults.epoch[v.index()] = faults.epoch[v.index()].wrapping_add(1);
                     let neighbors = self.graph.neighbors(v).map(|(w, _)| w);
                     self.sched

@@ -22,8 +22,10 @@
 //!   slot freed the same round), and it is excluded from every termination
 //!   condition.  Its rumor set is frozen as-is — rumors only it knew are
 //!   *stranded* until it rejoins.  Crashing a dead node is a no-op.
-//! * **Rejoin** (amnesiac): the node comes back with *only its own rumor*,
-//!   an empty acquisition history, and no discovered latencies — peers must
+//! * **Rejoin** (amnesiac): the node comes back with *only its initial
+//!   set* under the run's [`Seeding`](crate::Seeding) (its own rumor
+//!   all-to-all; in a broadcast, nothing unless it is the source), an empty
+//!   acquisition history, and no discovered latencies — peers must
 //!   re-send everything, so every per-edge merge watermark touching the node
 //!   is invalidated.  Rejoining an alive node is a no-op.
 //! * **Link cut** (fail-stop, permanent): the edge stops carrying exchanges

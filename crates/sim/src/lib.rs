@@ -31,7 +31,7 @@
 //!
 //! let g = generators::clique(16, 1).unwrap();
 //! let config = SimConfig::new(7).termination(Termination::AllKnowRumorOf(NodeId::new(0)));
-//! let report = Simulation::new(&g, config).run(&mut RandomPushPull::new(&g));
+//! let report = Simulation::broadcast(&g, config, NodeId::new(0)).run(&mut RandomPushPull::new(&g));
 //! assert!(report.completed);
 //! assert!(report.rounds <= 32, "push-pull on a small clique is fast");
 //! ```
@@ -54,4 +54,4 @@ pub use engine::{
 };
 pub use fault::{ChurnSpec, FaultEvent, FaultPlan};
 pub use report::{FaultReport, MemStats, RunReport};
-pub use rumor::{AcquisitionLog, RumorId, RumorIter, RumorSet};
+pub use rumor::{AcquisitionLog, RumorId, RumorIter, RumorSet, Seeding};

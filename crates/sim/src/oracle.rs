@@ -38,7 +38,7 @@ use crate::engine::{
 };
 use crate::fault::{self, FaultEvent, FaultPlan};
 use crate::report::{FaultReport, RunReport};
-use crate::rumor::{RumorId, RumorSet};
+use crate::rumor::{RumorId, RumorSet, Seeding};
 
 struct InFlight {
     initiator: NodeId,
@@ -69,22 +69,39 @@ pub struct OracleSimulation<'g> {
     sets: Vec<RumorSet>,
     /// Incremental popcount of each row (avoids termination re-scans).
     counts: Vec<usize>,
+    /// The initial-state rule an amnesiac rejoin resets a node to.
+    seeding: Seeding,
     /// Incident edge latencies each node has discovered in the current run.
     // gossip-lint: allow(unordered-iter): keyed inserts and `get` only, never iterated
     discovered: Vec<HashMap<EdgeId, Latency>>,
 }
 
 impl<'g> OracleSimulation<'g> {
-    /// Creates an oracle where node `i` initially knows exactly rumor `i`.
+    /// Creates an all-to-all oracle ([`Seeding::AllToAll`]), the twin of
+    /// [`Simulation::new`](crate::Simulation::new).
     pub fn new(graph: &'g Graph, config: SimConfig) -> Self {
-        let n = graph.node_count();
-        let initial = (0..n)
-            .map(|i| RumorSet::singleton(n, RumorId::from(i)))
-            .collect();
-        Self::with_rumors(graph, config, initial)
+        Self::seeded(graph, config, Seeding::AllToAll)
     }
 
-    /// Creates an oracle with explicitly provided initial rumor sets.
+    /// Creates a one-to-all oracle from `source` ([`Seeding::Broadcast`]),
+    /// the twin of [`Simulation::broadcast`](crate::Simulation::broadcast).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is not a node of `graph`.
+    pub fn broadcast(graph: &'g Graph, config: SimConfig, source: NodeId) -> Self {
+        Self::seeded(graph, config, Seeding::Broadcast(source))
+    }
+
+    fn seeded(graph: &'g Graph, config: SimConfig, seeding: Seeding) -> Self {
+        let initial = seeding.initial_sets(graph.node_count());
+        let mut oracle = Self::with_rumors(graph, config, initial);
+        oracle.seeding = seeding;
+        oracle
+    }
+
+    /// Creates an oracle with explicitly provided initial rumor sets.  An
+    /// amnesiac rejoin resets a node to its [`Seeding::AllToAll`] set.
     ///
     /// # Panics
     ///
@@ -102,10 +119,7 @@ impl<'g> OracleSimulation<'g> {
         let mut rows = vec![0u64; n * stride];
         let counts = initial.iter().map(RumorSet::len).collect();
         for (i, set) in initial.iter().enumerate() {
-            let row = &mut rows[i * stride..(i + 1) * stride];
-            for rumor in set.iter() {
-                row[rumor.index() / 64] |= 1 << (rumor.index() % 64);
-            }
+            fill_row(&mut rows[i * stride..(i + 1) * stride], set);
         }
         OracleSimulation {
             graph,
@@ -115,6 +129,7 @@ impl<'g> OracleSimulation<'g> {
             rows,
             sets: initial,
             counts,
+            seeding: Seeding::AllToAll,
             discovered: Vec::new(),
         }
     }
@@ -233,13 +248,13 @@ impl<'g> OracleSimulation<'g> {
                             continue; // already alive: uncounted no-op
                         }
                         rejoins += 1;
-                        // Amnesiac restart: only its own rumor, no history,
-                        // no discovered latencies.
+                        // Amnesiac restart: back to its initial set, no
+                        // history, no discovered latencies.
                         let i = v.index();
-                        self.rows[i * stride..(i + 1) * stride].fill(0);
-                        self.rows[i * stride + v.index() / 64] |= 1 << (v.index() % 64);
-                        self.sets[i] = RumorSet::singleton(self.universe, RumorId::of_node(v));
-                        self.counts[i] = 1;
+                        let initial = self.seeding.initial_set(self.universe, v);
+                        fill_row(&mut self.rows[i * stride..(i + 1) * stride], &initial);
+                        self.counts[i] = initial.len();
+                        self.sets[i] = initial;
                         self.discovered[i].clear();
                         if let Some(r) = self.config.tracked_rumor {
                             if informed_times[i].is_none() && self.sets[i].contains(r) {
@@ -530,6 +545,16 @@ impl<'g> OracleSimulation<'g> {
                             )) == Activity::Quiescent
                     })
             }
+        }
+    }
+}
+
+/// Overwrites the dense `row` with the bits of `set`.
+fn fill_row(row: &mut [u64], set: &RumorSet) {
+    row.fill(0);
+    for rumor in set.iter() {
+        if let Some(word) = row.get_mut(rumor.index() / 64) {
+            *word |= 1 << (rumor.index() % 64);
         }
     }
 }

@@ -60,6 +60,51 @@ impl fmt::Display for RumorId {
     }
 }
 
+/// Who knows which rumor when a run starts — the one seeding rule every
+/// simulator constructor builds its initial sets from, and every amnesiac
+/// rejoin resets a node to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Seeding {
+    /// All-to-all: node `i` knows exactly rumor `i`.
+    AllToAll,
+    /// One-to-all: the source knows its own rumor, every other node knows
+    /// nothing.
+    Broadcast(NodeId),
+}
+
+impl Seeding {
+    /// Node `node`'s initial rumor set over a universe of `universe` rumors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node that starts with its own rumor lies outside the
+    /// universe.
+    pub fn initial_set(self, universe: usize, node: NodeId) -> RumorSet {
+        match self {
+            Seeding::Broadcast(source) if source != node => RumorSet::empty(universe),
+            _ => RumorSet::singleton(universe, RumorId::of_node(node)),
+        }
+    }
+
+    /// Every node's initial rumor set in an `n`-node run (universe `n`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a broadcast source is not one of the `n` nodes.
+    pub fn initial_sets(self, n: usize) -> Vec<RumorSet> {
+        if let Seeding::Broadcast(source) = self {
+            assert!(
+                source.index() < n,
+                "broadcast source {} is not one of the {n} nodes",
+                source.index()
+            );
+        }
+        (0..n)
+            .map(|i| self.initial_set(n, NodeId::new(i)))
+            .collect()
+    }
+}
+
 /// A run of consecutive rumor ids `first, first+1, …, first+len-1`, the unit
 /// in which the engine's merge path reports newly learned rumors.
 pub(crate) type RumorRun = (RumorId, u32);

@@ -15,11 +15,11 @@ use std::path::PathBuf;
 
 use gossip_graph::Graph;
 use gossip_sim::oracle::OracleSimulation;
-use gossip_sim::{Protocol, RunReport, SimConfig, Simulation};
+use gossip_sim::{Protocol, RunReport, Seeding, SimConfig, Simulation};
 
-/// Runs one protocol under one config on the production engine and on the
-/// dense-bitset spec [`OracleSimulation`], and requires identical semantic
-/// reports and identical final rumor sets.
+/// Runs one protocol under one config and one initial [`Seeding`] on the
+/// production engine and on the dense-bitset spec [`OracleSimulation`], and
+/// requires identical semantic reports and identical final rumor sets.
 ///
 /// Reports are compared through [`RunReport::semantics`]: the engine fills in
 /// [`MemStats`](gossip_sim::MemStats) diagnostics the oracle (by design) does
@@ -32,12 +32,21 @@ use gossip_sim::{Protocol, RunReport, SimConfig, Simulation};
 pub fn assert_matches_oracle<P: Protocol>(
     g: &Graph,
     config: &SimConfig,
+    seeding: Seeding,
     make_protocol: impl Fn() -> P,
     label: &str,
 ) -> RunReport {
-    let mut sim = Simulation::new(g, config.clone());
+    let (mut sim, mut oracle) = match seeding {
+        Seeding::AllToAll => (
+            Simulation::new(g, config.clone()),
+            OracleSimulation::new(g, config.clone()),
+        ),
+        Seeding::Broadcast(source) => (
+            Simulation::broadcast(g, config.clone(), source),
+            OracleSimulation::broadcast(g, config.clone(), source),
+        ),
+    };
     let report = sim.run(&mut make_protocol());
-    let mut oracle = OracleSimulation::new(g, config.clone());
     let oracle_report = oracle.run(&mut make_protocol());
 
     assert!(

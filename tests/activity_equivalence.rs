@@ -24,7 +24,7 @@ use gossip_core::dtg::EllDtg;
 use gossip_core::rr_broadcast::RrBroadcast;
 use gossip_core::spanner::log_spanner;
 use gossip_graph::generators;
-use gossip_sim::{ExchangeMode, SimConfig, Simulation, Termination};
+use gossip_sim::{ExchangeMode, Seeding, SimConfig, Simulation, Termination};
 use gossip_tests::assert_matches_oracle;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -64,6 +64,7 @@ fn ell_dtg_matches_reference_on_the_quick_grid() {
                             assert_matches_oracle(
                                 &g,
                                 &dtg_config(seed, mode),
+                                Seeding::AllToAll,
                                 || EllDtg::new(&g, bound),
                                 &label,
                             );
@@ -98,6 +99,7 @@ fn rr_broadcast_matches_reference_on_the_quick_grid() {
                     assert_matches_oracle(
                         &sub,
                         &config,
+                        Seeding::AllToAll,
                         || RrBroadcast::new(&g, &spanner, k),
                         &label,
                     );
@@ -166,6 +168,7 @@ proptest! {
             assert_matches_oracle(
                 &g,
                 &dtg_config(seed, mode),
+                Seeding::AllToAll,
                 || EllDtg::new(&g, bound),
                 &format!("random n={n} ell={bound} {mode:?}"),
             );

@@ -5,7 +5,7 @@ use gossip_core::{dtg, pattern, push_pull, spanner};
 use gossip_graph::latency::LatencyScheme;
 use gossip_graph::{generators, metrics, Graph, NodeId};
 use gossip_sim::protocols::RandomPushPull;
-use gossip_sim::{RumorId, SimConfig, Simulation, Termination};
+use gossip_sim::{Seeding, SimConfig, Simulation, Termination};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -81,10 +81,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let g = random_weighted_graph(n, p, 10, 0.5, seed);
-        let universe = g.node_count();
-        let rumors: Vec<_> = (0..universe)
-            .map(|i| gossip_sim::RumorSet::singleton(universe, RumorId::from(i)))
-            .collect();
+        let rumors = Seeding::AllToAll.initial_sets(g.node_count());
         let (report, final_rumors, _) = dtg::run_with_rumors(&g, bound, seed, rumors, false);
         prop_assert!(report.completed);
         prop_assert!(dtg::local_broadcast_achieved(&g, bound, &final_rumors));

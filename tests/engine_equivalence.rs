@@ -21,8 +21,8 @@ use gossip_graph::{generators, Graph, NodeId};
 use gossip_sim::oracle::OracleSimulation;
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
 use gossip_sim::{
-    ExchangeMode, NodeView, Protocol, RumorId, RumorSet, RunReport, ShardedProtocol, SimConfig,
-    Simulation, Termination,
+    ExchangeMode, NodeView, Protocol, RumorId, RumorSet, RunReport, Seeding, ShardedProtocol,
+    SimConfig, Simulation, Termination,
 };
 use gossip_tests::assert_matches_oracle;
 use proptest::prelude::*;
@@ -45,39 +45,43 @@ fn assert_sharded_reproduces<P: ShardedProtocol>(
 }
 
 /// The configurations equivalence is checked under: every termination
-/// condition plus the blocking mode.
-fn configs(seed: u64, n: usize) -> Vec<(SimConfig, &'static str)> {
+/// condition plus the blocking mode from the all-to-all seeding, and a
+/// tracked one-to-all run from the broadcast seeding.
+fn configs(seed: u64, n: usize) -> Vec<(SimConfig, Seeding, &'static str)> {
+    let source = NodeId::new(n / 2);
+    let one_to_all = SimConfig::new(seed)
+        .termination(Termination::AllKnowRumorOf(source))
+        .track_rumor(RumorId::of_node(source))
+        .max_rounds(5_000);
     vec![
         (
             SimConfig::new(seed)
                 .termination(Termination::AllKnowAll)
                 .max_rounds(5_000),
+            Seeding::AllToAll,
             "all-know-all",
         ),
-        (
-            SimConfig::new(seed)
-                .termination(Termination::AllKnowRumorOf(NodeId::new(n / 2)))
-                .track_rumor(RumorId::from(n / 2))
-                .max_rounds(5_000),
-            "one-to-all+tracking",
-        ),
+        (one_to_all.clone(), Seeding::AllToAll, "one-to-all+tracking"),
         (
             SimConfig::new(seed)
                 .termination(Termination::LocalBroadcast(1))
                 .max_rounds(5_000),
+            Seeding::AllToAll,
             "local-broadcast",
         ),
         (
             SimConfig::new(seed)
                 .termination(Termination::FixedRounds(60))
                 .mode(ExchangeMode::Blocking),
+            Seeding::AllToAll,
             "fixed-rounds+blocking",
         ),
+        (one_to_all, Seeding::Broadcast(source), "broadcast+tracking"),
     ]
 }
 
 /// The acceptance gate: every (scenario, seed) of the full Quick grid, three
-/// seeds, both bundled protocols, all four config shapes.
+/// seeds, both bundled protocols, all five config shapes.
 #[test]
 fn engines_agree_on_the_full_quick_grid() {
     let spec = SweepSpec::standard(Scale::Quick);
@@ -89,7 +93,7 @@ fn engines_agree_on_the_full_quick_grid() {
                     let mut graph_rng = SmallRng::seed_from_u64(seed ^ 0xA11CE);
                     let base = family.build(size, &mut graph_rng);
                     let g = profile.apply(&base, &mut graph_rng);
-                    for (config, config_label) in configs(seed, g.node_count()) {
+                    for (config, seeding, config_label) in configs(seed, g.node_count()) {
                         let label = format!(
                             "{}/{}/{}/seed{}/{}",
                             family.name(),
@@ -101,12 +105,14 @@ fn engines_agree_on_the_full_quick_grid() {
                         assert_matches_oracle(
                             &g,
                             &config,
+                            seeding,
                             || RandomPushPull::new(&g),
                             &format!("push-pull {label}"),
                         );
                         assert_matches_oracle(
                             &g,
                             &config,
+                            seeding,
                             || RoundRobinFlood::new(&g),
                             &format!("flood {label}"),
                         );
@@ -116,8 +122,8 @@ fn engines_agree_on_the_full_quick_grid() {
             }
         }
     }
-    // 7 families x 2 sizes x 4 profiles x 3 seeds x 4 configs x 2 protocols.
-    assert_eq!(checked, 7 * 2 * 4 * 3 * 4 * 2);
+    // 7 families x 2 sizes x 4 profiles x 3 seeds x 5 configs x 2 protocols.
+    assert_eq!(checked, 7 * 2 * 4 * 3 * 5 * 2);
 }
 
 /// Random push–pull biased toward fast links it knows of: a coin flip picks
@@ -158,7 +164,7 @@ fn engines_agree_on_latency_knowledge_on_the_quick_grid() {
                 let mut graph_rng = SmallRng::seed_from_u64(0x1A7E);
                 let base = family.build(size, &mut graph_rng);
                 let g = profile.apply(&base, &mut graph_rng);
-                for (config, config_label) in configs(4, g.node_count()) {
+                for (config, seeding, config_label) in configs(4, g.node_count()) {
                     let label = format!(
                         "{}/{}/{}/{}",
                         family.name(),
@@ -170,6 +176,7 @@ fn engines_agree_on_latency_knowledge_on_the_quick_grid() {
                         assert_matches_oracle(
                             &g,
                             &config.clone().latencies_known(known),
+                            seeding,
                             || FastestKnown,
                             &format!("{label}/latencies-known={known}"),
                         )
@@ -205,12 +212,14 @@ fn push_pull_under_quiescent_stops_once_saturated_and_drained() {
             let saturated = assert_matches_oracle(
                 &g,
                 &config.clone().termination(Termination::AllKnowAll),
+                Seeding::AllToAll,
                 || RandomPushPull::new(&g),
                 &format!("{name}/seed{seed}/all-know-all"),
             );
             let quiescent = assert_matches_oracle(
                 &g,
                 &config.termination(Termination::Quiescent),
+                Seeding::AllToAll,
                 || RandomPushPull::new(&g),
                 &format!("{name}/seed{seed}/quiescent"),
             );
@@ -274,11 +283,11 @@ proptest! {
         let g = gossip_graph::latency::LatencyScheme::UniformRandom { min: 1, max: max_latency }
             .apply(&g, &mut rng)
             .unwrap();
-        for (config, label) in configs(seed, g.node_count()) {
+        for (config, seeding, label) in configs(seed, g.node_count()) {
             let report =
-                assert_matches_oracle(&g, &config, || RandomPushPull::new(&g), label);
+                assert_matches_oracle(&g, &config, seeding, || RandomPushPull::new(&g), label);
             prop_assert_eq!(report.rejections, 0);
-            assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), label);
+            assert_matches_oracle(&g, &config, seeding, || RoundRobinFlood::new(&g), label);
         }
     }
 
@@ -312,6 +321,7 @@ proptest! {
         let report = assert_matches_oracle(
             &g,
             &config,
+            Seeding::AllToAll,
             || RandomPushPull::new(&g),
             "forced-shadows",
         );
@@ -325,7 +335,13 @@ proptest! {
             "forced compaction must advance shadows or collapse saturated nodes"
         );
         prop_assert!(mem.truncated_runs > 0, "advancement must truncate log runs");
-        assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), "forced-shadows flood");
+        assert_matches_oracle(
+            &g,
+            &config,
+            Seeding::AllToAll,
+            || RoundRobinFlood::new(&g),
+            "forced-shadows flood",
+        );
     }
 
     /// Saturation collapse, specifically: all-to-all on small universes with
@@ -356,7 +372,13 @@ proptest! {
             .track_rumor(RumorId::from(n / 2))
             .shadow_compaction(0);
         let report =
-            assert_matches_oracle(&g, &config, || RandomPushPull::new(&g), "saturation-collapse");
+            assert_matches_oracle(
+                &g,
+                &config,
+                Seeding::AllToAll,
+                || RandomPushPull::new(&g),
+                "saturation-collapse",
+            );
         prop_assert_eq!(report.rejections, 0);
         let mem = report.mem.unwrap();
         if report.min_rumors_known == n {
@@ -371,6 +393,7 @@ proptest! {
         assert_matches_oracle(
             &g,
             &config,
+            Seeding::AllToAll,
             || RoundRobinFlood::new(&g),
             "saturation-collapse flood",
         );
@@ -428,11 +451,23 @@ proptest! {
             );
         };
         check(
-            assert_matches_oracle(&g, &config, || RandomPushPull::new(&g), "skip push-pull"),
+            assert_matches_oracle(
+                &g,
+                &config,
+                Seeding::AllToAll,
+                || RandomPushPull::new(&g),
+                "skip push-pull",
+            ),
             "skip push-pull",
         );
         check(
-            assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), "skip flood"),
+            assert_matches_oracle(
+                &g,
+                &config,
+                Seeding::AllToAll,
+                || RoundRobinFlood::new(&g),
+                "skip flood",
+            ),
             "skip flood",
         );
     }
@@ -465,7 +500,13 @@ proptest! {
             .shadow_compaction(0)
             .max_rounds(400)
             .threads(4);
-        let report = assert_matches_oracle(&g, &config, || RandomPushPull::new(&g), "mid shadows");
+        let report = assert_matches_oracle(
+            &g,
+            &config,
+            Seeding::AllToAll,
+            || RandomPushPull::new(&g),
+            "mid shadows",
+        );
         assert_sharded_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid shadows");
         let mem = report.mem.unwrap();
         prop_assert!(
@@ -491,7 +532,13 @@ proptest! {
             .termination(Termination::FixedRounds(40 * g.max_latency()))
             .shadow_compaction(0)
             .threads(4);
-        let report = assert_matches_oracle(&g, &config, || RandomPushPull::new(&g), "mid collapse");
+        let report = assert_matches_oracle(
+            &g,
+            &config,
+            Seeding::AllToAll,
+            || RandomPushPull::new(&g),
+            "mid collapse",
+        );
         assert_sharded_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid collapse");
         let mem = report.mem.unwrap();
         if report.min_rumors_known == n {
@@ -523,7 +570,13 @@ proptest! {
             .track_rumor(RumorId::from(0usize))
             .shadow_compaction(0)
             .threads(4);
-        let report = assert_matches_oracle(&g, &config, || RandomPushPull::new(&g), "mid skip");
+        let report = assert_matches_oracle(
+            &g,
+            &config,
+            Seeding::AllToAll,
+            || RandomPushPull::new(&g),
+            "mid skip",
+        );
         assert_sharded_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid skip");
         let mem = report.mem.unwrap();
         prop_assert!(
@@ -533,6 +586,7 @@ proptest! {
         let report = assert_matches_oracle(
             &g,
             &config,
+            Seeding::AllToAll,
             || RoundRobinFlood::new(&g),
             "mid skip flood",
         );

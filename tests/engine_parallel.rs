@@ -19,8 +19,8 @@
 use gossip_graph::{generators, Graph, NodeId};
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
 use gossip_sim::{
-    ChurnSpec, ExchangeMode, FaultPlan, RumorId, RumorSet, RunReport, ShardedProtocol, SimConfig,
-    Simulation, Termination,
+    ChurnSpec, ExchangeMode, FaultPlan, RumorId, RumorSet, RunReport, Seeding, ShardedProtocol,
+    SimConfig, Simulation, Termination,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -29,22 +29,26 @@ use rand::SeedableRng;
 /// driver): the inline path, a small pool, and an oversubscribed pool.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Runs one protocol once with the serial driver and once per pool size
-/// with the sharded driver, requiring full report *and* rumor-state
-/// equality throughout.
+/// Runs one protocol from one [`Seeding`] once with the serial driver and
+/// once per pool size with the sharded driver, requiring full report *and*
+/// rumor-state equality throughout.
 fn assert_thread_invariant<P: ShardedProtocol, F: Fn() -> P>(
     g: &Graph,
     config: &SimConfig,
+    seeding: Seeding,
     make_protocol: F,
     label: &str,
 ) -> RunReport {
-    let mut serial_sim = Simulation::new(g, config.clone());
+    let simulation = |config: SimConfig| match seeding {
+        Seeding::AllToAll => Simulation::new(g, config),
+        Seeding::Broadcast(source) => Simulation::broadcast(g, config, source),
+    };
+    let mut serial_sim = simulation(config.clone());
     let serial_report = serial_sim.run(&mut make_protocol());
     let serial_rumors: Vec<RumorSet> = serial_sim.into_rumors();
 
     for threads in THREAD_COUNTS {
-        let threaded = config.clone().threads(threads);
-        let mut sim = Simulation::new(g, threaded);
+        let mut sim = simulation(config.clone().threads(threads));
         let report = sim.run_sharded(&mut make_protocol());
         // Full equality, not `semantics()`: the sharded pass must reproduce
         // the serial engine's memory diagnostics bit for bit.
@@ -78,9 +82,21 @@ fn all_to_all_reports_are_identical_across_thread_counts() {
     let config = SimConfig::new(41)
         .termination(Termination::AllKnowAll)
         .max_rounds(5_000);
-    let report = assert_thread_invariant(&g, &config, || RandomPushPull::new(&g), "push-pull a2a");
+    let report = assert_thread_invariant(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || RandomPushPull::new(&g),
+        "push-pull a2a",
+    );
     assert!(report.completed, "{report}");
-    assert_thread_invariant(&g, &config, || RoundRobinFlood::new(&g), "flood a2a");
+    assert_thread_invariant(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || RoundRobinFlood::new(&g),
+        "flood a2a",
+    );
 }
 
 #[test]
@@ -91,14 +107,23 @@ fn one_to_all_with_forced_shadows_is_identical_across_thread_counts() {
         .track_rumor(RumorId::from(350usize))
         .shadow_compaction(0)
         .max_rounds(5_000);
-    let report = assert_thread_invariant(&g, &config, || RandomPushPull::new(&g), "shadowed 12a");
-    assert!(report.completed, "{report}");
-    assert_thread_invariant(
-        &g,
-        &config,
-        || RoundRobinFlood::new(&g),
-        "shadowed 12a flood",
-    );
+    for seeding in [Seeding::AllToAll, Seeding::Broadcast(NodeId::new(350))] {
+        let report = assert_thread_invariant(
+            &g,
+            &config,
+            seeding,
+            || RandomPushPull::new(&g),
+            &format!("shadowed 12a {seeding:?}"),
+        );
+        assert!(report.completed, "{report}");
+        assert_thread_invariant(
+            &g,
+            &config,
+            seeding,
+            || RoundRobinFlood::new(&g),
+            &format!("shadowed 12a flood {seeding:?}"),
+        );
+    }
 }
 
 #[test]
@@ -110,10 +135,17 @@ fn blocking_mode_is_identical_across_thread_counts() {
     assert_thread_invariant(
         &g,
         &config,
+        Seeding::AllToAll,
         || RandomPushPull::new(&g),
         "blocking push-pull",
     );
-    assert_thread_invariant(&g, &config, || RoundRobinFlood::new(&g), "blocking flood");
+    assert_thread_invariant(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || RoundRobinFlood::new(&g),
+        "blocking flood",
+    );
 }
 
 /// The event-driven endgame: a star driven far past saturation skips long
@@ -122,12 +154,19 @@ fn blocking_mode_is_identical_across_thread_counts() {
 fn skipping_endgame_is_identical_across_thread_counts() {
     let g = generators::star(2048, 1).unwrap();
     let config = SimConfig::new(53).termination(Termination::FixedRounds(600));
-    let report = assert_thread_invariant(&g, &config, || RandomPushPull::new(&g), "skipping star");
+    let report = assert_thread_invariant(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || RandomPushPull::new(&g),
+        "skipping star",
+    );
     let mem = report.mem.unwrap();
     assert!(mem.rounds_skipped > 0, "the endgame must fast-forward");
     assert_thread_invariant(
         &g,
         &config,
+        Seeding::AllToAll,
         || RoundRobinFlood::new(&g),
         "skipping star flood",
     );
@@ -165,7 +204,42 @@ fn churn_profile_runs_are_identical_across_thread_counts() {
     assert_eq!(one_sim.into_rumors(), four_sim.into_rumors());
 
     // And the serial driver agrees with both.
-    let report = assert_thread_invariant(&g, &config, || RandomPushPull::new(&g), "churn");
+    let report = assert_thread_invariant(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || RandomPushPull::new(&g),
+        "churn",
+    );
     assert_eq!(report, one);
-    assert_thread_invariant(&g, &config, || RoundRobinFlood::new(&g), "churn flood");
+    assert_thread_invariant(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || RoundRobinFlood::new(&g),
+        "churn flood",
+    );
+
+    // The same churn from the broadcast seeding, run past the last rejoin:
+    // rejoins reset to the one-rumor initial sets.
+    let seeding = Seeding::Broadcast(NodeId::new(0));
+    let config = config.termination(Termination::FixedRounds(150));
+    let report = assert_thread_invariant(
+        &g,
+        &config,
+        seeding,
+        || RandomPushPull::new(&g),
+        "churn broadcast",
+    );
+    assert!(
+        report.faults.is_some_and(|f| f.rejoins > 0),
+        "the churn profile rejoins nodes"
+    );
+    assert_thread_invariant(
+        &g,
+        &config,
+        seeding,
+        || RoundRobinFlood::new(&g),
+        "churn broadcast flood",
+    );
 }

@@ -17,7 +17,7 @@
 
 use gossip_graph::{generators, NodeId};
 use gossip_sim::protocols::RoundRobinFlood;
-use gossip_sim::{Activity, NodeView, Protocol, RumorId, SimConfig, Termination};
+use gossip_sim::{Activity, NodeView, Protocol, RumorId, Seeding, SimConfig, Termination};
 use gossip_tests::assert_matches_oracle;
 use rand::rngs::SmallRng;
 
@@ -77,6 +77,7 @@ fn fast_forward_wraps_across_the_ring_boundary() {
         let report = assert_matches_oracle(
             &g,
             &config,
+            Seeding::AllToAll,
             OneShot::default,
             &format!("ring wrap, latency {latency}"),
         );
@@ -119,7 +120,13 @@ fn shadow_lap_queued_during_a_skipped_window_fires() {
         .termination(Termination::FixedRounds(200))
         .track_rumor(RumorId::from(0usize))
         .shadow_compaction(0);
-    let report = assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), "shadow lap");
+    let report = assert_matches_oracle(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || RoundRobinFlood::new(&g),
+        "shadow lap",
+    );
     assert_eq!(report.rounds, 200);
     assert_eq!(report.min_rumors_known, 3, "the path must saturate");
     let mem = report.mem.unwrap();
@@ -138,8 +145,13 @@ fn shadow_lap_queued_during_a_skipped_window_fires() {
 fn fixed_rounds_lands_inside_a_skipped_gap() {
     let g = generators::path(2, 10).unwrap();
     let config = SimConfig::new(1).termination(Termination::FixedRounds(7));
-    let report =
-        assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), "fixed-rounds gap");
+    let report = assert_matches_oracle(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || RoundRobinFlood::new(&g),
+        "fixed-rounds gap",
+    );
     assert_eq!(report.rounds, 7, "the clock must stop on the target");
     assert!(report.completed);
     assert_eq!(
@@ -197,6 +209,7 @@ fn quiescent_termination_fires_at_the_reference_round_despite_skipping() {
         let report = assert_matches_oracle(
             &g,
             &config,
+            Seeding::AllToAll,
             || Countdown {
                 remaining: vec![rounds; 4],
             },
@@ -225,7 +238,13 @@ fn empty_universe_jumps_to_the_round_cap() {
     // OneShot disseminates 0's rumor to node 1 and then nothing further can
     // happen; AllKnowRumorOf(0) is satisfied at the delivery, so use a
     // protocol that never acts instead to pin the never-completing path.
-    let report = assert_matches_oracle(&g, &config, || gossip_sim::protocols::Silent, "round cap");
+    let report = assert_matches_oracle(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || gossip_sim::protocols::Silent,
+        "round cap",
+    );
     assert!(!report.completed);
     assert_eq!(report.rounds, 50_000);
     let mem = report.mem.unwrap();

@@ -26,30 +26,63 @@ use gossip_bench::sweep::SweepSpec;
 use gossip_bench::Scale;
 use gossip_graph::{generators, NodeId};
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
-use gossip_sim::{ChurnSpec, FaultPlan, RumorId, SimConfig, Simulation, Termination};
+use gossip_sim::{
+    ChurnSpec, FaultEvent, FaultPlan, RumorId, Seeding, SimConfig, Simulation, Termination,
+};
 use gossip_tests::assert_matches_oracle;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// The faulted configurations equivalence is checked under.  Round caps are
+/// The faulted configurations equivalence is checked under: the four
+/// config shapes from the all-to-all seeding, then the tracked one-to-all
+/// and the blocking shapes from the broadcast seeding.  The broadcast source
+/// is the first node `plan` crashes and later rejoins, if it has one, so the
+/// source's own reset to its initial set is exercised.  Round caps are
 /// finite because churn can strand rumors and make dissemination conditions
 /// unreachable.
-fn faulted_configs(seed: u64, n: usize, plan: &FaultPlan) -> Vec<(SimConfig, &'static str)> {
+fn faulted_configs(
+    seed: u64,
+    n: usize,
+    plan: &FaultPlan,
+) -> Vec<(SimConfig, Seeding, &'static str)> {
+    let one_to_all = |source: NodeId| {
+        SimConfig::new(seed)
+            .termination(Termination::AllKnowRumorOf(source))
+            .track_rumor(RumorId::of_node(source))
+            .max_rounds(300)
+            .faults(plan.clone())
+    };
+    let blocking = SimConfig::new(seed)
+        .termination(Termination::FixedRounds(90))
+        .mode(gossip_sim::ExchangeMode::Blocking)
+        .faults(plan.clone());
+    let events = plan.events();
+    let source = events
+        .iter()
+        .find_map(|&(at, event)| match event {
+            FaultEvent::Crash(v)
+                if events
+                    .iter()
+                    .any(|&(later, e)| later >= at && e == FaultEvent::Rejoin(v)) =>
+            {
+                Some(v)
+            }
+            _ => None,
+        })
+        .unwrap_or(NodeId::new(n / 2));
     vec![
         (
             SimConfig::new(seed)
                 .termination(Termination::AllKnowAll)
                 .max_rounds(300)
                 .faults(plan.clone()),
+            Seeding::AllToAll,
             "all-know-all",
         ),
         (
-            SimConfig::new(seed)
-                .termination(Termination::AllKnowRumorOf(NodeId::new(n / 2)))
-                .track_rumor(RumorId::from(n / 2))
-                .max_rounds(300)
-                .faults(plan.clone()),
+            one_to_all(NodeId::new(n / 2)),
+            Seeding::AllToAll,
             "one-to-all+tracking",
         ),
         (
@@ -57,14 +90,19 @@ fn faulted_configs(seed: u64, n: usize, plan: &FaultPlan) -> Vec<(SimConfig, &'s
                 .termination(Termination::LocalBroadcast(1))
                 .max_rounds(300)
                 .faults(plan.clone()),
+            Seeding::AllToAll,
             "local-broadcast",
         ),
+        (blocking.clone(), Seeding::AllToAll, "fixed-rounds+blocking"),
         (
-            SimConfig::new(seed)
-                .termination(Termination::FixedRounds(90))
-                .mode(gossip_sim::ExchangeMode::Blocking)
-                .faults(plan.clone()),
-            "fixed-rounds+blocking",
+            one_to_all(source),
+            Seeding::Broadcast(source),
+            "broadcast+tracking",
+        ),
+        (
+            blocking,
+            Seeding::Broadcast(source),
+            "broadcast+fixed-rounds+blocking",
         ),
     ]
 }
@@ -92,7 +130,8 @@ fn engines_agree_on_seeded_churn_over_the_quick_grid() {
                 let base = family.build(size, &mut graph_rng);
                 let g = profile.apply(&base, &mut graph_rng);
                 let plan = FaultPlan::random_churn(&g, seed ^ 0xFA17, &churn);
-                for (config, config_label) in faulted_configs(seed, g.node_count(), &plan) {
+                for (config, seeding, config_label) in faulted_configs(seed, g.node_count(), &plan)
+                {
                     let label = format!(
                         "{}/{}/{}/{}",
                         family.name(),
@@ -104,12 +143,14 @@ fn engines_agree_on_seeded_churn_over_the_quick_grid() {
                         assert_matches_oracle(
                             &g,
                             &config,
+                            seeding,
                             || RandomPushPull::new(&g),
                             &format!("push-pull {label}"),
                         ),
                         assert_matches_oracle(
                             &g,
                             &config,
+                            seeding,
                             || RoundRobinFlood::new(&g),
                             &format!("flood {label}"),
                         ),
@@ -124,8 +165,8 @@ fn engines_agree_on_seeded_churn_over_the_quick_grid() {
             }
         }
     }
-    // 7 families x 2 sizes x 4 profiles x 4 configs x 2 protocols.
-    assert_eq!(checked, 7 * 2 * 4 * 4 * 2);
+    // 7 families x 2 sizes x 4 profiles x 6 configs x 2 protocols.
+    assert_eq!(checked, 7 * 2 * 4 * 6 * 2);
 }
 
 /// An *inert* plan still produces a fault section — all zeros, full residual
@@ -176,6 +217,7 @@ fn crash_inside_own_delivery_window_cancels_instead_of_delivering() {
     let report = assert_matches_oracle(
         &g,
         &config,
+        Seeding::AllToAll,
         || RoundRobinFlood::new(&g),
         "crash-at-completion-round",
     );
@@ -201,8 +243,13 @@ fn crash_inside_own_delivery_window_cancels_instead_of_delivering() {
         .shadow_compaction(0)
         .max_rounds(40)
         .faults(plan);
-    let report =
-        assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), "crash-mid-window");
+    let report = assert_matches_oracle(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || RoundRobinFlood::new(&g),
+        "crash-mid-window",
+    );
     assert!(report.faults.is_some(), "a fault section is reported");
 }
 
@@ -219,17 +266,19 @@ fn crash_and_rejoin_in_the_same_round_admits_the_node_once() {
     let v = NodeId::new(3);
     let plan = FaultPlan::new().crash(2, v).rejoin(2, v);
     let mut applied = 0;
-    for (config, label) in faulted_configs(7, g.node_count(), &plan) {
+    for (config, seeding, label) in faulted_configs(7, g.node_count(), &plan) {
         for report in [
             assert_matches_oracle(
                 &g,
                 &config,
+                seeding,
                 || RandomPushPull::new(&g),
                 &format!("push-pull {label}"),
             ),
             assert_matches_oracle(
                 &g,
                 &config,
+                seeding,
                 || RoundRobinFlood::new(&g),
                 &format!("flood {label}"),
             ),
@@ -243,9 +292,61 @@ fn crash_and_rejoin_in_the_same_round_admits_the_node_once() {
     }
     assert_eq!(
         applied,
-        3 * 2,
+        5 * 2,
         "every config but local broadcast reaches round 2"
     );
+}
+
+/// An amnesiac rejoin resets a node to its *initial* set, and in a
+/// broadcast a non-source node starts with nothing: a node that learned the
+/// source's rumor, crashed and rejoined must come back empty in both
+/// engines — not holding a rumor of its own that the broadcast never had.
+/// The source itself comes back holding exactly its own rumor.
+#[test]
+fn broadcast_rejoin_resets_a_node_to_its_initial_set() {
+    let g = generators::clique(6, 1).unwrap();
+    let (source, v) = (NodeId::new(0), NodeId::new(4));
+    let rejoin_round = 12;
+    let plan = FaultPlan::new()
+        .crash(9, v)
+        .crash(10, source)
+        .rejoin(rejoin_round, v)
+        .rejoin(rejoin_round, source);
+    let config = SimConfig::new(5)
+        .termination(Termination::FixedRounds(rejoin_round))
+        .track_rumor(RumorId::of_node(source))
+        .faults(plan);
+    let seeding = Seeding::Broadcast(source);
+    for label in ["push-pull", "flood"] {
+        let mut sim = Simulation::broadcast(&g, config.clone(), source);
+        let report = if label == "push-pull" {
+            assert_matches_oracle(&g, &config, seeding, || RandomPushPull::new(&g), label);
+            sim.run(&mut RandomPushPull::new(&g))
+        } else {
+            assert_matches_oracle(&g, &config, seeding, || RoundRobinFlood::new(&g), label);
+            sim.run(&mut RoundRobinFlood::new(&g))
+        };
+        assert_eq!(report.rounds, rejoin_round, "{label}");
+        assert!(
+            report
+                .informed_times
+                .as_ref()
+                .and_then(|times| times[v.index()])
+                .is_some_and(|t| t < 9),
+            "{label}: the victim learned the rumor before crashing"
+        );
+        let rumors = sim.rumors();
+        assert!(
+            rumors[v.index()].is_empty(),
+            "{label}: a rejoined non-source must come back empty, got {:?}",
+            rumors[v.index()]
+        );
+        assert_eq!(
+            rumors[source.index()],
+            seeding.initial_set(g.node_count(), source),
+            "{label}: a rejoined source comes back holding its own rumor"
+        );
+    }
 }
 
 proptest! {
@@ -283,10 +384,10 @@ proptest! {
             window: (1, 35),
         };
         let plan = FaultPlan::random_churn(&g, seed, &churn);
-        for (config, label) in faulted_configs(seed, g.node_count(), &plan) {
+        for (config, seeding, label) in faulted_configs(seed, g.node_count(), &plan) {
             for report in [
-                assert_matches_oracle(&g, &config, || RandomPushPull::new(&g), label),
-                assert_matches_oracle(&g, &config, || RoundRobinFlood::new(&g), label),
+                assert_matches_oracle(&g, &config, seeding, || RandomPushPull::new(&g), label),
+                assert_matches_oracle(&g, &config, seeding, || RoundRobinFlood::new(&g), label),
             ] {
                 prop_assert!(report.faults.is_some(), "{label}: a fault section is reported");
             }
@@ -335,6 +436,7 @@ proptest! {
         let report = assert_matches_oracle(
             &g,
             &faulted_config,
+            Seeding::AllToAll,
             || RandomPushPull::new(&g),
             "quiescent-crash",
         );

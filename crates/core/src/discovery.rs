@@ -17,41 +17,52 @@ use rand::rngs::SmallRng;
 
 use crate::DisseminationReport;
 
+/// One node's probing state: the next neighbor to probe and the latencies
+/// its completed probes revealed.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Prober {
+    next: usize,
+    // gossip-lint: allow(unordered-iter): keyed insert per edge only, never iterated
+    latencies: HashMap<EdgeId, Latency>,
+}
+
 /// Protocol in which every node probes each of its neighbors exactly once,
 /// one per round, in neighbor-id order.
 #[derive(Debug, Clone)]
 struct ProbeAll {
-    next: Vec<usize>,
-    // gossip-lint: allow(unordered-iter): keyed insert/contains_key per edge only, never iterated
-    discovered: Vec<HashMap<EdgeId, Latency>>,
+    nodes: Vec<Prober>,
 }
 
 impl ProbeAll {
     fn new(g: &Graph) -> Self {
         ProbeAll {
-            next: vec![0; g.node_count()],
-            discovered: vec![HashMap::new(); g.node_count()],
+            nodes: vec![Prober::default(); g.node_count()],
         }
     }
 }
 
 impl Protocol for ProbeAll {
+    type Shared = ();
+    type Node = Prober;
+
     fn name(&self) -> &'static str {
         "latency-discovery"
     }
 
-    fn on_round(&mut self, view: &NodeView<'_>, _rng: &mut SmallRng) -> Option<NodeId> {
-        let i = view.node.index();
-        if self.next[i] >= view.neighbors.len() {
-            return None;
-        }
-        let (target, _) = view.neighbors[self.next[i]];
-        self.next[i] += 1;
+    fn split(&mut self, _n: usize) -> (&(), &mut [Prober]) {
+        (&(), &mut self.nodes)
+    }
+
+    fn on_round(_: &(), st: &mut Prober, view: &NodeView<'_>, _: &mut SmallRng) -> Option<NodeId> {
+        let &(target, _) = view.neighbors.get(st.next)?;
+        st.next += 1;
         Some(target)
     }
 
     fn on_exchange(&mut self, node: NodeId, event: &ExchangeEvent) {
-        self.discovered[node.index()].insert(event.edge, event.latency);
+        if let Some(st) = self.nodes.get_mut(node.index()) {
+            st.latencies.insert(event.edge, event.latency);
+        }
     }
 }
 
@@ -95,7 +106,7 @@ pub fn discover(g: &Graph, bound: Latency, seed: u64) -> DiscoveryOutcome {
     let mut protocol = ProbeAll::new(g);
     let report = Simulation::new(g, config).run(&mut protocol);
     DiscoveryOutcome {
-        discovered: protocol.discovered,
+        discovered: protocol.nodes.into_iter().map(|st| st.latencies).collect(),
         report: DisseminationReport::single(
             "latency-discovery",
             report.rounds,
@@ -114,6 +125,9 @@ pub fn discover_all(g: &Graph, seed: u64) -> DiscoveryOutcome {
 mod tests {
     use super::*;
     use gossip_graph::generators;
+    use gossip_graph::latency::LatencyScheme;
+    use gossip_sim::oracle::OracleSimulation;
+    use rand::SeedableRng;
 
     #[test]
     fn discover_all_learns_every_incident_latency() {
@@ -146,6 +160,44 @@ mod tests {
         let b = discover_all(&large, 3);
         assert!(b.report.rounds > a.report.rounds);
         assert_eq!(b.report.rounds, 63 + 2);
+    }
+
+    /// `ProbeAll` keeps each node's cursor and discoveries in its own state,
+    /// so a 400-node run (above the decision pass's 256-node fan-out
+    /// threshold) is identical on 1, 2 and 8 workers, and matches the
+    /// oracle.
+    #[test]
+    fn probing_is_identical_across_thread_counts_and_matches_the_oracle() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let g = generators::erdos_renyi(400, 0.02, 1, &mut rng).unwrap();
+        let g = LatencyScheme::UniformRandom { min: 1, max: 5 }
+            .apply(&g, &mut rng)
+            .unwrap();
+        let config =
+            SimConfig::new(3).termination(Termination::FixedRounds(g.max_degree() as u64 + 5));
+        let run = |threads: usize| {
+            let mut probe = ProbeAll::new(&g);
+            let mut sim = Simulation::new(&g, config.clone().threads(threads));
+            let report = sim.run(&mut probe);
+            (report, sim.into_rumors(), probe)
+        };
+        let (report, rumors, probe) = run(1);
+        for threads in [2, 8] {
+            let (other, other_rumors, other_probe) = run(threads);
+            assert_eq!(other, report, "report diverged at {threads} threads");
+            assert_eq!(other_rumors, rumors, "rumors diverged at {threads} threads");
+            assert_eq!(
+                other_probe.nodes, probe.nodes,
+                "probers diverged at {threads} threads"
+            );
+        }
+
+        let mut oracle = OracleSimulation::new(&g, config.clone());
+        let mut oracle_probe = ProbeAll::new(&g);
+        let oracle_report = oracle.run(&mut oracle_probe);
+        assert_eq!(oracle_report.semantics(), report.semantics());
+        assert_eq!(oracle.into_rumors(), rumors);
+        assert_eq!(oracle_probe.nodes, probe.nodes);
     }
 
     #[test]

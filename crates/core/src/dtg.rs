@@ -36,7 +36,7 @@ use crate::DisseminationReport;
 
 /// Per-node program state of the ℓ-DTG state machine.
 #[derive(Debug, Clone)]
-struct DtgNode {
+pub struct DtgNode {
     /// Neighbors reachable over edges of latency ≤ the bound, in id order.
     fast_neighbors: Vec<NodeId>,
     /// Neighbors linked so far in this invocation (`u_1 … u_i`).
@@ -47,31 +47,55 @@ struct DtgNode {
     queue_pos: usize,
     /// `true` while an exchange this node initiated is still in flight.
     waiting: bool,
+    /// Heard-log lengths `(this node, target)` when that exchange was
+    /// initiated — the snapshot-free analogue of the engine's own exchange
+    /// bookkeeping.  While `waiting` is set the node has exactly one
+    /// initiated exchange in flight, so one slot suffices; its completion
+    /// takes it back.
+    snapshot: Option<(u32, u32)>,
     /// `true` once the node has heard from all of its fast neighbors.
     done: bool,
     /// Number of iterations performed (for the `O(log n)`-iterations check).
     iterations: usize,
 }
 
-/// The ℓ-DTG local-broadcast protocol.
-///
-/// Run it with [`local_broadcast`] or compose it with existing rumor state via
-/// [`run_with_rumors`] (as the pattern-broadcast schedule does).
+impl DtgNode {
+    /// Links a fast neighbor not yet heard from and queues the iteration's
+    /// exchanges, or marks the node done when there is none left.
+    fn start_iteration(&mut self, heard: &RumorSet) {
+        let fresh = self
+            .fast_neighbors
+            .iter()
+            .copied()
+            .find(|&u| !heard.contains(RumorId::of_node(u)));
+        let Some(new_neighbor) = fresh else {
+            self.done = true;
+            return;
+        };
+        self.linked.push(new_neighbor);
+        self.iterations += 1;
+        // PUSH j = i..1, PULL j = 1..i, then the symmetric PULL, PUSH pass.
+        let linked = &self.linked;
+        let mut queue = Vec::with_capacity(4 * linked.len());
+        queue.extend(linked.iter().rev().copied()); // PUSH i..1
+        queue.extend(linked.iter().copied()); // PULL 1..i
+        queue.extend(linked.iter().copied()); // PULL 1..i
+        queue.extend(linked.iter().rev().copied()); // PUSH i..1
+        self.queue = queue;
+        self.queue_pos = 0;
+    }
+}
+
+/// Who each node has heard from during one ℓ-DTG invocation.  Only
+/// [`EllDtg`]'s `on_exchange` writes it; every decision reads it.
 #[derive(Debug)]
-pub struct EllDtg {
-    bound: Latency,
-    nodes: Vec<DtgNode>,
-    /// Per-node set of node ids heard from during this invocation.
-    heard: Vec<RumorSet>,
-    /// Append-only acquisition order of each `heard` set (run-compressed);
+pub struct Heard {
+    /// Per-node set of node ids heard from.
+    sets: Vec<RumorSet>,
+    /// Append-only acquisition order of each set (run-compressed);
     /// in-flight exchanges snapshot *positions* into these logs, never the
     /// sets themselves.
-    heard_log: Vec<AcquisitionLog>,
-    /// Log lengths `(initiator, responder)` at initiation time, keyed by
-    /// `(initiator, responder, initiation round)` — the snapshot-free
-    /// analogue of the engine's own exchange bookkeeping.
-    // gossip-lint: allow(unordered-iter): keyed insert/remove/entry only, never iterated — completions look up their own (initiator, responder, round) key
-    pending: HashMap<(u32, u32, u64), (u32, u32)>,
+    logs: Vec<AcquisitionLog>,
     /// Directed merge watermarks: `(src, dst) → position`, the prefix of
     /// `src`'s log already replayed into `dst`.  Completions replay only
     /// `[watermark, snapshot)`, so overlapping exchanges on the same pair
@@ -81,6 +105,56 @@ pub struct EllDtg {
     /// Scratch reused across completions (log segments, newly heard runs).
     scratch_segments: Vec<(RumorId, u32)>,
     scratch_new: Vec<(RumorId, u32)>,
+}
+
+impl Heard {
+    /// Records `id` as heard by `node`, keeping the acquisition log in sync.
+    // gossip-lint: allow(panic-path): per-node state vec is sized n at construction; node ids come from the engine
+    fn hear(&mut self, node: usize, id: RumorId) {
+        if self.sets[node].insert(id) {
+            self.logs[node].push(id);
+        }
+    }
+
+    /// Replays `src`'s heard-log prefix `[watermark, upto)` into `dst`,
+    /// advancing the directed watermark.  Positions below the watermark were
+    /// already merged into `dst` by an earlier completion on this pair, so
+    /// the result equals the old union-with-snapshot semantics.
+    // gossip-lint: allow(panic-path): log positions are bounded by the acquisition-log length invariant
+    fn replay(&mut self, src: usize, dst: usize, upto: u32) {
+        let wm = self.merged.entry((src as u32, dst as u32)).or_insert(0);
+        let from = *wm;
+        if from >= upto {
+            return;
+        }
+        *wm = upto;
+        let mut segments = std::mem::take(&mut self.scratch_segments);
+        self.logs[src].for_each_segment(from, upto, |first, len| {
+            segments.push((first, len));
+        });
+        let mut new_runs = std::mem::take(&mut self.scratch_new);
+        for &(first, len) in &segments {
+            self.sets[dst].insert_run(first, len, &mut new_runs);
+        }
+        for &(first, len) in &new_runs {
+            self.logs[dst].push_run(first, len);
+        }
+        segments.clear();
+        new_runs.clear();
+        self.scratch_segments = segments;
+        self.scratch_new = new_runs;
+    }
+}
+
+/// The ℓ-DTG local-broadcast protocol.
+///
+/// Run it with [`local_broadcast`] or compose it with existing rumor state via
+/// [`run_with_rumors`] (as the pattern-broadcast schedule does).
+#[derive(Debug)]
+pub struct EllDtg {
+    bound: Latency,
+    heard: Heard,
+    nodes: Vec<DtgNode>,
 }
 
 impl EllDtg {
@@ -102,59 +176,24 @@ impl EllDtg {
                     queue: Vec::new(),
                     queue_pos: 0,
                     waiting: false,
+                    snapshot: None,
                     iterations: 0,
                 }
             })
             .collect();
-        let heard = Seeding::AllToAll.initial_sets(n);
-        let heard_log = heard.iter().map(AcquisitionLog::from_set).collect();
+        let sets = Seeding::AllToAll.initial_sets(n);
+        let logs = sets.iter().map(AcquisitionLog::from_set).collect();
         EllDtg {
             bound,
+            heard: Heard {
+                sets,
+                logs,
+                merged: HashMap::new(),
+                scratch_segments: Vec::new(),
+                scratch_new: Vec::new(),
+            },
             nodes,
-            heard,
-            heard_log,
-            pending: HashMap::new(),
-            merged: HashMap::new(),
-            scratch_segments: Vec::new(),
-            scratch_new: Vec::new(),
         }
-    }
-
-    /// Records `id` as heard by `node`, keeping the acquisition log in sync.
-    // gossip-lint: allow(panic-path): per-node state vec is sized n at construction; node ids come from the engine
-    fn hear(&mut self, node: usize, id: RumorId) {
-        if self.heard[node].insert(id) {
-            self.heard_log[node].push(id);
-        }
-    }
-
-    /// Replays `src`'s heard-log prefix `[watermark, upto)` into `dst`,
-    /// advancing the directed watermark.  Positions below the watermark were
-    /// already merged into `dst` by an earlier completion on this pair, so
-    /// the result equals the old union-with-snapshot semantics.
-    // gossip-lint: allow(panic-path): log positions are bounded by the acquisition-log length invariant
-    fn replay(&mut self, src: usize, dst: usize, upto: u32) {
-        let wm = self.merged.entry((src as u32, dst as u32)).or_insert(0);
-        let from = *wm;
-        if from >= upto {
-            return;
-        }
-        *wm = upto;
-        let mut segments = std::mem::take(&mut self.scratch_segments);
-        self.heard_log[src].for_each_segment(from, upto, |first, len| {
-            segments.push((first, len));
-        });
-        let mut new_runs = std::mem::take(&mut self.scratch_new);
-        for &(first, len) in &segments {
-            self.heard[dst].insert_run(first, len, &mut new_runs);
-        }
-        for &(first, len) in &new_runs {
-            self.heard_log[dst].push_run(first, len);
-        }
-        segments.clear();
-        new_runs.clear();
-        self.scratch_segments = segments;
-        self.scratch_new = new_runs;
     }
 
     /// Latency bound ℓ of this invocation.
@@ -167,71 +206,42 @@ impl EllDtg {
     pub fn max_iterations(&self) -> usize {
         self.nodes.iter().map(|s| s.iterations).max().unwrap_or(0)
     }
-
-    // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids come from the engine
-    fn start_iteration(&mut self, v: usize) {
-        let state = &mut self.nodes[v];
-        // Find a new neighbor not yet heard from.
-        let heard = &self.heard[v];
-        let fresh = state
-            .fast_neighbors
-            .iter()
-            .copied()
-            .find(|&u| !heard.contains(RumorId::of_node(u)));
-        let Some(new_neighbor) = fresh else {
-            state.done = true;
-            return;
-        };
-        state.linked.push(new_neighbor);
-        state.iterations += 1;
-        // PUSH j = i..1, PULL j = 1..i, then the symmetric PULL, PUSH pass.
-        let i = state.linked.len();
-        let mut queue = Vec::with_capacity(4 * i);
-        queue.extend(state.linked[..i].iter().rev().copied()); // PUSH i..1
-        queue.extend(state.linked[..i].iter().copied()); // PULL 1..i
-        queue.extend(state.linked[..i].iter().copied()); // PULL 1..i
-        queue.extend(state.linked[..i].iter().rev().copied()); // PUSH i..1
-        state.queue = queue;
-        state.queue_pos = 0;
-    }
 }
 
 impl Protocol for EllDtg {
+    type Shared = Heard;
+    type Node = DtgNode;
+
     fn name(&self) -> &'static str {
         "ell-dtg"
     }
 
-    // gossip-lint: allow(panic-path): per-node state and schedule vecs are sized n at construction
-    fn on_round(&mut self, view: &NodeView<'_>, _rng: &mut SmallRng) -> Option<NodeId> {
-        let v = view.node.index();
-        if self.nodes[v].done || self.nodes[v].waiting {
+    fn split(&mut self, _n: usize) -> (&Heard, &mut [DtgNode]) {
+        (&self.heard, &mut self.nodes)
+    }
+
+    // gossip-lint: allow(panic-path): the heard sets and logs are sized n at construction
+    fn on_round(
+        heard: &Heard,
+        st: &mut DtgNode,
+        view: &NodeView<'_>,
+        _rng: &mut SmallRng,
+    ) -> Option<NodeId> {
+        if st.done || st.waiting {
             return None;
         }
-        if self.nodes[v].queue_pos >= self.nodes[v].queue.len() {
-            // Iteration finished (or not started yet): check termination and
-            // possibly start the next iteration.
-            let all_heard = self.nodes[v]
-                .fast_neighbors
-                .iter()
-                .all(|&u| self.heard[v].contains(RumorId::of_node(u)));
-            if all_heard {
-                self.nodes[v].done = true;
-                return None;
-            }
-            self.start_iteration(v);
-            if self.nodes[v].done || self.nodes[v].queue.is_empty() {
+        let v = view.node.index();
+        if st.queue_pos >= st.queue.len() {
+            // Iteration finished (or not started yet): start the next one,
+            // or finish once every fast neighbor has been heard from.
+            st.start_iteration(&heard.sets[v]);
+            if st.done {
                 return None;
             }
         }
-        let target = self.nodes[v].queue[self.nodes[v].queue_pos];
-        self.nodes[v].waiting = true;
-        self.pending.insert(
-            (v as u32, target.index() as u32, view.round),
-            (
-                self.heard_log[v].len(),
-                self.heard_log[target.index()].len(),
-            ),
-        );
+        let target = *st.queue.get(st.queue_pos)?;
+        st.waiting = true;
+        st.snapshot = Some((heard.logs[v].len(), heard.logs[target.index()].len()));
         Some(target)
     }
 
@@ -242,25 +252,24 @@ impl Protocol for EllDtg {
         }
         let v = node.index();
         let u = event.peer.index();
-        let init_round = event.round - event.latency;
-        if let Some((len_v, len_u)) = self.pending.remove(&(v as u32, u as u32, init_round)) {
-            self.replay(u, v, len_u);
-            self.replay(v, u, len_v);
+        let st = &mut self.nodes[v];
+        if let Some((len_v, len_u)) = st.snapshot.take() {
+            self.heard.replay(u, v, len_u);
+            self.heard.replay(v, u, len_v);
         }
-        self.hear(v, RumorId::of_node(event.peer));
-        self.hear(u, RumorId::of_node(node));
-        self.nodes[v].waiting = false;
-        self.nodes[v].queue_pos += 1;
+        self.heard.hear(v, RumorId::of_node(event.peer));
+        self.heard.hear(u, RumorId::of_node(node));
+        st.waiting = false;
+        st.queue_pos += 1;
     }
 
     // gossip-audit: contract(pure)
-    fn activity(&self, view: &NodeView<'_>) -> Activity {
-        let state = &self.nodes[view.node.index()];
-        if state.done {
+    fn activity(_: &Heard, st: &DtgNode, _: &NodeView<'_>) -> Activity {
+        if st.done {
             // `done` is never reset: the node has heard from every fast
             // neighbor and `on_round` returns `None` forever.
             Activity::Quiescent
-        } else if state.waiting {
+        } else if st.waiting {
             // Blocked on its own in-flight exchange; its completion is a
             // wake event (it reaches `on_exchange` with `initiated_here`,
             // which clears `waiting`).  Until then `on_round` returns `None`

@@ -17,66 +17,90 @@ use rand::rngs::SmallRng;
 
 use crate::DisseminationReport;
 
+/// One node's round-robin cursor over its spanner out-edges.
+#[derive(Debug, Clone)]
+pub struct RrCursor {
+    /// Out-neighbors over edges of latency ≤ the parameter k.
+    out: Vec<NodeId>,
+    /// Index into `out` of the next neighbor to contact.
+    next: usize,
+}
+
 /// The round-robin broadcast protocol over a directed spanner.
 #[derive(Debug, Clone)]
 pub struct RrBroadcast {
-    /// Out-neighbors (restricted to edges of latency ≤ the parameter k) per node.
-    out: Vec<Vec<NodeId>>,
-    next: Vec<usize>,
+    nodes: Vec<RrCursor>,
 }
 
 impl RrBroadcast {
     /// Creates the protocol from a directed spanner, keeping only out-edges of
     /// latency at most `k` (the `RR Broadcast(k)` parameter of Algorithm 1).
     pub fn new(g: &Graph, spanner: &DirectedSpanner, k: Latency) -> Self {
-        let out = g
+        let nodes = g
             .nodes()
-            .map(|v| {
-                spanner
+            .map(|v| RrCursor {
+                out: spanner
                     .out_edges(v)
                     .iter()
                     .filter(|(_, e)| g.latency(*e) <= k)
                     .map(|(w, _)| *w)
-                    .collect()
+                    .collect(),
+                next: 0,
             })
             .collect();
-        RrBroadcast {
-            next: vec![0; g.node_count()],
-            out,
-        }
+        RrBroadcast { nodes }
     }
 
     /// The number of rounds Lemma 21 prescribes: `k·Δ_out + k`.
     pub fn prescribed_rounds(&self, k: Latency) -> u64 {
-        let max_out = self.out.iter().map(Vec::len).max().unwrap_or(0) as u64;
+        let max_out = self.nodes.iter().map(|c| c.out.len()).max().unwrap_or(0) as u64;
         k * max_out + k
     }
 }
 
 impl Protocol for RrBroadcast {
+    type Shared = ();
+    type Node = RrCursor;
+
     fn name(&self) -> &'static str {
         "rr-broadcast"
     }
 
-    // gossip-lint: allow(panic-path): cursor wraps modulo the nonzero degree; deg == 0 returns before any index
-    fn on_round(&mut self, view: &NodeView<'_>, _rng: &mut SmallRng) -> Option<NodeId> {
-        let i = view.node.index();
-        if self.out[i].is_empty() {
+    fn split(&mut self, _n: usize) -> (&(), &mut [RrCursor]) {
+        (&(), &mut self.nodes)
+    }
+
+    fn on_round(
+        _: &(),
+        st: &mut RrCursor,
+        view: &NodeView<'_>,
+        _rng: &mut SmallRng,
+    ) -> Option<NodeId> {
+        if !view.can_initiate {
+            // Do not advance the cursor for a choice the engine would
+            // discard: in Blocking mode that would skip out-neighbors.
             return None;
         }
-        let pick = self.next[i] % self.out[i].len();
-        self.next[i] += 1;
-        Some(self.out[i][pick])
+        let target = *st.out.get(st.next)?;
+        st.next += 1;
+        if st.next == st.out.len() {
+            st.next = 0;
+        }
+        Some(target)
     }
 
     // gossip-audit: contract(pure)
-    fn activity(&self, view: &NodeView<'_>) -> Activity {
+    fn activity(_: &(), st: &RrCursor, view: &NodeView<'_>) -> Activity {
         // The out-list is fixed at construction, so a node without spanner
         // out-edges of latency ≤ k never initiates: retire it outright.  (It
         // still receives exchanges initiated by its in-neighbors — delivery
         // does not depend on the scheduler asking the node to act.)
-        if self.out[view.node.index()].is_empty() {
+        if st.out.is_empty() {
             Activity::Quiescent
+        } else if !view.can_initiate {
+            // Blocked: `on_round` returns `None` without mutating until the
+            // own exchange completes — which is a wake event.
+            Activity::IdleUntilWoken
         } else {
             Activity::Active
         }
@@ -158,6 +182,7 @@ mod tests {
     use crate::spanner::log_spanner;
     use gossip_graph::generators;
     use gossip_graph::metrics;
+    use gossip_sim::RumorId;
 
     #[test]
     fn rr_broadcast_completes_on_spanner_of_clique() {
@@ -194,7 +219,7 @@ mod tests {
         let protocol = RrBroadcast::new(&g, &s, 1);
         // No node may have the latency-1000 bridge among its k=1 out-edges.
         for v in g.nodes() {
-            for &w in &protocol.out[v.index()] {
+            for &w in &protocol.nodes[v.index()].out {
                 let e = g.find_edge(v, w).unwrap();
                 assert!(g.latency(e) <= 1);
             }
@@ -206,8 +231,34 @@ mod tests {
         let g = generators::star(9, 2).unwrap();
         let s = log_spanner(&g, 1);
         let protocol = RrBroadcast::new(&g, &s, 2);
-        let max_out = protocol.out.iter().map(Vec::len).max().unwrap() as u64;
+        let max_out = protocol.nodes.iter().map(|c| c.out.len()).max().unwrap() as u64;
         assert_eq!(protocol.prescribed_rounds(2), 2 * max_out + 2);
+    }
+
+    #[test]
+    fn round_robin_cursor_does_not_advance_while_blocked() {
+        // Regression test: in Blocking mode with latency-3 edges the cursor
+        // used to advance every round, so the star center re-contacted the
+        // same leaf forever (0, 3, 6, … ≡ 0 mod 3) and starved the others.
+        let g = generators::star(4, 3).unwrap();
+        let center = NodeId::new(0);
+        let mut spanner = DirectedSpanner::new(&g);
+        for &(_, e) in g.neighbor_slice(center) {
+            spanner.add_oriented(&g, center, e);
+        }
+        let config = SimConfig::new(2)
+            .mode(gossip_sim::ExchangeMode::Blocking)
+            .termination(Termination::FixedRounds(30));
+        let mut sim = Simulation::new(&g, config);
+        let report = sim.run(&mut RrBroadcast::new(&g, &spanner, 3));
+        assert_eq!(report.activations, 10, "one exchange every 3 rounds");
+        let uninformed: Vec<usize> = (1..4)
+            .filter(|&leaf| !sim.rumors()[leaf].contains(RumorId::of_node(center)))
+            .collect();
+        assert!(
+            uninformed.is_empty(),
+            "the center must rotate through all three leaves; missed {uninformed:?}"
+        );
     }
 
     #[test]

@@ -85,7 +85,10 @@ impl BestEdgeTable {
     /// The best offer towards `center`, if any was made this round.
     fn get(&self, center: NodeId) -> Option<(Weight, EdgeId)> {
         let c = center.index();
-        (self.stamp[c] == self.epoch).then(|| self.entry[c])
+        if self.stamp.get(c) != Some(&self.epoch) {
+            return None;
+        }
+        self.entry.get(c).copied()
     }
 
     /// Sorts the touched centers into ascending id order — the observable

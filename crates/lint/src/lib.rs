@@ -46,7 +46,7 @@
 //!
 //! ```text
 //! // gossip-audit: contract(pure)
-//! fn activity(&self, view: &NodeView<'_>) -> Activity { ... }
+//! fn activity(shared: &Self::Shared, state: &Self::Node, view: &NodeView<'_>) -> Activity { ... }
 //! ```
 //!
 //! A trailing pragma targets its own line; a pragma on its own line targets

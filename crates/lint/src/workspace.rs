@@ -68,9 +68,8 @@ pub struct AuditConfig {
     /// primitives (`Mutex`, atomics, `static mut`, ...): determinism here
     /// is argued from value-identical merges, never from synchronisation.
     pub shared_state_paths: Vec<String>,
-    /// Path prefixes whose non-test `fn activity` / `fn shard_activity`
-    /// implementations (the idle-skip decision of the event-driven
-    /// scheduler, in both its serial and sharded form) must carry — and
+    /// Path prefixes whose non-test `fn activity` implementations (the
+    /// idle-skip decision of the event-driven scheduler) must carry — and
     /// honor — a `// gossip-audit: contract(pure)` annotation.
     pub activity_paths: Vec<String>,
 }
@@ -78,20 +77,11 @@ pub struct AuditConfig {
 impl Default for AuditConfig {
     fn default() -> Self {
         let panic_roots = [
-            // The engine's top-level driver and its merge/delivery/calendar
-            // internals.  `run`/`run_sharded` reach `run_inner` through a
-            // turbofish call (`self.run_inner::<P, D>(..)`) the name-based
-            // call graph cannot see; `run_inner` reaches its decision phase
-            // the same way (`st.decide_and_initiate::<P, D>(..)`), which
-            // dispatches the decision pass through `D::decide` — so the
-            // inner driver, the decision phase and both decision drivers are
-            // roots of their own.
+            // The engine's top-level driver (its round phases and the
+            // decision pass resolve from it by name) and its
+            // merge/delivery/calendar internals.
             "Simulation::run",
             "Simulation::run_sharded",
-            "Simulation::run_inner",
-            "RoundState::decide_and_initiate",
-            "SerialDecisions::decide",
-            "ShardedDecisions::decide",
             "Progress::merge_completions",
             "Progress::advance_shadow",
             "Progress::collapse_node",
@@ -105,14 +95,16 @@ impl Default for AuditConfig {
             "merge_shard_phase_b",
             "partition_tasks",
             "run_jobs",
-            // `ShardedProtocol` entry points are dispatched `P::`-qualified
-            // inside the sharded decision driver — invisible to the call
-            // graph, so each implementation is a root.
-            "RandomPushPull::shard_on_round",
-            "RandomPushPull::shard_activity",
-            "RoundRobinFlood::decision_shards",
-            "RoundRobinFlood::shard_on_round",
-            "RoundRobinFlood::shard_activity",
+            // The decision pass dispatches `on_round` and `activity`
+            // `P::`-qualified, which the call graph cannot resolve, so every
+            // engine-crate implementation is a root.  (`split` and the
+            // serial callbacks are method calls and resolve by name.)
+            "RandomPushPull::on_round",
+            "RandomPushPull::activity",
+            "RoundRobinFlood::on_round",
+            "RoundRobinFlood::activity",
+            "Silent::on_round",
+            "Silent::activity",
             // The dense-bitset oracle, the executable spec the engine is
             // checked against, is driven only from the test harnesses, so it
             // roots itself.
@@ -133,7 +125,11 @@ impl Default for AuditConfig {
             // are roots of their own.
             "EllDtg::on_round",
             "EllDtg::on_exchange",
+            "EllDtg::activity",
             "RrBroadcast::on_round",
+            "RrBroadcast::activity",
+            "ProbeAll::on_round",
+            "CrossEdgeRecorder::on_round",
             // Fault-injection entry points.  Plan construction runs before
             // `Simulation::run` (from bench/test harnesses), and the
             // graceful-degradation accounting walks liveness bitsets — both
@@ -450,11 +446,10 @@ fn audit_panic_path(
 
 /// **idle-purity** — the idle-skip decision must be pure, transitively.
 ///
-/// Two sub-checks: *coverage* (every non-test `fn activity` taking `self`,
-/// and every `fn shard_activity` — the associated-fn form used by the
-/// sharded decision pass — in the audited paths must carry `contract(pure)`,
-/// so stripping an annotation flips the workspace verdict) and *verification*
-/// (each
+/// Two sub-checks: *coverage* (every non-test `fn activity` in the audited
+/// paths — a method, or the associated fn over `(shared, state, view)` the
+/// `Protocol` trait declares — must carry `contract(pure)`, so stripping an
+/// annotation flips the workspace verdict) and *verification* (each
 /// `contract(pure)` fn, and everything it transitively calls, is free of
 /// purity violations).  Violations anchor on the contract-carrying fn's
 /// line, so one pragma there covers a deliberate exception.
@@ -468,9 +463,7 @@ fn audit_idle_purity(
     raw: &mut Vec<Finding>,
 ) {
     for item in items {
-        let is_idle_decision =
-            (item.name == "activity" && item.has_self) || item.name == "shard_activity";
-        if item.is_test || !is_idle_decision || item.contract_pure {
+        if item.is_test || item.name != "activity" || item.contract_pure {
             continue;
         }
         let rel = &files[item.file].rel;

@@ -100,14 +100,24 @@ fn allowed_fixtures_are_suppressed_and_load_bearing() {
 
 #[test]
 fn stripping_the_contract_is_a_coverage_finding() {
-    let src = fixture("idle-purity", "clean");
-    let report = analyze("idle-purity", "clean", strip(&src, "gossip-audit:"));
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.rule == "idle-purity" && f.message.contains("contract(pure)")),
-        "an unannotated activity fn must be an idle-purity coverage finding:\n{}",
-        report.render_text()
-    );
+    // `clean` declares `activity` as a method, `associated` in the protocol
+    // trait's receiver-free form; coverage must hold for both.
+    for kind in ["clean", "associated"] {
+        let src = fixture("idle-purity", kind);
+        let report = analyze("idle-purity", kind, src.clone());
+        assert!(
+            report.clean() && report.suppressions_clean(),
+            "idle-purity/{kind}.rs must be clean with its contract:\n{}",
+            report.render_text()
+        );
+        let report = analyze("idle-purity", kind, strip(&src, "gossip-audit:"));
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.rule == "idle-purity" && f.message.contains("contract(pure)")),
+            "an unannotated activity fn in idle-purity/{kind}.rs must be an idle-purity coverage finding:\n{}",
+            report.render_text()
+        );
+    }
 }

@@ -19,31 +19,67 @@ use rand::rngs::SmallRng;
 use crate::gadgets::GadgetNetwork;
 use crate::game::{GuessingGame, Pair};
 
-/// Wraps a protocol and records every cross-edge activation of the gadget.
-struct CrossEdgeRecorder<'a, P> {
-    inner: P,
+/// Runs push–pull and records every cross-edge activation of the gadget.
+///
+/// Each node logs its own activations, so the recorder runs in parallel like
+/// any protocol; [`activations`](Self::activations) merges the logs in
+/// `(round, node)` order, which is the order a serial pass makes them in.
+#[derive(Debug)]
+pub struct CrossEdgeRecorder<'a> {
     network: &'a GadgetNetwork,
-    /// `(round, pair)` for every activated cross edge.
-    activations: Vec<(u64, Pair)>,
+    /// Per node, `(round, pair)` for every cross edge it activated.
+    logs: Vec<Vec<(u64, Pair)>>,
 }
 
-impl<P: Protocol> Protocol for CrossEdgeRecorder<'_, P> {
+impl<'a> CrossEdgeRecorder<'a> {
+    /// Creates the recorder for the gadget network's graph.
+    pub fn new(network: &'a GadgetNetwork) -> Self {
+        CrossEdgeRecorder {
+            network,
+            logs: vec![Vec::new(); network.graph.node_count()],
+        }
+    }
+
+    /// Every recorded activation as `(round, pair)`, in `(round, node)` order.
+    pub fn activations(&self) -> Vec<(u64, Pair)> {
+        let mut all: Vec<(u64, usize, Pair)> = self
+            .logs
+            .iter()
+            .enumerate()
+            .flat_map(|(v, log)| log.iter().map(move |&(round, pair)| (round, v, pair)))
+            .collect();
+        all.sort_unstable_by_key(|&(round, v, _)| (round, v));
+        all.into_iter()
+            .map(|(round, _, pair)| (round, pair))
+            .collect()
+    }
+}
+
+impl<'a> Protocol for CrossEdgeRecorder<'a> {
+    type Shared = &'a GadgetNetwork;
+    type Node = Vec<(u64, Pair)>;
+
     fn name(&self) -> &'static str {
         "cross-edge-recorder"
     }
 
-    fn on_round(&mut self, view: &NodeView<'_>, rng: &mut SmallRng) -> Option<NodeId> {
-        let choice = self.inner.on_round(view, rng);
+    fn split(&mut self, _n: usize) -> (&&'a GadgetNetwork, &mut [Vec<(u64, Pair)>]) {
+        (&self.network, &mut self.logs)
+    }
+
+    fn on_round(
+        network: &&'a GadgetNetwork,
+        log: &mut Vec<(u64, Pair)>,
+        view: &NodeView<'_>,
+        rng: &mut SmallRng,
+    ) -> Option<NodeId> {
+        let choice = RandomPushPull::on_round(&(), &mut (), view, rng);
         if let Some(target) = choice {
-            if let Some(pair) = self.network.cross_pair(view.node, target) {
-                self.activations.push((view.round, pair));
+            if let Some(pair) = network.cross_pair(view.node, target) {
+                log.push((view.round, pair));
             }
         }
         choice
-    }
-
-    fn on_exchange(&mut self, node: NodeId, event: &gossip_sim::ExchangeEvent) {
-        self.inner.on_exchange(node, event);
     }
 }
 
@@ -75,18 +111,14 @@ pub fn push_pull_reduction(network: &GadgetNetwork, seed: u64) -> ReductionOutco
     let config = SimConfig::new(seed)
         .termination(Termination::LocalBroadcast(g.max_latency()))
         .max_rounds(cap);
-    let mut protocol = CrossEdgeRecorder {
-        inner: RandomPushPull::new(g),
-        network,
-        activations: Vec::new(),
-    };
+    let mut protocol = CrossEdgeRecorder::new(network);
     let report = Simulation::new(g, config).run(&mut protocol);
+    let activations = protocol.activations();
 
     // Replay the recorded activations round by round as Alice's guesses.
     let mut game = GuessingGame::with_target(network.m, network.target.clone());
     let mut game_rounds = None;
     let mut idx = 0usize;
-    let activations = &protocol.activations;
     if game.is_solved() {
         game_rounds = Some(0);
     } else {

@@ -223,9 +223,9 @@ impl SimConfig {
     }
 
     /// Number of worker threads for intra-run parallelism (default 1 =
-    /// fully serial).  The per-round completion merges — and, under
-    /// [`Simulation::run_sharded`], the decision pass too — are sharded
-    /// across this many workers on the vendored rayon pool.
+    /// fully serial).  [`Simulation::run`] shards both per-round passes —
+    /// the protocol's decisions and the completion merges — across this
+    /// many workers on the vendored rayon pool, for every [`Protocol`].
     ///
     /// Purely a wall-clock knob: every shard boundary is resolved by a
     /// deterministic reduction in shard order, so reports are
@@ -441,23 +441,57 @@ pub struct ExchangeEvent {
     pub round: u64,
 }
 
-/// A gossip protocol: per-round decisions plus completion callbacks.
+/// A gossip protocol: per-node round decisions plus completion callbacks.
 ///
 /// The engine owns the rumor sets; a protocol only chooses which neighbor (if
-/// any) each node contacts in each round.
+/// any) each node contacts in each round.  Its state comes in two parts,
+/// which [`split`](Self::split) lends to the engine for each decision pass:
+///
+/// * [`Node`](Self::Node) — one value per node, the node's own program state
+///   (a cursor, a queue, a log).  The decision for node `v` may write only
+///   `v`'s value.
+/// * [`Shared`](Self::Shared) — everything the decisions read but never
+///   write: the protocol's rules, and tables only
+///   [`on_exchange`](Self::on_exchange) updates.
+///
+/// That split is what makes every protocol parallel by construction: each
+/// node's decision reads round-start state, writes its own `Node` and draws
+/// from its own `(seed, round, node)` RNG stream, so the engine can step any
+/// subset of nodes on any worker (see [`SimConfig::threads`]) and apply the
+/// outcomes in node order, byte-identically to a serial pass.
+/// [`on_exchange`](Self::on_exchange) and [`on_rejected`](Self::on_rejected)
+/// run serially on `&mut self`.
 pub trait Protocol {
+    /// State every decision reads and none writes.
+    type Shared: Sync;
+
+    /// One node's own program state.
+    type Node: Send;
+
     /// Human-readable protocol name (used in reports).
     fn name(&self) -> &'static str {
         "protocol"
     }
 
-    /// Decides which neighbor `view.node` contacts this round, or `None` to stay silent.
+    /// Lends the engine the shared state and exactly `n` node states, the
+    /// one at index `v` belonging to node `v` of the `n`-node graph being
+    /// simulated.  A protocol value reused on a larger graph grows its
+    /// table here.  Stateless protocols return [`stateless`]`(n)`.
+    fn split(&mut self, n: usize) -> (&Self::Shared, &mut [Self::Node]);
+
+    /// Decides which neighbor `view.node` contacts this round, or `None` to
+    /// stay silent; `state` is that node's own state.
     ///
     /// Returning a node that is not a neighbor is a schedule error: the
     /// engine rejects the exchange, reports it back through
     /// [`on_rejected`](Self::on_rejected), and counts it in
     /// [`RunReport::rejections`].
-    fn on_round(&mut self, view: &NodeView<'_>, rng: &mut SmallRng) -> Option<NodeId>;
+    fn on_round(
+        shared: &Self::Shared,
+        state: &mut Self::Node,
+        view: &NodeView<'_>,
+        rng: &mut SmallRng,
+    ) -> Option<NodeId>;
 
     /// Notification that `node`'s choice of `target` was rejected because
     /// `target` is not one of `node`'s neighbors.
@@ -481,8 +515,8 @@ pub trait Protocol {
 
     /// The node's quiescence promise, consulted by the event-driven
     /// scheduler directly after an [`on_round`](Self::on_round) call that
-    /// returned `None` (with the same `view`), and at round boundaries by
-    /// [`Termination::Quiescent`].
+    /// returned `None` (with the same `view` and `state`), and at round
+    /// boundaries by [`Termination::Quiescent`].
     ///
     /// The default returns [`Activity::Active`], which makes no promise:
     /// the engine keeps asking the node every round, so **third-party
@@ -498,57 +532,17 @@ pub trait Protocol {
     /// under [`crate::oracle::OracleSimulation`], which asks every node
     /// every round).
     // gossip-audit: contract(pure)
-    fn activity(&self, view: &NodeView<'_>) -> Activity {
-        let _ = view;
+    fn activity(shared: &Self::Shared, state: &Self::Node, view: &NodeView<'_>) -> Activity {
+        let _ = (shared, state, view);
         Activity::Active
     }
 }
 
-/// A [`Protocol`] whose per-round decisions can be partitioned by node, so
-/// [`Simulation::run_sharded`] can split the sorted active worklist into
-/// contiguous node-range shards and run them concurrently, one worker each.
-///
-/// # Contract
-///
-/// For every node `v` in shard `k`'s range, `shard_on_round(&mut shards[k],
-/// view, rng)` must behave exactly as `on_round(&mut self, view, rng)`
-/// would, and [`shard_activity`](Self::shard_activity) exactly as
-/// [`Protocol::activity`].  A shard is a reborrow of the protocol's
-/// decision state restricted to its node range, so a decision for `v` can
-/// only read or write state belonging to `v` — which is precisely what
-/// makes the passes interchangeable: each node's RNG stream is
-/// independently derived from `(seed, round, node)`, outcomes are applied
-/// by the engine in worklist order regardless of which worker produced
-/// them, and no decision can observe another node's same-round decision.
-///
-/// Protocols that need cross-node `on_round` mutations visible within a
-/// round cannot implement this faithfully and should stay on
-/// [`Simulation::run`] (which never shards decisions).  [`Protocol::on_exchange`]
-/// and [`Protocol::on_rejected`] are unaffected — the engine always calls
-/// them serially, on `&mut self`.
-pub trait ShardedProtocol: Protocol {
-    /// Borrowed per-node decision state of one contiguous node-range shard.
-    type Shard<'s>: Send
-    where
-        Self: 's;
-
-    /// Splits the decision state at the given node-id cut points
-    /// (`cuts[0] == 0`, `cuts.last() == n`, strictly increasing): shard `k`
-    /// owns nodes `cuts[k] .. cuts[k+1]` and the returned vector has one
-    /// entry per adjacent pair.
-    fn decision_shards<'s>(&'s mut self, cuts: &[u32]) -> Vec<Self::Shard<'s>>;
-
-    /// Shard-scoped [`Protocol::on_round`] (an associated function — shards
-    /// of `self` are live across workers while it runs).
-    fn shard_on_round(
-        shard: &mut Self::Shard<'_>,
-        view: &NodeView<'_>,
-        rng: &mut SmallRng,
-    ) -> Option<NodeId>;
-
-    /// Shard-scoped [`Protocol::activity`], under the same purity contract.
-    // gossip-audit: contract(pure)
-    fn shard_activity(shard: &Self::Shard<'_>, view: &NodeView<'_>) -> Activity;
+/// The node states of a protocol that keeps none: `n` unit values, for
+/// [`Protocol::split`].  A vector of zero-sized values never allocates, so
+/// leaking one costs nothing.
+pub fn stateless(n: usize) -> &'static mut [()] {
+    Vec::leak(vec![(); n])
 }
 
 /// Outcome of one node's decision call, recorded by the decision pass and
@@ -565,8 +559,8 @@ enum Decide {
 }
 
 /// Read-only inputs of one round's decision pass — everything a
-/// [`NodeView`] is built from.  Shared by both drivers and across decision
-/// shards (workers only read it).
+/// [`NodeView`] is built from.  Shared across decision shards (workers only
+/// read it).
 struct DecisionCtx<'a> {
     graph: &'a Graph,
     rumors: &'a [RumorSet],
@@ -608,48 +602,20 @@ impl<'a> DecisionCtx<'a> {
             },
         }
     }
-}
 
-/// Strategy for the per-round decision pass: the serial driver calls
-/// [`Protocol::on_round`] on `&mut P` in worklist order; the sharded driver
-/// fans contiguous worklist shards out to workers via [`ShardedProtocol`].
-/// Both record one [`Decide`] per worklist entry, and the engine applies
-/// them through the same serial epilogue in worklist order — so the drivers
-/// are byte-identical for any protocol implementing both traits faithfully.
-trait DecisionDriver<P> {
-    fn decide(protocol: &mut P, ctx: &DecisionCtx<'_>, worklist: &[u32], out: &mut Vec<Decide>);
-}
-
-/// Evaluates one node under the decision contract shared by both drivers:
-/// dead nodes short-circuit to [`Decide::Dead`]; everyone else gets a view
-/// and its own `(seed, round, node)` RNG stream, and `f` maps the protocol
-/// answer to a decision.
-fn decide_node(
-    ctx: &DecisionCtx<'_>,
-    u: u32,
-    f: impl FnOnce(&NodeView<'_>, &mut SmallRng) -> Decide,
-) -> Decide {
-    let node = NodeId::new(u as usize);
-    if ctx.is_dead(node) {
-        return Decide::Dead;
-    }
-    let view = ctx.view(node);
-    let mut rng = decision_rng(ctx.config.seed, ctx.round, u);
-    f(&view, &mut rng)
-}
-
-/// Serial decision pass — the plain [`Protocol`] path of [`Simulation::run`].
-enum SerialDecisions {}
-
-impl<P: Protocol> DecisionDriver<P> for SerialDecisions {
-    fn decide(protocol: &mut P, ctx: &DecisionCtx<'_>, worklist: &[u32], out: &mut Vec<Decide>) {
-        for &u in worklist {
-            out.push(decide_node(ctx, u, |view, rng| {
-                match protocol.on_round(view, rng) {
-                    Some(target) => Decide::Target(target),
-                    None => Decide::Silent(protocol.activity(view)),
-                }
-            }));
+    /// Node `u`'s decision: dead nodes short-circuit to [`Decide::Dead`];
+    /// everyone else gets a view and its own `(seed, round, node)` RNG
+    /// stream, then `on_round` and — if it stays silent — `activity`.
+    fn decide<P: Protocol>(&self, shared: &P::Shared, state: &mut P::Node, u: u32) -> Decide {
+        let node = NodeId::new(u as usize);
+        if self.is_dead(node) {
+            return Decide::Dead;
+        }
+        let view = self.view(node);
+        let mut rng = decision_rng(self.config.seed, self.round, u);
+        match P::on_round(shared, state, &view, &mut rng) {
+            Some(target) => Decide::Target(target),
+            None => Decide::Silent(P::activity(shared, state, &view)),
         }
     }
 }
@@ -659,46 +625,60 @@ impl<P: Protocol> DecisionDriver<P> for SerialDecisions {
 /// wall-clock knob, like [`MIN_PAR_TASKS`]).
 const MIN_PAR_DECISIONS: usize = 256;
 
-/// Sharded decision pass over contiguous worklist shards — the
-/// [`ShardedProtocol`] path of [`Simulation::run_sharded`].
-enum ShardedDecisions {}
-
-impl<P: ShardedProtocol> DecisionDriver<P> for ShardedDecisions {
-    fn decide(protocol: &mut P, ctx: &DecisionCtx<'_>, worklist: &[u32], out: &mut Vec<Decide>) {
-        if worklist.is_empty() {
-            return;
-        }
-        let threads = ctx.config.threads;
-        let shard_count = if threads <= 1 || worklist.len() < MIN_PAR_DECISIONS {
-            1
-        } else {
-            threads.min(worklist.len())
-        };
-        let chunks = worklist.chunks(worklist.len().div_ceil(shard_count));
-        // Chunk k starts shard k at its first node; the worklist is sorted,
-        // so chunk k's nodes all fall in `cuts[k] .. cuts[k+1]`.
-        let cuts: Vec<u32> = std::iter::once(0)
-            .chain(chunks.clone().skip(1).filter_map(|c| c.first().copied()))
-            .chain(std::iter::once(ctx.graph.node_count() as u32))
-            .collect();
-        let shards = protocol.decision_shards(&cuts);
-        debug_assert_eq!(shards.len(), chunks.len(), "one shard per cut interval");
-        let jobs: Vec<(&[u32], P::Shard<'_>)> = chunks.zip(shards).collect();
-        let results = run_jobs(threads, jobs, |(chunk, mut shard)| {
-            let mut decides = Vec::with_capacity(chunk.len());
-            for &u in chunk {
-                decides.push(decide_node(ctx, u, |view, rng| {
-                    match P::shard_on_round(&mut shard, view, rng) {
-                        Some(target) => Decide::Target(target),
-                        None => Decide::Silent(P::shard_activity(&shard, view)),
-                    }
-                }));
-            }
-            decides
-        });
-        for chunk in results {
-            out.extend_from_slice(&chunk);
-        }
+/// The decision pass: fills `out` with one [`Decide`] per worklist entry,
+/// in worklist order.  With [`SimConfig::threads`] above 1 and a long enough
+/// worklist, the worklist is cut into contiguous chunks, the node states at
+/// the same cuts, and each chunk is decided on its own worker; otherwise
+/// the one chunk runs inline.  Either way the outcome is identical, since
+/// a decision reads round-start state and writes only its own node state.
+// gossip-lint: allow(panic-path): a chunk's nodes lie in its carved node-state range, which split() sized n
+fn decide_all<P: Protocol>(
+    protocol: &mut P,
+    ctx: &DecisionCtx<'_>,
+    worklist: &[u32],
+    out: &mut Vec<Decide>,
+) {
+    out.clear();
+    let n = ctx.graph.node_count();
+    let (shared, mut rest) = protocol.split(n);
+    assert_eq!(
+        rest.len(),
+        n,
+        "Protocol::split must lend one state per node"
+    );
+    let decide_chunk = |(chunk, base, states): (&[u32], usize, &mut [P::Node]),
+                        out: &mut Vec<Decide>| {
+        out.extend(
+            chunk
+                .iter()
+                .map(|&u| ctx.decide::<P>(shared, &mut states[u as usize - base], u)),
+        );
+    };
+    let threads = ctx.config.threads;
+    if threads <= 1 || worklist.len() < MIN_PAR_DECISIONS {
+        // One chunk decides inline, straight into `out`'s reused capacity.
+        decide_chunk((worklist, 0, rest), out);
+        return;
+    }
+    // The worklist is sorted, so each chunk's nodes lie in `base..=last`
+    // and the chunks carve the node states into disjoint ranges.
+    let shard_count = threads.min(worklist.len());
+    let mut jobs = Vec::with_capacity(shard_count);
+    let mut base = 0;
+    for chunk in worklist.chunks(worklist.len().div_ceil(shard_count)) {
+        let Some(&last) = chunk.last() else { continue };
+        let (states, tail) = rest.split_at_mut(last as usize + 1 - base);
+        jobs.push((chunk, base, states));
+        rest = tail;
+        base = last as usize + 1;
+    }
+    let results = run_jobs(threads, jobs, |job| {
+        let mut decides = Vec::new();
+        decide_chunk(job, &mut decides);
+        decides
+    });
+    for decides in results {
+        out.extend_from_slice(&decides);
     }
 }
 
@@ -1798,35 +1778,18 @@ impl<'g> Simulation<'g> {
     /// # Determinism and parallelism
     ///
     /// Each node's per-round RNG stream is derived independently from
-    /// `(seed, round, node)` (see [`decision_rng`]), and the completion-merge
+    /// `(seed, round, node)` (see [`decision_rng`]), a decision writes only
+    /// its own node's [`Protocol::Node`] state, and the completion-merge
     /// pass always executes in canonical order — ascending destination node,
-    /// flight order within a destination — whatever
-    /// [`SimConfig::threads`] says.  Reports are therefore byte-identical
-    /// across thread counts, and identical between `run` (serial decision
-    /// pass) and [`run_sharded`](Self::run_sharded) (parallel decision pass).
+    /// flight order within a destination.  Both passes fan out across
+    /// [`SimConfig::threads`] workers, and reports are byte-identical for
+    /// every thread count.
     ///
     /// One timing note: [`Protocol::on_rejected`] fires during the serial
     /// epilogue *after* the round's whole decision pass, not interleaved with
     /// it — a rejection callback can no longer observe later nodes'
     /// undecided state, which is exactly what makes the pass shardable.
     pub fn run<P: Protocol>(&mut self, protocol: &mut P) -> RunReport {
-        self.run_inner::<P, SerialDecisions>(protocol)
-    }
-
-    /// Runs a [`ShardedProtocol`] with the decision pass fanned out across
-    /// [`SimConfig::threads`] workers, in addition to the completion-merge
-    /// pass both entry points shard.  The report is byte-identical to
-    /// [`run`](Self::run) at any thread count: both drivers derive each
-    /// node's RNG stream independently from `(seed, round, node)`, record
-    /// one decision per worklist entry, and apply them serially in worklist
-    /// order.
-    pub fn run_sharded<P: ShardedProtocol>(&mut self, protocol: &mut P) -> RunReport {
-        self.run_inner::<P, ShardedDecisions>(protocol)
-    }
-
-    /// Drives the round loop: one [`RoundState`] phase call per step, in the
-    /// order the module doc lists.
-    fn run_inner<P: Protocol, D: DecisionDriver<P>>(&mut self, protocol: &mut P) -> RunReport {
         let max_rounds = self.config.max_rounds;
         let mut st = RoundState::new(self.graph, &self.config, self.seeding, &mut self.rumors);
         let mut round = 0;
@@ -1841,13 +1804,21 @@ impl<'g> Simulation<'g> {
                 break;
             }
             st.sched.admit_woken();
-            st.decide_and_initiate::<P, D>(protocol, round);
+            st.decide_and_initiate(protocol, round);
             round = st.advance_clock(protocol, round);
         }
         if !completed {
             completed = st.is_done(protocol, round);
         }
         st.into_report(protocol, round, completed)
+    }
+
+    /// The same as [`run`](Self::run), which is parallel for every protocol
+    /// whenever [`SimConfig::threads`] is above 1.  Kept as a forwarder for
+    /// callers written against the earlier split between a serial and a
+    /// sharded entry point.
+    pub fn run_sharded<P: Protocol>(&mut self, protocol: &mut P) -> RunReport {
+        self.run(protocol)
     }
 }
 
@@ -1870,7 +1841,7 @@ struct FaultState<'a> {
 }
 
 /// Everything one run mutates, for the length of its round loop.  Each
-/// phase of a round is one method, called by [`Simulation::run_inner`].
+/// phase of a round is one method, called by [`Simulation::run`].
 struct RoundState<'a> {
     graph: &'a Graph,
     config: &'a SimConfig,
@@ -2189,7 +2160,7 @@ impl<'a> RoundState<'a> {
     /// alive they hold vacuously.  `Quiescent` asks every alive node's
     /// [`Protocol::activity`] through the same views the decision pass
     /// builds.
-    fn is_done<P: Protocol>(&self, protocol: &P, round: u64) -> bool {
+    fn is_done<P: Protocol>(&self, protocol: &mut P, round: u64) -> bool {
         let ctx = self.ctx(round);
         let n_alive = ctx.alive.map_or(self.rumors.len(), AliveView::alive_count);
         let progress = &self.progress;
@@ -2199,9 +2170,11 @@ impl<'a> RoundState<'a> {
             Termination::LocalBroadcast(_) => progress.lb_deficit == 0,
             Termination::FixedRounds(target) => round >= target,
             Termination::Quiescent => {
+                let (shared, states) = protocol.split(self.graph.node_count());
                 self.calendar.in_flight == 0
-                    && self.graph.nodes().all(|v| {
-                        ctx.is_dead(v) || protocol.activity(&ctx.view(v)) == Activity::Quiescent
+                    && self.graph.nodes().zip(states.iter()).all(|(v, state)| {
+                        ctx.is_dead(v)
+                            || P::activity(shared, state, &ctx.view(v)) == Activity::Quiescent
                     })
             }
         }
@@ -2210,19 +2183,14 @@ impl<'a> RoundState<'a> {
     /// Phase 6: lets every *active* node act.  The decision pass records one
     /// `Decide` per worklist entry — serially or across worker shards,
     /// byte-identical either way, since each node's RNG stream is
-    /// independent and decisions only read round-start state — then this
-    /// serial epilogue applies them in worklist order.  Nodes whose
-    /// `on_round` returned `None` and whose `activity` promises silence
-    /// leave the worklist here.
+    /// independent and a decision reads round-start state and writes only
+    /// its own node state — then this serial epilogue applies them in
+    /// worklist order.  Nodes whose `on_round` returned `None` and whose
+    /// `activity` promises silence leave the worklist here.
     // gossip-lint: allow(panic-path): worklist entries and protocol targets accepted by find_edge are node ids < n, and per-node vecs are sized n
-    fn decide_and_initiate<P: Protocol, D: DecisionDriver<P>>(
-        &mut self,
-        protocol: &mut P,
-        round: u64,
-    ) {
+    fn decide_and_initiate<P: Protocol>(&mut self, protocol: &mut P, round: u64) {
         let mut decides = std::mem::take(&mut self.decides);
-        decides.clear();
-        D::decide(
+        decide_all(
             protocol,
             &self.ctx(round),
             &self.sched.worklist,
@@ -2305,7 +2273,7 @@ impl<'a> RoundState<'a> {
     /// gap (no protocol calls, frozen counters), so one re-check at
     /// `round + 1` is exact: if the run is done there, walk a single round
     /// and let the loop terminate where the oracle does.
-    fn advance_clock<P: Protocol>(&mut self, protocol: &P, round: u64) -> u64 {
+    fn advance_clock<P: Protocol>(&mut self, protocol: &mut P, round: u64) -> u64 {
         if !self.sched.worklist.is_empty() {
             return round + 1;
         }
@@ -2463,7 +2431,17 @@ mod tests {
         // exchange *mode* alone (the bundled flood now idles between laps).
         struct Chatty;
         impl Protocol for Chatty {
-            fn on_round(&mut self, view: &NodeView<'_>, _rng: &mut SmallRng) -> Option<NodeId> {
+            type Shared = ();
+            type Node = ();
+            fn split(&mut self, n: usize) -> (&(), &mut [()]) {
+                (&(), stateless(n))
+            }
+            fn on_round(
+                _: &(),
+                _: &mut (),
+                view: &NodeView<'_>,
+                _: &mut SmallRng,
+            ) -> Option<NodeId> {
                 view.can_initiate.then(|| view.neighbors[0].0)
             }
         }
@@ -2567,10 +2545,20 @@ mod tests {
         // node 0 contacts node 2.
         struct Confused;
         impl Protocol for Confused {
+            type Shared = ();
+            type Node = ();
             fn name(&self) -> &'static str {
                 "confused"
             }
-            fn on_round(&mut self, view: &NodeView<'_>, _rng: &mut SmallRng) -> Option<NodeId> {
+            fn split(&mut self, n: usize) -> (&(), &mut [()]) {
+                (&(), stateless(n))
+            }
+            fn on_round(
+                _: &(),
+                _: &mut (),
+                view: &NodeView<'_>,
+                _: &mut SmallRng,
+            ) -> Option<NodeId> {
                 (view.node.index() == 0).then_some(NodeId::new(2))
             }
             fn on_rejected(&mut self, node: NodeId, target: NodeId, round: u64) {
@@ -2593,7 +2581,17 @@ mod tests {
     fn default_on_rejected_debug_asserts() {
         struct Confused;
         impl Protocol for Confused {
-            fn on_round(&mut self, view: &NodeView<'_>, _rng: &mut SmallRng) -> Option<NodeId> {
+            type Shared = ();
+            type Node = ();
+            fn split(&mut self, n: usize) -> (&(), &mut [()]) {
+                (&(), stateless(n))
+            }
+            fn on_round(
+                _: &(),
+                _: &mut (),
+                view: &NodeView<'_>,
+                _: &mut SmallRng,
+            ) -> Option<NodeId> {
                 (view.node.index() == 0).then_some(NodeId::new(2))
             }
         }
@@ -2632,18 +2630,28 @@ mod tests {
     #[test]
     fn latency_discovery_through_exchanges() {
         // A protocol can see an incident latency only after using the edge.
+        /// Node 0 records, per round, what it knows of its first edge.
         struct Probe {
-            learned: Vec<Option<Latency>>,
+            learned: Vec<Vec<Option<Latency>>>,
         }
         impl Protocol for Probe {
+            type Shared = ();
+            type Node = Vec<Option<Latency>>;
             fn name(&self) -> &'static str {
                 "probe"
             }
-            fn on_round(&mut self, view: &NodeView<'_>, _rng: &mut SmallRng) -> Option<NodeId> {
+            fn split(&mut self, _: usize) -> (&(), &mut [Vec<Option<Latency>>]) {
+                (&(), &mut self.learned)
+            }
+            fn on_round(
+                _: &(),
+                learned: &mut Vec<Option<Latency>>,
+                view: &NodeView<'_>,
+                _: &mut SmallRng,
+            ) -> Option<NodeId> {
                 if view.node.index() == 0 {
                     let (nbr, edge) = view.neighbors[0];
-                    let idx = view.round as usize % self.learned.len();
-                    self.learned[idx] = view.known_latency(edge);
+                    learned.push(view.known_latency(edge));
                     return Some(nbr);
                 }
                 None
@@ -2652,19 +2660,30 @@ mod tests {
         let g = generators::path(2, 7).unwrap();
         let config = SimConfig::new(1).termination(Termination::FixedRounds(10));
         let mut p = Probe {
-            learned: vec![None; 10],
+            learned: vec![Vec::new(); 2],
         };
         let _ = Simulation::new(&g, config).run(&mut p);
         // Round 0: unknown; after the first exchange completes (round 7) it is known.
-        assert_eq!(p.learned[0], None);
-        assert_eq!(p.learned[9], Some(7));
+        assert_eq!(p.learned[0].len(), 10);
+        assert_eq!(p.learned[0][0], None);
+        assert_eq!(p.learned[0][9], Some(7));
     }
 
     #[test]
     fn known_latency_mode_reveals_latencies_immediately() {
         struct Check;
         impl Protocol for Check {
-            fn on_round(&mut self, view: &NodeView<'_>, _rng: &mut SmallRng) -> Option<NodeId> {
+            type Shared = ();
+            type Node = ();
+            fn split(&mut self, n: usize) -> (&(), &mut [()]) {
+                (&(), stateless(n))
+            }
+            fn on_round(
+                _: &(),
+                _: &mut (),
+                view: &NodeView<'_>,
+                _: &mut SmallRng,
+            ) -> Option<NodeId> {
                 let (_, edge) = view.neighbors[0];
                 assert_eq!(view.known_latency(edge), Some(7));
                 None
@@ -2682,21 +2701,33 @@ mod tests {
         // Node 0 on a path 0-1-2 can never learn the latency of edge (1, 2),
         // even after every edge has carried an exchange.
         struct ProbeForeign {
-            foreign: Option<Option<Latency>>,
+            foreign: Vec<Option<Option<Latency>>>,
         }
         impl Protocol for ProbeForeign {
-            fn on_round(&mut self, view: &NodeView<'_>, _rng: &mut SmallRng) -> Option<NodeId> {
+            type Shared = ();
+            type Node = Option<Option<Latency>>;
+            fn split(&mut self, _: usize) -> (&(), &mut [Option<Option<Latency>>]) {
+                (&(), &mut self.foreign)
+            }
+            fn on_round(
+                _: &(),
+                foreign: &mut Option<Option<Latency>>,
+                view: &NodeView<'_>,
+                _: &mut SmallRng,
+            ) -> Option<NodeId> {
                 if view.node.index() == 0 && view.round == 8 {
                     // Edge id 1 joins nodes 1 and 2 on the path.
-                    self.foreign = Some(view.known_latency(EdgeId::new(1)));
+                    *foreign = Some(view.known_latency(EdgeId::new(1)));
                 }
                 view.neighbors.first().map(|&(w, _)| w)
             }
         }
         let g = generators::path(3, 2).unwrap();
         let config = SimConfig::new(1).termination(Termination::FixedRounds(10));
-        let mut p = ProbeForeign { foreign: None };
+        let mut p = ProbeForeign {
+            foreign: vec![None; 3],
+        };
         let _ = Simulation::new(&g, config).run(&mut p);
-        assert_eq!(p.foreign, Some(None));
+        assert_eq!(p.foreign[0], Some(None));
     }
 }

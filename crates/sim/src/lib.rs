@@ -23,7 +23,10 @@
 //! [`Simulation`].  The engine owns the per-node [`RumorSet`]s and merges them
 //! when exchanges complete, so a protocol only decides *who to contact when*;
 //! this matches the paper's treatment where the content of messages is always
-//! "everything I currently know".
+//! "everything I currently know".  A protocol keeps shared rules plus one
+//! state value per node ([`Protocol::split`]); each node's decision writes
+//! only its own state, so [`Simulation::run`] steps the nodes of a round on
+//! [`SimConfig::threads`] workers with byte-identical reports.
 //!
 //! ```rust
 //! use gossip_graph::{generators, NodeId};
@@ -49,8 +52,8 @@ pub mod oracle;
 pub mod protocols;
 
 pub use engine::{
-    Activity, ExchangeEvent, ExchangeMode, NodeView, Protocol, ShardedProtocol, SimConfig,
-    Simulation, Termination,
+    stateless, Activity, ExchangeEvent, ExchangeMode, NodeView, Protocol, SimConfig, Simulation,
+    Termination,
 };
 pub use fault::{ChurnSpec, FaultEvent, FaultPlan};
 pub use report::{FaultReport, MemStats, RunReport};

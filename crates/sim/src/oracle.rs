@@ -385,7 +385,9 @@ impl<'g> OracleSimulation<'g> {
                         OracleSource::Map(&self.discovered[i]),
                     );
                     let mut rng = decision_rng(self.config.seed, round, i as u32);
-                    (protocol.on_round(&view, &mut rng), view.can_initiate)
+                    let (shared, states) = protocol.split(n);
+                    let choice = P::on_round(shared, &mut states[i], &view, &mut rng);
+                    (choice, view.can_initiate)
                 };
                 let Some(target) = choice else { continue };
                 if !can_initiate {
@@ -500,7 +502,7 @@ impl<'g> OracleSimulation<'g> {
     fn is_done<P: Protocol>(
         &self,
         round: u64,
-        protocol: &P,
+        protocol: &mut P,
         in_flight: &[InFlight],
         alive: Option<&AliveView>,
         pending_own: &[usize],
@@ -531,18 +533,23 @@ impl<'g> OracleSimulation<'g> {
             }),
             Termination::FixedRounds(target) => round >= target,
             Termination::Quiescent => {
+                let (shared, states) = protocol.split(self.graph.node_count());
                 in_flight.is_empty()
                     && self.graph.nodes().all(|v| {
                         let i = v.index();
                         !node_alive(v)
-                            || protocol.activity(&self.view(
-                                v,
-                                round,
-                                pending_own[i],
-                                alive,
-                                &self.sets[i],
-                                OracleSource::Map(&self.discovered[i]),
-                            )) == Activity::Quiescent
+                            || P::activity(
+                                shared,
+                                &states[i],
+                                &self.view(
+                                    v,
+                                    round,
+                                    pending_own[i],
+                                    alive,
+                                    &self.sets[i],
+                                    OracleSource::Map(&self.discovered[i]),
+                                ),
+                            ) == Activity::Quiescent
                     })
             }
         }

@@ -6,6 +6,11 @@
 //! push–pull ([`RandomPushPull`]) and deterministic round-robin flooding
 //! ([`RoundRobinFlood`]) — plus a [`Silent`] protocol used in tests.
 //!
+//! Each is written in the engine's one protocol shape: no shared state, and
+//! per-node state that is nothing (push–pull, silent) or a cursor (flood),
+//! so every one of them runs on [`SimConfig::threads`](crate::SimConfig::threads)
+//! workers through [`Simulation::run`](crate::Simulation::run).
+//!
 //! Both protocols read the degree from `view.neighbors.len()` instead of
 //! caching per-graph degree vectors: a protocol value reused on a different
 //! graph would otherwise act on stale degrees and desync from the engine.
@@ -14,7 +19,7 @@ use gossip_graph::{Graph, NodeId};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::engine::{Activity, NodeView, Protocol, ShardedProtocol};
+use crate::engine::{stateless, Activity, NodeView, Protocol};
 
 /// Classical push–pull (the "random phone call" model): every node contacts a
 /// uniformly random neighbor in every round — until it is *saturated*.
@@ -45,24 +50,30 @@ impl RandomPushPull {
     }
 }
 
-impl RandomPushPull {
-    /// The per-node decision, shared verbatim by the serial and sharded
-    /// paths — the protocol is stateless, so both are this one function.
-    // gossip-lint: allow(panic-path): gen_range draws within the nonempty neighbor slice
-    fn decide(view: &NodeView<'_>, rng: &mut SmallRng) -> Option<NodeId> {
-        let deg = view.neighbors.len();
-        // The saturation check comes before the RNG draw: a quiescent node
-        // must not perturb the random stream (see the `activity` contract).
-        if deg == 0 || view.rumors.is_full() {
-            return None;
-        }
-        let pick = rng.gen_range(0..deg);
-        Some(view.neighbors[pick].0)
+impl Protocol for RandomPushPull {
+    type Shared = ();
+    type Node = ();
+
+    fn name(&self) -> &'static str {
+        "push-pull"
     }
 
-    /// Shared by `activity` and `shard_activity`, so the purity audit walks
-    /// it transitively from both contracts.
-    fn quiet(view: &NodeView<'_>) -> Activity {
+    fn split(&mut self, n: usize) -> (&(), &mut [()]) {
+        (&(), stateless(n))
+    }
+
+    fn on_round(_: &(), _: &mut (), view: &NodeView<'_>, rng: &mut SmallRng) -> Option<NodeId> {
+        // The saturation check comes before the RNG draw: a quiescent node
+        // must not perturb the random stream (see the `activity` contract).
+        if view.neighbors.is_empty() || view.rumors.is_full() {
+            return None;
+        }
+        let pick = rng.gen_range(0..view.neighbors.len());
+        view.neighbors.get(pick).map(|&(w, _)| w)
+    }
+
+    // gossip-audit: contract(pure)
+    fn activity(_: &(), _: &(), view: &NodeView<'_>) -> Activity {
         // A full rumor set never shrinks and an isolated node never gains a
         // neighbor: both silences are permanent.
         if view.neighbors.is_empty() || view.rumors.is_full() {
@@ -73,46 +84,9 @@ impl RandomPushPull {
     }
 }
 
-impl Protocol for RandomPushPull {
-    fn name(&self) -> &'static str {
-        "push-pull"
-    }
-
-    fn on_round(&mut self, view: &NodeView<'_>, rng: &mut SmallRng) -> Option<NodeId> {
-        Self::decide(view, rng)
-    }
-
-    // gossip-audit: contract(pure)
-    fn activity(&self, view: &NodeView<'_>) -> Activity {
-        Self::quiet(view)
-    }
-}
-
-impl ShardedProtocol for RandomPushPull {
-    /// Stateless: a shard carries nothing.
-    type Shard<'s> = ();
-
-    fn decision_shards<'s>(&'s mut self, cuts: &[u32]) -> Vec<Self::Shard<'s>> {
-        vec![(); cuts.len().saturating_sub(1)]
-    }
-
-    fn shard_on_round(
-        _shard: &mut Self::Shard<'_>,
-        view: &NodeView<'_>,
-        rng: &mut SmallRng,
-    ) -> Option<NodeId> {
-        Self::decide(view, rng)
-    }
-
-    // gossip-audit: contract(pure)
-    fn shard_activity(_shard: &Self::Shard<'_>, view: &NodeView<'_>) -> Activity {
-        Self::quiet(view)
-    }
-}
-
 /// Per-node cursor and lap bookkeeping of [`RoundRobinFlood`].
 #[derive(Debug, Clone, Copy, Default)]
-struct FloodCursor {
+pub struct FloodCursor {
     /// Index of the next neighbor to contact.
     cursor: usize,
     /// The node's rumor count the last time a lap was (re)started.  New
@@ -162,8 +136,8 @@ pub struct RoundRobinFlood {
 
 impl RoundRobinFlood {
     /// Creates the protocol for a given graph (only the node count is used,
-    /// to pre-size the cursor table; the table grows on demand if the
-    /// protocol is reused on a larger graph).
+    /// to pre-size the cursor table; [`Protocol::split`] resizes it if the
+    /// protocol is reused on a graph of another size).
     pub fn new(graph: &Graph) -> Self {
         RoundRobinFlood {
             state: vec![FloodCursor::default(); graph.node_count()],
@@ -171,11 +145,27 @@ impl RoundRobinFlood {
     }
 }
 
-impl RoundRobinFlood {
-    /// Advances one node's lap state and picks its next neighbor — the
-    /// per-cursor decision shared verbatim by the serial and sharded paths.
-    // gossip-lint: allow(panic-path): cursor wraps modulo the nonzero degree; deg == 0 returns before any index
-    fn step(st: &mut FloodCursor, view: &NodeView<'_>) -> Option<NodeId> {
+impl Protocol for RoundRobinFlood {
+    type Shared = ();
+    type Node = FloodCursor;
+
+    fn name(&self) -> &'static str {
+        "round-robin-flood"
+    }
+
+    fn split(&mut self, n: usize) -> (&(), &mut [FloodCursor]) {
+        self.state.resize(n, FloodCursor::default());
+        (&(), &mut self.state)
+    }
+
+    /// Advances the node's lap state and picks its next neighbor.
+    // gossip-lint: allow(panic-path): cursor wraps modulo the nonzero degree; deg == 0 returns first
+    fn on_round(
+        _: &(),
+        st: &mut FloodCursor,
+        view: &NodeView<'_>,
+        _rng: &mut SmallRng,
+    ) -> Option<NodeId> {
         let deg = view.neighbors.len();
         if deg == 0 || !view.can_initiate {
             // Do not advance the cursor (or any lap state) for a choice the
@@ -198,15 +188,12 @@ impl RoundRobinFlood {
         st.remaining -= 1;
         let pick = st.cursor % deg;
         st.cursor = (st.cursor + 1) % deg;
-        Some(view.neighbors[pick].0)
+        view.neighbors.get(pick).map(|&(w, _)| w)
     }
 
-    /// The `activity` predicate over one cursor's lap state.  Shared by
-    /// `activity` and `shard_activity`, so the purity audit walks it
-    /// transitively from both contracts.
-    fn lap_activity(st: FloodCursor, view: &NodeView<'_>) -> Activity {
-        let deg = view.neighbors.len();
-        if deg == 0 {
+    // gossip-audit: contract(pure)
+    fn activity(_: &(), st: &FloodCursor, view: &NodeView<'_>) -> Activity {
+        if view.neighbors.is_empty() {
             return Activity::Quiescent;
         }
         if !view.can_initiate {
@@ -214,7 +201,7 @@ impl RoundRobinFlood {
             // own exchange completes — which is a wake event.
             return Activity::IdleUntilWoken;
         }
-        // Mirror the `step` predicate exactly: silence is only promised
+        // Mirror the `on_round` predicate exactly: silence is only promised
         // when the rumor count is unchanged *and* the lap is complete.
         if view.rumors.len() != st.last_seen || st.remaining > 0 {
             Activity::Active
@@ -224,122 +211,28 @@ impl RoundRobinFlood {
     }
 }
 
-impl Protocol for RoundRobinFlood {
-    fn name(&self) -> &'static str {
-        "round-robin-flood"
-    }
-
-    // gossip-lint: allow(panic-path): the cursor table is resized to cover the node index right above
-    fn on_round(&mut self, view: &NodeView<'_>, _rng: &mut SmallRng) -> Option<NodeId> {
-        let i = view.node.index();
-        if i >= self.state.len() {
-            self.state.resize(i + 1, FloodCursor::default());
-        }
-        Self::step(&mut self.state[i], view)
-    }
-
-    // gossip-audit: contract(pure)
-    fn activity(&self, view: &NodeView<'_>) -> Activity {
-        let st = self
-            .state
-            .get(view.node.index())
-            .copied()
-            .unwrap_or_default();
-        Self::lap_activity(st, view)
-    }
-}
-
-/// One contiguous node-range slice of [`RoundRobinFlood`]'s cursor table.
-#[derive(Debug)]
-pub struct FloodShard<'s> {
-    /// First node id of the shard's range.
-    base: usize,
-    /// The cursors of nodes `base .. base + cursors.len()`.
-    cursors: &'s mut [FloodCursor],
-}
-
-impl ShardedProtocol for RoundRobinFlood {
-    type Shard<'s> = FloodShard<'s>;
-
-    // gossip-lint: allow(panic-path): cuts are strictly increasing and end at the node count
-    fn decision_shards<'s>(&'s mut self, cuts: &[u32]) -> Vec<Self::Shard<'s>> {
-        // Grow the table up front: a shard indexes its slice directly, so the
-        // serial path's on-demand resize must have already happened.
-        let n = cuts.last().copied().unwrap_or(0) as usize;
-        if self.state.len() < n {
-            self.state.resize(n, FloodCursor::default());
-        }
-        let mut shards = Vec::with_capacity(cuts.len().saturating_sub(1));
-        let mut rest: &mut [FloodCursor] = &mut self.state;
-        let mut consumed = 0usize;
-        for pair in cuts.windows(2) {
-            let (lo, hi) = (pair[0] as usize, pair[1] as usize);
-            // `rest` still holds nodes `consumed..`; peel off everything
-            // through `hi` and keep the `lo..hi` tail as the shard.
-            let (mine, tail) = rest.split_at_mut(hi - consumed);
-            shards.push(FloodShard {
-                base: lo,
-                cursors: &mut mine[lo - consumed..],
-            });
-            rest = tail;
-            consumed = hi;
-        }
-        shards
-    }
-
-    // gossip-lint: allow(panic-path): the engine only presents nodes inside the shard's cut range
-    fn shard_on_round(
-        shard: &mut Self::Shard<'_>,
-        view: &NodeView<'_>,
-        _rng: &mut SmallRng,
-    ) -> Option<NodeId> {
-        Self::step(&mut shard.cursors[view.node.index() - shard.base], view)
-    }
-
-    // gossip-lint: allow(panic-path): the engine only presents nodes inside the shard's cut range
-    // gossip-audit: contract(pure)
-    fn shard_activity(shard: &Self::Shard<'_>, view: &NodeView<'_>) -> Activity {
-        Self::lap_activity(shard.cursors[view.node.index() - shard.base], view)
-    }
-}
-
 /// A protocol that never communicates; useful for engine tests.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Silent;
 
 impl Protocol for Silent {
+    type Shared = ();
+    type Node = ();
+
     fn name(&self) -> &'static str {
         "silent"
     }
 
-    fn on_round(&mut self, _view: &NodeView<'_>, _rng: &mut SmallRng) -> Option<NodeId> {
+    fn split(&mut self, n: usize) -> (&(), &mut [()]) {
+        (&(), stateless(n))
+    }
+
+    fn on_round(_: &(), _: &mut (), _: &NodeView<'_>, _: &mut SmallRng) -> Option<NodeId> {
         None
     }
 
     // gossip-audit: contract(pure)
-    fn activity(&self, _view: &NodeView<'_>) -> Activity {
-        Activity::Quiescent
-    }
-}
-
-impl ShardedProtocol for Silent {
-    /// Stateless: a shard carries nothing.
-    type Shard<'s> = ();
-
-    fn decision_shards<'s>(&'s mut self, cuts: &[u32]) -> Vec<Self::Shard<'s>> {
-        vec![(); cuts.len().saturating_sub(1)]
-    }
-
-    fn shard_on_round(
-        _shard: &mut Self::Shard<'_>,
-        _view: &NodeView<'_>,
-        _rng: &mut SmallRng,
-    ) -> Option<NodeId> {
-        None
-    }
-
-    // gossip-audit: contract(pure)
-    fn shard_activity(_shard: &Self::Shard<'_>, _view: &NodeView<'_>) -> Activity {
+    fn activity(_: &(), _: &(), _: &NodeView<'_>) -> Activity {
         Activity::Quiescent
     }
 }
@@ -424,30 +317,38 @@ mod tests {
         assert_eq!(carried.min_rumors_known, 9);
     }
 
-    /// Records which targets the engine actually accepted from an inner protocol.
+    /// Records every completed exchange an inner protocol initiated.
     struct Recording<P> {
         inner: P,
         initiated: Vec<(NodeId, NodeId)>,
     }
 
     impl<P: Protocol> Protocol for Recording<P> {
+        type Shared = P::Shared;
+        type Node = P::Node;
+
         fn name(&self) -> &'static str {
             self.inner.name()
         }
-        fn on_round(&mut self, view: &NodeView<'_>, rng: &mut SmallRng) -> Option<NodeId> {
-            let choice = self.inner.on_round(view, rng);
-            if view.can_initiate {
-                if let Some(target) = choice {
-                    self.initiated.push((view.node, target));
-                }
-            }
-            choice
+        fn split(&mut self, n: usize) -> (&P::Shared, &mut [P::Node]) {
+            self.inner.split(n)
+        }
+        fn on_round(
+            shared: &P::Shared,
+            state: &mut P::Node,
+            view: &NodeView<'_>,
+            rng: &mut SmallRng,
+        ) -> Option<NodeId> {
+            P::on_round(shared, state, view, rng)
         }
         fn on_exchange(&mut self, node: NodeId, event: &crate::ExchangeEvent) {
+            if event.initiated_here {
+                self.initiated.push((node, event.peer));
+            }
             self.inner.on_exchange(node, event);
         }
-        fn activity(&self, view: &NodeView<'_>) -> Activity {
-            self.inner.activity(view)
+        fn activity(shared: &P::Shared, state: &P::Node, view: &NodeView<'_>) -> Activity {
+            P::activity(shared, state, view)
         }
     }
 

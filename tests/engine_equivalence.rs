@@ -21,27 +21,27 @@ use gossip_graph::{generators, Graph, NodeId};
 use gossip_sim::oracle::OracleSimulation;
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
 use gossip_sim::{
-    ExchangeMode, NodeView, Protocol, RumorId, RumorSet, RunReport, Seeding, ShardedProtocol,
-    SimConfig, Simulation, Termination,
+    stateless, ExchangeMode, NodeView, Protocol, RumorId, RumorSet, RunReport, Seeding, SimConfig,
+    Simulation, Termination,
 };
 use gossip_tests::assert_matches_oracle;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Reruns one protocol through the sharded decision pass and requires the
-/// report of the same config's [`Simulation::run`] — memory diagnostics
+/// Reruns one protocol on a single worker and requires the report of the
+/// same config's multi-worker [`Simulation::run`] — memory diagnostics
 /// included — so each mid-size case also witnesses thread-count invariance
-/// of the parallel decision pass at sizes where it genuinely fans out.
-fn assert_sharded_reproduces<P: ShardedProtocol>(
+/// of both parallel passes at sizes where they genuinely fan out.
+fn assert_serial_reproduces<P: Protocol>(
     g: &Graph,
     config: &SimConfig,
     make_protocol: impl Fn() -> P,
     expected: &RunReport,
     label: &str,
 ) {
-    let report = Simulation::new(g, config.clone()).run_sharded(&mut make_protocol());
-    assert_eq!(&report, expected, "sharded report mismatch: {label}");
+    let report = Simulation::new(g, config.clone().threads(1)).run(&mut make_protocol());
+    assert_eq!(&report, expected, "serial report mismatch: {label}");
 }
 
 /// The configurations equivalence is checked under: every termination
@@ -133,7 +133,14 @@ fn engines_agree_on_the_full_quick_grid() {
 struct FastestKnown;
 
 impl Protocol for FastestKnown {
-    fn on_round(&mut self, view: &NodeView<'_>, rng: &mut SmallRng) -> Option<NodeId> {
+    type Shared = ();
+    type Node = ();
+
+    fn split(&mut self, n: usize) -> (&(), &mut [()]) {
+        (&(), stateless(n))
+    }
+
+    fn on_round(_: &(), _: &mut (), view: &NodeView<'_>, rng: &mut SmallRng) -> Option<NodeId> {
         if view.neighbors.is_empty() || view.rumors.is_full() {
             return None;
         }
@@ -475,8 +482,8 @@ proptest! {
 
 // The mid-size tier: the same three structure-forcing equivalence arguments
 // (shadows, collapse, skipping) in the 2048+-node regime, with the engine's
-// merge pass sharded across 4 workers against the oracle and the sharded
-// decision pass rerun against that report.  Case counts are small:
+// decision and merge passes sharded across 4 workers against the oracle and
+// a 1-worker run checked against that report.  Case counts are small:
 // each case runs thousands of nodes through every engine.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
@@ -507,7 +514,7 @@ proptest! {
             || RandomPushPull::new(&g),
             "mid shadows",
         );
-        assert_sharded_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid shadows");
+        assert_serial_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid shadows");
         let mem = report.mem.unwrap();
         prop_assert!(
             mem.shadow_advances > 0,
@@ -539,7 +546,7 @@ proptest! {
             || RandomPushPull::new(&g),
             "mid collapse",
         );
-        assert_sharded_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid collapse");
+        assert_serial_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid collapse");
         let mem = report.mem.unwrap();
         if report.min_rumors_known == n {
             prop_assert_eq!(mem.collapsed_nodes, n as u64, "saturated nodes must collapse");
@@ -552,8 +559,8 @@ proptest! {
     /// walks every round.  Flood runs the same budget for equivalence only:
     /// the hub's round-robin lap over ~n leaves outlives any budget the
     /// oracle can walk at this size, so flood's *skipping* stays pinned by
-    /// the small-size proptest above, while its sharded cursor state still
-    /// gets exercised here.
+    /// the small-size proptest above, while its cursor table still gets
+    /// split across workers here.
     #[test]
     fn oracle_matches_engine_through_skipped_endgames_at_mid_size(
         n in 2048usize..2600,
@@ -577,7 +584,7 @@ proptest! {
             || RandomPushPull::new(&g),
             "mid skip",
         );
-        assert_sharded_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid skip");
+        assert_serial_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid skip");
         let mem = report.mem.unwrap();
         prop_assert!(
             mem.rounds_skipped > 0,
@@ -590,7 +597,7 @@ proptest! {
             || RoundRobinFlood::new(&g),
             "mid skip flood",
         );
-        assert_sharded_reproduces(
+        assert_serial_reproduces(
             &g,
             &config,
             || RoundRobinFlood::new(&g),

@@ -1,68 +1,79 @@
-//! Thread-count invariance of the sharded engine.
+//! Thread-count invariance of the parallel engine.
 //!
-//! [`Simulation::run_sharded`] executes the per-round decision pass and the
-//! completion-merge pass on a worker pool, but its observable behaviour is
-//! defined to be *independent of the pool size*: per-(round, node) RNG
-//! streams, worklist-order concatenation of shard results, and the canonical
-//! (ascending destination, stable flight order) merge reduction make every
-//! run a pure function of `(graph, config, protocol, seed)`.  These tests
-//! pin that down: the serial driver ([`Simulation::run`]) and the sharded
-//! driver at 1, 2 and 8 threads must produce **fully identical**
-//! [`RunReport`]s — memory diagnostics included, since the merge machinery
-//! replays the same serial walk — and identical final rumor states.
+//! [`Simulation::run`] executes the per-round decision pass and the
+//! completion-merge pass on [`SimConfig::threads`] workers, but its
+//! observable behaviour is defined to be *independent of the pool size*:
+//! per-(round, node) RNG streams, decisions that write only their own
+//! node's protocol state, worklist-order concatenation of shard results, and
+//! the canonical (ascending destination, stable flight order) merge
+//! reduction make every run a pure function of `(graph, config, protocol,
+//! seed)`.  These tests pin that down for every protocol the workspace
+//! ships: a run on 1 worker and runs on 2 and 8 workers must produce
+//! **fully identical** [`RunReport`]s — memory diagnostics included, since
+//! the merge machinery replays the same serial walk — and identical final
+//! rumor states.  Every graph here keeps the worklist above the decision
+//! pass's 256-node fan-out threshold.
 //!
 //! The fault layer rides the same passes (crash surgery happens between
 //! rounds, loss is drawn per flight from its own stream), so a churn-heavy
 //! run must be byte-identical across thread counts too, graceful-degradation
 //! section included.
 
+use gossip_core::dtg::EllDtg;
+use gossip_core::rr_broadcast::RrBroadcast;
+use gossip_core::spanner::log_spanner;
 use gossip_graph::{generators, Graph, NodeId};
+use gossip_lowerbound::gadgets;
+use gossip_lowerbound::predicates::TargetPredicate;
+use gossip_lowerbound::reduction::CrossEdgeRecorder;
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
 use gossip_sim::{
-    ChurnSpec, ExchangeMode, FaultPlan, RumorId, RumorSet, RunReport, Seeding, ShardedProtocol,
-    SimConfig, Simulation, Termination,
+    ChurnSpec, ExchangeMode, FaultPlan, Protocol, RumorId, RumorSet, RunReport, Seeding, SimConfig,
+    Simulation, Termination,
 };
+use gossip_tests::assert_matches_oracle;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Thread counts every scenario is replayed under (beyond the serial
-/// driver): the inline path, a small pool, and an oversubscribed pool.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+/// Pool sizes every scenario is replayed under, beyond the 1-worker run:
+/// a small pool and an oversubscribed one.
+const THREAD_COUNTS: [usize; 2] = [2, 8];
 
-/// Runs one protocol from one [`Seeding`] once with the serial driver and
-/// once per pool size with the sharded driver, requiring full report *and*
-/// rumor-state equality throughout.
-fn assert_thread_invariant<P: ShardedProtocol, F: Fn() -> P>(
+/// Runs one protocol from one [`Seeding`] on 1 worker and then on every
+/// pool size in [`THREAD_COUNTS`], requiring full report *and* rumor-state
+/// equality throughout.  Returns the 1-worker report and protocol.
+fn assert_thread_invariant<P: Protocol, F: Fn() -> P>(
     g: &Graph,
     config: &SimConfig,
     seeding: Seeding,
     make_protocol: F,
     label: &str,
-) -> RunReport {
-    let simulation = |config: SimConfig| match seeding {
-        Seeding::AllToAll => Simulation::new(g, config),
-        Seeding::Broadcast(source) => Simulation::broadcast(g, config, source),
+) -> (RunReport, P) {
+    let run = |threads: usize| {
+        let config = config.clone().threads(threads);
+        let mut sim = match seeding {
+            Seeding::AllToAll => Simulation::new(g, config),
+            Seeding::Broadcast(source) => Simulation::broadcast(g, config, source),
+        };
+        let mut protocol = make_protocol();
+        let report = sim.run(&mut protocol);
+        (report, sim.into_rumors(), protocol)
     };
-    let mut serial_sim = simulation(config.clone());
-    let serial_report = serial_sim.run(&mut make_protocol());
-    let serial_rumors: Vec<RumorSet> = serial_sim.into_rumors();
-
+    let (serial_report, serial_rumors, serial_protocol): (RunReport, Vec<RumorSet>, P) = run(1);
     for threads in THREAD_COUNTS {
-        let mut sim = simulation(config.clone().threads(threads));
-        let report = sim.run_sharded(&mut make_protocol());
-        // Full equality, not `semantics()`: the sharded pass must reproduce
-        // the serial engine's memory diagnostics bit for bit.
+        let (report, rumors, _) = run(threads);
+        // Full equality, not `semantics()`: the parallel passes must
+        // reproduce the 1-worker memory diagnostics bit for bit.
         assert_eq!(
             report, serial_report,
             "{label}: report diverged at {threads} threads"
         );
         assert_eq!(
-            sim.into_rumors(),
-            serial_rumors,
+            rumors, serial_rumors,
             "{label}: rumor state diverged at {threads} threads"
         );
     }
-    serial_report
+    (serial_report, serial_protocol)
 }
 
 /// A connected Erdős–Rényi instance big enough that the decision pass
@@ -82,7 +93,7 @@ fn all_to_all_reports_are_identical_across_thread_counts() {
     let config = SimConfig::new(41)
         .termination(Termination::AllKnowAll)
         .max_rounds(5_000);
-    let report = assert_thread_invariant(
+    let (report, _) = assert_thread_invariant(
         &g,
         &config,
         Seeding::AllToAll,
@@ -108,7 +119,7 @@ fn one_to_all_with_forced_shadows_is_identical_across_thread_counts() {
         .shadow_compaction(0)
         .max_rounds(5_000);
     for seeding in [Seeding::AllToAll, Seeding::Broadcast(NodeId::new(350))] {
-        let report = assert_thread_invariant(
+        let (report, _) = assert_thread_invariant(
             &g,
             &config,
             seeding,
@@ -154,7 +165,7 @@ fn blocking_mode_is_identical_across_thread_counts() {
 fn skipping_endgame_is_identical_across_thread_counts() {
     let g = generators::star(2048, 1).unwrap();
     let config = SimConfig::new(53).termination(Termination::FixedRounds(600));
-    let report = assert_thread_invariant(
+    let (report, _) = assert_thread_invariant(
         &g,
         &config,
         Seeding::AllToAll,
@@ -173,8 +184,8 @@ fn skipping_endgame_is_identical_across_thread_counts() {
 }
 
 /// The churn-profile gate: crash-stop churn with amnesiac rejoins, link
-/// cuts and message loss, replayed at 1 vs 4 threads (and the serial
-/// driver), must agree byte for byte — fault section included.
+/// cuts and message loss, replayed at 1 vs 4 threads (and at 2 and 8),
+/// must agree byte for byte — fault section included.
 #[test]
 fn churn_profile_runs_are_identical_across_thread_counts() {
     let g = mid_size_er(0xD44);
@@ -193,9 +204,9 @@ fn churn_profile_runs_are_identical_across_thread_counts() {
         .faults(plan);
 
     let mut one_sim = Simulation::new(&g, config.clone().threads(1));
-    let one = one_sim.run_sharded(&mut RandomPushPull::new(&g));
+    let one = one_sim.run(&mut RandomPushPull::new(&g));
     let mut four_sim = Simulation::new(&g, config.clone().threads(4));
-    let four = four_sim.run_sharded(&mut RandomPushPull::new(&g));
+    let four = four_sim.run(&mut RandomPushPull::new(&g));
     assert!(
         one.faults.is_some(),
         "a churned run must report a fault section"
@@ -203,8 +214,8 @@ fn churn_profile_runs_are_identical_across_thread_counts() {
     assert_eq!(one, four, "churned run diverged between 1 and 4 threads");
     assert_eq!(one_sim.into_rumors(), four_sim.into_rumors());
 
-    // And the serial driver agrees with both.
-    let report = assert_thread_invariant(
+    // And the 2- and 8-worker runs agree with both.
+    let (report, _) = assert_thread_invariant(
         &g,
         &config,
         Seeding::AllToAll,
@@ -224,7 +235,7 @@ fn churn_profile_runs_are_identical_across_thread_counts() {
     // rejoins reset to the one-rumor initial sets.
     let seeding = Seeding::Broadcast(NodeId::new(0));
     let config = config.termination(Termination::FixedRounds(150));
-    let report = assert_thread_invariant(
+    let (report, _) = assert_thread_invariant(
         &g,
         &config,
         seeding,
@@ -242,4 +253,95 @@ fn churn_profile_runs_are_identical_across_thread_counts() {
         || RoundRobinFlood::new(&g),
         "churn broadcast flood",
     );
+}
+
+/// ℓ-DTG in both exchange modes: its heard-from sets are shared state that
+/// only completions write, and each node's iteration queue is its own.
+#[test]
+fn ell_dtg_is_identical_across_thread_counts() {
+    let g = mid_size_er(0xE55);
+    for mode in [ExchangeMode::NonBlocking, ExchangeMode::Blocking] {
+        let config = SimConfig::new(61)
+            .termination(Termination::Quiescent)
+            .mode(mode)
+            .max_rounds(200_000);
+        let (report, dtg) = assert_thread_invariant(
+            &g,
+            &config,
+            Seeding::AllToAll,
+            || EllDtg::new(&g, 3),
+            &format!("ell-dtg {mode:?}"),
+        );
+        assert!(report.completed, "{report}");
+        assert!(dtg.max_iterations() > 0);
+    }
+}
+
+/// RR broadcast: each node's round-robin cursor over its spanner
+/// out-edges is its own state.
+#[test]
+fn rr_broadcast_is_identical_across_thread_counts() {
+    let g = mid_size_er(0xF66);
+    let spanner = log_spanner(&g, 5);
+    let senders = g.nodes().filter(|&v| spanner.out_degree(v) > 0).count();
+    assert!(senders > 256, "only {senders} nodes keep the worklist busy");
+    let k = g.max_latency() * 8;
+    let config = SimConfig::new(67)
+        .termination(Termination::AllKnowAll)
+        .max_rounds(20_000);
+    let (report, _) = assert_thread_invariant(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || RrBroadcast::new(&g, &spanner, k),
+        "rr-broadcast",
+    );
+    assert!(report.completed, "{report}");
+}
+
+/// The Lemma 6 reduction's recorder logs cross-edge activations per node;
+/// merged in (round, node) order they must not depend on the pool size.
+/// The run also matches the oracle, which no other suite checks it against.
+#[test]
+fn lemma6_recorder_is_identical_across_thread_counts() {
+    let mut rng = SmallRng::seed_from_u64(71);
+    let net = gadgets::gadget(
+        150,
+        1,
+        20,
+        TargetPredicate::Random { p: 0.3 },
+        false,
+        &mut rng,
+    )
+    .unwrap();
+    let g = &net.graph;
+    let config = SimConfig::new(73)
+        .termination(Termination::LocalBroadcast(g.max_latency()))
+        .max_rounds(20_000);
+    let (report, recorder) = assert_thread_invariant(
+        g,
+        &config,
+        Seeding::AllToAll,
+        || CrossEdgeRecorder::new(&net),
+        "lemma 6 recorder",
+    );
+    assert!(report.completed, "{report}");
+    assert_matches_oracle(
+        g,
+        &config,
+        Seeding::AllToAll,
+        || CrossEdgeRecorder::new(&net),
+        "lemma 6 recorder",
+    );
+    let activations = recorder.activations();
+    assert!(!activations.is_empty());
+    for threads in THREAD_COUNTS {
+        let mut recorder = CrossEdgeRecorder::new(&net);
+        Simulation::new(g, config.clone().threads(threads)).run(&mut recorder);
+        assert_eq!(
+            recorder.activations(),
+            activations,
+            "activations diverged at {threads} threads"
+        );
+    }
 }

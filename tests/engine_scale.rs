@@ -303,7 +303,7 @@ fn spanner_broadcast_on_an_8192_node_grid_completes_within_budget() {
 }
 
 /// THE ISSUE acceptance gate (release only): push–pull *one-to-all* on a
-/// **2²⁰-node (1,048,576) star**, on the sharded engine — eight times past
+/// **2²⁰-node (1,048,576) star**, on the parallel engine — eight times past
 /// the previous 131072-node tier.  The run is executed twice, on a 1-worker
 /// and a 4-worker pool, and the two [`gossip_sim::RunReport`]s must be
 /// **fully identical** (memory diagnostics included): per-(round, node) RNG
@@ -321,7 +321,7 @@ fn sharded_one_to_all_on_a_million_node_star_is_thread_invariant() {
             .track_rumor(RumorId(0))
             .threads(threads);
         let started = std::time::Instant::now();
-        let report = Simulation::new(&g, config).run_sharded(&mut RandomPushPull::new(&g));
+        let report = Simulation::new(&g, config).run(&mut RandomPushPull::new(&g));
         (report, started.elapsed())
     };
     let (single, single_elapsed) = run(1);
@@ -346,7 +346,7 @@ fn sharded_one_to_all_on_a_million_node_star_is_thread_invariant() {
 }
 
 /// THE ISSUE acceptance gate (release only): push–pull *all-to-all* on the
-/// **2²⁰-node star** under the sharded engine — every node ends up knowing
+/// **2²⁰-node star** on 4 workers — every node ends up knowing
 /// all 2²⁰ rumors.  Dense bitsets would cost `2·n²/8` ≈ 275 GiB for sets and
 /// shadows; the paged, saturation-collapsing layout must keep the
 /// deterministic peak under 4 GiB (the transient is ~2 dense pages per node
@@ -360,7 +360,7 @@ fn sharded_all_to_all_on_a_million_node_star_stays_within_budget() {
     let config = SimConfig::new(19)
         .termination(Termination::AllKnowAll)
         .threads(4);
-    let report = Simulation::new(&g, config).run_sharded(&mut RandomPushPull::new(&g));
+    let report = Simulation::new(&g, config).run(&mut RandomPushPull::new(&g));
     let elapsed = started.elapsed();
     assert!(report.completed, "{report}");
     assert_eq!(report.min_rumors_known, 1 << 20, "knowledge must saturate");

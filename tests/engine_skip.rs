@@ -32,27 +32,31 @@ struct OneShot {
 }
 
 impl Protocol for OneShot {
+    type Shared = ();
+    type Node = bool;
+
     fn name(&self) -> &'static str {
         "one-shot"
     }
 
-    fn on_round(&mut self, view: &NodeView<'_>, _rng: &mut SmallRng) -> Option<NodeId> {
-        let i = view.node.index();
-        if i >= self.fired.len() {
-            self.fired.resize(i + 1, false);
-        }
-        if self.fired[i] || view.neighbors.is_empty() {
+    fn split(&mut self, n: usize) -> (&(), &mut [bool]) {
+        self.fired.resize(n, false);
+        (&(), &mut self.fired)
+    }
+
+    fn on_round(_: &(), fired: &mut bool, view: &NodeView<'_>, _: &mut SmallRng) -> Option<NodeId> {
+        if *fired || view.neighbors.is_empty() {
             return None;
         }
-        self.fired[i] = true;
+        *fired = true;
         Some(view.neighbors[0].0)
     }
 
-    fn activity(&self, view: &NodeView<'_>) -> Activity {
+    fn activity(_: &(), fired: &bool, view: &NodeView<'_>) -> Activity {
         if view.neighbors.is_empty() {
             return Activity::Quiescent;
         }
-        if self.fired.get(view.node.index()).copied().unwrap_or(false) {
+        if *fired {
             Activity::IdleUntilWoken
         } else {
             Activity::Active
@@ -176,18 +180,24 @@ struct Countdown {
 }
 
 impl Protocol for Countdown {
+    type Shared = ();
+    type Node = u32;
+
     fn name(&self) -> &'static str {
         "countdown"
     }
 
-    fn on_round(&mut self, view: &NodeView<'_>, _rng: &mut SmallRng) -> Option<NodeId> {
-        let r = &mut self.remaining[view.node.index()];
-        *r = r.saturating_sub(1);
+    fn split(&mut self, _: usize) -> (&(), &mut [u32]) {
+        (&(), &mut self.remaining)
+    }
+
+    fn on_round(_: &(), remaining: &mut u32, _: &NodeView<'_>, _: &mut SmallRng) -> Option<NodeId> {
+        *remaining = remaining.saturating_sub(1);
         None
     }
 
-    fn activity(&self, view: &NodeView<'_>) -> Activity {
-        if self.remaining[view.node.index()] == 0 {
+    fn activity(_: &(), remaining: &u32, _: &NodeView<'_>) -> Activity {
+        if *remaining == 0 {
             Activity::Quiescent
         } else {
             Activity::Active

@@ -116,8 +116,12 @@ impl Default for AuditConfig {
             // Acquisition-log operations driven from the merge path.
             "AcquisitionLog::push",
             "AcquisitionLog::push_run",
+            "AcquisitionLog::push_batch",
+            "AcquisitionLog::bytes_entirely_below",
+            "AcquisitionLog::footprint",
             "AcquisitionLog::truncate_below",
             "AcquisitionLog::truncate_all",
+            "AcquisitionLog::for_each_chunk",
             "AcquisitionLog::for_each_segment",
             // Heavy-protocol entry points dispatched through `P: Protocol`
             // generics — invisible to the name-based call graph from

@@ -15,19 +15,27 @@
 //!   the peer's log prefix.  A per-edge watermark remembers how much of the
 //!   peer's log already arrived over that edge, so repeated exchanges over
 //!   the same edge never rescan old entries.
-//! * **Interval-compressed, truncated logs.**  A log stores maximal stretches
-//!   of consecutive rumor ids as single 8-byte runs ([`AcquisitionLog`]), so
-//!   bursty acquisition orders — star hubs relaying `leaf 1, leaf 2, …`,
-//!   all-to-all endgames copying whole prefixes — compress by orders of
-//!   magnitude.  And because every snapshot in flight was taken at most
-//!   `max_latency` rounds ago, only the trailing `max_latency + 1` rounds of
-//!   each log are ever read: each node keeps a *delayed bitset shadow* — its
-//!   rumor set as of the oldest possibly-outstanding snapshot — advanced
-//!   lazily through a calendar ring, and log runs behind the shadow frontier
-//!   are truncated.  A merge whose watermark falls at or behind the frontier
-//!   unions the shadow bitset directly and replays only the retained tail.
-//!   Together these break the old `Θ(Σ|final rumor sets|)` log-memory wall
-//!   (~4 GB for all-to-all at 32768 nodes); the peak footprint is reported in
+//! * **Interval-compressed, layered, truncated logs.**  A log stores maximal
+//!   stretches of consecutive rumor ids as single 8-byte runs
+//!   ([`AcquisitionLog`]), so bursty acquisition orders — star hubs relaying
+//!   `leaf 1, leaf 2, …`, all-to-all endgames copying whole prefixes —
+//!   compress by orders of magnitude.  A node's acquisitions of one delivery
+//!   phase are appended as one batch, and a batch that would fragment into
+//!   many runs — the expander doubling endgame, where a node learns about
+//!   half the universe in scattered ids — is stored instead as a *dense
+//!   layer*, a bitset over the id window it spans, whenever that is cheaper.
+//!   Every log read falls on a delivery-phase boundary and order inside one
+//!   phase is unobservable, so a layer keeps its batch as a set and merges
+//!   replay it word-wise.  And because every snapshot in flight was taken
+//!   at most `max_latency` rounds ago, only the trailing `max_latency + 1`
+//!   rounds of each log are ever read: each node keeps a *delayed bitset
+//!   shadow* — its rumor set as of the oldest possibly-outstanding snapshot
+//!   — advanced lazily through a calendar ring, and log runs and layers
+//!   behind the shadow frontier are truncated.  A merge whose watermark
+//!   falls at or behind the frontier unions the shadow bitset directly and
+//!   replays only the retained tail.  Together these break the old
+//!   `Θ(Σ|final rumor sets|)` log-memory wall (~4 GB for all-to-all at
+//!   32768 nodes); the peak footprint is reported in
 //!   [`RunReport::mem`](crate::report::MemStats).
 //! * **Paged rumor sets + saturation collapse.**  Rumor sets are adaptive
 //!   paged bitsets ([`RumorSet`]): 4096-bit pages stored sparsely, with a
@@ -102,7 +110,9 @@ use rayon::prelude::*;
 
 use crate::fault::{self, FaultEvent, FaultPlan};
 use crate::report::{FaultReport, MemStats, RunReport};
-use crate::rumor::{self, AcquisitionLog, RumorId, RumorRun, RumorSet, Seeding};
+use crate::rumor::{
+    self, AcquisitionLog, LogChunk, LogFootprint, RumorId, RumorRun, RumorSet, Seeding,
+};
 
 /// Whether a node may start a new exchange while one it initiated is still in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -199,10 +209,11 @@ impl SimConfig {
 
     /// Tunes the lazy delayed-shadow machinery: a node's shadow bitset is
     /// materialised — and its acquisition log truncated — only once at least
-    /// this many whole interval runs would be reclaimed, so short-lived or
-    /// well-compressed logs never pay for a bitset.
+    /// `8 × min_truncate_runs` bytes of log would be reclaimed (8 per whole
+    /// interval run, window plus header per whole dense layer), so
+    /// short-lived or well-compressed logs never pay for a bitset.
     ///
-    /// The default (64 runs, i.e. 512 bytes of log per bitset) is a pure
+    /// The default (64, i.e. 512 bytes of log per bitset: 64 runs) is a pure
     /// memory/allocation trade-off: the setting has **no observable effect**
     /// on simulation results.  `0` forces a shadow for every node as soon as
     /// its frontier can advance; the equivalence suite uses that to exercise
@@ -857,13 +868,20 @@ struct MemCounters {
     live_runs: u64,
     /// Peak of `live_runs` over the run so far.
     peak_runs: u64,
+    /// Currently retained log bytes (interval runs and dense layers),
+    /// summed over all logs.
+    live_log_bytes: u64,
+    /// Peak of `live_log_bytes` over the run so far.
+    peak_log_bytes: u64,
+    /// Append batches stored as dense log layers.
+    dense_batches: u64,
     /// 64-bit words currently held by materialised shadow bitsets
     /// (saturation collapse frees a node's shadow).
     shadow_words_live: u64,
     /// Peak of `shadow_words_live` over the run so far.
     shadow_words_peak: u64,
-    /// Total runs reclaimed by shadow-frontier truncation and saturation
-    /// collapse.
+    /// Total log runs and dense layers reclaimed by shadow-frontier
+    /// truncation and saturation collapse.
     truncated_runs: u64,
     /// Number of shadow-frontier advancements.
     shadow_advances: u64,
@@ -897,12 +915,30 @@ impl MemCounters {
         self.pages_peak = now.max_prefix as u64;
     }
 
+    /// Accounts log storage appended (a merge batch or a fresh log).
+    fn grow_log(&mut self, added: LogFootprint) {
+        self.live_runs += added.runs;
+        self.live_log_bytes += added.bytes;
+        self.dense_batches += added.layers;
+    }
+
+    /// Folds the current log storage into its peaks.
+    fn note_log_peak(&mut self) {
+        self.peak_runs = self.peak_runs.max(self.live_runs);
+        self.peak_log_bytes = self.peak_log_bytes.max(self.live_log_bytes);
+    }
+
+    /// Accounts log storage reclaimed by truncation.
+    fn shrink_log(&mut self, freed: LogFootprint) {
+        self.live_runs -= freed.runs;
+        self.live_log_bytes -= freed.bytes;
+        self.truncated_runs += freed.runs + freed.layers;
+    }
+
     /// Frees one node's acquisition log and shadow bitset (saturation
     /// collapse, crash, rejoin).
     fn release(&mut self, log: &mut AcquisitionLog, shadow: &mut Vec<u64>) {
-        let freed = log.truncate_all() as u64;
-        self.live_runs -= freed;
-        self.truncated_runs += freed;
+        self.shrink_log(log.truncate_all());
         self.shadow_words_live -= std::mem::take(shadow).len() as u64;
     }
 }
@@ -968,8 +1004,8 @@ struct MergeShardNew {
 /// global termination counters in shard order.
 #[derive(Default)]
 struct MergeShardDelta {
-    /// Runs physically appended to acquisition logs (`live_runs` delta).
-    appended_runs: u64,
+    /// Storage appended to acquisition logs.
+    appended: LogFootprint,
     full_nodes: usize,
     source_known_by: usize,
     lb_deficit_sub: u64,
@@ -1025,10 +1061,13 @@ fn merge_shard_phase_a(
             if t.start < frontier {
                 // Invariant: a nonzero frontier implies a materialised
                 // shadow holding exactly the first `frontier` log entries.
-                dst_set.union_words_collect_new_runs(&shadows[si], &mut scratch);
+                dst_set.union_words_collect_new_runs(0, &shadows[si], &mut scratch);
             }
-            logs[si].for_each_segment(t.start.max(frontier), t.upto, |first, len| {
-                dst_set.insert_run(first, len, &mut scratch);
+            logs[si].for_each_chunk(t.start.max(frontier), t.upto, |chunk| match chunk {
+                LogChunk::Run(first, len) => dst_set.insert_run(first, len, &mut scratch),
+                LogChunk::Words(word_lo, words) => {
+                    dst_set.union_words_collect_new_runs(word_lo, words, &mut scratch);
+                }
             });
         }
         out.pages.record(pages_before, dst_set.live_pages());
@@ -1061,24 +1100,27 @@ fn merge_shard_phase_b(
     round: u64,
 ) -> MergeShardDelta {
     let mut delta = MergeShardDelta::default();
+    let mut run_counts = new.run_counts.iter();
     let mut cursor = 0usize;
-    for (k, t) in tasks.iter().enumerate() {
-        let count = new.run_counts[k] as usize;
-        let task_runs = &new.runs[cursor..cursor + count];
+    for group in tasks.chunk_by(|a, b| a.dst == b.dst) {
+        // Tasks are sorted by destination, so a destination's whole batch
+        // is one contiguous slice of the new runs.
+        let count: usize = run_counts
+            .by_ref()
+            .take(group.len())
+            .map(|&c| c as usize)
+            .sum();
+        let batch = &new.runs[cursor..cursor + count];
         cursor += count;
-        if count == 0 {
+        let Some(t) = group.first().filter(|_| count > 0) else {
             continue;
-        }
+        };
         let di = t.dst as usize;
         let li = di - base;
-        if delta.changed.last() != Some(&t.dst) {
-            delta.changed.push(t.dst);
-        }
+        delta.changed.push(t.dst);
+        delta.appended += logs[li].push_batch(batch);
         let universe = rumors[di].universe();
-        for &(first, len) in task_runs {
-            if logs[li].push_run(first, len) {
-                delta.appended_runs += 1;
-            }
+        for &(first, len) in batch {
             counts[li] += len as usize;
             if counts[li] == universe {
                 delta.full_nodes += 1;
@@ -1184,8 +1226,10 @@ fn run_jobs<T: Send, R: Send>(threads: usize, jobs: Vec<T>, f: impl Fn(T) -> R +
 /// every termination check `O(1)`.
 struct Progress<'g> {
     graph: &'g Graph,
-    /// Per-node acquisition log: every rumor the node knows, in learn order,
-    /// run-length-compressed and truncated behind the shadow frontier.
+    /// Per-node acquisition log: every rumor the node knows, one batch per
+    /// delivery phase in learn order, each batch stored as interval runs or
+    /// one dense layer (whichever is cheaper), truncated behind the shadow
+    /// frontier.
     logs: Vec<AcquisitionLog>,
     /// Per-node delayed shadow: the bitset of the node's first
     /// `shadow_len[i]` log entries.  Lazily materialised (empty = none, which
@@ -1225,8 +1269,9 @@ struct Progress<'g> {
     /// Worst observed re-dissemination latency over recovered rejoiners
     /// ([`FaultReport::recovery_latency`]).
     recovery_latency: Option<u64>,
-    /// [`SimConfig::shadow_compaction`]'s materialisation threshold.
-    min_truncate_runs: usize,
+    /// [`SimConfig::shadow_compaction`]'s materialisation threshold, in
+    /// reclaimable log bytes.
+    min_truncate_bytes: u64,
     mem: MemCounters,
 }
 
@@ -1252,8 +1297,16 @@ impl<'g> Progress<'g> {
             _ => None,
         };
         let logs: Vec<AcquisitionLog> = rumors.iter().map(AcquisitionLog::from_set).collect();
-        let live_runs: u64 = logs.iter().map(|l| l.retained_runs() as u64).sum();
         let pages_live: u64 = rumors.iter().map(|s| s.live_pages() as u64).sum();
+        let mut mem = MemCounters {
+            pages_live,
+            pages_peak: pages_live,
+            ..MemCounters::default()
+        };
+        for log in &logs {
+            mem.grow_log(log.footprint());
+        }
+        mem.note_log_peak();
         let n = rumors.len();
         let mut progress = Progress {
             graph,
@@ -1278,14 +1331,8 @@ impl<'g> Progress<'g> {
             },
             pending_recovery: Vec::new(),
             recovery_latency: None,
-            min_truncate_runs: config.shadow_min_truncate_runs,
-            mem: MemCounters {
-                live_runs,
-                peak_runs: live_runs,
-                pages_live,
-                pages_peak: pages_live,
-                ..MemCounters::default()
-            },
+            min_truncate_bytes: 8 * config.shadow_min_truncate_runs as u64,
+            mem,
         };
         if lb_bound.is_some() {
             progress.lb_deficit = graph
@@ -1315,7 +1362,14 @@ impl<'g> Progress<'g> {
     /// are long gone — every outstanding snapshot of it covers everything,
     /// so the complement of what `dst` knows *is* the delta); otherwise
     /// positions below `src`'s shadow frontier come from the shadow bitset
-    /// (one word-OR sweep) and the retained tail is replayed run by run.
+    /// (one word-OR sweep) and the retained tail is replayed run by run and
+    /// dense layer by dense layer (a word-OR sweep over its window).
+    ///
+    /// Phase B appends each destination's new runs as one batch
+    /// ([`AcquisitionLog::push_batch`]): all its tasks' runs are one
+    /// contiguous slice, so the runs-or-layer choice sees the whole phase's
+    /// acquisitions and depends on neither the shard cuts nor the thread
+    /// count.
     ///
     /// # Why sharding cannot change the result
     ///
@@ -1333,8 +1387,8 @@ impl<'g> Progress<'g> {
     ///   shared.  No shard ever observes another's writes.
     /// * **Reductions replay the serial walk.**  Counter deltas are summed
     ///   in shard order; the dense-page peak uses the [`PageTrace`]
-    ///   composition law; the appended-runs peak needs only the phase total
-    ///   (`live_runs` is monotone non-decreasing within a phase).  All are
+    ///   composition law; the log peaks need only the phase totals (retained
+    ///   runs and bytes are monotone non-decreasing within a phase).  All are
     ///   independent of the cut positions, hence of the thread count.
     ///
     /// The two phases are separated by a barrier: phase B appends to
@@ -1458,15 +1512,15 @@ impl<'g> Progress<'g> {
                 .fold(PageTrace::default(), |pages, new| pages.then(new.pages)),
         );
         for delta in deltas {
-            mem.live_runs += delta.appended_runs;
+            mem.grow_log(delta.appended);
             *full_nodes += delta.full_nodes;
             *source_known_by += delta.source_known_by;
             *lb_deficit -= delta.lb_deficit_sub;
             changed.extend_from_slice(&delta.changed);
         }
-        // `live_runs` only grows within a delivery phase, so the phase-end
+        // Log storage only grows within a delivery phase, so the phase-end
         // value is its in-phase peak.
-        mem.peak_runs = mem.peak_runs.max(mem.live_runs);
+        mem.note_log_peak();
     }
 
     /// Advances `node`'s shadow frontier to log position `target` (its rumor
@@ -1474,8 +1528,9 @@ impl<'g> Progress<'g> {
     /// can still be in flight), then truncates the log behind the frontier.
     ///
     /// The shadow bitset is materialised lazily: until at least
-    /// [`min_truncate_runs`](Self::min_truncate_runs) whole runs would be reclaimed, advancing is
-    /// skipped entirely — the retained log *is* the prefix, and stays small.
+    /// [`min_truncate_bytes`](Self::min_truncate_bytes) of whole runs and
+    /// layers would be reclaimed, advancing is skipped entirely — the
+    /// retained log *is* the prefix, and stays small.
     ///
     /// Saturated nodes take the **collapse** path instead: once the queued
     /// target reaches the full universe — i.e. one whole calendar lap has
@@ -1503,7 +1558,7 @@ impl<'g> Progress<'g> {
             return false;
         }
         if self.shadows[node].is_empty() {
-            if self.logs[node].runs_entirely_below(target) < self.min_truncate_runs {
+            if self.logs[node].bytes_entirely_below(target) < self.min_truncate_bytes {
                 return false;
             }
             let words = vec![0u64; rumors[node].word_count()];
@@ -1512,13 +1567,14 @@ impl<'g> Progress<'g> {
             self.shadows[node] = words;
         }
         let shadow = &mut self.shadows[node];
-        self.logs[node].for_each_segment(current, target, |first, len| {
-            rumor::set_words_range(shadow, first.index(), len as usize);
+        self.logs[node].for_each_chunk(current, target, |chunk| match chunk {
+            LogChunk::Run(first, len) => {
+                rumor::set_words_range(shadow, first.index(), len as usize);
+            }
+            LogChunk::Words(word_lo, words) => rumor::or_words(shadow, word_lo, words),
         });
         self.shadow_len[node] = target;
-        let freed = self.logs[node].truncate_below(target) as u64;
-        self.mem.live_runs -= freed;
-        self.mem.truncated_runs += freed;
+        self.mem.shrink_log(self.logs[node].truncate_below(target));
         self.mem.shadow_advances += 1;
         false
     }
@@ -1604,8 +1660,8 @@ impl<'g> Progress<'g> {
             self.mem.release(&mut self.logs[i], &mut self.shadows[i]);
         }
         self.logs[i] = AcquisitionLog::from_set(&rumors[i]);
-        self.mem.live_runs += self.logs[i].retained_runs() as u64;
-        self.mem.peak_runs = self.mem.peak_runs.max(self.mem.live_runs);
+        self.mem.grow_log(self.logs[i].footprint());
+        self.mem.note_log_peak();
         self.shadow_len[i] = 0;
         self.collapsed[i] = false;
         self.counts[i] = rumors[i].len();
@@ -1730,12 +1786,15 @@ impl<'g> Simulation<'g> {
     ///
     /// # Panics
     ///
-    /// Panics if `initial.len()` differs from the node count.
+    /// Panics if `initial.len()` differs from the node count, or if a set's
+    /// universe does — rumor `i` originates at node `i`, so the universe is
+    /// exactly the node set.
     pub fn with_rumors(graph: &'g Graph, config: SimConfig, initial: Vec<RumorSet>) -> Self {
-        assert_eq!(
-            initial.len(),
-            graph.node_count(),
-            "one rumor set per node is required"
+        let n = graph.node_count();
+        assert_eq!(initial.len(), n, "one rumor set per node is required");
+        assert!(
+            initial.iter().all(|s| s.universe() == n),
+            "every rumor set's universe must be the {n} nodes"
         );
         Simulation {
             graph,
@@ -2311,13 +2370,14 @@ impl<'a> RoundState<'a> {
         let progress = self.progress;
         let rumor_set_bytes = progress.mem.pages_peak * RumorSet::page_cost_bytes()
             + self.rumors.len() as u64 * RumorSet::base_cost_bytes();
-        let peak_log_bytes = progress.mem.peak_runs * 8; // a Run is two u32s
+        let peak_log_bytes = progress.mem.peak_log_bytes;
         let shadow_bytes = progress.mem.shadow_words_peak * 8;
         let watermark_bytes = self.watermarks.len() as u64 * 8;
         let discovery_bytes = self.discovered.bits.len() as u64 * 8;
         let mem = MemStats {
             peak_log_runs: progress.mem.peak_runs,
             peak_log_bytes,
+            dense_batches: progress.mem.dense_batches,
             live_log_runs: progress.mem.live_runs,
             truncated_runs: progress.mem.truncated_runs,
             shadow_advances: progress.mem.shadow_advances,
@@ -2494,6 +2554,27 @@ mod tests {
         let final_total: usize = sim2.rumors().iter().map(RumorSet::len).sum();
         assert!(final_total >= knew);
         assert_eq!(final_total, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "universe must be the 4 nodes")]
+    fn with_rumors_rejects_sets_over_another_universe() {
+        // Universe-2 sets on 4 nodes would report an all-to-all completion
+        // once every node knew 2 rumors.
+        let g = generators::clique(4, 1).unwrap();
+        let initial = (0..4u32).map(|i| RumorSet::singleton(2, RumorId(i % 2)));
+        let _ = Simulation::with_rumors(&g, SimConfig::new(1), initial.collect());
+    }
+
+    #[test]
+    #[should_panic(expected = "universe must be the 4 nodes")]
+    fn oracle_with_rumors_rejects_a_shared_universe_other_than_the_nodes() {
+        // One shared universe of 8 on 4 nodes: rumors 4..8 have no source, so
+        // an all-to-all run could only end at the round cap.
+        let g = generators::clique(4, 1).unwrap();
+        let initial = (0..4u32).map(|i| RumorSet::singleton(8, RumorId(i)));
+        let _ =
+            crate::oracle::OracleSimulation::with_rumors(&g, SimConfig::new(1), initial.collect());
     }
 
     #[test]

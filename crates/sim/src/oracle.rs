@@ -105,17 +105,16 @@ impl<'g> OracleSimulation<'g> {
     ///
     /// # Panics
     ///
-    /// Panics if `initial.len()` differs from the node count or the sets do
-    /// not share one universe (the dense rows share a single stride).
+    /// Panics if `initial.len()` differs from the node count, or if a set's
+    /// universe does (the engine's rule; the dense rows share one stride).
     pub fn with_rumors(graph: &'g Graph, config: SimConfig, initial: Vec<RumorSet>) -> Self {
         let n = graph.node_count();
         assert_eq!(initial.len(), n, "one rumor set per node is required");
-        let universe = initial.first().map_or(0, RumorSet::universe);
         assert!(
-            initial.iter().all(|s| s.universe() == universe),
-            "dense oracle rows require a shared rumor universe"
+            initial.iter().all(|s| s.universe() == n),
+            "every rumor set's universe must be the {n} nodes"
         );
-        let stride = universe.div_ceil(64);
+        let stride = n.div_ceil(64);
         let mut rows = vec![0u64; n * stride];
         let counts = initial.iter().map(RumorSet::len).collect();
         for (i, set) in initial.iter().enumerate() {
@@ -124,7 +123,7 @@ impl<'g> OracleSimulation<'g> {
         OracleSimulation {
             graph,
             config,
-            universe,
+            universe: n,
             stride,
             rows,
             sets: initial,

@@ -16,15 +16,21 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemStats {
     /// Peak number of interval runs retained across all acquisition logs at
-    /// any point of the run (8 bytes each).
+    /// any point of the run (8 bytes each; dense layers are not runs).
     pub peak_log_runs: u64,
-    /// `peak_log_runs` in bytes.
+    /// Peak bytes retained across all acquisition logs: 8 per interval run
+    /// plus, per dense layer, its word window and a fixed header.  Runs and
+    /// layers are summed at the same instants, so this is the real peak of
+    /// their total, not `peak_log_runs × 8`.
     pub peak_log_bytes: u64,
+    /// Append batches (one node's acquisitions in one delivery phase) stored
+    /// as a dense layer because that was cheaper than their interval runs.
+    pub dense_batches: u64,
     /// Interval runs still retained when the run ended (zero once every node
     /// has saturation-collapsed).
     pub live_log_runs: u64,
-    /// Total log runs reclaimed by shadow-frontier truncation and saturation
-    /// collapse.
+    /// Total log entries — interval runs and dense layers — reclaimed by
+    /// shadow-frontier truncation and saturation collapse.
     pub truncated_runs: u64,
     /// Number of shadow-frontier advancements (each may truncate logs).
     pub shadow_advances: u64,

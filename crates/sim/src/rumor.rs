@@ -458,24 +458,30 @@ impl RumorSet {
         self.collapse_if_full();
     }
 
-    /// Unions a raw dense word slice (universe layout, as used by the
-    /// engine's delayed shadows) into the set, pushing every maximal run of
-    /// newly inserted rumors onto `out_new` in increasing id order.
+    /// Unions a raw dense word window into the set: `words[k]` holds
+    /// universe bits `(word_lo + k)·64 ..`, so a whole-universe bitset (the
+    /// engine's delayed shadows) is the window at `word_lo = 0` and a dense
+    /// log layer is the window it spans.  Pushes every maximal run of newly
+    /// inserted rumors onto `out_new` in increasing id order.
     // gossip-lint: allow(panic-path): word indices are bounded by the page capacity invariant
     pub(crate) fn union_words_collect_new_runs(
         &mut self,
+        word_lo: usize,
         words: &[u64],
         out_new: &mut Vec<RumorRun>,
     ) {
-        debug_assert_eq!(words.len(), self.universe.div_ceil(64), "universe mismatch");
-        if self.len == self.universe {
+        let word_hi = word_lo + words.len();
+        debug_assert!(word_hi <= self.word_count(), "window past the universe");
+        if self.len == self.universe || words.is_empty() {
             return;
         }
-        for page in 0..self.universe.div_ceil(PAGE_BITS) as u32 {
+        for page in (word_lo / PAGE_WORDS) as u32..=((word_hi - 1) / PAGE_WORDS) as u32 {
             let page_start = page as usize * PAGE_BITS;
-            let word_lo = page_start / 64;
-            let word_hi = (word_lo + PAGE_WORDS).min(words.len());
-            let src = &words[word_lo..word_hi];
+            // The window's words inside this page, and where they sit in it.
+            let a = word_lo.max(page_start / 64);
+            let b = word_hi.min(page_start / 64 + PAGE_WORDS);
+            let src = &words[a - word_lo..b - word_lo];
+            let off = a - page_start / 64;
             if src.iter().all(|&w| w == 0) {
                 continue;
             }
@@ -484,13 +490,13 @@ impl RumorSet {
                 Err(at) => {
                     let ones: u32 = src.iter().map(|w| w.count_ones()).sum();
                     for (w, &bits) in src.iter().enumerate() {
-                        push_word_new_runs(out_new, page_start + w * 64, bits);
+                        push_word_new_runs(out_new, page_start + (off + w) * 64, bits);
                     }
                     let state = if ones == cap {
                         PageState::Full
                     } else {
                         let mut owned = Box::new([0u64; PAGE_WORDS]);
-                        owned[..src.len()].copy_from_slice(src);
+                        owned[off..off + src.len()].copy_from_slice(src);
                         PageState::Dense(owned)
                     };
                     self.pages.insert(
@@ -509,11 +515,11 @@ impl RumorSet {
                         PageState::Full => 0,
                         PageState::Dense(dst) => {
                             let mut added = 0u32;
-                            for (w, &bits) in src.iter().enumerate() {
-                                let new = bits & !dst[w];
-                                dst[w] |= bits;
+                            for (w, (d, &bits)) in dst[off..].iter_mut().zip(src).enumerate() {
+                                let new = bits & !*d;
+                                *d |= bits;
                                 added += new.count_ones();
-                                push_word_new_runs(out_new, page_start + w * 64, new);
+                                push_word_new_runs(out_new, page_start + (off + w) * 64, new);
                             }
                             entry.ones += added;
                             if entry.ones == cap {
@@ -593,27 +599,103 @@ fn for_each_word_mask(lo: usize, len: usize, mut f: impl FnMut(usize, u64)) {
 }
 
 /// Sets the bits `lo..lo+len` in a raw bitset word slice (the engine uses
-/// this to replay consecutive log runs into a delayed shadow).
+/// this to replay consecutive log runs into a delayed shadow, and the log to
+/// build a dense layer).
 // gossip-lint: allow(panic-path): callers pass lo..lo+len ranges within the word slice
 pub(crate) fn set_words_range(words: &mut [u64], lo: usize, len: usize) {
     for_each_word_mask(lo, len, |w, mask| words[w] |= mask);
 }
 
-/// One run of an [`AcquisitionLog`]: the entries at positions
-/// `start .. next run's start` hold the consecutive rumor ids
-/// `first, first + 1, …`.  The run length is implicit in the neighbor run.
+/// ORs the word window `words` (word `k` holds universe bits
+/// `(word_lo + k)·64 ..`) into the whole-universe bitset `dst` — how a dense
+/// log layer is replayed into a delayed shadow.
+pub(crate) fn or_words(dst: &mut [u64], word_lo: usize, words: &[u64]) {
+    for (d, &w) in dst.iter_mut().skip(word_lo).zip(words) {
+        *d |= w;
+    }
+}
+
+/// Every maximal run of set bits in the word window `words` (word `k` holds
+/// universe bits `(word_lo + k)·64 ..`), in increasing id order.
+fn window_runs(word_lo: usize, words: &[u64]) -> Vec<RumorRun> {
+    let mut runs = Vec::new();
+    for (k, &bits) in words.iter().enumerate() {
+        push_word_new_runs(&mut runs, (word_lo + k) * 64, bits);
+    }
+    runs
+}
+
+/// One entry of an [`AcquisitionLog`]'s index: the entries at positions
+/// `start .. next entry's start` hold the consecutive rumor ids
+/// `first, first + 1, …` — or, when `first` is [`LAYER_MARK`], they are the
+/// log's next dense [`Layer`].  The length is implicit in the neighbor entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Run {
     /// Absolute log position of the run's first entry.
     start: u32,
-    /// Rumor id of the run's first entry.
+    /// Rumor id of the run's first entry, or [`LAYER_MARK`].
     first: u32,
 }
 
-/// A run-length-compressed, truncatable acquisition log.
+/// The [`Run::first`] of an index entry that opens a dense layer.  No run
+/// starts at this id: a log holds one position per rumor of its universe and
+/// positions are `u32`s, so every rumor id is below `u32::MAX`.
+const LAYER_MARK: u32 = u32::MAX;
+
+/// Bytes of one index entry: an interval run, or a dense layer's marker.
+const RUN_BYTES: u64 = std::mem::size_of::<Run>() as u64;
+
+/// A dense layer of an [`AcquisitionLog`]: one append batch stored as a
+/// bitset over the word window its ids span.  Its entries form a set; its
+/// positions hold them in increasing id order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Layer {
+    /// Absolute log position of the layer's first entry (its marker's `start`).
+    start: u32,
+    /// Universe word index of `words[0]`.
+    word_lo: u32,
+    words: Box<[u64]>,
+}
+
+/// Bytes a dense layer holds besides its index marker: header and window.
+fn layer_bytes(words: usize) -> u64 {
+    (std::mem::size_of::<Layer>() + 8 * words) as u64
+}
+
+/// Storage an [`AcquisitionLog`] holds, gains or releases.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LogFootprint {
+    /// Interval runs.
+    pub(crate) runs: u64,
+    /// Dense layers.
+    pub(crate) layers: u64,
+    /// Bytes: 8 per interval run, plus marker, header and window per layer.
+    pub(crate) bytes: u64,
+}
+
+impl std::ops::AddAssign for LogFootprint {
+    fn add_assign(&mut self, other: LogFootprint) {
+        self.runs += other.runs;
+        self.layers += other.layers;
+        self.bytes += other.bytes;
+    }
+}
+
+/// One piece of an [`AcquisitionLog`] read
+/// ([`for_each_chunk`](AcquisitionLog::for_each_chunk)).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LogChunk<'a> {
+    /// The consecutive rumor ids `first, first + 1, …` (`first`, length).
+    Run(RumorId, u32),
+    /// A whole dense layer: the set bits of a word window whose word `k`
+    /// holds universe bits `(word_lo + k)·64 ..` (`word_lo`, window).
+    Words(usize, &'a [u64]),
+}
+
+/// A compressed, truncatable acquisition log.
 ///
 /// Conceptually this is an append-only sequence of [`RumorId`]s — the rumors
-/// a node learned, in learn order — addressed by *absolute position*.  Two
+/// a node learned, batch by batch — addressed by *absolute position*.  Three
 /// things make it cheap at scale:
 ///
 /// * **Interval runs.**  Maximal stretches of *consecutive* rumor ids are
@@ -622,23 +704,40 @@ struct Run {
 ///   and grow), and on structured families — star hubs relaying
 ///   `leaf 1, leaf 2, …`, clique all-to-all — whole logs collapse to a
 ///   handful of runs.
-/// * **Prefix truncation.**  [`truncate_below`](Self::truncate_below) drops
-///   runs that lie entirely below a position; reads below the truncation
-///   frontier are a contract violation (the engine serves them from a delayed
-///   bitset shadow instead).  Positions stay absolute across truncation, so
-///   snapshots and watermarks taken earlier remain valid.
-///   [`truncate_all`](Self::truncate_all) is the saturation-collapse variant:
-///   it drops *every* run and releases the log's storage outright.
+/// * **Dense layers.**  `push_batch` appends a whole batch (in the engine:
+///   everything a node learned in one delivery phase).  A batch that would
+///   fragment into many runs over a narrow id window — the expander
+///   all-to-all endgame, where a node learns half the universe in scattered
+///   ids — is stored instead as one bitset over the words it spans plus a
+///   small header, whichever is cheaper.  Order inside a batch is
+///   unobservable to the engine, so a layer keeps its batch as a set: its
+///   positions hold its ids in increasing order, and a read at batch
+///   boundaries gets the whole window at once.
+/// * **Prefix truncation.**  `truncate_below` drops runs and layers that lie
+///   entirely below a position; reads below the truncation frontier are a
+///   contract violation (the engine serves them from a delayed bitset shadow
+///   instead).  Positions stay absolute across truncation, so snapshots and
+///   watermarks taken earlier remain valid.  `truncate_all` is the
+///   saturation-collapse variant: it drops *everything* and releases the
+///   log's storage outright.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AcquisitionLog {
+    /// The index: interval runs and layer markers, in position order.
     runs: Vec<Run>,
-    /// Index into `runs` of the first retained run (earlier runs are dropped
-    /// lazily and compacted away once they dominate the vector).
-    head: usize,
+    /// The dense layers of the retained markers, in position order.
+    layers: Vec<Layer>,
+    /// Index into `runs` of the first retained entry (earlier entries are
+    /// dropped lazily and compacted away once they dominate the vector).
+    /// A `u32`, so that it shares one word with `len` (one log per node).
+    head: u32,
     /// Total number of entries ever appended (`==` the owning node's rumor count).
     len: u32,
-    /// Absolute position of the first retained entry (`== len` when empty).
-    front: u32,
+}
+
+/// End position of entry `i` of the index slice `live` in a log of `len`
+/// entries: the next entry's start.
+fn entry_end(live: &[Run], i: usize, len: u32) -> u32 {
+    live.get(i + 1).map_or(len, |r| r.start)
 }
 
 impl AcquisitionLog {
@@ -646,9 +745,9 @@ impl AcquisitionLog {
     pub fn new() -> Self {
         AcquisitionLog {
             runs: Vec::new(),
+            layers: Vec::new(),
             head: 0,
             len: 0,
-            front: 0,
         }
     }
 
@@ -668,25 +767,38 @@ impl AcquisitionLog {
         self.len
     }
 
-    /// Absolute position of the first retained entry: reads below this
-    /// position panic in debug builds.
+    /// The retained index entries.
+    fn live(&self) -> &[Run] {
+        self.runs.get(self.head as usize..).unwrap_or_default()
+    }
+
+    /// Absolute position of the first retained entry (`len()` when nothing
+    /// is retained): reads below this position panic in debug builds.
     pub fn front(&self) -> u32 {
-        self.front
+        self.live().first().map_or(self.len, |r| r.start)
     }
 
-    /// Number of runs currently retained (the log's live memory, 8 bytes each).
-    pub fn retained_runs(&self) -> usize {
-        self.runs.len() - self.head
-    }
-
-    /// End position of the retained run at `runs` index `i`.
-    // gossip-lint: allow(panic-path): callers iterate i < runs.len()
-    fn run_end(&self, i: usize) -> u32 {
-        if i + 1 < self.runs.len() {
-            self.runs[i + 1].start
-        } else {
-            self.len
+    /// The storage currently retained — the log's live memory.
+    pub(crate) fn footprint(&self) -> LogFootprint {
+        let entries = self.live().len() as u64;
+        let layers = self.layers.len() as u64;
+        LogFootprint {
+            runs: entries - layers,
+            layers,
+            bytes: RUN_BYTES * entries
+                + self
+                    .layers
+                    .iter()
+                    .map(|l| layer_bytes(l.words.len()))
+                    .sum::<u64>(),
         }
+    }
+
+    /// The rumor id that would extend the last retained entry, if it is an
+    /// interval run.
+    fn run_tail(&self) -> Option<u64> {
+        let last = self.live().last()?;
+        (last.first != LAYER_MARK).then(|| u64::from(last.first) + u64::from(self.len - last.start))
     }
 
     /// Appends one entry.  Returns `true` if the entry started a new run
@@ -699,117 +811,219 @@ impl AcquisitionLog {
     /// Appends `len` consecutive entries `first, first+1, …` as one batch.
     /// Returns `true` if the batch started a new run (`false` when it
     /// extended the last run).  `len == 0` is a no-op returning `false`.
-    // gossip-lint: allow(panic-path): the last-run index exists once the non-empty check passed
     pub fn push_run(&mut self, first: RumorId, len: u32) -> bool {
         if len == 0 {
             return false;
         }
-        let pos = self.len;
+        let starts = self.run_tail() != Some(u64::from(first.0));
+        if starts {
+            self.runs.push(Run {
+                start: self.len,
+                first: first.0,
+            });
+        }
         self.len += len;
-        if self.head < self.runs.len() {
-            let last = self.runs[self.runs.len() - 1];
-            if u64::from(last.first) + u64::from(pos - last.start) == u64::from(first.0) {
-                return false;
+        starts
+    }
+
+    /// Appends one batch of acquisitions, given as runs of distinct rumor
+    /// ids, and returns the storage it added.  The batch is stored as the
+    /// interval runs [`push_run`](Self::push_run) would create, or as one
+    /// dense layer over the word window `[min/64, max/64]` it spans when
+    /// that costs less by more than one run — the margin pays for the run
+    /// the next batch can no longer extend across the layer, so no batch
+    /// ever costs more than as runs.
+    pub(crate) fn push_batch(&mut self, batch: &[RumorRun]) -> LogFootprint {
+        let mut tail = self.run_tail();
+        let (mut runs, mut lo, mut hi, mut len) = (0u64, usize::MAX, 0usize, 0u32);
+        for &(first, n) in batch.iter().filter(|&&(_, n)| n > 0) {
+            if tail != Some(u64::from(first.0)) {
+                runs += 1;
             }
+            tail = Some(u64::from(first.0) + u64::from(n));
+            lo = lo.min(first.index());
+            hi = hi.max(first.index() + n as usize);
+            len += n;
         }
+        if len == 0 {
+            return LogFootprint::default();
+        }
+        let word_lo = lo / 64;
+        let words = (hi - 1) / 64 + 1 - word_lo;
+        let layer_cost = RUN_BYTES + layer_bytes(words);
+        if layer_cost + RUN_BYTES >= RUN_BYTES * runs {
+            for &(first, n) in batch {
+                self.push_run(first, n);
+            }
+            return LogFootprint {
+                runs,
+                layers: 0,
+                bytes: RUN_BYTES * runs,
+            };
+        }
+        let mut bits = vec![0u64; words].into_boxed_slice();
+        for &(first, n) in batch {
+            set_words_range(&mut bits, first.index() - word_lo * 64, n as usize);
+        }
+        debug_assert_eq!(
+            bits.iter().map(|w| w.count_ones()).sum::<u32>(),
+            len,
+            "a batch holds distinct ids"
+        );
         self.runs.push(Run {
-            start: pos,
-            first: first.0,
+            start: self.len,
+            first: LAYER_MARK,
         });
-        true
-    }
-
-    /// Number of retained runs that lie entirely below `pos` — exactly what
-    /// [`truncate_below`](Self::truncate_below) would reclaim.
-    // gossip-lint: allow(panic-path): run indices stay below the partition point, which is <= runs.len()
-    pub fn runs_entirely_below(&self, pos: u32) -> usize {
-        let live = &self.runs[self.head..];
-        let k = live.partition_point(|r| r.start < pos);
-        if k == 0 {
-            return 0;
-        }
-        // The k-th run (index k-1) starts below `pos` but may extend past it.
-        let end = self.run_end(self.head + k - 1);
-        if end <= pos {
-            k
-        } else {
-            k - 1
+        self.layers.push(Layer {
+            start: self.len,
+            word_lo: word_lo as u32,
+            words: bits,
+        });
+        self.len += len;
+        LogFootprint {
+            runs: 0,
+            layers: 1,
+            bytes: layer_cost,
         }
     }
 
-    /// Drops every run lying entirely below `pos` and returns how many were
-    /// reclaimed.  A run straddling `pos` is kept whole, so positions
-    /// `>= pos` always stay readable.
-    // gossip-lint: allow(panic-path): run indices stay below the partition point, which is <= runs.len()
-    pub fn truncate_below(&mut self, pos: u32) -> usize {
-        let mut dropped = 0usize;
-        while self.head < self.runs.len() && self.run_end(self.head) <= pos {
-            self.head += 1;
-            dropped += 1;
+    /// Bytes of the retained runs and layers that lie entirely below `pos`
+    /// — exactly what [`truncate_below`](Self::truncate_below) would reclaim.
+    pub(crate) fn bytes_entirely_below(&self, pos: u32) -> u64 {
+        let live = self.live();
+        let mut k = live.partition_point(|r| r.start < pos);
+        // The k-th entry (index k-1) starts below `pos` but may extend past it.
+        if k > 0 && entry_end(live, k - 1, self.len) > pos {
+            k -= 1;
         }
-        self.front = if self.head < self.runs.len() {
-            self.runs[self.head].start
-        } else {
-            self.len
+        // The layers among those k entries are the ones starting before the next.
+        let cut = live.get(k).map_or(u32::MAX, |r| r.start);
+        let layers = self.layers.iter().take_while(|l| l.start < cut);
+        RUN_BYTES * k as u64 + layers.map(|l| layer_bytes(l.words.len())).sum::<u64>()
+    }
+
+    /// Drops every run and layer lying entirely below `pos` and returns the
+    /// storage reclaimed.  An entry straddling `pos` is kept whole, so
+    /// positions `>= pos` always stay readable.
+    pub(crate) fn truncate_below(&mut self, pos: u32) -> LogFootprint {
+        let live = self.live();
+        let dropped = (0..live.len())
+            .take_while(|&i| entry_end(live, i, self.len) <= pos)
+            .count();
+        let layers = live
+            .iter()
+            .take(dropped)
+            .filter(|r| r.first == LAYER_MARK)
+            .count();
+        let freed = LogFootprint {
+            runs: (dropped - layers) as u64,
+            layers: layers as u64,
+            bytes: RUN_BYTES * dropped as u64
+                + self
+                    .layers
+                    .drain(..layers)
+                    .map(|l| layer_bytes(l.words.len()))
+                    .sum::<u64>(),
         };
-        // Compact once dropped runs dominate, and release oversized capacity
-        // so truncation frees real memory, not just indices.
-        if self.head > 32 && self.head * 2 >= self.runs.len() {
-            self.runs.drain(..self.head);
+        self.head += dropped as u32;
+        // Compact once dropped entries dominate, and release oversized
+        // capacity so truncation frees real memory, not just indices.
+        let head = self.head as usize;
+        if head > 32 && head * 2 >= self.runs.len() {
+            self.runs.drain(..head);
             self.head = 0;
             if self.runs.capacity() > 4 * self.runs.len().max(8) {
                 self.runs.shrink_to(2 * self.runs.len().max(8));
             }
         }
-        dropped
+        freed
     }
 
-    /// Drops every retained run and releases the log's storage, returning
-    /// how many runs were reclaimed.  The saturation-collapse path: once a
+    /// Drops every retained run and layer and releases the log's storage,
+    /// returning what was reclaimed.  The saturation-collapse path: once a
     /// node's rumor set is full and every possibly-outstanding snapshot of it
     /// covers the whole universe, the log's history can never be read again.
     /// Positions stay absolute — appends after collapse continue at `len()`.
-    pub fn truncate_all(&mut self) -> usize {
-        let dropped = self.retained_runs();
+    pub(crate) fn truncate_all(&mut self) -> LogFootprint {
+        let freed = self.footprint();
         self.runs = Vec::new();
+        self.layers = Vec::new();
         self.head = 0;
-        self.front = self.len;
-        dropped
+        freed
     }
 
-    /// Calls `f(first_rumor, segment_len)` for the consecutive-id segments
-    /// covering positions `from..to`, in position order.
+    /// Calls `f` for the pieces covering positions `from..to`, in position
+    /// order: one [`LogChunk::Run`] per stretch of an interval run, one
+    /// [`LogChunk::Words`] per dense layer read whole.  A layer that `from`
+    /// or `to` cuts is read in increasing id order as runs instead; reads at
+    /// batch boundaries never cut one.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if `from` lies below the truncation frontier or
     /// `to` past the end.
-    // gossip-lint: allow(panic-path): run indices come from partition_point over the live runs
-    pub fn for_each_segment(&self, from: u32, to: u32, mut f: impl FnMut(RumorId, u32)) {
+    pub(crate) fn for_each_chunk(&self, from: u32, to: u32, mut f: impl FnMut(LogChunk<'_>)) {
         if from >= to {
             return;
         }
         debug_assert!(
-            from >= self.front,
+            from >= self.front(),
             "reading truncated log positions ({from} < front {})",
-            self.front
+            self.front()
         );
         debug_assert!(to <= self.len, "reading past the log ({to} > {})", self.len);
-        let live = &self.runs[self.head..];
+        let live = self.live();
         let mut i = live.partition_point(|r| r.start <= from).saturating_sub(1);
-        while i < live.len() {
-            let run = live[i];
+        // Layers are in marker order: start at the first one at or after entry `i`.
+        let at = live.get(i).map_or(self.len, |r| r.start);
+        let mut next_layer = self.layers.partition_point(|l| l.start < at);
+        while let Some(&run) = live.get(i) {
             if run.start >= to {
                 break;
             }
-            let end = self.run_end(self.head + i);
-            let s = run.start.max(from);
-            let e = end.min(to);
-            if s < e {
-                f(RumorId(run.first + (s - run.start)), e - s);
+            let end = entry_end(live, i, self.len);
+            let (s, e) = (run.start.max(from), end.min(to));
+            if run.first != LAYER_MARK {
+                f(LogChunk::Run(RumorId(run.first + (s - run.start)), e - s));
+            } else if let Some(layer) = self.layers.get(next_layer) {
+                next_layer += 1;
+                debug_assert_eq!(layer.start, run.start, "layers follow their markers");
+                let word_lo = layer.word_lo as usize;
+                if (s, e) == (run.start, end) {
+                    f(LogChunk::Words(word_lo, &layer.words));
+                } else {
+                    let (mut skip, mut take) = (s - run.start, e - s);
+                    for (first, len) in window_runs(word_lo, &layer.words) {
+                        let n = len.saturating_sub(skip).min(take);
+                        if n > 0 {
+                            f(LogChunk::Run(RumorId(first.0 + skip), n));
+                            take -= n;
+                        }
+                        skip = skip.saturating_sub(len);
+                    }
+                }
             }
             i += 1;
         }
+    }
+
+    /// Calls `f(first_rumor, segment_len)` for consecutive-id segments
+    /// covering positions `from..to`, in position order (a dense layer's
+    /// entries in increasing id order).
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `from` lies below the truncation frontier or
+    /// `to` past the end.
+    pub fn for_each_segment(&self, from: u32, to: u32, mut f: impl FnMut(RumorId, u32)) {
+        self.for_each_chunk(from, to, |chunk| match chunk {
+            LogChunk::Run(first, len) => f(first, len),
+            LogChunk::Words(word_lo, words) => {
+                for (first, len) in window_runs(word_lo, words) {
+                    f(first, len);
+                }
+            }
+        });
     }
 
     /// The entry at absolute position `pos` (mainly for tests).
@@ -817,12 +1031,14 @@ impl AcquisitionLog {
     /// # Panics
     ///
     /// Panics if `pos` is truncated or out of range.
-    // gossip-lint: allow(panic-path): pos is asserted in range on entry
     pub fn get(&self, pos: u32) -> RumorId {
-        assert!(pos >= self.front && pos < self.len, "position out of range");
-        let live = &self.runs[self.head..];
-        let i = live.partition_point(|r| r.start <= pos) - 1;
-        RumorId(live[i].first + (pos - live[i].start))
+        assert!(
+            pos >= self.front() && pos < self.len,
+            "position out of range"
+        );
+        let mut entry = RumorId(0);
+        self.for_each_segment(pos, pos + 1, |first, _| entry = first);
+        entry
     }
 }
 
@@ -912,6 +1128,10 @@ impl fmt::Debug for RumorSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     /// Exhaustive semantic mirror: a `RumorSet` must behave exactly like a
     /// plain boolean vector.
@@ -1122,7 +1342,7 @@ mod tests {
         set_words_range(&mut shadow, 64, 1); // 64
         set_words_range(&mut shadow, PAGE_BITS + 129, 1); // second page
         let mut new = Vec::new();
-        dst.union_words_collect_new_runs(&shadow, &mut new);
+        dst.union_words_collect_new_runs(0, &shadow, &mut new);
         assert_eq!(
             new,
             vec![
@@ -1133,8 +1353,44 @@ mod tests {
         );
         assert_eq!(dst.len(), 5);
         new.clear();
-        dst.union_words_collect_new_runs(&shadow, &mut new);
+        dst.union_words_collect_new_runs(0, &shadow, &mut new);
         assert!(new.is_empty(), "second union adds nothing");
+    }
+
+    #[test]
+    fn windowed_union_matches_individual_inserts() {
+        // A 5-word window straddling the page 0/1 boundary, unioned into a
+        // set holding a bit of one page: the other page is absent, so both
+        // the fresh-page and the existing-page paths see a window offset.
+        let n = 2 * PAGE_BITS + 100;
+        let word_lo = PAGE_WORDS - 2;
+        let ids = [
+            PAGE_BITS - 128,
+            PAGE_BITS - 1,
+            PAGE_BITS,
+            PAGE_BITS + 5,
+            PAGE_BITS + 190,
+        ];
+        let mut window = vec![0u64; 5];
+        for &i in &ids {
+            window[i / 64 - word_lo] |= 1 << (i % 64);
+        }
+        for held in [PAGE_BITS - 128, PAGE_BITS + 5] {
+            let mut set = RumorSet::singleton(n, RumorId::from(held));
+            let mut naive = set.clone();
+            let mut new = Vec::new();
+            set.union_words_collect_new_runs(word_lo, &window, &mut new);
+            for &i in &ids {
+                naive.insert(RumorId::from(i));
+            }
+            assert_eq!(set, naive);
+            let expanded: Vec<usize> = new
+                .iter()
+                .flat_map(|&(f, l)| f.index()..f.index() + l as usize)
+                .collect();
+            let expected: Vec<usize> = ids.iter().copied().filter(|&i| i != held).collect();
+            assert_eq!(expanded, expected, "new runs, holding {held}");
+        }
     }
 
     #[test]
@@ -1179,7 +1435,7 @@ mod tests {
             log.push(RumorId(i));
         }
         assert_eq!(log.len(), 7);
-        assert_eq!(log.retained_runs(), 3, "7..=10, 3..=4, 42");
+        assert_eq!(log.footprint().runs, 3, "7..=10, 3..=4, 42");
         let entries: Vec<u32> = (0..7).map(|p| log.get(p).0).collect();
         assert_eq!(entries, vec![7, 8, 9, 10, 3, 4, 42]);
     }
@@ -1196,7 +1452,7 @@ mod tests {
             by_run.push_run(RumorId(first), len);
         }
         assert_eq!(by_push, by_run);
-        assert_eq!(by_run.retained_runs(), 3, "10..=16, 50..=52, 0..=4");
+        assert_eq!(by_run.footprint().runs, 3, "10..=16, 50..=52, 0..=4");
         assert!(!by_run.push_run(RumorId(99), 0), "empty batch is a no-op");
         assert_eq!(by_push.len(), by_run.len());
     }
@@ -1211,7 +1467,7 @@ mod tests {
         }
         let log = AcquisitionLog::from_set(&set);
         assert_eq!(log.len(), 999);
-        assert_eq!(log.retained_runs(), 2, "0..500 and 501..1000");
+        assert_eq!(log.footprint().runs, 2, "0..500 and 501..1000");
         assert_eq!(log.get(0), RumorId(0));
         assert_eq!(log.get(500), RumorId(501));
     }
@@ -1239,22 +1495,22 @@ mod tests {
         for i in [10u32, 11, 12, 50, 51, 90] {
             log.push(RumorId(i));
         }
-        assert_eq!(log.runs_entirely_below(3), 1);
-        assert_eq!(log.runs_entirely_below(4), 1, "run 50..52 straddles pos 4");
-        assert_eq!(log.runs_entirely_below(5), 2);
-        assert_eq!(log.runs_entirely_below(6), 3);
+        assert_eq!(log.bytes_entirely_below(3), 8);
+        assert_eq!(log.bytes_entirely_below(4), 8, "run 50..52 straddles pos 4");
+        assert_eq!(log.bytes_entirely_below(5), 16);
+        assert_eq!(log.bytes_entirely_below(6), 24);
 
-        assert_eq!(log.truncate_below(4), 1);
+        assert_eq!(log.truncate_below(4).runs, 1);
         assert_eq!(log.front(), 3, "straddling run kept whole");
-        assert_eq!(log.retained_runs(), 2);
+        assert_eq!(log.footprint().runs, 2);
         // Absolute positions survive truncation.
         assert_eq!(log.get(4), RumorId(51));
         let mut out = Vec::new();
         log.for_each_segment(4, 6, |first, len| out.push((first.0, len)));
         assert_eq!(out, vec![(51, 1), (90, 1)]);
 
-        assert_eq!(log.truncate_below(6), 2);
-        assert_eq!(log.retained_runs(), 0);
+        assert_eq!(log.truncate_below(6).runs, 2);
+        assert_eq!(log.footprint().runs, 0);
         assert_eq!(log.front(), 6);
         // Appending after full truncation starts a fresh run.
         assert!(log.push(RumorId(91)));
@@ -1268,15 +1524,15 @@ mod tests {
         for i in 0..100u32 {
             log.push(RumorId(2 * i)); // 100 singleton runs
         }
-        assert_eq!(log.truncate_all(), 100);
-        assert_eq!(log.retained_runs(), 0);
+        assert_eq!(log.truncate_all().runs, 100);
+        assert_eq!(log.footprint().runs, 0);
         assert_eq!(log.front(), 100);
         assert_eq!(log.len(), 100);
         // Appends continue at the absolute position after the collapse.
         assert!(log.push_run(RumorId(500), 3));
         assert_eq!(log.get(100), RumorId(500));
         assert_eq!(log.get(102), RumorId(502));
-        assert_eq!(log.truncate_all(), 1);
+        assert_eq!(log.truncate_all().bytes, 8);
         assert_eq!(log.front(), 103);
     }
 
@@ -1287,13 +1543,167 @@ mod tests {
         for i in 0..200u32 {
             log.push(RumorId(2 * i));
         }
-        assert_eq!(log.retained_runs(), 200);
+        assert_eq!(log.footprint().runs, 200);
         let dropped = log.truncate_below(150);
-        assert_eq!(dropped, 150);
-        assert_eq!(log.retained_runs(), 50);
+        assert_eq!((dropped.runs, dropped.bytes), (150, 150 * 8));
+        assert_eq!(log.footprint().runs, 50);
         // Internal compaction must not disturb reads.
         assert_eq!(log.get(150), RumorId(300));
         assert_eq!(log.get(199), RumorId(398));
         assert_eq!(AcquisitionLog::default().len(), 0);
+    }
+
+    #[test]
+    fn log_stores_fragmented_batches_as_dense_layers() {
+        let mut log = AcquisitionLog::new();
+        log.push(RumorId(7));
+        // Every third id of 0..300: 100 one-entry runs (800 bytes) against a
+        // 5-word window (40 bytes) plus the layer's marker and header.
+        let batch: Vec<RumorRun> = (0..300).step_by(3).map(|i| (RumorId(i), 1)).collect();
+        let added = log.push_batch(&batch);
+        assert_eq!((added.runs, added.layers), (0, 1));
+        assert_eq!(added.bytes, RUN_BYTES + layer_bytes(5));
+        assert_eq!(log.footprint().bytes, RUN_BYTES + added.bytes);
+        assert_eq!(log.footprint().runs, 1, "the layer is not a run");
+        // A whole-layer read yields its ids; a cut read, ascending ids.
+        let mut ids = Vec::new();
+        log.for_each_segment(1, 101, |first, len| ids.extend(first.0..first.0 + len));
+        assert_eq!(ids, (0..300).step_by(3).collect::<Vec<u32>>());
+        assert_eq!(log.get(3), RumorId(6));
+        // A run after a layer never extends across it, not even with the id
+        // right after the layer's last one.
+        assert!(log.push_run(RumorId(298), 2));
+        // A compact batch stays a run: one run is cheaper than any layer.
+        let added = log.push_batch(&[(RumorId(400), 64)]);
+        assert_eq!((added.runs, added.layers, added.bytes), (1, 0, RUN_BYTES));
+        let below = log.bytes_entirely_below(101);
+        assert_eq!(below, 2 * RUN_BYTES + layer_bytes(5));
+        let freed = log.truncate_below(101);
+        assert_eq!((freed.runs, freed.layers, freed.bytes), (1, 1, below));
+        assert_eq!(log.truncate_all().runs, 2);
+    }
+
+    /// One random append batch of ids not yet `used` (a node learns each
+    /// rumor once), as runs in merge-task order: sparse runs, a fragmented
+    /// window (possibly crossing the first page boundary), or a run
+    /// continuing the previous batch's last run.  Runs may be split into
+    /// adjacent pieces, as consecutive merge tasks of one round produce.
+    fn random_batch(
+        rng: &mut SmallRng,
+        used: &mut [bool],
+        prev_end: Option<usize>,
+    ) -> Vec<RumorRun> {
+        let universe = used.len();
+        let mut ids = BTreeSet::new();
+        let kind = rng.gen_range(0..4u32);
+        match kind {
+            0 => {
+                for _ in 0..rng.gen_range(1..4u32) {
+                    let a = rng.gen_range(0..universe);
+                    ids.extend(a..(a + rng.gen_range(1..20usize)).min(universe));
+                }
+            }
+            1 | 2 => {
+                let w = rng.gen_range(64..1024usize).min(universe);
+                let a = if kind == 2 && universe > PAGE_BITS + w {
+                    PAGE_BITS - w / 2
+                } else {
+                    rng.gen_range(0..=universe - w)
+                };
+                ids.extend((a..a + w).filter(|_| rng.gen_bool(0.3)));
+            }
+            _ => {
+                if let Some(e) = prev_end {
+                    ids.extend(e..(e + rng.gen_range(1..10usize)).min(universe));
+                }
+            }
+        }
+        ids.retain(|&i| !used[i]);
+        let mut runs = Vec::new();
+        for &i in &ids {
+            used[i] = true;
+            push_new_run(&mut runs, i, 1);
+        }
+        if kind != 3 && !runs.is_empty() {
+            let k = rng.gen_range(0..runs.len());
+            runs.rotate_left(k);
+        }
+        let mut pieces = Vec::new();
+        for (first, len) in runs {
+            let cut = if len > 1 && rng.gen_bool(0.25) {
+                rng.gen_range(1..len)
+            } else {
+                len
+            };
+            pieces.push((first, cut));
+            if cut < len {
+                pieces.push((RumorId(first.0 + cut), len - cut));
+            }
+        }
+        pieces
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The layered log against a naive list of batches: no append costs
+        /// more than its runs, footprints add up, truncation reclaims
+        /// exactly what `bytes_entirely_below` promised, and every read
+        /// between still-readable batch boundaries yields exactly the ids of
+        /// the batches in between.
+        #[test]
+        fn layered_log_matches_naive_batches(seed in 0u64..1 << 32, universe in 1usize..9000) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut used = vec![false; universe];
+            let mut log = AcquisitionLog::new();
+            let mut batches: Vec<BTreeSet<u32>> = Vec::new();
+            // Batch k starts at bounds[k]; reads start at bounds[floor..].
+            let mut bounds = vec![0u32];
+            let mut floor = 0usize;
+            let mut prev_end = None;
+            for _ in 0..rng.gen_range(1..40u32) {
+                let batch = random_batch(&mut rng, &mut used, prev_end);
+                let mut runs_only = log.clone();
+                let created = batch.iter().filter(|&&(f, n)| runs_only.push_run(f, n)).count();
+                let mut held = log.footprint();
+                let added = log.push_batch(&batch);
+                prop_assert!(added.bytes <= RUN_BYTES * created as u64, "dearer than runs");
+                held += added;
+                prop_assert_eq!(log.footprint(), held);
+                prop_assert_eq!(log.len(), runs_only.len());
+                prev_end = batch.last().map(|&(f, n)| f.index() + n as usize);
+                batches.push(batch.iter().flat_map(|&(f, n)| f.0..f.0 + n).collect());
+                bounds.push(log.len());
+                if rng.gen_bool(0.2) {
+                    let k = rng.gen_range(floor..bounds.len());
+                    let reclaimable = log.bytes_entirely_below(bounds[k]);
+                    let freed = log.truncate_below(bounds[k]);
+                    prop_assert_eq!(freed.bytes, reclaimable);
+                    let mut total = log.footprint();
+                    total += freed;
+                    prop_assert_eq!(total, held);
+                    prop_assert!(log.front() <= bounds[k]);
+                    floor = k;
+                } else if rng.gen_bool(0.05) {
+                    prop_assert_eq!(log.truncate_all(), held);
+                    prop_assert_eq!(log.footprint(), LogFootprint::default());
+                    floor = bounds.len() - 1;
+                }
+            }
+            for i in floor..bounds.len() {
+                for j in i..bounds.len() {
+                    let mut got = Vec::new();
+                    log.for_each_segment(bounds[i], bounds[j], |f, n| got.extend(f.0..f.0 + n));
+                    prop_assert_eq!(got.len(), (bounds[j] - bounds[i]) as usize);
+                    let want: BTreeSet<u32> = batches[i..j].iter().flatten().copied().collect();
+                    prop_assert_eq!(got.into_iter().collect::<BTreeSet<u32>>(), want);
+                }
+            }
+            for (k, batch) in batches.iter().enumerate().skip(floor) {
+                for pos in bounds[k]..bounds[k + 1] {
+                    prop_assert!(batch.contains(&log.get(pos).0));
+                }
+            }
+        }
     }
 }

@@ -272,6 +272,44 @@ fn engines_agree_on_quiescent_and_preseeded_state() {
     assert!(report.completed);
 }
 
+/// The dense-layer merge path: all-to-all push–pull on an Erdős–Rényi graph
+/// whose doubling endgame scatters each round's acquisitions, so logs store
+/// whole batches as dense layers.  Checked against the oracle with default
+/// compaction (merges replay layers word-wise) and with forced shadows
+/// (layers replayed into shadows and truncated whole), on 3 workers and 1.
+#[test]
+fn dense_log_layers_match_the_oracle() {
+    let mut rng = SmallRng::seed_from_u64(0xD1);
+    let g = generators::erdos_renyi(600, 0.02, 1, &mut rng).unwrap();
+    let g = gossip_graph::latency::LatencyScheme::UniformRandom { min: 1, max: 3 }
+        .apply(&g, &mut rng)
+        .unwrap();
+    for compaction in [64, 0] {
+        let config = SimConfig::new(9)
+            .termination(Termination::AllKnowAll)
+            .shadow_compaction(compaction)
+            .threads(3);
+        let label = format!("dense layers, compaction {compaction}");
+        let report = assert_matches_oracle(
+            &g,
+            &config,
+            Seeding::AllToAll,
+            || RandomPushPull::new(&g),
+            &label,
+        );
+        assert_serial_reproduces(&g, &config, || RandomPushPull::new(&g), &report, &label);
+        let mem = report.mem.unwrap();
+        assert!(
+            mem.dense_batches > 0,
+            "{label}: no batch was dense ({mem:?})"
+        );
+        assert!(
+            compaction > 0 || mem.shadow_advances > 0,
+            "{label}: {mem:?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -33,6 +33,13 @@ fn push_pull_all_to_all_on_4096_node_erdos_renyi() {
         "fragmented logs must trigger shadows"
     );
     assert!(mem.truncated_runs > 0, "shadow advancement must truncate");
+    // Dense delta layers: the endgame's scattered per-round acquisitions are
+    // stored as one bitset window each instead of ~n one-entry runs.
+    assert!(
+        mem.peak_engine_bytes < 32 << 20,
+        "peak {} bytes exceeds the 32 MiB budget ({mem:?})",
+        mem.peak_engine_bytes
+    );
     #[cfg(not(debug_assertions))]
     assert!(
         elapsed < std::time::Duration::from_secs(5),

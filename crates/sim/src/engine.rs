@@ -111,7 +111,8 @@ use rayon::prelude::*;
 use crate::fault::{self, FaultEvent, FaultPlan};
 use crate::report::{FaultReport, MemStats, RunReport};
 use crate::rumor::{
-    self, AcquisitionLog, LogChunk, LogFootprint, RumorId, RumorRun, RumorSet, Seeding,
+    self, AcquisitionLog, LogChunk, LogFootprint, PageFootprint, RumorId, RumorRun, RumorSet,
+    Seeding,
 };
 
 /// Whether a node may start a new exchange while one it initiated is still in flight.
@@ -885,36 +886,15 @@ struct MemCounters {
     truncated_runs: u64,
     /// Number of shadow-frontier advancements.
     shadow_advances: u64,
-    /// Dense rumor-set pages currently allocated, summed over all nodes
-    /// (sampled at merge boundaries; empty and full sentinel pages are free).
-    pages_live: u64,
-    /// Peak of `pages_live` over the run so far.
-    pages_peak: u64,
+    /// Rumor-set page cost over the run so far, summed over all nodes and
+    /// sampled at merge boundaries: each lane's `delta` is the live value
+    /// and its `max_prefix` the peak.
+    pages: PageTrace,
     /// Nodes whose log and shadow were freed by saturation collapse.
     collapsed_nodes: u64,
 }
 
 impl MemCounters {
-    /// Applies a dense-page delta observed across one merge.
-    fn record_page_delta(&mut self, before: usize, after: usize) {
-        self.pages_live += after as u64;
-        self.pages_live -= before as u64;
-        self.pages_peak = self.pages_peak.max(self.pages_live);
-    }
-
-    /// Folds a phase's dense-page trace into the live/peak counters: the
-    /// counters are themselves a trace (`pages_peak >= pages_live`), and the
-    /// phase composes after it.
-    fn apply_page_trace(&mut self, trace: PageTrace) {
-        let now = PageTrace {
-            delta: self.pages_live as i64,
-            max_prefix: self.pages_peak as i64,
-        }
-        .then(trace);
-        self.pages_live = now.delta as u64;
-        self.pages_peak = now.max_prefix as u64;
-    }
-
     /// Accounts log storage appended (a merge batch or a fresh log).
     fn grow_log(&mut self, added: LogFootprint) {
         self.live_runs += added.runs;
@@ -956,10 +936,10 @@ struct MergeTask {
     upto: u32,
 }
 
-/// Order-preserving summary of one shard's dense-page allocation walk: the
-/// net page delta plus the maximum running prefix delta (page counts can
-/// *drop* mid-walk when a dense page saturates to the free full sentinel, so
-/// a plain max of deltas would not reproduce the serial peak).
+/// Order-preserving summary of a walk over one cost's samples: the net
+/// delta plus the maximum running prefix delta (costs can *drop* mid-walk
+/// when a dense page saturates to the free full sentinel, so a plain max of
+/// deltas would not reproduce the serial peak).
 ///
 /// Composition law: for traces `a` then `b`,
 /// `a ∘ b = { delta: a.delta + b.delta, max_prefix: max(a.max_prefix,
@@ -967,24 +947,47 @@ struct MergeTask {
 /// folding per-shard traces in shard order reproduces exactly the peak the
 /// canonical serial walk observes, wherever the shard cuts fall.
 #[derive(Debug, Clone, Copy, Default)]
-struct PageTrace {
+struct Trace {
     delta: i64,
     max_prefix: i64,
 }
 
-impl PageTrace {
-    /// Records one task's page delta (the serial walk's
-    /// [`MemCounters::record_page_delta`], replayed at reduction time).
-    fn record(&mut self, before: usize, after: usize) {
+impl Trace {
+    /// Records one sample's change from `before` to `after`.
+    fn record(&mut self, before: u64, after: u64) {
         self.delta += after as i64 - before as i64;
         self.max_prefix = self.max_prefix.max(self.delta);
     }
 
     /// The composition law: this trace, then `next`.
-    fn then(self, next: PageTrace) -> PageTrace {
-        PageTrace {
+    fn then(self, next: Trace) -> Trace {
+        Trace {
             delta: self.delta + next.delta,
             max_prefix: self.max_prefix.max(self.delta + next.max_prefix),
+        }
+    }
+}
+
+/// The rumor-set [`PageFootprint`] walk of a merge shard, a phase or the
+/// whole run: one [`Trace`] per lane, recorded and composed together.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageTrace {
+    dense: Trace,
+    bytes: Trace,
+}
+
+impl PageTrace {
+    /// Records one set's cost change across a merge, reset or seeding.
+    fn record(&mut self, before: PageFootprint, after: PageFootprint) {
+        self.dense.record(before.dense, after.dense);
+        self.bytes.record(before.bytes, after.bytes);
+    }
+
+    /// The composition law, lane by lane: this trace, then `next`.
+    fn then(self, next: PageTrace) -> PageTrace {
+        PageTrace {
+            dense: self.dense.then(next.dense),
+            bytes: self.bytes.then(next.bytes),
         }
     }
 }
@@ -1049,7 +1052,7 @@ fn merge_shard_phase_a(
             continue;
         }
         scratch.clear();
-        let pages_before = dst_set.live_pages();
+        let pages_before = dst_set.page_footprint();
         if collapsed[si] {
             // Saturation-collapsed peer: every snapshot of it still in
             // flight was taken after it saturated (that is the collapse
@@ -1070,7 +1073,7 @@ fn merge_shard_phase_a(
                 }
             });
         }
-        out.pages.record(pages_before, dst_set.live_pages());
+        out.pages.record(pages_before, dst_set.page_footprint());
         out.run_counts.push(scratch.len() as u32);
         out.runs.extend_from_slice(&scratch);
     }
@@ -1297,12 +1300,11 @@ impl<'g> Progress<'g> {
             _ => None,
         };
         let logs: Vec<AcquisitionLog> = rumors.iter().map(AcquisitionLog::from_set).collect();
-        let pages_live: u64 = rumors.iter().map(|s| s.live_pages() as u64).sum();
-        let mut mem = MemCounters {
-            pages_live,
-            pages_peak: pages_live,
-            ..MemCounters::default()
-        };
+        let mut mem = MemCounters::default();
+        for set in rumors {
+            mem.pages
+                .record(PageFootprint::default(), set.page_footprint());
+        }
         for log in &logs {
             mem.grow_log(log.footprint());
         }
@@ -1386,7 +1388,7 @@ impl<'g> Progress<'g> {
     ///   `logs`/`counts`/`informed_times` slices; everything else is read
     ///   shared.  No shard ever observes another's writes.
     /// * **Reductions replay the serial walk.**  Counter deltas are summed
-    ///   in shard order; the dense-page peak uses the [`PageTrace`]
+    ///   in shard order; the rumor-set page peaks use the [`PageTrace`]
     ///   composition law; the log peaks need only the phase totals (retained
     ///   runs and bytes are monotone non-decreasing within a phase).  All are
     ///   independent of the cut positions, hence of the thread count.
@@ -1506,11 +1508,9 @@ impl<'g> Progress<'g> {
         };
 
         // Deterministic reduction, in shard order.
-        mem.apply_page_trace(
-            new_runs
-                .iter()
-                .fold(PageTrace::default(), |pages, new| pages.then(new.pages)),
-        );
+        mem.pages = new_runs
+            .iter()
+            .fold(mem.pages, |pages, new| pages.then(new.pages));
         for delta in deltas {
             mem.grow_log(delta.appended);
             *full_nodes += delta.full_nodes;
@@ -1652,10 +1652,11 @@ impl<'g> Progress<'g> {
     ) {
         let i = node.index();
         let universe = rumors[i].universe();
-        let pages_before = rumors[i].live_pages();
+        let pages_before = rumors[i].page_footprint();
         rumors[i] = seeding.initial_set(universe, node);
         self.mem
-            .record_page_delta(pages_before, rumors[i].live_pages());
+            .pages
+            .record(pages_before, rumors[i].page_footprint());
         if !self.collapsed[i] {
             self.mem.release(&mut self.logs[i], &mut self.shadows[i]);
         }
@@ -2368,8 +2369,9 @@ impl<'a> RoundState<'a> {
     /// oracle, so it is part of the semantic report.
     fn into_report<P: Protocol>(self, protocol: &P, round: u64, completed: bool) -> RunReport {
         let progress = self.progress;
-        let rumor_set_bytes = progress.mem.pages_peak * RumorSet::page_cost_bytes()
-            + self.rumors.len() as u64 * RumorSet::base_cost_bytes();
+        let pages = progress.mem.pages;
+        let rumor_set_bytes =
+            pages.bytes.max_prefix as u64 + self.rumors.len() as u64 * RumorSet::base_cost_bytes();
         let peak_log_bytes = progress.mem.peak_log_bytes;
         let shadow_bytes = progress.mem.shadow_words_peak * 8;
         let watermark_bytes = self.watermarks.len() as u64 * 8;
@@ -2383,8 +2385,8 @@ impl<'a> RoundState<'a> {
             shadow_advances: progress.mem.shadow_advances,
             shadow_bytes,
             rumor_set_bytes,
-            pages_live: progress.mem.pages_live,
-            pages_peak: progress.mem.pages_peak,
+            pages_live: pages.dense.delta as u64,
+            pages_peak: pages.dense.max_prefix as u64,
             saturated_nodes: progress.full_nodes as u64,
             collapsed_nodes: progress.mem.collapsed_nodes,
             peak_engine_bytes: rumor_set_bytes

@@ -37,14 +37,17 @@ pub struct MemStats {
     /// Peak bytes held by materialised delayed-shadow bitsets (shadows are
     /// lazily allocated and freed again by saturation collapse).
     pub shadow_bytes: u64,
-    /// Peak bytes held by the per-node *paged* rumor sets: peak dense pages
-    /// times the per-page cost, plus the fixed per-node set overhead.  Empty
-    /// and full sentinel pages are free, and a fully saturated set collapses
-    /// to zero pages — this is what replaces the old dense `n²/8` floor.
+    /// Peak bytes held by the per-node *paged* rumor sets at any merge
+    /// boundary — 16 per sparse or dense page entry plus 512 per dense
+    /// page's block, summed over all nodes — plus the fixed per-node set
+    /// overhead.  Empty and full pages are free, a sparse page (at most 5
+    /// ids) costs its entry alone, and a fully saturated set collapses to
+    /// zero pages — this is what replaces the old dense `n²/8` floor.
     pub rumor_set_bytes: u64,
-    /// Dense rumor-set pages alive when the run ended.
+    /// Dense rumor-set pages (heap blocks) alive when the run ended.
     pub pages_live: u64,
-    /// Peak dense rumor-set pages at any merge boundary of the run.
+    /// Peak dense rumor-set pages (heap blocks) at any merge boundary of the
+    /// run.
     pub pages_peak: u64,
     /// Nodes whose rumor set was full when the run ended.
     pub saturated_nodes: u64,

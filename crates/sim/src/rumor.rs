@@ -7,25 +7,32 @@
 //! # Paged rumor sets
 //!
 //! [`RumorSet`] stores that set as an **adaptive paged bitset**: the universe
-//! is split into fixed 4096-bit pages, kept in a sorted sparse vector with
-//! three page states —
+//! is split into fixed 4096-bit pages, kept in a sorted directory of 16-byte
+//! entries with four page states —
 //!
 //! * **empty** — the page is simply absent (no storage);
+//! * **sparse** — at most `SPARSE_MAX` (5) in-page offsets, sorted, inline in
+//!   the directory entry (no heap block: Roaring's "array container" at the
+//!   size of the entry);
 //! * **dense** — an owned 64-word block holding the page's bits;
-//! * **full** — a shared sentinel ([`PageState::Full`]) meaning every bit of
-//!   the page is set (no storage).
+//! * **full** — a sentinel meaning every bit of the page is set (no
+//!   storage).
 //!
 //! A set whose every page is full additionally **saturation-collapses** to
 //! the canonical full representation — no pages at all — so a node that has
 //! learned everything costs a few machine words instead of `n/8` bytes.  In
 //! the saturating all-to-all regime this is what breaks the dense-bitset
 //! `2·n²/8` memory wall: nodes spend most of a run either nearly-empty
-//! (a handful of pages) or fully informed (zero pages).
+//! (a few sparse entries) or fully informed (zero pages).
 //!
-//! The representation is kept **canonical** at all times (pages sorted and
-//! unique, never empty, all-ones pages always stored as the full sentinel,
-//! fully saturated sets always collapsed), so structural equality is semantic
-//! equality and `#[derive(PartialEq)]` is sound.
+//! The representation is kept **canonical** at all times: pages are sorted
+//! and unique and never empty, and a page's state is a function of its bit
+//! count `ones` and capacity `cap` alone — full iff `ones == cap`, else
+//! sparse iff `ones <= SPARSE_MAX`, else dense.  Sets only grow, so a page
+//! only ever moves sparse → dense → full (possibly skipping a step), inside
+//! the union that crosses the threshold.  Fully saturated sets are always
+//! collapsed.  Structural equality is therefore semantic equality and
+//! `#[derive(PartialEq)]` is sound.
 
 use std::fmt;
 
@@ -113,28 +120,81 @@ pub(crate) type RumorRun = (RumorId, u32);
 pub(crate) const PAGE_BITS: usize = 4096;
 /// 64-bit words per page.
 const PAGE_WORDS: usize = PAGE_BITS / 64;
+/// Most set bits a page stores inline as sorted offsets (the sparse state).
+const SPARSE_MAX: usize = 5;
 
-/// Storage of one non-empty page.
+/// One non-empty page of a [`RumorSet`], in the canonical state its bit
+/// count dictates (see the module docs).  `index` is the page number: bit
+/// `i` of the universe lives in page `i / 4096`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum PageState {
+enum PageEntry {
     /// Every bit of the page (up to its capacity) is set; no storage.
-    Full,
-    /// An owned 64-word block holding the page's bits.
-    Dense(Box<[u64; PAGE_WORDS]>),
+    Full { index: u32 },
+    /// `SPARSE_MAX < ones < capacity` bits, held in an owned 64-word block.
+    Dense {
+        index: u32,
+        ones: u16,
+        words: Box<[u64; PAGE_WORDS]>,
+    },
+    /// `0 < len <= SPARSE_MAX` bits (and `len < capacity`): their in-page
+    /// offsets `ids[..len]`, ascending; the unused slots stay 0.
+    Sparse {
+        index: u32,
+        len: u8,
+        ids: [u16; SPARSE_MAX],
+    },
 }
 
-/// One non-empty page of a [`RumorSet`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PageEntry {
-    /// Page number (bit `i` of the universe lives in page `i / 4096`).
-    index: u32,
-    /// Number of set bits in the page (`== capacity` iff the state is full).
-    ones: u32,
-    state: PageState,
+/// Bytes of one directory entry, whatever its state.
+const ENTRY_BYTES: u64 = std::mem::size_of::<PageEntry>() as u64;
+/// Heap bytes of a dense page's block.
+const BLOCK_BYTES: u64 = (PAGE_WORDS * 8) as u64;
+
+// A sparse page is free only while it fits the entry a dense page needs
+// anyway: tag, page number, block pointer.
+const _: () = assert!(ENTRY_BYTES == 16);
+
+impl PageEntry {
+    /// The page number.
+    fn index(&self) -> u32 {
+        match *self {
+            PageEntry::Full { index }
+            | PageEntry::Dense { index, .. }
+            | PageEntry::Sparse { index, .. } => index,
+        }
+    }
+
+    /// In-page word `w` of a page of capacity `cap` (0 past the page).
+    fn word(&self, w: usize, cap: u32) -> u64 {
+        match self {
+            PageEntry::Full { .. } => full_page_word(cap, w),
+            PageEntry::Dense { words, .. } => words.get(w).copied().unwrap_or(0),
+            PageEntry::Sparse { len, ids, .. } => {
+                sparse_word(ids.iter().take(usize::from(*len)), w)
+            }
+        }
+    }
 }
 
-/// A set of rumors over the universe `0..universe`, stored as a sparse
-/// vector of 4096-bit pages (see the module docs for the representation).
+/// In-page word `w` of the sparse offsets `ids`.
+fn sparse_word<'a>(ids: impl Iterator<Item = &'a u16>, w: usize) -> u64 {
+    ids.filter(|&&i| usize::from(i) / 64 == w)
+        .fold(0, |word, &i| word | 1 << (i % 64))
+}
+
+/// What a [`RumorSet`]'s pages cost — the unit of the engine's
+/// deterministic rumor-set accounting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PageFootprint {
+    /// Dense pages (heap blocks).
+    pub(crate) dense: u64,
+    /// Bytes: one directory entry per sparse or dense page, plus one block
+    /// per dense page.  Full entries are not charged.
+    pub(crate) bytes: u64,
+}
+
+/// A set of rumors over the universe `0..universe`, stored as a sorted
+/// directory of 4096-bit pages (see the module docs for the representation).
 #[derive(Clone, PartialEq, Eq)]
 pub struct RumorSet {
     universe: usize,
@@ -172,17 +232,17 @@ fn push_new_run(out: &mut Vec<RumorRun>, first: usize, len: u32) {
     out.push((RumorId(first as u32), len));
 }
 
-/// Decomposes the set bits of `new_bits` (a word whose bit 0 is universe bit
-/// `word_base`) into maximal consecutive runs, in ascending order.
-fn push_word_new_runs(out: &mut Vec<RumorRun>, word_base: usize, mut new_bits: u64) {
-    while new_bits != 0 {
-        let tz = new_bits.trailing_zeros();
-        let run = (new_bits >> tz).trailing_ones();
-        push_new_run(out, word_base + tz as usize, run);
+/// Calls `f(first, len)` for every maximal run of set bits of `bits` (a word
+/// whose bit 0 is universe bit `word_base`), in ascending order.
+fn word_runs(word_base: usize, mut bits: u64, mut f: impl FnMut(usize, u32)) {
+    while bits != 0 {
+        let tz = bits.trailing_zeros();
+        let run = (bits >> tz).trailing_ones();
+        f(word_base + tz as usize, run);
         if tz + run >= 64 {
             break;
         }
-        new_bits &= !0u64 << (tz + run);
+        bits &= !0u64 << (tz + run);
     }
 }
 
@@ -222,27 +282,39 @@ impl RumorSet {
     /// Collapses to the canonical full representation once saturated.
     fn collapse_if_full(&mut self) {
         if self.len == self.universe && !self.pages.is_empty() {
-            debug_assert!(self.pages.iter().all(|e| e.state == PageState::Full));
+            debug_assert!(self
+                .pages
+                .iter()
+                .all(|e| matches!(e, PageEntry::Full { .. })));
             self.pages = Vec::new();
         }
     }
 
-    /// Number of dense (heap-allocated) pages — the set's live page cost.
-    /// Empty and full pages are free; this is what [`MemStats`]'s page
-    /// counters aggregate.
+    /// Number of dense pages — the set's heap blocks.  Empty, sparse and
+    /// full pages hold no block; this is what [`MemStats`]'s page counters
+    /// aggregate.
     ///
     /// [`MemStats`]: crate::MemStats
     pub fn live_pages(&self) -> usize {
-        self.pages
-            .iter()
-            .filter(|e| matches!(e.state, PageState::Dense(_)))
-            .count()
+        self.page_footprint().dense as usize
     }
 
-    /// Heap bytes of one dense page, including its directory entry — the
-    /// conversion factor for the engine's deterministic page counters.
-    pub(crate) fn page_cost_bytes() -> u64 {
-        (PAGE_WORDS * 8 + std::mem::size_of::<PageEntry>()) as u64
+    /// What the set's pages cost: its dense pages and their bytes — 16 per
+    /// sparse or dense directory entry plus 512 per dense block.  The one
+    /// cost function behind the engine's rumor-set counters.
+    pub(crate) fn page_footprint(&self) -> PageFootprint {
+        let mut cost = PageFootprint::default();
+        for entry in &self.pages {
+            match entry {
+                PageEntry::Full { .. } => {}
+                PageEntry::Sparse { .. } => cost.bytes += ENTRY_BYTES,
+                PageEntry::Dense { .. } => {
+                    cost.dense += 1;
+                    cost.bytes += ENTRY_BYTES + BLOCK_BYTES;
+                }
+            }
+        }
+        cost
     }
 
     /// Fixed per-set bytes (the struct itself, pages excluded).
@@ -255,59 +327,8 @@ impl RumorSet {
     /// # Panics
     ///
     /// Panics if the rumor is outside the universe.
-    // gossip-lint: allow(panic-path): page/word indices derive from the rumor < universe assertion
     pub fn insert(&mut self, rumor: RumorId) -> bool {
-        let i = rumor.index();
-        assert!(
-            i < self.universe,
-            "rumor {i} outside universe of size {}",
-            self.universe
-        );
-        if self.len == self.universe {
-            return false;
-        }
-        let page = (i / PAGE_BITS) as u32;
-        let bit = i % PAGE_BITS;
-        let cap = self.page_capacity(page);
-        match self.pages.binary_search_by_key(&page, |e| e.index) {
-            Err(at) => {
-                let state = if cap == 1 {
-                    PageState::Full
-                } else {
-                    let mut words = Box::new([0u64; PAGE_WORDS]);
-                    words[bit / 64] |= 1 << (bit % 64);
-                    PageState::Dense(words)
-                };
-                self.pages.insert(
-                    at,
-                    PageEntry {
-                        index: page,
-                        ones: 1,
-                        state,
-                    },
-                );
-            }
-            Ok(p) => {
-                let entry = &mut self.pages[p];
-                match &mut entry.state {
-                    PageState::Full => return false,
-                    PageState::Dense(words) => {
-                        let mask = 1u64 << (bit % 64);
-                        if words[bit / 64] & mask != 0 {
-                            return false;
-                        }
-                        words[bit / 64] |= mask;
-                        entry.ones += 1;
-                        if entry.ones == cap {
-                            entry.state = PageState::Full;
-                        }
-                    }
-                }
-            }
-        }
-        self.len += 1;
-        self.collapse_if_full();
-        true
+        self.union_run(rumor.index(), 1, |_, _| {}) == 1
     }
 
     /// Returns `true` if the set contains `rumor`.
@@ -321,15 +342,12 @@ impl RumorSet {
             return true;
         }
         let page = (i / PAGE_BITS) as u32;
-        match self.pages.binary_search_by_key(&page, |e| e.index) {
+        let bit = i % PAGE_BITS;
+        match self.pages.binary_search_by_key(&page, PageEntry::index) {
             Err(_) => false,
-            Ok(p) => match &self.pages[p].state {
-                PageState::Full => true,
-                PageState::Dense(words) => {
-                    let bit = i % PAGE_BITS;
-                    words[bit / 64] & (1 << (bit % 64)) != 0
-                }
-            },
+            Ok(p) => {
+                self.pages[p].word(bit / 64, self.page_capacity(page)) & (1 << (bit % 64)) != 0
+            }
         }
     }
 
@@ -383,79 +401,144 @@ impl RumorSet {
     /// # Panics
     ///
     /// Panics if the run extends past the universe.
-    // gossip-lint: allow(panic-path): run bounds are asserted against the universe on entry
     pub fn insert_run(&mut self, first: RumorId, len: u32, out_new: &mut Vec<RumorRun>) {
-        if len == 0 {
-            return;
-        }
-        let lo = first.index();
+        self.union_run(first.index(), len, |first, len| {
+            push_new_run(out_new, first, len);
+        });
+    }
+
+    /// Inserts the rumors `lo..lo+len`, calls `on_new(first, len)` for every
+    /// maximal run of them that was not already present, in increasing id
+    /// order, and returns how many were new.  Shared by
+    /// [`insert`](Self::insert) and [`insert_run`](Self::insert_run).
+    // gossip-lint: allow(panic-path): run bounds are asserted against the universe on entry
+    fn union_run(&mut self, lo: usize, len: u32, mut on_new: impl FnMut(usize, u32)) -> u32 {
         let hi = lo + len as usize;
         assert!(
             hi <= self.universe,
             "run {lo}..{hi} outside universe of size {}",
             self.universe
         );
-        if self.len == self.universe {
-            return;
+        if len == 0 || self.len == self.universe {
+            return 0;
         }
+        let mut added = 0;
         for page in (lo / PAGE_BITS) as u32..=((hi - 1) / PAGE_BITS) as u32 {
             let page_start = page as usize * PAGE_BITS;
             let cap = self.page_capacity(page);
             let a = lo.max(page_start) - page_start;
             let b = (hi - page_start).min(PAGE_BITS);
-            let added = match self.pages.binary_search_by_key(&page, |e| e.index) {
+            let slot = self.pages.binary_search_by_key(&page, PageEntry::index);
+            added += match slot {
                 Err(at) if a == 0 && b >= cap as usize => {
                     // The run covers the whole (absent) page: full sentinel,
                     // no allocation.
-                    self.pages.insert(
-                        at,
-                        PageEntry {
-                            index: page,
-                            ones: cap,
-                            state: PageState::Full,
-                        },
-                    );
-                    push_new_run(out_new, page_start, cap);
+                    self.pages.insert(at, PageEntry::Full { index: page });
+                    self.len += cap as usize;
+                    on_new(page_start, cap);
                     cap
                 }
-                Err(at) => {
-                    let mut words = Box::new([0u64; PAGE_WORDS]);
-                    for_each_word_mask(a, b - a, |w, mask| words[w] |= mask);
-                    self.pages.insert(
-                        at,
-                        PageEntry {
-                            index: page,
-                            ones: (b - a) as u32,
-                            state: PageState::Dense(words),
-                        },
-                    );
-                    push_new_run(out_new, page_start + a, (b - a) as u32);
-                    (b - a) as u32
-                }
-                Ok(p) => {
-                    let entry = &mut self.pages[p];
-                    match &mut entry.state {
-                        PageState::Full => 0,
-                        PageState::Dense(words) => {
-                            let mut added = 0u32;
-                            for_each_word_mask(a, b - a, |w, mask| {
-                                let new = mask & !words[w];
-                                words[w] |= mask;
-                                added += new.count_ones();
-                                push_word_new_runs(out_new, page_start + w * 64, new);
-                            });
-                            entry.ones += added;
-                            if entry.ones == cap {
-                                entry.state = PageState::Full;
-                            }
-                            added
-                        }
-                    }
-                }
+                _ => self.union_page(page, slot, word_masks(a, b - a), &mut on_new),
             };
-            self.len += added as usize;
         }
         self.collapse_if_full();
+        added
+    }
+
+    /// Unions the in-page word masks `masks` (`(word, bits)`, ascending
+    /// words) into page `page`, whose directory search gave `slot`; calls
+    /// `on_new(first, len)` for every maximal run of newly set bits, in
+    /// increasing id order, and returns how many there were.  The page ends
+    /// in its canonical state: promotion from sparse to dense or full
+    /// happens here, in the union that crosses the threshold.  Adds the new
+    /// bits to `len` but leaves the saturation collapse to the caller, which
+    /// may still be walking later pages.
+    // gossip-lint: allow(panic-path): p is the page's search or insertion slot, mask words are < PAGE_WORDS, and sparse offsets are < capacity
+    fn union_page<I>(
+        &mut self,
+        page: u32,
+        slot: Result<usize, usize>,
+        masks: I,
+        mut on_new: impl FnMut(usize, u32),
+    ) -> u32
+    where
+        I: Iterator<Item = (usize, u64)> + Clone,
+    {
+        let page_start = page as usize * PAGE_BITS;
+        let cap = self.page_capacity(page);
+        let p = match slot {
+            Ok(p) => p,
+            Err(at) => {
+                let empty = PageEntry::Sparse {
+                    index: page,
+                    len: 0,
+                    ids: [0; SPARSE_MAX],
+                };
+                self.pages.insert(at, empty);
+                at
+            }
+        };
+        let entry = &mut self.pages[p];
+        let added = match entry {
+            PageEntry::Full { .. } => 0,
+            PageEntry::Dense { ones, words, .. } => {
+                let mut added = 0;
+                for (w, bits) in masks {
+                    let new = bits & !words[w];
+                    words[w] |= bits;
+                    added += new.count_ones();
+                    word_runs(page_start + w * 64, new, &mut on_new);
+                }
+                *ones += added as u16;
+                if u32::from(*ones) == cap {
+                    *entry = PageEntry::Full { index: page };
+                }
+                added
+            }
+            PageEntry::Sparse { len, ids, .. } => {
+                let (held, mut ids) = (usize::from(*len), *ids);
+                // Collect the new offsets while they still fit inline.
+                let mut added = 0;
+                for (w, bits) in masks.clone() {
+                    let mut new = bits & !sparse_word(ids[..held].iter(), w);
+                    word_runs(page_start + w * 64, new, &mut on_new);
+                    while new != 0 && held + (added as usize) < SPARSE_MAX {
+                        ids[held + added as usize] = (w * 64) as u16 + new.trailing_zeros() as u16;
+                        new &= new - 1;
+                        added += 1;
+                    }
+                    added += new.count_ones();
+                }
+                let ones = held + added as usize;
+                debug_assert!(ones > 0, "a union onto an absent page adds bits");
+                *entry = if ones == cap as usize {
+                    PageEntry::Full { index: page }
+                } else if ones <= SPARSE_MAX {
+                    ids[..ones].sort_unstable();
+                    PageEntry::Sparse {
+                        index: page,
+                        len: ones as u8,
+                        ids,
+                    }
+                } else {
+                    let mut block = Box::new([0u64; PAGE_WORDS]);
+                    for &i in &ids[..held] {
+                        block[usize::from(i) / 64] |= 1 << (i % 64);
+                    }
+                    for (w, bits) in masks {
+                        block[w] |= bits;
+                    }
+                    PageEntry::Dense {
+                        index: page,
+                        ones: ones as u16,
+                        words: block,
+                    }
+                };
+                added
+            }
+        };
+        self.len += added as usize;
+        added
     }
 
     /// Unions a raw dense word window into the set: `words[k]` holds
@@ -463,7 +546,7 @@ impl RumorSet {
     /// engine's delayed shadows) is the window at `word_lo = 0` and a dense
     /// log layer is the window it spans.  Pushes every maximal run of newly
     /// inserted rumors onto `out_new` in increasing id order.
-    // gossip-lint: allow(panic-path): word indices are bounded by the page capacity invariant
+    // gossip-lint: allow(panic-path): the window's page slices are bounded by the window itself
     pub(crate) fn union_words_collect_new_runs(
         &mut self,
         word_lo: usize,
@@ -476,61 +559,22 @@ impl RumorSet {
             return;
         }
         for page in (word_lo / PAGE_WORDS) as u32..=((word_hi - 1) / PAGE_WORDS) as u32 {
-            let page_start = page as usize * PAGE_BITS;
+            let page_lo = page as usize * PAGE_WORDS;
             // The window's words inside this page, and where they sit in it.
-            let a = word_lo.max(page_start / 64);
-            let b = word_hi.min(page_start / 64 + PAGE_WORDS);
+            let a = word_lo.max(page_lo);
+            let b = word_hi.min(page_lo + PAGE_WORDS);
             let src = &words[a - word_lo..b - word_lo];
-            let off = a - page_start / 64;
             if src.iter().all(|&w| w == 0) {
                 continue;
             }
-            let cap = self.page_capacity(page);
-            let added = match self.pages.binary_search_by_key(&page, |e| e.index) {
-                Err(at) => {
-                    let ones: u32 = src.iter().map(|w| w.count_ones()).sum();
-                    for (w, &bits) in src.iter().enumerate() {
-                        push_word_new_runs(out_new, page_start + (off + w) * 64, bits);
-                    }
-                    let state = if ones == cap {
-                        PageState::Full
-                    } else {
-                        let mut owned = Box::new([0u64; PAGE_WORDS]);
-                        owned[off..off + src.len()].copy_from_slice(src);
-                        PageState::Dense(owned)
-                    };
-                    self.pages.insert(
-                        at,
-                        PageEntry {
-                            index: page,
-                            ones,
-                            state,
-                        },
-                    );
-                    ones
-                }
-                Ok(p) => {
-                    let entry = &mut self.pages[p];
-                    match &mut entry.state {
-                        PageState::Full => 0,
-                        PageState::Dense(dst) => {
-                            let mut added = 0u32;
-                            for (w, (d, &bits)) in dst[off..].iter_mut().zip(src).enumerate() {
-                                let new = bits & !*d;
-                                *d |= bits;
-                                added += new.count_ones();
-                                push_word_new_runs(out_new, page_start + (off + w) * 64, new);
-                            }
-                            entry.ones += added;
-                            if entry.ones == cap {
-                                entry.state = PageState::Full;
-                            }
-                            added
-                        }
-                    }
-                }
-            };
-            self.len += added as usize;
+            let slot = self.pages.binary_search_by_key(&page, PageEntry::index);
+            let masks = src
+                .iter()
+                .enumerate()
+                .map(|(k, &bits)| (a - page_lo + k, bits));
+            self.union_page(page, slot, masks, |first, len| {
+                push_new_run(out_new, first, len);
+            });
         }
         self.collapse_if_full();
     }
@@ -542,29 +586,25 @@ impl RumorSet {
     /// This is the engine's `O(pages)` "peer is saturated" merge: unioning a
     /// saturation-collapsed peer needs no shadow words and no log replay —
     /// the complement of what `self` already knows *is* the delta.
-    // gossip-lint: allow(panic-path): word indices are bounded by the page capacity invariant
     pub(crate) fn insert_all(&mut self, out_new: &mut Vec<RumorRun>) {
         if self.len == self.universe {
             return;
         }
-        let mut next = 0usize; // cursor into self.pages
+        let mut stored = self.pages.iter().peekable();
         for page in 0..self.universe.div_ceil(PAGE_BITS) as u32 {
             let page_start = page as usize * PAGE_BITS;
             let cap = self.page_capacity(page);
-            if next < self.pages.len() && self.pages[next].index == page {
-                let entry = &self.pages[next];
-                next += 1;
-                match &entry.state {
-                    PageState::Full => {}
-                    PageState::Dense(words) => {
-                        for (w, &bits) in words.iter().enumerate() {
-                            let new = full_page_word(cap, w) & !bits;
-                            push_word_new_runs(out_new, page_start + w * 64, new);
-                        }
+            match stored.next_if(|e| e.index() == page) {
+                Some(PageEntry::Full { .. }) => {}
+                Some(entry) => {
+                    for w in 0..(cap as usize).div_ceil(64) {
+                        let new = full_page_word(cap, w) & !entry.word(w, cap);
+                        word_runs(page_start + w * 64, new, |first, len| {
+                            push_new_run(out_new, first, len);
+                        });
                     }
                 }
-            } else {
-                push_new_run(out_new, page_start, cap);
+                None => push_new_run(out_new, page_start, cap),
             }
         }
         self.pages = Vec::new();
@@ -577,16 +617,18 @@ impl RumorSet {
     }
 }
 
-/// Calls `f(word_index, mask)` for every 64-bit word overlapped by the bit
+/// The `(word_index, mask)` pairs of every 64-bit word overlapped by the bit
 /// range `lo..lo+len`, with `mask` covering exactly the in-range bits of
 /// that word.  Shared by the consecutive-run set operations so the boundary
 /// arithmetic (including the `1 << 64` full-word case) lives in one place.
-fn for_each_word_mask(lo: usize, len: usize, mut f: impl FnMut(usize, u64)) {
-    if len == 0 {
-        return;
-    }
+fn word_masks(lo: usize, len: usize) -> impl Iterator<Item = (usize, u64)> + Clone {
     let hi = lo + len;
-    for w in lo / 64..=(hi - 1) / 64 {
+    let words = if len == 0 {
+        0..0
+    } else {
+        lo / 64..(hi - 1) / 64 + 1
+    };
+    words.map(move |w| {
         let a = lo.max(w * 64) - w * 64;
         let b = hi.min(w * 64 + 64) - w * 64;
         let mask = if b - a == 64 {
@@ -594,8 +636,8 @@ fn for_each_word_mask(lo: usize, len: usize, mut f: impl FnMut(usize, u64)) {
         } else {
             ((1u64 << (b - a)) - 1) << a
         };
-        f(w, mask);
-    }
+        (w, mask)
+    })
 }
 
 /// Sets the bits `lo..lo+len` in a raw bitset word slice (the engine uses
@@ -603,7 +645,9 @@ fn for_each_word_mask(lo: usize, len: usize, mut f: impl FnMut(usize, u64)) {
 /// build a dense layer).
 // gossip-lint: allow(panic-path): callers pass lo..lo+len ranges within the word slice
 pub(crate) fn set_words_range(words: &mut [u64], lo: usize, len: usize) {
-    for_each_word_mask(lo, len, |w, mask| words[w] |= mask);
+    for (w, mask) in word_masks(lo, len) {
+        words[w] |= mask;
+    }
 }
 
 /// ORs the word window `words` (word `k` holds universe bits
@@ -620,7 +664,9 @@ pub(crate) fn or_words(dst: &mut [u64], word_lo: usize, words: &[u64]) {
 fn window_runs(word_lo: usize, words: &[u64]) -> Vec<RumorRun> {
     let mut runs = Vec::new();
     for (k, &bits) in words.iter().enumerate() {
-        push_word_new_runs(&mut runs, (word_lo + k) * 64, bits);
+        word_runs((word_lo + k) * 64, bits, |first, len| {
+            push_new_run(&mut runs, first, len);
+        });
     }
     runs
 }
@@ -1089,7 +1135,7 @@ impl Iterator for RumorIter<'_> {
             if let Some(entry) = self.cur_entry {
                 self.word_idx += 1;
                 if self.word_idx < self.cur_words {
-                    self.word = page_word(entry, self.word_idx, self.cur_cap);
+                    self.word = entry.word(self.word_idx, self.cur_cap);
                     continue;
                 }
                 self.cur_entry = None;
@@ -1099,21 +1145,13 @@ impl Iterator for RumorIter<'_> {
             }
             let entry = &self.pages[self.page_pos];
             self.page_pos += 1;
-            self.cur_base = entry.index as usize * PAGE_BITS;
+            self.cur_base = entry.index() as usize * PAGE_BITS;
             self.cur_cap = (self.universe - self.cur_base).min(PAGE_BITS) as u32;
             self.cur_words = (self.cur_cap as usize).div_ceil(64);
             self.word_idx = 0;
-            self.word = page_word(entry, 0, self.cur_cap);
+            self.word = entry.word(0, self.cur_cap);
             self.cur_entry = Some(entry);
         }
-    }
-}
-
-/// Word `w` of a page entry, masking full pages to their capacity.
-fn page_word(entry: &PageEntry, w: usize, cap: u32) -> u64 {
-    match &entry.state {
-        PageState::Full => full_page_word(cap, w),
-        PageState::Dense(words) => words[w],
     }
 }
 
@@ -1214,7 +1252,13 @@ mod tests {
         assert_eq!(got, ids);
         assert!(RumorSet::empty(0).iter().next().is_none());
         assert!(RumorSet::empty(100).iter().next().is_none());
-        assert_eq!(s.live_pages(), 3, "pages 0, 1, 2 are dense");
+        // Pages 0, 1 and 2 hold 5, 2 and 2 ids: three sparse entries, no
+        // blocks.  A sixth id on page 0 promotes it to dense.
+        assert_eq!(s.live_pages(), 0);
+        assert_eq!(s.page_footprint().bytes, 3 * ENTRY_BYTES);
+        s.insert(RumorId(100));
+        assert_eq!(s.live_pages(), 1);
+        assert_eq!(s.page_footprint().bytes, 3 * ENTRY_BYTES + BLOCK_BYTES);
     }
 
     #[test]
@@ -1643,6 +1687,36 @@ mod tests {
         pieces
     }
 
+    /// The maximal runs of the ascending ids `ids`.
+    fn runs_of(ids: impl IntoIterator<Item = usize>) -> Vec<RumorRun> {
+        let mut runs = Vec::new();
+        for i in ids {
+            push_new_run(&mut runs, i, 1);
+        }
+        runs
+    }
+
+    /// A set's page cost recounted from its contents alone: every page that
+    /// is neither empty nor full costs an entry, and a block past
+    /// `SPARSE_MAX` ids; a saturated set costs nothing.
+    fn recount(model: &[bool]) -> PageFootprint {
+        let mut cost = PageFootprint::default();
+        if model.iter().all(|&b| b) {
+            return cost;
+        }
+        for page in model.chunks(PAGE_BITS) {
+            let ones = page.iter().filter(|&&b| b).count();
+            if ones > 0 && ones < page.len() {
+                cost.bytes += ENTRY_BYTES;
+                if ones > SPARSE_MAX {
+                    cost.dense += 1;
+                    cost.bytes += BLOCK_BYTES;
+                }
+            }
+        }
+        cost
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1704,6 +1778,89 @@ mod tests {
                     prop_assert!(batch.contains(&log.get(pos).0));
                 }
             }
+        }
+
+        /// `RumorSet` against a `Vec<bool>` model over random sequences of
+        /// `insert`, `insert_run`, windowed `union_words_collect_new_runs`
+        /// and `insert_all`, biased towards the few-id pages that stay
+        /// sparse and towards short last pages (capacity <= `SPARSE_MAX`),
+        /// which go straight from sparse to full.  After every step the
+        /// contents, `len`, the emitted new runs and the page cost match;
+        /// at the end, two other construction orders compare `==`.
+        #[test]
+        fn rumor_set_matches_bool_model(seed in 0u64..1 << 32, universe in 1usize..9000) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let universe = if rng.gen_bool(0.3) {
+                universe / PAGE_BITS * PAGE_BITS + rng.gen_range(1..=SPARSE_MAX)
+            } else {
+                universe
+            };
+            let words = universe.div_ceil(64);
+            let mut set = RumorSet::empty(universe);
+            let mut model = vec![false; universe];
+            for _ in 0..rng.gen_range(1..60u32) {
+                let before = model.clone();
+                let mut new = Vec::new();
+                match rng.gen_range(0..16u32) {
+                    0..=5 => {
+                        // `insert` reports novelty, not runs: its run is
+                        // the id itself when it was new.
+                        let i = rng.gen_range(0..universe);
+                        if set.insert(RumorId::from(i)) {
+                            new.push((RumorId::from(i), 1));
+                        }
+                        model[i] = true;
+                    }
+                    6..=9 => {
+                        let first = rng.gen_range(0..universe);
+                        let max: usize = if rng.gen_bool(0.8) { 4 } else { 5000 };
+                        let len = rng.gen_range(1..=max).min(universe - first);
+                        set.insert_run(RumorId::from(first), len as u32, &mut new);
+                        model[first..first + len].fill(true);
+                    }
+                    10..=14 => {
+                        let word_lo = rng.gen_range(0..words);
+                        let span = if rng.gen_bool(0.8) { 3 } else { words };
+                        let len = rng.gen_range(1..=span.min(words - word_lo));
+                        let density = [0.002, 0.02, 0.3, 1.0][rng.gen_range(0..4usize)];
+                        let mut window = vec![0u64; len];
+                        for k in 0..len * 64 {
+                            let i = word_lo * 64 + k;
+                            if i < universe && rng.gen_bool(density) {
+                                window[k / 64] |= 1 << (k % 64);
+                                model[i] = true;
+                            }
+                        }
+                        set.union_words_collect_new_runs(word_lo, &window, &mut new);
+                    }
+                    _ if rng.gen_bool(0.3) => {
+                        set.insert_all(&mut new);
+                        model.fill(true);
+                    }
+                    _ => {}
+                }
+                let fresh = (0..universe).filter(|&i| model[i] && !before[i]);
+                prop_assert_eq!(new, runs_of(fresh));
+                let ids: Vec<usize> = (0..universe).filter(|&i| model[i]).collect();
+                prop_assert_eq!(set.len(), ids.len());
+                prop_assert_eq!(set.iter().map(RumorId::index).collect::<Vec<_>>(), ids);
+                let cost = recount(&model);
+                prop_assert_eq!(set.page_footprint(), cost);
+                prop_assert_eq!(set.live_pages() as u64, cost.dense);
+            }
+            assert_matches_naive(&set, &model);
+            let mut backwards = RumorSet::empty(universe);
+            for i in (0..universe).rev().filter(|&i| model[i]) {
+                backwards.insert(RumorId::from(i));
+            }
+            prop_assert_eq!(&backwards, &set);
+            let mut bitset = vec![0u64; words];
+            for i in (0..universe).filter(|&i| model[i]) {
+                set_words_range(&mut bitset, i, 1);
+            }
+            let mut at_once = RumorSet::empty(universe);
+            at_once.union_words_collect_new_runs(0, &bitset, &mut Vec::new());
+            prop_assert_eq!(&at_once, &set);
         }
     }
 }

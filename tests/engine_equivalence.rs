@@ -310,6 +310,26 @@ fn dense_log_layers_match_the_oracle() {
     }
 }
 
+/// The sparse page path across pages: all-to-all push–pull on a 9000-node
+/// star spans 3 rumor pages, with sparse entries on pages 1 and 2 (each
+/// leaf's own id and rumor 0) until the saturating merges fill them.  On 3
+/// workers; `engine_parallel` pins the 1-worker run to it.
+#[test]
+fn multi_page_star_matches_the_oracle() {
+    let g = generators::star(9000, 1).unwrap();
+    let config = SimConfig::new(23)
+        .termination(Termination::AllKnowAll)
+        .threads(3);
+    let report = assert_matches_oracle(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || RandomPushPull::new(&g),
+        "multi-page star",
+    );
+    assert!(report.completed, "{report}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -183,6 +183,30 @@ fn skipping_endgame_is_identical_across_thread_counts() {
     );
 }
 
+/// A star past one rumor page: 9000 nodes span 3 pages, so every leaf on
+/// pages 1 and 2 holds two sparse entries (its own id, and rumor 0 after
+/// the hub's first delivery) while the hub's pages go dense and then full.
+/// The merge walk's page-cost trace must compose to the same `MemStats`
+/// on every pool size.
+#[test]
+fn multi_page_star_is_identical_across_thread_counts() {
+    let g = generators::star(9000, 1).unwrap();
+    let config = SimConfig::new(59).termination(Termination::AllKnowAll);
+    let (report, _) = assert_thread_invariant(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || RandomPushPull::new(&g),
+        "multi-page star",
+    );
+    assert!(report.completed, "{report}");
+    let mem = report.mem.unwrap();
+    assert!(
+        mem.pages_peak <= 3,
+        "leaf sets stay sparse; only the hub's pages go dense ({mem:?})"
+    );
+}
+
 /// The churn-profile gate: crash-stop churn with amnesiac rejoins, link
 /// cuts and message loss, replayed at 1 vs 4 threads (and at 2 and 8),
 /// must agree byte for byte — fault section included.

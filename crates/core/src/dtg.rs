@@ -14,21 +14,22 @@
 //! not heard from yet and then performs the pipelined
 //! PUSH(i..1) / PULL(1..i) / PULL / PUSH exchange sequence over the neighbors
 //! linked so far, waiting for each exchange to complete before the next.
-//! "Heard from" is tracked per invocation with exactly the same *snapshot-free*
-//! semantics the simulator uses for rumors: each node keeps an append-only
-//! [`AcquisitionLog`] of the ids it heard, an in-flight exchange records only
-//! the two log **lengths** at initiation, and completion replays the
-//! unmerged log prefix through a per-direction watermark.  A node therefore
-//! never believes it heard from a neighbor whose rumors it has not actually
-//! received — at the cost of two integers per in-flight exchange instead of
-//! the two full `RumorSet` clones this used to take.
-
-use std::collections::HashMap;
+//!
+//! DTG is deterministic, so a node's schedule never depends on the rumors it
+//! carries — only on whom it has heard from.  [`run_with_rumors`] therefore
+//! works in two passes.  The first runs the invocation from the canonical
+//! "every node knows its own rumor" state, where a node's rumor set is
+//! exactly the set of nodes it has heard from, so [`EllDtg`] links by
+//! reading the engine's own rumor set.  When the caller's rumor sets are
+//! that canonical state, the first pass is the run.  Otherwise a second pass
+//! replays the same state machine over the caller's sets, each node taking
+//! its links from the order the first pass recorded: the same exchanges
+//! complete in the same rounds, carrying the caller's rumors.
 
 use gossip_graph::{Graph, Latency, NodeId};
 use gossip_sim::{
-    AcquisitionLog, Activity, ExchangeEvent, NodeView, Protocol, RumorId, RumorSet, Seeding,
-    SimConfig, Simulation, Termination,
+    Activity, ExchangeEvent, NodeView, Protocol, RumorId, RumorSet, Seeding, SimConfig, Simulation,
+    Termination,
 };
 use rand::rngs::SmallRng;
 
@@ -37,9 +38,12 @@ use crate::DisseminationReport;
 /// Per-node program state of the ℓ-DTG state machine.
 #[derive(Debug, Clone)]
 pub struct DtgNode {
-    /// Neighbors reachable over edges of latency ≤ the bound, in id order.
+    /// Neighbors reachable over edges of latency ≤ the bound, in id order
+    /// (empty when replaying: every link is already in `linked`).
     fast_neighbors: Vec<NodeId>,
-    /// Neighbors linked so far in this invocation (`u_1 … u_i`).
+    /// Neighbors linked so far in this invocation (`u_1 … u_i`); when
+    /// replaying, the whole recorded link order, of which the first
+    /// `iterations` are linked.
     linked: Vec<NodeId>,
     /// Exchange targets of the current iteration, in order.
     queue: Vec<NodeId>,
@@ -47,120 +51,71 @@ pub struct DtgNode {
     queue_pos: usize,
     /// `true` while an exchange this node initiated is still in flight.
     waiting: bool,
-    /// Heard-log lengths `(this node, target)` when that exchange was
-    /// initiated — the snapshot-free analogue of the engine's own exchange
-    /// bookkeeping.  While `waiting` is set the node has exactly one
-    /// initiated exchange in flight, so one slot suffices; its completion
-    /// takes it back.
-    snapshot: Option<(u32, u32)>,
-    /// `true` once the node has heard from all of its fast neighbors.
+    /// `true` once the node has heard from all of its fast neighbors (or,
+    /// when replaying, has made every recorded link).
     done: bool,
     /// Number of iterations performed (for the `O(log n)`-iterations check).
     iterations: usize,
 }
 
 impl DtgNode {
-    /// Links a fast neighbor not yet heard from and queues the iteration's
-    /// exchanges, or marks the node done when there is none left.
+    /// Links the next neighbor and queues the iteration's exchanges, or marks
+    /// the node done when there is none left.  The next neighbor is the first
+    /// fast neighbor whose rumor `heard` lacks, or, when replaying, the next
+    /// entry of the recorded link order.
     fn start_iteration(&mut self, heard: &RumorSet) {
         let fresh = self
             .fast_neighbors
             .iter()
             .copied()
             .find(|&u| !heard.contains(RumorId::of_node(u)));
-        let Some(new_neighbor) = fresh else {
+        self.linked.extend(fresh);
+        if self.iterations == self.linked.len() {
             self.done = true;
             return;
-        };
-        self.linked.push(new_neighbor);
+        }
         self.iterations += 1;
         // PUSH j = i..1, PULL j = 1..i, then the symmetric PULL, PUSH pass.
-        let linked = &self.linked;
-        let mut queue = Vec::with_capacity(4 * linked.len());
-        queue.extend(linked.iter().rev().copied()); // PUSH i..1
-        queue.extend(linked.iter().copied()); // PULL 1..i
-        queue.extend(linked.iter().copied()); // PULL 1..i
-        queue.extend(linked.iter().rev().copied()); // PUSH i..1
+        let linked = || self.linked.iter().take(self.iterations).copied();
+        let mut queue = Vec::with_capacity(4 * self.iterations);
+        queue.extend(linked().rev()); // PUSH i..1
+        queue.extend(linked()); // PULL 1..i
+        queue.extend(linked()); // PULL 1..i
+        queue.extend(linked().rev()); // PUSH i..1
         self.queue = queue;
         self.queue_pos = 0;
     }
-}
 
-/// Who each node has heard from during one ℓ-DTG invocation.  Only
-/// [`EllDtg`]'s `on_exchange` writes it; every decision reads it.
-#[derive(Debug)]
-pub struct Heard {
-    /// Per-node set of node ids heard from.
-    sets: Vec<RumorSet>,
-    /// Append-only acquisition order of each set (run-compressed);
-    /// in-flight exchanges snapshot *positions* into these logs, never the
-    /// sets themselves.
-    logs: Vec<AcquisitionLog>,
-    /// Directed merge watermarks: `(src, dst) → position`, the prefix of
-    /// `src`'s log already replayed into `dst`.  Completions replay only
-    /// `[watermark, snapshot)`, so overlapping exchanges on the same pair
-    /// never re-scan merged history.
-    // gossip-lint: allow(unordered-iter): keyed watermark lookups only, never iterated — order can't reach any observable
-    merged: HashMap<(u32, u32), u32>,
-    /// Scratch reused across completions (log segments, newly heard runs).
-    scratch_segments: Vec<(RumorId, u32)>,
-    scratch_new: Vec<(RumorId, u32)>,
-}
-
-impl Heard {
-    /// Records `id` as heard by `node`, keeping the acquisition log in sync.
-    // gossip-lint: allow(panic-path): per-node state vec is sized n at construction; node ids come from the engine
-    fn hear(&mut self, node: usize, id: RumorId) {
-        if self.sets[node].insert(id) {
-            self.logs[node].push(id);
+    /// This node's program restarted to replay the links it made, whatever
+    /// rumors the next run carries.
+    fn replay(self) -> Self {
+        DtgNode {
+            done: self.fast_neighbors.is_empty(),
+            fast_neighbors: Vec::new(),
+            linked: self.linked,
+            queue: Vec::new(),
+            queue_pos: 0,
+            waiting: false,
+            iterations: 0,
         }
-    }
-
-    /// Replays `src`'s heard-log prefix `[watermark, upto)` into `dst`,
-    /// advancing the directed watermark.  Positions below the watermark were
-    /// already merged into `dst` by an earlier completion on this pair, so
-    /// the result equals the old union-with-snapshot semantics.
-    // gossip-lint: allow(panic-path): log positions are bounded by the acquisition-log length invariant
-    fn replay(&mut self, src: usize, dst: usize, upto: u32) {
-        let wm = self.merged.entry((src as u32, dst as u32)).or_insert(0);
-        let from = *wm;
-        if from >= upto {
-            return;
-        }
-        *wm = upto;
-        let mut segments = std::mem::take(&mut self.scratch_segments);
-        self.logs[src].for_each_segment(from, upto, |first, len| {
-            segments.push((first, len));
-        });
-        let mut new_runs = std::mem::take(&mut self.scratch_new);
-        for &(first, len) in &segments {
-            self.sets[dst].insert_run(first, len, &mut new_runs);
-        }
-        for &(first, len) in &new_runs {
-            self.logs[dst].push_run(first, len);
-        }
-        segments.clear();
-        new_runs.clear();
-        self.scratch_segments = segments;
-        self.scratch_new = new_runs;
     }
 }
 
 /// The ℓ-DTG local-broadcast protocol.
 ///
-/// Run it with [`local_broadcast`] or compose it with existing rumor state via
+/// A node links by what its rumor set holds, so on its own the protocol is
+/// ℓ-DTG only from the "every node knows its own rumor" state.  Run it with
+/// [`local_broadcast`], or over existing rumor state with
 /// [`run_with_rumors`] (as the pattern-broadcast schedule does).
 #[derive(Debug)]
 pub struct EllDtg {
     bound: Latency,
-    heard: Heard,
     nodes: Vec<DtgNode>,
 }
 
 impl EllDtg {
     /// Creates the protocol for graph `g` with latency bound `bound`.
     pub fn new(g: &Graph, bound: Latency) -> Self {
-        let n = g.node_count();
         let nodes = g
             .nodes()
             .map(|v| {
@@ -176,23 +131,18 @@ impl EllDtg {
                     queue: Vec::new(),
                     queue_pos: 0,
                     waiting: false,
-                    snapshot: None,
                     iterations: 0,
                 }
             })
             .collect();
-        let sets = Seeding::AllToAll.initial_sets(n);
-        let logs = sets.iter().map(AcquisitionLog::from_set).collect();
+        EllDtg { bound, nodes }
+    }
+
+    /// The protocol restarted to replay every node's recorded links.
+    fn replay(self) -> Self {
         EllDtg {
-            bound,
-            heard: Heard {
-                sets,
-                logs,
-                merged: HashMap::new(),
-                scratch_segments: Vec::new(),
-                scratch_new: Vec::new(),
-            },
-            nodes,
+            bound: self.bound,
+            nodes: self.nodes.into_iter().map(DtgNode::replay).collect(),
         }
     }
 
@@ -209,20 +159,19 @@ impl EllDtg {
 }
 
 impl Protocol for EllDtg {
-    type Shared = Heard;
+    type Shared = ();
     type Node = DtgNode;
 
     fn name(&self) -> &'static str {
         "ell-dtg"
     }
 
-    fn split(&mut self, _n: usize) -> (&Heard, &mut [DtgNode]) {
-        (&self.heard, &mut self.nodes)
+    fn split(&mut self, _n: usize) -> (&(), &mut [DtgNode]) {
+        (&(), &mut self.nodes)
     }
 
-    // gossip-lint: allow(panic-path): the heard sets and logs are sized n at construction
     fn on_round(
-        heard: &Heard,
+        _: &(),
         st: &mut DtgNode,
         view: &NodeView<'_>,
         _rng: &mut SmallRng,
@@ -230,41 +179,31 @@ impl Protocol for EllDtg {
         if st.done || st.waiting {
             return None;
         }
-        let v = view.node.index();
         if st.queue_pos >= st.queue.len() {
             // Iteration finished (or not started yet): start the next one,
             // or finish once every fast neighbor has been heard from.
-            st.start_iteration(&heard.sets[v]);
+            st.start_iteration(view.rumors);
             if st.done {
                 return None;
             }
         }
         let target = *st.queue.get(st.queue_pos)?;
         st.waiting = true;
-        st.snapshot = Some((heard.logs[v].len(), heard.logs[target.index()].len()));
         Some(target)
     }
 
-    // gossip-lint: allow(panic-path): per-node state vec is sized n at construction
     fn on_exchange(&mut self, node: NodeId, event: &ExchangeEvent) {
         if !event.initiated_here {
             return;
         }
-        let v = node.index();
-        let u = event.peer.index();
-        let st = &mut self.nodes[v];
-        if let Some((len_v, len_u)) = st.snapshot.take() {
-            self.heard.replay(u, v, len_u);
-            self.heard.replay(v, u, len_v);
+        if let Some(st) = self.nodes.get_mut(node.index()) {
+            st.waiting = false;
+            st.queue_pos += 1;
         }
-        self.heard.hear(v, RumorId::of_node(event.peer));
-        self.heard.hear(u, RumorId::of_node(node));
-        st.waiting = false;
-        st.queue_pos += 1;
     }
 
     // gossip-audit: contract(pure)
-    fn activity(_: &Heard, st: &DtgNode, _: &NodeView<'_>) -> Activity {
+    fn activity(_: &(), st: &DtgNode, _: &NodeView<'_>) -> Activity {
         if st.done {
             // `done` is never reset: the node has heard from every fast
             // neighbor and `on_round` returns `None` forever.
@@ -299,7 +238,10 @@ pub fn local_broadcast(g: &Graph, bound: Latency, seed: u64) -> DisseminationRep
 ///
 /// This is the form the pattern-broadcast schedule needs: rumor knowledge is
 /// carried across invocations while the "who have I exchanged with" state is
-/// reset for each invocation.
+/// reset for each invocation.  The schedule comes from a run from the
+/// canonical "every node knows its own rumor" state; unless `rumors` is that
+/// state, a second run replays the schedule over `rumors` (see the module
+/// docs).
 ///
 /// # Panics
 ///
@@ -321,16 +263,23 @@ pub fn run_with_rumors(
         .mode(mode)
         .max_rounds(round_cap(g, bound));
     let mut protocol = EllDtg::new(g, bound);
-    let mut sim = Simulation::with_rumors(g, config, rumors);
-    let report = sim.run(&mut protocol);
+    let mut sim = Simulation::new(g, config.clone());
+    let mut report = sim.run(&mut protocol);
     let iterations = protocol.max_iterations();
+    let rumors = if rumors == Seeding::AllToAll.initial_sets(g.node_count()) {
+        sim.into_rumors()
+    } else {
+        let mut sim = Simulation::with_rumors(g, config, rumors);
+        report = sim.run(&mut protocol.replay());
+        sim.into_rumors()
+    };
     let out = DisseminationReport::single(
         "ell-dtg",
         report.rounds,
         report.activations,
         report.completed,
     );
-    (out, sim.into_rumors(), iterations)
+    (out, rumors, iterations)
 }
 
 /// Checks the ℓ-local-broadcast postcondition: every node knows the rumor of
@@ -346,7 +295,11 @@ fn round_cap(g: &Graph, bound: Latency) -> u64 {
     // DTG costs O(ℓ · log² n); allow a very generous multiple before giving up.
     let n = g.node_count() as u64;
     let log = (64 - n.leading_zeros() as u64).max(1);
-    (bound.max(1)) * log * log * 64 + n * 4 + 1_000
+    bound
+        .max(1)
+        .saturating_mul(log * log * 64)
+        .saturating_add(n.saturating_mul(4))
+        .saturating_add(1_000)
 }
 
 #[cfg(test)]
@@ -456,6 +409,12 @@ mod tests {
         let (report, rumors, _) = run_with_rumors(&g, 3, 4, initial, true);
         assert!(report.completed);
         assert!(local_broadcast_achieved(&g, 3, &rumors));
+    }
+
+    #[test]
+    fn huge_latency_bound_saturates_the_round_cap() {
+        let r = local_broadcast(&generators::path(3, 1).unwrap(), u64::MAX, 1);
+        assert!(r.completed);
     }
 
     #[test]

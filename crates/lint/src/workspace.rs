@@ -122,7 +122,6 @@ impl Default for AuditConfig {
             "AcquisitionLog::truncate_below",
             "AcquisitionLog::truncate_all",
             "AcquisitionLog::for_each_chunk",
-            "AcquisitionLog::for_each_segment",
             // Heavy-protocol entry points dispatched through `P: Protocol`
             // generics — invisible to the name-based call graph from
             // `Simulation::run` (core is not a dependency of sim), so they

@@ -401,7 +401,7 @@ impl RumorSet {
     /// # Panics
     ///
     /// Panics if the run extends past the universe.
-    pub fn insert_run(&mut self, first: RumorId, len: u32, out_new: &mut Vec<RumorRun>) {
+    pub(crate) fn insert_run(&mut self, first: RumorId, len: u32, out_new: &mut Vec<RumorRun>) {
         self.union_run(first.index(), len, |first, len| {
             push_new_run(out_new, first, len);
         });
@@ -767,7 +767,7 @@ pub(crate) enum LogChunk<'a> {
 ///   saturation-collapse variant: it drops *everything* and releases the
 ///   log's storage outright.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AcquisitionLog {
+pub(crate) struct AcquisitionLog {
     /// The index: interval runs and layer markers, in position order.
     runs: Vec<Run>,
     /// The dense layers of the retained markers, in position order.
@@ -788,7 +788,7 @@ fn entry_end(live: &[Run], i: usize, len: u32) -> u32 {
 
 impl AcquisitionLog {
     /// Creates an empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AcquisitionLog {
             runs: Vec::new(),
             layers: Vec::new(),
@@ -799,7 +799,7 @@ impl AcquisitionLog {
 
     /// Creates a log seeded with the rumors of `set` in increasing id order
     /// (the canonical initial-state order; consecutive ids coalesce into runs).
-    pub fn from_set(set: &RumorSet) -> Self {
+    pub(crate) fn from_set(set: &RumorSet) -> Self {
         let mut log = AcquisitionLog::new();
         for rumor in set.iter() {
             log.push(rumor);
@@ -809,7 +809,7 @@ impl AcquisitionLog {
 
     /// Total number of entries ever appended (including truncated ones).
     #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         self.len
     }
 
@@ -820,7 +820,7 @@ impl AcquisitionLog {
 
     /// Absolute position of the first retained entry (`len()` when nothing
     /// is retained): reads below this position panic in debug builds.
-    pub fn front(&self) -> u32 {
+    pub(crate) fn front(&self) -> u32 {
         self.live().first().map_or(self.len, |r| r.start)
     }
 
@@ -850,14 +850,14 @@ impl AcquisitionLog {
     /// Appends one entry.  Returns `true` if the entry started a new run
     /// (`false` when it extended the last run — extensions are free, the run
     /// length is implicit).
-    pub fn push(&mut self, rumor: RumorId) -> bool {
+    pub(crate) fn push(&mut self, rumor: RumorId) -> bool {
         self.push_run(rumor, 1)
     }
 
     /// Appends `len` consecutive entries `first, first+1, …` as one batch.
     /// Returns `true` if the batch started a new run (`false` when it
     /// extended the last run).  `len == 0` is a no-op returning `false`.
-    pub fn push_run(&mut self, first: RumorId, len: u32) -> bool {
+    pub(crate) fn push_run(&mut self, first: RumorId, len: u32) -> bool {
         if len == 0 {
             return false;
         }
@@ -1061,7 +1061,8 @@ impl AcquisitionLog {
     ///
     /// Panics in debug builds if `from` lies below the truncation frontier or
     /// `to` past the end.
-    pub fn for_each_segment(&self, from: u32, to: u32, mut f: impl FnMut(RumorId, u32)) {
+    #[cfg(test)]
+    pub(crate) fn for_each_segment(&self, from: u32, to: u32, mut f: impl FnMut(RumorId, u32)) {
         self.for_each_chunk(from, to, |chunk| match chunk {
             LogChunk::Run(first, len) => f(first, len),
             LogChunk::Words(word_lo, words) => {
@@ -1072,12 +1073,13 @@ impl AcquisitionLog {
         });
     }
 
-    /// The entry at absolute position `pos` (mainly for tests).
+    /// The entry at absolute position `pos` (for tests).
     ///
     /// # Panics
     ///
     /// Panics if `pos` is truncated or out of range.
-    pub fn get(&self, pos: u32) -> RumorId {
+    #[cfg(test)]
+    pub(crate) fn get(&self, pos: u32) -> RumorId {
         assert!(
             pos >= self.front() && pos < self.len,
             "position out of range"
@@ -1088,6 +1090,7 @@ impl AcquisitionLog {
     }
 }
 
+#[cfg(test)]
 impl Default for AcquisitionLog {
     fn default() -> Self {
         AcquisitionLog::new()

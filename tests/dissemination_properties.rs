@@ -5,10 +5,10 @@ use gossip_core::{dtg, pattern, push_pull, spanner};
 use gossip_graph::latency::LatencyScheme;
 use gossip_graph::{generators, metrics, Graph, NodeId};
 use gossip_sim::protocols::RandomPushPull;
-use gossip_sim::{Seeding, SimConfig, Simulation, Termination};
+use gossip_sim::{RumorId, Seeding, SimConfig, Simulation, Termination};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a connected Erdős–Rényi graph with two-level latencies.
 fn random_weighted_graph(n: usize, p: f64, slow: u64, fast_probability: f64, seed: u64) -> Graph {
@@ -72,19 +72,44 @@ proptest! {
     }
 
     /// ℓ-DTG achieves exactly the local-broadcast postcondition and never
-    /// activates an edge slower than its bound.
+    /// activates an edge slower than its bound.  Its schedule ignores what
+    /// the nodes already know: from random extra initial knowledge, in
+    /// either exchange mode, the run reports exactly what the id-seeded run
+    /// reports and only ever adds rumors.
     #[test]
     fn dtg_local_broadcast_postcondition(
         n in 5usize..18,
         p in 0.3f64..0.8,
         bound in 1u64..12,
         seed in 0u64..500,
+        extra in 0.0f64..0.6,
+        knowledge_seed in 0u64..500,
     ) {
         let g = random_weighted_graph(n, p, 10, 0.5, seed);
-        let rumors = Seeding::AllToAll.initial_sets(g.node_count());
-        let (report, final_rumors, _) = dtg::run_with_rumors(&g, bound, seed, rumors, false);
-        prop_assert!(report.completed);
-        prop_assert!(dtg::local_broadcast_achieved(&g, bound, &final_rumors));
+        let n = g.node_count();
+        let mut rng = SmallRng::seed_from_u64(knowledge_seed);
+        let mut initial = Seeding::AllToAll.initial_sets(n);
+        for set in &mut initial {
+            for r in 0..n {
+                if rng.gen_bool(extra) {
+                    set.insert(RumorId::from(r));
+                }
+            }
+        }
+        for blocking in [false, true] {
+            let rumors = Seeding::AllToAll.initial_sets(n);
+            let (expected, id_rumors, _) = dtg::run_with_rumors(&g, bound, seed, rumors, blocking);
+            prop_assert!(expected.completed);
+            prop_assert!(dtg::local_broadcast_achieved(&g, bound, &id_rumors));
+
+            let (report, final_rumors, _) =
+                dtg::run_with_rumors(&g, bound, seed, initial.clone(), blocking);
+            prop_assert_eq!(&report, &expected);
+            for (before, after) in initial.iter().zip(&final_rumors) {
+                prop_assert!(before.iter().all(|r| after.contains(r)), "a node lost rumors");
+            }
+            prop_assert!(dtg::local_broadcast_achieved(&g, bound, &final_rumors));
+        }
     }
 
     /// The Baswana–Sen spanner keeps connectivity and respects the 2k-1 stretch.

@@ -279,8 +279,8 @@ fn churn_profile_runs_are_identical_across_thread_counts() {
     );
 }
 
-/// ℓ-DTG in both exchange modes: its heard-from sets are shared state that
-/// only completions write, and each node's iteration queue is its own.
+/// ℓ-DTG in both exchange modes: a node links by reading its own rumor set,
+/// and each node's iteration queue is its own.
 #[test]
 fn ell_dtg_is_identical_across_thread_counts() {
     let g = mid_size_er(0xE55);

@@ -39,7 +39,6 @@ const MUTATING_METHODS: &[&str] = &[
     "sort_unstable",
     "set",
     "push_run",
-    "push_batch",
     "next_u32",
     "next_u64",
     "fill_bytes",

@@ -75,7 +75,6 @@ const MUTATING_METHODS: &[&str] = &[
     "swap_remove",
     "retain",
     "push_run",
-    "push_batch",
     "next_u32",
     "next_u64",
     "fill_bytes",

@@ -116,7 +116,8 @@ impl Default for AuditConfig {
             // Acquisition-log operations driven from the merge path.
             "AcquisitionLog::push",
             "AcquisitionLog::push_run",
-            "AcquisitionLog::push_batch",
+            "AcquisitionLog::encode_batch",
+            "AcquisitionLog::append",
             "AcquisitionLog::bytes_entirely_below",
             "AcquisitionLog::footprint",
             "AcquisitionLog::truncate_below",

@@ -111,8 +111,8 @@ use rayon::prelude::*;
 use crate::fault::{self, FaultEvent, FaultPlan};
 use crate::report::{FaultReport, MemStats, RunReport};
 use crate::rumor::{
-    self, AcquisitionLog, LogChunk, LogFootprint, PageFootprint, RumorId, RumorRun, RumorSet,
-    Seeding,
+    self, AcquisitionLog, DenseBatch, EncodedBatch, LogChunk, LogFootprint, PageFootprint, RumorId,
+    RumorRun, RumorSet, Seeding,
 };
 
 /// Whether a node may start a new exchange while one it initiated is still in flight.
@@ -992,174 +992,191 @@ impl PageTrace {
     }
 }
 
-/// Phase A output of one merge shard: every rumor newly learned by the
-/// shard's destinations, as maximal consecutive-id runs.
-struct MergeShardNew {
-    /// New runs flattened in task order; `run_counts[k]` of them belong to
-    /// the shard's `k`-th task.  (Flattened per shard, not per task, so a
-    /// phase's allocation count is `O(shards)`, not `O(tasks)`.)
-    runs: Vec<RumorRun>,
-    run_counts: Vec<u32>,
-    pages: PageTrace,
-}
-
-/// Phase B output of one merge shard: pure counter deltas, folded into the
-/// global termination counters in shard order.
-#[derive(Default)]
-struct MergeShardDelta {
-    /// Storage appended to acquisition logs.
-    appended: LogFootprint,
-    full_nodes: usize,
-    source_known_by: usize,
-    lb_deficit_sub: u64,
-    /// Destinations that learned at least one rumor, ascending.
-    changed: Vec<u32>,
-}
-
-/// Phase A of the sharded completion merge: unions each task's source prefix
-/// into the destination's paged rumor set, collecting the newly learned
-/// rumors.  A shard owns a contiguous destination range (its `rumors` slice,
-/// offset by `base`) and its tasks are already in canonical order, so the
-/// in-shard walk *is* the canonical serial walk restricted to that range;
-/// everything else is only read.
-// gossip-lint: allow(panic-path): task indices are bounded by the shard partition invariants
-fn merge_shard_phase_a(
-    tasks: &[MergeTask],
-    base: usize,
-    rumors: &mut [RumorSet],
-    logs: &[AcquisitionLog],
-    shadows: &[Vec<u64>],
-    shadow_len: &[u32],
-    collapsed: &[bool],
-) -> MergeShardNew {
-    let mut out = MergeShardNew {
-        runs: Vec::new(),
-        run_counts: Vec::with_capacity(tasks.len()),
-        pages: PageTrace::default(),
-    };
-    // Per-task scratch: new runs must be collected per task (the flat buffer
-    // would otherwise coalesce id-adjacent runs across task — and therefore
-    // destination — boundaries).
-    let mut scratch: Vec<RumorRun> = Vec::new();
-    for t in tasks {
-        let si = t.src as usize;
-        let dst_set = &mut rumors[t.dst as usize - base];
-        if dst_set.is_full() {
-            // Saturated by an earlier same-destination task this phase: the
-            // union is a guaranteed no-op, exactly like the serial engine's
-            // `counts >= universe` skip at task time.
-            out.run_counts.push(0);
-            continue;
-        }
-        scratch.clear();
-        let pages_before = dst_set.page_footprint();
-        if collapsed[si] {
-            // Saturation-collapsed peer: every snapshot of it still in
-            // flight was taken after it saturated (that is the collapse
-            // precondition), so the prefix is the whole universe.
-            debug_assert_eq!(t.upto as usize, dst_set.universe());
-            dst_set.insert_all(&mut scratch);
-        } else {
-            let frontier = shadow_len[si];
-            if t.start < frontier {
-                // Invariant: a nonzero frontier implies a materialised
-                // shadow holding exactly the first `frontier` log entries.
-                dst_set.union_words_collect_new_runs(0, &shadows[si], &mut scratch);
-            }
-            logs[si].for_each_chunk(t.start.max(frontier), t.upto, |chunk| match chunk {
-                LogChunk::Run(first, len) => dst_set.insert_run(first, len, &mut scratch),
-                LogChunk::Words(word_lo, words) => {
-                    dst_set.union_words_collect_new_runs(word_lo, words, &mut scratch);
-                }
-            });
-        }
-        out.pages.record(pages_before, dst_set.page_footprint());
-        out.run_counts.push(scratch.len() as u32);
-        out.runs.extend_from_slice(&scratch);
-    }
-    out
-}
-
-/// Phase B of the sharded completion merge: appends each task's new runs to
-/// the destination's acquisition log and folds every termination counter the
-/// runs touch into a per-shard delta.  The shard's `logs` / `counts` /
-/// `informed_times` slices start at destination `base`; `rumors` is the full
-/// slice, only read (for the per-destination universe).
-#[allow(clippy::too_many_arguments)]
-// gossip-lint: allow(panic-path): task indices are bounded by the shard partition invariants
-fn merge_shard_phase_b(
-    tasks: &[MergeTask],
-    new: &MergeShardNew,
-    base: usize,
-    rumors: &[RumorSet],
-    logs: &mut [AcquisitionLog],
-    counts: &mut [usize],
-    mut informed_times: Option<&mut [Option<u64>]>,
-    graph: &Graph,
-    alive: Option<&AliveView>,
+/// What every merge shard reads and none writes.
+struct MergeView<'a> {
+    logs: &'a [AcquisitionLog],
+    shadows: &'a [Vec<u64>],
+    shadow_len: &'a [u32],
+    collapsed: &'a [bool],
+    graph: &'a Graph,
+    alive: Option<&'a AliveView>,
     source_rumor: Option<RumorId>,
     tracked: Option<RumorId>,
     lb_bound: Option<Latency>,
     round: u64,
-) -> MergeShardDelta {
-    let mut delta = MergeShardDelta::default();
-    let mut run_counts = new.run_counts.iter();
-    let mut cursor = 0usize;
+}
+
+/// The destination range one merge shard owns: its tasks, and its slices of
+/// the per-destination state, all starting at destination `base`.
+struct MergeShard<'a> {
+    tasks: &'a [MergeTask],
+    base: usize,
+    rumors: &'a mut [RumorSet],
+    counts: &'a mut [usize],
+    informed_times: Option<&'a mut [Option<u64>]>,
+}
+
+/// Phase A output of one merge shard: the batch of every destination that
+/// learned at least one rumor, in its log form, plus the shard's counter
+/// deltas.
+#[derive(Default)]
+struct MergeShardNew {
+    /// `(destination, run count)` per batch, ascending by destination; a
+    /// layer batch counts 0 runs.  (Eight bytes per changed destination: on
+    /// a star every leaf changes in the same phase.)
+    batches: Vec<(u32, u32)>,
+    /// The runs of the run batches, flattened in batch order (per shard, not
+    /// per batch, so a phase's allocation count is `O(shards)`).
+    runs: Vec<RumorRun>,
+    /// The layer batches, with their destinations.
+    layers: Vec<(u32, DenseBatch)>,
+    pages: PageTrace,
+    full_nodes: usize,
+    source_known_by: usize,
+    lb_deficit_sub: u64,
+}
+
+/// Phase A of the sharded completion merge: unions each task's source prefix
+/// into the destination's paged rumor set, collecting each destination's
+/// newly learned rumors as maximal consecutive-id runs; folds them into the
+/// termination counters; and encodes them as the batch the destination's
+/// log will store.  A shard owns a contiguous destination range and its
+/// tasks are already in canonical order, so the in-shard walk *is* the
+/// canonical serial walk restricted to that range; everything else is only
+/// read (logs included: encoding a batch reads the destination's log tail).
+// gossip-lint: allow(panic-path): task indices are bounded by the shard partition invariants
+fn merge_shard_phase_a(shard: MergeShard<'_>, view: &MergeView<'_>) -> MergeShardNew {
+    let MergeShard {
+        tasks,
+        base,
+        rumors,
+        counts,
+        mut informed_times,
+    } = shard;
+    // Sized once: grown by doubling beside `runs`, it raised the 2-worker
+    // star's peak RSS by ~3 MB at an unchanged heap peak.
+    let mut out = MergeShardNew {
+        batches: Vec::with_capacity(tasks.chunk_by(|a, b| a.dst == b.dst).count()),
+        ..MergeShardNew::default()
+    };
+    // One destination's new runs: id-adjacent runs from successive tasks
+    // coalesce, which changes neither the batch's log form nor its counters.
+    let mut batch: Vec<RumorRun> = Vec::new();
     for group in tasks.chunk_by(|a, b| a.dst == b.dst) {
-        // Tasks are sorted by destination, so a destination's whole batch
-        // is one contiguous slice of the new runs.
-        let count: usize = run_counts
-            .by_ref()
-            .take(group.len())
-            .map(|&c| c as usize)
-            .sum();
-        let batch = &new.runs[cursor..cursor + count];
-        cursor += count;
-        let Some(t) = group.first().filter(|_| count > 0) else {
-            continue;
-        };
-        let di = t.dst as usize;
-        let li = di - base;
-        delta.changed.push(t.dst);
-        delta.appended += logs[li].push_batch(batch);
-        let universe = rumors[di].universe();
-        for &(first, len) in batch {
-            counts[li] += len as usize;
-            if counts[li] == universe {
-                delta.full_nodes += 1;
+        let dst = group[0].dst;
+        let (di, li) = (dst as usize, dst as usize - base);
+        let dst_set = &mut rumors[li];
+        batch.clear();
+        // Once the destination saturates, the remaining unions are
+        // guaranteed no-ops, exactly like the serial engine's
+        // `counts >= universe` skip at task time.
+        for t in group {
+            if dst_set.is_full() {
+                break;
             }
+            let si = t.src as usize;
+            let pages_before = dst_set.page_footprint();
+            if view.collapsed[si] {
+                // Saturation-collapsed peer: every snapshot of it still in
+                // flight was taken after it saturated (that is the collapse
+                // precondition), so the prefix is the whole universe.
+                debug_assert_eq!(t.upto as usize, dst_set.universe());
+                dst_set.insert_all(&mut batch);
+            } else {
+                let frontier = view.shadow_len[si];
+                if t.start < frontier {
+                    // Invariant: a nonzero frontier implies a materialised
+                    // shadow holding exactly the first `frontier` log entries.
+                    dst_set.union_words_collect_new_runs(0, &view.shadows[si], &mut batch);
+                }
+                view.logs[si].for_each_chunk(t.start.max(frontier), t.upto, |chunk| match chunk {
+                    LogChunk::Run(first, len) => dst_set.insert_run(first, len, &mut batch),
+                    LogChunk::Words(word_lo, words) => {
+                        dst_set.union_words_collect_new_runs(word_lo, words, &mut batch);
+                    }
+                });
+            }
+            out.pages.record(pages_before, dst_set.page_footprint());
+        }
+        if batch.is_empty() {
+            continue;
+        }
+        for &(first, len) in &batch {
+            counts[li] += len as usize;
             let run_contains =
                 |r: RumorId| r.0 >= first.0 && u64::from(r.0) < u64::from(first.0) + u64::from(len);
-            if source_rumor.is_some_and(run_contains) {
-                delta.source_known_by += 1;
+            if view.source_rumor.is_some_and(run_contains) {
+                out.source_known_by += 1;
             }
-            if tracked.is_some_and(run_contains) {
+            if view.tracked.is_some_and(run_contains) {
                 if let Some(informed) = informed_times.as_deref_mut() {
                     if informed[li].is_none() {
-                        informed[li] = Some(round);
+                        informed[li] = Some(view.round);
                     }
                 }
             }
-            if let Some(bound) = lb_bound {
-                let nbrs = graph.neighbor_slice(NodeId::new(di));
-                let node_count = graph.node_count();
+            if let Some(bound) = view.lb_bound {
+                let nbrs = view.graph.neighbor_slice(NodeId::new(di));
+                let node_count = view.graph.node_count();
                 for j in first.index()..(first.index() + len as usize).min(node_count) {
                     if let Ok(pos) = nbrs.binary_search_by_key(&NodeId::new(j), |&(w, _)| w) {
                         let (w, e) = nbrs[pos];
                         // A `(dst, w)` pair is only outstanding — and was only
                         // counted — while `w` is alive and the edge un-cut
                         // (crash/cut events retire such pairs eagerly).
-                        if graph.latency(e) <= bound
-                            && alive.is_none_or(|a| a.is_node_alive(w) && a.is_edge_alive(e))
+                        if view.graph.latency(e) <= bound
+                            && view
+                                .alive
+                                .is_none_or(|a| a.is_node_alive(w) && a.is_edge_alive(e))
                         {
-                            delta.lb_deficit_sub += 1;
+                            out.lb_deficit_sub += 1;
                         }
                     }
                 }
             }
         }
+        if counts[li] == dst_set.universe() {
+            out.full_nodes += 1;
+        }
+        let count = match view.logs[di].encode_batch(&batch) {
+            EncodedBatch::Runs(runs) => {
+                out.runs.extend_from_slice(runs);
+                runs.len() as u32
+            }
+            EncodedBatch::Layer(layer) => {
+                out.layers.push((dst, layer));
+                0
+            }
+        };
+        out.batches.push((dst, count));
     }
-    delta
+    out
+}
+
+/// Phase B of the sharded completion merge: appends each phase-A batch to
+/// its destination's log and returns the storage added.  The shard's `logs`
+/// slice starts at destination `base`.
+fn merge_shard_phase_b(
+    new: MergeShardNew,
+    base: usize,
+    logs: &mut [AcquisitionLog],
+) -> LogFootprint {
+    let mut appended = LogFootprint::default();
+    let mut runs = new.runs.as_slice();
+    // One batch per destination, so the order of appends across logs is free.
+    for (dst, count) in new.batches.into_iter().filter(|&(_, count)| count > 0) {
+        let (batch, rest) = runs.split_at(count as usize);
+        runs = rest;
+        if let Some(log) = logs.get_mut(dst as usize - base) {
+            appended += log.append(EncodedBatch::Runs(batch));
+        }
+    }
+    for (dst, layer) in new.layers {
+        if let Some(log) = logs.get_mut(dst as usize - base) {
+            appended += log.append(EncodedBatch::Layer(layer));
+        }
+    }
+    appended
 }
 
 /// Cuts `tasks` (sorted by destination) into at most `max_shards` contiguous
@@ -1367,11 +1384,17 @@ impl<'g> Progress<'g> {
     /// (one word-OR sweep) and the retained tail is replayed run by run and
     /// dense layer by dense layer (a word-OR sweep over its window).
     ///
-    /// Phase B appends each destination's new runs as one batch
-    /// ([`AcquisitionLog::push_batch`]): all its tasks' runs are one
-    /// contiguous slice, so the runs-or-layer choice sees the whole phase's
-    /// acquisitions and depends on neither the shard cuts nor the thread
-    /// count.
+    /// The merge runs in two phases.  Phase A unions, per destination, all
+    /// its tasks into its rumor set, collecting the new runs in one buffer;
+    /// folds them into the termination counters; and encodes them as one
+    /// batch in the form the destination's log stores
+    /// ([`AcquisitionLog::encode_batch`]): its runs, or one dense layer.
+    /// The runs-or-layer choice thus sees the whole phase's acquisitions and
+    /// depends on neither the shard cuts nor the thread count.  Phase B only
+    /// moves each batch into its log ([`AcquisitionLog::append`]).  So the
+    /// transient state between the phases is what the logs are about to
+    /// hold, not every raw run of the phase: on expander all-to-all, most
+    /// runs end up in dense layers a fraction of their size.
     ///
     /// # Why sharding cannot change the result
     ///
@@ -1384,8 +1407,8 @@ impl<'g> Progress<'g> {
     ///   reason — shadow and saturated-peer unions yield ascending rumor
     ///   ids, not learn order; `engine_equivalence` pins the final sets.)
     /// * **Shard cuts fall only between destinations** ([`partition_tasks`]),
-    ///   so phase A mutates disjoint `rumors` slices and phase B disjoint
-    ///   `logs`/`counts`/`informed_times` slices; everything else is read
+    ///   so phase A mutates disjoint `rumors`/`counts`/`informed_times`
+    ///   slices and phase B disjoint `logs` slices; everything else is read
     ///   shared.  No shard ever observes another's writes.
     /// * **Reductions replay the serial walk.**  Counter deltas are summed
     ///   in shard order; the rumor-set page peaks use the [`PageTrace`]
@@ -1394,8 +1417,8 @@ impl<'g> Progress<'g> {
     ///   independent of the cut positions, hence of the thread count.
     ///
     /// The two phases are separated by a barrier: phase B appends to
-    /// `logs[dst]` while phase A *reads* `logs[src]`, and any `src` may be
-    /// another shard's `dst`.
+    /// `logs[dst]` while phase A *reads* `logs[src]` (and `logs[dst]`'s tail,
+    /// to encode), and any `src` may be another shard's `dst`.
     fn merge_completions(
         &mut self,
         rumors: &mut [RumorSet],
@@ -1443,80 +1466,59 @@ impl<'g> Progress<'g> {
             mem,
             ..
         } = self;
-        let (source_rumor, tracked, lb_bound) = (*source_rumor, *tracked, *lb_bound);
 
-        // Phase A: union prefixes into the destinations' paged rumor sets.
-        let new_runs: Vec<MergeShardNew> = {
-            let (logs, shadows, shadow_len, collapsed) =
-                (&**logs, &**shadows, &**shadow_len, &**collapsed);
-            let jobs: Vec<_> = shard_tasks
-                .iter()
-                .zip(split_lens(rumors, dst_lens()))
-                .collect();
-            run_jobs(threads, jobs, |(&(tasks, base), rumors)| {
-                merge_shard_phase_a(tasks, base, rumors, logs, shadows, shadow_len, collapsed)
-            })
-        };
-
-        // Phase B: append the new runs to the destinations' logs and reduce
-        // the counter deltas in shard order.
-        struct PhaseBJob<'a> {
-            tasks: &'a [MergeTask],
-            new: &'a MergeShardNew,
-            base: usize,
-            logs: &'a mut [AcquisitionLog],
-            counts: &'a mut [usize],
-            informed_times: Option<&'a mut [Option<u64>]>,
-        }
-        let deltas: Vec<MergeShardDelta> = {
-            let rumors = &*rumors;
-            let graph: &Graph = graph;
+        // Phase A: union prefixes into the destinations' paged rumor sets,
+        // fold the counters and encode each destination's batch.
+        let shard_batches: Vec<MergeShardNew> = {
+            let view = MergeView {
+                logs,
+                shadows,
+                shadow_len,
+                collapsed,
+                graph,
+                alive,
+                source_rumor: *source_rumor,
+                tracked: *tracked,
+                lb_bound: *lb_bound,
+                round,
+            };
             let mut informed = tracked
                 .is_some()
                 .then(|| split_lens(informed_times, dst_lens()).into_iter());
-            let jobs: Vec<PhaseBJob<'_>> = shard_tasks
+            let jobs: Vec<MergeShard<'_>> = shard_tasks
                 .iter()
-                .zip(&new_runs)
-                .zip(split_lens(logs, dst_lens()))
+                .zip(split_lens(rumors, dst_lens()))
                 .zip(split_lens(counts, dst_lens()))
-                .map(|(((&(tasks, base), new), logs), counts)| PhaseBJob {
+                .map(|((&(tasks, base), rumors), counts)| MergeShard {
                     tasks,
-                    new,
                     base,
-                    logs,
+                    rumors,
                     counts,
                     informed_times: informed.as_mut().and_then(Iterator::next),
                 })
                 .collect();
-            run_jobs(threads, jobs, |job| {
-                merge_shard_phase_b(
-                    job.tasks,
-                    job.new,
-                    job.base,
-                    rumors,
-                    job.logs,
-                    job.counts,
-                    job.informed_times,
-                    graph,
-                    alive,
-                    source_rumor,
-                    tracked,
-                    lb_bound,
-                    round,
-                )
-            })
+            run_jobs(threads, jobs, |shard| merge_shard_phase_a(shard, &view))
         };
 
         // Deterministic reduction, in shard order.
-        mem.pages = new_runs
-            .iter()
-            .fold(mem.pages, |pages, new| pages.then(new.pages));
-        for delta in deltas {
-            mem.grow_log(delta.appended);
-            *full_nodes += delta.full_nodes;
-            *source_known_by += delta.source_known_by;
-            *lb_deficit -= delta.lb_deficit_sub;
-            changed.extend_from_slice(&delta.changed);
+        for new in &shard_batches {
+            mem.pages = mem.pages.then(new.pages);
+            *full_nodes += new.full_nodes;
+            *source_known_by += new.source_known_by;
+            *lb_deficit -= new.lb_deficit_sub;
+            changed.extend(new.batches.iter().map(|&(dst, _)| dst));
+        }
+
+        // Phase B: move the batches into the destinations' logs.
+        let jobs: Vec<_> = shard_batches
+            .into_iter()
+            .zip(&shard_tasks)
+            .zip(split_lens(logs, dst_lens()))
+            .collect();
+        for appended in run_jobs(threads, jobs, |((new, &(_, base)), logs)| {
+            merge_shard_phase_b(new, base, logs)
+        }) {
+            mem.grow_log(appended);
         }
         // Log storage only grows within a delivery phase, so the phase-end
         // value is its in-phase peak.

@@ -708,6 +708,25 @@ fn layer_bytes(words: usize) -> u64 {
     (std::mem::size_of::<Layer>() + 8 * words) as u64
 }
 
+/// One batch of acquisitions in the form an [`AcquisitionLog`] stores it
+/// ([`AcquisitionLog::encode_batch`]).
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum EncodedBatch<'a> {
+    /// As interval runs, appended as [`AcquisitionLog::push_run`] would.
+    Runs(&'a [RumorRun]),
+    /// As one dense layer.
+    Layer(DenseBatch),
+}
+
+/// A batch encoded as a dense layer, not yet appended: the bitset over the
+/// word window its ids span, and how many ids it holds.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct DenseBatch {
+    word_lo: u32,
+    words: Box<[u64]>,
+    len: u32,
+}
+
 /// Storage an [`AcquisitionLog`] holds, gains or releases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct LogFootprint {
@@ -750,7 +769,7 @@ pub(crate) enum LogChunk<'a> {
 ///   and grow), and on structured families — star hubs relaying
 ///   `leaf 1, leaf 2, …`, clique all-to-all — whole logs collapse to a
 ///   handful of runs.
-/// * **Dense layers.**  `push_batch` appends a whole batch (in the engine:
+/// * **Dense layers.**  `append` stores a whole batch (in the engine:
 ///   everything a node learned in one delivery phase).  A batch that would
 ///   fragment into many runs over a narrow id window — the expander
 ///   all-to-all endgame, where a node learns half the universe in scattered
@@ -872,14 +891,17 @@ impl AcquisitionLog {
         starts
     }
 
-    /// Appends one batch of acquisitions, given as runs of distinct rumor
-    /// ids, and returns the storage it added.  The batch is stored as the
-    /// interval runs [`push_run`](Self::push_run) would create, or as one
-    /// dense layer over the word window `[min/64, max/64]` it spans when
-    /// that costs less by more than one run — the margin pays for the run
-    /// the next batch can no longer extend across the layer, so no batch
-    /// ever costs more than as runs.
-    pub(crate) fn push_batch(&mut self, batch: &[RumorRun]) -> LogFootprint {
+    /// Chooses how this log would store one batch of acquisitions, given as
+    /// runs of distinct rumor ids, without changing the log: as the interval
+    /// runs [`push_run`](Self::push_run) would create, or as one dense layer
+    /// over the word window `[min/64, max/64]` it spans when that costs less
+    /// by more than one run — the margin pays for the run the next batch can
+    /// no longer extend across the layer, so no batch ever costs more than
+    /// as runs.  [`append`](Self::append) stores the result.
+    ///
+    /// Splitting a run of the batch into id-adjacent pieces, or coalescing
+    /// such pieces, changes neither the choice nor the stored log.
+    pub(crate) fn encode_batch<'a>(&self, batch: &'a [RumorRun]) -> EncodedBatch<'a> {
         let mut tail = self.run_tail();
         let (mut runs, mut lo, mut hi, mut len) = (0u64, usize::MAX, 0usize, 0u32);
         for &(first, n) in batch.iter().filter(|&&(_, n)| n > 0) {
@@ -892,20 +914,13 @@ impl AcquisitionLog {
             len += n;
         }
         if len == 0 {
-            return LogFootprint::default();
+            return EncodedBatch::Runs(batch);
         }
         let word_lo = lo / 64;
         let words = (hi - 1) / 64 + 1 - word_lo;
         let layer_cost = RUN_BYTES + layer_bytes(words);
         if layer_cost + RUN_BYTES >= RUN_BYTES * runs {
-            for &(first, n) in batch {
-                self.push_run(first, n);
-            }
-            return LogFootprint {
-                runs,
-                layers: 0,
-                bytes: RUN_BYTES * runs,
-            };
+            return EncodedBatch::Runs(batch);
         }
         let mut bits = vec![0u64; words].into_boxed_slice();
         for &(first, n) in batch {
@@ -916,20 +931,50 @@ impl AcquisitionLog {
             len,
             "a batch holds distinct ids"
         );
-        self.runs.push(Run {
-            start: self.len,
-            first: LAYER_MARK,
-        });
-        self.layers.push(Layer {
-            start: self.len,
+        EncodedBatch::Layer(DenseBatch {
             word_lo: word_lo as u32,
             words: bits,
-        });
-        self.len += len;
-        LogFootprint {
-            runs: 0,
-            layers: 1,
-            bytes: layer_cost,
+            len,
+        })
+    }
+
+    /// Appends one encoded batch ([`encode_batch`](Self::encode_batch)) and
+    /// returns the storage it added.
+    pub(crate) fn append(&mut self, batch: EncodedBatch<'_>) -> LogFootprint {
+        match batch {
+            EncodedBatch::Runs(runs) => {
+                let mut started = 0u64;
+                for &(first, n) in runs {
+                    started += u64::from(self.push_run(first, n));
+                }
+                LogFootprint {
+                    runs: started,
+                    layers: 0,
+                    bytes: RUN_BYTES * started,
+                }
+            }
+            EncodedBatch::Layer(DenseBatch {
+                word_lo,
+                words,
+                len,
+            }) => {
+                let bytes = RUN_BYTES + layer_bytes(words.len());
+                self.runs.push(Run {
+                    start: self.len,
+                    first: LAYER_MARK,
+                });
+                self.layers.push(Layer {
+                    start: self.len,
+                    word_lo,
+                    words,
+                });
+                self.len += len;
+                LogFootprint {
+                    runs: 0,
+                    layers: 1,
+                    bytes,
+                }
+            }
         }
     }
 
@@ -1607,7 +1652,8 @@ mod tests {
         // Every third id of 0..300: 100 one-entry runs (800 bytes) against a
         // 5-word window (40 bytes) plus the layer's marker and header.
         let batch: Vec<RumorRun> = (0..300).step_by(3).map(|i| (RumorId(i), 1)).collect();
-        let added = log.push_batch(&batch);
+        assert!(matches!(log.encode_batch(&batch), EncodedBatch::Layer(_)));
+        let added = log.append(log.encode_batch(&batch));
         assert_eq!((added.runs, added.layers), (0, 1));
         assert_eq!(added.bytes, RUN_BYTES + layer_bytes(5));
         assert_eq!(log.footprint().bytes, RUN_BYTES + added.bytes);
@@ -1621,13 +1667,77 @@ mod tests {
         // right after the layer's last one.
         assert!(log.push_run(RumorId(298), 2));
         // A compact batch stays a run: one run is cheaper than any layer.
-        let added = log.push_batch(&[(RumorId(400), 64)]);
+        let compact = [(RumorId(400), 64)];
+        assert_eq!(log.encode_batch(&compact), EncodedBatch::Runs(&compact));
+        let added = log.append(log.encode_batch(&compact));
         assert_eq!((added.runs, added.layers, added.bytes), (1, 0, RUN_BYTES));
         let below = log.bytes_entirely_below(101);
         assert_eq!(below, 2 * RUN_BYTES + layer_bytes(5));
         let freed = log.truncate_below(101);
         assert_eq!((freed.runs, freed.layers, freed.bytes), (1, 1, below));
         assert_eq!(log.truncate_all().runs, 2);
+    }
+
+    /// Encodes and appends the per-task new runs `tasks` to two copies of
+    /// `log`: as their concatenation, and coalesced into maximal runs (as
+    /// the engine's per-destination buffer collects them).  Asserts that
+    /// both give the same form, footprint and log; returns the log, the
+    /// footprint and whether the batch became a layer.
+    fn append_concatenated_and_coalesced(
+        log: &AcquisitionLog,
+        tasks: &[Vec<RumorRun>],
+    ) -> (AcquisitionLog, LogFootprint, bool) {
+        let concatenated = tasks.concat();
+        let mut coalesced = Vec::new();
+        for &(first, len) in &concatenated {
+            push_new_run(&mut coalesced, first.index(), len);
+        }
+        let (mut a, mut b) = (log.clone(), log.clone());
+        let (form_a, form_b) = (a.encode_batch(&concatenated), b.encode_batch(&coalesced));
+        let layer = match (&form_a, &form_b) {
+            (EncodedBatch::Runs(_), EncodedBatch::Runs(_)) => false,
+            (EncodedBatch::Layer(x), EncodedBatch::Layer(y)) => {
+                assert_eq!(x, y);
+                true
+            }
+            forms => panic!("coalescing changed the form: {forms:?}"),
+        };
+        let (added_a, added_b) = (a.append(form_a), b.append(form_b));
+        assert_eq!(added_a, added_b);
+        assert_eq!(a, b);
+        (a, added_a, layer)
+    }
+
+    #[test]
+    fn coalescing_a_destinations_tasks_changes_no_batch() {
+        let mut log = AcquisitionLog::new();
+        log.push_run(RumorId(10), 5);
+        // Tail-extending first run, and a run split across two tasks.
+        let tasks = vec![
+            vec![(RumorId(15), 3)],
+            vec![(RumorId(18), 2), (RumorId(30), 1)],
+        ];
+        let (log, added, layer) = append_concatenated_and_coalesced(&log, &tasks);
+        assert!(!layer);
+        assert_eq!((added.runs, added.bytes), (1, RUN_BYTES));
+        assert_eq!(
+            (log.len(), log.get(9), log.get(10)),
+            (11, RumorId(19), RumorId(30))
+        );
+        // A layer batch whose middle run straddles the task boundary.
+        let mut first: Vec<RumorRun> = (0..150).step_by(3).map(|i| (RumorId(i), 1)).collect();
+        first.push((RumorId(200), 1));
+        let mut second = vec![(RumorId(201), 2)];
+        second.extend((210..400).step_by(3).map(|i| (RumorId(i), 1)));
+        let (log, added, layer) = append_concatenated_and_coalesced(&log, &[first, second]);
+        assert!(layer);
+        assert_eq!((added.runs, added.layers), (0, 1));
+        assert_eq!(log.len(), 11 + 50 + 3 + 64);
+        // An empty batch (every task learned nothing) adds nothing.
+        let (after, added, layer) = append_concatenated_and_coalesced(&log, &[vec![], vec![]]);
+        assert!(!layer);
+        assert_eq!(added, LogFootprint::default());
+        assert_eq!(after, log);
     }
 
     /// One random append batch of ids not yet `used` (a node learns each
@@ -1743,7 +1853,15 @@ mod tests {
                 let mut runs_only = log.clone();
                 let created = batch.iter().filter(|&&(f, n)| runs_only.push_run(f, n)).count();
                 let mut held = log.footprint();
-                let added = log.push_batch(&batch);
+                let mut coalesced = Vec::new();
+                for &(f, n) in &batch {
+                    push_new_run(&mut coalesced, f.index(), n);
+                }
+                let mut via_coalesced = log.clone();
+                let coalesced_added = via_coalesced.append(via_coalesced.encode_batch(&coalesced));
+                let added = log.append(log.encode_batch(&batch));
+                prop_assert_eq!(added, coalesced_added);
+                prop_assert_eq!(&log, &via_coalesced);
                 prop_assert!(added.bytes <= RUN_BYTES * created as u64, "dearer than runs");
                 held += added;
                 prop_assert_eq!(log.footprint(), held);

@@ -34,7 +34,7 @@ pub enum Scale {
     /// [`Scale::Full`]; the table experiments treat it as full-size.
     Large,
     /// Everything in [`Scale::Large`] plus the huge tier opened by the
-    /// interval-log/shadow engine: 65536-node all-to-all stars, a
+    /// interval-compressed engine: 65536-node all-to-all stars, a
     /// 131072-node one-to-all star, and a 16384-node Erdős–Rényi broadcast.
     /// Opt-in (`experiments sweep --huge`); not part of the CI sweep.
     Huge,

@@ -45,7 +45,7 @@ pub struct DisseminationReport {
     /// regression gate.
     pub peak_mem_bytes: Option<u64>,
     /// The engine's full deterministic memory counters (paged-set
-    /// live/peak pages, saturated/collapsed node counts, log/shadow peaks),
+    /// live/peak pages, saturated node counts, delta-window peaks),
     /// when the underlying simulation reported them.  `peak_mem_bytes` is
     /// this value's `peak_engine_bytes`, kept separate for callers that only
     /// need the headline figure.

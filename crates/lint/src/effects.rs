@@ -38,7 +38,12 @@ const MUTATING_METHODS: &[&str] = &[
     "sort_by",
     "sort_unstable",
     "set",
-    "push_run",
+    "insert_run",
+    "insert_delta",
+    "union_words",
+    "add_difference",
+    "drain_runs",
+    "age_out",
     "next_u32",
     "next_u64",
     "fill_bytes",

@@ -74,7 +74,12 @@ const MUTATING_METHODS: &[&str] = &[
     "append",
     "swap_remove",
     "retain",
-    "push_run",
+    "insert_run",
+    "insert_delta",
+    "union_words",
+    "add_difference",
+    "drain_runs",
+    "age_out",
     "next_u32",
     "next_u64",
     "fill_bytes",

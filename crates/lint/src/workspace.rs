@@ -83,8 +83,6 @@ impl Default for AuditConfig {
             "Simulation::run",
             "Simulation::run_sharded",
             "Progress::merge_completions",
-            "Progress::advance_shadow",
-            "Progress::collapse_node",
             "Calendar::next_event",
             // The sharded merge/decision machinery: shard phase workers, the
             // destination partitioner and the pool fan-out helper (also
@@ -111,18 +109,19 @@ impl Default for AuditConfig {
             "OracleSimulation::run",
             // Rumor-set merge operations (the parallel-merge contract).
             "RumorSet::insert",
-            "RumorSet::insert_all",
-            "RumorSet::union_words_collect_new_runs",
-            // Acquisition-log operations driven from the merge path.
-            "AcquisitionLog::push",
-            "AcquisitionLog::push_run",
-            "AcquisitionLog::encode_batch",
-            "AcquisitionLog::append",
-            "AcquisitionLog::bytes_entirely_below",
-            "AcquisitionLog::footprint",
-            "AcquisitionLog::truncate_below",
-            "AcquisitionLog::truncate_all",
-            "AcquisitionLog::for_each_chunk",
+            "RumorSet::insert_delta",
+            "RumorSet::complement_runs",
+            // The delta window and the merge's batch builder, driven from
+            // both merge phases.
+            "NewRumors::add_difference",
+            "NewRumors::drain_runs",
+            "PhaseBatches::push",
+            "PhaseBatches::get",
+            "PhaseBatches::iter",
+            "PhaseBatches::extend",
+            "DeltaWindow::push",
+            "DeltaWindow::age_out",
+            "DeltaWindow::deltas_since",
             // Heavy-protocol entry points dispatched through `P: Protocol`
             // generics — invisible to the name-based call graph from
             // `Simulation::run` (core is not a dependency of sim), so they

@@ -7,54 +7,30 @@
 //! never a rescan of global state, and never a decision loop over nodes that
 //! have promised they cannot act:
 //!
-//! * **Acquisition logs.**  Alongside its rumor bitset, every node keeps an
-//!   append-only log of the rumors it learned, in learn order.  A node's
-//!   rumor set at any past instant is exactly a *prefix* of that log, so an
-//!   exchange records only `(node, log length)` at initiation — an `O(1)`
-//!   snapshot instead of an `O(n/64)` bitset clone — and a completion merges
-//!   the peer's log prefix.  A per-edge watermark remembers how much of the
-//!   peer's log already arrived over that edge, so repeated exchanges over
-//!   the same edge never rescan old entries.
-//! * **Interval-compressed, layered, truncated logs.**  A log stores maximal
-//!   stretches of consecutive rumor ids as single 8-byte runs
-//!   ([`AcquisitionLog`]), so bursty acquisition orders — star hubs relaying
-//!   `leaf 1, leaf 2, …`, all-to-all endgames copying whole prefixes —
-//!   compress by orders of magnitude.  A node's acquisitions of one delivery
-//!   phase are appended as one batch, and a batch that would fragment into
-//!   many runs — the expander doubling endgame, where a node learns about
-//!   half the universe in scattered ids — is stored instead as a *dense
-//!   layer*, a bitset over the id window it spans, whenever that is cheaper.
-//!   Every log read falls on a delivery-phase boundary and order inside one
-//!   phase is unobservable, so a layer keeps its batch as a set and merges
-//!   replay it word-wise.  And because every snapshot in flight was taken
-//!   at most `max_latency` rounds ago, only the trailing `max_latency + 1`
-//!   rounds of each log are ever read: each node keeps a *delayed bitset
-//!   shadow* — its rumor set as of the oldest possibly-outstanding snapshot
-//!   — advanced lazily through a calendar ring, and log runs and layers
-//!   behind the shadow frontier are truncated.  A merge whose watermark
-//!   falls at or behind the frontier unions the shadow bitset directly and
-//!   replays only the retained tail.  Together these break the old
-//!   `Θ(Σ|final rumor sets|)` log-memory wall (~4 GB for all-to-all at
-//!   32768 nodes); the peak footprint is reported in
-//!   [`RunReport::mem`](crate::report::MemStats).
-//! * **Paged rumor sets + saturation collapse.**  Rumor sets are adaptive
-//!   paged bitsets ([`RumorSet`]): 4096-bit pages stored sparsely, with a
-//!   zero-allocation *full* sentinel for saturated pages, so per-node cost
-//!   tracks what the node actually knows instead of the dense `n/8`-byte
-//!   floor.  When a node's set goes full it collapses to the canonical
-//!   page-free full representation, and one calendar lap later — once no
-//!   outstanding snapshot can reference its history — the engine frees its
-//!   shadow, truncates its entire log, and marks it *collapsed*: every
-//!   future merge from it short-circuits to an `O(dst pages)` "peer is
-//!   saturated" union, and its edges become merge-complete after one such
-//!   union.  In the knowledge-saturating all-to-all regime this removes both
-//!   the `2·n²/8` dense-bitset wall (~4.3 GB at 131072 nodes) and the
-//!   endgame's redundant log replays.
-//! * **Calendar queue.**  In-flight exchanges live in a ring of
-//!   `max_latency + 1` buckets indexed by `completes_at % (max_latency + 1)`.
-//!   Since every latency is in `1..=max_latency`, the bucket drained at the
-//!   start of a round holds exactly the exchanges completing that round, in
-//!   initiation order — delivery is `O(completions)`, not `O(in flight)`.
+//! * **Snapshots are rounds.**  An exchange over edge `e` takes `ℓ(e)`
+//!   rounds and delivers each endpoint's rumors as of initiation.  Sets only
+//!   grow at deliveries, so that snapshot is the endpoint's *current* set
+//!   minus what it learned in the rounds since.  A flight therefore records
+//!   nothing at initiation — its snapshot round is `completes_at − ℓ(e)` —
+//!   and the only history the engine keeps is one [`DeltaWindow`]: each
+//!   delivery phase's per-node batches of new rumors, dropped once no
+//!   flight can reference them (after `max_latency − 1` rounds; on
+//!   unit-latency graphs nothing outlives its phase).  A batch is stored as
+//!   interval runs, or as one dense bitset layer over the id window it spans
+//!   when that is cheaper — the expander doubling endgame, where a node
+//!   learns about half the universe in scattered ids.
+//! * **Paged rumor sets.**  Rumor sets are adaptive paged bitsets
+//!   ([`RumorSet`]): 4096-bit pages stored sparsely, with a zero-allocation
+//!   *full* sentinel for saturated pages, so per-node cost tracks what the
+//!   node actually knows instead of the dense `n/8`-byte floor, and a full
+//!   set holds no pages at all.  A merge from a peer whose snapshot is the
+//!   whole universe (full, with no batch since) is an `O(dst pages)`
+//!   complement instead of a page-by-page union.  The peak footprint is
+//!   reported in [`RunReport::mem`](crate::report::MemStats).
+//! * **Calendar queue.**  In-flight exchanges live in a map keyed by their
+//!   completion round, each round's in initiation order — delivery is
+//!   `O(completions)`, not `O(in flight)`, and any latency up to the round
+//!   clock's range is fine.
 //! * **Event-driven active-set scheduling.**  Protocols report per-node
 //!   quiescence through [`Protocol::activity`]: a node whose `on_round` just
 //!   returned `None` and whose `activity` answers
@@ -63,16 +39,15 @@
 //!   worklist and is simply never asked again — idle nodes re-join when an
 //!   exchange incident to them completes (which is the only way their rumor
 //!   set, `on_exchange` state, or Blocking-mode `can_initiate` flag can
-//!   change) or when their saturation-collapse lap finishes; quiescent nodes
-//!   are retired permanently.  The decision loop therefore costs
-//!   `O(active)`, not `O(n)`, and the protocol contract (idle nodes would
-//!   have returned `None` without touching the RNG) makes the skipped calls
-//!   unobservable: reports stay byte-identical to an engine that asks every
-//!   node every round.  When the worklist empties entirely while the
-//!   calendar ring still holds in-flight exchanges or shadow/collapse laps,
-//!   the round clock **fast-forwards** to the next non-empty bucket instead
-//!   of spinning through empty rounds; `rounds_simulated`, `rounds_skipped`
-//!   and the peak/final active-set size are reported in
+//!   change); quiescent nodes are retired permanently.  The decision loop
+//!   therefore costs `O(active)`, not `O(n)`, and the protocol contract
+//!   (idle nodes would have returned `None` without touching the RNG) makes
+//!   the skipped calls unobservable: reports stay byte-identical to an
+//!   engine that asks every node every round.  When the worklist empties
+//!   entirely while exchanges are still in flight, the round clock
+//!   **fast-forwards** to the next completion round instead of spinning
+//!   through empty rounds; `rounds_simulated`, `rounds_skipped` and the
+//!   peak/final active-set size are reported in
 //!   [`MemStats`](crate::report::MemStats).
 //! * **Incremental termination.**  Counters (nodes with a full set, nodes
 //!   knowing the tracked rumor, outstanding local-broadcast pairs) are
@@ -88,19 +63,18 @@
 //! calls its phases in this order:
 //!
 //! 1. `apply_faults` — crash, rejoin and cut events due this round;
-//! 2. `advance_shadows` — shadow laps and saturation collapses due now;
-//! 3. `deliver` — the completions merge in canonical order;
-//! 4. `is_done` — the termination check at the round boundary;
-//! 5. `admit_woken` — woken nodes rejoin the sorted worklist;
-//! 6. `decide_and_initiate` — the decision pass and the initiations;
-//! 7. `advance_clock` — the next round, fast-forwarding idle gaps.
+//! 2. `deliver` — the completions merge, grouped by destination;
+//! 3. `is_done` — the termination check at the round boundary;
+//! 4. `admit_woken` — woken nodes rejoin the sorted worklist;
+//! 5. `decide_and_initiate` — the decision pass and the initiations;
+//! 6. `advance_clock` — the next round, fast-forwarding idle gaps.
 //!
 //! The dense-bitset spec [`crate::oracle`] states the same semantics with none
 //! of these structures and is pinned against this engine by the
 //! `engine_equivalence` integration suite: both must produce byte-identical
 //! semantic [`RunReport`]s and rumor states on the standard scenario grid.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
 use gossip_graph::{AliveView, EdgeId, Graph, Latency, NodeId};
@@ -111,8 +85,8 @@ use rayon::prelude::*;
 use crate::fault::{self, FaultEvent, FaultPlan};
 use crate::report::{FaultReport, MemStats, RunReport};
 use crate::rumor::{
-    self, AcquisitionLog, DenseBatch, EncodedBatch, LogChunk, LogFootprint, PageFootprint, RumorId,
-    RumorRun, RumorSet, Seeding,
+    BatchFootprint, Delta, DeltaWindow, NewRumors, PageFootprint, PhaseBatches, RumorId, RumorRun,
+    RumorSet, Seeding,
 };
 
 /// Whether a node may start a new exchange while one it initiated is still in flight.
@@ -153,7 +127,6 @@ pub struct SimConfig {
     pub(crate) max_rounds: u64,
     pub(crate) latencies_known: bool,
     pub(crate) tracked_rumor: Option<RumorId>,
-    pub(crate) shadow_min_truncate_runs: usize,
     pub(crate) faults: Option<FaultPlan>,
     pub(crate) threads: usize,
 }
@@ -169,7 +142,6 @@ impl SimConfig {
             max_rounds: 5_000_000,
             latencies_known: false,
             tracked_rumor: None,
-            shadow_min_truncate_runs: 64,
             faults: None,
             threads: 1,
         }
@@ -205,22 +177,6 @@ impl SimConfig {
     /// [`RunReport::informed_times`]).
     pub fn track_rumor(mut self, rumor: RumorId) -> Self {
         self.tracked_rumor = Some(rumor);
-        self
-    }
-
-    /// Tunes the lazy delayed-shadow machinery: a node's shadow bitset is
-    /// materialised — and its acquisition log truncated — only once at least
-    /// `8 × min_truncate_runs` bytes of log would be reclaimed (8 per whole
-    /// interval run, window plus header per whole dense layer), so
-    /// short-lived or well-compressed logs never pay for a bitset.
-    ///
-    /// The default (64, i.e. 512 bytes of log per bitset: 64 runs) is a pure
-    /// memory/allocation trade-off: the setting has **no observable effect**
-    /// on simulation results.  `0` forces a shadow for every node as soon as
-    /// its frontier can advance; the equivalence suite uses that to exercise
-    /// the truncated-log merge path on small graphs.
-    pub fn shadow_compaction(mut self, min_truncate_runs: usize) -> Self {
-        self.shadow_min_truncate_runs = min_truncate_runs;
         self
     }
 
@@ -411,9 +367,6 @@ pub enum Activity {
     ///   set can grow, [`on_exchange`](Protocol::on_exchange) can fire at
     ///   `v`, or `v`'s `pending_own` / Blocking-mode `can_initiate` state
     ///   can change;
-    /// * `v`'s saturation-collapse lap finishes (an engine-internal event,
-    ///   included so a protocol may key idleness off `view.rumors` becoming
-    ///   full without tracking the collapse calendar itself);
     /// * an exchange `v` initiated is cancelled by a fault or times out lost
     ///   (its `pending_own` / Blocking-mode `can_initiate` state changed);
     /// * a fault event from a [`FaultPlan`](crate::FaultPlan) touches `v`'s
@@ -694,16 +647,12 @@ fn decide_all<P: Protocol>(
     }
 }
 
-/// An in-flight exchange: its endpoints plus the `O(1)` snapshot of what each
-/// endpoint knew at initiation — the length of its acquisition log.
+/// An in-flight exchange.  Its snapshot needs no field: it is the
+/// initiation round, `completes_at − latency(edge)`.
 struct Flight {
     initiator: NodeId,
     responder: NodeId,
     edge: EdgeId,
-    /// Initiator's log length at initiation time.
-    initiator_known: u32,
-    /// Responder's log length at initiation time.
-    responder_known: u32,
     /// Lost in transit ([`FaultPlan::message_loss`]): occupies the
     /// initiator's slot until the completion round, then times out silently
     /// — no merge, no discovery, no `on_exchange`.
@@ -813,50 +762,35 @@ impl Scheduler {
     }
 }
 
-/// A queued shadow-frontier advance: `(node, target log position, the
-/// node's fault epoch at queue time)`.
-type ShadowAdvance = (u32, u32, u32);
-
-/// Everything that fires at one round: the exchanges completing then, in
-/// initiation order, and the shadow advances queued one lap earlier.
+/// The exchanges in flight, keyed by completion round, each round's in
+/// initiation order.
 #[derive(Default)]
-struct Bucket {
-    flights: Vec<Flight>,
-    advances: Vec<ShadowAdvance>,
-}
-
-/// The calendar ring of `ring_len = max_latency + 1` buckets: round `t` fires
-/// bucket `t % ring_len`.  A node whose rumor count changed in round `r` is
-/// queued for shadow advancement at `r + ring_len`, when every snapshot still
-/// in flight was taken after `r`; so every queued entry fires within one lap.
 struct Calendar {
-    buckets: Vec<Bucket>,
-    /// Exchanges in flight, summed over all buckets.
+    rounds: BTreeMap<u64, Vec<Flight>>,
+    /// Exchanges in flight, summed over all rounds.
     in_flight: usize,
 }
 
 impl Calendar {
-    /// The bucket that fires at round `t`.
-    // gossip-lint: allow(panic-path): the ring has max_latency + 1 >= 1 buckets, so the modulus is nonzero and the slot in range
-    fn bucket(&mut self, t: u64) -> &mut Bucket {
-        let len = self.buckets.len() as u64;
-        &mut self.buckets[(t % len) as usize]
+    /// Queues `flight` to complete at round `at`.
+    fn push(&mut self, at: u64, flight: Flight) {
+        self.rounds.entry(at).or_default().push(flight);
+        self.in_flight += 1;
     }
 
-    /// The next round strictly after `round` at which any bucket fires.
-    /// Every queued entry fires within one lap, so bucket `b` fires at the
-    /// unique `t ∈ (round, round + ring_len]` with `t ≡ b (mod ring_len)` —
-    /// including `b == round % ring_len`, which (being already drained for
-    /// the current round) can only mean `t = round + ring_len`.
-    // gossip-lint: allow(panic-path): ring_len >= 1 always (max latency + 1), so the modulus is never zero and cur + 1 <= ring_len
+    /// Removes and returns the exchanges completing at `round`.
+    fn take(&mut self, round: u64) -> Vec<Flight> {
+        let flights = self.rounds.remove(&round).unwrap_or_default();
+        self.in_flight -= flights.len();
+        flights
+    }
+
+    /// The next round strictly after `round` at which an exchange completes:
+    /// the earliest key, since every round up to `round` was delivered.
     fn next_event(&self, round: u64) -> Option<u64> {
-        let cur = (round % self.buckets.len() as u64) as usize;
-        let (through_cur, after_cur) = self.buckets.split_at(cur + 1);
-        after_cur
-            .iter()
-            .chain(through_cur)
-            .position(|b| !b.flights.is_empty() || !b.advances.is_empty())
-            .map(|d| round + d as u64 + 1)
+        let next = self.rounds.first_key_value().map(|(&at, _)| at);
+        debug_assert!(next.is_none_or(|at| at > round), "an undelivered round");
+        next.filter(|&at| at > round)
     }
 }
 
@@ -865,75 +799,48 @@ impl Calendar {
 /// reproducible across machines.
 #[derive(Default)]
 struct MemCounters {
-    /// Currently retained interval runs, summed over all logs.
-    live_runs: u64,
-    /// Peak of `live_runs` over the run so far.
+    /// What the delta window holds now.
+    window: BatchFootprint,
+    /// Peak of `window.runs` over the run so far.
     peak_runs: u64,
-    /// Currently retained log bytes (interval runs and dense layers),
-    /// summed over all logs.
-    live_log_bytes: u64,
-    /// Peak of `live_log_bytes` over the run so far.
-    peak_log_bytes: u64,
-    /// Append batches stored as dense log layers.
+    /// Peak of `window.bytes` over the run so far.
+    peak_bytes: u64,
+    /// Batches stored as dense layers.
     dense_batches: u64,
-    /// 64-bit words currently held by materialised shadow bitsets
-    /// (saturation collapse frees a node's shadow).
-    shadow_words_live: u64,
-    /// Peak of `shadow_words_live` over the run so far.
-    shadow_words_peak: u64,
-    /// Total log runs and dense layers reclaimed by shadow-frontier
-    /// truncation and saturation collapse.
-    truncated_runs: u64,
-    /// Number of shadow-frontier advancements.
-    shadow_advances: u64,
+    /// Batches aged out of the window.
+    aged_batches: u64,
     /// Rumor-set page cost over the run so far, summed over all nodes and
     /// sampled at merge boundaries: each lane's `delta` is the live value
     /// and its `max_prefix` the peak.
     pages: PageTrace,
-    /// Nodes whose log and shadow were freed by saturation collapse.
-    collapsed_nodes: u64,
 }
 
 impl MemCounters {
-    /// Accounts log storage appended (a merge batch or a fresh log).
-    fn grow_log(&mut self, added: LogFootprint) {
-        self.live_runs += added.runs;
-        self.live_log_bytes += added.bytes;
+    /// Accounts a delivery phase's batches entering the window; the window
+    /// peaks here, with the phase's batches in it.
+    fn grow_window(&mut self, added: BatchFootprint) {
+        self.window += added;
         self.dense_batches += added.layers;
+        self.peak_runs = self.peak_runs.max(self.window.runs);
+        self.peak_bytes = self.peak_bytes.max(self.window.bytes);
     }
 
-    /// Folds the current log storage into its peaks.
-    fn note_log_peak(&mut self) {
-        self.peak_runs = self.peak_runs.max(self.live_runs);
-        self.peak_log_bytes = self.peak_log_bytes.max(self.live_log_bytes);
-    }
-
-    /// Accounts log storage reclaimed by truncation.
-    fn shrink_log(&mut self, freed: LogFootprint) {
-        self.live_runs -= freed.runs;
-        self.live_log_bytes -= freed.bytes;
-        self.truncated_runs += freed.runs + freed.layers;
-    }
-
-    /// Frees one node's acquisition log and shadow bitset (saturation
-    /// collapse, crash, rejoin).
-    fn release(&mut self, log: &mut AcquisitionLog, shadow: &mut Vec<u64>) {
-        self.shrink_log(log.truncate_all());
-        self.shadow_words_live -= std::mem::take(shadow).len() as u64;
+    /// Accounts batches aged out of the window.
+    fn shrink_window(&mut self, freed: BatchFootprint) {
+        self.window -= freed;
+        self.aged_batches += freed.batches;
     }
 }
 
-/// One resolved merge obligation of a delivery phase: union `src`'s log
-/// positions `start..upto` into `dst`'s rumor state.  Resolved serially
-/// against the per-edge watermarks (in flight order), then executed in the
-/// canonical order — ascending `dst`, flight order within one `dst` — by
+/// One merge obligation of a delivery phase: union `src`'s set as of the
+/// end of round `since` (the exchange's initiation round) into `dst`'s.
+/// Collected in flight order, then grouped by ascending `dst` by
 /// [`Progress::merge_completions`].
 #[derive(Debug, Clone, Copy)]
 struct MergeTask {
     dst: u32,
     src: u32,
-    start: u32,
-    upto: u32,
+    since: u64,
 }
 
 /// Order-preserving summary of a walk over one cost's samples: the net
@@ -992,12 +899,11 @@ impl PageTrace {
     }
 }
 
-/// What every merge shard reads and none writes.
+/// What every merge shard reads and none writes: every rumor set (phase A
+/// changes none), the delta window, and the termination counters' inputs.
 struct MergeView<'a> {
-    logs: &'a [AcquisitionLog],
-    shadows: &'a [Vec<u64>],
-    shadow_len: &'a [u32],
-    collapsed: &'a [bool],
+    rumors: &'a [RumorSet],
+    window: &'a DeltaWindow,
     graph: &'a Graph,
     alive: Option<&'a AliveView>,
     source_rumor: Option<RumorId>,
@@ -1006,177 +912,129 @@ struct MergeView<'a> {
     round: u64,
 }
 
-/// The destination range one merge shard owns: its tasks, and its slices of
-/// the per-destination state, all starting at destination `base`.
+/// The destination range one merge shard owns in phase A: its tasks, and
+/// its slice of `informed_times`, starting at destination `base`.
 struct MergeShard<'a> {
     tasks: &'a [MergeTask],
     base: usize,
-    rumors: &'a mut [RumorSet],
-    counts: &'a mut [usize],
     informed_times: Option<&'a mut [Option<u64>]>,
 }
 
 /// Phase A output of one merge shard: the batch of every destination that
-/// learned at least one rumor, in its log form, plus the shard's counter
-/// deltas.
+/// learned at least one rumor, plus the shard's counter deltas.
 #[derive(Default)]
 struct MergeShardNew {
-    /// `(destination, run count)` per batch, ascending by destination; a
-    /// layer batch counts 0 runs.  (Eight bytes per changed destination: on
-    /// a star every leaf changes in the same phase.)
-    batches: Vec<(u32, u32)>,
-    /// The runs of the run batches, flattened in batch order (per shard, not
-    /// per batch, so a phase's allocation count is `O(shards)`).
-    runs: Vec<RumorRun>,
-    /// The layer batches, with their destinations.
-    layers: Vec<(u32, DenseBatch)>,
-    pages: PageTrace,
+    batches: PhaseBatches,
     full_nodes: usize,
     source_known_by: usize,
     lb_deficit_sub: u64,
 }
 
-/// Phase A of the sharded completion merge: unions each task's source prefix
-/// into the destination's paged rumor set, collecting each destination's
-/// newly learned rumors as maximal consecutive-id runs; folds them into the
-/// termination counters; and encodes them as the batch the destination's
-/// log will store.  A shard owns a contiguous destination range and its
-/// tasks are already in canonical order, so the in-shard walk *is* the
-/// canonical serial walk restricted to that range; everything else is only
-/// read (logs included: encoding a batch reads the destination's log tail).
-// gossip-lint: allow(panic-path): task indices are bounded by the shard partition invariants
+/// Phase A of the sharded completion merge, read-only over every rumor set:
+/// for each destination, gathers what its tasks' snapshots add to its set
+/// ([`NewRumors`]), folds that into the termination counters, and stores it
+/// as the destination's batch.  A task's snapshot is its source's current
+/// set minus the source's window batches after the snapshot round; a source
+/// that is full with no such batch snapshots the whole universe, so the
+/// destination's batch is simply its complement.  A shard owns a
+/// contiguous destination range; everything else is only read.
 fn merge_shard_phase_a(shard: MergeShard<'_>, view: &MergeView<'_>) -> MergeShardNew {
     let MergeShard {
         tasks,
         base,
-        rumors,
-        counts,
         mut informed_times,
     } = shard;
-    // Sized once: grown by doubling beside `runs`, it raised the 2-worker
-    // star's peak RSS by ~3 MB at an unchanged heap peak.
-    let mut out = MergeShardNew {
-        batches: Vec::with_capacity(tasks.chunk_by(|a, b| a.dst == b.dst).count()),
-        ..MergeShardNew::default()
-    };
-    // One destination's new runs: id-adjacent runs from successive tasks
-    // coalesce, which changes neither the batch's log form nor its counters.
+    let mut out = MergeShardNew::default();
+    let mut acc = NewRumors::default();
+    let mut deltas: Vec<Delta<'_>> = Vec::new();
     let mut batch: Vec<RumorRun> = Vec::new();
     for group in tasks.chunk_by(|a, b| a.dst == b.dst) {
-        let dst = group[0].dst;
-        let (di, li) = (dst as usize, dst as usize - base);
-        let dst_set = &mut rumors[li];
-        batch.clear();
-        // Once the destination saturates, the remaining unions are
-        // guaranteed no-ops, exactly like the serial engine's
-        // `counts >= universe` skip at task time.
+        let Some(dst) = group.first().map(|t| t.dst) else {
+            continue;
+        };
+        let Some(dst_set) = view.rumors.get(dst as usize) else {
+            continue;
+        };
+        let mut saturated_peer = false;
         for t in group {
-            if dst_set.is_full() {
+            let Some(src) = view.rumors.get(t.src as usize) else {
+                continue;
+            };
+            deltas.clear();
+            deltas.extend(view.window.deltas_since(t.src, t.since));
+            if src.is_full() && deltas.is_empty() {
+                saturated_peer = true;
                 break;
             }
-            let si = t.src as usize;
-            let pages_before = dst_set.page_footprint();
-            if view.collapsed[si] {
-                // Saturation-collapsed peer: every snapshot of it still in
-                // flight was taken after it saturated (that is the collapse
-                // precondition), so the prefix is the whole universe.
-                debug_assert_eq!(t.upto as usize, dst_set.universe());
-                dst_set.insert_all(&mut batch);
-            } else {
-                let frontier = view.shadow_len[si];
-                if t.start < frontier {
-                    // Invariant: a nonzero frontier implies a materialised
-                    // shadow holding exactly the first `frontier` log entries.
-                    dst_set.union_words_collect_new_runs(0, &view.shadows[si], &mut batch);
-                }
-                view.logs[si].for_each_chunk(t.start.max(frontier), t.upto, |chunk| match chunk {
-                    LogChunk::Run(first, len) => dst_set.insert_run(first, len, &mut batch),
-                    LogChunk::Words(word_lo, words) => {
-                        dst_set.union_words_collect_new_runs(word_lo, words, &mut batch);
-                    }
-                });
-            }
-            out.pages.record(pages_before, dst_set.page_footprint());
+            acc.add_difference(src, &deltas, dst_set);
+        }
+        batch.clear();
+        acc.drain_runs(&mut batch);
+        if saturated_peer {
+            batch.clear();
+            dst_set.complement_runs(&mut batch);
         }
         if batch.is_empty() {
             continue;
         }
+        let mut learned = 0;
         for &(first, len) in &batch {
-            counts[li] += len as usize;
+            learned += len as usize;
             let run_contains =
                 |r: RumorId| r.0 >= first.0 && u64::from(r.0) < u64::from(first.0) + u64::from(len);
             if view.source_rumor.is_some_and(run_contains) {
                 out.source_known_by += 1;
             }
             if view.tracked.is_some_and(run_contains) {
-                if let Some(informed) = informed_times.as_deref_mut() {
-                    if informed[li].is_none() {
-                        informed[li] = Some(view.round);
-                    }
+                let informed = informed_times
+                    .as_deref_mut()
+                    .and_then(|times| times.get_mut(dst as usize - base));
+                if let Some(at) = informed.filter(|at| at.is_none()) {
+                    *at = Some(view.round);
                 }
             }
             if let Some(bound) = view.lb_bound {
-                let nbrs = view.graph.neighbor_slice(NodeId::new(di));
+                let nbrs = view.graph.neighbor_slice(NodeId::new(dst as usize));
                 let node_count = view.graph.node_count();
                 for j in first.index()..(first.index() + len as usize).min(node_count) {
-                    if let Ok(pos) = nbrs.binary_search_by_key(&NodeId::new(j), |&(w, _)| w) {
-                        let (w, e) = nbrs[pos];
-                        // A `(dst, w)` pair is only outstanding — and was only
-                        // counted — while `w` is alive and the edge un-cut
-                        // (crash/cut events retire such pairs eagerly).
-                        if view.graph.latency(e) <= bound
+                    let Ok(pos) = nbrs.binary_search_by_key(&NodeId::new(j), |&(w, _)| w) else {
+                        continue;
+                    };
+                    // A `(dst, w)` pair is only outstanding — and was only
+                    // counted — while `w` is alive and the edge un-cut
+                    // (crash/cut events retire such pairs eagerly).
+                    if nbrs.get(pos).is_some_and(|&(w, e)| {
+                        view.graph.latency(e) <= bound
                             && view
                                 .alive
                                 .is_none_or(|a| a.is_node_alive(w) && a.is_edge_alive(e))
-                        {
-                            out.lb_deficit_sub += 1;
-                        }
+                    }) {
+                        out.lb_deficit_sub += 1;
                     }
                 }
             }
         }
-        if counts[li] == dst_set.universe() {
+        if dst_set.len() + learned == dst_set.universe() {
             out.full_nodes += 1;
         }
-        let count = match view.logs[di].encode_batch(&batch) {
-            EncodedBatch::Runs(runs) => {
-                out.runs.extend_from_slice(runs);
-                runs.len() as u32
-            }
-            EncodedBatch::Layer(layer) => {
-                out.layers.push((dst, layer));
-                0
-            }
-        };
-        out.batches.push((dst, count));
+        out.batches.push(dst, &batch);
     }
     out
 }
 
-/// Phase B of the sharded completion merge: appends each phase-A batch to
-/// its destination's log and returns the storage added.  The shard's `logs`
-/// slice starts at destination `base`.
-fn merge_shard_phase_b(
-    new: MergeShardNew,
-    base: usize,
-    logs: &mut [AcquisitionLog],
-) -> LogFootprint {
-    let mut appended = LogFootprint::default();
-    let mut runs = new.runs.as_slice();
-    // One batch per destination, so the order of appends across logs is free.
-    for (dst, count) in new.batches.into_iter().filter(|&(_, count)| count > 0) {
-        let (batch, rest) = runs.split_at(count as usize);
-        runs = rest;
-        if let Some(log) = logs.get_mut(dst as usize - base) {
-            appended += log.append(EncodedBatch::Runs(batch));
+/// Phase B of the sharded completion merge: unions each phase-A batch into
+/// its destination's set and returns the sets' page-cost walk.  The shard's
+/// `rumors` slice starts at destination `base`.
+fn merge_shard_phase_b(new: &PhaseBatches, base: usize, rumors: &mut [RumorSet]) -> PageTrace {
+    let mut pages = PageTrace::default();
+    for (dst, delta) in new.iter() {
+        if let Some(set) = rumors.get_mut(dst as usize - base) {
+            let before = set.page_footprint();
+            set.insert_delta(delta);
+            pages.record(before, set.page_footprint());
         }
     }
-    for (dst, layer) in new.layers {
-        if let Some(log) = logs.get_mut(dst as usize - base) {
-            appended += log.append(EncodedBatch::Layer(layer));
-        }
-    }
-    appended
+    pages
 }
 
 /// Cuts `tasks` (sorted by destination) into at most `max_shards` contiguous
@@ -1241,31 +1099,13 @@ fn run_jobs<T: Send, R: Send>(threads: usize, jobs: Vec<T>, f: impl Fn(T) -> R +
         .install(|| jobs.into_par_iter().map(f).collect())
 }
 
-/// Incrementally maintained dissemination state: interval-compressed
-/// acquisition logs, delayed bitset shadows, plus the counters that make
-/// every termination check `O(1)`.
+/// Incrementally maintained dissemination state: the delta window, plus
+/// the counters that make every termination check `O(1)`.
 struct Progress<'g> {
     graph: &'g Graph,
-    /// Per-node acquisition log: every rumor the node knows, one batch per
-    /// delivery phase in learn order, each batch stored as interval runs or
-    /// one dense layer (whichever is cheaper), truncated behind the shadow
-    /// frontier.
-    logs: Vec<AcquisitionLog>,
-    /// Per-node delayed shadow: the bitset of the node's first
-    /// `shadow_len[i]` log entries.  Lazily materialised (empty = none, which
-    /// implies `shadow_len[i] == 0`).
-    shadows: Vec<Vec<u64>>,
-    /// Per-node shadow frontier, as an absolute log position.  Invariant:
-    /// every snapshot still in flight from node `i` covers at least this
-    /// prefix, so log entries below it are never read again.
-    shadow_len: Vec<u32>,
-    /// Per-node saturation-collapse flag: the node's rumor set is full, every
-    /// possibly-outstanding snapshot of it covers the whole universe, and its
-    /// log and shadow have been freed.  Merges from such a node short-circuit
-    /// to an `O(pages)` "peer is saturated" union.
-    collapsed: Vec<bool>,
-    /// `logs[i].len()`, cached as a plain counter (== rumor-set size).
-    counts: Vec<usize>,
+    /// Each recent delivery phase's per-node batches of new rumors — all
+    /// the history a snapshot needs.
+    window: DeltaWindow,
     /// Number of nodes whose rumor set is full.
     full_nodes: usize,
     /// Rumor whose spread decides [`Termination::AllKnowRumorOf`], if any.
@@ -1289,9 +1129,6 @@ struct Progress<'g> {
     /// Worst observed re-dissemination latency over recovered rejoiners
     /// ([`FaultReport::recovery_latency`]).
     recovery_latency: Option<u64>,
-    /// [`SimConfig::shadow_compaction`]'s materialisation threshold, in
-    /// reclaimable log bytes.
-    min_truncate_bytes: u64,
     mem: MemCounters,
 }
 
@@ -1316,24 +1153,14 @@ impl<'g> Progress<'g> {
             Termination::LocalBroadcast(bound) => Some(bound),
             _ => None,
         };
-        let logs: Vec<AcquisitionLog> = rumors.iter().map(AcquisitionLog::from_set).collect();
         let mut mem = MemCounters::default();
         for set in rumors {
             mem.pages
                 .record(PageFootprint::default(), set.page_footprint());
         }
-        for log in &logs {
-            mem.grow_log(log.footprint());
-        }
-        mem.note_log_peak();
-        let n = rumors.len();
         let mut progress = Progress {
             graph,
-            logs,
-            shadows: vec![Vec::new(); n],
-            shadow_len: vec![0; n],
-            collapsed: vec![false; n],
-            counts: rumors.iter().map(RumorSet::len).collect(),
+            window: DeltaWindow::default(),
             full_nodes: rumors.iter().filter(|s| s.is_full()).count(),
             source_rumor,
             source_known_by: source_rumor
@@ -1350,7 +1177,6 @@ impl<'g> Progress<'g> {
             },
             pending_recovery: Vec::new(),
             recovery_latency: None,
-            min_truncate_bytes: 8 * config.shadow_min_truncate_runs as u64,
             mem,
         };
         if lb_bound.is_some() {
@@ -1359,66 +1185,45 @@ impl<'g> Progress<'g> {
                 .map(|e| progress.lb_missing(rumors, e))
                 .sum();
         }
-        // Nodes that start fully saturated (trivial universes, pre-seeded
-        // states) have no outstanding snapshots at all: collapse immediately.
-        for (i, set) in rumors.iter().enumerate() {
-            if set.is_full() {
-                progress.collapse_node(i);
-            }
-        }
         progress
     }
 
-    /// Executes a delivery phase's resolved merge tasks in the **canonical
-    /// merge order** — ascending destination, flight order within one
-    /// destination — sharded by destination across `threads` workers on the
-    /// vendored rayon pool.  Pushes every destination that learned at least
-    /// one rumor onto `changed`, ascending.
+    /// Executes a delivery phase's merge tasks grouped by ascending
+    /// destination, sharded by destination across `threads` workers on the
+    /// vendored rayon pool, and stores the phase's batches as the window's entry for
+    /// `round`.  Pushes every destination that learned at least one rumor
+    /// onto `changed`, ascending.
     ///
-    /// Each task unions `src`'s log prefix `start..upto` into `dst`.  The
-    /// prefix is served from three sources: a saturation-collapsed `src` is
-    /// unioned as "the full universe" in `O(dst pages)` (its log and shadow
-    /// are long gone — every outstanding snapshot of it covers everything,
-    /// so the complement of what `dst` knows *is* the delta); otherwise
-    /// positions below `src`'s shadow frontier come from the shadow bitset
-    /// (one word-OR sweep) and the retained tail is replayed run by run and
-    /// dense layer by dense layer (a word-OR sweep over its window).
+    /// First the window ages out every round no flight can still reference:
+    /// a flight completing at `round` or later was initiated at
+    /// `round − max_latency` or later, and reads only the rounds after that.
     ///
-    /// The merge runs in two phases.  Phase A unions, per destination, all
-    /// its tasks into its rumor set, collecting the new runs in one buffer;
-    /// folds them into the termination counters; and encodes them as one
-    /// batch in the form the destination's log stores
-    /// ([`AcquisitionLog::encode_batch`]): its runs, or one dense layer.
-    /// The runs-or-layer choice thus sees the whole phase's acquisitions and
-    /// depends on neither the shard cuts nor the thread count.  Phase B only
-    /// moves each batch into its log ([`AcquisitionLog::append`]).  So the
-    /// transient state between the phases is what the logs are about to
-    /// hold, not every raw run of the phase: on expander all-to-all, most
-    /// runs end up in dense layers a fraction of their size.
+    /// The merge runs in two phases.  Phase A ([`merge_shard_phase_a`])
+    /// reads every rumor set and the window and builds each destination's
+    /// batch of new rumors — its tasks' snapshots less what it knows —
+    /// folding the termination counters on the way.  Phase B
+    /// ([`merge_shard_phase_b`]) unions each batch into its destination's
+    /// set.  The batches, stored flat, then *are* the window's entry for
+    /// this round.
     ///
     /// # Why sharding cannot change the result
     ///
-    /// * **Reordering to canonical order is sound.**  Within one phase,
-    ///   merges into *different* destinations touch disjoint rumor state,
-    ///   and a destination's tasks keep their flight order (the sort is
-    ///   stable).  Snapshots are taken only on round boundaries, after the
-    ///   phase has fully landed, so no in-phase interleaving is observable.
-    ///   (The per-merge insertion order is unobservable for exactly this
-    ///   reason — shadow and saturated-peer unions yield ascending rumor
-    ///   ids, not learn order; `engine_equivalence` pins the final sets.)
+    /// * **A merge is an order-free union.**  A destination's batch is the
+    ///   union of its tasks' snapshots minus its own set, whatever the order
+    ///   of its tasks, and no set changes before phase B, so every snapshot
+    ///   reads the pre-phase state on every worker.
     /// * **Shard cuts fall only between destinations** ([`partition_tasks`]),
-    ///   so phase A mutates disjoint `rumors`/`counts`/`informed_times`
-    ///   slices and phase B disjoint `logs` slices; everything else is read
-    ///   shared.  No shard ever observes another's writes.
+    ///   so phase A writes disjoint `informed_times` slices and phase B
+    ///   disjoint `rumors` slices; everything else is read shared.
     /// * **Reductions replay the serial walk.**  Counter deltas are summed
     ///   in shard order; the rumor-set page peaks use the [`PageTrace`]
-    ///   composition law; the log peaks need only the phase totals (retained
-    ///   runs and bytes are monotone non-decreasing within a phase).  All are
-    ///   independent of the cut positions, hence of the thread count.
+    ///   composition law; the shards' batches concatenate in shard order
+    ///   into exactly the single-shard entry.  All are independent of the
+    ///   cut positions, hence of the thread count.
     ///
-    /// The two phases are separated by a barrier: phase B appends to
-    /// `logs[dst]` while phase A *reads* `logs[src]` (and `logs[dst]`'s tail,
-    /// to encode), and any `src` may be another shard's `dst`.
+    /// The two phases are separated by a barrier: phase B writes `rumors[dst]`
+    /// while phase A *reads* `rumors[src]`, and any `src` may be another
+    /// shard's `dst`.
     fn merge_completions(
         &mut self,
         rumors: &mut [RumorSet],
@@ -1428,11 +1233,12 @@ impl<'g> Progress<'g> {
         threads: usize,
         changed: &mut Vec<u32>,
     ) {
+        let floor = round.saturating_sub(self.graph.max_latency());
+        self.mem.shrink_window(self.window.age_out(floor));
         if tasks.is_empty() {
             return;
         }
-        // Stable: tasks into one destination keep their flight order.
-        tasks.sort_by_key(|t| t.dst);
+        tasks.sort_unstable_by_key(|t| t.dst);
         let shard_count = if threads <= 1 || tasks.len() < MIN_PAR_TASKS {
             1
         } else {
@@ -1451,11 +1257,7 @@ impl<'g> Progress<'g> {
 
         let Progress {
             graph,
-            logs,
-            shadows,
-            shadow_len,
-            collapsed,
-            counts,
+            window,
             full_nodes,
             source_rumor,
             source_known_by,
@@ -1467,14 +1269,11 @@ impl<'g> Progress<'g> {
             ..
         } = self;
 
-        // Phase A: union prefixes into the destinations' paged rumor sets,
-        // fold the counters and encode each destination's batch.
-        let shard_batches: Vec<MergeShardNew> = {
+        // Phase A: build each destination's batch and fold the counters.
+        let shard_new: Vec<MergeShardNew> = {
             let view = MergeView {
-                logs,
-                shadows,
-                shadow_len,
-                collapsed,
+                rumors,
+                window,
                 graph,
                 alive,
                 source_rumor: *source_rumor,
@@ -1487,13 +1286,9 @@ impl<'g> Progress<'g> {
                 .then(|| split_lens(informed_times, dst_lens()).into_iter());
             let jobs: Vec<MergeShard<'_>> = shard_tasks
                 .iter()
-                .zip(split_lens(rumors, dst_lens()))
-                .zip(split_lens(counts, dst_lens()))
-                .map(|((&(tasks, base), rumors), counts)| MergeShard {
+                .map(|&(tasks, base)| MergeShard {
                     tasks,
                     base,
-                    rumors,
-                    counts,
                     informed_times: informed.as_mut().and_then(Iterator::next),
                 })
                 .collect();
@@ -1501,114 +1296,44 @@ impl<'g> Progress<'g> {
         };
 
         // Deterministic reduction, in shard order.
-        for new in &shard_batches {
-            mem.pages = mem.pages.then(new.pages);
+        for new in &shard_new {
             *full_nodes += new.full_nodes;
             *source_known_by += new.source_known_by;
             *lb_deficit -= new.lb_deficit_sub;
-            changed.extend(new.batches.iter().map(|&(dst, _)| dst));
+            changed.extend(new.batches.iter().map(|(dst, _)| dst));
         }
 
-        // Phase B: move the batches into the destinations' logs.
-        let jobs: Vec<_> = shard_batches
-            .into_iter()
+        // Phase B: union the batches into the destinations' sets.
+        let jobs: Vec<_> = shard_new
+            .iter()
             .zip(&shard_tasks)
-            .zip(split_lens(logs, dst_lens()))
+            .zip(split_lens(rumors, dst_lens()))
             .collect();
-        for appended in run_jobs(threads, jobs, |((new, &(_, base)), logs)| {
-            merge_shard_phase_b(new, base, logs)
+        for pages in run_jobs(threads, jobs, |((new, &(_, base)), rumors)| {
+            merge_shard_phase_b(&new.batches, base, rumors)
         }) {
-            mem.grow_log(appended);
+            mem.pages = mem.pages.then(pages);
         }
-        // Log storage only grows within a delivery phase, so the phase-end
-        // value is its in-phase peak.
-        mem.note_log_peak();
+
+        // The phase's batches, concatenated in shard order, are the
+        // window's entry for this round.
+        let mut batches = PhaseBatches::default();
+        for new in shard_new {
+            batches.extend(new.batches);
+        }
+        mem.grow_window(batches.footprint());
+        window.push(round, batches);
     }
 
-    /// Advances `node`'s shadow frontier to log position `target` (its rumor
-    /// count as of `ring_len` rounds ago — at or behind every snapshot that
-    /// can still be in flight), then truncates the log behind the frontier.
-    ///
-    /// The shadow bitset is materialised lazily: until at least
-    /// [`min_truncate_bytes`](Self::min_truncate_bytes) of whole runs and
-    /// layers would be reclaimed, advancing is skipped entirely — the
-    /// retained log *is* the prefix, and stays small.
-    ///
-    /// Saturated nodes take the **collapse** path instead: once the queued
-    /// target reaches the full universe — i.e. one whole calendar lap has
-    /// passed since the node's set went full, so every snapshot of it still
-    /// in flight covers everything — the node's shadow is freed, its log
-    /// truncated entirely, and the node marked collapsed: all future merges
-    /// from it short-circuit.  While a saturated node waits for that lap,
-    /// ordinary advances are skipped (no point materialising a shadow the
-    /// collapse is about to free).  Returns whether this advance collapsed
-    /// the node, which is a wake event.
-    // gossip-lint: allow(panic-path): shadow ring buckets and node indices are bounded by the ring/CSR invariants
-    fn advance_shadow(&mut self, rumors: &[RumorSet], node: usize, target: u32) -> bool {
-        if self.collapsed[node] {
-            return false;
-        }
-        if self.counts[node] >= rumors[node].universe() {
-            let lap_done = target as usize == rumors[node].universe();
-            if lap_done {
-                self.collapse_node(node);
-            }
-            return lap_done;
-        }
-        let current = self.shadow_len[node];
-        if target <= current {
-            return false;
-        }
-        if self.shadows[node].is_empty() {
-            if self.logs[node].bytes_entirely_below(target) < self.min_truncate_bytes {
-                return false;
-            }
-            let words = vec![0u64; rumors[node].word_count()];
-            self.mem.shadow_words_live += words.len() as u64;
-            self.mem.shadow_words_peak = self.mem.shadow_words_peak.max(self.mem.shadow_words_live);
-            self.shadows[node] = words;
-        }
-        let shadow = &mut self.shadows[node];
-        self.logs[node].for_each_chunk(current, target, |chunk| match chunk {
-            LogChunk::Run(first, len) => {
-                rumor::set_words_range(shadow, first.index(), len as usize);
-            }
-            LogChunk::Words(word_lo, words) => rumor::or_words(shadow, word_lo, words),
-        });
-        self.shadow_len[node] = target;
-        self.mem.shrink_log(self.logs[node].truncate_below(target));
-        self.mem.shadow_advances += 1;
-        false
-    }
-
-    /// Saturation collapse of `node`: frees its shadow, truncates its entire
-    /// log (releasing the storage), and marks it collapsed so merges from it
-    /// serve "the full universe" in `O(dst pages)`.
-    ///
-    /// Sound only when every possibly-outstanding snapshot of the node
-    /// covers the whole universe — the callers guarantee it (one calendar
-    /// lap after saturation, or at initialisation when nothing is in
-    /// flight).  Its rumor set needs no action: [`RumorSet`] collapsed it to
-    /// the canonical page-free full representation the moment it saturated.
-    // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids are dense
-    fn collapse_node(&mut self, node: usize) {
-        debug_assert!(!self.collapsed[node]);
-        self.mem
-            .release(&mut self.logs[node], &mut self.shadows[node]);
-        self.shadow_len[node] = self.logs[node].len();
-        self.collapsed[node] = true;
-        self.mem.collapsed_nodes += 1;
-    }
-
-    /// Retires a crashing node from every termination counter, freezes its
-    /// rumor state, and frees its log/shadow storage (a dead node is never
-    /// merged from again: every flight touching it is cancelled and no new
-    /// ones form).  Must be called with the *post-kill* alive view, exactly
-    /// once per effective crash.
+    /// Retires a crashing node from every termination counter and freezes
+    /// its rumor state (a dead node is never merged from again: every
+    /// flight touching it is cancelled and no new ones form).  Must be
+    /// called with the *post-kill* alive view, exactly once per effective
+    /// crash.
     // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids are dense
     fn crash_node(&mut self, rumors: &[RumorSet], node: NodeId, alive: &AliveView) {
         let i = node.index();
-        if self.counts[i] >= rumors[i].universe() {
+        if rumors[i].is_full() {
             self.full_nodes -= 1;
         }
         if let Some(r) = self.source_rumor {
@@ -1624,10 +1349,6 @@ impl<'g> Progress<'g> {
                 self.lb_deficit -= self.lb_missing(rumors, e);
             }
         }
-        if !self.collapsed[i] {
-            self.mem.release(&mut self.logs[i], &mut self.shadows[i]);
-            self.shadow_len[i] = self.logs[i].len();
-        }
         if let Some(pos) = self
             .pending_recovery
             .iter()
@@ -1639,10 +1360,14 @@ impl<'g> Progress<'g> {
         }
     }
 
-    /// Amnesiac rejoin: resets the node to its `seeding` initial rumor set
-    /// (fresh log, no shadow, not collapsed), re-enters it into every
-    /// termination counter, and starts its re-dissemination recovery clock.
-    /// Must be called with the *post-revive* alive view.
+    /// Amnesiac rejoin: resets the node to its `seeding` initial rumor set,
+    /// re-enters it into every termination counter, and starts its
+    /// re-dissemination recovery clock.  Must be called with the
+    /// *post-revive* alive view.
+    ///
+    /// The window needs nothing: the crash cancelled every flight touching
+    /// the node, so no snapshot still in flight predates the rejoin, and
+    /// the node's older batches are never read.
     // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids are dense
     fn rejoin_node(
         &mut self,
@@ -1659,16 +1384,7 @@ impl<'g> Progress<'g> {
         self.mem
             .pages
             .record(pages_before, rumors[i].page_footprint());
-        if !self.collapsed[i] {
-            self.mem.release(&mut self.logs[i], &mut self.shadows[i]);
-        }
-        self.logs[i] = AcquisitionLog::from_set(&rumors[i]);
-        self.mem.grow_log(self.logs[i].footprint());
-        self.mem.note_log_peak();
-        self.shadow_len[i] = 0;
-        self.collapsed[i] = false;
-        self.counts[i] = rumors[i].len();
-        if self.counts[i] >= universe {
+        if rumors[i].is_full() {
             self.full_nodes += 1;
         }
         if let Some(r) = self.source_rumor {
@@ -1841,9 +1557,9 @@ impl<'g> Simulation<'g> {
     ///
     /// Each node's per-round RNG stream is derived independently from
     /// `(seed, round, node)` (see [`decision_rng`]), a decision writes only
-    /// its own node's [`Protocol::Node`] state, and the completion-merge
-    /// pass always executes in canonical order — ascending destination node,
-    /// flight order within a destination.  Both passes fan out across
+    /// its own node's [`Protocol::Node`] state, and a completion merge is an
+    /// order-free union, grouped by ascending destination node.  Both
+    /// passes fan out across
     /// [`SimConfig::threads`] workers, and reports are byte-identical for
     /// every thread count.
     ///
@@ -1859,7 +1575,6 @@ impl<'g> Simulation<'g> {
         while !completed && round < max_rounds {
             st.rounds_simulated += 1;
             st.apply_faults(round);
-            st.advance_shadows(round);
             st.deliver(protocol, round);
             if st.is_done(protocol, round) {
                 completed = true;
@@ -1896,10 +1611,6 @@ struct FaultState<'a> {
     alive: AliveView,
     /// The run's initial-state rule, which a rejoin resets a node to.
     seeding: Seeding,
-    /// Per-node fault epoch: queued shadow advances carry the epoch at queue
-    /// time, and a crash or rejoin bumps it — stale entries (whose log
-    /// positions refer to a freed or reset log) are dropped on pop.
-    epoch: Vec<u32>,
 }
 
 /// Everything one run mutates, for the length of its round loop.  Each
@@ -1910,9 +1621,6 @@ struct RoundState<'a> {
     rumors: &'a mut [RumorSet],
     progress: Progress<'a>,
     calendar: Calendar,
-    /// Per-edge merge watermarks: how much of `v`'s log `u` has already
-    /// merged over this edge (`[0]`) and vice versa (`[1]`).
-    watermarks: Vec<[u32; 2]>,
     discovered: DiscoveredLatencies,
     /// Per-node count of initiated exchanges still in flight.
     pending_own: Vec<usize>,
@@ -1943,13 +1651,7 @@ impl<'a> RoundState<'a> {
             config,
             progress: Progress::new(graph, config, rumors),
             rumors,
-            calendar: Calendar {
-                buckets: (0..=graph.max_latency())
-                    .map(|_| Bucket::default())
-                    .collect(),
-                in_flight: 0,
-            },
-            watermarks: vec![[0, 0]; graph.edge_count()],
+            calendar: Calendar::default(),
             discovered: DiscoveredLatencies::new(graph.edge_count()),
             pending_own: vec![0; n],
             sched: Scheduler::new(n),
@@ -1960,7 +1662,6 @@ impl<'a> RoundState<'a> {
                 loss: plan.loss_stream(),
                 alive: AliveView::new(graph),
                 seeding,
-                epoch: vec![0; n],
             }),
             merge_tasks: Vec::new(),
             changed_dsts: Vec::new(),
@@ -1985,17 +1686,8 @@ impl<'a> RoundState<'a> {
         }
     }
 
-    /// Node `node`'s fault epoch (always 0 without a fault plan).
-    fn epoch(&self, node: u32) -> u32 {
-        self.faults
-            .as_ref()
-            .and_then(|f| f.epoch.get(node as usize))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Phase 1: applies the fault events scheduled up to `round` — *before*
-    /// shadow advances and deliveries, so an exchange completing this very
+    /// deliveries, so an exchange completing this very
     /// round but incident to a node that crashes now (or riding an edge cut
     /// now) is cancelled, never delivered; a crash therefore can never
     /// double-adjust a counter a delivery already touched.  An event that
@@ -2021,7 +1713,6 @@ impl<'a> RoundState<'a> {
                     self.cancel_flights(&mut faults, |fl| fl.initiator == v || fl.responder == v);
                     self.pending_own[v.index()] = 0;
                     self.progress.crash_node(self.rumors, v, &faults.alive);
-                    faults.epoch[v.index()] = faults.epoch[v.index()].wrapping_add(1);
                     self.sched.state[v.index()] = NodeState::Quiescent;
                     let neighbors = self.graph.neighbors(v).map(|(w, _)| w);
                     self.sched.wake_survivors(&faults.alive, neighbors);
@@ -2031,18 +1722,12 @@ impl<'a> RoundState<'a> {
                         continue;
                     }
                     faults.tally.rejoins += 1;
-                    // Amnesiac restart: zero *both* directions of every
-                    // incident watermark (the peer's stale high-water mark
-                    // would otherwise skip the fresh log's prefix, and v must
-                    // re-merge everything), and v forgets its discovered
-                    // latencies.
+                    // Amnesiac restart: v forgets its discovered latencies.
                     for (_, e) in self.graph.neighbors(v) {
-                        self.watermarks[e.index()] = [0, 0];
                         self.discovered.set(e, self.graph.edge(e).v == v, false);
                     }
                     self.progress
                         .rejoin_node(self.rumors, v, round, &faults.alive, faults.seeding);
-                    faults.epoch[v.index()] = faults.epoch[v.index()].wrapping_add(1);
                     let neighbors = self.graph.neighbors(v).map(|(w, _)| w);
                     self.sched
                         .wake_survivors(&faults.alive, std::iter::once(v).chain(neighbors));
@@ -2070,8 +1755,8 @@ impl<'a> RoundState<'a> {
     /// initiator gets its slot back, which is a wake event.
     // gossip-lint: allow(panic-path): initiators are node ids < n, and pending_own is sized n
     fn cancel_flights(&mut self, faults: &mut FaultState<'_>, doomed: impl Fn(&Flight) -> bool) {
-        for bucket in &mut self.calendar.buckets {
-            bucket.flights.retain(|fl| {
+        self.calendar.rounds.retain(|_, flights| {
+            flights.retain(|fl| {
                 if !doomed(fl) {
                     return true;
                 }
@@ -2084,38 +1769,22 @@ impl<'a> RoundState<'a> {
                 }
                 false
             });
-        }
+            !flights.is_empty()
+        });
     }
 
-    /// Phase 2: advances the shadow frontiers queued one lap ago and
-    /// truncates the logs behind them.  A finished saturation-collapse lap
-    /// is a wake event (see [`Activity::IdleUntilWoken`]).
-    fn advance_shadows(&mut self, round: u64) {
-        let mut advances = std::mem::take(&mut self.calendar.bucket(round).advances);
-        for (node, target, epoch) in advances.drain(..) {
-            // A stale epoch means the node crashed or rejoined since this
-            // advance was queued: the target refers to a freed or reset log.
-            if epoch == self.epoch(node)
-                && self
-                    .progress
-                    .advance_shadow(self.rumors, node as usize, target)
-            {
-                self.sched.wake(node as usize);
-            }
-        }
-        self.calendar.bucket(round).advances = advances; // keep the bucket's capacity
-    }
-
-    /// Phase 3: delivers the exchanges completing at `round`.  A serial
+    /// Phase 2: delivers the exchanges completing at `round`.  A serial
     /// prologue, in flight order, frees initiator slots, tallies losses and
-    /// resolves the per-edge watermarks into merge tasks; the merges run in
-    /// canonical order whatever the thread count; each changed destination
-    /// queues its shadow advance and settles a pending rejoin recovery; last,
-    /// both endpoints of every delivered exchange get `on_exchange`.
+    /// turns each delivered exchange into up to two merge tasks, one per
+    /// direction, with the exchange's initiation round as the snapshot (a
+    /// direction whose source's current set the destination already holds
+    /// adds nothing and gets no task); the
+    /// merges give the same sets whatever the thread count; each changed
+    /// destination settles a pending rejoin recovery; last, both endpoints
+    /// of every delivered exchange get `on_exchange`.
     // gossip-lint: allow(panic-path): node and edge ids come from the graph's own CSR bounds; per-node and per-edge vecs are sized n and m at construction
     fn deliver<P: Protocol>(&mut self, protocol: &mut P, round: u64) {
-        let mut completions = std::mem::take(&mut self.calendar.bucket(round).flights);
-        self.calendar.in_flight -= completions.len();
+        let completions = self.calendar.take(round);
         for fl in &completions {
             let ii = fl.initiator.index();
             self.pending_own[ii] = self.pending_own[ii].saturating_sub(1);
@@ -2129,39 +1798,17 @@ impl<'a> RoundState<'a> {
                 self.sched.force_wake(ii);
                 continue;
             }
-            // Both endpoints merge the peer's log prefix as of initiation,
-            // minus what already crossed this edge.
+            // Both endpoints merge the peer's set as of initiation.
             let rec = self.graph.edge(fl.edge);
-            let [toward_u, toward_v] = &mut self.watermarks[fl.edge.index()];
-            let (toward_initiator, toward_responder) = if fl.initiator == rec.u {
-                (toward_u, toward_v)
-            } else {
-                (toward_v, toward_u)
-            };
-            for (dst, src, upto, mark) in [
-                (
-                    fl.initiator,
-                    fl.responder,
-                    fl.responder_known,
-                    toward_initiator,
-                ),
-                (
-                    fl.responder,
-                    fl.initiator,
-                    fl.initiator_known,
-                    toward_responder,
-                ),
-            ] {
-                let start = (*mark).min(upto);
-                *mark = (*mark).max(upto);
-                if start < upto
-                    && self.progress.counts[dst.index()] < self.rumors[dst.index()].universe()
-                {
+            let since = round.saturating_sub(rec.latency);
+            for (dst, src) in [(fl.initiator, fl.responder), (fl.responder, fl.initiator)] {
+                // The snapshot is a subset of the source's current set, so
+                // a destination holding that set learns nothing.
+                if !self.rumors[src.index()].is_subset(&self.rumors[dst.index()]) {
                     self.merge_tasks.push(MergeTask {
                         dst: dst.index() as u32,
                         src: src.index() as u32,
-                        start,
-                        upto,
+                        since,
                     });
                 }
             }
@@ -2180,17 +1827,11 @@ impl<'a> RoundState<'a> {
         );
         self.merge_tasks.clear();
         for &node in &self.changed_dsts {
-            let advance = (
-                node,
-                self.progress.counts[node as usize] as u32,
-                self.epoch(node),
-            );
-            self.calendar.bucket(round).advances.push(advance);
             self.progress
                 .check_recovery(node, &self.rumors[node as usize], round);
         }
 
-        for fl in completions.drain(..).filter(|fl| !fl.lost) {
+        for fl in completions.into_iter().filter(|fl| !fl.lost) {
             let latency = self.graph.latency(fl.edge);
             for (node, peer, initiated_here) in [
                 (fl.initiator, fl.responder, true),
@@ -2213,10 +1854,9 @@ impl<'a> RoundState<'a> {
                 self.sched.wake(node.index());
             }
         }
-        self.calendar.bucket(round).flights = completions; // keep the bucket's capacity
     }
 
-    /// Phase 4: evaluates the termination condition at the round boundary
+    /// Phase 3: evaluates the termination condition at the round boundary
     /// `round`.  Under faults, dissemination conditions quantify over
     /// *alive* nodes only (counters never count dead nodes); with no node
     /// alive they hold vacuously.  `Quiescent` asks every alive node's
@@ -2242,7 +1882,7 @@ impl<'a> RoundState<'a> {
         }
     }
 
-    /// Phase 6: lets every *active* node act.  The decision pass records one
+    /// Phase 5: lets every *active* node act.  The decision pass records one
     /// `Decide` per worklist entry — serially or across worker shards,
     /// byte-identical either way, since each node's RNG stream is
     /// independent and a decision reads round-start state and writes only
@@ -2302,8 +1942,6 @@ impl<'a> RoundState<'a> {
                 initiator: node,
                 responder: target,
                 edge,
-                initiator_known: self.progress.counts[i] as u32,
-                responder_known: self.progress.counts[target.index()] as u32,
                 // Drawn exactly once per *accepted* initiation, from the
                 // dedicated loss stream (never the protocol RNG).
                 lost: self
@@ -2311,18 +1949,17 @@ impl<'a> RoundState<'a> {
                     .as_mut()
                     .is_some_and(|f| fault::draw_loss(&mut f.loss)),
             };
-            let completes_at = round + self.graph.latency(edge);
-            self.calendar.bucket(completes_at).flights.push(flight);
-            self.calendar.in_flight += 1;
+            let completes_at = round.saturating_add(self.graph.latency(edge));
+            self.calendar.push(completes_at, flight);
         }
         std::mem::swap(&mut self.sched.worklist, &mut self.sched.spare);
         self.decides = decides;
     }
 
-    /// Phase 7: advances the round clock, returning the next round to
+    /// Phase 6: advances the round clock, returning the next round to
     /// simulate.  With an empty worklist no node can act until the next
-    /// calendar event, and rounds without events are no-ops (no deliveries,
-    /// no shadow laps, no decisions) — so the clock fast-forwards straight
+    /// completion, and rounds without one are no-ops (no deliveries, no
+    /// decisions) — so the clock fast-forwards straight
     /// past them instead of spinning, stopping early at a `FixedRounds`
     /// target or the `max_rounds` cap, both of which are evaluated on the
     /// round counter itself.
@@ -2374,28 +2011,21 @@ impl<'a> RoundState<'a> {
         let pages = progress.mem.pages;
         let rumor_set_bytes =
             pages.bytes.max_prefix as u64 + self.rumors.len() as u64 * RumorSet::base_cost_bytes();
-        let peak_log_bytes = progress.mem.peak_log_bytes;
-        let shadow_bytes = progress.mem.shadow_words_peak * 8;
-        let watermark_bytes = self.watermarks.len() as u64 * 8;
+        let peak_log_bytes = progress.mem.peak_bytes;
         let discovery_bytes = self.discovered.bits.len() as u64 * 8;
         let mem = MemStats {
             peak_log_runs: progress.mem.peak_runs,
             peak_log_bytes,
             dense_batches: progress.mem.dense_batches,
-            live_log_runs: progress.mem.live_runs,
-            truncated_runs: progress.mem.truncated_runs,
-            shadow_advances: progress.mem.shadow_advances,
-            shadow_bytes,
+            live_log_runs: progress.mem.window.runs,
+            truncated_runs: progress.mem.aged_batches,
+            shadow_advances: 0,
             rumor_set_bytes,
             pages_live: pages.dense.delta as u64,
             pages_peak: pages.dense.max_prefix as u64,
             saturated_nodes: progress.full_nodes as u64,
-            collapsed_nodes: progress.mem.collapsed_nodes,
-            peak_engine_bytes: rumor_set_bytes
-                + shadow_bytes
-                + peak_log_bytes
-                + watermark_bytes
-                + discovery_bytes,
+            collapsed_nodes: 0,
+            peak_engine_bytes: rumor_set_bytes + peak_log_bytes + discovery_bytes,
             rounds_simulated: self.rounds_simulated,
             rounds_skipped: self.rounds_skipped,
             active_peak: self.sched.active_peak,
@@ -2428,7 +2058,7 @@ impl<'a> RoundState<'a> {
             } else {
                 Some(progress.informed_times)
             },
-            min_rumors_known: progress.counts.iter().copied().min().unwrap_or(0),
+            min_rumors_known: self.rumors.iter().map(RumorSet::len).min().unwrap_or(0),
             faults,
             mem: Some(mem),
         }
@@ -2683,33 +2313,6 @@ mod tests {
         let g = generators::path(3, 1).unwrap();
         let config = SimConfig::new(1).termination(Termination::FixedRounds(4));
         let _ = Simulation::new(&g, config).run(&mut Confused);
-    }
-
-    #[test]
-    fn shadow_compaction_does_not_change_results_and_reports_memory() {
-        // The delayed-shadow machinery is a pure memory optimisation: forcing
-        // it on (threshold 0) must leave every semantic field untouched.
-        let g = generators::clique(12, 3).unwrap();
-        let run = |cfg: SimConfig| Simulation::new(&g, cfg).run(&mut RandomPushPull::new(&g));
-        let base = run(SimConfig::new(11).termination(Termination::FixedRounds(40)));
-        let forced = run(SimConfig::new(11)
-            .termination(Termination::FixedRounds(40))
-            .shadow_compaction(0));
-        assert_eq!(base.semantics(), forced.semantics());
-
-        let forced_mem = forced.mem.unwrap();
-        assert!(forced_mem.shadow_advances > 0, "threshold 0 must advance");
-        assert!(forced_mem.truncated_runs > 0, "advancing must truncate");
-        assert!(forced_mem.shadow_bytes > 0);
-        assert!(forced_mem.peak_engine_bytes >= forced_mem.rumor_set_bytes);
-
-        let lazy_mem = base.mem.unwrap();
-        assert_eq!(
-            lazy_mem.shadow_advances, 0,
-            "12-entry logs never reach the 64-run materialisation threshold"
-        );
-        assert_eq!(lazy_mem.shadow_bytes, 0);
-        assert!(lazy_mem.peak_log_runs > 0);
     }
 
     #[test]

@@ -24,10 +24,9 @@
 //!   *stranded* until it rejoins.  Crashing a dead node is a no-op.
 //! * **Rejoin** (amnesiac): the node comes back with *only its initial
 //!   set* under the run's [`Seeding`](crate::Seeding) (its own rumor
-//!   all-to-all; in a broadcast, nothing unless it is the source), an empty
-//!   acquisition history, and no discovered latencies — peers must
-//!   re-send everything, so every per-edge merge watermark touching the node
-//!   is invalidated.  Rejoining an alive node is a no-op.
+//!   all-to-all; in a broadcast, nothing unless it is the source) and no
+//!   discovered latencies.  Its next exchanges deliver it its peers' whole
+//!   sets again.  Rejoining an alive node is a no-op.
 //! * **Link cut** (fail-stop, permanent): the edge stops carrying exchanges
 //!   forever; in-flight exchanges on it are cancelled.  Cutting a cut edge
 //!   is a no-op.

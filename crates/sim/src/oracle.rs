@@ -5,8 +5,8 @@
 //! faults, delivers the exchanges completing now (each endpoint merges the
 //! snapshot of its peer taken at initiation), checks termination, and then
 //! asks every alive node for a decision.  Every rumor state is one flat dense
-//! bitset row (`universe / 64` words per node).  There are no interval logs,
-//! no shadows, no watermarks, no paged unions and no skipped rounds: a
+//! bitset row (`universe / 64` words per node).  There is no delta window,
+//! no paged union and no skipped round: a
 //! snapshot is a `memcpy` of one row and a merge is a word-wise OR (the paged
 //! [`RumorSet`] mirror protocols observe is fed one `insert` per new bit), so
 //! a bug in the engine's bulk set operations cannot hide here, and the oracle
@@ -459,7 +459,7 @@ impl<'g> OracleSimulation<'g> {
             },
             min_rumors_known: self.counts.iter().copied().min().unwrap_or(0),
             faults,
-            // No interval logs, shadows or pages to measure; equivalence
+            // No window or pages to measure; equivalence
             // compares `RunReport::semantics()`, which strips this field.
             mem: None,
         }

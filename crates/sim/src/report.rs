@@ -15,28 +15,27 @@ use std::fmt;
 /// [`RunReport::semantics`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemStats {
-    /// Peak number of interval runs retained across all acquisition logs at
-    /// any point of the run (8 bytes each; dense layers are not runs).
+    /// Peak number of interval runs held by the delta window — the recent
+    /// delivery phases' per-node batches of new rumors, the current phase
+    /// included — at any point of the run (8 bytes each; dense layers are
+    /// not runs).
     pub peak_log_runs: u64,
-    /// Peak bytes retained across all acquisition logs: 8 per interval run
-    /// plus, per dense layer, its word window and a fixed header.  Runs and
-    /// layers are summed at the same instants, so this is the real peak of
-    /// their total, not `peak_log_runs × 8`.
+    /// Peak bytes held by the delta window: 8 per batch's index entry, 8 per
+    /// interval run and, per dense layer, its word window and a fixed
+    /// header.  Runs and layers are summed at the same instants, so this is
+    /// the real peak of their total, not `peak_log_runs × 8`.
     pub peak_log_bytes: u64,
-    /// Append batches (one node's acquisitions in one delivery phase) stored
-    /// as a dense layer because that was cheaper than their interval runs.
+    /// Batches (one node's new rumors of one delivery phase) stored as a
+    /// dense layer because that was cheaper than their interval runs.
     pub dense_batches: u64,
-    /// Interval runs still retained when the run ended (zero once every node
-    /// has saturation-collapsed).
+    /// Interval runs still in the window when the run ended.
     pub live_log_runs: u64,
-    /// Total log entries — interval runs and dense layers — reclaimed by
-    /// shadow-frontier truncation and saturation collapse.
+    /// Batches aged out of the window: a round's batches leave it once no
+    /// exchange still in flight can have been initiated before that round.
     pub truncated_runs: u64,
-    /// Number of shadow-frontier advancements (each may truncate logs).
+    /// Always 0: the delayed shadows this counted are gone.  Kept because
+    /// the frozen benchmark harness reads it; ROADMAP item 8 deletes it.
     pub shadow_advances: u64,
-    /// Peak bytes held by materialised delayed-shadow bitsets (shadows are
-    /// lazily allocated and freed again by saturation collapse).
-    pub shadow_bytes: u64,
     /// Peak bytes held by the per-node *paged* rumor sets at any merge
     /// boundary — 16 per sparse or dense page entry plus 512 per dense
     /// page's block, summed over all nodes — plus the fixed per-node set
@@ -51,21 +50,22 @@ pub struct MemStats {
     pub pages_peak: u64,
     /// Nodes whose rumor set was full when the run ended.
     pub saturated_nodes: u64,
-    /// Saturated nodes whose log and shadow were freed by saturation
-    /// collapse (a node collapses one calendar lap after filling up, once no
-    /// outstanding snapshot can reference its history).
+    /// Always 0: the saturation collapse this counted is gone (a full set
+    /// holds no pages, and a merge from a full peer with no recent batch is
+    /// an `O(pages)` complement).  Kept because the frozen benchmark
+    /// harness reads it; ROADMAP item 8 deletes it.
     pub collapsed_nodes: u64,
-    /// Peak bytes of the engine's dissemination state: rumor sets + shadows +
-    /// retained logs + per-edge watermarks + latency-discovery bits.  The
-    /// graph itself and protocol state are not included.
+    /// Peak bytes of the engine's dissemination state: rumor sets + the
+    /// delta window's peak (the in-phase batches included) + latency-
+    /// discovery bits.  The graph itself and protocol state are not
+    /// included.
     pub peak_engine_bytes: u64,
     /// Rounds the event-driven scheduler actually executed (delivered
-    /// exchanges, advanced shadows, asked active nodes to act).
+    /// exchanges or asked active nodes to act).
     pub rounds_simulated: u64,
     /// Rounds the scheduler *fast-forwarded over*: the active worklist was
-    /// empty, so the round clock jumped straight to the next non-empty
-    /// calendar bucket (in-flight completion or shadow/collapse lap) instead
-    /// of spinning an `O(n)` decision loop per empty round.  Skipped rounds
+    /// empty, so the round clock jumped straight to the next round in which
+    /// an exchange completes instead of spinning an `O(n)` decision loop per empty round.  Skipped rounds
     /// are provably no-ops — [`RunReport::rounds`] and every other semantic
     /// field are identical to an engine that walked them one by one.
     pub rounds_skipped: u64,

@@ -1,4 +1,4 @@
-//! Rumors, paged per-node rumor sets, and compressed acquisition logs.
+//! Rumors, paged per-node rumor sets, and the window of per-round deltas.
 //!
 //! Every node in an information-dissemination instance can originate one
 //! rumor; rumor `i` is "the rumor whose source is node `i`".  A node's state
@@ -33,7 +33,18 @@
 //! the union that crosses the threshold.  Fully saturated sets are always
 //! collapsed.  Structural equality is therefore semantic equality and
 //! `#[derive(PartialEq)]` is sound.
+//!
+//! # The delta window
+//!
+//! [`DeltaWindow`] is the engine's only history: what each node learned in
+//! each of the last few delivery phases.  An exchange delivers a peer's set
+//! as of its initiation round, which is the peer's current set minus the
+//! deltas it learned since ([`NewRumors::add_difference`]); a round older
+//! than every snapshot still in flight is dropped.  One node's delta of one
+//! phase is stored as interval runs, or as one dense layer over the id
+//! window it spans when that is cheaper ([`PhaseBatches::push`]).
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use gossip_graph::NodeId;
@@ -328,7 +339,7 @@ impl RumorSet {
     ///
     /// Panics if the rumor is outside the universe.
     pub fn insert(&mut self, rumor: RumorId) -> bool {
-        self.union_run(rumor.index(), 1, |_, _| {}) == 1
+        self.union_run(rumor.index(), 1) == 1
     }
 
     /// Returns `true` if the set contains `rumor`.
@@ -366,6 +377,37 @@ impl RumorSet {
         self.len == self.universe
     }
 
+    /// Returns `true` if every rumor of the set is also in `other` (a set
+    /// over the same universe).  Walks the set's pages, stopping at the
+    /// first one `other` does not cover.
+    pub(crate) fn is_subset(&self, other: &RumorSet) -> bool {
+        if self.is_empty() || other.is_full() {
+            return true;
+        }
+        if self.is_full() || self.len > other.len {
+            return false;
+        }
+        self.pages.iter().all(|entry| {
+            let page = entry.index();
+            let held = other.pages.binary_search_by_key(&page, PageEntry::index);
+            let Some(held) = held.ok().and_then(|p| other.pages.get(p)) else {
+                return false;
+            };
+            let cap = self.page_capacity(page);
+            match (entry, held) {
+                (_, PageEntry::Full { .. }) => true,
+                (PageEntry::Sparse { len, ids, .. }, _) => ids
+                    .iter()
+                    .take(usize::from(*len))
+                    .all(|&i| held.word(usize::from(i) / 64, cap) & (1 << (i % 64)) != 0),
+                _ => {
+                    let held = held.words(cap);
+                    entry.words(cap).iter().zip(held).all(|(w, h)| w & !h == 0)
+                }
+            }
+        })
+    }
+
     /// Iterator over the rumors present in the set, in increasing id order.
     ///
     /// Runs in `O(pages·words + len)` — it walks the non-empty pages word by
@@ -388,31 +430,25 @@ impl RumorSet {
         }
     }
 
-    /// Inserts the `len` consecutive rumors `first, …, first+len-1`, pushing
-    /// every *maximal run* of rumors that was not already present onto
-    /// `out_new` in increasing id order.
+    /// Inserts the `len` consecutive rumors `first, …, first+len-1` and
+    /// returns how many were new.
     ///
-    /// This is the word-level workhorse of the engine's interval-log merge:
-    /// one run of consecutive rumor ids is unioned in `O(len/64 + new runs)`
-    /// time, and a run covering a whole absent page materialises the full
-    /// sentinel directly — no allocation, which is how a saturating merge
-    /// fills a 131072-rumor set with 32 page flips.
+    /// One run of consecutive rumor ids is unioned in `O(len/64)` time, and
+    /// a run covering a whole absent page materialises the full sentinel
+    /// directly — no allocation, which is how a saturating merge fills a
+    /// 131072-rumor set with 32 page flips.
     ///
     /// # Panics
     ///
     /// Panics if the run extends past the universe.
-    pub(crate) fn insert_run(&mut self, first: RumorId, len: u32, out_new: &mut Vec<RumorRun>) {
-        self.union_run(first.index(), len, |first, len| {
-            push_new_run(out_new, first, len);
-        });
+    fn insert_run(&mut self, first: RumorId, len: u32) -> u32 {
+        self.union_run(first.index(), len)
     }
 
-    /// Inserts the rumors `lo..lo+len`, calls `on_new(first, len)` for every
-    /// maximal run of them that was not already present, in increasing id
-    /// order, and returns how many were new.  Shared by
-    /// [`insert`](Self::insert) and [`insert_run`](Self::insert_run).
+    /// Inserts the rumors `lo..lo+len` and returns how many were new.
+    /// Shared by [`insert`](Self::insert) and [`insert_run`](Self::insert_run).
     // gossip-lint: allow(panic-path): run bounds are asserted against the universe on entry
-    fn union_run(&mut self, lo: usize, len: u32, mut on_new: impl FnMut(usize, u32)) -> u32 {
+    fn union_run(&mut self, lo: usize, len: u32) -> u32 {
         let hi = lo + len as usize;
         assert!(
             hi <= self.universe,
@@ -435,10 +471,9 @@ impl RumorSet {
                     // no allocation.
                     self.pages.insert(at, PageEntry::Full { index: page });
                     self.len += cap as usize;
-                    on_new(page_start, cap);
                     cap
                 }
-                _ => self.union_page(page, slot, word_masks(a, b - a), &mut on_new),
+                _ => self.union_page(page, slot, word_masks(a, b - a)),
             };
         }
         self.collapse_if_full();
@@ -446,25 +481,17 @@ impl RumorSet {
     }
 
     /// Unions the in-page word masks `masks` (`(word, bits)`, ascending
-    /// words) into page `page`, whose directory search gave `slot`; calls
-    /// `on_new(first, len)` for every maximal run of newly set bits, in
-    /// increasing id order, and returns how many there were.  The page ends
+    /// words) into page `page`, whose directory search gave `slot`, and
+    /// returns how many bits were new.  The page ends
     /// in its canonical state: promotion from sparse to dense or full
     /// happens here, in the union that crosses the threshold.  Adds the new
     /// bits to `len` but leaves the saturation collapse to the caller, which
     /// may still be walking later pages.
     // gossip-lint: allow(panic-path): p is the page's search or insertion slot, mask words are < PAGE_WORDS, and sparse offsets are < capacity
-    fn union_page<I>(
-        &mut self,
-        page: u32,
-        slot: Result<usize, usize>,
-        masks: I,
-        mut on_new: impl FnMut(usize, u32),
-    ) -> u32
+    fn union_page<I>(&mut self, page: u32, slot: Result<usize, usize>, masks: I) -> u32
     where
         I: Iterator<Item = (usize, u64)> + Clone,
     {
-        let page_start = page as usize * PAGE_BITS;
         let cap = self.page_capacity(page);
         let p = match slot {
             Ok(p) => p,
@@ -487,7 +514,6 @@ impl RumorSet {
                     let new = bits & !words[w];
                     words[w] |= bits;
                     added += new.count_ones();
-                    word_runs(page_start + w * 64, new, &mut on_new);
                 }
                 *ones += added as u16;
                 if u32::from(*ones) == cap {
@@ -501,7 +527,6 @@ impl RumorSet {
                 let mut added = 0;
                 for (w, bits) in masks.clone() {
                     let mut new = bits & !sparse_word(ids[..held].iter(), w);
-                    word_runs(page_start + w * 64, new, &mut on_new);
                     while new != 0 && held + (added as usize) < SPARSE_MAX {
                         ids[held + added as usize] = (w * 64) as u16 + new.trailing_zeros() as u16;
                         new &= new - 1;
@@ -541,23 +566,17 @@ impl RumorSet {
         added
     }
 
-    /// Unions a raw dense word window into the set: `words[k]` holds
-    /// universe bits `(word_lo + k)·64 ..`, so a whole-universe bitset (the
-    /// engine's delayed shadows) is the window at `word_lo = 0` and a dense
-    /// log layer is the window it spans.  Pushes every maximal run of newly
-    /// inserted rumors onto `out_new` in increasing id order.
+    /// Unions a raw dense word window into the set and returns how many
+    /// rumors were new: `words[k]` holds universe bits `(word_lo + k)·64 ..`,
+    /// so a dense delta layer is the window it spans.
     // gossip-lint: allow(panic-path): the window's page slices are bounded by the window itself
-    pub(crate) fn union_words_collect_new_runs(
-        &mut self,
-        word_lo: usize,
-        words: &[u64],
-        out_new: &mut Vec<RumorRun>,
-    ) {
+    fn union_words(&mut self, word_lo: usize, words: &[u64]) -> u32 {
         let word_hi = word_lo + words.len();
         debug_assert!(word_hi <= self.word_count(), "window past the universe");
         if self.len == self.universe || words.is_empty() {
-            return;
+            return 0;
         }
+        let mut added = 0;
         for page in (word_lo / PAGE_WORDS) as u32..=((word_hi - 1) / PAGE_WORDS) as u32 {
             let page_lo = page as usize * PAGE_WORDS;
             // The window's words inside this page, and where they sit in it.
@@ -572,21 +591,31 @@ impl RumorSet {
                 .iter()
                 .enumerate()
                 .map(|(k, &bits)| (a - page_lo + k, bits));
-            self.union_page(page, slot, masks, |first, len| {
-                push_new_run(out_new, first, len);
-            });
+            added += self.union_page(page, slot, masks);
         }
         self.collapse_if_full();
+        added
     }
 
-    /// Fills the set to the full universe, pushing every maximal run of
-    /// newly inserted rumors onto `out_new` in increasing id order, and
-    /// collapses to the canonical (page-free) full representation.
+    /// Unions one delta batch into the set and returns how many rumors were
+    /// new.
+    pub(crate) fn insert_delta(&mut self, delta: Delta<'_>) -> u32 {
+        match delta {
+            Delta::Runs(runs) => runs
+                .iter()
+                .map(|&(first, len)| self.insert_run(first, len))
+                .sum(),
+            Delta::Words(word_lo, words) => self.union_words(word_lo, words),
+        }
+    }
+
+    /// Pushes every maximal run of rumors the set does *not* hold onto
+    /// `out`, in increasing id order.
     ///
-    /// This is the engine's `O(pages)` "peer is saturated" merge: unioning a
-    /// saturation-collapsed peer needs no shadow words and no log replay —
-    /// the complement of what `self` already knows *is* the delta.
-    pub(crate) fn insert_all(&mut self, out_new: &mut Vec<RumorRun>) {
+    /// This is the engine's `O(pages)` "peer is saturated" merge: a peer
+    /// whose snapshot is the whole universe adds exactly the complement of
+    /// what the destination already knows.
+    pub(crate) fn complement_runs(&self, out: &mut Vec<RumorRun>) {
         if self.len == self.universe {
             return;
         }
@@ -600,19 +629,17 @@ impl RumorSet {
                     for w in 0..(cap as usize).div_ceil(64) {
                         let new = full_page_word(cap, w) & !entry.word(w, cap);
                         word_runs(page_start + w * 64, new, |first, len| {
-                            push_new_run(out_new, first, len);
+                            push_new_run(out, first, len);
                         });
                     }
                 }
-                None => push_new_run(out_new, page_start, cap),
+                None => push_new_run(out, page_start, cap),
             }
         }
-        self.pages = Vec::new();
-        self.len = self.universe;
     }
 
-    /// Number of 64-bit words a dense shadow bitset over this universe needs.
-    pub(crate) fn word_count(&self) -> usize {
+    /// Number of 64-bit words a dense bitset over this universe needs.
+    fn word_count(&self) -> usize {
         self.universe.div_ceil(64)
     }
 }
@@ -640,217 +667,220 @@ fn word_masks(lo: usize, len: usize) -> impl Iterator<Item = (usize, u64)> + Clo
     })
 }
 
-/// Sets the bits `lo..lo+len` in a raw bitset word slice (the engine uses
-/// this to replay consecutive log runs into a delayed shadow, and the log to
-/// build a dense layer).
+/// Sets the bits `lo..lo+len` in a raw bitset word slice (how a batch is
+/// built into a dense delta layer).
 // gossip-lint: allow(panic-path): callers pass lo..lo+len ranges within the word slice
-pub(crate) fn set_words_range(words: &mut [u64], lo: usize, len: usize) {
+fn set_words_range(words: &mut [u64], lo: usize, len: usize) {
     for (w, mask) in word_masks(lo, len) {
         words[w] |= mask;
     }
 }
 
-/// ORs the word window `words` (word `k` holds universe bits
-/// `(word_lo + k)·64 ..`) into the whole-universe bitset `dst` — how a dense
-/// log layer is replayed into a delayed shadow.
-pub(crate) fn or_words(dst: &mut [u64], word_lo: usize, words: &[u64]) {
-    for (d, &w) in dst.iter_mut().skip(word_lo).zip(words) {
-        *d |= w;
-    }
-}
-
-/// Every maximal run of set bits in the word window `words` (word `k` holds
-/// universe bits `(word_lo + k)·64 ..`), in increasing id order.
-fn window_runs(word_lo: usize, words: &[u64]) -> Vec<RumorRun> {
-    let mut runs = Vec::new();
-    for (k, &bits) in words.iter().enumerate() {
-        word_runs((word_lo + k) * 64, bits, |first, len| {
-            push_new_run(&mut runs, first, len);
-        });
-    }
-    runs
-}
-
-/// One entry of an [`AcquisitionLog`]'s index: the entries at positions
-/// `start .. next entry's start` hold the consecutive rumor ids
-/// `first, first + 1, …` — or, when `first` is [`LAYER_MARK`], they are the
-/// log's next dense [`Layer`].  The length is implicit in the neighbor entry.
+/// One node's acquisitions of one delivery phase, as the [`DeltaWindow`]
+/// stores them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Run {
-    /// Absolute log position of the run's first entry.
-    start: u32,
-    /// Rumor id of the run's first entry, or [`LAYER_MARK`].
-    first: u32,
+pub(crate) enum Delta<'a> {
+    /// Maximal runs of consecutive ids, ascending.
+    Runs(&'a [RumorRun]),
+    /// The set bits of a word window whose word `k` holds universe bits
+    /// `(word_lo + k)·64 ..` (`word_lo`, window).
+    Words(usize, &'a [u64]),
 }
 
-/// The [`Run::first`] of an index entry that opens a dense layer.  No run
-/// starts at this id: a log holds one position per rumor of its universe and
-/// positions are `u32`s, so every rumor id is below `u32::MAX`.
-const LAYER_MARK: u32 = u32::MAX;
+impl Delta<'_> {
+    /// Clears this delta's ids from `words`, the words of page `page`.
+    fn clear_from_page(self, page: usize, words: &mut [u64; PAGE_WORDS]) {
+        let page_lo = page * PAGE_WORDS;
+        match self {
+            Delta::Runs(runs) => {
+                let (lo, hi) = (page * PAGE_BITS, (page + 1) * PAGE_BITS);
+                let first = runs.partition_point(|&(f, len)| f.index() + len as usize <= lo);
+                for &(f, len) in runs.iter().skip(first) {
+                    if f.index() >= hi {
+                        break;
+                    }
+                    let a = f.index().max(lo);
+                    let b = (f.index() + len as usize).min(hi);
+                    for (w, mask) in word_masks(a - lo, b - a) {
+                        if let Some(word) = words.get_mut(w) {
+                            *word &= !mask;
+                        }
+                    }
+                }
+            }
+            Delta::Words(word_lo, window) => {
+                let a = word_lo.max(page_lo);
+                let b = (word_lo + window.len()).min(page_lo + PAGE_WORDS);
+                let pairs = words.iter_mut().skip(a - page_lo);
+                for (word, &bits) in pairs
+                    .zip(window.iter().skip(a - word_lo))
+                    .take(b.saturating_sub(a))
+                {
+                    *word &= !bits;
+                }
+            }
+        }
+    }
+}
 
-/// Bytes of one index entry: an interval run, or a dense layer's marker.
-const RUN_BYTES: u64 = std::mem::size_of::<Run>() as u64;
-
-/// A dense layer of an [`AcquisitionLog`]: one append batch stored as a
-/// bitset over the word window its ids span.  Its entries form a set; its
-/// positions hold them in increasing id order.
+/// A batch stored as a dense layer: the bitset over the word window its
+/// ids span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Layer {
-    /// Absolute log position of the layer's first entry (its marker's `start`).
-    start: u32,
+    dst: u32,
     /// Universe word index of `words[0]`.
     word_lo: u32,
     words: Box<[u64]>,
 }
 
-/// Bytes a dense layer holds besides its index marker: header and window.
+/// Bytes of one index entry, one per batch.
+const INDEX_BYTES: u64 = std::mem::size_of::<(u32, u32)>() as u64;
+/// Bytes of one interval run.
+const RUN_BYTES: u64 = std::mem::size_of::<RumorRun>() as u64;
+
+/// Bytes a dense layer holds besides its index entry: header and window.
 fn layer_bytes(words: usize) -> u64 {
     (std::mem::size_of::<Layer>() + 8 * words) as u64
 }
 
-/// One batch of acquisitions in the form an [`AcquisitionLog`] stores it
-/// ([`AcquisitionLog::encode_batch`]).
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum EncodedBatch<'a> {
-    /// As interval runs, appended as [`AcquisitionLog::push_run`] would.
-    Runs(&'a [RumorRun]),
-    /// As one dense layer.
-    Layer(DenseBatch),
-}
-
-/// A batch encoded as a dense layer, not yet appended: the bitset over the
-/// word window its ids span, and how many ids it holds.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) struct DenseBatch {
-    word_lo: u32,
-    words: Box<[u64]>,
-    len: u32,
-}
-
-/// Storage an [`AcquisitionLog`] holds, gains or releases.
+/// Storage the [`DeltaWindow`] holds, gains or releases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct LogFootprint {
+pub(crate) struct BatchFootprint {
+    /// Batches (one per node and delivery phase).
+    pub(crate) batches: u64,
     /// Interval runs.
     pub(crate) runs: u64,
     /// Dense layers.
     pub(crate) layers: u64,
-    /// Bytes: 8 per interval run, plus marker, header and window per layer.
+    /// Bytes: 8 per batch's index entry, 8 per run, header and window per
+    /// layer.
     pub(crate) bytes: u64,
 }
 
-impl std::ops::AddAssign for LogFootprint {
-    fn add_assign(&mut self, other: LogFootprint) {
+impl std::ops::AddAssign for BatchFootprint {
+    fn add_assign(&mut self, other: BatchFootprint) {
+        self.batches += other.batches;
         self.runs += other.runs;
         self.layers += other.layers;
         self.bytes += other.bytes;
     }
 }
 
-/// One piece of an [`AcquisitionLog`] read
-/// ([`for_each_chunk`](AcquisitionLog::for_each_chunk)).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum LogChunk<'a> {
-    /// The consecutive rumor ids `first, first + 1, …` (`first`, length).
-    Run(RumorId, u32),
-    /// A whole dense layer: the set bits of a word window whose word `k`
-    /// holds universe bits `(word_lo + k)·64 ..` (`word_lo`, window).
-    Words(usize, &'a [u64]),
+impl std::ops::SubAssign for BatchFootprint {
+    fn sub_assign(&mut self, other: BatchFootprint) {
+        self.batches -= other.batches;
+        self.runs -= other.runs;
+        self.layers -= other.layers;
+        self.bytes -= other.bytes;
+    }
 }
 
-/// A compressed, truncatable acquisition log.
-///
-/// Conceptually this is an append-only sequence of [`RumorId`]s — the rumors
-/// a node learned, batch by batch — addressed by *absolute position*.  Three
-/// things make it cheap at scale:
-///
-/// * **Interval runs.**  Maximal stretches of *consecutive* rumor ids are
-///   stored as a single 8-byte run.  Acquisition orders in dissemination
-///   workloads are bursty (a merge copies its peer's runs, so runs propagate
-///   and grow), and on structured families — star hubs relaying
-///   `leaf 1, leaf 2, …`, clique all-to-all — whole logs collapse to a
-///   handful of runs.
-/// * **Dense layers.**  `append` stores a whole batch (in the engine:
-///   everything a node learned in one delivery phase).  A batch that would
-///   fragment into many runs over a narrow id window — the expander
-///   all-to-all endgame, where a node learns half the universe in scattered
-///   ids — is stored instead as one bitset over the words it spans plus a
-///   small header, whichever is cheaper.  Order inside a batch is
-///   unobservable to the engine, so a layer keeps its batch as a set: its
-///   positions hold its ids in increasing order, and a read at batch
-///   boundaries gets the whole window at once.
-/// * **Prefix truncation.**  `truncate_below` drops runs and layers that lie
-///   entirely below a position; reads below the truncation frontier are a
-///   contract violation (the engine serves them from a delayed bitset shadow
-///   instead).  Positions stay absolute across truncation, so snapshots and
-///   watermarks taken earlier remain valid.  `truncate_all` is the
-///   saturation-collapse variant: it drops *everything* and releases the
-///   log's storage outright.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct AcquisitionLog {
-    /// The index: interval runs and layer markers, in position order.
-    runs: Vec<Run>,
-    /// The dense layers of the retained markers, in position order.
+/// One delivery phase's batches, stored flat: one `(destination, end)`
+/// index entry per node that learned something, ascending by destination,
+/// one run vector and one layer list.  A destination's runs are
+/// `runs[previous end..end]`; an empty range means its batch is the next
+/// layer.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct PhaseBatches {
+    index: Vec<(u32, u32)>,
+    runs: Vec<RumorRun>,
     layers: Vec<Layer>,
-    /// Index into `runs` of the first retained entry (earlier entries are
-    /// dropped lazily and compacted away once they dominate the vector).
-    /// A `u32`, so that it shares one word with `len` (one log per node).
-    head: u32,
-    /// Total number of entries ever appended (`==` the owning node's rumor count).
-    len: u32,
 }
 
-/// End position of entry `i` of the index slice `live` in a log of `len`
-/// entries: the next entry's start.
-fn entry_end(live: &[Run], i: usize, len: u32) -> u32 {
-    live.get(i + 1).map_or(len, |r| r.start)
-}
-
-impl AcquisitionLog {
-    /// Creates an empty log.
-    pub(crate) fn new() -> Self {
-        AcquisitionLog {
-            runs: Vec::new(),
-            layers: Vec::new(),
-            head: 0,
-            len: 0,
+impl PhaseBatches {
+    /// Appends `dst`'s batch, given as the maximal runs of its new ids in
+    /// increasing order (`dst` above every destination pushed so far).  The
+    /// batch is stored as its runs, or as one dense layer over the word
+    /// window it spans when the layer's header and window cost less than
+    /// the runs.  Returns whether it became a layer.
+    pub(crate) fn push(&mut self, dst: u32, batch: &[RumorRun]) -> bool {
+        let (Some(&(lo, _)), Some(&(last, len))) = (batch.first(), batch.last()) else {
+            return false;
+        };
+        let word_lo = lo.index() / 64;
+        let words = (last.index() + len as usize - 1) / 64 + 1 - word_lo;
+        let layer = layer_bytes(words) < RUN_BYTES * batch.len() as u64;
+        if layer {
+            let mut bits = vec![0u64; words].into_boxed_slice();
+            for &(first, n) in batch {
+                set_words_range(&mut bits, first.index() - word_lo * 64, n as usize);
+            }
+            self.layers.push(Layer {
+                dst,
+                word_lo: word_lo as u32,
+                words: bits,
+            });
+        } else {
+            self.runs.extend_from_slice(batch);
         }
+        self.index.push((dst, self.runs.len() as u32));
+        layer
     }
 
-    /// Creates a log seeded with the rumors of `set` in increasing id order
-    /// (the canonical initial-state order; consecutive ids coalesce into runs).
-    pub(crate) fn from_set(set: &RumorSet) -> Self {
-        let mut log = AcquisitionLog::new();
-        for rumor in set.iter() {
-            log.push(rumor);
+    /// Appends another phase piece whose destinations all lie above this
+    /// one's (merge shards, in shard order).
+    pub(crate) fn extend(&mut self, other: PhaseBatches) {
+        if self.index.is_empty() {
+            *self = other;
+            return;
         }
-        log
+        let offset = self.runs.len() as u32;
+        self.index.extend(
+            other
+                .index
+                .into_iter()
+                .map(|(dst, end)| (dst, end + offset)),
+        );
+        self.runs.extend(other.runs);
+        self.layers.extend(other.layers);
     }
 
-    /// Total number of entries ever appended (including truncated ones).
-    #[allow(clippy::len_without_is_empty)]
-    pub(crate) fn len(&self) -> u32 {
-        self.len
+    /// Every destination's batch, ascending by destination.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, Delta<'_>)> {
+        let mut start = 0;
+        let mut layers = self.layers.iter();
+        self.index.iter().filter_map(move |&(dst, end)| {
+            let runs = (start as usize)..(end as usize);
+            start = end;
+            if runs.is_empty() {
+                layers
+                    .next()
+                    .map(|l| (dst, Delta::Words(l.word_lo as usize, &l.words)))
+            } else {
+                self.runs.get(runs).map(|runs| (dst, Delta::Runs(runs)))
+            }
+        })
     }
 
-    /// The retained index entries.
-    fn live(&self) -> &[Run] {
-        self.runs.get(self.head as usize..).unwrap_or_default()
+    /// `node`'s batch, if it learned anything in this phase.
+    fn get(&self, node: u32) -> Option<Delta<'_>> {
+        let k = self
+            .index
+            .binary_search_by_key(&node, |&(dst, _)| dst)
+            .ok()?;
+        let start = k
+            .checked_sub(1)
+            .and_then(|j| self.index.get(j))
+            .map_or(0, |&(_, end)| end);
+        let end = self.index.get(k)?.1;
+        if start < end {
+            return self.runs.get(start as usize..end as usize).map(Delta::Runs);
+        }
+        let l = self.layers.binary_search_by_key(&node, |l| l.dst).ok()?;
+        let layer = self.layers.get(l)?;
+        Some(Delta::Words(layer.word_lo as usize, &layer.words))
     }
 
-    /// Absolute position of the first retained entry (`len()` when nothing
-    /// is retained): reads below this position panic in debug builds.
-    pub(crate) fn front(&self) -> u32 {
-        self.live().first().map_or(self.len, |r| r.start)
-    }
-
-    /// The storage currently retained — the log's live memory.
-    pub(crate) fn footprint(&self) -> LogFootprint {
-        let entries = self.live().len() as u64;
-        let layers = self.layers.len() as u64;
-        LogFootprint {
-            runs: entries - layers,
-            layers,
-            bytes: RUN_BYTES * entries
+    /// What the batches hold.
+    pub(crate) fn footprint(&self) -> BatchFootprint {
+        let batches = self.index.len() as u64;
+        let runs = self.runs.len() as u64;
+        BatchFootprint {
+            batches,
+            runs,
+            layers: self.layers.len() as u64,
+            bytes: INDEX_BYTES * batches
+                + RUN_BYTES * runs
                 + self
                     .layers
                     .iter()
@@ -858,287 +888,157 @@ impl AcquisitionLog {
                     .sum::<u64>(),
         }
     }
+}
 
-    /// The rumor id that would extend the last retained entry, if it is an
-    /// interval run.
-    fn run_tail(&self) -> Option<u64> {
-        let last = self.live().last()?;
-        (last.first != LAYER_MARK).then(|| u64::from(last.first) + u64::from(self.len - last.start))
+/// The engine's one history structure: the batches of the latest delivery
+/// phases, keyed by round.
+///
+/// An exchange over an edge of latency `ℓ` delivers each endpoint's set as
+/// of its initiation round `r = t − ℓ`.  Sets only grow at deliveries, so
+/// that snapshot is the endpoint's current set minus what it learned in
+/// rounds `r + 1 ..= t − 1` — at most `max_latency − 1` rounds of batches.
+/// Older rounds can never be referenced and are aged out.
+#[derive(Debug, Default)]
+pub(crate) struct DeltaWindow {
+    /// `(round, batches)`, rounds increasing.
+    rounds: VecDeque<(u64, PhaseBatches)>,
+}
+
+impl DeltaWindow {
+    /// Stores round `round`'s batches (after every stored round).
+    pub(crate) fn push(&mut self, round: u64, batches: PhaseBatches) {
+        if !batches.index.is_empty() {
+            self.rounds.push_back((round, batches));
+        }
     }
 
-    /// Appends one entry.  Returns `true` if the entry started a new run
-    /// (`false` when it extended the last run — extensions are free, the run
-    /// length is implicit).
-    pub(crate) fn push(&mut self, rumor: RumorId) -> bool {
-        self.push_run(rumor, 1)
-    }
-
-    /// Appends `len` consecutive entries `first, first+1, …` as one batch.
-    /// Returns `true` if the batch started a new run (`false` when it
-    /// extended the last run).  `len == 0` is a no-op returning `false`.
-    pub(crate) fn push_run(&mut self, first: RumorId, len: u32) -> bool {
-        if len == 0 {
-            return false;
-        }
-        let starts = self.run_tail() != Some(u64::from(first.0));
-        if starts {
-            self.runs.push(Run {
-                start: self.len,
-                first: first.0,
-            });
-        }
-        self.len += len;
-        starts
-    }
-
-    /// Chooses how this log would store one batch of acquisitions, given as
-    /// runs of distinct rumor ids, without changing the log: as the interval
-    /// runs [`push_run`](Self::push_run) would create, or as one dense layer
-    /// over the word window `[min/64, max/64]` it spans when that costs less
-    /// by more than one run — the margin pays for the run the next batch can
-    /// no longer extend across the layer, so no batch ever costs more than
-    /// as runs.  [`append`](Self::append) stores the result.
-    ///
-    /// Splitting a run of the batch into id-adjacent pieces, or coalescing
-    /// such pieces, changes neither the choice nor the stored log.
-    pub(crate) fn encode_batch<'a>(&self, batch: &'a [RumorRun]) -> EncodedBatch<'a> {
-        let mut tail = self.run_tail();
-        let (mut runs, mut lo, mut hi, mut len) = (0u64, usize::MAX, 0usize, 0u32);
-        for &(first, n) in batch.iter().filter(|&&(_, n)| n > 0) {
-            if tail != Some(u64::from(first.0)) {
-                runs += 1;
-            }
-            tail = Some(u64::from(first.0) + u64::from(n));
-            lo = lo.min(first.index());
-            hi = hi.max(first.index() + n as usize);
-            len += n;
-        }
-        if len == 0 {
-            return EncodedBatch::Runs(batch);
-        }
-        let word_lo = lo / 64;
-        let words = (hi - 1) / 64 + 1 - word_lo;
-        let layer_cost = RUN_BYTES + layer_bytes(words);
-        if layer_cost + RUN_BYTES >= RUN_BYTES * runs {
-            return EncodedBatch::Runs(batch);
-        }
-        let mut bits = vec![0u64; words].into_boxed_slice();
-        for &(first, n) in batch {
-            set_words_range(&mut bits, first.index() - word_lo * 64, n as usize);
-        }
-        debug_assert_eq!(
-            bits.iter().map(|w| w.count_ones()).sum::<u32>(),
-            len,
-            "a batch holds distinct ids"
-        );
-        EncodedBatch::Layer(DenseBatch {
-            word_lo: word_lo as u32,
-            words: bits,
-            len,
-        })
-    }
-
-    /// Appends one encoded batch ([`encode_batch`](Self::encode_batch)) and
-    /// returns the storage it added.
-    pub(crate) fn append(&mut self, batch: EncodedBatch<'_>) -> LogFootprint {
-        match batch {
-            EncodedBatch::Runs(runs) => {
-                let mut started = 0u64;
-                for &(first, n) in runs {
-                    started += u64::from(self.push_run(first, n));
-                }
-                LogFootprint {
-                    runs: started,
-                    layers: 0,
-                    bytes: RUN_BYTES * started,
-                }
-            }
-            EncodedBatch::Layer(DenseBatch {
-                word_lo,
-                words,
-                len,
-            }) => {
-                let bytes = RUN_BYTES + layer_bytes(words.len());
-                self.runs.push(Run {
-                    start: self.len,
-                    first: LAYER_MARK,
-                });
-                self.layers.push(Layer {
-                    start: self.len,
-                    word_lo,
-                    words,
-                });
-                self.len += len;
-                LogFootprint {
-                    runs: 0,
-                    layers: 1,
-                    bytes,
-                }
+    /// Drops every round at or before `floor` and returns what it held.
+    pub(crate) fn age_out(&mut self, floor: u64) -> BatchFootprint {
+        let mut freed = BatchFootprint::default();
+        while self
+            .rounds
+            .front()
+            .is_some_and(|&(round, _)| round <= floor)
+        {
+            if let Some((_, batches)) = self.rounds.pop_front() {
+                freed += batches.footprint();
             }
         }
+        freed
     }
 
-    /// Bytes of the retained runs and layers that lie entirely below `pos`
-    /// — exactly what [`truncate_below`](Self::truncate_below) would reclaim.
-    pub(crate) fn bytes_entirely_below(&self, pos: u32) -> u64 {
-        let live = self.live();
-        let mut k = live.partition_point(|r| r.start < pos);
-        // The k-th entry (index k-1) starts below `pos` but may extend past it.
-        if k > 0 && entry_end(live, k - 1, self.len) > pos {
-            k -= 1;
-        }
-        // The layers among those k entries are the ones starting before the next.
-        let cut = live.get(k).map_or(u32::MAX, |r| r.start);
-        let layers = self.layers.iter().take_while(|l| l.start < cut);
-        RUN_BYTES * k as u64 + layers.map(|l| layer_bytes(l.words.len())).sum::<u64>()
-    }
-
-    /// Drops every run and layer lying entirely below `pos` and returns the
-    /// storage reclaimed.  An entry straddling `pos` is kept whole, so
-    /// positions `>= pos` always stay readable.
-    pub(crate) fn truncate_below(&mut self, pos: u32) -> LogFootprint {
-        let live = self.live();
-        let dropped = (0..live.len())
-            .take_while(|&i| entry_end(live, i, self.len) <= pos)
-            .count();
-        let layers = live
+    /// `node`'s batches of the rounds after `since`, newest first.
+    pub(crate) fn deltas_since(&self, node: u32, since: u64) -> impl Iterator<Item = Delta<'_>> {
+        self.rounds
             .iter()
-            .take(dropped)
-            .filter(|r| r.first == LAYER_MARK)
-            .count();
-        let freed = LogFootprint {
-            runs: (dropped - layers) as u64,
-            layers: layers as u64,
-            bytes: RUN_BYTES * dropped as u64
-                + self
-                    .layers
-                    .drain(..layers)
-                    .map(|l| layer_bytes(l.words.len()))
-                    .sum::<u64>(),
-        };
-        self.head += dropped as u32;
-        // Compact once dropped entries dominate, and release oversized
-        // capacity so truncation frees real memory, not just indices.
-        let head = self.head as usize;
-        if head > 32 && head * 2 >= self.runs.len() {
-            self.runs.drain(..head);
-            self.head = 0;
-            if self.runs.capacity() > 4 * self.runs.len().max(8) {
-                self.runs.shrink_to(2 * self.runs.len().max(8));
-            }
-        }
-        freed
-    }
-
-    /// Drops every retained run and layer and releases the log's storage,
-    /// returning what was reclaimed.  The saturation-collapse path: once a
-    /// node's rumor set is full and every possibly-outstanding snapshot of it
-    /// covers the whole universe, the log's history can never be read again.
-    /// Positions stay absolute — appends after collapse continue at `len()`.
-    pub(crate) fn truncate_all(&mut self) -> LogFootprint {
-        let freed = self.footprint();
-        self.runs = Vec::new();
-        self.layers = Vec::new();
-        self.head = 0;
-        freed
-    }
-
-    /// Calls `f` for the pieces covering positions `from..to`, in position
-    /// order: one [`LogChunk::Run`] per stretch of an interval run, one
-    /// [`LogChunk::Words`] per dense layer read whole.  A layer that `from`
-    /// or `to` cuts is read in increasing id order as runs instead; reads at
-    /// batch boundaries never cut one.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `from` lies below the truncation frontier or
-    /// `to` past the end.
-    pub(crate) fn for_each_chunk(&self, from: u32, to: u32, mut f: impl FnMut(LogChunk<'_>)) {
-        if from >= to {
-            return;
-        }
-        debug_assert!(
-            from >= self.front(),
-            "reading truncated log positions ({from} < front {})",
-            self.front()
-        );
-        debug_assert!(to <= self.len, "reading past the log ({to} > {})", self.len);
-        let live = self.live();
-        let mut i = live.partition_point(|r| r.start <= from).saturating_sub(1);
-        // Layers are in marker order: start at the first one at or after entry `i`.
-        let at = live.get(i).map_or(self.len, |r| r.start);
-        let mut next_layer = self.layers.partition_point(|l| l.start < at);
-        while let Some(&run) = live.get(i) {
-            if run.start >= to {
-                break;
-            }
-            let end = entry_end(live, i, self.len);
-            let (s, e) = (run.start.max(from), end.min(to));
-            if run.first != LAYER_MARK {
-                f(LogChunk::Run(RumorId(run.first + (s - run.start)), e - s));
-            } else if let Some(layer) = self.layers.get(next_layer) {
-                next_layer += 1;
-                debug_assert_eq!(layer.start, run.start, "layers follow their markers");
-                let word_lo = layer.word_lo as usize;
-                if (s, e) == (run.start, end) {
-                    f(LogChunk::Words(word_lo, &layer.words));
-                } else {
-                    let (mut skip, mut take) = (s - run.start, e - s);
-                    for (first, len) in window_runs(word_lo, &layer.words) {
-                        let n = len.saturating_sub(skip).min(take);
-                        if n > 0 {
-                            f(LogChunk::Run(RumorId(first.0 + skip), n));
-                            take -= n;
-                        }
-                        skip = skip.saturating_sub(len);
-                    }
-                }
-            }
-            i += 1;
-        }
-    }
-
-    /// Calls `f(first_rumor, segment_len)` for consecutive-id segments
-    /// covering positions `from..to`, in position order (a dense layer's
-    /// entries in increasing id order).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `from` lies below the truncation frontier or
-    /// `to` past the end.
-    #[cfg(test)]
-    pub(crate) fn for_each_segment(&self, from: u32, to: u32, mut f: impl FnMut(RumorId, u32)) {
-        self.for_each_chunk(from, to, |chunk| match chunk {
-            LogChunk::Run(first, len) => f(first, len),
-            LogChunk::Words(word_lo, words) => {
-                for (first, len) in window_runs(word_lo, words) {
-                    f(first, len);
-                }
-            }
-        });
-    }
-
-    /// The entry at absolute position `pos` (for tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is truncated or out of range.
-    #[cfg(test)]
-    pub(crate) fn get(&self, pos: u32) -> RumorId {
-        assert!(
-            pos >= self.front() && pos < self.len,
-            "position out of range"
-        );
-        let mut entry = RumorId(0);
-        self.for_each_segment(pos, pos + 1, |first, _| entry = first);
-        entry
+            .rev()
+            .take_while(move |&&(round, _)| round > since)
+            .filter_map(move |(_, batches)| batches.get(node))
     }
 }
 
-#[cfg(test)]
-impl Default for AcquisitionLog {
-    fn default() -> Self {
-        AcquisitionLog::new()
+/// One destination's new rumors, gathered over its merge tasks: a bitset
+/// over the universe (sized on first use) and the pages holding set bits.
+/// Adding a rumor twice changes nothing, so the batch depends on neither
+/// the order nor the overlap of the destination's tasks.
+#[derive(Debug, Default)]
+pub(crate) struct NewRumors {
+    words: Vec<u64>,
+    /// Per page: whether it is listed in `pages`.
+    touched: Vec<bool>,
+    /// Pages that may hold set bits, unsorted.
+    pages: Vec<u32>,
+}
+
+impl PageEntry {
+    /// The page's words, for a page of capacity `cap`.
+    fn words(&self, cap: u32) -> [u64; PAGE_WORDS] {
+        match self {
+            PageEntry::Full { .. } => std::array::from_fn(|w| full_page_word(cap, w)),
+            PageEntry::Dense { words, .. } => **words,
+            PageEntry::Sparse { len, ids, .. } => {
+                let mut out = [0; PAGE_WORDS];
+                for &i in ids.iter().take(usize::from(*len)) {
+                    if let Some(word) = out.get_mut(usize::from(i) / 64) {
+                        *word |= 1 << (i % 64);
+                    }
+                }
+                out
+            }
+        }
+    }
+}
+
+impl NewRumors {
+    /// Adds the rumors of `src` that are in none of the deltas `minus` and
+    /// not in `dst`: a snapshot of `src` — its current set minus what it
+    /// learned since — less what `dst` already knows.  Costs `O(src pages)`
+    /// word operations plus the deltas' runs.
+    pub(crate) fn add_difference(&mut self, src: &RumorSet, minus: &[Delta<'_>], dst: &RumorSet) {
+        if dst.is_full() {
+            return;
+        }
+        if self.words.len() != src.word_count() {
+            // First use: a run's universe never changes.
+            self.words = vec![0; src.word_count()];
+            self.touched = vec![false; src.universe.div_ceil(PAGE_BITS)];
+        }
+        let mut add_page = |entry: &PageEntry| {
+            let page = entry.index();
+            let cap = src.page_capacity(page);
+            let mut words = entry.words(cap);
+            let held = dst.pages.binary_search_by_key(&page, PageEntry::index);
+            match held.ok().and_then(|p| dst.pages.get(p)) {
+                Some(PageEntry::Full { .. }) => return,
+                Some(held) => {
+                    for (w, h) in words.iter_mut().zip(held.words(cap)) {
+                        *w &= !h;
+                    }
+                }
+                None => {}
+            }
+            for delta in minus {
+                delta.clear_from_page(page as usize, &mut words);
+            }
+            let mut any = 0;
+            let acc = self.words.iter_mut().skip(page as usize * PAGE_WORDS);
+            for (a, w) in acc.zip(words) {
+                *a |= w;
+                any |= w;
+            }
+            if let Some(listed) = self.touched.get_mut(page as usize).filter(|_| any != 0) {
+                if !*listed {
+                    *listed = true;
+                    self.pages.push(page);
+                }
+            }
+        };
+        if src.is_full() {
+            for index in 0..src.universe.div_ceil(PAGE_BITS) as u32 {
+                add_page(&PageEntry::Full { index });
+            }
+        } else {
+            src.pages.iter().for_each(add_page);
+        }
+    }
+
+    /// Moves the gathered rumors onto `out` as maximal runs in increasing
+    /// id order, leaving the accumulator empty for the next destination.
+    pub(crate) fn drain_runs(&mut self, out: &mut Vec<RumorRun>) {
+        self.pages.sort_unstable();
+        for &page in &self.pages {
+            let page_lo = page as usize * PAGE_WORDS;
+            let words = self.words.iter_mut().enumerate().skip(page_lo);
+            for (w, bits) in words.take(PAGE_WORDS) {
+                word_runs(w * 64, std::mem::take(bits), |first, len| {
+                    push_new_run(out, first, len);
+                });
+            }
+            if let Some(listed) = self.touched.get_mut(page as usize) {
+                *listed = false;
+            }
+        }
+        self.pages.clear();
     }
 }
 
@@ -1188,10 +1088,7 @@ impl Iterator for RumorIter<'_> {
                 }
                 self.cur_entry = None;
             }
-            if self.page_pos >= self.pages.len() {
-                return None;
-            }
-            let entry = &self.pages[self.page_pos];
+            let entry = self.pages.get(self.page_pos)?;
             self.page_pos += 1;
             self.cur_base = entry.index() as usize * PAGE_BITS;
             self.cur_cap = (self.universe - self.cur_base).min(PAGE_BITS) as u32;
@@ -1317,43 +1214,48 @@ mod tests {
         assert!(repr.contains('1'));
     }
 
+    /// The maximal runs of the ids `after` holds and `before` does not,
+    /// gathered the way merge phase A gathers a destination's batch.
+    fn new_runs(before: &RumorSet, after: &RumorSet) -> Vec<RumorRun> {
+        let mut acc = NewRumors::default();
+        acc.add_difference(after, &[], before);
+        let mut out = Vec::new();
+        acc.drain_runs(&mut out);
+        out
+    }
+
     #[test]
     fn insert_run_matches_individual_inserts() {
         let mut a = RumorSet::empty(200);
         a.insert(RumorId(70));
         a.insert(RumorId(128));
+        let before = a.clone();
         let mut b = a.clone();
 
-        let mut new = Vec::new();
-        a.insert_run(RumorId(60), 80, &mut new);
+        assert_eq!(a.insert_run(RumorId(60), 80), 78, "70 and 128 were held");
         for i in 60..140u32 {
             b.insert(RumorId(i));
         }
         assert_eq!(a, b);
         assert_eq!(
-            new,
+            new_runs(&before, &a),
             vec![(RumorId(60), 10), (RumorId(71), 57), (RumorId(129), 11)],
             "maximal runs of the ids that were not already present"
         );
 
         // Zero-length runs are a no-op.
-        new.clear();
-        a.insert_run(RumorId(0), 0, &mut new);
-        assert!(new.is_empty());
+        assert_eq!(a.insert_run(RumorId(0), 0), 0);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn insert_run_crossing_pages_matches_individual_inserts() {
         let mut a = RumorSet::empty(3 * PAGE_BITS + 100);
         a.insert(RumorId(5000));
+        let before = a.clone();
         let mut b = a.clone();
-        let mut runs = Vec::new();
         // Spans pages 0..=3 (the last one partial).
-        a.insert_run(
-            RumorId(100),
-            (3 * PAGE_BITS + 100 - 100 - 7) as u32,
-            &mut runs,
-        );
+        let added = a.insert_run(RumorId(100), (3 * PAGE_BITS + 100 - 100 - 7) as u32);
         let mut naive = vec![false; 3 * PAGE_BITS + 100];
         naive[5000] = true;
         for (i, slot) in naive
@@ -1367,8 +1269,8 @@ mod tests {
         }
         assert_eq!(a, b);
         assert_matches_naive(&a, &naive);
-        // The new runs tile exactly the inserted range minus the old bit.
-        let expanded: Vec<usize> = runs
+        // The new ids are exactly the inserted range minus the old bit.
+        let expanded: Vec<usize> = new_runs(&before, &a)
             .iter()
             .flat_map(|&(f, l)| f.index()..f.index() + l as usize)
             .collect();
@@ -1376,6 +1278,7 @@ mod tests {
             .filter(|&i| i != 5000)
             .collect();
         assert_eq!(expanded, expected);
+        assert_eq!(added as usize, expected.len());
         // Whole interior pages became sentinel pages, not allocations.
         assert!(a.live_pages() <= 2, "only boundary pages may stay dense");
     }
@@ -1383,12 +1286,10 @@ mod tests {
     #[test]
     fn full_page_runs_do_not_allocate() {
         let mut s = RumorSet::empty(2 * PAGE_BITS);
-        let mut runs = Vec::new();
-        s.insert_run(RumorId(0), PAGE_BITS as u32, &mut runs);
+        assert_eq!(s.insert_run(RumorId(0), PAGE_BITS as u32), PAGE_BITS as u32);
         assert_eq!(s.live_pages(), 0, "a whole-page run is a sentinel page");
         assert_eq!(s.len(), PAGE_BITS);
-        assert_eq!(runs, vec![(RumorId(0), PAGE_BITS as u32)]);
-        s.insert_run(RumorId(PAGE_BITS as u32), PAGE_BITS as u32, &mut runs);
+        s.insert_run(RumorId(PAGE_BITS as u32), PAGE_BITS as u32);
         assert!(s.is_full());
         assert_eq!(s.live_pages(), 0, "full sets collapse to zero pages");
     }
@@ -1403,7 +1304,7 @@ mod tests {
             by_bits.insert(RumorId::from(i));
         }
         let mut by_run = RumorSet::empty(n);
-        by_run.insert_run(RumorId(0), n as u32, &mut Vec::new());
+        by_run.insert_run(RumorId(0), n as u32);
         assert_eq!(by_bits, by_run);
         assert!(by_bits.is_full());
         assert_eq!(by_bits.live_pages(), 0);
@@ -1413,7 +1314,7 @@ mod tests {
             partial_bits.insert(RumorId::from(i));
         }
         let mut partial_run = RumorSet::empty(n);
-        partial_run.insert_run(RumorId(0), PAGE_BITS as u32, &mut Vec::new());
+        partial_run.insert_run(RumorId(0), PAGE_BITS as u32);
         assert_eq!(partial_bits, partial_run, "full page == sentinel page");
     }
 
@@ -1421,22 +1322,22 @@ mod tests {
     #[should_panic(expected = "outside universe")]
     fn insert_run_past_universe_panics() {
         let mut s = RumorSet::empty(10);
-        s.insert_run(RumorId(8), 3, &mut Vec::new());
+        s.insert_run(RumorId(8), 3);
     }
 
     #[test]
     fn union_words_collects_exactly_the_new_runs() {
         let n = PAGE_BITS + 130;
         let mut dst = RumorSet::singleton(n, RumorId(5));
-        let mut shadow = vec![0u64; n.div_ceil(64)];
-        set_words_range(&mut shadow, 0, 2); // 0, 1
-        set_words_range(&mut shadow, 5, 1); // already known
-        set_words_range(&mut shadow, 64, 1); // 64
-        set_words_range(&mut shadow, PAGE_BITS + 129, 1); // second page
-        let mut new = Vec::new();
-        dst.union_words_collect_new_runs(0, &shadow, &mut new);
+        let before = dst.clone();
+        let mut window = vec![0u64; n.div_ceil(64)];
+        set_words_range(&mut window, 0, 2); // 0, 1
+        set_words_range(&mut window, 5, 1); // already known
+        set_words_range(&mut window, 64, 1); // 64
+        set_words_range(&mut window, PAGE_BITS + 129, 1); // second page
+        assert_eq!(dst.union_words(0, &window), 4);
         assert_eq!(
-            new,
+            new_runs(&before, &dst),
             vec![
                 (RumorId(0), 2),
                 (RumorId(64), 1),
@@ -1444,9 +1345,7 @@ mod tests {
             ]
         );
         assert_eq!(dst.len(), 5);
-        new.clear();
-        dst.union_words_collect_new_runs(0, &shadow, &mut new);
-        assert!(new.is_empty(), "second union adds nothing");
+        assert_eq!(dst.union_words(0, &window), 0, "second union adds nothing");
     }
 
     #[test]
@@ -1469,14 +1368,14 @@ mod tests {
         }
         for held in [PAGE_BITS - 128, PAGE_BITS + 5] {
             let mut set = RumorSet::singleton(n, RumorId::from(held));
+            let before = set.clone();
             let mut naive = set.clone();
-            let mut new = Vec::new();
-            set.union_words_collect_new_runs(word_lo, &window, &mut new);
+            assert_eq!(set.union_words(word_lo, &window), 4);
             for &i in &ids {
                 naive.insert(RumorId::from(i));
             }
             assert_eq!(set, naive);
-            let expanded: Vec<usize> = new
+            let expanded: Vec<usize> = new_runs(&before, &set)
                 .iter()
                 .flat_map(|&(f, l)| f.index()..f.index() + l as usize)
                 .collect();
@@ -1486,22 +1385,29 @@ mod tests {
     }
 
     #[test]
-    fn insert_all_emits_the_complement_and_collapses() {
+    fn complement_runs_emit_the_missing_ids_and_fill_the_set() {
         let n = PAGE_BITS + 50;
         let mut s = RumorSet::empty(n);
         s.insert(RumorId(3));
-        s.insert_run(RumorId(0), PAGE_BITS as u32, &mut Vec::new()); // page 0 full
+        s.insert_run(RumorId(0), PAGE_BITS as u32); // page 0 full
         s.insert(RumorId(PAGE_BITS as u32 + 10));
-        let mut new = Vec::new();
-        s.insert_all(&mut new);
-        assert!(s.is_full());
-        assert_eq!(s.live_pages(), 0);
-        let expanded: Vec<usize> = new
+        let mut missing = Vec::new();
+        s.complement_runs(&mut missing);
+        let expanded: Vec<usize> = missing
             .iter()
             .flat_map(|&(f, l)| f.index()..f.index() + l as usize)
             .collect();
         let expected: Vec<usize> = (PAGE_BITS..n).filter(|&i| i != PAGE_BITS + 10).collect();
         assert_eq!(expanded, expected);
+        assert_eq!(
+            s.insert_delta(Delta::Runs(&missing)) as usize,
+            expected.len()
+        );
+        assert!(s.is_full());
+        assert_eq!(s.live_pages(), 0);
+        missing.clear();
+        s.complement_runs(&mut missing);
+        assert!(missing.is_empty(), "a full set misses nothing");
     }
 
     #[test]
@@ -1520,284 +1426,260 @@ mod tests {
         assert_eq!(words, expected);
     }
 
+    /// A batch of consecutive ids is stored as its maximal runs: one 8-byte
+    /// run per stretch, plus the batch's index entry.
     #[test]
     fn log_coalesces_consecutive_ids_into_runs() {
-        let mut log = AcquisitionLog::new();
+        let mut learned = RumorSet::empty(100);
         for i in [7u32, 8, 9, 10, 3, 4, 42] {
-            log.push(RumorId(i));
+            learned.insert(RumorId(i));
         }
-        assert_eq!(log.len(), 7);
-        assert_eq!(log.footprint().runs, 3, "7..=10, 3..=4, 42");
-        let entries: Vec<u32> = (0..7).map(|p| log.get(p).0).collect();
-        assert_eq!(entries, vec![7, 8, 9, 10, 3, 4, 42]);
-    }
-
-    #[test]
-    fn log_push_run_extends_and_starts_runs_like_pushes() {
-        let mut by_push = AcquisitionLog::new();
-        let mut by_run = AcquisitionLog::new();
-        // (first, len) batches, some contiguous with the previous one.
-        for &(first, len) in &[(10u32, 3u32), (13, 4), (50, 2), (52, 1), (0, 5)] {
-            for k in 0..len {
-                by_push.push(RumorId(first + k));
-            }
-            by_run.push_run(RumorId(first), len);
-        }
-        assert_eq!(by_push, by_run);
-        assert_eq!(by_run.footprint().runs, 3, "10..=16, 50..=52, 0..=4");
-        assert!(!by_run.push_run(RumorId(99), 0), "empty batch is a no-op");
-        assert_eq!(by_push.len(), by_run.len());
-    }
-
-    #[test]
-    fn log_from_set_compresses_dense_sets() {
-        let mut set = RumorSet::empty(1000);
-        for i in 0..1000 {
-            if i != 500 {
-                set.insert(RumorId(i));
-            }
-        }
-        let log = AcquisitionLog::from_set(&set);
-        assert_eq!(log.len(), 999);
-        assert_eq!(log.footprint().runs, 2, "0..500 and 501..1000");
-        assert_eq!(log.get(0), RumorId(0));
-        assert_eq!(log.get(500), RumorId(501));
-    }
-
-    #[test]
-    fn log_segments_cover_arbitrary_ranges() {
-        let mut log = AcquisitionLog::new();
-        for i in [10u32, 11, 12, 50, 51, 90] {
-            log.push(RumorId(i));
-        }
-        let collect = |from, to| {
-            let mut out = Vec::new();
-            log.for_each_segment(from, to, |first, len| out.push((first.0, len)));
-            out
-        };
-        assert_eq!(collect(0, 6), vec![(10, 3), (50, 2), (90, 1)]);
-        assert_eq!(collect(1, 5), vec![(11, 2), (50, 2)]);
-        assert_eq!(collect(4, 4), vec![]);
-        assert_eq!(collect(5, 6), vec![(90, 1)]);
-    }
-
-    #[test]
-    fn log_truncation_reclaims_whole_runs_and_keeps_positions_absolute() {
-        let mut log = AcquisitionLog::new();
-        for i in [10u32, 11, 12, 50, 51, 90] {
-            log.push(RumorId(i));
-        }
-        assert_eq!(log.bytes_entirely_below(3), 8);
-        assert_eq!(log.bytes_entirely_below(4), 8, "run 50..52 straddles pos 4");
-        assert_eq!(log.bytes_entirely_below(5), 16);
-        assert_eq!(log.bytes_entirely_below(6), 24);
-
-        assert_eq!(log.truncate_below(4).runs, 1);
-        assert_eq!(log.front(), 3, "straddling run kept whole");
-        assert_eq!(log.footprint().runs, 2);
-        // Absolute positions survive truncation.
-        assert_eq!(log.get(4), RumorId(51));
-        let mut out = Vec::new();
-        log.for_each_segment(4, 6, |first, len| out.push((first.0, len)));
-        assert_eq!(out, vec![(51, 1), (90, 1)]);
-
-        assert_eq!(log.truncate_below(6).runs, 2);
-        assert_eq!(log.footprint().runs, 0);
-        assert_eq!(log.front(), 6);
-        // Appending after full truncation starts a fresh run.
-        assert!(log.push(RumorId(91)));
-        assert_eq!(log.get(6), RumorId(91));
-        assert_eq!(log.len(), 7);
-    }
-
-    #[test]
-    fn log_truncate_all_frees_everything_and_keeps_positions() {
-        let mut log = AcquisitionLog::new();
-        for i in 0..100u32 {
-            log.push(RumorId(2 * i)); // 100 singleton runs
-        }
-        assert_eq!(log.truncate_all().runs, 100);
-        assert_eq!(log.footprint().runs, 0);
-        assert_eq!(log.front(), 100);
-        assert_eq!(log.len(), 100);
-        // Appends continue at the absolute position after the collapse.
-        assert!(log.push_run(RumorId(500), 3));
-        assert_eq!(log.get(100), RumorId(500));
-        assert_eq!(log.get(102), RumorId(502));
-        assert_eq!(log.truncate_all().bytes, 8);
-        assert_eq!(log.front(), 103);
-    }
-
-    #[test]
-    fn log_compaction_frees_dropped_runs() {
-        let mut log = AcquisitionLog::new();
-        // 200 singleton runs (even ids never coalesce).
-        for i in 0..200u32 {
-            log.push(RumorId(2 * i));
-        }
-        assert_eq!(log.footprint().runs, 200);
-        let dropped = log.truncate_below(150);
-        assert_eq!((dropped.runs, dropped.bytes), (150, 150 * 8));
-        assert_eq!(log.footprint().runs, 50);
-        // Internal compaction must not disturb reads.
-        assert_eq!(log.get(150), RumorId(300));
-        assert_eq!(log.get(199), RumorId(398));
-        assert_eq!(AcquisitionLog::default().len(), 0);
+        let batch = new_runs(&RumorSet::empty(100), &learned);
+        assert_eq!(
+            batch,
+            vec![(RumorId(3), 2), (RumorId(7), 4), (RumorId(42), 1)]
+        );
+        let mut phase = PhaseBatches::default();
+        assert!(
+            !phase.push(5, &batch),
+            "three runs are cheaper than a layer"
+        );
+        let held = phase.footprint();
+        assert_eq!((held.batches, held.runs, held.layers), (1, 3, 0));
+        assert_eq!(held.bytes, INDEX_BYTES + 3 * RUN_BYTES);
+        assert_eq!(phase.get(5), Some(Delta::Runs(&batch)));
+        assert_eq!(phase.get(4), None);
+        assert!(!phase.push(6, &[]), "an empty batch is not stored");
+        assert_eq!(phase.footprint(), held);
     }
 
     #[test]
     fn log_stores_fragmented_batches_as_dense_layers() {
-        let mut log = AcquisitionLog::new();
-        log.push(RumorId(7));
-        // Every third id of 0..300: 100 one-entry runs (800 bytes) against a
-        // 5-word window (40 bytes) plus the layer's marker and header.
-        let batch: Vec<RumorRun> = (0..300).step_by(3).map(|i| (RumorId(i), 1)).collect();
-        assert!(matches!(log.encode_batch(&batch), EncodedBatch::Layer(_)));
-        let added = log.append(log.encode_batch(&batch));
-        assert_eq!((added.runs, added.layers), (0, 1));
-        assert_eq!(added.bytes, RUN_BYTES + layer_bytes(5));
-        assert_eq!(log.footprint().bytes, RUN_BYTES + added.bytes);
-        assert_eq!(log.footprint().runs, 1, "the layer is not a run");
-        // A whole-layer read yields its ids; a cut read, ascending ids.
-        let mut ids = Vec::new();
-        log.for_each_segment(1, 101, |first, len| ids.extend(first.0..first.0 + len));
-        assert_eq!(ids, (0..300).step_by(3).collect::<Vec<u32>>());
-        assert_eq!(log.get(3), RumorId(6));
-        // A run after a layer never extends across it, not even with the id
-        // right after the layer's last one.
-        assert!(log.push_run(RumorId(298), 2));
-        // A compact batch stays a run: one run is cheaper than any layer.
+        // Every third id of 0..300: 100 one-id runs (800 bytes) against a
+        // 5-word window (40 bytes) plus the layer's header.
+        let fragmented: Vec<RumorRun> = (0..300).step_by(3).map(|i| (RumorId(i), 1)).collect();
         let compact = [(RumorId(400), 64)];
-        assert_eq!(log.encode_batch(&compact), EncodedBatch::Runs(&compact));
-        let added = log.append(log.encode_batch(&compact));
-        assert_eq!((added.runs, added.layers, added.bytes), (1, 0, RUN_BYTES));
-        let below = log.bytes_entirely_below(101);
-        assert_eq!(below, 2 * RUN_BYTES + layer_bytes(5));
-        let freed = log.truncate_below(101);
-        assert_eq!((freed.runs, freed.layers, freed.bytes), (1, 1, below));
-        assert_eq!(log.truncate_all().runs, 2);
-    }
-
-    /// Encodes and appends the per-task new runs `tasks` to two copies of
-    /// `log`: as their concatenation, and coalesced into maximal runs (as
-    /// the engine's per-destination buffer collects them).  Asserts that
-    /// both give the same form, footprint and log; returns the log, the
-    /// footprint and whether the batch became a layer.
-    fn append_concatenated_and_coalesced(
-        log: &AcquisitionLog,
-        tasks: &[Vec<RumorRun>],
-    ) -> (AcquisitionLog, LogFootprint, bool) {
-        let concatenated = tasks.concat();
-        let mut coalesced = Vec::new();
-        for &(first, len) in &concatenated {
-            push_new_run(&mut coalesced, first.index(), len);
-        }
-        let (mut a, mut b) = (log.clone(), log.clone());
-        let (form_a, form_b) = (a.encode_batch(&concatenated), b.encode_batch(&coalesced));
-        let layer = match (&form_a, &form_b) {
-            (EncodedBatch::Runs(_), EncodedBatch::Runs(_)) => false,
-            (EncodedBatch::Layer(x), EncodedBatch::Layer(y)) => {
-                assert_eq!(x, y);
-                true
-            }
-            forms => panic!("coalescing changed the form: {forms:?}"),
+        let mut phase = PhaseBatches::default();
+        assert!(!phase.push(1, &compact), "one run is cheaper than a layer");
+        assert!(phase.push(2, &fragmented));
+        assert!(!phase.push(9, &compact));
+        let held = phase.footprint();
+        assert_eq!((held.batches, held.runs, held.layers), (3, 2, 1));
+        assert_eq!(held.bytes, 3 * INDEX_BYTES + 2 * RUN_BYTES + layer_bytes(5));
+        // The layer reads back as the set of its ids; the batches around it
+        // as their runs.
+        let Some(Delta::Words(word_lo, words)) = phase.get(2) else {
+            panic!("node 2's batch is a layer");
         };
-        let (added_a, added_b) = (a.append(form_a), b.append(form_b));
-        assert_eq!(added_a, added_b);
-        assert_eq!(a, b);
-        (a, added_a, layer)
+        let mut set = RumorSet::empty(500);
+        assert_eq!(set.union_words(word_lo, words), 100);
+        let ids: Vec<u32> = set.iter().map(|r| r.0).collect();
+        assert_eq!(ids, (0..300).step_by(3).collect::<Vec<u32>>());
+        let all: Vec<(u32, Delta<'_>)> = phase.iter().collect();
+        assert_eq!(all.len(), 3);
+        assert_eq!(all[0], (1, Delta::Runs(&compact)));
+        assert_eq!(all[1], (2, Delta::Words(word_lo, words)));
+        assert_eq!(all[2], (9, Delta::Runs(&compact)));
+        // The break-even point inside one word: four runs cost what the
+        // layer's header and word cost, five cost more.
+        let runs = |k: u32| (0..k).map(|i| (RumorId(2 * i), 1)).collect::<Vec<_>>();
+        assert_eq!(layer_bytes(1), 4 * RUN_BYTES);
+        assert!(!PhaseBatches::default().push(0, &runs(4)));
+        assert!(PhaseBatches::default().push(0, &runs(5)));
     }
 
+    /// `deltas_since` yields a node's batches of exactly the rounds after
+    /// the given one, newest first, for every starting round.
+    #[test]
+    fn log_segments_cover_arbitrary_ranges() {
+        let mut window = DeltaWindow::default();
+        for (round, first) in [(2u64, 10u32), (3, 50), (5, 90)] {
+            let mut phase = PhaseBatches::default();
+            phase.push(0, &[(RumorId(first), 3)]);
+            phase.push(1, &[(RumorId(first + 100), 1)]);
+            window.push(round, phase);
+        }
+        // An empty phase is not stored.
+        window.push(6, PhaseBatches::default());
+        let firsts = |node: u32, since: u64| -> Vec<u32> {
+            window
+                .deltas_since(node, since)
+                .map(|d| match d {
+                    Delta::Runs(runs) => runs[0].0 .0,
+                    Delta::Words(..) => panic!("single runs stay runs"),
+                })
+                .collect()
+        };
+        assert_eq!(firsts(0, 0), vec![90, 50, 10]);
+        assert_eq!(firsts(0, 2), vec![90, 50]);
+        assert_eq!(firsts(0, 4), vec![90]);
+        assert_eq!(firsts(1, 3), vec![190]);
+        assert_eq!(firsts(0, 5), Vec::<u32>::new());
+        assert_eq!(firsts(7, 0), Vec::<u32>::new(), "a node with no batch");
+    }
+
+    /// A batch gathered from a nearly full set compresses to the runs
+    /// between its holes.
+    #[test]
+    fn log_from_set_compresses_dense_sets() {
+        let mut set = RumorSet::empty(1000);
+        for i in (0..1000).filter(|&i| i != 500) {
+            set.insert(RumorId(i));
+        }
+        let batch = new_runs(&RumorSet::empty(1000), &set);
+        assert_eq!(batch, vec![(RumorId(0), 500), (RumorId(501), 499)]);
+        let mut phase = PhaseBatches::default();
+        assert!(!phase.push(0, &batch));
+        assert_eq!(phase.footprint().bytes, INDEX_BYTES + 2 * RUN_BYTES);
+    }
+
+    /// Aging out every round frees everything the window held; rounds
+    /// stored afterwards are read at their absolute round numbers.
+    #[test]
+    fn log_truncate_all_frees_everything_and_keeps_positions() {
+        let mut window = DeltaWindow::default();
+        let mut held = BatchFootprint::default();
+        for round in 1..=3u64 {
+            let mut phase = PhaseBatches::default();
+            let batch: Vec<RumorRun> = (0..100).map(|i| (RumorId(2 * i), 1)).collect();
+            phase.push(round as u32, &batch);
+            held += phase.footprint();
+            window.push(round, phase);
+        }
+        assert_eq!(window.age_out(u64::MAX), held);
+        assert_eq!(window.age_out(u64::MAX), BatchFootprint::default());
+        let mut phase = PhaseBatches::default();
+        phase.push(7, &[(RumorId(500), 3)]);
+        window.push(40, phase);
+        assert_eq!(window.deltas_since(7, 39).count(), 1);
+        assert_eq!(window.deltas_since(7, 40).count(), 0);
+        assert_eq!(window.age_out(39), BatchFootprint::default());
+    }
+
+    /// Aging out drops whole rounds — their index entries, runs and layers —
+    /// and returns exactly what they held; the rounds kept stay addressed by
+    /// their absolute round numbers.
+    #[test]
+    fn log_truncation_reclaims_whole_runs_and_keeps_positions_absolute() {
+        let fragmented: Vec<RumorRun> = (0..300).step_by(3).map(|i| (RumorId(i), 1)).collect();
+        let mut window = DeltaWindow::default();
+        let mut pushed = Vec::new();
+        for round in 1..=4u64 {
+            let mut phase = PhaseBatches::default();
+            phase.push(0, &[(RumorId(round as u32 * 1000), 2)]);
+            if round == 2 {
+                phase.push(3, &fragmented);
+            }
+            pushed.push(phase.footprint());
+            window.push(round, phase);
+        }
+        assert_eq!(window.age_out(0), BatchFootprint::default());
+        let freed = window.age_out(2);
+        let mut want = pushed[0];
+        want += pushed[1];
+        assert_eq!(freed, want);
+        assert_eq!((freed.batches, freed.runs, freed.layers), (3, 2, 1));
+        assert_eq!(
+            window.deltas_since(0, 0).count(),
+            2,
+            "rounds 3 and 4 remain"
+        );
+        assert_eq!(window.deltas_since(3, 0).count(), 0);
+        assert_eq!(
+            window.deltas_since(0, 3).collect::<Vec<_>>(),
+            vec![Delta::Runs(&[(RumorId(4000), 2)])]
+        );
+        let mut rest = pushed[2];
+        rest += pushed[3];
+        assert_eq!(window.age_out(u64::MAX), rest);
+        assert_eq!(window.deltas_since(0, 0).count(), 0);
+    }
+
+    /// A destination's batch is the union of what its tasks add, whatever
+    /// their order or overlap: the accumulator dedups across tasks, and its
+    /// runs are maximal even where tasks split a stretch of ids.  Each task
+    /// subtracts its own source's deltas.
     #[test]
     fn coalescing_a_destinations_tasks_changes_no_batch() {
-        let mut log = AcquisitionLog::new();
-        log.push_run(RumorId(10), 5);
-        // Tail-extending first run, and a run split across two tasks.
-        let tasks = vec![
-            vec![(RumorId(15), 3)],
-            vec![(RumorId(18), 2), (RumorId(30), 1)],
-        ];
-        let (log, added, layer) = append_concatenated_and_coalesced(&log, &tasks);
-        assert!(!layer);
-        assert_eq!((added.runs, added.bytes), (1, RUN_BYTES));
+        let n = PAGE_BITS + 200;
+        let far = PAGE_BITS as u32 + 7;
+        let dst = RumorSet::singleton(n, RumorId(12));
+        let mut a = RumorSet::empty(n);
+        a.insert_run(RumorId(10), 5); // 10..15; dst holds 12
+        a.insert(RumorId(far));
+        let mut b = RumorSet::empty(n);
+        b.insert_run(RumorId(14), 6); // 14..20: overlaps a's run and extends it
+        b.insert(RumorId(far));
+        let batch = |tasks: &[(&RumorSet, &[Delta<'_>])]| {
+            let mut acc = NewRumors::default();
+            for &(src, minus) in tasks {
+                acc.add_difference(src, minus, &dst);
+            }
+            let mut out = Vec::new();
+            acc.drain_runs(&mut out);
+            out
+        };
+        let want = vec![(RumorId(10), 2), (RumorId(13), 7), (RumorId(far), 1)];
+        assert_eq!(batch(&[(&a, &[]), (&b, &[])]), want);
+        assert_eq!(batch(&[(&b, &[]), (&a, &[]), (&b, &[])]), want);
+        // A snapshot of `b` from before it learned 14..17 adds only 17..20;
+        // `a` still adds 14.
+        let since = [Delta::Runs(&[(RumorId(14), 3)])];
         assert_eq!(
-            (log.len(), log.get(9), log.get(10)),
-            (11, RumorId(19), RumorId(30))
+            batch(&[(&b, &since), (&a, &[])]),
+            vec![
+                (RumorId(10), 2),
+                (RumorId(13), 2),
+                (RumorId(17), 3),
+                (RumorId(far), 1)
+            ]
         );
-        // A layer batch whose middle run straddles the task boundary.
-        let mut first: Vec<RumorRun> = (0..150).step_by(3).map(|i| (RumorId(i), 1)).collect();
-        first.push((RumorId(200), 1));
-        let mut second = vec![(RumorId(201), 2)];
-        second.extend((210..400).step_by(3).map(|i| (RumorId(i), 1)));
-        let (log, added, layer) = append_concatenated_and_coalesced(&log, &[first, second]);
-        assert!(layer);
-        assert_eq!((added.runs, added.layers), (0, 1));
-        assert_eq!(log.len(), 11 + 50 + 3 + 64);
-        // An empty batch (every task learned nothing) adds nothing.
-        let (after, added, layer) = append_concatenated_and_coalesced(&log, &[vec![], vec![]]);
-        assert!(!layer);
-        assert_eq!(added, LogFootprint::default());
-        assert_eq!(after, log);
+        // Draining leaves the accumulator empty for the next destination.
+        let mut acc = NewRumors::default();
+        acc.add_difference(&a, &[], &dst);
+        acc.drain_runs(&mut Vec::new());
+        let mut out = Vec::new();
+        acc.drain_runs(&mut out);
+        assert!(out.is_empty());
+        // A full destination learns nothing; a full source adds the rest.
+        let mut full = RumorSet::empty(n);
+        full.insert_run(RumorId(0), n as u32);
+        acc.add_difference(&a, &[], &full);
+        acc.drain_runs(&mut out);
+        assert!(out.is_empty());
+        acc.add_difference(&full, &[], &dst);
+        acc.drain_runs(&mut out);
+        let mut missing = Vec::new();
+        dst.complement_runs(&mut missing);
+        assert_eq!(out, missing);
     }
 
-    /// One random append batch of ids not yet `used` (a node learns each
-    /// rumor once), as runs in merge-task order: sparse runs, a fragmented
-    /// window (possibly crossing the first page boundary), or a run
-    /// continuing the previous batch's last run.  Runs may be split into
-    /// adjacent pieces, as consecutive merge tasks of one round produce.
-    fn random_batch(
-        rng: &mut SmallRng,
-        used: &mut [bool],
-        prev_end: Option<usize>,
-    ) -> Vec<RumorRun> {
+    /// A random set of ids not yet `used` (a node learns each rumor once):
+    /// sparse runs, or a fragmented window (possibly crossing the first
+    /// page boundary).
+    fn random_batch(rng: &mut SmallRng, used: &mut [bool]) -> BTreeSet<usize> {
         let universe = used.len();
         let mut ids = BTreeSet::new();
-        let kind = rng.gen_range(0..4u32);
-        match kind {
-            0 => {
-                for _ in 0..rng.gen_range(1..4u32) {
-                    let a = rng.gen_range(0..universe);
-                    ids.extend(a..(a + rng.gen_range(1..20usize)).min(universe));
-                }
+        let kind = rng.gen_range(0..3u32);
+        if kind == 0 {
+            for _ in 0..rng.gen_range(1..4u32) {
+                let a = rng.gen_range(0..universe);
+                ids.extend(a..(a + rng.gen_range(1..20usize)).min(universe));
             }
-            1 | 2 => {
-                let w = rng.gen_range(64..1024usize).min(universe);
-                let a = if kind == 2 && universe > PAGE_BITS + w {
-                    PAGE_BITS - w / 2
-                } else {
-                    rng.gen_range(0..=universe - w)
-                };
-                ids.extend((a..a + w).filter(|_| rng.gen_bool(0.3)));
-            }
-            _ => {
-                if let Some(e) = prev_end {
-                    ids.extend(e..(e + rng.gen_range(1..10usize)).min(universe));
-                }
-            }
+        } else {
+            let w = rng.gen_range(64..1024usize).min(universe);
+            let a = if kind == 2 && universe > PAGE_BITS + w {
+                PAGE_BITS - w / 2
+            } else {
+                rng.gen_range(0..=universe - w)
+            };
+            ids.extend((a..a + w).filter(|_| rng.gen_bool(0.3)));
         }
         ids.retain(|&i| !used[i]);
-        let mut runs = Vec::new();
         for &i in &ids {
             used[i] = true;
-            push_new_run(&mut runs, i, 1);
         }
-        if kind != 3 && !runs.is_empty() {
-            let k = rng.gen_range(0..runs.len());
-            runs.rotate_left(k);
-        }
-        let mut pieces = Vec::new();
-        for (first, len) in runs {
-            let cut = if len > 1 && rng.gen_bool(0.25) {
-                rng.gen_range(1..len)
-            } else {
-                len
-            };
-            pieces.push((first, cut));
-            if cut < len {
-                pieces.push((RumorId(first.0 + cut), len - cut));
-            }
-        }
-        pieces
+        ids
     }
 
     /// The maximal runs of the ascending ids `ids`.
@@ -1830,84 +1712,98 @@ mod tests {
         cost
     }
 
+    /// One round of the window model: per node, the ids it learned.
+    struct ModelRound {
+        round: u64,
+        ids: Vec<BTreeSet<u32>>,
+        held: BatchFootprint,
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The layered log against a naive list of batches: no append costs
-        /// more than its runs, footprints add up, truncation reclaims
-        /// exactly what `bytes_entirely_below` promised, and every read
-        /// between still-readable batch boundaries yields exactly the ids of
-        /// the batches in between.
+        /// The delta window against a naive list of per-round batches: no
+        /// batch costs more than its runs, a batch is a layer exactly when
+        /// that is cheaper, aging out returns what the aged rounds held,
+        /// `deltas_since` yields exactly the batches of the later rounds,
+        /// and a node's current set minus them is its set as of that round.
         #[test]
         fn layered_log_matches_naive_batches(seed in 0u64..1 << 32, universe in 1usize..9000) {
+            const NODES: usize = 4;
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut used = vec![false; universe];
-            let mut log = AcquisitionLog::new();
-            let mut batches: Vec<BTreeSet<u32>> = Vec::new();
-            // Batch k starts at bounds[k]; reads start at bounds[floor..].
-            let mut bounds = vec![0u32];
-            let mut floor = 0usize;
-            let mut prev_end = None;
-            for _ in 0..rng.gen_range(1..40u32) {
-                let batch = random_batch(&mut rng, &mut used, prev_end);
-                let mut runs_only = log.clone();
-                let created = batch.iter().filter(|&&(f, n)| runs_only.push_run(f, n)).count();
-                let mut held = log.footprint();
-                let mut coalesced = Vec::new();
-                for &(f, n) in &batch {
-                    push_new_run(&mut coalesced, f.index(), n);
+            let mut used = vec![vec![false; universe]; NODES];
+            let mut sets = vec![RumorSet::empty(universe); NODES];
+            let mut model: Vec<ModelRound> = Vec::new();
+            let mut window = DeltaWindow::default();
+            let mut floor = 0u64;
+            for round in 1..rng.gen_range(2..24u64) {
+                let mut phase = PhaseBatches::default();
+                let mut ids = vec![BTreeSet::new(); NODES];
+                for node in 0..NODES {
+                    if rng.gen_bool(0.3) {
+                        continue;
+                    }
+                    let learned = random_batch(&mut rng, &mut used[node]);
+                    let batch = runs_of(learned.iter().copied());
+                    let as_runs = INDEX_BYTES + RUN_BYTES * batch.len() as u64;
+                    let before = phase.footprint().bytes;
+                    let layer = phase.push(node as u32, &batch);
+                    let added = phase.footprint().bytes - before;
+                    prop_assert!(batch.is_empty() || added <= as_runs, "dearer than runs");
+                    prop_assert_eq!(layer, !batch.is_empty() && added < as_runs);
+                    for &(first, len) in &batch {
+                        sets[node].insert_run(first, len);
+                    }
+                    ids[node] = learned.iter().map(|&i| i as u32).collect();
                 }
-                let mut via_coalesced = log.clone();
-                let coalesced_added = via_coalesced.append(via_coalesced.encode_batch(&coalesced));
-                let added = log.append(log.encode_batch(&batch));
-                prop_assert_eq!(added, coalesced_added);
-                prop_assert_eq!(&log, &via_coalesced);
-                prop_assert!(added.bytes <= RUN_BYTES * created as u64, "dearer than runs");
-                held += added;
-                prop_assert_eq!(log.footprint(), held);
-                prop_assert_eq!(log.len(), runs_only.len());
-                prev_end = batch.last().map(|&(f, n)| f.index() + n as usize);
-                batches.push(batch.iter().flat_map(|&(f, n)| f.0..f.0 + n).collect());
-                bounds.push(log.len());
-                if rng.gen_bool(0.2) {
-                    let k = rng.gen_range(floor..bounds.len());
-                    let reclaimable = log.bytes_entirely_below(bounds[k]);
-                    let freed = log.truncate_below(bounds[k]);
-                    prop_assert_eq!(freed.bytes, reclaimable);
-                    let mut total = log.footprint();
-                    total += freed;
-                    prop_assert_eq!(total, held);
-                    prop_assert!(log.front() <= bounds[k]);
-                    floor = k;
-                } else if rng.gen_bool(0.05) {
-                    prop_assert_eq!(log.truncate_all(), held);
-                    prop_assert_eq!(log.footprint(), LogFootprint::default());
-                    floor = bounds.len() - 1;
+                let held = phase.footprint();
+                window.push(round, phase);
+                model.push(ModelRound { round, ids, held });
+                if rng.gen_bool(0.3) {
+                    let to = rng.gen_range(floor..=round);
+                    let mut want = BatchFootprint::default();
+                    for m in model.iter().filter(|m| m.round > floor && m.round <= to) {
+                        want += m.held;
+                    }
+                    prop_assert_eq!(window.age_out(to), want);
+                    floor = to;
                 }
-            }
-            for i in floor..bounds.len() {
-                for j in i..bounds.len() {
-                    let mut got = Vec::new();
-                    log.for_each_segment(bounds[i], bounds[j], |f, n| got.extend(f.0..f.0 + n));
-                    prop_assert_eq!(got.len(), (bounds[j] - bounds[i]) as usize);
-                    let want: BTreeSet<u32> = batches[i..j].iter().flatten().copied().collect();
-                    prop_assert_eq!(got.into_iter().collect::<BTreeSet<u32>>(), want);
-                }
-            }
-            for (k, batch) in batches.iter().enumerate().skip(floor) {
-                for pos in bounds[k]..bounds[k + 1] {
-                    prop_assert!(batch.contains(&log.get(pos).0));
+                for (node, set) in sets.iter().enumerate() {
+                    for since in floor..=round {
+                        let deltas: Vec<Delta<'_>> = window.deltas_since(node as u32, since).collect();
+                        let mut later = RumorSet::empty(universe);
+                        for &delta in &deltas {
+                            later.insert_delta(delta);
+                        }
+                        let ids_of = |keep: &dyn Fn(u64) -> bool| -> BTreeSet<u32> {
+                            model
+                                .iter()
+                                .filter(|m| keep(m.round))
+                                .flat_map(|m| m.ids[node].iter().copied())
+                                .collect()
+                        };
+                        let want_later = ids_of(&|r| r > since);
+                        prop_assert_eq!(later.iter().map(|r| r.0).collect::<BTreeSet<u32>>(), want_later);
+                        let mut acc = NewRumors::default();
+                        acc.add_difference(set, &deltas, &RumorSet::empty(universe));
+                        let mut snapshot = Vec::new();
+                        acc.drain_runs(&mut snapshot);
+                        let want_snapshot = ids_of(&|r| r <= since);
+                        prop_assert_eq!(snapshot, runs_of(want_snapshot.iter().map(|&i| i as usize)));
+                    }
                 }
             }
         }
 
         /// `RumorSet` against a `Vec<bool>` model over random sequences of
-        /// `insert`, `insert_run`, windowed `union_words_collect_new_runs`
-        /// and `insert_all`, biased towards the few-id pages that stay
-        /// sparse and towards short last pages (capacity <= `SPARSE_MAX`),
-        /// which go straight from sparse to full.  After every step the
-        /// contents, `len`, the emitted new runs and the page cost match;
-        /// at the end, two other construction orders compare `==`.
+        /// `insert`, `insert_run`, windowed `union_words` and complement
+        /// fills, biased towards the few-id pages that stay sparse and
+        /// towards short last pages (capacity <= `SPARSE_MAX`), which go
+        /// straight from sparse to full.  After every step the contents,
+        /// `len`, the reported count of new ids, the new runs phase A would
+        /// gather and the page cost match; at the end, two other
+        /// construction orders compare `==`, and `is_subset` holds exactly
+        /// when a step added nothing.
         #[test]
         fn rumor_set_matches_bool_model(seed in 0u64..1 << 32, universe in 1usize..9000) {
             let mut rng = SmallRng::seed_from_u64(seed);
@@ -1921,23 +1817,19 @@ mod tests {
             let mut model = vec![false; universe];
             for _ in 0..rng.gen_range(1..60u32) {
                 let before = model.clone();
-                let mut new = Vec::new();
-                match rng.gen_range(0..16u32) {
+                let before_set = set.clone();
+                let added = match rng.gen_range(0..16u32) {
                     0..=5 => {
-                        // `insert` reports novelty, not runs: its run is
-                        // the id itself when it was new.
                         let i = rng.gen_range(0..universe);
-                        if set.insert(RumorId::from(i)) {
-                            new.push((RumorId::from(i), 1));
-                        }
                         model[i] = true;
+                        u32::from(set.insert(RumorId::from(i)))
                     }
                     6..=9 => {
                         let first = rng.gen_range(0..universe);
                         let max: usize = if rng.gen_bool(0.8) { 4 } else { 5000 };
                         let len = rng.gen_range(1..=max).min(universe - first);
-                        set.insert_run(RumorId::from(first), len as u32, &mut new);
                         model[first..first + len].fill(true);
+                        set.insert_run(RumorId::from(first), len as u32)
                     }
                     10..=14 => {
                         let word_lo = rng.gen_range(0..words);
@@ -1952,16 +1844,22 @@ mod tests {
                                 model[i] = true;
                             }
                         }
-                        set.union_words_collect_new_runs(word_lo, &window, &mut new);
+                        set.union_words(word_lo, &window)
                     }
                     _ if rng.gen_bool(0.3) => {
-                        set.insert_all(&mut new);
+                        let mut missing = Vec::new();
+                        set.complement_runs(&mut missing);
+                        prop_assert_eq!(&missing, &runs_of((0..universe).filter(|&i| !model[i])));
                         model.fill(true);
+                        set.insert_delta(Delta::Runs(&missing))
                     }
-                    _ => {}
-                }
-                let fresh = (0..universe).filter(|&i| model[i] && !before[i]);
-                prop_assert_eq!(new, runs_of(fresh));
+                    _ => 0,
+                };
+                let fresh: Vec<usize> = (0..universe).filter(|&i| model[i] && !before[i]).collect();
+                prop_assert_eq!(added as usize, fresh.len());
+                prop_assert!(before_set.is_subset(&set));
+                prop_assert_eq!(set.is_subset(&before_set), fresh.is_empty());
+                prop_assert_eq!(new_runs(&before_set, &set), runs_of(fresh));
                 let ids: Vec<usize> = (0..universe).filter(|&i| model[i]).collect();
                 prop_assert_eq!(set.len(), ids.len());
                 prop_assert_eq!(set.iter().map(RumorId::index).collect::<Vec<_>>(), ids);
@@ -1980,7 +1878,7 @@ mod tests {
                 set_words_range(&mut bitset, i, 1);
             }
             let mut at_once = RumorSet::empty(universe);
-            at_once.union_words_collect_new_runs(0, &bitset, &mut Vec::new());
+            at_once.union_words(0, &bitset);
             prop_assert_eq!(&at_once, &set);
         }
     }

@@ -1,6 +1,6 @@
 //! Equivalence of the snapshot-free engine and the executable spec.
 //!
-//! The engine (acquisition logs + calendar queue + incremental termination
+//! The engine (delta window + calendar queue + incremental termination
 //! counters + event-driven skipping) must be a pure performance change: on
 //! every scenario of the standard Quick sweep grid, for three seeds,
 //! [`Simulation`] and the dense-bitset spec
@@ -8,8 +8,8 @@
 //! **byte-identical** semantic [`RunReport`]s and identical final rumor
 //! states, under every termination condition and both exchange modes.
 //! Proptest blocks repeat the comparison over random Erdős–Rényi instances
-//! and over shapes that force the engine's shadow, collapse and skipping
-//! machinery.
+//! and over shapes that force the engine's windowed merges, saturated-peer
+//! merges and skipping.
 //!
 //! The *mid-size* tier carries those structure-forcing proptests into the
 //! 2048+-node regime, where every compression mechanism is genuinely
@@ -273,10 +273,9 @@ fn engines_agree_on_quiescent_and_preseeded_state() {
 }
 
 /// The dense-layer merge path: all-to-all push–pull on an Erdős–Rényi graph
-/// whose doubling endgame scatters each round's acquisitions, so logs store
-/// whole batches as dense layers.  Checked against the oracle with default
-/// compaction (merges replay layers word-wise) and with forced shadows
-/// (layers replayed into shadows and truncated whole), on 3 workers and 1.
+/// whose doubling endgame scatters each round's acquisitions, so the window
+/// stores whole batches as dense layers, and merges subtract them from
+/// their sources' sets word-wise.  On 3 workers and 1.
 #[test]
 fn dense_log_layers_match_the_oracle() {
     let mut rng = SmallRng::seed_from_u64(0xD1);
@@ -284,30 +283,27 @@ fn dense_log_layers_match_the_oracle() {
     let g = gossip_graph::latency::LatencyScheme::UniformRandom { min: 1, max: 3 }
         .apply(&g, &mut rng)
         .unwrap();
-    for compaction in [64, 0] {
-        let config = SimConfig::new(9)
-            .termination(Termination::AllKnowAll)
-            .shadow_compaction(compaction)
-            .threads(3);
-        let label = format!("dense layers, compaction {compaction}");
-        let report = assert_matches_oracle(
-            &g,
-            &config,
-            Seeding::AllToAll,
-            || RandomPushPull::new(&g),
-            &label,
-        );
-        assert_serial_reproduces(&g, &config, || RandomPushPull::new(&g), &report, &label);
-        let mem = report.mem.unwrap();
-        assert!(
-            mem.dense_batches > 0,
-            "{label}: no batch was dense ({mem:?})"
-        );
-        assert!(
-            compaction > 0 || mem.shadow_advances > 0,
-            "{label}: {mem:?}"
-        );
-    }
+    let config = SimConfig::new(9)
+        .termination(Termination::AllKnowAll)
+        .threads(3);
+    let label = "dense layers";
+    let report = assert_matches_oracle(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || RandomPushPull::new(&g),
+        label,
+    );
+    assert_serial_reproduces(&g, &config, || RandomPushPull::new(&g), &report, label);
+    let mem = report.mem.unwrap();
+    assert!(
+        mem.dense_batches > 0,
+        "{label}: no batch was dense ({mem:?})"
+    );
+    assert!(
+        mem.truncated_runs > 0,
+        "{label}: no batch aged out ({mem:?})"
+    );
 }
 
 /// The sparse page path across pages: all-to-all push–pull on a 9000-node
@@ -333,7 +329,7 @@ fn multi_page_star_matches_the_oracle() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Acquisition-log merges equal bitset-snapshot merges on random graphs:
+    /// Windowed merges equal bitset-snapshot merges on random graphs:
     /// random Erdős–Rényi topology, random latency cap, random seed, both
     /// protocols, every config shape.
     #[test]
@@ -356,13 +352,13 @@ proptest! {
         }
     }
 
-    /// The truncated-log merge path, specifically: `shadow_compaction(0)`
-    /// forces every node's shadow frontier to advance (and its log to be
-    /// truncated) as soon as the calendar allows, on graphs with
-    /// `max_latency > 1` so snapshots genuinely straddle the frontier.  Every
-    /// counter maintained inside the merge — `informed_times`, `rejections`,
-    /// `min_rumors_known`, completion — must still match the spec, and the
-    /// run must actually have exercised truncation.
+    /// The windowed merge path, specifically: on graphs with every latency
+    /// at least 2, every snapshot is at least one round old, so a merge
+    /// subtracts its source's batches of the rounds since, and batches age
+    /// out of the window mid-run.  Every counter maintained inside the
+    /// merge — `informed_times`, `rejections`, `min_rumors_known`,
+    /// completion — must still match the spec, and the run must actually
+    /// have aged batches out.
     #[test]
     fn truncated_log_merges_match_reference_with_forced_shadows(
         n in 6usize..40,
@@ -373,50 +369,42 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5AAD);
         let g = generators::erdos_renyi(n, p, 1, &mut rng).unwrap();
         // Latencies start at 2 so every snapshot spends at least one full
-        // round in flight and genuinely straddles the shadow frontier.
+        // round in flight and its source may learn something meanwhile.
         let g = gossip_graph::latency::LatencyScheme::UniformRandom { min: 2, max: max_latency }
             .apply(&g, &mut rng)
             .unwrap();
-        // Long enough that shadow advancements (queued max_latency + 1 rounds
-        // after each merge) happen while rumors are still spreading.
+        // Long enough that batches age out (max_latency rounds after their
+        // phase) while rumors are still spreading.
         let config = SimConfig::new(seed)
             .termination(Termination::FixedRounds(12 * g.max_latency()))
-            .track_rumor(RumorId::from(n / 3))
-            .shadow_compaction(0);
+            .track_rumor(RumorId::from(n / 3));
         let report = assert_matches_oracle(
             &g,
             &config,
             Seeding::AllToAll,
             || RandomPushPull::new(&g),
-            "forced-shadows",
+            "windowed",
         );
         prop_assert_eq!(report.rejections, 0);
         let mem = report.mem.unwrap();
-        // Truncation must genuinely have happened — through shadow
-        // advancement, or through saturation collapse when the instance
-        // saturates within one calendar lap (small dense samples do).
-        prop_assert!(
-            mem.shadow_advances > 0 || mem.collapsed_nodes > 0,
-            "forced compaction must advance shadows or collapse saturated nodes"
-        );
-        prop_assert!(mem.truncated_runs > 0, "advancement must truncate log runs");
+        prop_assert!(mem.peak_log_runs > 0, "the window held no run");
+        prop_assert!(mem.truncated_runs > 0, "no batch aged out of the window");
         assert_matches_oracle(
             &g,
             &config,
             Seeding::AllToAll,
             || RoundRobinFlood::new(&g),
-            "forced-shadows flood",
+            "windowed flood",
         );
     }
 
-    /// Saturation collapse, specifically: all-to-all on small universes with
+    /// Saturated peers, specifically: all-to-all on small universes with
     /// latencies ≥ 2 and a round budget far past completion, so nodes
-    /// saturate mid-run, survive the `max_latency + 1` calendar lap, and get
-    /// their shadow freed, their log truncated entirely, and their edges
-    /// short-circuited to the `O(pages)` "peer is saturated" merge — while
-    /// `shadow_compaction(0)` keeps ordinary frontier advancement busy on
-    /// the not-yet-saturated nodes.  Every observable must still match the
-    /// spec exactly, and the run must genuinely have collapsed.
+    /// saturate mid-run and, once their last batch is older than a
+    /// snapshot, are merged from through the `O(pages)` "peer is saturated"
+    /// complement — while merges from nodes that saturated after the
+    /// snapshot still subtract their recent batches.  Every observable must
+    /// still match the spec exactly.
     #[test]
     fn saturation_collapse_matches_reference_mid_run(
         n in 6usize..32,
@@ -430,29 +418,23 @@ proptest! {
             .apply(&g, &mut rng)
             .unwrap();
         // Far past all-to-all completion: plenty of rounds for every node to
-        // saturate *and* outlive the collapse lap, with saturated-peer
-        // merges continuing to fire afterwards.
+        // saturate, with saturated-peer merges continuing to fire afterwards.
         let config = SimConfig::new(seed)
             .termination(Termination::FixedRounds(40 * g.max_latency()))
-            .track_rumor(RumorId::from(n / 2))
-            .shadow_compaction(0);
+            .track_rumor(RumorId::from(n / 2));
         let report =
             assert_matches_oracle(
                 &g,
                 &config,
                 Seeding::AllToAll,
                 || RandomPushPull::new(&g),
-                "saturation-collapse",
+                "saturated peers",
             );
         prop_assert_eq!(report.rejections, 0);
         let mem = report.mem.unwrap();
         if report.min_rumors_known == n {
-            // The run saturated: with 40·L rounds of slack every node also
-            // outlived its collapse lap.
             prop_assert_eq!(mem.saturated_nodes, n as u64);
-            prop_assert_eq!(mem.collapsed_nodes, n as u64, "saturated nodes must collapse");
-            prop_assert_eq!(mem.pages_live, 0, "collapsed sets hold no dense pages");
-            prop_assert_eq!(mem.live_log_runs, 0, "collapsed logs retain no runs");
+            prop_assert_eq!(mem.pages_live, 0, "full sets hold no dense pages");
         }
         prop_assert!(mem.truncated_runs > 0);
         assert_matches_oracle(
@@ -460,7 +442,7 @@ proptest! {
             &config,
             Seeding::AllToAll,
             || RoundRobinFlood::new(&g),
-            "saturation-collapse flood",
+            "saturated peers flood",
         );
     }
 
@@ -482,7 +464,7 @@ proptest! {
         let g = generators::star(n, 1).unwrap();
         // Latencies ≥ 2 keep every exchange in flight for at least one full
         // round, so the idle windows the scheduler skips genuinely contain
-        // in-flight state (and shadow laps, via shadow_compaction(0)).
+        // in-flight state.
         let g = gossip_graph::latency::LatencyScheme::UniformRandom { min: 2, max: max_latency }
             .apply(&g, &mut rng)
             .unwrap();
@@ -492,8 +474,7 @@ proptest! {
         let budget = (n as u64 + 30) * g.max_latency();
         let config = SimConfig::new(seed)
             .termination(Termination::FixedRounds(budget))
-            .track_rumor(RumorId::from(0usize))
-            .shadow_compaction(0);
+            .track_rumor(RumorId::from(0usize));
         let check = |report: RunReport, label: &str| {
             prop_assert_eq!(report.rounds, budget);
             prop_assert_eq!(report.min_rumors_known, n, "the star must saturate");
@@ -539,15 +520,15 @@ proptest! {
 }
 
 // The mid-size tier: the same three structure-forcing equivalence arguments
-// (shadows, collapse, skipping) in the 2048+-node regime, with the engine's
+// (windowed merges, saturated peers, skipping) in the 2048+-node regime, with the engine's
 // decision and merge passes sharded across 4 workers against the oracle and
 // a 1-worker run checked against that report.  Case counts are small:
 // each case runs thousands of nodes through every engine.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Shadow-forcing at mid size: sparse Erdős–Rényi (avg degree ≈ 8–12)
-    /// with latencies ≥ 2 and `shadow_compaction(0)`, one-to-all.
+    /// Windowed merges at mid size: sparse Erdős–Rényi (avg degree ≈ 8–12)
+    /// with latencies ≥ 2, one-to-all.
     #[test]
     fn oracle_matches_engine_with_forced_shadows_at_mid_size(
         n in 2048usize..2600,
@@ -562,7 +543,6 @@ proptest! {
         let config = SimConfig::new(seed)
             .termination(Termination::AllKnowRumorOf(NodeId::new(n / 3)))
             .track_rumor(RumorId::from(n / 3))
-            .shadow_compaction(0)
             .max_rounds(400)
             .threads(4);
         let report = assert_matches_oracle(
@@ -570,18 +550,18 @@ proptest! {
             &config,
             Seeding::AllToAll,
             || RandomPushPull::new(&g),
-            "mid shadows",
+            "mid window",
         );
-        assert_serial_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid shadows");
+        assert_serial_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid window");
         let mem = report.mem.unwrap();
         prop_assert!(
-            mem.shadow_advances > 0,
-            "forced compaction must advance shadows at this size ({mem:?})"
+            mem.truncated_runs > 0,
+            "batches must age out of the window at this size ({mem:?})"
         );
     }
 
-    /// Collapse-forcing at mid size: all-to-all driven past completion so
-    /// nodes saturate, outlive the calendar lap, and collapse.
+    /// Saturated peers at mid size: all-to-all driven past completion so
+    /// nodes saturate and are merged from as full peers.
     #[test]
     fn oracle_matches_engine_through_saturation_collapse_at_mid_size(
         n in 2048usize..2600,
@@ -595,19 +575,19 @@ proptest! {
             .unwrap();
         let config = SimConfig::new(seed)
             .termination(Termination::FixedRounds(40 * g.max_latency()))
-            .shadow_compaction(0)
             .threads(4);
         let report = assert_matches_oracle(
             &g,
             &config,
             Seeding::AllToAll,
             || RandomPushPull::new(&g),
-            "mid collapse",
+            "mid saturated",
         );
-        assert_serial_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid collapse");
+        assert_serial_reproduces(&g, &config, || RandomPushPull::new(&g), &report, "mid saturated");
         let mem = report.mem.unwrap();
         if report.min_rumors_known == n {
-            prop_assert_eq!(mem.collapsed_nodes, n as u64, "saturated nodes must collapse");
+            prop_assert_eq!(mem.saturated_nodes, n as u64);
+            prop_assert_eq!(mem.pages_live, 0, "full sets hold no dense pages");
         }
         prop_assert!(mem.truncated_runs > 0);
     }
@@ -633,7 +613,6 @@ proptest! {
         let config = SimConfig::new(seed)
             .termination(Termination::FixedRounds(600))
             .track_rumor(RumorId::from(0usize))
-            .shadow_compaction(0)
             .threads(4);
         let report = assert_matches_oracle(
             &g,

@@ -110,13 +110,15 @@ fn all_to_all_reports_are_identical_across_thread_counts() {
     );
 }
 
+/// One-to-all on latencies 1..=6, seeded all-to-all and as a broadcast: a
+/// merge subtracts up to five rounds of its source's batches, and the
+/// window ages them out mid-run.
 #[test]
 fn one_to_all_with_forced_shadows_is_identical_across_thread_counts() {
     let g = mid_size_er(0xB22);
     let config = SimConfig::new(43)
         .termination(Termination::AllKnowRumorOf(NodeId::new(350)))
         .track_rumor(RumorId::from(350usize))
-        .shadow_compaction(0)
         .max_rounds(5_000);
     for seeding in [Seeding::AllToAll, Seeding::Broadcast(NodeId::new(350))] {
         let (report, _) = assert_thread_invariant(
@@ -124,15 +126,17 @@ fn one_to_all_with_forced_shadows_is_identical_across_thread_counts() {
             &config,
             seeding,
             || RandomPushPull::new(&g),
-            &format!("shadowed 12a {seeding:?}"),
+            &format!("windowed 12a {seeding:?}"),
         );
         assert!(report.completed, "{report}");
+        let mem = report.mem.unwrap();
+        assert!(mem.truncated_runs > 0, "no batch aged out ({mem:?})");
         assert_thread_invariant(
             &g,
             &config,
             seeding,
             || RoundRobinFlood::new(&g),
-            &format!("shadowed 12a flood {seeding:?}"),
+            &format!("windowed 12a flood {seeding:?}"),
         );
     }
 }

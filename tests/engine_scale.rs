@@ -13,10 +13,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// The PR-2 acceptance gate: push–pull *all-to-all* on a 4096-node
-/// Erdős–Rényi graph, single-threaded, < 5 s in release mode.  Since the
-/// interval-log/shadow rework this run also exercises truncation at scale:
-/// random mixing fragments the logs past the 64-run materialisation
-/// threshold, so shadows must advance and reclaim runs mid-run.
+/// Erdős–Rényi graph, single-threaded, < 5 s in release mode.  On a
+/// unit-latency graph no snapshot outlives its round, so every delivery
+/// phase's batches age out of the window at the next one.
 #[test]
 fn push_pull_all_to_all_on_4096_node_erdos_renyi() {
     let mut rng = SmallRng::seed_from_u64(1);
@@ -28,13 +27,10 @@ fn push_pull_all_to_all_on_4096_node_erdos_renyi() {
     assert!(report.completed, "dissemination must finish: {report}");
     assert_eq!(report.min_rumors_known, 4096);
     let mem = report.mem.unwrap();
-    assert!(
-        mem.shadow_advances > 0,
-        "fragmented logs must trigger shadows"
-    );
-    assert!(mem.truncated_runs > 0, "shadow advancement must truncate");
+    assert!(mem.truncated_runs > 0, "batches must age out of the window");
     // Dense delta layers: the endgame's scattered per-round acquisitions are
     // stored as one bitset window each instead of ~n one-entry runs.
+    assert!(mem.dense_batches > 0, "{mem:?}");
     assert!(
         mem.peak_engine_bytes < 32 << 20,
         "peak {} bytes exceeds the 32 MiB budget ({mem:?})",
@@ -49,13 +45,13 @@ fn push_pull_all_to_all_on_4096_node_erdos_renyi() {
 }
 
 /// Always-on memory gate at a debug-friendly size: all-to-all on a 4096-node
-/// star must stay tiny — interval runs collapse the star's bursty
-/// acquisition orders to a handful of runs per node, and a leaf's rumor set
-/// holds at most two ids (its own and the hub's) until a saturating merge
-/// fills it, which a sparse page stores inline without a heap block.  The
-/// whole dissemination state measures ~0.46 MB, under the 1 MiB budget
-/// asserted here (a dense bitset layout alone would be ~2 MiB per
-/// direction).
+/// star must stay tiny — interval runs store the star's bursty
+/// acquisitions as a handful of runs per node, a unit-latency window holds
+/// nothing beyond the current phase, and a leaf's rumor set holds at most
+/// two ids (its own and the hub's) until a saturating merge fills it, which
+/// a sparse page stores inline without a heap block.  The whole
+/// dissemination state stays under the 1 MiB budget asserted here (a dense
+/// bitset layout alone would be ~2 MiB per direction).
 #[test]
 fn star_all_to_all_memory_stays_within_one_mebibyte_at_4096() {
     let g = generators::star(4096, 1).unwrap();
@@ -80,21 +76,21 @@ fn star_all_to_all_memory_stays_within_one_mebibyte_at_4096() {
         mem.saturated_nodes, 4096,
         "all-to-all completion saturates every node"
     );
-    // The whole point of interval runs: ~n log entries per node compress to
-    // a handful of runs each (the hub relays ascending leaf ids; each run
-    // splits only around ids learned out of order).
+    // The whole point of interval runs: a phase's ~n new ids per node
+    // compress to a handful of runs each (the complement of a leaf's few
+    // ids, or the hub's ascending leaf ids).
     assert!(
         mem.peak_log_runs < 8 * 4096,
-        "star logs must compress to O(1) runs per node, got {}",
+        "star batches must compress to O(1) runs per node, got {}",
         mem.peak_log_runs
     );
 }
 
-/// Always-on saturation-collapse gate: run a small all-to-all past
-/// completion (`FixedRounds` keeps the engine going) so every node
-/// saturates and then survives a full calendar lap.  Every node must be
-/// collapsed by the end: zero dense pages alive, zero retained log runs —
-/// the collapsed state is literally free.
+/// Always-on saturation gate: run a small all-to-all past completion
+/// (`FixedRounds` keeps the engine going) so every node saturates.  A full
+/// set holds no pages — zero dense pages alive, the saturated state is
+/// literally free — and on latency-3 edges the window must have aged
+/// batches out mid-run.
 #[test]
 fn saturated_nodes_report_zero_live_pages_and_truncated_logs() {
     let g = generators::clique(64, 3).unwrap();
@@ -103,13 +99,8 @@ fn saturated_nodes_report_zero_live_pages_and_truncated_logs() {
     assert_eq!(report.min_rumors_known, 64, "the run must saturate");
     let mem = report.mem.unwrap();
     assert_eq!(mem.saturated_nodes, 64);
-    assert_eq!(
-        mem.collapsed_nodes, 64,
-        "every saturated node must collapse one calendar lap later ({mem:?})"
-    );
-    assert_eq!(mem.pages_live, 0, "collapsed sets hold no dense pages");
-    assert_eq!(mem.live_log_runs, 0, "collapsed logs retain no runs");
-    assert!(mem.truncated_runs > 0, "collapse reclaims the log history");
+    assert_eq!(mem.pages_live, 0, "full sets hold no dense pages");
+    assert!(mem.truncated_runs > 0, "batches must age out ({mem:?})");
     assert!(mem.pages_peak > 0, "the run did allocate pages mid-flight");
     // Always-on scheduler gate: once every node saturates, push–pull goes
     // quiescent and the remaining FixedRounds budget is fast-forwarded.
@@ -129,8 +120,8 @@ fn saturated_nodes_report_zero_live_pages_and_truncated_logs() {
 /// The PR-3 acceptance gate, kept under the paged layout (release only):
 /// push–pull *all-to-all* on a 32768-node star, where every node ends up
 /// knowing all 32768 rumors.  Flat `Vec<RumorId>` acquisition logs would
-/// need ≈ 4 GiB and dense bitsets another ~270 MB; interval-compressed logs
-/// plus paged, saturation-collapsing sets must hold the whole dissemination
+/// need ≈ 4 GiB and dense bitsets another ~270 MB; the delta window plus
+/// paged, saturation-collapsing sets must hold the whole dissemination
 /// state under 1 GiB (in fact tens of MB), measured by the engine's
 /// deterministic memory counters.
 #[cfg(not(debug_assertions))]
@@ -149,10 +140,10 @@ fn push_pull_all_to_all_on_a_32768_node_star_stays_under_one_gigabyte() {
         "peak {} bytes exceeds the 1 GiB budget ({mem:?})",
         mem.peak_engine_bytes
     );
-    // The logs + shadow overhead must stay far below the 4 GiB flat wall.
+    // The window must stay far below the 4 GiB flat-log wall.
     assert!(
         mem.peak_log_bytes < 64 << 20,
-        "interval logs must stay far below the flat-log wall, got {} bytes",
+        "the window must stay far below the flat-log wall, got {} bytes",
         mem.peak_log_bytes
     );
     assert!(
@@ -167,11 +158,10 @@ fn push_pull_all_to_all_on_a_32768_node_star_stays_under_one_gigabyte() {
 /// node costs a couple of sparse entries (its own singleton page, plus page 0
 /// once the hub's first exchange delivers rumor 0) until a saturating merge
 /// flips whole pages to the full sentinel and the set collapses to nothing;
-/// with saturation collapse the logs and shadows of informed nodes are
-/// freed one calendar lap later.  The deterministic peak must stay under
-/// 32 MiB (measured: 16.7 MB, of which 9.4 MB are rumor sets) and the
-/// endgame must short-circuit fast enough to finish within the wall-clock
-/// budget.
+/// on unit latencies the window holds nothing beyond the current phase.
+/// The deterministic peak must stay under 32 MiB and the endgame must
+/// short-circuit (the full hub's merges are complements) fast enough to
+/// finish within the wall-clock budget.
 #[cfg(not(debug_assertions))]
 #[test]
 fn push_pull_all_to_all_on_a_131072_node_star_stays_under_32_mebibytes() {
@@ -288,8 +278,8 @@ fn push_pull_broadcast_on_a_65536_node_random_regular_graph_stays_under_64_mib()
 /// D" entry point used to compute is now the constant-sweep diameter-bound
 /// oracle; the RR-broadcast phase simulates over the materialised spanner
 /// subgraph instead of carrying per-edge state for the full graph; and ℓ-DTG
-/// no longer clones two rumor sets per initiated exchange (acquisition-log
-/// replay reconstructs the snapshot semantics).  A 91×90 grid keeps the
+/// no longer clones two rumor sets per initiated exchange (a snapshot is a
+/// round, reconstructed from the delta window).  A 91×90 grid keeps the
 /// diameter genuinely large (D ≈ 360), so every phase does real work.
 #[cfg(not(debug_assertions))]
 #[test]
@@ -411,8 +401,9 @@ fn one_to_all_on_a_32768_node_star() {
 }
 
 /// A high-latency dumbbell at 2048 nodes: exercises the calendar queue with
-/// long-lived in-flight exchanges (bridge latency 64 keeps a bucket occupied
-/// for 64 rounds) and the local-broadcast deficit counters at scale.
+/// long-lived in-flight exchanges (a bridge exchange is in flight for 64
+/// rounds, so the window keeps 63 rounds of batches) and the
+/// local-broadcast deficit counters at scale.
 #[test]
 fn local_broadcast_on_a_2048_node_dumbbell() {
     let g = generators::dumbbell(1024, 64).unwrap();
@@ -421,4 +412,18 @@ fn local_broadcast_on_a_2048_node_dumbbell() {
         .max_rounds(20_000);
     let report = Simulation::new(&g, config).run(&mut RandomPushPull::new(&g));
     assert!(report.completed, "{report}");
+}
+
+/// A latency of 2⁵³ rounds must cost nothing up front: the calendar holds
+/// one entry per completion round in flight, whatever the latencies.  ℓ-DTG
+/// local broadcast on a 64-node path of such edges runs in 2⁵⁵ + 1 rounds,
+/// all but a few skipped.
+#[test]
+fn local_broadcast_over_2_pow_53_latency_edges_completes() {
+    let latency = 1 << 53;
+    let g = generators::path(64, latency).unwrap();
+    let report = gossip_core::dtg::local_broadcast(&g, latency, 1);
+    assert!(report.completed, "{report:?}");
+    assert_eq!(report.rounds, (1 << 55) + 1);
+    assert_eq!(report.activations, 256);
 }

@@ -1,17 +1,15 @@
-//! Calendar-ring fast-forward edge cases of the event-driven scheduler.
+//! Calendar fast-forward edge cases of the event-driven scheduler.
 //!
 //! When the active worklist empties, the engine jumps the round clock to the
-//! next non-empty calendar bucket instead of walking empty rounds.  The ring
-//! addressing (`fire time % (max_latency + 1)`) makes three situations easy
-//! to get wrong, and each is pinned here against the dense-bitset spec
+//! next round in which an exchange completes instead of walking empty
+//! rounds.  Three situations are pinned here against the dense-bitset spec
 //! [`OracleSimulation`](gossip_sim::oracle::OracleSimulation), which walks
 //! every round and asks every node:
 //!
-//! * a jump whose next event sits **exactly one full ring lap away**
-//!   (bucket index == current round's bucket, the wraparound case);
-//! * a **shadow-compaction lap queued during a skipped window**
-//!   (`shadow_compaction(0)` forces the lap; it must fire at its exact
-//!   round, not be skipped over);
+//! * a jump whose next event sits **one whole latency away**;
+//! * **deltas aging out of the window across skipped stretches** (merges
+//!   after a skipped gap must still subtract exactly the batches their
+//!   snapshots postdate);
 //! * a **`FixedRounds` target landing inside a skipped gap** (the clock must
 //!   stop exactly on the target, dropping the still-in-flight exchanges).
 
@@ -24,8 +22,7 @@ use rand::rngs::SmallRng;
 /// Fires one exchange per node at round 0, then idles forever (but only
 /// promises `IdleUntilWoken`, so completions keep re-offering it the chance
 /// to act — which it declines).  This leaves rounds where rumor state
-/// *changed* (queueing shadow laps) but no node stays active, the exact
-/// shape that exercises ring wraparound.
+/// *changed* but no node stays active.
 #[derive(Default)]
 struct OneShot {
     fired: Vec<bool>,
@@ -64,20 +61,16 @@ impl Protocol for OneShot {
     }
 }
 
-/// The wraparound case: with `OneShot` on a latency-`L` edge, the round-`L`
-/// delivery changes rumor state and queues a shadow lap into bucket
-/// `L % (L + 1) = L` — the *current* bucket — which therefore fires exactly
-/// one full ring revolution later, at round `2L + 1`.  A jump computed with
-/// a naive `(bucket - round) % ring_len = 0` delta would either spin forever
-/// or fire the lap a lap early.
+/// The long jump: with `OneShot` on a latency-`L` edge, round 0's
+/// initiations complete at round `L`, the only event of the run, so the
+/// clock jumps from round 0 straight to `L` and from there to the
+/// `FixedRounds` target.
 #[test]
 fn fast_forward_wraps_across_the_ring_boundary() {
     for latency in [2u64, 5, 10] {
         let g = generators::path(2, latency).unwrap();
         let budget = 4 * latency + 8;
-        let config = SimConfig::new(1)
-            .termination(Termination::FixedRounds(budget))
-            .shadow_compaction(0);
+        let config = SimConfig::new(1).termination(Termination::FixedRounds(budget));
         let report = assert_matches_oracle(
             &g,
             &config,
@@ -89,10 +82,8 @@ fn fast_forward_wraps_across_the_ring_boundary() {
         assert_eq!(report.activations, 2);
         assert_eq!(report.min_rumors_known, 2, "the exchange must land");
         let mem = report.mem.unwrap();
-        // The ring has latency + 1 buckets; everything after round 0 is
-        // driven by at most three events (delivery at L, the wrapped shadow
-        // lap at 2L + 1, the collapse lap), so nearly the whole budget is
-        // skipped.
+        // Everything after round 0 is driven by one event (the delivery at
+        // L), so nearly the whole budget is skipped.
         assert!(
             mem.rounds_skipped >= budget - 8,
             "latency {latency}: skipped only {} of {budget} rounds ({mem:?})",
@@ -103,43 +94,40 @@ fn fast_forward_wraps_across_the_ring_boundary() {
             "latency {latency}: walked {} rounds ({mem:?})",
             mem.rounds_simulated
         );
-        // The shadow/collapse lap queued during the skipped window must have
-        // fired: both nodes saturate at round L, so one ring lap later both
-        // collapse and their logs are reclaimed.
-        assert_eq!(mem.collapsed_nodes, 2, "latency {latency} ({mem:?})");
-        assert_eq!(mem.live_log_runs, 0);
+        // Each node's one new rumor is one run, and the round at the
+        // target (more than a latency later) ages both batches out.
+        assert_eq!(mem.peak_log_runs, 2, "latency {latency} ({mem:?})");
+        assert_eq!((mem.truncated_runs, mem.live_log_runs), (2, 0), "{mem:?}");
+        assert_eq!(mem.saturated_nodes, 2);
         assert_eq!(mem.active_final, 0);
     }
 }
 
-/// A shadow-compaction lap queued while the worklist is occupied must still
-/// fire when its bucket comes up inside a *later* skipped window, truncating
-/// logs at exactly the round the spec semantics imply.  Flood on a
-/// two-node high-latency path: the nodes wake at each delivery, relay once,
-/// and idle again, so every shadow lap fires inside a skipped stretch.
+/// Batches stored while the worklist is occupied must age out — and merges
+/// after a skipped stretch must still subtract exactly the batches their
+/// snapshots postdate.  Flood on a three-node high-latency path: the nodes
+/// wake at each delivery, relay once, and idle again, so the clock skips
+/// between deliveries that are each one latency apart.
 #[test]
-fn shadow_lap_queued_during_a_skipped_window_fires() {
+fn window_ages_out_across_skipped_windows() {
     let g = generators::path(3, 9).unwrap();
     let config = SimConfig::new(4)
         .termination(Termination::FixedRounds(200))
-        .track_rumor(RumorId::from(0usize))
-        .shadow_compaction(0);
+        .track_rumor(RumorId::from(0usize));
     let report = assert_matches_oracle(
         &g,
         &config,
         Seeding::AllToAll,
         || RoundRobinFlood::new(&g),
-        "shadow lap",
+        "window aging",
     );
     assert_eq!(report.rounds, 200);
     assert_eq!(report.min_rumors_known, 3, "the path must saturate");
     let mem = report.mem.unwrap();
     assert!(mem.rounds_skipped > 100, "{mem:?}");
-    // All three nodes saturate and outlive their collapse lap well before
-    // round 200 — the laps fired despite landing in skipped windows.
-    assert_eq!(mem.collapsed_nodes, 3, "{mem:?}");
-    assert_eq!(mem.live_log_runs, 0);
-    assert!(mem.truncated_runs > 0);
+    // Deliveries nine rounds apart age out the batches of the previous
+    // ones, though every round between them was skipped.
+    assert!(mem.truncated_runs > 0, "{mem:?}");
 }
 
 /// `FixedRounds` landing strictly inside a skipped gap: the clock must stop

@@ -3,7 +3,7 @@
 //! The fault semantics (crash-stop churn, amnesiac rejoin, link cuts,
 //! message loss — see `gossip_sim::FaultPlan`) are interpreted by two
 //! engines: the snapshot-free [`Simulation`] with its engine surgery
-//! (calendar cancellation, watermark invalidation, counter re-derivation)
+//! (calendar cancellation, counter re-derivation)
 //! and the dense-bitset spec
 //! [`OracleSimulation`](gossip_sim::oracle::OracleSimulation).  Both must
 //! produce **byte-identical** semantic reports — including the
@@ -197,8 +197,8 @@ fn inert_plan_reports_a_zeroed_degradation_section() {
 }
 
 /// The silent-overcount regression: a crash landing at the victim's own
-/// delivery round — inside the `max_latency + 1` calendar window, with
-/// `shadow_compaction(0)` keeping the truncation machinery busy — must
+/// delivery round — inside the exchanges' latency window, while the delta
+/// window still holds the batches their snapshots would subtract — must
 /// cancel the in-flight exchanges *before* they deliver.  A late (or
 /// double) adjustment would either complete the run on a rumor that was
 /// never delivered or underflow the termination counters.
@@ -211,7 +211,6 @@ fn crash_inside_own_delivery_window_cancels_instead_of_delivering() {
     let plan = FaultPlan::new().crash(3, NodeId::new(1));
     let config = SimConfig::new(7)
         .termination(Termination::AllKnowAll)
-        .shadow_compaction(0)
         .max_rounds(40)
         .faults(plan);
     let report = assert_matches_oracle(
@@ -240,7 +239,6 @@ fn crash_inside_own_delivery_window_cancels_instead_of_delivering() {
     let plan = FaultPlan::new().crash(2, NodeId::new(1));
     let config = SimConfig::new(7)
         .termination(Termination::AllKnowAll)
-        .shadow_compaction(0)
         .max_rounds(40)
         .faults(plan);
     let report = assert_matches_oracle(

@@ -328,7 +328,7 @@ impl ProtocolKind {
     /// with the plan attached, so the measurement carries the engine's
     /// graceful-degradation section.  Faulted runs may legitimately *not*
     /// complete (the source can crash, rumors can strand on dead nodes);
-    /// the round cap mirrors the plain protocol wrappers' generous budget.
+    /// the round cap is the plain protocol wrappers' [`push_pull::round_cap`].
     ///
     /// # Panics
     ///
@@ -337,10 +337,7 @@ impl ProtocolKind {
     /// constructs such a cell.
     pub fn run_faulted(&self, g: &Graph, spec: &ChurnSpec, seed: u64) -> TrialMeasurement {
         let plan = FaultPlan::random_churn(g, seed ^ 0x04, spec);
-        let cap = (g.node_count() as u64)
-            .saturating_mul(g.max_latency().max(1))
-            .saturating_mul(4)
-            .max(10_000);
+        let cap = push_pull::round_cap(g);
         let source = NodeId::new(0);
         let config = SimConfig::new(seed ^ 0x03).max_rounds(cap).faults(plan);
         let mut sim = match self {

@@ -70,7 +70,7 @@ impl Protocol for ProbeAll {
 #[derive(Debug, Clone)]
 pub struct DiscoveryOutcome {
     /// Per-node map from incident edge to discovered latency.
-    // gossip-lint: allow(unordered-iter): consumed via keyed `get` through OracleSource::Map only, never iterated
+    // gossip-lint: allow(unordered-iter): read only by `facts` (map sizes) and `covers` (keyed `contains_key`), never iterated
     pub discovered: Vec<HashMap<EdgeId, Latency>>,
     /// Rounds spent (≈ Δ + bound).
     pub report: DisseminationReport,

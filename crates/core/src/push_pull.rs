@@ -70,8 +70,9 @@ pub fn local_broadcast(g: &Graph, bound: gossip_graph::Latency, seed: u64) -> Di
     .with_mem(report.mem)
 }
 
-pub(crate) fn round_cap(g: &Graph) -> u64 {
-    // Generous cap: n rounds per unit of maximum latency, at least 10_000.
+/// The generous round cap of the single-phase protocol runs: `4n` rounds
+/// per unit of maximum latency, at least 10 000.
+pub fn round_cap(g: &Graph) -> u64 {
     (g.node_count() as u64)
         .saturating_mul(g.max_latency().max(1))
         .saturating_mul(4)

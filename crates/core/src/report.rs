@@ -38,17 +38,11 @@ pub struct DisseminationReport {
     pub completed: bool,
     /// Per-phase breakdown.
     pub phases: Vec<Phase>,
-    /// Peak bytes of the engine's dissemination state, when the underlying
-    /// simulation reported memory counters (see
-    /// [`MemStats`](gossip_sim::MemStats)); `None` for purely analytical
-    /// phases or pre-counter engines.  Deterministic, so usable as a
-    /// regression gate.
-    pub peak_mem_bytes: Option<u64>,
     /// The engine's full deterministic memory counters (paged-set
-    /// live/peak pages, saturated node counts, delta-window peaks),
-    /// when the underlying simulation reported them.  `peak_mem_bytes` is
-    /// this value's `peak_engine_bytes`, kept separate for callers that only
-    /// need the headline figure.
+    /// live/peak pages, saturated node counts, delta-window peaks, and the
+    /// headline `peak_engine_bytes`), when the underlying simulation
+    /// reported them; `None` for purely analytical phases.  Deterministic,
+    /// so usable as a regression gate.
     pub mem: Option<gossip_sim::MemStats>,
 }
 
@@ -63,7 +57,6 @@ impl DisseminationReport {
             activations,
             completed,
             phases,
-            peak_mem_bytes: None,
             mem: None,
         }
     }
@@ -82,15 +75,12 @@ impl DisseminationReport {
             rounds,
             activations,
             completed,
-            peak_mem_bytes: None,
             mem: None,
         }
     }
 
-    /// Attaches the engine's deterministic memory counters (builder style);
-    /// also fills the headline `peak_mem_bytes` figure from them.
+    /// Attaches the engine's deterministic memory counters (builder style).
     pub fn with_mem(mut self, mem: Option<gossip_sim::MemStats>) -> Self {
-        self.peak_mem_bytes = mem.map(|m| m.peak_engine_bytes);
         self.mem = mem;
         self
     }

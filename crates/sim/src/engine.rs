@@ -49,10 +49,12 @@
 //!   through empty rounds; `rounds_simulated`, `rounds_skipped` and the
 //!   peak/final active-set size are reported in
 //!   [`MemStats`](crate::report::MemStats).
-//! * **Incremental termination.**  Counters (nodes with a full set, nodes
-//!   knowing the tracked rumor, outstanding local-broadcast pairs) are
-//!   updated inside the merge, so every [`Termination`] check is `O(1)`;
-//!   `informed_times` is folded into the same path.
+//! * **Termination frontier.**  A dissemination goal is a per-node
+//!   predicate on the sets, and every node below one frontier is dead or
+//!   meets it.  Merges only grow sets and crashes and cuts only drop
+//!   obligations, so the check advances the frontier and never looks back;
+//!   an amnesiac rejoin rewinds it.  Each node is passed once per run plus
+//!   once per rewind, and the merge keeps no termination state.
 //! * **Flat latency discovery.**  Which endpoint has discovered which edge
 //!   latency is a bitset with two bits per edge (one per endpoint); the
 //!   latency itself is read from the graph.
@@ -541,6 +543,32 @@ impl<'a> DecisionCtx<'a> {
         self.alive.is_some_and(|av| !av.is_node_alive(node))
     }
 
+    /// `node`'s usable `(neighbor, edge)` pairs: alive neighbors over un-cut
+    /// edges, in neighbor-id order.
+    fn neighbors(&self, node: NodeId) -> &'a [(NodeId, EdgeId)] {
+        match self.alive {
+            Some(av) => av.neighbor_slice(self.graph, node),
+            None => self.graph.neighbor_slice(node),
+        }
+    }
+
+    /// Whether alive node `v` meets dissemination goal `goal` — the
+    /// per-node predicate the oracle's `is_done` quantifies over alive
+    /// nodes.  The other conditions have no per-node goal.
+    // gossip-lint: allow(panic-path): frontier nodes are ids < n, and rumors is sized n
+    fn goal_met(&self, goal: Termination, v: NodeId) -> bool {
+        let set = &self.rumors[v.index()];
+        match goal {
+            Termination::AllKnowRumorOf(source) => set.contains(RumorId::of_node(source)),
+            Termination::AllKnowAll => set.is_full(),
+            Termination::LocalBroadcast(bound) => self
+                .neighbors(v)
+                .iter()
+                .all(|&(w, e)| self.graph.latency(e) > bound || set.contains(RumorId::of_node(w))),
+            Termination::FixedRounds(_) | Termination::Quiescent => true,
+        }
+    }
+
     // gossip-lint: allow(panic-path): node indices come from the sorted worklist, bounded by n
     fn view(&self, node: NodeId) -> NodeView<'a> {
         let i = node.index();
@@ -548,10 +576,7 @@ impl<'a> DecisionCtx<'a> {
             node,
             round: self.round,
             rumors: &self.rumors[i],
-            neighbors: match self.alive {
-                Some(av) => av.neighbor_slice(self.graph, node),
-                None => self.graph.neighbor_slice(node),
-            },
+            neighbors: self.neighbors(node),
             can_initiate: match self.config.mode {
                 ExchangeMode::NonBlocking => true,
                 ExchangeMode::Blocking => self.pending_own[i] == 0,
@@ -592,10 +617,11 @@ const MIN_PAR_DECISIONS: usize = 256;
 
 /// The decision pass: fills `out` with one [`Decide`] per worklist entry,
 /// in worklist order.  With [`SimConfig::threads`] above 1 and a long enough
-/// worklist, the worklist is cut into contiguous chunks, the node states at
-/// the same cuts, and each chunk is decided on its own worker; otherwise
-/// the one chunk runs inline.  Either way the outcome is identical, since
-/// a decision reads round-start state and writes only its own node state.
+/// worklist, [`partition_tasks`] cuts the sorted worklist into contiguous
+/// chunks and the node states along the same node ranges, and each chunk is
+/// decided on its own worker; otherwise the one chunk runs inline.  Either
+/// way the outcome is identical, since a decision reads round-start state
+/// and writes only its own node state.
 // gossip-lint: allow(panic-path): a chunk's nodes lie in its carved node-state range, which split() sized n
 fn decide_all<P: Protocol>(
     protocol: &mut P,
@@ -605,9 +631,9 @@ fn decide_all<P: Protocol>(
 ) {
     out.clear();
     let n = ctx.graph.node_count();
-    let (shared, mut rest) = protocol.split(n);
+    let (shared, states) = protocol.split(n);
     assert_eq!(
-        rest.len(),
+        states.len(),
         n,
         "Protocol::split must lend one state per node"
     );
@@ -622,21 +648,15 @@ fn decide_all<P: Protocol>(
     let threads = ctx.config.threads;
     if threads <= 1 || worklist.len() < MIN_PAR_DECISIONS {
         // One chunk decides inline, straight into `out`'s reused capacity.
-        decide_chunk((worklist, 0, rest), out);
+        decide_chunk((worklist, 0, states), out);
         return;
     }
-    // The worklist is sorted, so each chunk's nodes lie in `base..=last`
-    // and the chunks carve the node states into disjoint ranges.
-    let shard_count = threads.min(worklist.len());
-    let mut jobs = Vec::with_capacity(shard_count);
-    let mut base = 0;
-    for chunk in worklist.chunks(worklist.len().div_ceil(shard_count)) {
-        let Some(&last) = chunk.last() else { continue };
-        let (states, tail) = rest.split_at_mut(last as usize + 1 - base);
-        jobs.push((chunk, base, states));
-        rest = tail;
-        base = last as usize + 1;
-    }
+    let shards = partition_tasks(worklist, |&u| u as usize, threads, n);
+    let jobs: Vec<_> = split_lens(states, shards.iter().map(|(_, nodes)| nodes.len()))
+        .into_iter()
+        .zip(&shards)
+        .map(|(states, (chunk, nodes))| (*chunk, nodes.start, states))
+        .collect();
     let results = run_jobs(threads, jobs, |job| {
         let mut decides = Vec::new();
         decide_chunk(job, &mut decides);
@@ -899,52 +919,19 @@ impl PageTrace {
     }
 }
 
-/// What every merge shard reads and none writes: every rumor set (phase A
-/// changes none), the delta window, and the termination counters' inputs.
-struct MergeView<'a> {
-    rumors: &'a [RumorSet],
-    window: &'a DeltaWindow,
-    graph: &'a Graph,
-    alive: Option<&'a AliveView>,
-    source_rumor: Option<RumorId>,
-    tracked: Option<RumorId>,
-    lb_bound: Option<Latency>,
-    round: u64,
-}
-
-/// The destination range one merge shard owns in phase A: its tasks, and
-/// its slice of `informed_times`, starting at destination `base`.
-struct MergeShard<'a> {
-    tasks: &'a [MergeTask],
-    base: usize,
-    informed_times: Option<&'a mut [Option<u64>]>,
-}
-
-/// Phase A output of one merge shard: the batch of every destination that
-/// learned at least one rumor, plus the shard's counter deltas.
-#[derive(Default)]
-struct MergeShardNew {
-    batches: PhaseBatches,
-    full_nodes: usize,
-    source_known_by: usize,
-    lb_deficit_sub: u64,
-}
-
-/// Phase A of the sharded completion merge, read-only over every rumor set:
-/// for each destination, gathers what its tasks' snapshots add to its set
-/// ([`NewRumors`]), folds that into the termination counters, and stores it
+/// Phase A of the sharded completion merge, read-only over every rumor set
+/// and the delta window: for each destination of a shard's `tasks`, gathers
+/// what its tasks' snapshots add to its set ([`NewRumors`]) and stores that
 /// as the destination's batch.  A task's snapshot is its source's current
 /// set minus the source's window batches after the snapshot round; a source
 /// that is full with no such batch snapshots the whole universe, so the
-/// destination's batch is simply its complement.  A shard owns a
-/// contiguous destination range; everything else is only read.
-fn merge_shard_phase_a(shard: MergeShard<'_>, view: &MergeView<'_>) -> MergeShardNew {
-    let MergeShard {
-        tasks,
-        base,
-        mut informed_times,
-    } = shard;
-    let mut out = MergeShardNew::default();
+/// destination's batch is simply its complement.
+fn merge_shard_phase_a(
+    tasks: &[MergeTask],
+    rumors: &[RumorSet],
+    window: &DeltaWindow,
+) -> PhaseBatches {
+    let mut out = PhaseBatches::default();
     let mut acc = NewRumors::default();
     let mut deltas: Vec<Delta<'_>> = Vec::new();
     let mut batch: Vec<RumorRun> = Vec::new();
@@ -952,16 +939,16 @@ fn merge_shard_phase_a(shard: MergeShard<'_>, view: &MergeView<'_>) -> MergeShar
         let Some(dst) = group.first().map(|t| t.dst) else {
             continue;
         };
-        let Some(dst_set) = view.rumors.get(dst as usize) else {
+        let Some(dst_set) = rumors.get(dst as usize) else {
             continue;
         };
         let mut saturated_peer = false;
         for t in group {
-            let Some(src) = view.rumors.get(t.src as usize) else {
+            let Some(src) = rumors.get(t.src as usize) else {
                 continue;
             };
             deltas.clear();
-            deltas.extend(view.window.deltas_since(t.src, t.since));
+            deltas.extend(window.deltas_since(t.src, t.since));
             if src.is_full() && deltas.is_empty() {
                 saturated_peer = true;
                 break;
@@ -974,50 +961,7 @@ fn merge_shard_phase_a(shard: MergeShard<'_>, view: &MergeView<'_>) -> MergeShar
             batch.clear();
             dst_set.complement_runs(&mut batch);
         }
-        if batch.is_empty() {
-            continue;
-        }
-        let mut learned = 0;
-        for &(first, len) in &batch {
-            learned += len as usize;
-            let run_contains =
-                |r: RumorId| r.0 >= first.0 && u64::from(r.0) < u64::from(first.0) + u64::from(len);
-            if view.source_rumor.is_some_and(run_contains) {
-                out.source_known_by += 1;
-            }
-            if view.tracked.is_some_and(run_contains) {
-                let informed = informed_times
-                    .as_deref_mut()
-                    .and_then(|times| times.get_mut(dst as usize - base));
-                if let Some(at) = informed.filter(|at| at.is_none()) {
-                    *at = Some(view.round);
-                }
-            }
-            if let Some(bound) = view.lb_bound {
-                let nbrs = view.graph.neighbor_slice(NodeId::new(dst as usize));
-                let node_count = view.graph.node_count();
-                for j in first.index()..(first.index() + len as usize).min(node_count) {
-                    let Ok(pos) = nbrs.binary_search_by_key(&NodeId::new(j), |&(w, _)| w) else {
-                        continue;
-                    };
-                    // A `(dst, w)` pair is only outstanding — and was only
-                    // counted — while `w` is alive and the edge un-cut
-                    // (crash/cut events retire such pairs eagerly).
-                    if nbrs.get(pos).is_some_and(|&(w, e)| {
-                        view.graph.latency(e) <= bound
-                            && view
-                                .alive
-                                .is_none_or(|a| a.is_node_alive(w) && a.is_edge_alive(e))
-                    }) {
-                        out.lb_deficit_sub += 1;
-                    }
-                }
-            }
-        }
-        if dst_set.len() + learned == dst_set.universe() {
-            out.full_nodes += 1;
-        }
-        out.batches.push(dst, &batch);
+        out.push(dst, &batch);
     }
     out
 }
@@ -1037,33 +981,39 @@ fn merge_shard_phase_b(new: &PhaseBatches, base: usize, rumors: &mut [RumorSet])
     pages
 }
 
-/// Cuts `tasks` (sorted by destination) into at most `max_shards` contiguous
-/// ranges of roughly equal length whose destination sets are disjoint — a
-/// cut never splits one destination's task group, so every destination's
-/// state is owned by exactly one shard.  Returns each shard's task count and
-/// the destination range it owns; the ranges tile `0..n`.
+/// Cuts `tasks` (sorted by `node`, each a node id below `n`) into at most
+/// `max_shards` contiguous ranges of roughly equal length whose node sets
+/// are disjoint — a cut never splits one node's task group, so every node's
+/// state is owned by exactly one shard.  Returns each shard's tasks and the
+/// node range it owns; the ranges tile `0..n`.  The merge cuts its tasks by
+/// destination, the decision pass its worklist by node.
 ///
 /// The cut positions depend on `max_shards` (i.e. on the thread count), but
 /// never the results: phase outputs are reduced in shard order, and
 /// concatenating per-shard walks of a sorted task list in shard order is the
 /// canonical serial walk regardless of where the cuts fall.
 // gossip-lint: allow(panic-path): hi is only indexed while strictly below tasks.len(), and hi >= 1 inside the loop
-fn partition_tasks(tasks: &[MergeTask], max_shards: usize, n: usize) -> Vec<(usize, Range<usize>)> {
+fn partition_tasks<T>(
+    tasks: &[T],
+    node: impl Fn(&T) -> usize,
+    max_shards: usize,
+    n: usize,
+) -> Vec<(&[T], Range<usize>)> {
     let mut shards = Vec::with_capacity(max_shards);
     let target = tasks.len().div_ceil(max_shards.max(1));
-    let (mut lo, mut dst_lo) = (0usize, 0usize);
+    let (mut lo, mut node_lo) = (0usize, 0usize);
     while lo < tasks.len() {
         let mut hi = (lo + target).min(tasks.len());
-        while hi < tasks.len() && tasks[hi].dst == tasks[hi - 1].dst {
+        while hi < tasks.len() && node(&tasks[hi]) == node(&tasks[hi - 1]) {
             hi += 1;
         }
-        let dst_hi = if hi < tasks.len() {
-            tasks[hi].dst as usize
+        let node_hi = if hi < tasks.len() {
+            node(&tasks[hi])
         } else {
             n
         };
-        shards.push((hi - lo, dst_lo..dst_hi));
-        (lo, dst_lo) = (hi, dst_hi);
+        shards.push((&tasks[lo..hi], node_lo..node_hi));
+        (lo, node_lo) = (hi, node_hi);
     }
     shards
 }
@@ -1099,23 +1049,19 @@ fn run_jobs<T: Send, R: Send>(threads: usize, jobs: Vec<T>, f: impl Fn(T) -> R +
         .install(|| jobs.into_par_iter().map(f).collect())
 }
 
-/// Incrementally maintained dissemination state: the delta window, plus
-/// the counters that make every termination check `O(1)`.
+/// Dissemination state beside the rumor sets: the delta window, the
+/// termination frontier, and the tracked-rumor and recovery bookkeeping.
 struct Progress<'g> {
     graph: &'g Graph,
     /// Each recent delivery phase's per-node batches of new rumors — all
     /// the history a snapshot needs.
     window: DeltaWindow,
-    /// Number of nodes whose rumor set is full.
-    full_nodes: usize,
+    /// The termination frontier of a dissemination goal: every node below
+    /// it is dead or meets the goal.  Merges only grow sets, and crashes and
+    /// cuts only drop obligations, so only a rejoin moves it back.
+    frontier: usize,
     /// Rumor whose spread decides [`Termination::AllKnowRumorOf`], if any.
     source_rumor: Option<RumorId>,
-    /// Number of nodes that know `source_rumor`.
-    source_known_by: usize,
-    /// Latency bound of [`Termination::LocalBroadcast`], if any.
-    lb_bound: Option<Latency>,
-    /// Outstanding `(node, fast neighbor)` pairs for local broadcast.
-    lb_deficit: u64,
     /// Rumor tracked for [`RunReport::informed_times`], if any.
     tracked: Option<RumorId>,
     /// Per-node first round the tracked rumor was known (empty if untracked).
@@ -1145,28 +1091,19 @@ struct FaultTally {
 
 impl<'g> Progress<'g> {
     fn new(graph: &'g Graph, config: &SimConfig, rumors: &[RumorSet]) -> Self {
-        let source_rumor = match config.termination {
-            Termination::AllKnowRumorOf(source) => Some(RumorId::of_node(source)),
-            _ => None,
-        };
-        let lb_bound = match config.termination {
-            Termination::LocalBroadcast(bound) => Some(bound),
-            _ => None,
-        };
         let mut mem = MemCounters::default();
         for set in rumors {
             mem.pages
                 .record(PageFootprint::default(), set.page_footprint());
         }
-        let mut progress = Progress {
+        Progress {
             graph,
             window: DeltaWindow::default(),
-            full_nodes: rumors.iter().filter(|s| s.is_full()).count(),
-            source_rumor,
-            source_known_by: source_rumor
-                .map_or(0, |r| rumors.iter().filter(|s| s.contains(r)).count()),
-            lb_bound,
-            lb_deficit: 0,
+            frontier: 0,
+            source_rumor: match config.termination {
+                Termination::AllKnowRumorOf(source) => Some(RumorId::of_node(source)),
+                _ => None,
+            },
             tracked: config.tracked_rumor,
             informed_times: match config.tracked_rumor {
                 Some(r) => rumors
@@ -1178,14 +1115,7 @@ impl<'g> Progress<'g> {
             pending_recovery: Vec::new(),
             recovery_latency: None,
             mem,
-        };
-        if lb_bound.is_some() {
-            progress.lb_deficit = graph
-                .edge_ids()
-                .map(|e| progress.lb_missing(rumors, e))
-                .sum();
         }
-        progress
     }
 
     /// Executes a delivery phase's merge tasks grouped by ascending
@@ -1199,12 +1129,12 @@ impl<'g> Progress<'g> {
     /// `round − max_latency` or later, and reads only the rounds after that.
     ///
     /// The merge runs in two phases.  Phase A ([`merge_shard_phase_a`])
-    /// reads every rumor set and the window and builds each destination's
-    /// batch of new rumors — its tasks' snapshots less what it knows —
-    /// folding the termination counters on the way.  Phase B
-    /// ([`merge_shard_phase_b`]) unions each batch into its destination's
-    /// set.  The batches, stored flat, then *are* the window's entry for
-    /// this round.
+    /// reads only the tasks, every rumor set and the window, and builds each
+    /// destination's batch of new rumors — its tasks' snapshots less what it
+    /// knows.  Phase B ([`merge_shard_phase_b`]) unions each batch into its
+    /// destination's set.  The batches, stored flat, then *are* the window's
+    /// entry for this round.  Neither phase keeps termination state: the
+    /// frontier reads the sets afterwards.
     ///
     /// # Why sharding cannot change the result
     ///
@@ -1213,13 +1143,13 @@ impl<'g> Progress<'g> {
     ///   of its tasks, and no set changes before phase B, so every snapshot
     ///   reads the pre-phase state on every worker.
     /// * **Shard cuts fall only between destinations** ([`partition_tasks`]),
-    ///   so phase A writes disjoint `informed_times` slices and phase B
-    ///   disjoint `rumors` slices; everything else is read shared.
-    /// * **Reductions replay the serial walk.**  Counter deltas are summed
-    ///   in shard order; the rumor-set page peaks use the [`PageTrace`]
-    ///   composition law; the shards' batches concatenate in shard order
-    ///   into exactly the single-shard entry.  All are independent of the
-    ///   cut positions, hence of the thread count.
+    ///   so phase B writes disjoint `rumors` slices; everything else is read
+    ///   shared.
+    /// * **Reductions replay the serial walk.**  The rumor-set page peaks
+    ///   use the [`PageTrace`] composition law; the shards' batches
+    ///   concatenate in shard order into exactly the single-shard entry.
+    ///   Both are independent of the cut positions, hence of the thread
+    ///   count.
     ///
     /// The two phases are separated by a barrier: phase B writes `rumors[dst]`
     /// while phase A *reads* `rumors[src]`, and any `src` may be another
@@ -1229,7 +1159,6 @@ impl<'g> Progress<'g> {
         rumors: &mut [RumorSet],
         tasks: &mut [MergeTask],
         round: u64,
-        alive: Option<&AliveView>,
         threads: usize,
         changed: &mut Vec<u32>,
     ) {
@@ -1244,115 +1173,53 @@ impl<'g> Progress<'g> {
         } else {
             threads
         };
-        // The shard bounds, computed once: both phases split their
-        // per-destination slices along the same destination ranges.
-        let shards = partition_tasks(tasks, shard_count, rumors.len());
-        let dst_lens = || shards.iter().map(|(_, dsts)| dsts.len());
-        let shard_tasks: Vec<(&[MergeTask], usize)> =
-            split_lens(tasks, shards.iter().map(|&(count, _)| count))
-                .into_iter()
-                .zip(&shards)
-                .map(|(tasks, (_, dsts))| (&*tasks, dsts.start))
-                .collect();
+        // The shard bounds, computed once: both phases split along the same
+        // destination ranges.
+        let shards = partition_tasks(tasks, |t| t.dst as usize, shard_count, rumors.len());
 
-        let Progress {
-            graph,
-            window,
-            full_nodes,
-            source_rumor,
-            source_known_by,
-            lb_bound,
-            lb_deficit,
-            tracked,
-            informed_times,
-            mem,
-            ..
-        } = self;
-
-        // Phase A: build each destination's batch and fold the counters.
-        let shard_new: Vec<MergeShardNew> = {
-            let view = MergeView {
-                rumors,
-                window,
-                graph,
-                alive,
-                source_rumor: *source_rumor,
-                tracked: *tracked,
-                lb_bound: *lb_bound,
-                round,
-            };
-            let mut informed = tracked
-                .is_some()
-                .then(|| split_lens(informed_times, dst_lens()).into_iter());
-            let jobs: Vec<MergeShard<'_>> = shard_tasks
-                .iter()
-                .map(|&(tasks, base)| MergeShard {
-                    tasks,
-                    base,
-                    informed_times: informed.as_mut().and_then(Iterator::next),
-                })
-                .collect();
-            run_jobs(threads, jobs, |shard| merge_shard_phase_a(shard, &view))
-        };
-
-        // Deterministic reduction, in shard order.
+        // Phase A: build each destination's batch.
+        let (sets, window) = (&*rumors, &self.window);
+        let jobs = shards.iter().map(|&(tasks, _)| tasks).collect();
+        let shard_new = run_jobs(threads, jobs, |tasks| {
+            merge_shard_phase_a(tasks, sets, window)
+        });
         for new in &shard_new {
-            *full_nodes += new.full_nodes;
-            *source_known_by += new.source_known_by;
-            *lb_deficit -= new.lb_deficit_sub;
-            changed.extend(new.batches.iter().map(|(dst, _)| dst));
+            changed.extend(new.iter().map(|(dst, _)| dst));
         }
 
         // Phase B: union the batches into the destinations' sets.
         let jobs: Vec<_> = shard_new
             .iter()
-            .zip(&shard_tasks)
-            .zip(split_lens(rumors, dst_lens()))
+            .zip(&shards)
+            .zip(split_lens(
+                rumors,
+                shards.iter().map(|(_, dsts)| dsts.len()),
+            ))
             .collect();
-        for pages in run_jobs(threads, jobs, |((new, &(_, base)), rumors)| {
-            merge_shard_phase_b(&new.batches, base, rumors)
+        for pages in run_jobs(threads, jobs, |((new, (_, dsts)), rumors)| {
+            merge_shard_phase_b(new, dsts.start, rumors)
         }) {
-            mem.pages = mem.pages.then(pages);
+            self.mem.pages = self.mem.pages.then(pages);
         }
 
         // The phase's batches, concatenated in shard order, are the
         // window's entry for this round.
         let mut batches = PhaseBatches::default();
         for new in shard_new {
-            batches.extend(new.batches);
+            batches.extend(new);
         }
-        mem.grow_window(batches.footprint());
-        window.push(round, batches);
+        self.mem.grow_window(batches.footprint());
+        self.window.push(round, batches);
     }
 
-    /// Retires a crashing node from every termination counter and freezes
-    /// its rumor state (a dead node is never merged from again: every
-    /// flight touching it is cancelled and no new ones form).  Must be
-    /// called with the *post-kill* alive view, exactly once per effective
-    /// crash.
-    // gossip-lint: allow(panic-path): per-node vecs are sized n at construction; node ids are dense
-    fn crash_node(&mut self, rumors: &[RumorSet], node: NodeId, alive: &AliveView) {
-        let i = node.index();
-        if rumors[i].is_full() {
-            self.full_nodes -= 1;
-        }
-        if let Some(r) = self.source_rumor {
-            if rumors[i].contains(r) {
-                self.source_known_by -= 1;
-            }
-        }
-        // Pairs incident to the dead node leave the local-broadcast
-        // obligation.  Only pairs whose *other* endpoint is alive over an
-        // un-cut edge were still counted.
-        for (w, e) in self.graph.neighbors(node) {
-            if alive.is_node_alive(w) && alive.is_edge_alive(e) {
-                self.lb_deficit -= self.lb_missing(rumors, e);
-            }
-        }
+    /// Stops a crashing node's pending rejoin recovery, if any.  Its rumor
+    /// state freezes: a dead node is never merged from again, since every
+    /// flight touching it is cancelled and no new ones form.
+    fn crash_node(&mut self, node: NodeId) {
         if let Some(pos) = self
             .pending_recovery
             .iter()
-            .position(|&(v, _)| v as usize == i)
+            .position(|&(v, _)| v as usize == node.index())
         {
             // Crashed again before recovering: it never recovers from *this*
             // rejoin (a future rejoin starts a fresh recovery clock).
@@ -1361,9 +1228,12 @@ impl<'g> Progress<'g> {
     }
 
     /// Amnesiac rejoin: resets the node to its `seeding` initial rumor set,
-    /// re-enters it into every termination counter, and starts its
-    /// re-dissemination recovery clock.  Must be called with the
-    /// *post-revive* alive view.
+    /// rewinds the termination frontier, and starts its re-dissemination
+    /// recovery clock.
+    ///
+    /// The rejoiner must meet the goal again, and under local broadcast its
+    /// neighbors owe it its rumor again, so the frontier moves back to the
+    /// node and, for `LocalBroadcast`, to its lowest-id neighbor.
     ///
     /// The window needs nothing: the crash cancelled every flight touching
     /// the node, so no snapshot still in flight predates the rejoin, and
@@ -1374,7 +1244,7 @@ impl<'g> Progress<'g> {
         rumors: &mut [RumorSet],
         node: NodeId,
         round: u64,
-        alive: &AliveView,
+        termination: Termination,
         seeding: Seeding,
     ) {
         let i = node.index();
@@ -1384,28 +1254,14 @@ impl<'g> Progress<'g> {
         self.mem
             .pages
             .record(pages_before, rumors[i].page_footprint());
-        if rumors[i].is_full() {
-            self.full_nodes += 1;
-        }
-        if let Some(r) = self.source_rumor {
-            if rumors[i].contains(r) {
-                self.source_known_by += 1;
+        let mut rewind = i;
+        if let Termination::LocalBroadcast(_) = termination {
+            if let Some(&(w, _)) = self.graph.neighbor_slice(node).first() {
+                rewind = rewind.min(w.index());
             }
         }
-        if let Some(r) = self.tracked {
-            if rumors[i].contains(r) && self.informed_times[i].is_none() {
-                self.informed_times[i] = Some(round);
-            }
-        }
-        // The rejoined node re-enters the local-broadcast obligation in both
-        // directions of every usable incident edge: it forgot its neighbors'
-        // rumors, and its neighbors still hold its (identical) rumor or not —
-        // re-count from the actual sets.
-        for (w, e) in self.graph.neighbors(node) {
-            if alive.is_node_alive(w) && alive.is_edge_alive(e) {
-                self.lb_deficit += self.lb_missing(rumors, e);
-            }
-        }
+        self.frontier = self.frontier.min(rewind);
+        self.stamp_informed(i, &rumors[i], round);
         if self.recovered(&rumors[i]) {
             self.note_recovery(0);
         } else {
@@ -1413,22 +1269,14 @@ impl<'g> Progress<'g> {
         }
     }
 
-    /// The local-broadcast pairs edge `e` still owes: one per endpoint that
-    /// misses the other's rumor, when `e` is within the local-broadcast
-    /// bound (and 0 otherwise, or under any other termination).  Callers
-    /// apply their own alive filtering.
-    // gossip-lint: allow(panic-path): edge endpoints are node ids < n, and rumors is sized n
-    fn lb_missing(&self, rumors: &[RumorSet], e: EdgeId) -> u64 {
-        if self
-            .lb_bound
-            .is_none_or(|bound| self.graph.latency(e) > bound)
-        {
-            return 0;
+    /// Records `round` as the first round `node`, now holding `set`, knows
+    /// the tracked rumor, unless an earlier round is already recorded.
+    fn stamp_informed(&mut self, node: usize, set: &RumorSet, round: u64) {
+        if let (Some(r), Some(at)) = (self.tracked, self.informed_times.get_mut(node)) {
+            if at.is_none() && set.contains(r) {
+                *at = Some(round);
+            }
         }
-        let rec = self.graph.edge(e);
-        let misses =
-            |a: NodeId, b: NodeId| u64::from(!rumors[a.index()].contains(RumorId::of_node(b)));
-        misses(rec.u, rec.v) + misses(rec.v, rec.u)
     }
 
     /// Whether a rejoined node holding `set` has recovered: it knows the
@@ -1689,8 +1537,7 @@ impl<'a> RoundState<'a> {
     /// Phase 1: applies the fault events scheduled up to `round` — *before*
     /// deliveries, so an exchange completing this very
     /// round but incident to a node that crashes now (or riding an edge cut
-    /// now) is cancelled, never delivered; a crash therefore can never
-    /// double-adjust a counter a delivery already touched.  An event that
+    /// now) is cancelled, never delivered.  An event that
     /// changes nothing (crashing a dead node, reviving a live one, cutting a
     /// cut edge) is an uncounted no-op.
     // gossip-lint: allow(panic-path): node and edge ids come from the graph's own CSR bounds; per-node and per-edge vecs are sized n and m at construction
@@ -1712,7 +1559,7 @@ impl<'a> RoundState<'a> {
                     faults.tally.crashes += 1;
                     self.cancel_flights(&mut faults, |fl| fl.initiator == v || fl.responder == v);
                     self.pending_own[v.index()] = 0;
-                    self.progress.crash_node(self.rumors, v, &faults.alive);
+                    self.progress.crash_node(v);
                     self.sched.state[v.index()] = NodeState::Quiescent;
                     let neighbors = self.graph.neighbors(v).map(|(w, _)| w);
                     self.sched.wake_survivors(&faults.alive, neighbors);
@@ -1726,8 +1573,13 @@ impl<'a> RoundState<'a> {
                     for (_, e) in self.graph.neighbors(v) {
                         self.discovered.set(e, self.graph.edge(e).v == v, false);
                     }
-                    self.progress
-                        .rejoin_node(self.rumors, v, round, &faults.alive, faults.seeding);
+                    self.progress.rejoin_node(
+                        self.rumors,
+                        v,
+                        round,
+                        self.config.termination,
+                        faults.seeding,
+                    );
                     let neighbors = self.graph.neighbors(v).map(|(w, _)| w);
                     self.sched
                         .wake_survivors(&faults.alive, std::iter::once(v).chain(neighbors));
@@ -1738,12 +1590,7 @@ impl<'a> RoundState<'a> {
                     }
                     faults.tally.links_cut += 1;
                     self.cancel_flights(&mut faults, |fl| fl.edge == e);
-                    // The cut edge's local-broadcast pairs retire with it,
-                    // unless a crash already retired them.
                     let rec = self.graph.edge(e);
-                    if faults.alive.is_node_alive(rec.u) && faults.alive.is_node_alive(rec.v) {
-                        self.progress.lb_deficit -= self.progress.lb_missing(self.rumors, e);
-                    }
                     self.sched.wake_survivors(&faults.alive, [rec.u, rec.v]);
                 }
             }
@@ -1780,7 +1627,8 @@ impl<'a> RoundState<'a> {
     /// direction whose source's current set the destination already holds
     /// adds nothing and gets no task); the
     /// merges give the same sets whatever the thread count; each changed
-    /// destination settles a pending rejoin recovery; last, both endpoints
+    /// destination gets its tracked-rumor time stamped from its merged set
+    /// and settles a pending rejoin recovery; last, both endpoints
     /// of every delivered exchange get `on_exchange`.
     // gossip-lint: allow(panic-path): node and edge ids come from the graph's own CSR bounds; per-node and per-edge vecs are sized n and m at construction
     fn deliver<P: Protocol>(&mut self, protocol: &mut P, round: u64) {
@@ -1821,14 +1669,14 @@ impl<'a> RoundState<'a> {
             self.rumors,
             &mut self.merge_tasks,
             round,
-            self.faults.as_ref().map(|f| &f.alive),
             self.config.threads,
             &mut self.changed_dsts,
         );
         self.merge_tasks.clear();
         for &node in &self.changed_dsts {
-            self.progress
-                .check_recovery(node, &self.rumors[node as usize], round);
+            let set = &self.rumors[node as usize];
+            self.progress.stamp_informed(node as usize, set, round);
+            self.progress.check_recovery(node, set, round);
         }
 
         for fl in completions.into_iter().filter(|fl| !fl.lost) {
@@ -1858,18 +1706,30 @@ impl<'a> RoundState<'a> {
 
     /// Phase 3: evaluates the termination condition at the round boundary
     /// `round`.  Under faults, dissemination conditions quantify over
-    /// *alive* nodes only (counters never count dead nodes); with no node
-    /// alive they hold vacuously.  `Quiescent` asks every alive node's
-    /// [`Protocol::activity`] through the same views the decision pass
-    /// builds.
-    fn is_done<P: Protocol>(&self, protocol: &mut P, round: u64) -> bool {
+    /// *alive* nodes only; with no node alive they hold vacuously.  A
+    /// dissemination goal advances the termination frontier past every dead
+    /// or satisfied node and holds once the frontier reaches `n`; the node
+    /// it stops at is re-tested at the next check.  `Quiescent` asks every
+    /// alive node's [`Protocol::activity`] through the same views the
+    /// decision pass builds.
+    fn is_done<P: Protocol>(&mut self, protocol: &mut P, round: u64) -> bool {
         let ctx = self.ctx(round);
-        let n_alive = ctx.alive.map_or(self.rumors.len(), AliveView::alive_count);
-        let progress = &self.progress;
         match self.config.termination {
-            Termination::AllKnowRumorOf(_) => progress.source_known_by == n_alive,
-            Termination::AllKnowAll => progress.full_nodes == n_alive,
-            Termination::LocalBroadcast(_) => progress.lb_deficit == 0,
+            goal @ (Termination::AllKnowRumorOf(_)
+            | Termination::AllKnowAll
+            | Termination::LocalBroadcast(_)) => {
+                let n = self.rumors.len();
+                let mut frontier = self.progress.frontier;
+                while frontier < n {
+                    let v = NodeId::new(frontier);
+                    if !ctx.is_dead(v) && !ctx.goal_met(goal, v) {
+                        break;
+                    }
+                    frontier += 1;
+                }
+                self.progress.frontier = frontier;
+                frontier == n
+            }
             Termination::FixedRounds(target) => round >= target,
             Termination::Quiescent => {
                 let (shared, states) = protocol.split(self.graph.node_count());
@@ -1969,7 +1829,7 @@ impl<'a> RoundState<'a> {
     /// `on_round` call may have turned the last node's `activity` to
     /// `Quiescent` — state the check could not see but that the oracle
     /// observes at the next round's boundary.  Nothing can change *during* a
-    /// gap (no protocol calls, frozen counters), so one re-check at
+    /// gap (no protocol calls, frozen sets), so one re-check at
     /// `round + 1` is exact: if the run is done there, walk a single round
     /// and let the loop terminate where the oracle does.
     fn advance_clock<P: Protocol>(&mut self, protocol: &mut P, round: u64) -> u64 {
@@ -2023,7 +1883,18 @@ impl<'a> RoundState<'a> {
             rumor_set_bytes,
             pages_live: pages.dense.delta as u64,
             pages_peak: pages.dense.max_prefix as u64,
-            saturated_nodes: progress.full_nodes as u64,
+            saturated_nodes: self
+                .graph
+                .nodes()
+                .zip(self.rumors.iter())
+                .filter(|&(v, set)| {
+                    set.is_full()
+                        && self
+                            .faults
+                            .as_ref()
+                            .is_none_or(|f| f.alive.is_node_alive(v))
+                })
+                .count() as u64,
             collapsed_nodes: 0,
             peak_engine_bytes: rumor_set_bytes + peak_log_bytes + discovery_bytes,
             rounds_simulated: self.rounds_simulated,

@@ -48,7 +48,8 @@ pub struct MemStats {
     /// Peak dense rumor-set pages (heap blocks) at any merge boundary of the
     /// run.
     pub pages_peak: u64,
-    /// Nodes whose rumor set was full when the run ended.
+    /// Alive nodes whose rumor set was full when the run ended (every node
+    /// without a fault plan), counted from the sets at report time.
     pub saturated_nodes: u64,
     /// Always 0: the saturation collapse this counted is gone (a full set
     /// holds no pages, and a merge from a full peer with no recent batch is

@@ -1,7 +1,7 @@
 //! Equivalence of the snapshot-free engine and the executable spec.
 //!
-//! The engine (delta window + calendar queue + incremental termination
-//! counters + event-driven skipping) must be a pure performance change: on
+//! The engine (delta window + calendar queue + termination frontier +
+//! event-driven skipping) must be a pure performance change: on
 //! every scenario of the standard Quick sweep grid, for three seeds,
 //! [`Simulation`] and the dense-bitset spec
 //! [`OracleSimulation`](gossip_sim::oracle::OracleSimulation) must produce
@@ -355,8 +355,8 @@ proptest! {
     /// The windowed merge path, specifically: on graphs with every latency
     /// at least 2, every snapshot is at least one round old, so a merge
     /// subtracts its source's batches of the rounds since, and batches age
-    /// out of the window mid-run.  Every counter maintained inside the
-    /// merge — `informed_times`, `rejections`, `min_rumors_known`,
+    /// out of the window mid-run.  Every figure that depends on the
+    /// merged sets — `informed_times`, `rejections`, `min_rumors_known`,
     /// completion — must still match the spec, and the run must actually
     /// have aged batches out.
     #[test]

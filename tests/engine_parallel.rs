@@ -114,7 +114,7 @@ fn all_to_all_reports_are_identical_across_thread_counts() {
 /// merge subtracts up to five rounds of its source's batches, and the
 /// window ages them out mid-run.
 #[test]
-fn one_to_all_with_forced_shadows_is_identical_across_thread_counts() {
+fn one_to_all_with_aging_window_is_identical_across_thread_counts() {
     let g = mid_size_er(0xB22);
     let config = SimConfig::new(43)
         .termination(Termination::AllKnowRumorOf(NodeId::new(350)))

@@ -403,7 +403,7 @@ fn one_to_all_on_a_32768_node_star() {
 /// A high-latency dumbbell at 2048 nodes: exercises the calendar queue with
 /// long-lived in-flight exchanges (a bridge exchange is in flight for 64
 /// rounds, so the window keeps 63 rounds of batches) and the
-/// local-broadcast deficit counters at scale.
+/// local-broadcast termination frontier at scale.
 #[test]
 fn local_broadcast_on_a_2048_node_dumbbell() {
     let g = generators::dumbbell(1024, 64).unwrap();

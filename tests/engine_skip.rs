@@ -66,7 +66,7 @@ impl Protocol for OneShot {
 /// clock jumps from round 0 straight to `L` and from there to the
 /// `FixedRounds` target.
 #[test]
-fn fast_forward_wraps_across_the_ring_boundary() {
+fn fast_forward_jumps_a_whole_latency() {
     for latency in [2u64, 5, 10] {
         let g = generators::path(2, latency).unwrap();
         let budget = 4 * latency + 8;
@@ -76,7 +76,7 @@ fn fast_forward_wraps_across_the_ring_boundary() {
             &config,
             Seeding::AllToAll,
             OneShot::default,
-            &format!("ring wrap, latency {latency}"),
+            &format!("latency-long jump, latency {latency}"),
         );
         assert_eq!(report.rounds, budget, "latency {latency}");
         assert_eq!(report.activations, 2);

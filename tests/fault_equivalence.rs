@@ -3,7 +3,7 @@
 //! The fault semantics (crash-stop churn, amnesiac rejoin, link cuts,
 //! message loss — see `gossip_sim::FaultPlan`) are interpreted by two
 //! engines: the snapshot-free [`Simulation`] with its engine surgery
-//! (calendar cancellation, counter re-derivation)
+//! (calendar cancellation, frontier rewinds)
 //! and the dense-bitset spec
 //! [`OracleSimulation`](gossip_sim::oracle::OracleSimulation).  Both must
 //! produce **byte-identical** semantic reports — including the
@@ -16,18 +16,21 @@
 //! * crashing an already-quiescent node is semantically invisible (the
 //!   degradation section aside),
 //! * a crash landing inside a victim's own `max_latency + 1` delivery
-//!   window never double-adjusts a termination counter (the
+//!   window cancels the victim's exchanges instead of delivering them (the
 //!   silent-overcount regression),
 //! * a node that crashes and rejoins in the same round is scheduled once,
+//! * a rejoin below the termination frontier reopens the goal for the
+//!   rejoiner and, under local broadcast, for its neighbors,
 //! * residual reachability and stranded-rumor accounting agree with a
 //!   brute-force recomputation at scale.
 
 use gossip_bench::sweep::SweepSpec;
 use gossip_bench::Scale;
-use gossip_graph::{generators, NodeId};
+use gossip_graph::{generators, Graph, GraphBuilder, Latency, NodeId};
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
 use gossip_sim::{
-    ChurnSpec, FaultEvent, FaultPlan, RumorId, Seeding, SimConfig, Simulation, Termination,
+    stateless, ChurnSpec, FaultEvent, FaultPlan, NodeView, Protocol, RumorId, Seeding, SimConfig,
+    Simulation, Termination,
 };
 use gossip_tests::assert_matches_oracle;
 use proptest::prelude::*;
@@ -199,9 +202,9 @@ fn inert_plan_reports_a_zeroed_degradation_section() {
 /// The silent-overcount regression: a crash landing at the victim's own
 /// delivery round — inside the exchanges' latency window, while the delta
 /// window still holds the batches their snapshots would subtract — must
-/// cancel the in-flight exchanges *before* they deliver.  A late (or
-/// double) adjustment would either complete the run on a rumor that was
-/// never delivered or underflow the termination counters.
+/// cancel the in-flight exchanges *before* they deliver.  A late
+/// cancellation would complete the run on a rumor that was never
+/// delivered.
 #[test]
 fn crash_inside_own_delivery_window_cancels_instead_of_delivering() {
     // Two nodes, one latency-3 edge: both flood toward each other at round
@@ -343,6 +346,107 @@ fn broadcast_rejoin_resets_a_node_to_its_initial_set() {
             rumors[source.index()],
             seeding.initial_set(g.node_count(), source),
             "{label}: a rejoined source comes back holding its own rumor"
+        );
+    }
+}
+
+/// A fixed contact schedule of `(round, from, to)` triples; every other
+/// decision is silence, so a run is exact to the round.
+#[derive(Clone)]
+struct Scripted(Vec<(u64, usize, usize)>);
+
+impl Protocol for Scripted {
+    type Shared = Vec<(u64, usize, usize)>;
+    type Node = ();
+
+    fn split(&mut self, n: usize) -> (&Self::Shared, &mut [()]) {
+        (&self.0, stateless(n))
+    }
+
+    fn on_round(
+        script: &Self::Shared,
+        _: &mut (),
+        view: &NodeView<'_>,
+        _: &mut SmallRng,
+    ) -> Option<NodeId> {
+        script
+            .iter()
+            .find(|&&(at, from, _)| at == view.round && from == view.node.index())
+            .map(|&(_, _, to)| NodeId::new(to))
+    }
+}
+
+fn graph(n: usize, edges: &[(usize, usize, Latency)]) -> Graph {
+    let mut b = GraphBuilder::new(n);
+    for &(u, v, latency) in edges {
+        b.add_edge(u, v, latency).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// A rejoin below the termination frontier under local broadcast: the
+/// rejoiner's low-id neighbor passed the frontier while the rejoiner was
+/// dead, and owes it its rumor again.
+///
+/// `w = 0` and the relay `z = 1` swap rumors by round 1, when `v = 2`
+/// crashes having told no one.  The frontier then passes `w` and `z` (their
+/// other fast neighbor is dead) and stops at `x = 3`, which keeps the run
+/// going until it learns `y = 4`'s rumor at round 3.  `v` rejoins at round
+/// 2 and learns `w`'s rumor through `z` at round 3 — a round before `w`
+/// learns `v`'s, which `z` relays at round 4.  A frontier rewound only to
+/// `v` would end the run at round 3.
+#[test]
+fn rejoin_below_the_frontier_reopens_local_broadcast_for_its_neighbors() {
+    let g = graph(5, &[(0, 1, 1), (0, 2, 2), (1, 2, 1), (3, 4, 1)]);
+    let (w, v) = (NodeId::new(0), NodeId::new(2));
+    let config = SimConfig::new(1)
+        .termination(Termination::LocalBroadcast(2))
+        .track_rumor(RumorId::of_node(v))
+        .max_rounds(20)
+        .faults(FaultPlan::new().crash(1, v).rejoin(2, v));
+    let script = Scripted(vec![(0, 0, 1), (2, 1, 2), (2, 3, 4), (3, 1, 0)]);
+    let report = assert_matches_oracle(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || script.clone(),
+        "rejoin below the local-broadcast frontier",
+    );
+    assert!(report.completed, "{report}");
+    assert_eq!(
+        report.informed_times.unwrap()[w.index()],
+        Some(4),
+        "w learns v's rumor at round 4"
+    );
+    assert_eq!(report.rounds, 4, "the run ends only once w knows v's rumor");
+}
+
+/// The same rejoin below the frontier under the one-to-all and all-to-all
+/// goals: node 0 meets the goal, crashes at round 2 and rejoins at round 3
+/// holding only its own rumor, while node 2 keeps the run going until round
+/// 4.  The run must wait for node 0 to meet the goal again at round 5.
+#[test]
+fn rejoin_below_the_frontier_reopens_the_rejoiners_goal() {
+    let g = graph(3, &[(0, 1, 1), (1, 2, 3)]);
+    let plan = FaultPlan::new()
+        .crash(2, NodeId::new(0))
+        .rejoin(3, NodeId::new(0));
+    let script = Scripted(vec![(0, 0, 1), (1, 1, 2), (4, 1, 0)]);
+    for termination in [
+        Termination::AllKnowAll,
+        Termination::AllKnowRumorOf(NodeId::new(1)),
+    ] {
+        let config = SimConfig::new(1)
+            .termination(termination)
+            .max_rounds(20)
+            .faults(plan.clone());
+        let label = format!("rejoin below the {termination:?} frontier");
+        let report =
+            assert_matches_oracle(&g, &config, Seeding::AllToAll, || script.clone(), &label);
+        assert!(report.completed, "{label}: {report}");
+        assert_eq!(
+            report.rounds, 5,
+            "{label}: node 0 meets the goal at round 5"
         );
     }
 }

@@ -68,20 +68,10 @@ impl AliveView {
         bit(&self.node_alive, v.index())
     }
 
-    /// Whether edge `e` has not been cut (its endpoints may still be dead —
-    /// see [`edge_usable`](Self::edge_usable)).
+    /// Whether edge `e` has not been cut (its endpoints may still be dead).
     #[inline]
     pub fn is_edge_alive(&self, e: EdgeId) -> bool {
         bit(&self.edge_alive, e.index())
-    }
-
-    /// Whether edge `e` can carry an exchange: not cut, both endpoints alive.
-    pub fn edge_usable(&self, graph: &Graph, e: EdgeId) -> bool {
-        if !self.is_edge_alive(e) {
-            return false;
-        }
-        let rec = graph.edge(e);
-        self.is_node_alive(rec.u) && self.is_node_alive(rec.v)
     }
 
     /// Number of alive nodes.
@@ -258,7 +248,6 @@ mod tests {
         }
         for e in g.edge_ids() {
             assert!(view.is_edge_alive(e));
-            assert!(view.edge_usable(&g, e));
         }
         assert_eq!(view.residual_components(&g), (1, 6));
     }
@@ -297,7 +286,6 @@ mod tests {
         assert!(!view.revive_node(&g, middle), "already alive");
         assert_eq!(view.alive_count(), 3);
         assert!(!view.is_edge_alive(e01));
-        assert!(!view.edge_usable(&g, e01));
         let mid: Vec<_> = view
             .neighbor_slice(&g, middle)
             .iter()

@@ -9,51 +9,13 @@ use std::collections::BTreeSet;
 
 use crate::items::{matching_open, Item, KEYWORDS};
 use crate::lexer::{TokKind, Token};
+use crate::rules::{AMBIENT_RNG, MUTATING_METHODS};
 
 /// Panic-site categories, in severity/reporting order.
 pub const PANIC_KINDS: &[&str] = &["unwrap/expect", "panic-macro", "indexing", "division"];
 
 /// Macros that unconditionally panic when reached.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// Methods that mutate their receiver or draw from an RNG through it.
-const MUTATING_METHODS: &[&str] = &[
-    "insert",
-    "remove",
-    "push",
-    "pop",
-    "push_back",
-    "push_front",
-    "pop_back",
-    "pop_front",
-    "drain",
-    "clear",
-    "truncate",
-    "extend",
-    "append",
-    "swap_remove",
-    "retain",
-    "resize",
-    "sort",
-    "sort_by",
-    "sort_unstable",
-    "set",
-    "insert_run",
-    "insert_delta",
-    "union_words",
-    "add_difference",
-    "drain_runs",
-    "age_out",
-    "next_u32",
-    "next_u64",
-    "fill_bytes",
-    "gen",
-    "gen_range",
-    "gen_bool",
-    "sample",
-    "shuffle",
-    "choose",
-];
 
 /// Interior-mutability type names: state that can change behind a `&self`.
 const INTERIOR_MUT: &[&str] = &[
@@ -66,16 +28,6 @@ const INTERIOR_MUT: &[&str] = &[
     "OnceLock",
     "LazyCell",
     "LazyLock",
-];
-
-/// Identifiers that reach ambient (non-seeded) randomness — kept in sync
-/// with the per-file `ambient-rng` rule.
-const AMBIENT_RNG: &[&str] = &[
-    "thread_rng",
-    "ThreadRng",
-    "from_entropy",
-    "OsRng",
-    "getrandom",
 ];
 
 /// One potential panic site inside a fn body.

@@ -55,10 +55,11 @@ const PAR_SOURCES: &[&str] = &[
     "par_chunks",
 ];
 
-/// Methods that mutate their receiver (or draw from an RNG), which must not
-/// appear inside a `debug_assert!` — the release build compiles the whole
-/// macro away and silently diverges from the debug build.
-const MUTATING_METHODS: &[&str] = &[
+/// Methods that mutate their receiver or draw from an RNG through it.  They
+/// must not appear inside a `debug_assert!` (the release build compiles the
+/// whole macro away and silently diverges from the debug build), nor on
+/// non-local state in a `contract(pure)` fn.
+pub(crate) const MUTATING_METHODS: &[&str] = &[
     "insert",
     "remove",
     "push",
@@ -74,6 +75,11 @@ const MUTATING_METHODS: &[&str] = &[
     "append",
     "swap_remove",
     "retain",
+    "resize",
+    "sort",
+    "sort_by",
+    "sort_unstable",
+    "set",
     "insert_run",
     "insert_delta",
     "union_words",
@@ -91,8 +97,9 @@ const MUTATING_METHODS: &[&str] = &[
     "choose",
 ];
 
-/// Identifiers that reach ambient (non-seeded) randomness.
-const AMBIENT_RNG: &[&str] = &[
+/// Identifiers that reach ambient (non-seeded) randomness, for the per-file
+/// `ambient-rng` rule and the purity check alike.
+pub(crate) const AMBIENT_RNG: &[&str] = &[
     "thread_rng",
     "ThreadRng",
     "from_entropy",

@@ -55,9 +55,6 @@
 //!   obligations, so the check advances the frontier and never looks back;
 //!   an amnesiac rejoin rewinds it.  Each node is passed once per run plus
 //!   once per rewind, and the merge keeps no termination state.
-//! * **Flat latency discovery.**  Which endpoint has discovered which edge
-//!   latency is a bitset with two bits per edge (one per endpoint); the
-//!   latency itself is read from the graph.
 //!
 //! # Round phases
 //!
@@ -76,7 +73,7 @@
 //! `engine_equivalence` integration suite: both must produce byte-identical
 //! semantic [`RunReport`]s and rumor states on the standard scenario grid.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use gossip_graph::{AliveView, EdgeId, Graph, Latency, NodeId};
@@ -127,7 +124,6 @@ pub struct SimConfig {
     pub(crate) mode: ExchangeMode,
     pub(crate) termination: Termination,
     pub(crate) max_rounds: u64,
-    pub(crate) latencies_known: bool,
     pub(crate) tracked_rumor: Option<RumorId>,
     pub(crate) faults: Option<FaultPlan>,
     pub(crate) threads: usize,
@@ -142,7 +138,6 @@ impl SimConfig {
             mode: ExchangeMode::NonBlocking,
             termination: Termination::AllKnowAll,
             max_rounds: 5_000_000,
-            latencies_known: false,
             tracked_rumor: None,
             faults: None,
             threads: 1,
@@ -164,14 +159,6 @@ impl SimConfig {
     /// Sets the safety cap on the number of rounds.
     pub fn max_rounds(mut self, max_rounds: u64) -> Self {
         self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Declares that nodes know the latencies of their incident edges from the
-    /// start (Section 4 of the paper).  When `false` (the default), a latency
-    /// is revealed to an endpoint only after an exchange over that edge completes.
-    pub fn latencies_known(mut self, known: bool) -> Self {
-        self.latencies_known = known;
         self
     }
 
@@ -231,41 +218,9 @@ pub(crate) fn decision_rng(seed: u64, round: u64, node: u32) -> SmallRng {
     SmallRng::seed_from_u64(key)
 }
 
-/// Which endpoints have discovered which edge latencies: two bits per edge,
-/// one per endpoint.  The latency value itself always comes from the graph.
-#[derive(Debug)]
-pub(crate) struct DiscoveredLatencies {
-    bits: Vec<u64>,
-}
-
-impl DiscoveredLatencies {
-    fn new(edge_count: usize) -> Self {
-        DiscoveredLatencies {
-            bits: vec![0; (2 * edge_count).div_ceil(64)],
-        }
-    }
-
-    /// Records (`known`) or forgets one endpoint's discovery of an edge
-    /// latency.  Forgetting serves the amnesiac rejoin: the rejoining node
-    /// must re-learn its incident latencies.
-    // gossip-lint: allow(panic-path): discovery bitmaps are sized 2 * edge_count at construction
-    fn set(&mut self, edge: EdgeId, second_endpoint: bool, known: bool) {
-        let i = edge.index() * 2 + second_endpoint as usize;
-        let bit = 1 << (i % 64);
-        if known {
-            self.bits[i / 64] |= bit;
-        } else {
-            self.bits[i / 64] &= !bit;
-        }
-    }
-
-    fn known(&self, edge: EdgeId, second_endpoint: bool) -> bool {
-        let i = edge.index() * 2 + second_endpoint as usize;
-        self.bits[i / 64] & (1 << (i % 64)) != 0
-    }
-}
-
 /// Everything a protocol can see about one node at the start of a round.
+/// Edge latencies are not part of it: a protocol learns one from
+/// [`ExchangeEvent::latency`] when an exchange over the edge completes.
 #[derive(Debug)]
 pub struct NodeView<'a> {
     /// The node being scheduled.
@@ -279,63 +234,6 @@ pub struct NodeView<'a> {
     /// `true` if the node may initiate an exchange this round
     /// (always true in non-blocking mode).
     pub can_initiate: bool,
-    /// Number of exchanges this node initiated that are still in flight.
-    pub pending_own: usize,
-    pub(crate) latency_oracle: LatencyOracle<'a>,
-}
-
-#[derive(Debug)]
-pub(crate) struct LatencyOracle<'a> {
-    pub(crate) graph: &'a Graph,
-    pub(crate) known_all: bool,
-    pub(crate) source: OracleSource<'a>,
-}
-
-/// Where an oracle looks up per-node discovery state.  The engine uses the
-/// flat bitset; the oracle keeps plain per-node maps.
-#[derive(Debug)]
-pub(crate) enum OracleSource<'a> {
-    Flat {
-        node: NodeId,
-        discovered: &'a DiscoveredLatencies,
-    },
-    // gossip-lint: allow(unordered-iter): read via `map.get(&edge)` per query only, never iterated
-    Map(&'a HashMap<EdgeId, Latency>),
-}
-
-impl NodeView<'_> {
-    /// Latency of an incident edge, if this node is entitled to know it:
-    /// either latencies are globally known ([`SimConfig::latencies_known`]) or
-    /// an exchange over the edge has completed at this node.
-    pub fn known_latency(&self, edge: EdgeId) -> Option<Latency> {
-        if self.latency_oracle.known_all {
-            return Some(self.latency_oracle.graph.latency(edge));
-        }
-        match self.latency_oracle.source {
-            OracleSource::Map(map) => map.get(&edge).copied(),
-            OracleSource::Flat { node, discovered } => {
-                let graph = self.latency_oracle.graph;
-                if edge.index() >= graph.edge_count() {
-                    return None;
-                }
-                let rec = graph.edge(edge);
-                let second = if node == rec.u {
-                    false
-                } else if node == rec.v {
-                    true
-                } else {
-                    return None;
-                };
-                discovered.known(edge, second).then_some(rec.latency)
-            }
-        }
-    }
-
-    /// Number of nodes in the network (the paper assumes a polynomial upper
-    /// bound on `n` is known; we expose the exact value for simplicity).
-    pub fn network_size(&self) -> usize {
-        self.latency_oracle.graph.node_count()
-    }
 }
 
 /// A protocol's promise about a node's upcoming behavior, returned by
@@ -367,10 +265,11 @@ pub enum Activity {
     ///
     /// * an exchange incident to `v` completes — the only way `v`'s rumor
     ///   set can grow, [`on_exchange`](Protocol::on_exchange) can fire at
-    ///   `v`, or `v`'s `pending_own` / Blocking-mode `can_initiate` state
-    ///   can change;
+    ///   `v`, or `v`'s Blocking-mode
+    ///   [`can_initiate`](NodeView::can_initiate) can change;
     /// * an exchange `v` initiated is cancelled by a fault or times out lost
-    ///   (its `pending_own` / Blocking-mode `can_initiate` state changed);
+    ///   (its Blocking-mode [`can_initiate`](NodeView::can_initiate) may
+    ///   have changed);
     /// * a fault event from a [`FaultPlan`](crate::FaultPlan) touches `v`'s
     ///   neighborhood: a neighbor crashes or rejoins, or an incident edge is
     ///   cut.
@@ -532,7 +431,6 @@ struct DecisionCtx<'a> {
     graph: &'a Graph,
     rumors: &'a [RumorSet],
     alive: Option<&'a AliveView>,
-    discovered: &'a DiscoveredLatencies,
     pending_own: &'a [usize],
     config: &'a SimConfig,
     round: u64,
@@ -580,15 +478,6 @@ impl<'a> DecisionCtx<'a> {
             can_initiate: match self.config.mode {
                 ExchangeMode::NonBlocking => true,
                 ExchangeMode::Blocking => self.pending_own[i] == 0,
-            },
-            pending_own: self.pending_own[i],
-            latency_oracle: LatencyOracle {
-                graph: self.graph,
-                known_all: self.config.latencies_known,
-                source: OracleSource::Flat {
-                    node,
-                    discovered: self.discovered,
-                },
             },
         }
     }
@@ -675,7 +564,7 @@ struct Flight {
     edge: EdgeId,
     /// Lost in transit ([`FaultPlan::message_loss`]): occupies the
     /// initiator's slot until the completion round, then times out silently
-    /// — no merge, no discovery, no `on_exchange`.
+    /// — no merge, no `on_exchange`.
     lost: bool,
 }
 
@@ -1395,8 +1284,8 @@ impl<'g> Simulation<'g> {
     /// * the **round counter restarts at 0**, so `max_rounds`,
     ///   [`Termination::FixedRounds`] targets, [`RunReport::rounds`] and
     ///   [`RunReport::informed_times`] are all relative to the new run;
-    /// * discovered latencies, pending-exchange counts (Blocking mode) and
-    ///   activation counters are likewise reset.
+    /// * pending-exchange counts (Blocking mode) and activation counters are
+    ///   likewise reset.
     ///
     /// Protocol state is owned by the caller and is *not* reset; reuse the
     /// same protocol value to continue its program, or pass a fresh one.
@@ -1469,7 +1358,6 @@ struct RoundState<'a> {
     rumors: &'a mut [RumorSet],
     progress: Progress<'a>,
     calendar: Calendar,
-    discovered: DiscoveredLatencies,
     /// Per-node count of initiated exchanges still in flight.
     pending_own: Vec<usize>,
     sched: Scheduler,
@@ -1500,7 +1388,6 @@ impl<'a> RoundState<'a> {
             progress: Progress::new(graph, config, rumors),
             rumors,
             calendar: Calendar::default(),
-            discovered: DiscoveredLatencies::new(graph.edge_count()),
             pending_own: vec![0; n],
             sched: Scheduler::new(n),
             faults: config.faults.as_ref().map(|plan| FaultState {
@@ -1527,7 +1414,6 @@ impl<'a> RoundState<'a> {
             graph: self.graph,
             rumors: self.rumors,
             alive: self.faults.as_ref().map(|f| &f.alive),
-            discovered: &self.discovered,
             pending_own: &self.pending_own,
             config: self.config,
             round,
@@ -1569,10 +1455,6 @@ impl<'a> RoundState<'a> {
                         continue;
                     }
                     faults.tally.rejoins += 1;
-                    // Amnesiac restart: v forgets its discovered latencies.
-                    for (_, e) in self.graph.neighbors(v) {
-                        self.discovered.set(e, self.graph.edge(e).v == v, false);
-                    }
                     self.progress.rejoin_node(
                         self.rumors,
                         v,
@@ -1639,7 +1521,7 @@ impl<'a> RoundState<'a> {
             if fl.lost {
                 // Timed out in transit: the initiator's slot frees up (a
                 // wake event) but nothing is delivered — no merge, no
-                // latency discovery, no `on_exchange`.
+                // `on_exchange`.
                 if let Some(faults) = &mut self.faults {
                     faults.tally.lost += 1;
                 }
@@ -1647,8 +1529,7 @@ impl<'a> RoundState<'a> {
                 continue;
             }
             // Both endpoints merge the peer's set as of initiation.
-            let rec = self.graph.edge(fl.edge);
-            let since = round.saturating_sub(rec.latency);
+            let since = round.saturating_sub(self.graph.latency(fl.edge));
             for (dst, src) in [(fl.initiator, fl.responder), (fl.responder, fl.initiator)] {
                 // The snapshot is a subset of the source's current set, so
                 // a destination holding that set learns nothing.
@@ -1660,8 +1541,6 @@ impl<'a> RoundState<'a> {
                     });
                 }
             }
-            self.discovered.set(fl.edge, fl.initiator == rec.v, true);
-            self.discovered.set(fl.edge, fl.responder == rec.v, true);
         }
 
         self.changed_dsts.clear();
@@ -1872,7 +1751,6 @@ impl<'a> RoundState<'a> {
         let rumor_set_bytes =
             pages.bytes.max_prefix as u64 + self.rumors.len() as u64 * RumorSet::base_cost_bytes();
         let peak_log_bytes = progress.mem.peak_bytes;
-        let discovery_bytes = self.discovered.bits.len() as u64 * 8;
         let mem = MemStats {
             peak_log_runs: progress.mem.peak_runs,
             peak_log_bytes,
@@ -1896,7 +1774,7 @@ impl<'a> RoundState<'a> {
                 })
                 .count() as u64,
             collapsed_nodes: 0,
-            peak_engine_bytes: rumor_set_bytes + peak_log_bytes + discovery_bytes,
+            peak_engine_bytes: rumor_set_bytes + peak_log_bytes,
             rounds_simulated: self.rounds_simulated,
             rounds_skipped: self.rounds_skipped,
             active_peak: self.sched.active_peak,
@@ -2184,109 +2062,5 @@ mod tests {
         let g = generators::path(3, 1).unwrap();
         let config = SimConfig::new(1).termination(Termination::FixedRounds(4));
         let _ = Simulation::new(&g, config).run(&mut Confused);
-    }
-
-    #[test]
-    fn latency_discovery_through_exchanges() {
-        // A protocol can see an incident latency only after using the edge.
-        /// Node 0 records, per round, what it knows of its first edge.
-        struct Probe {
-            learned: Vec<Vec<Option<Latency>>>,
-        }
-        impl Protocol for Probe {
-            type Shared = ();
-            type Node = Vec<Option<Latency>>;
-            fn name(&self) -> &'static str {
-                "probe"
-            }
-            fn split(&mut self, _: usize) -> (&(), &mut [Vec<Option<Latency>>]) {
-                (&(), &mut self.learned)
-            }
-            fn on_round(
-                _: &(),
-                learned: &mut Vec<Option<Latency>>,
-                view: &NodeView<'_>,
-                _: &mut SmallRng,
-            ) -> Option<NodeId> {
-                if view.node.index() == 0 {
-                    let (nbr, edge) = view.neighbors[0];
-                    learned.push(view.known_latency(edge));
-                    return Some(nbr);
-                }
-                None
-            }
-        }
-        let g = generators::path(2, 7).unwrap();
-        let config = SimConfig::new(1).termination(Termination::FixedRounds(10));
-        let mut p = Probe {
-            learned: vec![Vec::new(); 2],
-        };
-        let _ = Simulation::new(&g, config).run(&mut p);
-        // Round 0: unknown; after the first exchange completes (round 7) it is known.
-        assert_eq!(p.learned[0].len(), 10);
-        assert_eq!(p.learned[0][0], None);
-        assert_eq!(p.learned[0][9], Some(7));
-    }
-
-    #[test]
-    fn known_latency_mode_reveals_latencies_immediately() {
-        struct Check;
-        impl Protocol for Check {
-            type Shared = ();
-            type Node = ();
-            fn split(&mut self, n: usize) -> (&(), &mut [()]) {
-                (&(), stateless(n))
-            }
-            fn on_round(
-                _: &(),
-                _: &mut (),
-                view: &NodeView<'_>,
-                _: &mut SmallRng,
-            ) -> Option<NodeId> {
-                let (_, edge) = view.neighbors[0];
-                assert_eq!(view.known_latency(edge), Some(7));
-                None
-            }
-        }
-        let g = generators::path(2, 7).unwrap();
-        let config = SimConfig::new(1)
-            .latencies_known(true)
-            .termination(Termination::FixedRounds(2));
-        let _ = Simulation::new(&g, config).run(&mut Check);
-    }
-
-    #[test]
-    fn known_latency_is_none_for_foreign_edges() {
-        // Node 0 on a path 0-1-2 can never learn the latency of edge (1, 2),
-        // even after every edge has carried an exchange.
-        struct ProbeForeign {
-            foreign: Vec<Option<Option<Latency>>>,
-        }
-        impl Protocol for ProbeForeign {
-            type Shared = ();
-            type Node = Option<Option<Latency>>;
-            fn split(&mut self, _: usize) -> (&(), &mut [Option<Option<Latency>>]) {
-                (&(), &mut self.foreign)
-            }
-            fn on_round(
-                _: &(),
-                foreign: &mut Option<Option<Latency>>,
-                view: &NodeView<'_>,
-                _: &mut SmallRng,
-            ) -> Option<NodeId> {
-                if view.node.index() == 0 && view.round == 8 {
-                    // Edge id 1 joins nodes 1 and 2 on the path.
-                    *foreign = Some(view.known_latency(EdgeId::new(1)));
-                }
-                view.neighbors.first().map(|&(w, _)| w)
-            }
-        }
-        let g = generators::path(3, 2).unwrap();
-        let config = SimConfig::new(1).termination(Termination::FixedRounds(10));
-        let mut p = ProbeForeign {
-            foreign: vec![None; 3],
-        };
-        let _ = Simulation::new(&g, config).run(&mut p);
-        assert_eq!(p.foreign[0], Some(None));
     }
 }

@@ -24,9 +24,8 @@
 //!   *stranded* until it rejoins.  Crashing a dead node is a no-op.
 //! * **Rejoin** (amnesiac): the node comes back with *only its initial
 //!   set* under the run's [`Seeding`](crate::Seeding) (its own rumor
-//!   all-to-all; in a broadcast, nothing unless it is the source) and no
-//!   discovered latencies.  Its next exchanges deliver it its peers' whole
-//!   sets again.  Rejoining an alive node is a no-op.
+//!   all-to-all; in a broadcast, nothing unless it is the source).  Its
+//!   next exchanges deliver it its peers' whole sets again.  Rejoining an alive node is a no-op.
 //! * **Link cut** (fail-stop, permanent): the edge stops carrying exchanges
 //!   forever; in-flight exchanges on it are cancelled.  Cutting a cut edge
 //!   is a no-op.
@@ -34,8 +33,8 @@
 //!   probability `rate_ppm / 1_000_000`, drawn from a dedicated
 //!   [`SmallRng`] stream (seeded by `loss_seed`) so the protocol's own RNG
 //!   stream is untouched.  A lost exchange occupies the initiator's slot for
-//!   the edge's full latency and then times out silently: no merge, no
-//!   latency discovery, no `on_exchange` callback.
+//!   the edge's full latency and then times out silently: no merge and no
+//!   `on_exchange` callback, so no latency is revealed.
 //!
 //! Events scheduled at or beyond the round the run stops are never applied;
 //! [`FaultReport`](crate::FaultReport) counts what was actually injected.
@@ -155,11 +154,6 @@ impl FaultPlan {
     /// The scheduled `(round, event)` pairs, sorted by round.
     pub fn events(&self) -> &[(u64, FaultEvent)] {
         &self.events
-    }
-
-    /// Whether the plan injects nothing at all.
-    pub fn is_inert(&self) -> bool {
-        self.events.is_empty() && self.loss_rate_ppm == 0
     }
 
     /// The loss RNG for one run, if the plan has a nonzero loss rate,
@@ -291,8 +285,6 @@ mod tests {
             .events()
             .iter()
             .all(|&(r, ref e)| matches!(e, FaultEvent::Rejoin(_)) || (1..=10).contains(&r)));
-        assert!(!a.is_inert());
-        assert!(FaultPlan::new().is_inert());
     }
 
     #[test]

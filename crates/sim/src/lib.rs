@@ -17,7 +17,8 @@
 //!   analysed in that setting);
 //! * nodes know their neighbors but, in the *unknown latency* setting, not the
 //!   latencies of their incident edges; the latency of an edge is revealed to
-//!   a node once an exchange over that edge completes.
+//!   both endpoints once an exchange over that edge completes, as
+//!   [`ExchangeEvent::latency`] in [`Protocol::on_exchange`].
 //!
 //! Algorithms are expressed as [`Protocol`] implementations and executed with
 //! [`Simulation`].  The engine owns the per-node [`RumorSet`]s and merges them

@@ -28,13 +28,10 @@
 //! This module is exported for the test suites; it is not part of the
 //! supported API surface.
 
-use std::collections::HashMap;
-
-use gossip_graph::{AliveView, EdgeId, Graph, Latency, NodeId};
+use gossip_graph::{AliveView, EdgeId, Graph, NodeId};
 
 use crate::engine::{
-    decision_rng, Activity, ExchangeEvent, ExchangeMode, LatencyOracle, NodeView, OracleSource,
-    Protocol, SimConfig, Termination,
+    decision_rng, Activity, ExchangeEvent, ExchangeMode, NodeView, Protocol, SimConfig, Termination,
 };
 use crate::fault::{self, FaultEvent, FaultPlan};
 use crate::report::{FaultReport, RunReport};
@@ -71,9 +68,6 @@ pub struct OracleSimulation<'g> {
     counts: Vec<usize>,
     /// The initial-state rule an amnesiac rejoin resets a node to.
     seeding: Seeding,
-    /// Incident edge latencies each node has discovered in the current run.
-    // gossip-lint: allow(unordered-iter): keyed inserts and `get` only, never iterated
-    discovered: Vec<HashMap<EdgeId, Latency>>,
 }
 
 impl<'g> OracleSimulation<'g> {
@@ -129,7 +123,6 @@ impl<'g> OracleSimulation<'g> {
             sets: initial,
             counts,
             seeding: Seeding::AllToAll,
-            discovered: Vec::new(),
         }
     }
 
@@ -171,7 +164,6 @@ impl<'g> OracleSimulation<'g> {
         let n = self.graph.node_count();
         let stride = self.stride;
         let mut in_flight: Vec<InFlight> = Vec::new();
-        self.discovered = vec![HashMap::new(); n];
         let mut pending_own = vec![0usize; n];
         let mut activations: u64 = 0;
         let mut rejections: u64 = 0;
@@ -248,13 +240,12 @@ impl<'g> OracleSimulation<'g> {
                         }
                         rejoins += 1;
                         // Amnesiac restart: back to its initial set, no
-                        // history, no discovered latencies.
+                        // history.
                         let i = v.index();
                         let initial = self.seeding.initial_set(self.universe, v);
                         fill_row(&mut self.rows[i * stride..(i + 1) * stride], &initial);
                         self.counts[i] = initial.len();
                         self.sets[i] = initial;
-                        self.discovered[i].clear();
                         if let Some(r) = self.config.tracked_rumor {
                             if informed_times[i].is_none() && self.sets[i].contains(r) {
                                 informed_times[i] = Some(round);
@@ -311,16 +302,13 @@ impl<'g> OracleSimulation<'g> {
                 pending_own[ex.initiator.index()] =
                     pending_own[ex.initiator.index()].saturating_sub(1);
                 if ex.lost {
-                    // Timed out in transit: no merge, no latency discovery,
-                    // no `on_exchange`.
+                    // Timed out in transit: no merge, no `on_exchange`.
                     lost_count += 1;
                     continue;
                 }
                 // Both endpoints merge the peer's snapshot taken at initiation.
                 self.merge_snapshot(ex.initiator, &ex.responder_snapshot);
                 self.merge_snapshot(ex.responder, &ex.initiator_snapshot);
-                self.discovered[ex.initiator.index()].insert(ex.edge, latency);
-                self.discovered[ex.responder.index()].insert(ex.edge, latency);
                 if let Some(r) = self.config.tracked_rumor {
                     for endpoint in [ex.initiator, ex.responder] {
                         if informed_times[endpoint.index()].is_none()
@@ -375,14 +363,7 @@ impl<'g> OracleSimulation<'g> {
                     }
                 }
                 let (choice, can_initiate) = {
-                    let view = self.view(
-                        node,
-                        round,
-                        *pending,
-                        alive.as_ref(),
-                        &self.sets[i],
-                        OracleSource::Map(&self.discovered[i]),
-                    );
+                    let view = self.view(node, round, *pending, alive.as_ref(), &self.sets[i]);
                     let mut rng = decision_rng(self.config.seed, round, i as u32);
                     let (shared, states) = protocol.split(n);
                     let choice = P::on_round(shared, &mut states[i], &view, &mut rng);
@@ -474,7 +455,6 @@ impl<'g> OracleSimulation<'g> {
         pending_own: usize,
         alive: Option<&'a AliveView>,
         rumors: &'a RumorSet,
-        discovered: OracleSource<'a>,
     ) -> NodeView<'a> {
         NodeView {
             node,
@@ -487,12 +467,6 @@ impl<'g> OracleSimulation<'g> {
             can_initiate: match self.config.mode {
                 ExchangeMode::NonBlocking => true,
                 ExchangeMode::Blocking => pending_own == 0,
-            },
-            pending_own,
-            latency_oracle: LatencyOracle {
-                graph: self.graph,
-                known_all: self.config.latencies_known,
-                source: discovered,
             },
         }
     }
@@ -540,14 +514,7 @@ impl<'g> OracleSimulation<'g> {
                             || P::activity(
                                 shared,
                                 &states[i],
-                                &self.view(
-                                    v,
-                                    round,
-                                    pending_own[i],
-                                    alive,
-                                    &self.sets[i],
-                                    OracleSource::Map(&self.discovered[i]),
-                                ),
+                                &self.view(v, round, pending_own[i], alive, &self.sets[i]),
                             ) == Activity::Quiescent
                     })
             }

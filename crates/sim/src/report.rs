@@ -57,9 +57,8 @@ pub struct MemStats {
     /// harness reads it; ROADMAP item 8 deletes it.
     pub collapsed_nodes: u64,
     /// Peak bytes of the engine's dissemination state: rumor sets + the
-    /// delta window's peak (the in-phase batches included) + latency-
-    /// discovery bits.  The graph itself and protocol state are not
-    /// included.
+    /// delta window's peak (the in-phase batches included).  The graph
+    /// itself and protocol state are not included.
     pub peak_engine_bytes: u64,
     /// Rounds the event-driven scheduler actually executed (delivered
     /// exchanges or asked active nodes to act).
@@ -175,17 +174,6 @@ impl RunReport {
                 .map(|v| v.into_iter().max().unwrap_or(0))
         })
     }
-
-    /// Mean per-node informed time, if tracked and complete.
-    pub fn mean_informed_time(&self) -> Option<f64> {
-        self.informed_times.as_ref().and_then(|ts| {
-            let known: Vec<u64> = ts.iter().copied().collect::<Option<Vec<u64>>>()?;
-            if known.is_empty() {
-                return None;
-            }
-            Some(known.iter().sum::<u64>() as f64 / known.len() as f64)
-        })
-    }
 }
 
 impl fmt::Display for RunReport {
@@ -240,14 +228,12 @@ mod tests {
     fn informed_time_statistics() {
         let r = sample(Some(vec![Some(0), Some(3), Some(7)]));
         assert_eq!(r.last_informed_time(), Some(7));
-        assert!((r.mean_informed_time().unwrap() - 10.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn partial_information_gives_none() {
         let r = sample(Some(vec![Some(0), None]));
         assert_eq!(r.last_informed_time(), None);
-        assert_eq!(r.mean_informed_time(), None);
         let r = sample(None);
         assert_eq!(r.last_informed_time(), None);
     }

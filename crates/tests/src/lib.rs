@@ -11,11 +11,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use gossip_graph::Graph;
+use gossip_graph::{EdgeId, Graph, Latency, NodeId};
 use gossip_sim::oracle::OracleSimulation;
-use gossip_sim::{Protocol, RunReport, Seeding, SimConfig, Simulation};
+use gossip_sim::{ExchangeEvent, NodeView, Protocol, RunReport, Seeding, SimConfig, Simulation};
+use rand::rngs::SmallRng;
+use rand::Rng;
 
 /// Runs one protocol under one config and one initial [`Seeding`] on the
 /// production engine and on the dense-bitset spec [`OracleSimulation`], and
@@ -64,6 +67,59 @@ pub fn assert_matches_oracle<P: Protocol>(
         "rumor-state mismatch: {label}"
     );
     report
+}
+
+/// Random push–pull biased toward the fast links a node has learned of: a
+/// coin flip picks either a uniformly random neighbor or the fastest
+/// incident edge whose latency a completed exchange revealed (the random
+/// one while none is known).  Each node keeps the latencies
+/// [`ExchangeEvent::latency`] reported to it in its own [`Protocol::Node`]
+/// state, so its decisions depend on exactly which exchanges were
+/// delivered: a lost or cancelled one must reveal nothing.
+#[derive(Debug, Clone, Default)]
+pub struct FastestKnown {
+    learned: Vec<BTreeMap<EdgeId, Latency>>,
+}
+
+impl Protocol for FastestKnown {
+    type Shared = ();
+    type Node = BTreeMap<EdgeId, Latency>;
+
+    fn name(&self) -> &'static str {
+        "fastest-known"
+    }
+
+    fn split(&mut self, n: usize) -> (&(), &mut [Self::Node]) {
+        self.learned.resize(n, BTreeMap::new());
+        (&(), &mut self.learned)
+    }
+
+    fn on_round(
+        _: &(),
+        learned: &mut Self::Node,
+        view: &NodeView<'_>,
+        rng: &mut SmallRng,
+    ) -> Option<NodeId> {
+        if view.neighbors.is_empty() || view.rumors.is_full() {
+            return None;
+        }
+        let random = view.neighbors[rng.gen_range(0..view.neighbors.len())].0;
+        if rng.gen_bool(0.5) {
+            return Some(random);
+        }
+        let fastest = view
+            .neighbors
+            .iter()
+            .filter_map(|&(w, e)| learned.get(&e).map(|&l| (l, w)))
+            .min();
+        Some(fastest.map_or(random, |(_, w)| w))
+    }
+
+    fn on_exchange(&mut self, node: NodeId, event: &ExchangeEvent) {
+        if let Some(learned) = self.learned.get_mut(node.index()) {
+            learned.insert(event.edge, event.latency);
+        }
+    }
 }
 
 /// Locates a compiled example binary next to the running test executable.

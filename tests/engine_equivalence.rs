@@ -21,13 +21,13 @@ use gossip_graph::{generators, Graph, NodeId};
 use gossip_sim::oracle::OracleSimulation;
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
 use gossip_sim::{
-    stateless, ExchangeMode, NodeView, Protocol, RumorId, RumorSet, RunReport, Seeding, SimConfig,
-    Simulation, Termination,
+    ExchangeMode, Protocol, RumorId, RumorSet, RunReport, Seeding, SimConfig, Simulation,
+    Termination,
 };
-use gossip_tests::assert_matches_oracle;
+use gossip_tests::{assert_matches_oracle, FastestKnown};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Reruns one protocol on a single worker and requires the report of the
 /// same config's multi-worker [`Simulation::run`] — memory diagnostics
@@ -126,45 +126,13 @@ fn engines_agree_on_the_full_quick_grid() {
     assert_eq!(checked, 7 * 2 * 4 * 3 * 5 * 2);
 }
 
-/// Random push–pull biased toward fast links it knows of: a coin flip picks
-/// either a uniformly random neighbor or the fastest incident edge whose
-/// latency [`NodeView::known_latency`] reveals (the random one while none is
-/// known).
-struct FastestKnown;
-
-impl Protocol for FastestKnown {
-    type Shared = ();
-    type Node = ();
-
-    fn split(&mut self, n: usize) -> (&(), &mut [()]) {
-        (&(), stateless(n))
-    }
-
-    fn on_round(_: &(), _: &mut (), view: &NodeView<'_>, rng: &mut SmallRng) -> Option<NodeId> {
-        if view.neighbors.is_empty() || view.rumors.is_full() {
-            return None;
-        }
-        let random = view.neighbors[rng.gen_range(0..view.neighbors.len())].0;
-        if rng.gen_bool(0.5) {
-            return Some(random);
-        }
-        let fastest = view
-            .neighbors
-            .iter()
-            .filter_map(|&(w, e)| view.known_latency(e).map(|l| (l, w)))
-            .min();
-        Some(fastest.map_or(random, |(_, w)| w))
-    }
-}
-
-/// Latency knowledge reaches protocols identically in both engines: with
-/// [`SimConfig::latencies_known`] off, through per-exchange discovery (the
-/// engine's flat bitset vs the oracle's per-node maps); with it on, from the
-/// graph directly.  One seed of the Quick grid, every config shape.
+/// Latencies reach protocols identically in both engines: through
+/// [`ExchangeEvent::latency`](gossip_sim::ExchangeEvent::latency) of each
+/// delivered exchange, kept in [`FastestKnown`]'s own node state.  One seed
+/// of the Quick grid, every config shape.
 #[test]
 fn engines_agree_on_latency_knowledge_on_the_quick_grid() {
     let spec = SweepSpec::standard(Scale::Quick);
-    let mut knowledge_mattered = false;
     for family in &spec.families {
         for &size in &spec.sizes {
             for profile in &spec.profiles {
@@ -179,24 +147,11 @@ fn engines_agree_on_latency_knowledge_on_the_quick_grid() {
                         profile.name(),
                         config_label
                     );
-                    let [discovered, known] = [false, true].map(|known| {
-                        assert_matches_oracle(
-                            &g,
-                            &config.clone().latencies_known(known),
-                            seeding,
-                            || FastestKnown,
-                            &format!("{label}/latencies-known={known}"),
-                        )
-                    });
-                    knowledge_mattered |= discovered.semantics() != known.semantics();
+                    assert_matches_oracle(&g, &config, seeding, FastestKnown::default, &label);
                 }
             }
         }
     }
-    assert!(
-        knowledge_mattered,
-        "knowing latencies up front must change some run"
-    );
 }
 
 /// `RandomPushPull` reports `Quiescent` once saturated, so under
@@ -360,7 +315,7 @@ proptest! {
     /// completion — must still match the spec, and the run must actually
     /// have aged batches out.
     #[test]
-    fn truncated_log_merges_match_reference_with_forced_shadows(
+    fn windowed_merges_match_reference_as_batches_age_out(
         n in 6usize..40,
         p in 0.15f64..0.9,
         max_latency in 2u64..10,
@@ -530,7 +485,7 @@ proptest! {
     /// Windowed merges at mid size: sparse Erdős–Rényi (avg degree ≈ 8–12)
     /// with latencies ≥ 2, one-to-all.
     #[test]
-    fn oracle_matches_engine_with_forced_shadows_at_mid_size(
+    fn oracle_matches_engine_as_window_batches_age_at_mid_size(
         n in 2048usize..2600,
         max_latency in 2u64..6,
         seed in 0u64..1_000,

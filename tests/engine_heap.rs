@@ -132,7 +132,7 @@ fn erdos_renyi_4096_heap_peak_is_within_1_5x_the_counted_peak() {
     assert_heap_within_counter(build, "ER 4096");
 }
 
-/// Measured: heap 18.4 MB against 17.5 MB counted (39.9 MB against 34.5 MB
+/// Measured: heap 18.4 MB against 17.4 MB counted (39.9 MB against 34.5 MB
 /// with acquisition logs, 286.6 MB with the phase-wide run buffer).
 #[cfg(not(debug_assertions))]
 #[test]
@@ -153,7 +153,7 @@ fn random_regular_16384_heap_peak_stays_under_250_mb() {
     );
 }
 
-/// Measured: heap 26.9 MB against 12.6 MB counted (49.1 MB against
+/// Measured: heap 26.9 MB against 12.5 MB counted (49.1 MB against
 /// 16.7 MB with per-node acquisition logs and shadow vectors).  The gap is
 /// per-node state that `MemStats` does not count: each rumor set's page
 /// directory capacity, the calendar's flights, the merge tasks, the

@@ -32,7 +32,7 @@ use gossip_sim::{
     stateless, ChurnSpec, FaultEvent, FaultPlan, NodeView, Protocol, RumorId, Seeding, SimConfig,
     Simulation, Termination,
 };
-use gossip_tests::assert_matches_oracle;
+use gossip_tests::{assert_matches_oracle, FastestKnown};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -113,7 +113,9 @@ fn faulted_configs(
 /// Seeded churn over the full Quick grid: every (family, size, profile)
 /// scenario gets a seed-derived plan with crashes, rejoins, link cuts and
 /// 10% message loss, and both engines must agree byte-for-byte under every
-/// termination condition and both bundled protocols.
+/// termination condition, for both bundled protocols and for
+/// [`FastestKnown`], whose decisions read the latencies its delivered
+/// exchanges revealed: a lost or cancelled exchange must reveal nothing.
 #[test]
 fn engines_agree_on_seeded_churn_over_the_quick_grid() {
     let spec = SweepSpec::standard(Scale::Quick);
@@ -157,6 +159,13 @@ fn engines_agree_on_seeded_churn_over_the_quick_grid() {
                             || RoundRobinFlood::new(&g),
                             &format!("flood {label}"),
                         ),
+                        assert_matches_oracle(
+                            &g,
+                            &config,
+                            seeding,
+                            FastestKnown::default,
+                            &format!("fastest-known {label}"),
+                        ),
                     ] {
                         assert!(
                             report.faults.is_some(),
@@ -168,8 +177,8 @@ fn engines_agree_on_seeded_churn_over_the_quick_grid() {
             }
         }
     }
-    // 7 families x 2 sizes x 4 profiles x 6 configs x 2 protocols.
-    assert_eq!(checked, 7 * 2 * 4 * 6 * 2);
+    // 7 families x 2 sizes x 4 profiles x 6 configs x 3 protocols.
+    assert_eq!(checked, 7 * 2 * 4 * 6 * 3);
 }
 
 /// An *inert* plan still produces a fault section — all zeros, full residual

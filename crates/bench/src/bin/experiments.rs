@@ -34,7 +34,7 @@
 //! the seeds of the remaining cells, so CI can smoke a single tier (e.g.
 //! `--huge --min-size 65536 --max-size 65536` runs just the 65536-node star
 //! cells).  `--faults` appends the fault-injection tier (schema
-//! `gossip-sweep/v5`): lightweight-protocol cells rerun under seed-derived
+//! `gossip-sweep/v6`): lightweight-protocol cells rerun under seed-derived
 //! crash-stop churn, link cuts and message loss, and their report rows carry
 //! the graceful-degradation aggregates (residual components, stranded
 //! rumors, re-dissemination latency) instead of all-clean completions.

@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use gossip_core::{flooding, pattern, push_pull, spanner_broadcast, unified};
+use gossip_core::{pattern, push_pull, spanner_broadcast, unified};
 use gossip_graph::latency::LatencyScheme;
 use gossip_graph::{generators, Graph, Latency, NodeId};
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
@@ -88,20 +88,6 @@ impl GraphFamily {
             GraphFamily::Barbell { bridge_len } => format!("barbell(bridge={bridge_len})"),
             GraphFamily::ErdosRenyi { p } => format!("erdos-renyi(p={p})"),
         }
-    }
-
-    /// `true` for the families whose edge count grows quadratically in `n`
-    /// (cliques and clique compounds, dense random graphs) — the ones a
-    /// [`SweepSpec::dense_size_cap`] protects against memory blow-up.
-    pub fn is_dense(&self) -> bool {
-        matches!(
-            self,
-            GraphFamily::Clique
-                | GraphFamily::Dumbbell
-                | GraphFamily::RingOfCliques
-                | GraphFamily::Barbell { .. }
-                | GraphFamily::ErdosRenyi { .. }
-        )
     }
 
     /// `true` when [`build`](Self::build) ignores its RNG: the instance is a
@@ -250,9 +236,8 @@ pub enum ProtocolKind {
     /// Round-robin flooding baseline, one-to-all from node 0.
     Flooding,
     /// Random push–pull running to *all-to-all* completion: every node must
-    /// learn every rumor.  The regime where per-node knowledge — and the
-    /// engine's log memory — saturates; opened past 10⁴ nodes by the
-    /// interval-compressed engine.
+    /// learn every rumor.  The regime where per-node knowledge saturates;
+    /// paged rumor sets keep it inside memory past 10⁵ nodes.
     PushPullAllToAll,
     /// Round-robin flooding to all-to-all completion.
     FloodingAllToAll,
@@ -263,25 +248,6 @@ pub enum ProtocolKind {
     /// The unified algorithm (Theorem 31): push–pull raced against the
     /// spanner route.
     Unified,
-}
-
-/// What one sweep trial measured.
-#[derive(Debug, Clone, Copy)]
-pub struct TrialMeasurement {
-    /// Rounds until the dissemination goal (or the internal cap).
-    pub rounds: u64,
-    /// Exchanges initiated.
-    pub activations: u64,
-    /// Whether the goal was reached.
-    pub completed: bool,
-    /// The engine's full deterministic memory counters, when reported —
-    /// the source of the `peak_mem_bytes` (via
-    /// [`gossip_sim::MemStats::peak_engine_bytes`]), paged-set and
-    /// saturation-collapse aggregates in the report.
-    pub mem: Option<gossip_sim::MemStats>,
-    /// Graceful-degradation accounting; present exactly for trials run with
-    /// a [`ChurnSpec`] attached to the scenario.
-    pub faults: Option<FaultReport>,
 }
 
 impl ProtocolKind {
@@ -299,8 +265,8 @@ impl ProtocolKind {
     }
 
     /// `true` for the multi-phase algorithms (spanner / pattern / unified)
-    /// whose setup phases dominate at large `n` — the ones a
-    /// [`SweepSpec::heavy_size_cap`] restricts to moderate sizes.
+    /// whose setup phases dominate at large `n`; they run on a diameter bound
+    /// the sweep computes once per shared topology.
     pub fn is_heavyweight(&self) -> bool {
         matches!(
             self,
@@ -323,95 +289,85 @@ impl ProtocolKind {
         )
     }
 
-    /// Runs one fault-injected trial: derives a [`FaultPlan`] from the trial
-    /// seed via [`FaultPlan::random_churn`] and drives the engine directly
-    /// with the plan attached, so the measurement carries the engine's
-    /// graceful-degradation section.  Faulted runs may legitimately *not*
-    /// complete (the source can crash, rumors can strand on dead nodes);
-    /// the round cap is the plain protocol wrappers' [`push_pull::round_cap`].
+    /// Runs one trial of this protocol on `g` (broadcasts start at node 0)
+    /// from the trial seed: the protocol runs on `seed ^ 0x03` and, when the
+    /// cell carries a churn spec, the [`FaultPlan`] derives from
+    /// `seed ^ 0x04`.  The single-phase protocols run the engine directly,
+    /// capped at [`push_pull::round_cap`]; a faulted run may legitimately
+    /// *not* complete (the source can crash, rumors can strand on dead
+    /// nodes).  The heavy protocols run through `gossip_core` on the
+    /// diameter bound `d` (`None` computes it on the spot).
     ///
     /// # Panics
     ///
-    /// Panics when called on a protocol that does not
+    /// Panics when `faults` is set on a protocol that does not
     /// [support faults](Self::supports_faults) — the sweep grid never
     /// constructs such a cell.
-    pub fn run_faulted(&self, g: &Graph, spec: &ChurnSpec, seed: u64) -> TrialMeasurement {
-        let plan = FaultPlan::random_churn(g, seed ^ 0x04, spec);
-        let cap = push_pull::round_cap(g);
-        let source = NodeId::new(0);
-        let config = SimConfig::new(seed ^ 0x03).max_rounds(cap).faults(plan);
-        let mut sim = match self {
-            ProtocolKind::PushPull | ProtocolKind::Flooding => Simulation::broadcast(
-                g,
-                config
-                    .termination(Termination::AllKnowRumorOf(source))
-                    .track_rumor(RumorId::of_node(source)),
-                source,
-            ),
-            ProtocolKind::PushPullAllToAll | ProtocolKind::FloodingAllToAll => {
-                Simulation::new(g, config.termination(Termination::AllKnowAll))
-            }
-            _ => panic!(
-                "fault injection supports the single-phase protocols only, not {}",
-                self.name()
-            ),
-        };
-        let report = match self {
-            ProtocolKind::PushPull | ProtocolKind::PushPullAllToAll => {
-                sim.run(&mut RandomPushPull::new(g))
-            }
-            _ => sim.run(&mut RoundRobinFlood::new(g)),
-        };
-        TrialMeasurement {
-            rounds: report.rounds,
-            activations: report.activations,
-            completed: report.completed,
-            mem: report.mem,
-            faults: report.faults,
-        }
-    }
-
-    /// Runs one trial of this protocol (broadcasts start at node 0), with
-    /// the diameter bound the heavy protocols' "known D" oracle would
-    /// compute supplied by the caller (`None` computes it on the spot).  The
-    /// sweep computes the bound once per shared topology and feeds it to
-    /// every trial over that topology, so the heavy protocols at 8192+ nodes
-    /// don't each redo the Dijkstra sweeps.  The lightweight protocols
-    /// ignore the bound entirely.
-    pub fn run_with_diameter_bound(
+    fn run(
         &self,
         g: &Graph,
         d: Option<Latency>,
+        faults: Option<&ChurnSpec>,
         seed: u64,
-    ) -> TrialMeasurement {
-        let from_report = |r: gossip_core::DisseminationReport| TrialMeasurement {
-            rounds: r.rounds,
-            activations: r.activations,
-            completed: r.completed,
-            mem: r.mem,
-            faults: None,
+    ) -> TrialOutcome {
+        assert!(
+            faults.is_none() || self.supports_faults(),
+            "fault injection supports the single-phase protocols only, not {}",
+            self.name()
+        );
+        let outcome = |rounds, activations, completed, mem, faults| TrialOutcome {
+            rounds,
+            activations,
+            completed,
+            nodes: g.node_count(),
+            edges: g.edge_count(),
+            mem,
+            faults,
+        };
+        let from_core = |r: gossip_core::DisseminationReport| {
+            outcome(r.rounds, r.activations, r.completed, r.mem, None)
         };
         let bound = || d.unwrap_or_else(|| gossip_core::diameter_bound(g));
+        let protocol_seed = seed ^ 0x03;
         match self {
-            ProtocolKind::PushPull => from_report(push_pull::broadcast(g, NodeId::new(0), seed)),
-            ProtocolKind::Flooding => from_report(flooding::broadcast(g, NodeId::new(0), seed)),
-            ProtocolKind::PushPullAllToAll => from_report(push_pull::all_to_all(g, seed)),
-            ProtocolKind::FloodingAllToAll => from_report(flooding::all_to_all(g, seed)),
-            ProtocolKind::SpannerBroadcast => {
-                from_report(spanner_broadcast::run_known_diameter_with(g, bound(), seed))
-            }
+            ProtocolKind::SpannerBroadcast => from_core(
+                spanner_broadcast::run_known_diameter_with(g, bound(), protocol_seed),
+            ),
             ProtocolKind::PatternBroadcast => {
-                from_report(pattern::run_known_diameter_with(g, bound(), seed))
+                from_core(pattern::run_known_diameter_with(g, bound(), protocol_seed))
             }
             ProtocolKind::Unified => {
-                let r = unified::run_known_latencies_with(g, NodeId::new(0), bound(), seed);
-                TrialMeasurement {
-                    rounds: r.rounds,
-                    activations: r.push_pull.activations + r.spanner_route.activations,
-                    completed: r.completed,
-                    mem: None,
-                    faults: None,
+                let r =
+                    unified::run_known_latencies_with(g, NodeId::new(0), bound(), protocol_seed);
+                let activations = r.push_pull.activations + r.spanner_route.activations;
+                outcome(r.rounds, activations, r.completed, None, None)
+            }
+            ProtocolKind::PushPull
+            | ProtocolKind::Flooding
+            | ProtocolKind::PushPullAllToAll
+            | ProtocolKind::FloodingAllToAll => {
+                let mut config = SimConfig::new(protocol_seed).max_rounds(push_pull::round_cap(g));
+                if let Some(spec) = faults {
+                    config = config.faults(FaultPlan::random_churn(g, seed ^ 0x04, spec));
                 }
+                let source = NodeId::new(0);
+                let mut sim = match self {
+                    ProtocolKind::PushPull | ProtocolKind::Flooding => Simulation::broadcast(
+                        g,
+                        config
+                            .termination(Termination::AllKnowRumorOf(source))
+                            .track_rumor(RumorId::of_node(source)),
+                        source,
+                    ),
+                    _ => Simulation::new(g, config.termination(Termination::AllKnowAll)),
+                };
+                let r = match self {
+                    ProtocolKind::PushPull | ProtocolKind::PushPullAllToAll => {
+                        sim.run(&mut RandomPushPull::new(g))
+                    }
+                    _ => sim.run(&mut RoundRobinFlood::new(g)),
+                };
+                outcome(r.rounds, r.activations, r.completed, r.mem, r.faults)
             }
         }
     }
@@ -432,17 +388,8 @@ pub struct SweepSpec {
     pub trials: u64,
     /// Base seed every trial seed is derived from.
     pub base_seed: u64,
-    /// If set, grid cells pairing a [dense](GraphFamily::is_dense) family
-    /// with a size above the cap are skipped (quadratic edge counts exhaust
-    /// memory long before sparse families do).
-    pub dense_size_cap: Option<usize>,
-    /// If set, grid cells pairing a
-    /// [heavyweight](ProtocolKind::is_heavyweight) protocol with a size above
-    /// the cap are skipped.
-    pub heavy_size_cap: Option<usize>,
     /// Extra scenario cells appended after the cross product (e.g. the
-    /// extra-large sparse instances of the cheap protocols).  Caps do not
-    /// apply to these — they are opted in explicitly.
+    /// extra-large sparse instances of the cheap protocols).
     pub extra: Vec<Scenario>,
 }
 
@@ -453,16 +400,14 @@ impl SweepSpec {
     /// * `Scale::Quick` shrinks sizes and trials for tests and `cargo bench`.
     /// * `Scale::Full` is the grid recorded in `EXPERIMENTS.md`.
     /// * `Scale::Large` opens the `10³`–`10⁴`-node regime: sizes up to 4096
-    ///   across every family (heavyweight protocols capped at 1024), plus
-    ///   32768-node star cells for the cheap protocols — including
-    ///   **all-to-all** runs, where every node's knowledge saturates and only
-    ///   interval-compressed state keeps the engine inside a 1 GB budget (flat
-    ///   logs would need ~4 GB).
+    ///   across every family and protocol, 8192- and 16384-node cells for the
+    ///   heavyweight protocols, plus 32768-node star cells for the cheap
+    ///   protocols — including **all-to-all** runs, where every node's
+    ///   knowledge saturates.
     /// * `Scale::Huge` adds the tier beyond: 65536- and 131072-node
-    ///   all-to-all stars (opened by the paged, saturation-collapsing rumor
-    ///   sets — dense bitsets would cost ~4.3 GB at the top size), a
-    ///   131072-node one-to-all star, and a 16384-node Erdős–Rényi
-    ///   broadcast.
+    ///   all-to-all stars (opened by paged rumor sets — dense bitsets would
+    ///   cost ~4.3 GB at the top size), a 131072-node one-to-all star, and a
+    ///   16384-node Erdős–Rényi broadcast.
     pub fn standard(scale: Scale) -> Self {
         let families = vec![
             GraphFamily::Clique,
@@ -500,14 +445,12 @@ impl SweepSpec {
                 protocols,
                 trials: scale.pick(3, 7),
                 base_seed,
-                dense_size_cap: None,
-                heavy_size_cap: None,
                 extra: Vec::new(),
             },
             Scale::Large | Scale::Huge => {
                 // 32768-node star cells: one-to-all for both cheap protocols,
-                // plus the all-to-all runs the interval-compressed engine
-                // opened (every node ends up knowing all 32768 rumors).
+                // plus all-to-all runs (every node ends up knowing all 32768
+                // rumors).
                 let mut extra: Vec<Scenario> = [
                     ProtocolKind::PushPull,
                     ProtocolKind::Flooding,
@@ -567,11 +510,10 @@ impl SweepSpec {
                         }),
                 );
                 if scale == Scale::Huge {
-                    // All-to-all at 65536 *and* 131072 (paged rumor sets plus
-                    // saturation collapse keep the dissemination state in the
-                    // tens of MB — dense bitsets would need ~4.3 GB at the
-                    // top size), one-to-all past 10^5, and a random-topology
-                    // broadcast at 16384.
+                    // All-to-all at 65536 *and* 131072 (paged rumor sets keep
+                    // the dissemination state in the tens of MB — dense
+                    // bitsets would need ~4.3 GB at the top size), one-to-all
+                    // past 10^5, and a random-topology broadcast at 16384.
                     extra.extend(
                         [
                             ProtocolKind::PushPullAllToAll,
@@ -618,20 +560,13 @@ impl SweepSpec {
                     protocols,
                     trials: 2,
                     base_seed,
-                    // Dense families deliberately run at the full 4096 (the
-                    // cap mechanism exists for user specs that push further).
-                    dense_size_cap: None,
-                    // The heavy protocols now clear the whole grid (max size
-                    // 4096); the cap at 8192 matches the extra cells above
-                    // and guards user specs that push the sizes further.
-                    heavy_size_cap: Some(8192),
                     extra,
                 }
             }
         }
     }
 
-    /// Number of scenarios in the grid (after size caps, including extras).
+    /// Number of scenarios in the grid (including extras).
     pub fn scenario_count(&self) -> usize {
         self.scenarios().len()
     }
@@ -717,26 +652,13 @@ impl SweepSpec {
     }
 
     /// Expands the grid in deterministic (family, size, profile, protocol)
-    /// nested order, skipping cells excluded by the size caps, then appends
-    /// the [`extra`](Self::extra) cells.
+    /// nested order, then appends the [`extra`](Self::extra) cells.
     fn scenarios(&self) -> Vec<Scenario> {
         let mut out = Vec::new();
         for &family in &self.families {
             for &size in &self.sizes {
-                if self
-                    .dense_size_cap
-                    .is_some_and(|cap| family.is_dense() && size > cap)
-                {
-                    continue;
-                }
                 for &profile in &self.profiles {
                     for &protocol in &self.protocols {
-                        if self
-                            .heavy_size_cap
-                            .is_some_and(|cap| protocol.is_heavyweight() && size > cap)
-                        {
-                            continue;
-                        }
                         out.push(Scenario {
                             family,
                             size,
@@ -767,19 +689,19 @@ impl SweepSpec {
 
         let base_seed = self.base_seed;
         let cached = &cached;
-        let outcomes: Vec<TrialOutcome> = tasks
+        let outcomes: Vec<(usize, TrialOutcome)> = tasks
             .into_par_iter()
             .map(move |(index, scenario, trial)| {
                 let entry = cached.get(&(scenario.family.name(), scenario.size));
                 let base = entry.map(|(g, _)| Arc::as_ref(g));
                 let bound = entry.and_then(|(_, b)| *b);
-                run_trial(base_seed, index, scenario, trial, base, bound)
+                (index, run_trial(base_seed, scenario, trial, base, bound))
             })
             .collect();
 
         let mut per_scenario: Vec<Vec<TrialOutcome>> = vec![Vec::new(); scenarios.len()];
-        for outcome in outcomes {
-            per_scenario[outcome.scenario_index].push(outcome);
+        for (index, outcome) in outcomes {
+            per_scenario[index].push(outcome);
         }
 
         let summaries = scenarios
@@ -880,7 +802,6 @@ pub fn churn_label(spec: &ChurnSpec) -> String {
 /// The measured outcome of a single trial.
 #[derive(Debug, Clone)]
 struct TrialOutcome {
-    scenario_index: usize,
     rounds: u64,
     activations: u64,
     completed: bool,
@@ -927,7 +848,6 @@ fn trial_seed(base: u64, scenario: &Scenario, trial: u64) -> u64 {
 
 fn run_trial(
     base_seed: u64,
-    scenario_index: usize,
     scenario: Scenario,
     trial: u64,
     cached_base: Option<&Graph>,
@@ -959,22 +879,9 @@ fn run_trial(
             (&reweighted, None)
         }
     };
-    let measured = match &scenario.faults {
-        Some(spec) => scenario.protocol.run_faulted(g, spec, seed),
-        None => scenario
-            .protocol
-            .run_with_diameter_bound(g, bound, seed ^ 0x03),
-    };
-    TrialOutcome {
-        scenario_index,
-        rounds: measured.rounds,
-        activations: measured.activations,
-        completed: measured.completed,
-        nodes: g.node_count(),
-        edges: g.edge_count(),
-        mem: measured.mem,
-        faults: measured.faults,
-    }
+    scenario
+        .protocol
+        .run(g, bound, scenario.faults.as_ref(), seed)
 }
 
 /// Aggregated statistics of one scenario across its trials.
@@ -1019,9 +926,6 @@ pub struct ScenarioSummary {
     pub pages_peak: u64,
     /// Largest end-of-run count of fully saturated nodes over the trials.
     pub saturated_nodes: u64,
-    /// Largest end-of-run `MemStats::collapsed_nodes` over the trials;
-    /// always 0 since the engine keeps no per-node history to collapse.
-    pub collapsed_nodes: u64,
     /// Rounds the event-driven scheduler actually executed, summed over the
     /// trials (0 when memory counters were not reported).
     pub rounds_simulated: u64,
@@ -1090,11 +994,6 @@ impl ScenarioSummary {
             saturated_nodes: trials
                 .iter()
                 .filter_map(|t| t.mem.map(|m| m.saturated_nodes))
-                .max()
-                .unwrap_or(0),
-            collapsed_nodes: trials
-                .iter()
-                .filter_map(|t| t.mem.map(|m| m.collapsed_nodes))
                 .max()
                 .unwrap_or(0),
             rounds_simulated: trials
@@ -1174,7 +1073,7 @@ impl SweepReport {
     /// the grid order, and the writer formats numbers deterministically.
     pub fn to_json(&self) -> String {
         Json::object(vec![
-            ("schema", Json::Str("gossip-sweep/v5".to_string())),
+            ("schema", Json::Str("gossip-sweep/v6".to_string())),
             ("trials_per_scenario", Json::Int(self.trials as i64)),
             // A string, not an i64: u64 seeds above i64::MAX must survive
             // the round trip through the report.
@@ -1203,7 +1102,6 @@ impl SweepReport {
                                 ("peak_mem_bytes", Json::Int(s.peak_mem_bytes as i64)),
                                 ("pages_peak", Json::Int(s.pages_peak as i64)),
                                 ("saturated_nodes", Json::Int(s.saturated_nodes as i64)),
-                                ("collapsed_nodes", Json::Int(s.collapsed_nodes as i64)),
                                 ("rounds_simulated", Json::Int(s.rounds_simulated as i64)),
                                 ("rounds_skipped", Json::Int(s.rounds_skipped as i64)),
                                 // v5: the graceful-degradation section.  All
@@ -1332,8 +1230,6 @@ mod tests {
             protocols: vec![ProtocolKind::PushPull, ProtocolKind::Flooding],
             trials: 3,
             base_seed: 42,
-            dense_size_cap: None,
-            heavy_size_cap: None,
             extra: Vec::new(),
         }
     }
@@ -1450,8 +1346,6 @@ mod tests {
             ],
             trials: 16,
             base_seed: 7,
-            dense_size_cap: None,
-            heavy_size_cap: None,
             extra: Vec::new(),
         };
         let mut seen = HashSet::new();
@@ -1545,8 +1439,6 @@ mod tests {
             protocols: vec![ProtocolKind::PushPull],
             trials: 3,
             base_seed: 99,
-            dense_size_cap: None,
-            heavy_size_cap: None,
             extra: Vec::new(),
         };
         let baseline = spec.run();
@@ -1599,6 +1491,34 @@ mod tests {
     }
 
     #[test]
+    fn an_all_zero_churn_spec_runs_the_fault_free_trial() {
+        // Attaching a plan that schedules nothing changes no measurement:
+        // faulted and fault-free cells share one engine call.
+        let g = GraphFamily::ErdosRenyi { p: 0.3 }.build(24, &mut SmallRng::seed_from_u64(5));
+        let nothing = ChurnSpec {
+            crash_permille: 0,
+            rejoin_after: None,
+            cut_permille: 0,
+            loss_ppm: 0,
+            window: (0, 0),
+        };
+        let plain = ProtocolKind::PushPull.run(&g, None, None, 17);
+        let faulted = ProtocolKind::PushPull.run(&g, None, Some(&nothing), 17);
+        assert!(plain.completed);
+        assert_eq!(
+            (plain.rounds, plain.activations, plain.completed, plain.mem),
+            (
+                faulted.rounds,
+                faulted.activations,
+                faulted.completed,
+                faulted.mem
+            )
+        );
+        assert!(plain.faults.is_none());
+        assert_eq!(faulted.faults.map(|f| f.crashes), Some(0));
+    }
+
+    #[test]
     fn churn_with_rejoin_reports_recovery_latency() {
         // A clique under rejoin churn: the rumor always survives somewhere,
         // rejoined nodes re-learn it, and the report carries the worst
@@ -1610,8 +1530,6 @@ mod tests {
             protocols: vec![],
             trials: 4,
             base_seed: 31,
-            dense_size_cap: None,
-            heavy_size_cap: None,
             extra: vec![Scenario {
                 family: GraphFamily::Clique,
                 size: 16,
@@ -1664,32 +1582,6 @@ mod tests {
             .profiles
             .iter()
             .any(|p| matches!(p, LatencyProfile::Bimodal { .. })));
-    }
-
-    #[test]
-    fn size_caps_filter_the_cross_product() {
-        let mut spec = tiny_spec();
-        spec.families = vec![GraphFamily::Clique, GraphFamily::Cycle];
-        spec.sizes = vec![8, 64];
-        let uncapped = spec.scenario_count();
-        assert_eq!(uncapped, 2 * 2 * 2 * 2);
-
-        spec.dense_size_cap = Some(32); // drops clique @ 64 (4 cells)
-        assert_eq!(spec.scenario_count(), uncapped - 4);
-
-        spec.protocols = vec![ProtocolKind::PushPull, ProtocolKind::Unified];
-        spec.heavy_size_cap = Some(32); // additionally drops unified @ 64 on cycle
-        assert_eq!(spec.scenario_count(), uncapped - 4 - 2);
-
-        spec.extra.push(Scenario {
-            family: GraphFamily::Star,
-            size: 1 << 15,
-            profile: LatencyProfile::AsBuilt,
-            protocol: ProtocolKind::Flooding,
-            faults: None,
-        });
-        // Extras bypass the caps.
-        assert_eq!(spec.scenario_count(), uncapped - 4 - 2 + 1);
     }
 
     #[test]
@@ -1786,8 +1678,6 @@ mod tests {
             ],
             trials: 2,
             base_seed: 9,
-            dense_size_cap: None,
-            heavy_size_cap: None,
             extra: Vec::new(),
         };
         let report = spec.run();
@@ -1808,10 +1698,9 @@ mod tests {
                 "{} all-to-all saturates every node",
                 s.protocol
             );
-            assert!(s.collapsed_nodes <= 64);
         }
         let json = report.to_json();
-        for field in ["pages_peak", "saturated_nodes", "collapsed_nodes"] {
+        for field in ["pages_peak", "saturated_nodes"] {
             assert!(json.contains(field), "schema must carry {field}");
         }
         let (label, bytes) = report.peak_mem_max().unwrap();
@@ -1836,8 +1725,6 @@ mod tests {
             protocols: vec![ProtocolKind::PushPull],
             trials: 3,
             base_seed: 77,
-            dense_size_cap: None,
-            heavy_size_cap: None,
             extra: Vec::new(),
         };
         assert_eq!(spec.run().to_json(), spec.run().to_json());

@@ -41,7 +41,7 @@ fn sweep_subcommand_writes_reproducible_reports_and_timing_artifact() {
     let parsed = Json::parse(std::str::from_utf8(&first).unwrap().trim()).unwrap();
     assert_eq!(
         parsed.get("schema").and_then(Json::as_str),
-        Some("gossip-sweep/v5")
+        Some("gossip-sweep/v6")
     );
     let scenarios = parsed.get("scenarios").and_then(Json::as_array).unwrap();
     assert!(scenarios.len() >= 4, "sweep must cover the standard grid");

@@ -36,38 +36,10 @@ pub fn enumerate_cuts(g: &Graph) -> Result<Vec<Cut>, ConductanceError> {
     Ok(cuts)
 }
 
-/// Computes the exact minimum of a per-cut score over all proper cuts.
-///
-/// `score` returns `None` when the quantity is undefined for that cut (e.g. a
-/// zero-volume side); such cuts are skipped.  Returns the minimising cut and
-/// its score, or an error if the graph is too large or no cut has a defined
-/// score.
-///
-/// # Errors
-///
-/// Propagates [`enumerate_cuts`] errors and returns
-/// [`ConductanceError::NoEdges`] when every cut score is undefined.
-pub fn exact_minimum<F>(g: &Graph, mut score: F) -> Result<(Cut, f64), ConductanceError>
-where
-    F: FnMut(&Graph, &Cut) -> Option<f64>,
-{
-    let cuts = enumerate_cuts(g)?;
-    let mut best: Option<(Cut, f64)> = None;
-    for cut in cuts {
-        if let Some(s) = score(g, &cut) {
-            match &best {
-                Some((_, b)) if *b <= s => {}
-                _ => best = Some((cut, s)),
-            }
-        }
-    }
-    best.ok_or(ConductanceError::NoEdges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cut_eval::phi_ell_of_cut;
+    use crate::{weight_ell_conductance, Method};
     use gossip_graph::generators;
     use gossip_graph::GraphBuilder;
 
@@ -94,11 +66,10 @@ mod tests {
     #[test]
     fn exact_minimum_finds_the_bridge_cut_of_a_dumbbell() {
         let g = generators::dumbbell(4, 8).unwrap();
-        let (cut, value) = exact_minimum(&g, |g, c| phi_ell_of_cut(g, c, 8)).unwrap();
+        let value = weight_ell_conductance(&g, 8, Method::Exact).unwrap();
         // The bottleneck is the bridge: 1 cut edge over min volume (4 clique
         // nodes: 3+3+3+4 = 13).
         assert!((value - 1.0 / 13.0).abs() < 1e-12);
-        assert_eq!(cut.size_u(), 4);
     }
 
     #[test]
@@ -106,7 +77,7 @@ mod tests {
         // For K_4 with unit latencies the conductance is minimised by the
         // balanced cut: 4 cut edges / volume 6 = 2/3.
         let g = generators::clique(4, 1).unwrap();
-        let (_, value) = exact_minimum(&g, |g, c| phi_ell_of_cut(g, c, 1)).unwrap();
+        let value = weight_ell_conductance(&g, 1, Method::Exact).unwrap();
         assert!((value - 2.0 / 3.0).abs() < 1e-12);
     }
 
@@ -114,7 +85,7 @@ mod tests {
     fn exact_minimum_reports_no_edges() {
         let g = GraphBuilder::new(3).build().unwrap();
         assert_eq!(
-            exact_minimum(&g, |g, c| phi_ell_of_cut(g, c, 1)).unwrap_err(),
+            weight_ell_conductance(&g, 1, Method::Exact).unwrap_err(),
             ConductanceError::NoEdges
         );
     }

@@ -70,5 +70,5 @@ pub use analysis::{
 };
 pub use cut_eval::{nonempty_latency_classes, phi_avg_of_cut, phi_ell_of_cut};
 pub use error::ConductanceError;
-pub use exact::{enumerate_cuts, exact_minimum, MAX_EXACT_NODES};
-pub use sweep::{candidate_cuts, fiedler_ordering, sweep_minimum};
+pub use exact::{enumerate_cuts, MAX_EXACT_NODES};
+pub use sweep::{candidate_cuts, fiedler_ordering};

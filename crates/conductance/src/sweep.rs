@@ -165,31 +165,10 @@ pub fn candidate_cuts(g: &Graph) -> Vec<Cut> {
     cuts
 }
 
-/// Minimises a per-cut score over the sweep candidate cuts.
-///
-/// Returns `None` if the score is undefined on every candidate (e.g. an
-/// edgeless graph).
-pub fn sweep_minimum<F>(g: &Graph, mut score: F) -> Option<(Cut, f64)>
-where
-    F: FnMut(&Graph, &Cut) -> Option<f64>,
-{
-    let mut best: Option<(Cut, f64)> = None;
-    for cut in candidate_cuts(g) {
-        if let Some(s) = score(g, &cut) {
-            match &best {
-                Some((_, b)) if *b <= s => {}
-                _ => best = Some((cut, s)),
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cut_eval::phi_ell_of_cut;
-    use crate::exact::exact_minimum;
+    use crate::{weight_ell_conductance, Method};
     use gossip_graph::generators;
 
     #[test]
@@ -209,8 +188,8 @@ mod tests {
     #[test]
     fn sweep_matches_exact_on_dumbbell() {
         let g = generators::dumbbell(5, 4).unwrap();
-        let (_, exact) = exact_minimum(&g, |g, c| phi_ell_of_cut(g, c, 4)).unwrap();
-        let (_, sweep) = sweep_minimum(&g, |g, c| phi_ell_of_cut(g, c, 4)).unwrap();
+        let exact = weight_ell_conductance(&g, 4, Method::Exact).unwrap();
+        let sweep = weight_ell_conductance(&g, 4, Method::SweepCut).unwrap();
         assert!((exact - sweep).abs() < 1e-9, "exact={exact} sweep={sweep}");
     }
 
@@ -220,8 +199,8 @@ mod tests {
             generators::cycle(10, 1).unwrap(),
             generators::clique(8, 1).unwrap(),
         ] {
-            let (_, exact) = exact_minimum(&g, |g, c| phi_ell_of_cut(g, c, 1)).unwrap();
-            let (_, sweep) = sweep_minimum(&g, |g, c| phi_ell_of_cut(g, c, 1)).unwrap();
+            let exact = weight_ell_conductance(&g, 1, Method::Exact).unwrap();
+            let sweep = weight_ell_conductance(&g, 1, Method::SweepCut).unwrap();
             // Sweep is an upper bound; on these symmetric families it should be exact.
             assert!(sweep >= exact - 1e-9);
             assert!(
@@ -271,7 +250,7 @@ mod tests {
     #[test]
     fn sweep_handles_star_with_slow_spokes() {
         let g = generators::star(20, 16).unwrap();
-        let (_, value) = sweep_minimum(&g, |g, c| phi_ell_of_cut(g, c, 16)).unwrap();
+        let value = weight_ell_conductance(&g, 16, Method::SweepCut).unwrap();
         // Every proper cut of a star has at least one cut edge and the smaller
         // side has volume >= 1, so the minimum is 1/side-volume; the best cut
         // puts half the leaves on one side: value = ~ (n/2)/(n/2) but volumes:

@@ -672,26 +672,23 @@ impl Scheduler {
 }
 
 /// The exchanges in flight, keyed by completion round, each round's in
-/// initiation order.
+/// initiation order.  No key ever maps to an empty `Vec` — `push` appends,
+/// `take` removes the key and `cancel_flights` drops emptied rounds — so
+/// nothing is in flight exactly when `rounds` is empty.
 #[derive(Default)]
 struct Calendar {
     rounds: BTreeMap<u64, Vec<Flight>>,
-    /// Exchanges in flight, summed over all rounds.
-    in_flight: usize,
 }
 
 impl Calendar {
     /// Queues `flight` to complete at round `at`.
     fn push(&mut self, at: u64, flight: Flight) {
         self.rounds.entry(at).or_default().push(flight);
-        self.in_flight += 1;
     }
 
     /// Removes and returns the exchanges completing at `round`.
     fn take(&mut self, round: u64) -> Vec<Flight> {
-        let flights = self.rounds.remove(&round).unwrap_or_default();
-        self.in_flight -= flights.len();
-        flights
+        self.rounds.remove(&round).unwrap_or_default()
     }
 
     /// The next round strictly after `round` at which an exchange completes:
@@ -1490,7 +1487,6 @@ impl<'a> RoundState<'a> {
                     return true;
                 }
                 faults.tally.cancelled += 1;
-                self.calendar.in_flight -= 1;
                 if faults.alive.is_node_alive(fl.initiator) {
                     let i = fl.initiator.index();
                     self.pending_own[i] = self.pending_own[i].saturating_sub(1);
@@ -1612,7 +1608,7 @@ impl<'a> RoundState<'a> {
             Termination::FixedRounds(target) => round >= target,
             Termination::Quiescent => {
                 let (shared, states) = protocol.split(self.graph.node_count());
-                self.calendar.in_flight == 0
+                self.calendar.rounds.is_empty()
                     && self.graph.nodes().zip(states.iter()).all(|(v, state)| {
                         ctx.is_dead(v)
                             || P::activity(shared, state, &ctx.view(v)) == Activity::Quiescent

@@ -34,7 +34,7 @@ pub struct MemStats {
     /// exchange still in flight can have been initiated before that round.
     pub truncated_runs: u64,
     /// Always 0: the delayed shadows this counted are gone.  Kept because
-    /// the frozen benchmark harness reads it; ROADMAP item 8 deletes it.
+    /// the frozen benchmark harness reads it; ROADMAP item 2 deletes it.
     pub shadow_advances: u64,
     /// Peak bytes held by the per-node *paged* rumor sets at any merge
     /// boundary — 16 per sparse or dense page entry plus 512 per dense
@@ -54,7 +54,7 @@ pub struct MemStats {
     /// Always 0: the saturation collapse this counted is gone (a full set
     /// holds no pages, and a merge from a full peer with no recent batch is
     /// an `O(pages)` complement).  Kept because the frozen benchmark
-    /// harness reads it; ROADMAP item 8 deletes it.
+    /// harness reads it; ROADMAP item 2 deletes it.
     pub collapsed_nodes: u64,
     /// Peak bytes of the engine's dissemination state: rumor sets + the
     /// delta window's peak (the in-phase batches included).  The graph

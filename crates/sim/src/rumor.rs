@@ -1429,7 +1429,7 @@ mod tests {
     /// A batch of consecutive ids is stored as its maximal runs: one 8-byte
     /// run per stretch, plus the batch's index entry.
     #[test]
-    fn log_coalesces_consecutive_ids_into_runs() {
+    fn phase_batches_store_consecutive_ids_as_runs() {
         let mut learned = RumorSet::empty(100);
         for i in [7u32, 8, 9, 10, 3, 4, 42] {
             learned.insert(RumorId(i));
@@ -1454,7 +1454,7 @@ mod tests {
     }
 
     #[test]
-    fn log_stores_fragmented_batches_as_dense_layers() {
+    fn phase_batches_store_fragmented_batches_as_dense_layers() {
         // Every third id of 0..300: 100 one-id runs (800 bytes) against a
         // 5-word window (40 bytes) plus the layer's header.
         let fragmented: Vec<RumorRun> = (0..300).step_by(3).map(|i| (RumorId(i), 1)).collect();
@@ -1491,7 +1491,7 @@ mod tests {
     /// `deltas_since` yields a node's batches of exactly the rounds after
     /// the given one, newest first, for every starting round.
     #[test]
-    fn log_segments_cover_arbitrary_ranges() {
+    fn delta_window_yields_exactly_the_later_rounds_batches() {
         let mut window = DeltaWindow::default();
         for (round, first) in [(2u64, 10u32), (3, 50), (5, 90)] {
             let mut phase = PhaseBatches::default();
@@ -1521,7 +1521,7 @@ mod tests {
     /// A batch gathered from a nearly full set compresses to the runs
     /// between its holes.
     #[test]
-    fn log_from_set_compresses_dense_sets() {
+    fn nearly_full_set_batches_as_the_runs_between_its_holes() {
         let mut set = RumorSet::empty(1000);
         for i in (0..1000).filter(|&i| i != 500) {
             set.insert(RumorId(i));
@@ -1536,7 +1536,7 @@ mod tests {
     /// Aging out every round frees everything the window held; rounds
     /// stored afterwards are read at their absolute round numbers.
     #[test]
-    fn log_truncate_all_frees_everything_and_keeps_positions() {
+    fn delta_window_aging_out_everything_frees_all_and_keeps_rounds_absolute() {
         let mut window = DeltaWindow::default();
         let mut held = BatchFootprint::default();
         for round in 1..=3u64 {
@@ -1560,7 +1560,7 @@ mod tests {
     /// and returns exactly what they held; the rounds kept stay addressed by
     /// their absolute round numbers.
     #[test]
-    fn log_truncation_reclaims_whole_runs_and_keeps_positions_absolute() {
+    fn delta_window_ages_out_whole_rounds_and_keeps_rounds_absolute() {
         let fragmented: Vec<RumorRun> = (0..300).step_by(3).map(|i| (RumorId(i), 1)).collect();
         let mut window = DeltaWindow::default();
         let mut pushed = Vec::new();
@@ -1728,7 +1728,7 @@ mod tests {
         /// `deltas_since` yields exactly the batches of the later rounds,
         /// and a node's current set minus them is its set as of that round.
         #[test]
-        fn layered_log_matches_naive_batches(seed in 0u64..1 << 32, universe in 1usize..9000) {
+        fn delta_window_matches_naive_batches(seed in 0u64..1 << 32, universe in 1usize..9000) {
             const NODES: usize = 4;
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut used = vec![vec![false; universe]; NODES];

@@ -25,8 +25,6 @@ fn small_spec() -> SweepSpec {
         protocols: vec![ProtocolKind::PushPull, ProtocolKind::Flooding],
         trials: 4,
         base_seed: 2024,
-        dense_size_cap: None,
-        heavy_size_cap: None,
         extra: Vec::new(),
     }
 }
@@ -46,7 +44,7 @@ fn sweep_report_json_parses_and_covers_the_grid() {
 
     assert_eq!(
         parsed.get("schema").and_then(Json::as_str),
-        Some("gossip-sweep/v5")
+        Some("gossip-sweep/v6")
     );
     assert_eq!(
         parsed.get("trials_per_scenario").and_then(Json::as_i64),
@@ -92,8 +90,6 @@ fn per_trial_seeding_makes_random_families_vary_between_trials() {
         protocols: vec![ProtocolKind::PushPull],
         trials: 8,
         base_seed: 5,
-        dense_size_cap: None,
-        heavy_size_cap: None,
         extra: Vec::new(),
     };
     let report = spec.run();

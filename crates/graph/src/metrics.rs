@@ -76,63 +76,36 @@ pub fn bfs_hops(g: &Graph, source: NodeId) -> Vec<Distance> {
 ///
 /// Returns `None` if some node is unreachable from `source`.
 pub fn eccentricity(g: &Graph, source: NodeId) -> Option<Distance> {
-    let dist = dijkstra(g, source);
-    let mut max = 0;
-    for d in dist {
-        if d == UNREACHABLE {
-            return None;
-        }
-        max = max.max(d);
-    }
-    Some(max)
+    sweep_extent(&dijkstra(g, source)).map(|(_, ecc)| ecc)
 }
 
 /// Exact weighted diameter `D`: the maximum over all pairs of the weighted
-/// shortest-path distance.  Runs Dijkstra from every node — `O(n · m log n)` —
-/// so it is intended for the graph sizes used in tests and experiments.
+/// shortest-path distance.
+///
+/// Runs Dijkstra only from the nodes whose eccentricity bounds cannot rule
+/// them out (see [`bounding_diameters`]): a handful of sweeps on grids and
+/// dumbbells, about a fifth of the nodes on a bimodal Erdős–Rényi graph.  The
+/// worst case is still one sweep per node — `O(n · m log n)` — on
+/// vertex-transitive graphs such as a cycle, where every node has the same
+/// eccentricity and no bound prunes another node.
 ///
 /// Returns `None` if the graph is disconnected.
 pub fn weighted_diameter(g: &Graph) -> Option<Distance> {
-    let mut diameter = 0;
-    for v in g.nodes() {
-        diameter = diameter.max(eccentricity(g, v)?);
-    }
-    Some(diameter)
-}
-
-/// Two-sweep lower bound on the weighted diameter: run Dijkstra from an
-/// arbitrary node, then from the farthest node found.  The result is a lower
-/// bound on `D` that is exact on trees and very close in practice; it costs
-/// only two Dijkstra runs.
-///
-/// Returns `None` if the graph is disconnected; the empty graph has diameter
-/// `Some(0)`, consistently with [`weighted_diameter`] and [`hop_diameter`].
-pub fn weighted_diameter_double_sweep(g: &Graph) -> Option<Distance> {
-    if g.node_count() == 0 {
-        return Some(0);
-    }
-    let first = dijkstra(g, NodeId::new(0));
-    let mut far = NodeId::new(0);
-    let mut far_d = 0;
-    for (i, &d) in first.iter().enumerate() {
-        if d == UNREACHABLE {
-            return None;
-        }
-        if d > far_d {
-            far_d = d;
-            far = NodeId::new(i);
-        }
-    }
-    eccentricity(g, far)
+    bounding_diameters(g, dijkstra).map(|(d, _)| d)
 }
 
 /// Largest graph (in nodes) for which [`estimate_diameter`] falls back to
-/// the exact all-pairs computation.
+/// the exact diameter ([`weighted_diameter`] / [`hop_diameter`]).
 ///
-/// Below this size the exact diameter is cheap (`O(n·m·log n)` with small
-/// `n`), and every experiment table that prints `D` stays byte-identical to
-/// the historical exact output.  Above it, the estimators run a constant
-/// number of sweeps instead.
+/// Below this size the exact diameter is cheap — the bound-pruned sweeps
+/// rarely visit more than a fraction of the nodes, and even the
+/// vertex-transitive worst case is `n ≤ 1024` sweeps — and every experiment
+/// table that prints `D` stays byte-identical to the historical exact output.
+/// Above it, the estimators run a constant number of sweeps instead.  The
+/// cheaper exact routine does not raise this threshold: doing so would change
+/// [`estimate_diameter`]'s upper bound, and so the "known D" every heavy
+/// protocol consumes, on graphs above 1024 nodes (a 48×48 grid, say), and
+/// with it their run results.
 pub const EXACT_DIAMETER_THRESHOLD: usize = 1024;
 
 /// Lower and upper bounds on a diameter, as produced by
@@ -166,7 +139,7 @@ impl DiameterEstimate {
 }
 
 /// Bounds the **weighted** diameter with a few Dijkstra sweeps instead of the
-/// all-pairs `O(n·m·log n)` computation.
+/// exact computation ([`weighted_diameter`], up to `n` sweeps).
 ///
 /// Graphs of at most [`EXACT_DIAMETER_THRESHOLD`] nodes are computed exactly
 /// (the estimate [`is_exact`](DiameterEstimate::is_exact)).  Larger graphs
@@ -255,21 +228,64 @@ fn sweep_extent(dist: &[Distance]) -> Option<(NodeId, Distance)> {
     Some((far, ecc))
 }
 
-/// Exact hop (unweighted) diameter.
+/// Exact hop (unweighted) diameter: the BFS analogue of
+/// [`weighted_diameter`], with the same pruning and the same worst case.
 ///
 /// Returns `None` if the graph is disconnected.
 pub fn hop_diameter(g: &Graph) -> Option<Distance> {
+    bounding_diameters(g, bfs_hops).map(|(d, _)| d)
+}
+
+/// The exact diameter under `sweep` (Dijkstra or BFS) by eccentricity-bound
+/// pruning — the BoundingDiameters scheme of Takes & Kosters (CIKM 2011) —
+/// and the number of sweeps it ran.
+///
+/// A sweep from `v` with eccentricity `e` bounds every node `w` at distance
+/// `d` by `max(d, e − d) ≤ ecc(w) ≤ e + d` (triangle inequality).  A node
+/// whose upper bound is at most the largest eccentricity seen cannot raise
+/// the diameter and leaves the candidate set; once the set is empty, every
+/// eccentricity is at most the best one seen, which is therefore `D`.
+/// Sources alternate between the largest upper bound (a likely peripheral
+/// node, which raises the best eccentricity) and the smallest lower bound (a
+/// likely central node, whose small eccentricity tightens every upper
+/// bound), ties going to the higher degree and then the lower node id.
+///
+/// Returns `None` if the first sweep leaves a node unreachable.
+fn bounding_diameters(
+    g: &Graph,
+    sweep: impl Fn(&Graph, NodeId) -> Vec<Distance>,
+) -> Option<(Distance, usize)> {
+    // Each candidate with its eccentricity bounds `(node, lower, upper)`.
+    let mut candidates: Vec<(NodeId, Distance, Distance)> =
+        g.nodes().map(|v| (v, 0, Distance::MAX)).collect();
     let mut diameter = 0;
-    for v in g.nodes() {
-        let dist = bfs_hops(g, v);
-        for d in dist {
-            if d == UNREACHABLE {
-                return None;
-            }
-            diameter = diameter.max(d);
-        }
+    let mut sweeps = 0;
+    let mut by_upper = true;
+    loop {
+        let next = if by_upper {
+            candidates
+                .iter()
+                .max_by_key(|&&(v, _, upper)| (upper, g.degree(v), Reverse(v)))
+        } else {
+            candidates
+                .iter()
+                .max_by_key(|&&(v, lower, _)| (Reverse(lower), g.degree(v), Reverse(v)))
+        };
+        let Some(&(source, _, _)) = next else {
+            return Some((diameter, sweeps));
+        };
+        let dist = sweep(g, source);
+        sweeps += 1;
+        let (_, ecc) = sweep_extent(&dist)?;
+        diameter = diameter.max(ecc);
+        candidates.retain_mut(|(v, lower, upper)| {
+            let d = dist[v.index()];
+            *lower = (*lower).max(d).max(ecc - d);
+            *upper = (*upper).min(ecc.saturating_add(d));
+            *upper > diameter
+        });
+        by_upper = !by_upper;
     }
-    Some(diameter)
 }
 
 /// Weighted distance between a specific pair of nodes.
@@ -303,8 +319,8 @@ pub struct GraphSummary {
 /// Diameters come from the sweep estimators ([`estimate_diameter`] /
 /// [`estimate_hop_diameter`]): exact — and flagged as such — below
 /// [`EXACT_DIAMETER_THRESHOLD`] nodes, constant-sweep bounds above it.
-/// Summarizing a large graph therefore no longer runs the two all-pairs
-/// `O(n·m·log n)` computations the exact diameters used to need.
+/// Summarizing a large graph therefore costs a constant number of sweeps,
+/// not the up to `n` sweeps each exact diameter may need.
 pub fn summarize(g: &Graph) -> GraphSummary {
     GraphSummary {
         nodes: g.node_count(),
@@ -350,7 +366,6 @@ mod tests {
         let g = slow_triangle();
         assert_eq!(weighted_diameter(&g), Some(2));
         assert_eq!(hop_diameter(&g), Some(1));
-        assert_eq!(weighted_diameter_double_sweep(&g), Some(2));
     }
 
     #[test]
@@ -370,7 +385,6 @@ mod tests {
         assert_eq!(hop_diameter(&g), None);
         assert_eq!(eccentricity(&g, NodeId::new(0)), None);
         assert_eq!(distance(&g, NodeId::new(0), NodeId::new(3)), None);
-        assert_eq!(weighted_diameter_double_sweep(&g), None);
     }
 
     #[test]
@@ -381,7 +395,6 @@ mod tests {
         b.add_edge(2, 3, 5).unwrap();
         let g = b.build().unwrap();
         assert_eq!(weighted_diameter(&g), Some(12));
-        assert_eq!(weighted_diameter_double_sweep(&g), Some(12));
         assert_eq!(hop_diameter(&g), Some(3));
     }
 
@@ -419,7 +432,6 @@ mod tests {
         assert_eq!(g.node_count(), 1);
         assert_eq!(weighted_diameter(&g), Some(0));
         assert_eq!(hop_diameter(&g), Some(0));
-        assert_eq!(weighted_diameter_double_sweep(&g), Some(0));
         assert_eq!(estimate_diameter(&g), Some(DiameterEstimate::exact(0)));
         assert_eq!(estimate_hop_diameter(&g), Some(DiameterEstimate::exact(0)));
         // And with the sweep path forced (threshold 0), still Some(0).
@@ -463,6 +475,38 @@ mod tests {
         assert_eq!(estimate_diameter(&g), None);
         assert_eq!(estimate_diameter_with_threshold(&g, 0), None);
         assert_eq!(estimate_hop_diameter(&g), None);
+    }
+
+    /// The pruning's work, pinned as a sweep count rather than a clock: a
+    /// regression that stops bounds from pruning fails here, not only in a
+    /// timing run.  Each graph's diameter is also checked against the
+    /// all-pairs maximum.
+    #[test]
+    fn bounding_diameters_prunes_most_sweeps() {
+        use crate::{generators, latency::LatencyScheme};
+        use rand::{rngs::SmallRng, SeedableRng};
+        let bimodal = LatencyScheme::BimodalFraction {
+            slow: 16,
+            slow_fraction: 0.25,
+        };
+        let mut rng = SmallRng::seed_from_u64(1);
+        let er = generators::erdos_renyi(1024, 0.016, 1, &mut rng).unwrap();
+        let er = bimodal.apply(&er, &mut rng).unwrap();
+        let bell = generators::dumbbell(256, 16).unwrap();
+        let bell = bimodal.apply(&bell, &mut rng).unwrap();
+        let grid = generators::grid(32, 32, 1).unwrap();
+        for (name, g, ceiling) in [
+            ("ER-1024 bimodal", &er, 1024 / 3),
+            ("512-node bimodal dumbbell", &bell, 8),
+            ("32x32 grid", &grid, 16),
+        ] {
+            let (d, sweeps) = bounding_diameters(g, dijkstra).unwrap();
+            let all_pairs = g.nodes().filter_map(|v| eccentricity(g, v)).max();
+            assert_eq!(Some(d), all_pairs, "{name}");
+            assert!(sweeps <= ceiling, "{name}: {sweeps} sweeps > {ceiling}");
+        }
+        let (_, hop_sweeps) = bounding_diameters(&grid, bfs_hops).unwrap();
+        assert!(hop_sweeps <= 16, "32x32 grid, hops: {hop_sweeps} sweeps");
     }
 
     #[test]

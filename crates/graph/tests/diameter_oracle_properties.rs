@@ -1,22 +1,40 @@
-//! Property tests for the diameter-bound oracle
+//! Property tests for the exact diameters ([`metrics::weighted_diameter`],
+//! [`metrics::hop_diameter`]) and the diameter-bound oracle
 //! ([`metrics::estimate_diameter`]): across every graph family the sweep
-//! draws from, the bracket must contain the exact diameter, and below the
-//! exact-computation threshold the bracket must *be* the exact diameter.
+//! draws from, the exact routines must equal an independent all-pairs
+//! reference, the bracket must contain that diameter, and below the
+//! exact-computation threshold the bracket must *be* the diameter.
 
 use gossip_graph::metrics::{
-    self, estimate_diameter, estimate_diameter_with_threshold, estimate_hop_diameter,
-    DiameterEstimate, EXACT_DIAMETER_THRESHOLD,
+    self, bfs_hops, dijkstra, estimate_diameter, estimate_diameter_with_threshold,
+    estimate_hop_diameter, DiameterEstimate, Distance, EXACT_DIAMETER_THRESHOLD, UNREACHABLE,
 };
-use gossip_graph::{generators, latency::LatencyScheme, Graph};
+use gossip_graph::{generators, latency::LatencyScheme, Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// The oracle's contract on a connected graph: `lower ≤ D ≤ upper`, on both
-/// the sweep path (threshold 0) and the defaulted path, for the weighted and
-/// the hop metric.
+/// The reference diameter: the largest distance over a sweep from every
+/// node, or `None` if some sweep leaves a node unreachable.
+fn all_pairs_diameter(g: &Graph, sweep: fn(&Graph, NodeId) -> Vec<Distance>) -> Option<Distance> {
+    let mut diameter = 0;
+    for v in g.nodes() {
+        for d in sweep(g, v) {
+            if d == UNREACHABLE {
+                return None;
+            }
+            diameter = diameter.max(d);
+        }
+    }
+    Some(diameter)
+}
+
+/// On a connected graph: both exact diameters equal the all-pairs reference,
+/// and the oracle's `lower ≤ D ≤ upper` holds on both the sweep path
+/// (threshold 0) and the defaulted path, for the weighted and the hop metric.
 fn check_bracket(g: &Graph) {
-    let d = metrics::weighted_diameter(g).expect("test graphs are connected");
+    let d = all_pairs_diameter(g, dijkstra).expect("test graphs are connected");
+    assert_eq!(metrics::weighted_diameter(g), Some(d));
     for threshold in [0, EXACT_DIAMETER_THRESHOLD] {
         let est = estimate_diameter_with_threshold(g, threshold).unwrap();
         assert!(
@@ -28,7 +46,8 @@ fn check_bracket(g: &Graph) {
             g.node_count()
         );
     }
-    let hop = metrics::hop_diameter(g).unwrap();
+    let hop = all_pairs_diameter(g, bfs_hops).unwrap();
+    assert_eq!(metrics::hop_diameter(g), Some(hop));
     let hop_est = estimate_hop_diameter(g).unwrap();
     assert!(
         hop_est.lower <= hop && hop <= hop_est.upper,
@@ -78,13 +97,76 @@ proptest! {
         check_bracket(&g);
     }
 
+    /// Bimodal latencies, the shape the Erdős–Rényi benchmark workloads
+    /// draw: many tied distances, where the pruning cuts the most sweeps.
+    #[test]
+    fn oracle_brackets_bimodal_random_graphs(
+        n in 2usize..64,
+        p in 0.05f64..0.5,
+        slow in 2u64..64,
+        slow_fraction in 0.0f64..1.0,
+        seed in 0u64..1_000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = generators::erdos_renyi(n, p, 1, &mut rng).unwrap();
+        let g = LatencyScheme::BimodalFraction { slow, slow_fraction }
+            .apply(&g, &mut rng)
+            .unwrap();
+        check_bracket(&g);
+    }
+
+    /// Latencies near 2⁵³, on random graphs and on cycles (every node of a
+    /// uniform cycle has the same eccentricity, so nothing is pruned).
+    #[test]
+    fn oracle_brackets_huge_latencies(
+        n in 3usize..48,
+        p in 0.05f64..0.9,
+        seed in 0u64..1_000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = generators::erdos_renyi(n, p, 1, &mut rng).unwrap();
+        let g = LatencyScheme::UniformRandom { min: 1 << 52, max: 1 << 53 }
+            .apply(&g, &mut rng)
+            .unwrap();
+        check_bracket(&g);
+        check_bracket(&generators::cycle(n, 1 << 53).unwrap());
+    }
+
     /// On trees the first sweep already finds a diametral endpoint, so the
     /// sweep path's *lower* bound is exact — a sharper pin than the bracket.
     #[test]
     fn sweep_lower_bound_is_exact_on_trees(n in 2usize..80, latency in 1u64..20) {
         let g = generators::binary_tree(n, latency).unwrap();
-        let d = metrics::weighted_diameter(&g).unwrap();
+        let d = all_pairs_diameter(&g, dijkstra).unwrap();
         let est = estimate_diameter_with_threshold(&g, 0).unwrap();
         prop_assert_eq!(est.lower, d);
     }
+}
+
+/// The boundary inputs: a single node, a disconnected graph, a bound `e + d`
+/// that overflows `u64` and must saturate, and a cycle large enough that
+/// every one of its sweeps is needed.
+#[test]
+fn exact_diameters_match_the_reference_on_boundary_graphs() {
+    let single = GraphBuilder::new(1).build().unwrap();
+    check_bracket(&single);
+
+    let mut b = GraphBuilder::new(4);
+    b.add_edge(0, 1, 1).unwrap();
+    b.add_edge(2, 3, 1).unwrap();
+    let split = b.build().unwrap();
+    assert_eq!(all_pairs_diameter(&split, dijkstra), None);
+    assert_eq!(metrics::weighted_diameter(&split), None);
+    assert_eq!(metrics::hop_diameter(&split), None);
+
+    let mut b = GraphBuilder::new(2);
+    b.add_edge(0, 1, Distance::MAX - 1).unwrap();
+    let saturating = b.build().unwrap();
+    check_bracket(&saturating);
+    assert_eq!(
+        metrics::weighted_diameter(&saturating),
+        Some(Distance::MAX - 1)
+    );
+
+    check_bracket(&generators::cycle(257, 3).unwrap());
 }

@@ -1,5 +1,6 @@
-//! The experiment runner: regenerates every table recorded in `EXPERIMENTS.md`
-//! and drives the parallel scenario-sweep runner.
+//! The experiment runner: regenerates every table of the experiment index
+//! (`gossip_bench::experiments`) and drives the parallel scenario-sweep
+//! runner.  README's "The experiments binary" section shows typical runs.
 //!
 //! Usage:
 //!
@@ -15,8 +16,8 @@
 //!
 //! With no experiment ids, every experiment (E1–E8, F1, F2, F8) is run.
 //! `--quick` uses the smaller parameter sweeps (the ones the test-suite and
-//! `cargo bench` use); the default is the full sweep recorded in
-//! `EXPERIMENTS.md`.  `--json` and `--markdown` change the output format from
+//! `cargo bench` use); the default is the full-size sweep (`Scale::Full`).
+//! `--json` and `--markdown` change the output format from
 //! the plain-text tables.
 //!
 //! The `sweep` subcommand executes the standard scenario grid (seven graph

@@ -44,7 +44,7 @@ pub fn families(scale: Scale, rng: &mut SmallRng) -> Vec<(String, Graph)> {
             generators::slow_cut_expander(large, 6, 32, rng).unwrap(),
         ),
     ];
-    // Weighted variants of the clique under the latency schemes of DESIGN.md.
+    // Weighted variants of the clique under three latency schemes.
     let base = generators::clique(medium, 1).unwrap();
     for (name, scheme) in [
         (

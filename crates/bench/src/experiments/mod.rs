@@ -1,4 +1,5 @@
-//! One module per experiment-index entry of `DESIGN.md`.
+//! The experiment index: each experiment, the paper claim it checks, and
+//! the function that runs it.
 //!
 //! | Experiment | Paper claim | Function |
 //! |------------|-------------|----------|

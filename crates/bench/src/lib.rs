@@ -1,9 +1,10 @@
 //! # gossip-bench
 //!
-//! The experiment harness: one function per entry of the experiment index in
-//! `DESIGN.md` (E1–E8, F1, F2, F8).  Each experiment returns a [`Table`] whose
-//! rows are also serialisable to JSON, and the `experiments` binary prints
-//! them in the exact form recorded in `EXPERIMENTS.md`.
+//! The experiment harness: one function per entry of the experiment index
+//! (E1–E8, F1, F2, F8), tabulated with the paper claim each one checks in
+//! [`experiments`].  Each experiment returns a [`Table`] whose rows are also
+//! serialisable to JSON, and the `experiments` binary prints them (README,
+//! "The experiments binary").
 //!
 //! The Criterion benches under `benches/` reuse the same workload
 //! constructors with smaller parameters so that `cargo bench` exercises every
@@ -25,7 +26,7 @@ pub use table::{Cell, Table};
 pub enum Scale {
     /// Small parameters — used by `cargo bench` and the test-suite.
     Quick,
-    /// The parameters recorded in `EXPERIMENTS.md`.
+    /// The full-size parameters the `experiments` binary runs by default.
     #[default]
     Full,
     /// The large-scale scenario grid (thousands of nodes per instance; tens

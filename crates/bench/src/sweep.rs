@@ -398,7 +398,7 @@ impl SweepSpec {
     /// profiles, four protocols.
     ///
     /// * `Scale::Quick` shrinks sizes and trials for tests and `cargo bench`.
-    /// * `Scale::Full` is the grid recorded in `EXPERIMENTS.md`.
+    /// * `Scale::Full` is the default grid of `experiments sweep`.
     /// * `Scale::Large` opens the `10³`–`10⁴`-node regime: sizes up to 4096
     ///   across every family and protocol, 8192- and 16384-node cells for the
     ///   heavyweight protocols, plus 32768-node star cells for the cheap

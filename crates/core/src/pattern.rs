@@ -12,9 +12,11 @@
 //! shows that after running `T(k)` every pair of nodes within weighted
 //! distance `k` has exchanged rumors, and Lemma 27 bounds the cost by
 //! `O(k·log² n·log k)`.  The algorithm needs no knowledge of `n` and works
-//! even with blocking communication; for an unknown diameter it is wrapped in
-//! the same guess-and-double / Termination_Check loop as the spanner
-//! algorithm (Algorithm 5).
+//! even with blocking communication; the simulator's exchanges are
+//! non-blocking, and each ℓ-DTG node already waits for its own exchange to
+//! complete before starting the next, so every run is also a blocking run.
+//! For an unknown diameter it is wrapped in the same guess-and-double /
+//! Termination_Check loop as the spanner algorithm (Algorithm 5).
 
 use gossip_graph::{Graph, Latency};
 use gossip_sim::{RumorSet, Seeding};
@@ -40,8 +42,8 @@ pub fn schedule(k: Latency) -> Vec<Latency> {
     out
 }
 
-/// Runs the full schedule `T(k)` starting from the given rumor sets, in
-/// blocking or non-blocking mode, and returns the report and final rumor sets.
+/// Runs the full schedule `T(k)` starting from the given rumor sets and
+/// returns the report and final rumor sets.
 ///
 /// # Panics
 ///
@@ -51,12 +53,11 @@ pub fn run_schedule(
     k: Latency,
     seed: u64,
     mut rumors: Vec<RumorSet>,
-    blocking: bool,
 ) -> (DisseminationReport, Vec<RumorSet>) {
     let mut phases = Vec::new();
     for (idx, ell) in schedule(k).into_iter().enumerate() {
         let (report, new_rumors, _) =
-            dtg::run_with_rumors(g, ell, seed.wrapping_add(idx as u64), rumors, blocking);
+            dtg::run_with_rumors(g, ell, seed.wrapping_add(idx as u64), rumors, false);
         rumors = new_rumors;
         phases.push(Phase::new(
             format!("{ell}-dtg"),
@@ -79,7 +80,7 @@ pub fn run_schedule(
 /// overshoot only ever doubles the top-level `k`.
 pub fn run_known_diameter_with(g: &Graph, d: Latency, seed: u64) -> DisseminationReport {
     let rumors = Seeding::AllToAll.initial_sets(g.node_count());
-    run_schedule(g, d.max(1), seed, rumors, true).0
+    run_schedule(g, d.max(1), seed, rumors).0
 }
 
 /// Pattern Broadcast with an unknown diameter (Algorithm 5): guess-and-double
@@ -94,7 +95,7 @@ pub fn run_unknown_diameter(g: &Graph, seed: u64) -> DisseminationReport {
     let mut completed = false;
 
     while guess <= cap {
-        let (report, new_rumors) = run_schedule(g, guess, seed ^ guess, rumors, true);
+        let (report, new_rumors) = run_schedule(g, guess, seed ^ guess, rumors);
         rumors = new_rumors;
         let pass_rounds = report.rounds;
         let pass_activations = report.activations;
@@ -189,15 +190,5 @@ mod tests {
         let g = generators::ring_of_cliques(3, 3, 4).unwrap();
         let r = run_known_diameter_with(&g, crate::diameter_bound(&g), 9);
         assert_eq!(r.rounds, r.phases.iter().map(|p| p.rounds).sum::<u64>());
-    }
-
-    #[test]
-    fn nonblocking_schedule_also_completes() {
-        let g = generators::cycle(8, 2).unwrap();
-        let d = gossip_graph::metrics::weighted_diameter(&g).unwrap();
-        let rumors = Seeding::AllToAll.initial_sets(g.node_count());
-        let (r, rumors) = run_schedule(&g, d, 1, rumors, false);
-        assert!(r.completed);
-        assert!(rumors.iter().all(RumorSet::is_full));
     }
 }

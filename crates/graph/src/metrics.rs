@@ -12,7 +12,9 @@ use crate::{Graph, Latency, NodeId};
 
 /// Distance value used by the shortest-path routines.
 ///
-/// `u64::MAX` is reserved to mean "unreachable"; see [`UNREACHABLE`].
+/// `u64::MAX` is reserved to mean "unreachable"; see [`UNREACHABLE`].  A
+/// reachable distance is therefore at most `UNREACHABLE − 1`: longer paths
+/// are clamped there.
 pub type Distance = u64;
 
 /// Sentinel distance for unreachable nodes.
@@ -21,6 +23,11 @@ pub const UNREACHABLE: Distance = u64::MAX;
 /// Single-source shortest-path distances with latencies as weights (Dijkstra).
 ///
 /// Returns a vector indexed by node id; unreachable nodes get [`UNREACHABLE`].
+/// A reachable node whose shortest path sums to `UNREACHABLE − 1` or more
+/// gets `UNREACHABLE − 1`, so reachability never collides with the
+/// sentinel.  The clamped distances are still a metric (a truncated metric
+/// is one), so diameters and eccentricities built on them stay exact up to
+/// that cap.
 ///
 /// # Panics
 ///
@@ -38,7 +45,7 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> Vec<Distance> {
             continue;
         }
         for (w, e) in g.neighbors(NodeId::new(v_idx)) {
-            let nd = d.saturating_add(g.latency(e));
+            let nd = d.saturating_add(g.latency(e)).min(UNREACHABLE - 1);
             if nd < dist[w.index()] {
                 dist[w.index()] = nd;
                 heap.push(Reverse((nd, w.index() as u32)));
@@ -396,6 +403,21 @@ mod tests {
         let g = b.build().unwrap();
         assert_eq!(weighted_diameter(&g), Some(12));
         assert_eq!(hop_diameter(&g), Some(3));
+    }
+
+    #[test]
+    fn path_sums_past_the_sentinel_clamp_below_it() {
+        // Each edge is 2⁶³; the path sums to 2⁶⁴, past `u64::MAX`.
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 1, u64::MAX / 2 + 1).unwrap();
+        b.add_edge(1, 2, u64::MAX / 2 + 1).unwrap();
+        let g = b.build().unwrap();
+        assert_eq!(
+            distance(&g, NodeId::new(0), NodeId::new(2)),
+            Some(u64::MAX - 1)
+        );
+        assert_eq!(weighted_diameter(&g), Some(u64::MAX - 1));
+        assert_eq!(hop_diameter(&g), Some(2));
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //!   [`Quiescent`](Activity::Quiescent) leaves the engine's sorted active
 //!   worklist and is simply never asked again — idle nodes re-join when an
 //!   exchange incident to them completes (which is the only way their rumor
-//!   set, `on_exchange` state, or Blocking-mode `can_initiate` flag can
-//!   change); quiescent nodes are retired permanently.  The decision loop
+//!   set or `on_exchange` state can change) or a fault touches their
+//!   neighborhood; quiescent nodes are retired permanently.  The decision loop
 //!   therefore costs `O(active)`, not `O(n)`, and the protocol contract
 //!   (idle nodes would have returned `None` without touching the RNG) makes
 //!   the skipped calls unobservable: reports stay byte-identical to an
@@ -88,17 +88,6 @@ use crate::rumor::{
     RumorSet, Seeding,
 };
 
-/// Whether a node may start a new exchange while one it initiated is still in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExchangeMode {
-    /// The paper's main model: a node can initiate a new exchange every round.
-    #[default]
-    NonBlocking,
-    /// A node must wait for its own in-flight exchange to complete before
-    /// initiating another (used by the pattern-broadcast analysis, §4.2).
-    Blocking,
-}
-
 /// When the simulation stops (in addition to the `max_rounds` safety cap).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Termination {
@@ -121,7 +110,6 @@ pub enum Termination {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
     pub(crate) seed: u64,
-    pub(crate) mode: ExchangeMode,
     pub(crate) termination: Termination,
     pub(crate) max_rounds: u64,
     pub(crate) tracked_rumor: Option<RumorId>,
@@ -130,24 +118,17 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// Creates a configuration with the given RNG seed, non-blocking
-    /// exchanges, all-to-all termination, and a generous round cap.
+    /// Creates a configuration with the given RNG seed, all-to-all
+    /// termination, and a generous round cap.
     pub fn new(seed: u64) -> Self {
         SimConfig {
             seed,
-            mode: ExchangeMode::NonBlocking,
             termination: Termination::AllKnowAll,
             max_rounds: 5_000_000,
             tracked_rumor: None,
             faults: None,
             threads: 1,
         }
-    }
-
-    /// Sets the exchange mode (non-blocking by default).
-    pub fn mode(mut self, mode: ExchangeMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Sets the termination condition (all-to-all by default).
@@ -231,9 +212,6 @@ pub struct NodeView<'a> {
     pub rumors: &'a RumorSet,
     /// Incident `(neighbor, edge)` pairs in neighbor-id order.
     pub neighbors: &'a [(NodeId, EdgeId)],
-    /// `true` if the node may initiate an exchange this round
-    /// (always true in non-blocking mode).
-    pub can_initiate: bool,
 }
 
 /// A protocol's promise about a node's upcoming behavior, returned by
@@ -264,12 +242,8 @@ pub enum Activity {
     /// next wake event.  Wake events at node `v` are:
     ///
     /// * an exchange incident to `v` completes — the only way `v`'s rumor
-    ///   set can grow, [`on_exchange`](Protocol::on_exchange) can fire at
-    ///   `v`, or `v`'s Blocking-mode
-    ///   [`can_initiate`](NodeView::can_initiate) can change;
-    /// * an exchange `v` initiated is cancelled by a fault or times out lost
-    ///   (its Blocking-mode [`can_initiate`](NodeView::can_initiate) may
-    ///   have changed);
+    ///   set can grow or [`on_exchange`](Protocol::on_exchange) can fire at
+    ///   `v`;
     /// * a fault event from a [`FaultPlan`](crate::FaultPlan) touches `v`'s
     ///   neighborhood: a neighbor crashes or rejoins, or an incident edge is
     ///   cut.
@@ -431,7 +405,6 @@ struct DecisionCtx<'a> {
     graph: &'a Graph,
     rumors: &'a [RumorSet],
     alive: Option<&'a AliveView>,
-    pending_own: &'a [usize],
     config: &'a SimConfig,
     round: u64,
 }
@@ -469,16 +442,11 @@ impl<'a> DecisionCtx<'a> {
 
     // gossip-lint: allow(panic-path): node indices come from the sorted worklist, bounded by n
     fn view(&self, node: NodeId) -> NodeView<'a> {
-        let i = node.index();
         NodeView {
             node,
             round: self.round,
-            rumors: &self.rumors[i],
+            rumors: &self.rumors[node.index()],
             neighbors: self.neighbors(node),
-            can_initiate: match self.config.mode {
-                ExchangeMode::NonBlocking => true,
-                ExchangeMode::Blocking => self.pending_own[i] == 0,
-            },
         }
     }
 
@@ -562,9 +530,9 @@ struct Flight {
     initiator: NodeId,
     responder: NodeId,
     edge: EdgeId,
-    /// Lost in transit ([`FaultPlan::message_loss`]): occupies the
-    /// initiator's slot until the completion round, then times out silently
-    /// — no merge, no `on_exchange`.
+    /// Lost in transit ([`FaultPlan::message_loss`]): stays in flight until
+    /// the completion round, then times out silently — no merge, no
+    /// `on_exchange`.
     lost: bool,
 }
 
@@ -1281,8 +1249,7 @@ impl<'g> Simulation<'g> {
     /// * the **round counter restarts at 0**, so `max_rounds`,
     ///   [`Termination::FixedRounds`] targets, [`RunReport::rounds`] and
     ///   [`RunReport::informed_times`] are all relative to the new run;
-    /// * pending-exchange counts (Blocking mode) and activation counters are
-    ///   likewise reset.
+    /// * activation counters are likewise reset.
     ///
     /// Protocol state is owned by the caller and is *not* reset; reuse the
     /// same protocol value to continue its program, or pass a fresh one.
@@ -1355,8 +1322,6 @@ struct RoundState<'a> {
     rumors: &'a mut [RumorSet],
     progress: Progress<'a>,
     calendar: Calendar,
-    /// Per-node count of initiated exchanges still in flight.
-    pending_own: Vec<usize>,
     sched: Scheduler,
     /// Present exactly when a fault plan is attached, so fault-free runs
     /// pay nothing beyond a few predictable branches.
@@ -1385,7 +1350,6 @@ impl<'a> RoundState<'a> {
             progress: Progress::new(graph, config, rumors),
             rumors,
             calendar: Calendar::default(),
-            pending_own: vec![0; n],
             sched: Scheduler::new(n),
             faults: config.faults.as_ref().map(|plan| FaultState {
                 events: plan.events(),
@@ -1411,7 +1375,6 @@ impl<'a> RoundState<'a> {
             graph: self.graph,
             rumors: self.rumors,
             alive: self.faults.as_ref().map(|f| &f.alive),
-            pending_own: &self.pending_own,
             config: self.config,
             round,
         }
@@ -1423,7 +1386,7 @@ impl<'a> RoundState<'a> {
     /// now) is cancelled, never delivered.  An event that
     /// changes nothing (crashing a dead node, reviving a live one, cutting a
     /// cut edge) is an uncounted no-op.
-    // gossip-lint: allow(panic-path): node and edge ids come from the graph's own CSR bounds; per-node and per-edge vecs are sized n and m at construction
+    // gossip-lint: allow(panic-path): node and edge ids are below the graph's n and m (one adjacency list per node); per-node vecs are sized n at construction
     fn apply_faults(&mut self, round: u64) {
         let Some(mut faults) = self.faults.take() else {
             return;
@@ -1441,7 +1404,6 @@ impl<'a> RoundState<'a> {
                     }
                     faults.tally.crashes += 1;
                     self.cancel_flights(&mut faults, |fl| fl.initiator == v || fl.responder == v);
-                    self.pending_own[v.index()] = 0;
                     self.progress.crash_node(v);
                     self.sched.state[v.index()] = NodeState::Quiescent;
                     let neighbors = self.graph.neighbors(v).map(|(w, _)| w);
@@ -1477,29 +1439,20 @@ impl<'a> RoundState<'a> {
         self.faults = Some(faults);
     }
 
-    /// Cancels every in-flight exchange `doomed` selects.  A surviving
-    /// initiator gets its slot back, which is a wake event.
-    // gossip-lint: allow(panic-path): initiators are node ids < n, and pending_own is sized n
+    /// Cancels every in-flight exchange `doomed` selects.  It wakes no one:
+    /// the caller's `wake_survivors` already covers every surviving endpoint
+    /// (a crashed node's neighbors, a cut edge's endpoints).
     fn cancel_flights(&mut self, faults: &mut FaultState<'_>, doomed: impl Fn(&Flight) -> bool) {
         self.calendar.rounds.retain(|_, flights| {
-            flights.retain(|fl| {
-                if !doomed(fl) {
-                    return true;
-                }
-                faults.tally.cancelled += 1;
-                if faults.alive.is_node_alive(fl.initiator) {
-                    let i = fl.initiator.index();
-                    self.pending_own[i] = self.pending_own[i].saturating_sub(1);
-                    self.sched.force_wake(i);
-                }
-                false
-            });
+            let before = flights.len();
+            flights.retain(|fl| !doomed(fl));
+            faults.tally.cancelled += (before - flights.len()) as u64;
             !flights.is_empty()
         });
     }
 
     /// Phase 2: delivers the exchanges completing at `round`.  A serial
-    /// prologue, in flight order, frees initiator slots, tallies losses and
+    /// prologue, in flight order, tallies losses and
     /// turns each delivered exchange into up to two merge tasks, one per
     /// direction, with the exchange's initiation round as the snapshot (a
     /// direction whose source's current set the destination already holds
@@ -1508,20 +1461,16 @@ impl<'a> RoundState<'a> {
     /// destination gets its tracked-rumor time stamped from its merged set
     /// and settles a pending rejoin recovery; last, both endpoints
     /// of every delivered exchange get `on_exchange`.
-    // gossip-lint: allow(panic-path): node and edge ids come from the graph's own CSR bounds; per-node and per-edge vecs are sized n and m at construction
+    // gossip-lint: allow(panic-path): node and edge ids are below the graph's n and m (one adjacency list per node); per-node vecs are sized n at construction
     fn deliver<P: Protocol>(&mut self, protocol: &mut P, round: u64) {
         let completions = self.calendar.take(round);
         for fl in &completions {
-            let ii = fl.initiator.index();
-            self.pending_own[ii] = self.pending_own[ii].saturating_sub(1);
             if fl.lost {
-                // Timed out in transit: the initiator's slot frees up (a
-                // wake event) but nothing is delivered — no merge, no
-                // `on_exchange`.
+                // Timed out in transit: nothing is delivered — no merge, no
+                // `on_exchange`, no wake event.
                 if let Some(faults) = &mut self.faults {
                     faults.tally.lost += 1;
                 }
-                self.sched.force_wake(ii);
                 continue;
             }
             // Both endpoints merge the peer's set as of initiation.
@@ -1571,9 +1520,8 @@ impl<'a> RoundState<'a> {
                     },
                 );
                 // A completed incident exchange is a wake event: the node
-                // may have merged new rumors, its `on_exchange` state
-                // changed, and (Blocking mode) `can_initiate` may have
-                // flipped.
+                // may have merged new rumors and its `on_exchange` state
+                // changed.
                 self.sched.wake(node.index());
             }
         }
@@ -1653,12 +1601,6 @@ impl<'a> RoundState<'a> {
                 Decide::Target(target) => target,
             };
             self.sched.spare.push(u);
-            // Unchanged since the decision pass: only `i`'s own epilogue
-            // step can bump `pending_own[i]`, and each node appears in the
-            // worklist once.
-            if self.config.mode == ExchangeMode::Blocking && self.pending_own[i] > 0 {
-                continue;
-            }
             // A dead peer or cut edge rejects like a non-neighbor (the
             // filtered view means a well-behaved protocol never picks one).
             let edge = self.graph.find_edge(node, target).filter(|&e| {
@@ -1672,7 +1614,6 @@ impl<'a> RoundState<'a> {
                 continue;
             };
             self.activations += 1;
-            self.pending_own[i] += 1;
             let flight = Flight {
                 initiator: node,
                 responder: target,
@@ -1862,38 +1803,6 @@ mod tests {
             slow_report.rounds,
             fast_report.rounds
         );
-    }
-
-    #[test]
-    fn blocking_mode_throttles_initiations() {
-        // A protocol that never goes quiet, so the measured contrast is the
-        // exchange *mode* alone (the bundled flood now idles between laps).
-        struct Chatty;
-        impl Protocol for Chatty {
-            type Shared = ();
-            type Node = ();
-            fn split(&mut self, n: usize) -> (&(), &mut [()]) {
-                (&(), stateless(n))
-            }
-            fn on_round(
-                _: &(),
-                _: &mut (),
-                view: &NodeView<'_>,
-                _: &mut SmallRng,
-            ) -> Option<NodeId> {
-                view.can_initiate.then(|| view.neighbors[0].0)
-            }
-        }
-        let g = generators::clique(6, 5).unwrap();
-        let blocking = SimConfig::new(9)
-            .mode(ExchangeMode::Blocking)
-            .termination(Termination::FixedRounds(50));
-        let nonblocking = SimConfig::new(9).termination(Termination::FixedRounds(50));
-        let b = Simulation::new(&g, blocking).run(&mut Chatty);
-        let nb = Simulation::new(&g, nonblocking).run(&mut Chatty);
-        // With latency-5 edges a blocking node can start at most 1 exchange
-        // per 5 rounds; non-blocking can start one every round.
-        assert!(b.activations * 3 < nb.activations);
     }
 
     #[test]

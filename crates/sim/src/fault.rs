@@ -18,8 +18,8 @@
 //! events apply in schedule order.  Detailed per-event semantics:
 //!
 //! * **Crash** (crash-stop): the node stops initiating and responding, all
-//!   its in-flight exchanges are cancelled (surviving initiators observe the
-//!   slot freed the same round), and it is excluded from every termination
+//!   its in-flight exchanges are cancelled (its surviving neighbors are
+//!   woken the same round), and it is excluded from every termination
 //!   condition.  Its rumor set is frozen as-is — rumors only it knew are
 //!   *stranded* until it rejoins.  Crashing a dead node is a no-op.
 //! * **Rejoin** (amnesiac): the node comes back with *only its initial
@@ -32,9 +32,9 @@
 //! * **Message loss**: each *accepted* initiation is lost independently with
 //!   probability `rate_ppm / 1_000_000`, drawn from a dedicated
 //!   [`SmallRng`] stream (seeded by `loss_seed`) so the protocol's own RNG
-//!   stream is untouched.  A lost exchange occupies the initiator's slot for
-//!   the edge's full latency and then times out silently: no merge and no
-//!   `on_exchange` callback, so no latency is revealed.
+//!   stream is untouched.  A lost exchange stays in flight for the edge's
+//!   full latency and then times out silently: no merge, no `on_exchange`
+//!   callback (so no latency is revealed) and no wake event.
 //!
 //! Events scheduled at or beyond the round the run stops are never applied;
 //! [`FaultReport`](crate::FaultReport) counts what was actually injected.

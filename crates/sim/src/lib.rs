@@ -12,9 +12,11 @@
 //!   bidirectional exchange with it; if the edge has latency `ℓ`, the exchange
 //!   completes `ℓ` rounds later and both endpoints learn each other's rumors;
 //! * exchanges are **non-blocking**: a node may initiate a new exchange every
-//!   round even while earlier ones are still in flight (a blocking variant is
-//!   also provided because the pattern-broadcast algorithm of Section 4.2 is
-//!   analysed in that setting);
+//!   round even while earlier ones are still in flight.  A protocol that must
+//!   wait for its own exchange to complete waits itself — ℓ-DTG, and with it
+//!   the pattern broadcast of Section 4.2 (analysed "even with blocking
+//!   communication"), holds a node's next initiation until
+//!   [`Protocol::on_exchange`] reports the previous one done;
 //! * nodes know their neighbors but, in the *unknown latency* setting, not the
 //!   latencies of their incident edges; the latency of an edge is revealed to
 //!   both endpoints once an exchange over that edge completes, as
@@ -53,8 +55,7 @@ pub mod oracle;
 pub mod protocols;
 
 pub use engine::{
-    stateless, Activity, ExchangeEvent, ExchangeMode, NodeView, Protocol, SimConfig, Simulation,
-    Termination,
+    stateless, Activity, ExchangeEvent, NodeView, Protocol, SimConfig, Simulation, Termination,
 };
 pub use fault::{ChurnSpec, FaultEvent, FaultPlan};
 pub use report::{FaultReport, MemStats, RunReport};

@@ -31,7 +31,7 @@
 use gossip_graph::{AliveView, EdgeId, Graph, NodeId};
 
 use crate::engine::{
-    decision_rng, Activity, ExchangeEvent, ExchangeMode, NodeView, Protocol, SimConfig, Termination,
+    decision_rng, Activity, ExchangeEvent, NodeView, Protocol, SimConfig, Termination,
 };
 use crate::fault::{self, FaultEvent, FaultPlan};
 use crate::report::{FaultReport, RunReport};
@@ -159,12 +159,11 @@ impl<'g> OracleSimulation<'g> {
 
     /// Runs `protocol` with snapshot-at-initiation semantics over the dense
     /// rows, walking and asking every alive node every round.
-    // gossip-lint: allow(panic-path): node/edge indices come from the graph's own CSR bounds
+    // gossip-lint: allow(panic-path): node and edge ids are below the graph's n and m (one adjacency list per node); rows, sets and counts are sized n
     pub fn run<P: Protocol>(&mut self, protocol: &mut P) -> RunReport {
         let n = self.graph.node_count();
         let stride = self.stride;
         let mut in_flight: Vec<InFlight> = Vec::new();
-        let mut pending_own = vec![0usize; n];
         let mut activations: u64 = 0;
         let mut rejections: u64 = 0;
         let mut informed_times: Vec<Option<u64>> = match self.config.tracked_rumor {
@@ -198,7 +197,7 @@ impl<'g> OracleSimulation<'g> {
         };
 
         let mut round: u64 = 0;
-        let mut completed = self.is_done(0, protocol, &in_flight, alive.as_ref(), &pending_own);
+        let mut completed = self.is_done(0, protocol, &in_flight, alive.as_ref());
 
         while !completed && round < self.config.max_rounds {
             // 0. Apply fault events scheduled for this round, before this
@@ -216,18 +215,9 @@ impl<'g> OracleSimulation<'g> {
                             continue; // already dead: uncounted no-op
                         }
                         crashes += 1;
-                        in_flight.retain(|ex| {
-                            if ex.initiator != v && ex.responder != v {
-                                return true;
-                            }
-                            cancelled += 1;
-                            if ex.initiator != v {
-                                pending_own[ex.initiator.index()] =
-                                    pending_own[ex.initiator.index()].saturating_sub(1);
-                            }
-                            false
-                        });
-                        pending_own[v.index()] = 0;
+                        let before = in_flight.len();
+                        in_flight.retain(|ex| ex.initiator != v && ex.responder != v);
+                        cancelled += (before - in_flight.len()) as u64;
                         if let Some(pos) =
                             pending_recovery.iter().position(|&(i, _)| i == v.index())
                         {
@@ -266,15 +256,9 @@ impl<'g> OracleSimulation<'g> {
                             continue; // already cut: uncounted no-op
                         }
                         links_cut += 1;
-                        in_flight.retain(|ex| {
-                            if ex.edge != e {
-                                return true;
-                            }
-                            cancelled += 1;
-                            pending_own[ex.initiator.index()] =
-                                pending_own[ex.initiator.index()].saturating_sub(1);
-                            false
-                        });
+                        let before = in_flight.len();
+                        in_flight.retain(|ex| ex.edge != e);
+                        cancelled += (before - in_flight.len()) as u64;
                     }
                 }
             }
@@ -299,8 +283,6 @@ impl<'g> OracleSimulation<'g> {
             });
             for ex in completions {
                 let latency = self.graph.latency(ex.edge);
-                pending_own[ex.initiator.index()] =
-                    pending_own[ex.initiator.index()].saturating_sub(1);
                 if ex.lost {
                     // Timed out in transit: no merge, no `on_exchange`.
                     lost_count += 1;
@@ -348,31 +330,27 @@ impl<'g> OracleSimulation<'g> {
             }
 
             // 2. Check termination (conditions are evaluated on round boundaries).
-            if self.is_done(round, protocol, &in_flight, alive.as_ref(), &pending_own) {
+            if self.is_done(round, protocol, &in_flight, alive.as_ref()) {
                 completed = true;
                 break;
             }
 
             // 3. Let every *alive* node act, each on its own
             //    `(seed, round, node)` RNG stream.
-            for (i, pending) in pending_own.iter_mut().enumerate() {
+            for i in 0..n {
                 let node = NodeId::new(i);
                 if let Some(av) = &alive {
                     if !av.is_node_alive(node) {
                         continue;
                     }
                 }
-                let (choice, can_initiate) = {
-                    let view = self.view(node, round, *pending, alive.as_ref(), &self.sets[i]);
+                let choice = {
+                    let view = self.view(node, round, alive.as_ref(), &self.sets[i]);
                     let mut rng = decision_rng(self.config.seed, round, i as u32);
                     let (shared, states) = protocol.split(n);
-                    let choice = P::on_round(shared, &mut states[i], &view, &mut rng);
-                    (choice, view.can_initiate)
+                    P::on_round(shared, &mut states[i], &view, &mut rng)
                 };
                 let Some(target) = choice else { continue };
-                if !can_initiate {
-                    continue;
-                }
                 let Some(edge) = self.graph.find_edge(node, target) else {
                     rejections += 1;
                     protocol.on_rejected(node, target, round);
@@ -388,7 +366,6 @@ impl<'g> OracleSimulation<'g> {
                 }
                 let latency = self.graph.latency(edge);
                 activations += 1;
-                *pending += 1;
                 in_flight.push(InFlight {
                     initiator: node,
                     responder: target,
@@ -409,7 +386,7 @@ impl<'g> OracleSimulation<'g> {
         }
 
         if !completed {
-            completed = self.is_done(round, protocol, &in_flight, alive.as_ref(), &pending_own);
+            completed = self.is_done(round, protocol, &in_flight, alive.as_ref());
         }
         let faults = alive.map(|av| {
             let (residual_components, largest_component) = av.residual_components(self.graph);
@@ -452,7 +429,6 @@ impl<'g> OracleSimulation<'g> {
         &'a self,
         node: NodeId,
         round: u64,
-        pending_own: usize,
         alive: Option<&'a AliveView>,
         rumors: &'a RumorSet,
     ) -> NodeView<'a> {
@@ -464,10 +440,6 @@ impl<'g> OracleSimulation<'g> {
                 Some(av) => av.neighbor_slice(self.graph, node),
                 None => self.graph.neighbor_slice(node),
             },
-            can_initiate: match self.config.mode {
-                ExchangeMode::NonBlocking => true,
-                ExchangeMode::Blocking => pending_own == 0,
-            },
         }
     }
 
@@ -478,7 +450,6 @@ impl<'g> OracleSimulation<'g> {
         protocol: &mut P,
         in_flight: &[InFlight],
         alive: Option<&AliveView>,
-        pending_own: &[usize],
     ) -> bool {
         // Under faults, dissemination conditions quantify over *alive* nodes
         // and un-cut edges only (vacuously true with no node alive).
@@ -514,7 +485,7 @@ impl<'g> OracleSimulation<'g> {
                             || P::activity(
                                 shared,
                                 &states[i],
-                                &self.view(v, round, pending_own[i], alive, &self.sets[i]),
+                                &self.view(v, round, alive, &self.sets[i]),
                             ) == Activity::Quiescent
                     })
             }

@@ -106,11 +106,6 @@ pub struct FloodCursor {
 /// also the inner loop of the RR-broadcast phase of the spanner algorithm
 /// (there restricted to spanner out-edges, implemented in `gossip-core`).
 ///
-/// The cursor advances only when the engine will actually accept the choice
-/// (`view.can_initiate`): in [`Blocking`](crate::ExchangeMode::Blocking) mode
-/// a node waiting on a slow edge would otherwise spin its cursor past
-/// neighbors that were never contacted, starving them.
-///
 /// **Dirty-lap idling.**  Each node caches the rumor count at which its
 /// current relay lap started; once it has contacted every neighbor without
 /// learning anything new in between, another contact could only repeat an
@@ -167,9 +162,7 @@ impl Protocol for RoundRobinFlood {
         _rng: &mut SmallRng,
     ) -> Option<NodeId> {
         let deg = view.neighbors.len();
-        if deg == 0 || !view.can_initiate {
-            // Do not advance the cursor (or any lap state) for a choice the
-            // engine would discard.
+        if deg == 0 {
             return None;
         }
         let len = view.rumors.len();
@@ -195,11 +188,6 @@ impl Protocol for RoundRobinFlood {
     fn activity(_: &(), st: &FloodCursor, view: &NodeView<'_>) -> Activity {
         if view.neighbors.is_empty() {
             return Activity::Quiescent;
-        }
-        if !view.can_initiate {
-            // Blocked: `on_round` returns `None` without mutating until the
-            // own exchange completes — which is a wake event.
-            return Activity::IdleUntilWoken;
         }
         // Mirror the `on_round` predicate exactly: silence is only promised
         // when the rumor count is unchanged *and* the lap is complete.
@@ -240,7 +228,7 @@ impl Protocol for Silent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExchangeMode, SimConfig, Simulation, Termination};
+    use crate::{SimConfig, Simulation, Termination};
     use gossip_graph::generators;
 
     #[test]
@@ -317,41 +305,6 @@ mod tests {
         assert_eq!(carried.min_rumors_known, 9);
     }
 
-    /// Records every completed exchange an inner protocol initiated.
-    struct Recording<P> {
-        inner: P,
-        initiated: Vec<(NodeId, NodeId)>,
-    }
-
-    impl<P: Protocol> Protocol for Recording<P> {
-        type Shared = P::Shared;
-        type Node = P::Node;
-
-        fn name(&self) -> &'static str {
-            self.inner.name()
-        }
-        fn split(&mut self, n: usize) -> (&P::Shared, &mut [P::Node]) {
-            self.inner.split(n)
-        }
-        fn on_round(
-            shared: &P::Shared,
-            state: &mut P::Node,
-            view: &NodeView<'_>,
-            rng: &mut SmallRng,
-        ) -> Option<NodeId> {
-            P::on_round(shared, state, view, rng)
-        }
-        fn on_exchange(&mut self, node: NodeId, event: &crate::ExchangeEvent) {
-            if event.initiated_here {
-                self.initiated.push((node, event.peer));
-            }
-            self.inner.on_exchange(node, event);
-        }
-        fn activity(shared: &P::Shared, state: &P::Node, view: &NodeView<'_>) -> Activity {
-            P::activity(shared, state, view)
-        }
-    }
-
     #[test]
     fn flood_goes_idle_after_a_clean_lap_and_rewakes_on_news() {
         // Regression test for the dirty-lap flag: a node that has contacted
@@ -382,34 +335,6 @@ mod tests {
         let report = Simulation::new(&g, config).run(&mut RoundRobinFlood::new(&g));
         assert!(report.completed, "re-woken nodes must finish the relay");
         assert_eq!(report.min_rumors_known, 3);
-    }
-
-    #[test]
-    fn round_robin_cursor_does_not_advance_while_blocked() {
-        // Regression test: in Blocking mode with latency-3 edges the cursor
-        // used to advance every round, so the star center re-contacted the
-        // same leaf forever (0, 3, 6, … ≡ 0 mod 3) and starved the others.
-        let g = generators::star(4, 3).unwrap();
-        let config = SimConfig::new(2)
-            .mode(ExchangeMode::Blocking)
-            .termination(Termination::FixedRounds(30));
-        let mut recording = Recording {
-            inner: RoundRobinFlood::new(&g),
-            initiated: Vec::new(),
-        };
-        let _ = Simulation::new(&g, config).run(&mut recording);
-        let center = NodeId::new(0);
-        let contacted: std::collections::BTreeSet<NodeId> = recording
-            .initiated
-            .iter()
-            .filter(|&&(from, _)| from == center)
-            .map(|&(_, to)| to)
-            .collect();
-        assert_eq!(
-            contacted.len(),
-            3,
-            "the center must rotate through all three leaves, got {contacted:?}"
-        );
     }
 
     use rand::SeedableRng;

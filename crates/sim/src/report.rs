@@ -96,8 +96,8 @@ pub struct FaultReport {
     /// In-flight exchanges cancelled by a crash or link cut before their
     /// completion round.
     pub exchanges_cancelled: u64,
-    /// Exchanges lost in transit: initiated, held the initiator's slot for
-    /// the edge's full latency, then timed out without delivering.
+    /// Exchanges lost in transit: initiated, stayed in flight for the edge's
+    /// full latency, then timed out without delivering.
     pub exchanges_lost: u64,
     /// Nodes alive when the run stopped.
     pub alive_nodes: u64,

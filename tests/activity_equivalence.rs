@@ -23,23 +23,24 @@ use gossip_bench::Scale;
 use gossip_core::dtg::EllDtg;
 use gossip_core::rr_broadcast::RrBroadcast;
 use gossip_core::spanner::log_spanner;
-use gossip_graph::generators;
-use gossip_sim::{ExchangeMode, Seeding, SimConfig, Simulation, Termination};
+use gossip_graph::{generators, NodeId};
+use gossip_sim::{
+    Activity, ExchangeEvent, NodeView, Protocol, Seeding, SimConfig, Simulation, Termination,
+};
 use gossip_tests::assert_matches_oracle;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// ℓ-DTG's driver configuration: quiescence-terminated, generously capped.
-fn dtg_config(seed: u64, mode: ExchangeMode) -> SimConfig {
+fn dtg_config(seed: u64) -> SimConfig {
     SimConfig::new(seed)
         .termination(Termination::Quiescent)
-        .mode(mode)
         .max_rounds(20_000)
 }
 
 /// The acceptance gate: `EllDtg` agrees with the oracle on every
-/// scenario of the Quick sweep grid, both exchange modes, three seeds.
+/// scenario of the Quick sweep grid, three seeds.
 #[test]
 fn ell_dtg_matches_reference_on_the_quick_grid() {
     let spec = SweepSpec::standard(Scale::Quick);
@@ -54,26 +55,104 @@ fn ell_dtg_matches_reference_on_the_quick_grid() {
                     // latency filter (nodes whose edges are all slow retire
                     // immediately).
                     for bound in [1, g.max_latency()] {
-                        for mode in [ExchangeMode::Blocking, ExchangeMode::NonBlocking] {
-                            let label = format!(
-                                "{}/{}/{}/seed{seed}/ell={bound}/{mode:?}",
-                                family.name(),
-                                size,
-                                profile.name(),
-                            );
-                            assert_matches_oracle(
-                                &g,
-                                &dtg_config(seed, mode),
-                                Seeding::AllToAll,
-                                || EllDtg::new(&g, bound),
-                                &label,
-                            );
-                        }
+                        let label = format!(
+                            "{}/{}/{}/seed{seed}/ell={bound}",
+                            family.name(),
+                            size,
+                            profile.name(),
+                        );
+                        assert_matches_oracle(
+                            &g,
+                            &dtg_config(seed),
+                            Seeding::AllToAll,
+                            || EllDtg::new(&g, bound),
+                            &label,
+                        );
                     }
                 }
             }
         }
     }
+}
+
+/// `EllDtg` wrapped to log, per node, the `(initiation, completion)` rounds
+/// of every exchange the node initiated, in completion order (the engine
+/// delivers a round's exchanges in initiation order).
+struct InitiationLog {
+    inner: EllDtg,
+    spans: Vec<Vec<(u64, u64)>>,
+}
+
+impl Protocol for InitiationLog {
+    type Shared = <EllDtg as Protocol>::Shared;
+    type Node = <EllDtg as Protocol>::Node;
+
+    fn split(&mut self, n: usize) -> (&Self::Shared, &mut [Self::Node]) {
+        self.inner.split(n)
+    }
+
+    fn on_round(
+        shared: &Self::Shared,
+        state: &mut Self::Node,
+        view: &NodeView<'_>,
+        rng: &mut SmallRng,
+    ) -> Option<NodeId> {
+        EllDtg::on_round(shared, state, view, rng)
+    }
+
+    fn on_exchange(&mut self, node: NodeId, event: &ExchangeEvent) {
+        if event.initiated_here {
+            self.spans[node.index()].push((event.round - event.latency, event.round));
+        }
+        self.inner.on_exchange(node, event);
+    }
+
+    fn activity(shared: &Self::Shared, state: &Self::Node, view: &NodeView<'_>) -> Activity {
+        EllDtg::activity(shared, state, view)
+    }
+}
+
+/// ℓ-DTG is self-blocking: a node never initiates while an exchange it
+/// initiated is in flight.  The simulator's exchanges are non-blocking, so
+/// this is what makes every ℓ-DTG run (and every pattern-broadcast run) a
+/// blocking run in the sense of Section 4.2.  Checked on every Quick-grid
+/// scenario for ℓ ∈ {1, max latency}: per node, each initiation comes at
+/// or after the previous one's completion.
+#[test]
+fn ell_dtg_never_overlaps_its_own_exchanges_on_the_quick_grid() {
+    let spec = SweepSpec::standard(Scale::Quick);
+    let mut initiations = 0usize;
+    for family in &spec.families {
+        for &size in &spec.sizes {
+            for profile in &spec.profiles {
+                let mut rng = SmallRng::seed_from_u64(0xB10C);
+                let base = family.build(size, &mut rng);
+                let g = profile.apply(&base, &mut rng);
+                for bound in [1, g.max_latency()] {
+                    let label =
+                        format!("{}/{}/{}/ell={bound}", family.name(), size, profile.name());
+                    let mut log = InitiationLog {
+                        inner: EllDtg::new(&g, bound),
+                        spans: vec![Vec::new(); g.node_count()],
+                    };
+                    let report = Simulation::new(&g, dtg_config(1)).run(&mut log);
+                    assert!(report.completed, "{label}: run did not finish");
+                    for (v, spans) in log.spans.iter().enumerate() {
+                        for pair in spans.windows(2) {
+                            let ((_, prev_end), (next_start, _)) = (pair[0], pair[1]);
+                            assert!(
+                                next_start >= prev_end,
+                                "{label}: node {v} initiated at round {next_start} while its \
+                                 exchange completing at round {prev_end} was in flight"
+                            );
+                        }
+                        initiations += spans.len();
+                    }
+                }
+            }
+        }
+    }
+    assert!(initiations > 0, "the grid must exercise some exchanges");
 }
 
 /// `RrBroadcast` agrees with the oracle on every scenario of the
@@ -150,7 +229,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Log-replay ℓ-DTG equals the oracle on random weighted
-    /// Erdős–Rényi instances, both exchange modes.
+    /// Erdős–Rényi instances.
     #[test]
     fn ell_dtg_matches_reference_on_random_graphs(
         n in 4usize..40,
@@ -164,14 +243,12 @@ proptest! {
             .apply(&g, &mut rng)
             .unwrap();
         let bound = 1 + seed % max_latency;
-        for mode in [ExchangeMode::Blocking, ExchangeMode::NonBlocking] {
-            assert_matches_oracle(
-                &g,
-                &dtg_config(seed, mode),
-                Seeding::AllToAll,
-                || EllDtg::new(&g, bound),
-                &format!("random n={n} ell={bound} {mode:?}"),
-            );
-        }
+        assert_matches_oracle(
+            &g,
+            &dtg_config(seed),
+            Seeding::AllToAll,
+            || EllDtg::new(&g, bound),
+            &format!("random n={n} ell={bound}"),
+        );
     }
 }

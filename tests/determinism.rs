@@ -125,7 +125,7 @@ mod dtg_over_carried_rumors {
 
     /// 64-bit FNV-1a digests, one per pattern case in loop order (Quick
     /// family with latencies redrawn from 1..=12, then size, then
-    /// `k` ∈ {4, 8}, then non-blocking before blocking), followed by one per Quick dumbbell size for spanner
+    /// `k` ∈ {4, 8}), followed by one per Quick dumbbell size for spanner
     /// broadcast with an unknown diameter.  A pattern digest covers every
     /// `dtg::run_with_rumors` call of the schedule `T(k)` — its report,
     /// final rumor sets and iteration count — and then the report of
@@ -135,63 +135,35 @@ mod dtg_over_carried_rumors {
     /// Generated at commit `65e304d`, whose ℓ-DTG tracked heard-from sets
     /// in acquisition logs of its own, by printing every entry of
     /// `digests()`.
-    const GOLDEN: [u64; 58] = [
-        0xc329e3c008728150, // clique n=12 k=4 blocking=false
-        0xc329e3c008728150, // clique n=12 k=4 blocking=true
-        0x3985fd8346a86f79, // clique n=12 k=8 blocking=false
-        0x3985fd8346a86f79, // clique n=12 k=8 blocking=true
-        0x3d73868944e71f6d, // clique n=24 k=4 blocking=false
-        0x3d73868944e71f6d, // clique n=24 k=4 blocking=true
-        0x338240d66d822188, // clique n=24 k=8 blocking=false
-        0x338240d66d822188, // clique n=24 k=8 blocking=true
-        0xa7504d000ba1e9f6, // cycle n=12 k=4 blocking=false
-        0xa7504d000ba1e9f6, // cycle n=12 k=4 blocking=true
-        0x14fce1c773effd46, // cycle n=12 k=8 blocking=false
-        0x14fce1c773effd46, // cycle n=12 k=8 blocking=true
-        0xc51502f283bdc049, // cycle n=24 k=4 blocking=false
-        0xc51502f283bdc049, // cycle n=24 k=4 blocking=true
-        0xe2799a5ab4f5af01, // cycle n=24 k=8 blocking=false
-        0xe2799a5ab4f5af01, // cycle n=24 k=8 blocking=true
-        0x84b5888a9a5ac666, // grid n=12 k=4 blocking=false
-        0x84b5888a9a5ac666, // grid n=12 k=4 blocking=true
-        0xd93b4e15367ae1dd, // grid n=12 k=8 blocking=false
-        0xd93b4e15367ae1dd, // grid n=12 k=8 blocking=true
-        0x07d42d685546653b, // grid n=24 k=4 blocking=false
-        0x07d42d685546653b, // grid n=24 k=4 blocking=true
-        0x37e90a3e3684e366, // grid n=24 k=8 blocking=false
-        0x37e90a3e3684e366, // grid n=24 k=8 blocking=true
-        0x29696312c3526c43, // dumbbell n=12 k=4 blocking=false
-        0x29696312c3526c43, // dumbbell n=12 k=4 blocking=true
-        0x5645505358885894, // dumbbell n=12 k=8 blocking=false
-        0x5645505358885894, // dumbbell n=12 k=8 blocking=true
-        0x1840474315ff0946, // dumbbell n=24 k=4 blocking=false
-        0x1840474315ff0946, // dumbbell n=24 k=4 blocking=true
-        0x7773bee724c01508, // dumbbell n=24 k=8 blocking=false
-        0x7773bee724c01508, // dumbbell n=24 k=8 blocking=true
-        0xe9824d0204771906, // ring-of-cliques n=12 k=4 blocking=false
-        0xe9824d0204771906, // ring-of-cliques n=12 k=4 blocking=true
-        0x211e602cd7642996, // ring-of-cliques n=12 k=8 blocking=false
-        0x211e602cd7642996, // ring-of-cliques n=12 k=8 blocking=true
-        0x046b52c76ad8816a, // ring-of-cliques n=24 k=4 blocking=false
-        0x046b52c76ad8816a, // ring-of-cliques n=24 k=4 blocking=true
-        0x35c37cea2f228c8f, // ring-of-cliques n=24 k=8 blocking=false
-        0x35c37cea2f228c8f, // ring-of-cliques n=24 k=8 blocking=true
-        0xfbe061577de24d2c, // barbell(bridge=4) n=12 k=4 blocking=false
-        0xfbe061577de24d2c, // barbell(bridge=4) n=12 k=4 blocking=true
-        0x76fd16fb6051178f, // barbell(bridge=4) n=12 k=8 blocking=false
-        0x76fd16fb6051178f, // barbell(bridge=4) n=12 k=8 blocking=true
-        0x0189186670d39a9a, // barbell(bridge=4) n=24 k=4 blocking=false
-        0x0189186670d39a9a, // barbell(bridge=4) n=24 k=4 blocking=true
-        0x2194eec18ba5454c, // barbell(bridge=4) n=24 k=8 blocking=false
-        0x2194eec18ba5454c, // barbell(bridge=4) n=24 k=8 blocking=true
-        0xefa26614dbf30e00, // erdos-renyi(p=0.2) n=12 k=4 blocking=false
-        0xefa26614dbf30e00, // erdos-renyi(p=0.2) n=12 k=4 blocking=true
-        0xb1c51ad36b54c32f, // erdos-renyi(p=0.2) n=12 k=8 blocking=false
-        0xb1c51ad36b54c32f, // erdos-renyi(p=0.2) n=12 k=8 blocking=true
-        0x42a41d40060d7f17, // erdos-renyi(p=0.2) n=24 k=4 blocking=false
-        0x42a41d40060d7f17, // erdos-renyi(p=0.2) n=24 k=4 blocking=true
-        0x46d2474687f21943, // erdos-renyi(p=0.2) n=24 k=8 blocking=false
-        0x46d2474687f21943, // erdos-renyi(p=0.2) n=24 k=8 blocking=true
+    const GOLDEN: [u64; 30] = [
+        0xc329e3c008728150, // clique n=12 k=4
+        0x3985fd8346a86f79, // clique n=12 k=8
+        0x3d73868944e71f6d, // clique n=24 k=4
+        0x338240d66d822188, // clique n=24 k=8
+        0xa7504d000ba1e9f6, // cycle n=12 k=4
+        0x14fce1c773effd46, // cycle n=12 k=8
+        0xc51502f283bdc049, // cycle n=24 k=4
+        0xe2799a5ab4f5af01, // cycle n=24 k=8
+        0x84b5888a9a5ac666, // grid n=12 k=4
+        0xd93b4e15367ae1dd, // grid n=12 k=8
+        0x07d42d685546653b, // grid n=24 k=4
+        0x37e90a3e3684e366, // grid n=24 k=8
+        0x29696312c3526c43, // dumbbell n=12 k=4
+        0x5645505358885894, // dumbbell n=12 k=8
+        0x1840474315ff0946, // dumbbell n=24 k=4
+        0x7773bee724c01508, // dumbbell n=24 k=8
+        0xe9824d0204771906, // ring-of-cliques n=12 k=4
+        0x211e602cd7642996, // ring-of-cliques n=12 k=8
+        0x046b52c76ad8816a, // ring-of-cliques n=24 k=4
+        0x35c37cea2f228c8f, // ring-of-cliques n=24 k=8
+        0xfbe061577de24d2c, // barbell(bridge=4) n=12 k=4
+        0x76fd16fb6051178f, // barbell(bridge=4) n=12 k=8
+        0x0189186670d39a9a, // barbell(bridge=4) n=24 k=4
+        0x2194eec18ba5454c, // barbell(bridge=4) n=24 k=8
+        0xefa26614dbf30e00, // erdos-renyi(p=0.2) n=12 k=4
+        0xb1c51ad36b54c32f, // erdos-renyi(p=0.2) n=12 k=8
+        0x42a41d40060d7f17, // erdos-renyi(p=0.2) n=24 k=4
+        0x46d2474687f21943, // erdos-renyi(p=0.2) n=24 k=8
         0xb40e509e3ab9873c, // spanner dumbbell n=12
         0xc48bad3253e100bb, // spanner dumbbell n=24
     ];
@@ -233,16 +205,16 @@ mod dtg_over_carried_rumors {
         fnv1a(hash, *iterations as u64)
     }
 
-    fn pattern_digest(g: &Graph, k: u64, blocking: bool, seed: u64) -> u64 {
+    fn pattern_digest(g: &Graph, k: u64, seed: u64) -> u64 {
         let mut hash = OFFSET;
         let mut rumors = Seeding::AllToAll.initial_sets(g.node_count());
         for (idx, ell) in pattern::schedule(k).into_iter().enumerate() {
-            let run = dtg::run_with_rumors(g, ell, seed.wrapping_add(idx as u64), rumors, blocking);
+            let run = dtg::run_with_rumors(g, ell, seed.wrapping_add(idx as u64), rumors, false);
             hash = fold_dtg(hash, &run);
             rumors = run.1;
         }
         let initial = Seeding::AllToAll.initial_sets(g.node_count());
-        let (report, sets) = pattern::run_schedule(g, k, seed, initial, blocking);
+        let (report, sets) = pattern::run_schedule(g, k, seed, initial);
         assert_eq!(sets, rumors, "run_schedule chains the same ℓ-DTG calls");
         fold_report(hash, &report)
     }
@@ -271,10 +243,8 @@ mod dtg_over_carried_rumors {
                 let mut rng = SmallRng::seed_from_u64(0xD76 + n as u64);
                 let g = profile.apply(&family.build(n, &mut rng), &mut rng);
                 for k in [4u64, 8] {
-                    for blocking in [false, true] {
-                        let name = format!("{} n={n} k={k} blocking={blocking}", family.name());
-                        out.push((name, pattern_digest(&g, k, blocking, 11)));
-                    }
+                    let name = format!("{} n={n} k={k}", family.name());
+                    out.push((name, pattern_digest(&g, k, 11)));
                 }
             }
         }

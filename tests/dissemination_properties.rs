@@ -73,9 +73,9 @@ proptest! {
 
     /// ℓ-DTG achieves exactly the local-broadcast postcondition and never
     /// activates an edge slower than its bound.  Its schedule ignores what
-    /// the nodes already know: from random extra initial knowledge, in
-    /// either exchange mode, the run reports exactly what the id-seeded run
-    /// reports and only ever adds rumors.
+    /// the nodes already know: from random extra initial knowledge, the run
+    /// reports exactly what the id-seeded run reports and only ever adds
+    /// rumors.
     #[test]
     fn dtg_local_broadcast_postcondition(
         n in 5usize..18,
@@ -96,20 +96,18 @@ proptest! {
                 }
             }
         }
-        for blocking in [false, true] {
-            let rumors = Seeding::AllToAll.initial_sets(n);
-            let (expected, id_rumors, _) = dtg::run_with_rumors(&g, bound, seed, rumors, blocking);
-            prop_assert!(expected.completed);
-            prop_assert!(dtg::local_broadcast_achieved(&g, bound, &id_rumors));
+        let rumors = Seeding::AllToAll.initial_sets(n);
+        let (expected, id_rumors, _) = dtg::run_with_rumors(&g, bound, seed, rumors, false);
+        prop_assert!(expected.completed);
+        prop_assert!(dtg::local_broadcast_achieved(&g, bound, &id_rumors));
 
-            let (report, final_rumors, _) =
-                dtg::run_with_rumors(&g, bound, seed, initial.clone(), blocking);
-            prop_assert_eq!(&report, &expected);
-            for (before, after) in initial.iter().zip(&final_rumors) {
-                prop_assert!(before.iter().all(|r| after.contains(r)), "a node lost rumors");
-            }
-            prop_assert!(dtg::local_broadcast_achieved(&g, bound, &final_rumors));
+        let (report, final_rumors, _) =
+            dtg::run_with_rumors(&g, bound, seed, initial.clone(), false);
+        prop_assert_eq!(&report, &expected);
+        for (before, after) in initial.iter().zip(&final_rumors) {
+            prop_assert!(before.iter().all(|r| after.contains(r)), "a node lost rumors");
         }
+        prop_assert!(dtg::local_broadcast_achieved(&g, bound, &final_rumors));
     }
 
     /// The Baswana–Sen spanner keeps connectivity and respects the 2k-1 stretch.

@@ -21,8 +21,7 @@ use gossip_graph::{generators, Graph, NodeId};
 use gossip_sim::oracle::OracleSimulation;
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
 use gossip_sim::{
-    ExchangeMode, Protocol, RumorId, RumorSet, RunReport, Seeding, SimConfig, Simulation,
-    Termination,
+    Protocol, RumorId, RumorSet, RunReport, Seeding, SimConfig, Simulation, Termination,
 };
 use gossip_tests::{assert_matches_oracle, FastestKnown};
 use proptest::prelude::*;
@@ -45,8 +44,8 @@ fn assert_serial_reproduces<P: Protocol>(
 }
 
 /// The configurations equivalence is checked under: every termination
-/// condition plus the blocking mode from the all-to-all seeding, and a
-/// tracked one-to-all run from the broadcast seeding.
+/// condition from the all-to-all seeding, and a tracked one-to-all run from
+/// the broadcast seeding.
 fn configs(seed: u64, n: usize) -> Vec<(SimConfig, Seeding, &'static str)> {
     let source = NodeId::new(n / 2);
     let one_to_all = SimConfig::new(seed)
@@ -70,11 +69,9 @@ fn configs(seed: u64, n: usize) -> Vec<(SimConfig, Seeding, &'static str)> {
             "local-broadcast",
         ),
         (
-            SimConfig::new(seed)
-                .termination(Termination::FixedRounds(60))
-                .mode(ExchangeMode::Blocking),
+            SimConfig::new(seed).termination(Termination::FixedRounds(60)),
             Seeding::AllToAll,
-            "fixed-rounds+blocking",
+            "fixed-rounds",
         ),
         (one_to_all, Seeding::Broadcast(source), "broadcast+tracking"),
     ]

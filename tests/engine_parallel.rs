@@ -28,8 +28,8 @@ use gossip_lowerbound::predicates::TargetPredicate;
 use gossip_lowerbound::reduction::CrossEdgeRecorder;
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
 use gossip_sim::{
-    ChurnSpec, ExchangeMode, FaultPlan, Protocol, RumorId, RumorSet, RunReport, Seeding, SimConfig,
-    Simulation, Termination,
+    ChurnSpec, FaultPlan, Protocol, RumorId, RumorSet, RunReport, Seeding, SimConfig, Simulation,
+    Termination,
 };
 use gossip_tests::assert_matches_oracle;
 use rand::rngs::SmallRng;
@@ -141,25 +141,24 @@ fn one_to_all_with_aging_window_is_identical_across_thread_counts() {
     }
 }
 
+/// A fixed-round run, stopped mid-spread with exchanges still in flight.
 #[test]
-fn blocking_mode_is_identical_across_thread_counts() {
+fn fixed_rounds_run_is_identical_across_thread_counts() {
     let g = mid_size_er(0xC33);
-    let config = SimConfig::new(47)
-        .termination(Termination::FixedRounds(80))
-        .mode(ExchangeMode::Blocking);
+    let config = SimConfig::new(47).termination(Termination::FixedRounds(80));
     assert_thread_invariant(
         &g,
         &config,
         Seeding::AllToAll,
         || RandomPushPull::new(&g),
-        "blocking push-pull",
+        "fixed-rounds push-pull",
     );
     assert_thread_invariant(
         &g,
         &config,
         Seeding::AllToAll,
         || RoundRobinFlood::new(&g),
-        "blocking flood",
+        "fixed-rounds flood",
     );
 }
 
@@ -283,26 +282,23 @@ fn churn_profile_runs_are_identical_across_thread_counts() {
     );
 }
 
-/// ℓ-DTG in both exchange modes: a node links by reading its own rumor set,
-/// and each node's iteration queue is its own.
+/// ℓ-DTG: a node links by reading its own rumor set, and each node's
+/// iteration queue is its own.
 #[test]
 fn ell_dtg_is_identical_across_thread_counts() {
     let g = mid_size_er(0xE55);
-    for mode in [ExchangeMode::NonBlocking, ExchangeMode::Blocking] {
-        let config = SimConfig::new(61)
-            .termination(Termination::Quiescent)
-            .mode(mode)
-            .max_rounds(200_000);
-        let (report, dtg) = assert_thread_invariant(
-            &g,
-            &config,
-            Seeding::AllToAll,
-            || EllDtg::new(&g, 3),
-            &format!("ell-dtg {mode:?}"),
-        );
-        assert!(report.completed, "{report}");
-        assert!(dtg.max_iterations() > 0);
-    }
+    let config = SimConfig::new(61)
+        .termination(Termination::Quiescent)
+        .max_rounds(200_000);
+    let (report, dtg) = assert_thread_invariant(
+        &g,
+        &config,
+        Seeding::AllToAll,
+        || EllDtg::new(&g, 3),
+        "ell-dtg",
+    );
+    assert!(report.completed, "{report}");
+    assert!(dtg.max_iterations() > 0);
 }
 
 /// RR broadcast: each node's round-robin cursor over its spanner

@@ -39,7 +39,7 @@ use rand::SeedableRng;
 
 /// The faulted configurations equivalence is checked under: the four
 /// config shapes from the all-to-all seeding, then the tracked one-to-all
-/// and the blocking shapes from the broadcast seeding.  The broadcast source
+/// and the fixed-rounds shapes from the broadcast seeding.  The broadcast source
 /// is the first node `plan` crashes and later rejoins, if it has one, so the
 /// source's own reset to its initial set is exercised.  Round caps are
 /// finite because churn can strand rumors and make dissemination conditions
@@ -56,9 +56,8 @@ fn faulted_configs(
             .max_rounds(300)
             .faults(plan.clone())
     };
-    let blocking = SimConfig::new(seed)
+    let fixed_rounds = SimConfig::new(seed)
         .termination(Termination::FixedRounds(90))
-        .mode(gossip_sim::ExchangeMode::Blocking)
         .faults(plan.clone());
     let events = plan.events();
     let source = events
@@ -96,16 +95,16 @@ fn faulted_configs(
             Seeding::AllToAll,
             "local-broadcast",
         ),
-        (blocking.clone(), Seeding::AllToAll, "fixed-rounds+blocking"),
+        (fixed_rounds.clone(), Seeding::AllToAll, "fixed-rounds"),
         (
             one_to_all(source),
             Seeding::Broadcast(source),
             "broadcast+tracking",
         ),
         (
-            blocking,
+            fixed_rounds,
             Seeding::Broadcast(source),
-            "broadcast+fixed-rounds+blocking",
+            "broadcast+fixed-rounds",
         ),
     ]
 }

@@ -159,8 +159,7 @@ proptest! {
     /// bound is checked with a factor-4 tolerance: the paper's proof of the
     /// upper bound compares a cut-level ratio against the graph-level optimum
     /// and small instances can violate the literal statement by a constant
-    /// factor (see `theorem5_upper_bound_counterexample` below and the note
-    /// in EXPERIMENTS.md).  The worst case we have observed is a 7-node tree
+    /// factor (see `theorem5_upper_bound_counterexample` above).  The worst case we have observed is a 7-node tree
     /// with a leaf behind a latency-32 edge at ratio 2.5 (`φ* = 1/5` at
     /// `ℓ* = 32`, `L = 2`, `φ_avg = 1/32 > 2·φ*/ℓ* = 1/80`); a factor 4
     /// absorbs it with margin.

@@ -245,3 +245,259 @@ fn degenerate_parameters_are_rejected() {
         "degree above n-1 is impossible"
     );
 }
+
+/// FNV-1a digest of a graph's node count and its edge list `(u, v, latency)`
+/// in edge-id order: equal digests mean the same edges in the same order.
+fn edge_digest(g: &Graph) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    mix(g.node_count() as u64);
+    for rec in g.edges() {
+        mix(rec.u.index() as u64);
+        mix(rec.v.index() as u64);
+        mix(rec.latency);
+    }
+    hash
+}
+
+/// Every generator family at two sizes, the random families on both sides of
+/// their repair paths, the latency schemes and the lower-bound gadgets.
+fn digest_cases() -> Vec<(&'static str, Graph)> {
+    use gossip_graph::latency::LatencyScheme;
+    use gossip_lowerbound::gadgets;
+    use gossip_lowerbound::predicates::TargetPredicate;
+
+    let rng = SmallRng::seed_from_u64;
+    let base = generators::grid(6, 7, 1).unwrap();
+    let schemes = [
+        ("apply uniform", LatencyScheme::Uniform(3)),
+        (
+            "apply two-level",
+            LatencyScheme::TwoLevel {
+                fast: 1,
+                slow: 9,
+                fast_probability: 0.7,
+            },
+        ),
+        (
+            "apply power-law",
+            LatencyScheme::PowerLawClasses { classes: 5 },
+        ),
+        (
+            "apply uniform-random",
+            LatencyScheme::UniformRandom { min: 2, max: 11 },
+        ),
+        (
+            "apply bimodal-fraction",
+            LatencyScheme::BimodalFraction {
+                slow: 16,
+                slow_fraction: 0.3,
+            },
+        ),
+    ];
+    let mut cases = vec![
+        ("clique 5", generators::clique(5, 2).unwrap()),
+        ("clique 33", generators::clique(33, 1).unwrap()),
+        ("path 2", generators::path(2, 3).unwrap()),
+        ("path 40", generators::path(40, 1).unwrap()),
+        ("cycle 3", generators::cycle(3, 2).unwrap()),
+        ("cycle 50", generators::cycle(50, 4).unwrap()),
+        ("star 2", generators::star(2, 5).unwrap()),
+        ("star 64", generators::star(64, 1).unwrap()),
+        ("grid 1x5", generators::grid(1, 5, 2).unwrap()),
+        ("grid 7x9", generators::grid(7, 9, 1).unwrap()),
+        ("binary tree 1", generators::binary_tree(1, 1).unwrap()),
+        ("binary tree 45", generators::binary_tree(45, 3).unwrap()),
+        (
+            "complete bipartite 1x4",
+            generators::complete_bipartite(1, 4, 2).unwrap(),
+        ),
+        (
+            "complete bipartite 7x9",
+            generators::complete_bipartite(7, 9, 1).unwrap(),
+        ),
+        (
+            "ring of cliques 2x3",
+            generators::ring_of_cliques(2, 3, 5).unwrap(),
+        ),
+        (
+            "ring of cliques 6x5",
+            generators::ring_of_cliques(6, 5, 8).unwrap(),
+        ),
+        ("dumbbell 2", generators::dumbbell(2, 7).unwrap()),
+        ("dumbbell 12", generators::dumbbell(12, 32).unwrap()),
+        ("barbell 2x1", generators::barbell(2, 1, 4).unwrap()),
+        ("barbell 8x4", generators::barbell(8, 4, 16).unwrap()),
+        (
+            "slow-cut expander 16",
+            generators::slow_cut_expander(16, 3, 9, &mut rng(1)).unwrap(),
+        ),
+        (
+            "slow-cut expander 64",
+            generators::slow_cut_expander(64, 4, 20, &mut rng(2)).unwrap(),
+        ),
+        // p = 0 and p = 0.005 at n = 200 (about 100 sampled edges, fewer
+        // than a spanning tree's 199) always take the connectivity repair.
+        (
+            "erdos-renyi p=0 repair",
+            generators::erdos_renyi(30, 0.0, 2, &mut rng(3)).unwrap(),
+        ),
+        (
+            "erdos-renyi sparse repair",
+            generators::erdos_renyi(200, 0.005, 1, &mut rng(4)).unwrap(),
+        ),
+        (
+            "erdos-renyi geometric 0.1",
+            generators::erdos_renyi(120, 0.1, 3, &mut rng(5)).unwrap(),
+        ),
+        (
+            "erdos-renyi geometric 0.25",
+            generators::erdos_renyi(60, 0.25, 1, &mut rng(6)).unwrap(),
+        ),
+        (
+            "erdos-renyi per-pair 0.26",
+            generators::erdos_renyi(60, 0.26, 1, &mut rng(7)).unwrap(),
+        ),
+        (
+            "erdos-renyi per-pair 0.7",
+            generators::erdos_renyi(40, 0.7, 2, &mut rng(8)).unwrap(),
+        ),
+        // d = 1 is a perfect matching, so the component chaining always runs;
+        // d = 6 on 12 nodes draws duplicate stubs that the degree repair fills.
+        (
+            "random regular d=1 repair",
+            generators::random_regular(20, 1, 1, &mut rng(9)).unwrap(),
+        ),
+        (
+            "random regular d=2",
+            generators::random_regular(40, 2, 2, &mut rng(10)).unwrap(),
+        ),
+        (
+            "random regular d=6 dense",
+            generators::random_regular(12, 6, 1, &mut rng(11)).unwrap(),
+        ),
+        (
+            "random regular d=8",
+            generators::random_regular(256, 8, 1, &mut rng(12)).unwrap(),
+        ),
+    ];
+    for (seed, (name, scheme)) in (20u64..).zip(schemes) {
+        cases.push((name, scheme.apply(&base, &mut rng(seed)).unwrap()));
+    }
+    let mixed = LatencyScheme::PowerLawClasses { classes: 4 }
+        .apply(&base, &mut rng(30))
+        .unwrap();
+    cases.push(("latency filtered", mixed.latency_filtered(4)));
+    cases.push((
+        "gadget singleton",
+        gadgets::gadget(6, 2, 9, TargetPredicate::Singleton, false, &mut rng(31))
+            .unwrap()
+            .graph,
+    ));
+    cases.push((
+        "gadget symmetric random",
+        gadgets::gadget(
+            8,
+            1,
+            5,
+            TargetPredicate::Random { p: 0.3 },
+            true,
+            &mut rng(32),
+        )
+        .unwrap()
+        .graph,
+    ));
+    cases.push((
+        "gadget with target",
+        gadgets::gadget_with_target(5, 1, 7, [(0, 1), (3, 3)].into_iter().collect(), true)
+            .unwrap()
+            .graph,
+    ));
+    cases.push((
+        "theorem 9 network",
+        gadgets::theorem9_network(24, 4, &mut rng(33))
+            .unwrap()
+            .graph,
+    ));
+    cases.push((
+        "theorem 10 network",
+        gadgets::theorem10_network(8, 0.3, 3, &mut rng(34))
+            .unwrap()
+            .graph,
+    ));
+    cases.push((
+        "theorem 13 ring",
+        gadgets::theorem13_ring(4, 3, 5, &mut rng(35))
+            .unwrap()
+            .graph,
+    ));
+    cases
+}
+
+/// Edge-list digests of `digest_cases()`, pinned so that a refactor of the
+/// builder, the validator or a generator cannot change which graphs the
+/// experiments run on.
+const EDGE_DIGESTS: &[(&str, u64)] = &[
+    ("clique 5", 0xb1caa49318d46ae0),
+    ("clique 33", 0x8066f535444d9e84),
+    ("path 2", 0xa93a997475731445),
+    ("path 40", 0x5062add6cbb549ab),
+    ("cycle 3", 0xd628cf58324485a4),
+    ("cycle 50", 0x491163c599af8357),
+    ("star 2", 0x6b450b625f948003),
+    ("star 64", 0x995ef83167661864),
+    ("grid 1x5", 0x70a9dcb77084d224),
+    ("grid 7x9", 0xb602cc60b08a67b4),
+    ("binary tree 1", 0x89cd31291d2aefa4),
+    ("binary tree 45", 0x8c78ab2c56a3fec4),
+    ("complete bipartite 1x4", 0x9cc9a52731d166a4),
+    ("complete bipartite 7x9", 0xfeb9fb0a2a306654),
+    ("ring of cliques 2x3", 0xe955f369d89d6d47),
+    ("ring of cliques 6x5", 0xab67235af76788a3),
+    ("dumbbell 2", 0x85fb59141b3f44e5),
+    ("dumbbell 12", 0xef3fc511400bebfa),
+    ("barbell 2x1", 0xa4f6201d262e8f06),
+    ("barbell 8x4", 0x72f1404b7cfdc379),
+    ("slow-cut expander 16", 0xdffaf882306e8456),
+    ("slow-cut expander 64", 0x87a969d0eab39245),
+    ("erdos-renyi p=0 repair", 0xccb51088ae0f9db8),
+    ("erdos-renyi sparse repair", 0xfbfca4b864255ad0),
+    ("erdos-renyi geometric 0.1", 0xd378d1feb0d9a286),
+    ("erdos-renyi geometric 0.25", 0x29e9d4a469be24e3),
+    ("erdos-renyi per-pair 0.26", 0x7d36d05aa1e350b2),
+    ("erdos-renyi per-pair 0.7", 0x5fa2278cc99544d5),
+    ("random regular d=1 repair", 0xad26b79e70ce445d),
+    ("random regular d=2", 0xfecb90bc33e3e404),
+    ("random regular d=6 dense", 0xeed525253d6adda9),
+    ("random regular d=8", 0xc4432b1d8db91b4a),
+    ("apply uniform", 0xe261ecd3521b17c5),
+    ("apply two-level", 0x7372435cd68a2c4f),
+    ("apply power-law", 0x82f422f9042e1a26),
+    ("apply uniform-random", 0x7743323401f2b6ab),
+    ("apply bimodal-fraction", 0xaa0840804b30f096),
+    ("latency filtered", 0x0ff059513146a31d),
+    ("gadget singleton", 0x93c66f4c897ea7e2),
+    ("gadget symmetric random", 0x5929dda49c1291d1),
+    ("gadget with target", 0x7e477b770cd1d349),
+    ("theorem 9 network", 0xffe89c40f658aa58),
+    ("theorem 10 network", 0x43cd59c6cd451976),
+    ("theorem 13 ring", 0x674727986d0525a9),
+];
+
+#[test]
+fn generators_build_the_pinned_edge_lists() {
+    let got: Vec<(&str, u64)> = digest_cases()
+        .iter()
+        .map(|(name, g)| (*name, edge_digest(g)))
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(name, digest)| format!("    (\"{name}\", {digest:#018x}),\n"))
+        .collect();
+    assert_eq!(got, EDGE_DIGESTS, "edge lists changed; computed:\n{table}");
+}

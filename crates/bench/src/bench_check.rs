@@ -1,14 +1,14 @@
 //! Perf-trajectory regression checks over `gossip-bench-timing/v2` artifacts.
 //!
 //! Every sweep writes a timing artifact (`BENCH_sweep.json`) recording the
-//! wall-clock of the run and — with `--mem-stats` — the sweep's peak
-//! engine-memory scenario, derived from the engine's deterministic
-//! [`MemStats`](gossip_sim::MemStats) counters.  The repository commits one
-//! such artifact as `BENCH_sweep_baseline.json` (Large tier), and CI runs
-//! `experiments bench-check` to diff the fresh artifact against it: the
-//! build fails when peak memory regresses beyond its tolerance (default
-//! +25%, a *deterministic* signal) or total wall-clock regresses beyond its
-//! (much looser, machine-noise-tolerant) default of +50%.  Future perf PRs
+//! wall-clock of the run and the sweep's peak engine-memory scenario,
+//! derived from the engine's deterministic [`MemStats`](gossip_sim::MemStats)
+//! counters.  The repository commits one such artifact as
+//! `BENCH_sweep_baseline.json` (Large tier), and CI runs `experiments
+//! bench-check` to diff the fresh artifact against it: the build fails when
+//! peak memory regresses beyond its tolerance (default +25%, a
+//! *deterministic* signal) or total wall-clock regresses beyond its (much
+//! looser, machine-noise-tolerant) default of +50%.  Future perf PRs
 //! therefore land with trajectory data instead of an empty `BENCH_*`
 //! history.
 
@@ -35,7 +35,8 @@ pub struct TimingArtifact {
     pub scale: String,
     /// Wall-clock seconds of the whole sweep (machine-dependent).
     pub elapsed_seconds: f64,
-    /// Whether the artifact carries memory aggregates (`--mem-stats`).
+    /// Whether the artifact carries memory aggregates (every sweep writes
+    /// them; artifacts from before that may not).
     pub mem_stats: bool,
     /// Largest per-scenario peak engine memory of the sweep (deterministic).
     pub peak_mem_bytes: u64,
@@ -356,7 +357,7 @@ mod tests {
 
     #[test]
     fn zero_baseline_with_positive_current_fails() {
-        // A baseline generated with `--mem-stats` but a zero metric (or a
+        // A baseline that carries memory stats but a zero metric (or a
         // truncated artifact) must not silently pass a real regression:
         // growth over a zero baseline is infinite, beyond every tolerance.
         let outcome = check(

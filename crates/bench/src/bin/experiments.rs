@@ -8,15 +8,14 @@
 //! experiments [EXPERIMENT-ID ...] [--quick] [--json] [--markdown]
 //! experiments sweep [--quick|--full|--large|--huge] [--seed N] [--trials N]
 //!                   [--min-size N] [--max-size N] [--threads N] [--faults]
-//!                   [--out PATH] [--timing-out PATH] [--mem-stats]
-//!                   [--json] [--markdown]
+//!                   [--out PATH] [--timing-out PATH] [--json] [--markdown]
 //! experiments bench-check --baseline PATH --current PATH
 //!                         [--mem-tolerance F] [--time-tolerance F]
 //! ```
 //!
 //! With no experiment ids, every experiment (E1–E8, F1, F2, F8) is run.
-//! `--quick` uses the smaller parameter sweeps (the ones the test-suite and
-//! `cargo bench` use); the default is the full-size sweep (`Scale::Full`).
+//! `--quick` uses the smaller parameter sweeps (the ones the test-suite
+//! uses); the default is the full-size sweep (`Scale::Full`).
 //! `--json` and `--markdown` change the output format from
 //! the plain-text tables.
 //!
@@ -43,9 +42,9 @@
 //! tier never perturbs the fault-free cells.  Alongside the report, every
 //! sweep writes a `BENCH_sweep.json`
 //! wall-clock timing artifact (schema `gossip-bench-timing/v2`,
-//! `--timing-out` to relocate) that CI uploads to track the perf trajectory;
-//! `--mem-stats` additionally folds the sweep's peak-memory aggregates (from
-//! the engine's deterministic `MemStats` counters) into that artifact.
+//! `--timing-out` to relocate) that CI uploads to track the perf trajectory,
+//! including the sweep's peak-memory aggregates (from the engine's
+//! deterministic `MemStats` counters).
 //!
 //! The `bench-check` subcommand diffs a fresh timing artifact against a
 //! committed baseline (`BENCH_sweep_baseline.json`) and exits non-zero when
@@ -123,7 +122,6 @@ struct SweepOptions {
     faults: bool,
     out: String,
     timing_out: String,
-    mem_stats: bool,
     json: bool,
     markdown: bool,
 }
@@ -139,7 +137,6 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, String> {
         faults: false,
         out: "sweep_report.json".to_string(),
         timing_out: "BENCH_sweep.json".to_string(),
-        mem_stats: false,
         json: false,
         markdown: false,
     };
@@ -156,7 +153,6 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, String> {
             "--large" => options.scale = Scale::Large,
             "--huge" => options.scale = Scale::Huge,
             "--faults" => options.faults = true,
-            "--mem-stats" => options.mem_stats = true,
             "--json" => options.json = true,
             "--markdown" => options.markdown = true,
             "--seed" => {
@@ -212,7 +208,7 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, String> {
                 return Err(
                     "usage: experiments sweep [--quick|--full|--large|--huge] [--seed N] \
                      [--trials N] [--min-size N] [--max-size N] [--threads N] [--faults] \
-                     [--out PATH] [--timing-out PATH] [--mem-stats] [--json] [--markdown]"
+                     [--out PATH] [--timing-out PATH] [--json] [--markdown]"
                         .to_string(),
                 )
             }
@@ -288,18 +284,12 @@ fn run_sweep(args: &[String]) -> ExitCode {
 
     // Wall-clock timing artifact (schema gossip-bench-timing/v2): unlike the
     // report it is *not* deterministic — it records how fast this machine ran
-    // the sweep, so CI can track the perf trajectory across commits.  With
-    // --mem-stats it also carries the sweep's peak-memory aggregates, which
-    // *are* deterministic (engine counters, not allocator probes).
+    // the sweep, so CI can track the perf trajectory across commits.  It
+    // also carries the sweep's peak-memory aggregates, which *are*
+    // deterministic (engine counters, not allocator probes).
     let elapsed_seconds = elapsed.as_secs_f64();
     let total_runs = spec.trial_count();
-    let (peak_mem_scenario, peak_mem_bytes) = if options.mem_stats {
-        report
-            .peak_mem_max()
-            .map_or((String::new(), 0), |(label, bytes)| (label, bytes))
-    } else {
-        (String::new(), 0)
-    };
+    let (peak_mem_scenario, peak_mem_bytes) = report.peak_mem_max().unwrap_or_default();
     let (rounds_simulated_total, rounds_skipped_total) = report.rounds_totals();
     let timing = gossip_bench::json::Json::object(vec![
         (
@@ -335,10 +325,7 @@ fn run_sweep(args: &[String]) -> ExitCode {
                 0.0
             }),
         ),
-        (
-            "mem_stats",
-            gossip_bench::json::Json::Bool(options.mem_stats),
-        ),
+        ("mem_stats", gossip_bench::json::Json::Bool(true)),
         // Fault-injection tier size (0 without --faults).  `bench-check`
         // parses artifacts unknown-field-tolerantly, so baselines predating
         // the fault tier keep working.

@@ -5,10 +5,6 @@
 //! [`experiments`].  Each experiment returns a [`Table`] whose rows are also
 //! serialisable to JSON, and the `experiments` binary prints them (README,
 //! "The experiments binary").
-//!
-//! The Criterion benches under `benches/` reuse the same workload
-//! constructors with smaller parameters so that `cargo bench` exercises every
-//! experiment end to end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +20,7 @@ pub use table::{Cell, Table};
 /// How large the experiment sweeps should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
-    /// Small parameters — used by `cargo bench` and the test-suite.
+    /// Small parameters — used by the test-suite.
     Quick,
     /// The full-size parameters the `experiments` binary runs by default.
     #[default]

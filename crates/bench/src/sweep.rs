@@ -397,7 +397,7 @@ impl SweepSpec {
     /// The default grid: seven families, sizes by scale, four latency
     /// profiles, four protocols.
     ///
-    /// * `Scale::Quick` shrinks sizes and trials for tests and `cargo bench`.
+    /// * `Scale::Quick` shrinks sizes and trials for tests.
     /// * `Scale::Full` is the default grid of `experiments sweep`.
     /// * `Scale::Large` opens the `10³`–`10⁴`-node regime: sizes up to 4096
     ///   across every family and protocol, 8192- and 16384-node cells for the
@@ -1141,7 +1141,7 @@ impl SweepReport {
 
     /// The scenario with the largest peak engine memory, as
     /// `(scenario label, bytes)` — `None` when no scenario reported memory
-    /// counters.  This is what the `--mem-stats` timing artifact records.
+    /// counters.  This is what the sweep's timing artifact records.
     pub fn peak_mem_max(&self) -> Option<(String, u64)> {
         self.scenarios
             .iter()

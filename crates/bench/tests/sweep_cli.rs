@@ -57,9 +57,9 @@ fn sweep_subcommand_writes_reproducible_reports_and_timing_artifact() {
     assert!(timing.get("threads").and_then(Json::as_i64).unwrap() >= 1);
     assert!(timing.get("total_runs").and_then(Json::as_i64).unwrap() > 0);
     assert!(timing.get("elapsed_seconds").is_some());
-    // Without --mem-stats the memory section is present but empty.
-    assert_eq!(timing.get("mem_stats"), Some(&Json::Bool(false)));
-    assert_eq!(timing.get("peak_mem_bytes").and_then(Json::as_i64), Some(0));
+    // Every sweep carries the memory section (its contents are checked by
+    // `mem_stats_flag_fills_the_timing_artifact_memory_section`).
+    assert_eq!(timing.get("mem_stats"), Some(&Json::Bool(true)));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -251,6 +251,8 @@ fn threads_flag_pins_the_pool_and_min_size_narrows_the_grid() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The timing artifact's `mem_stats` flag is always set, and the memory
+/// section it announces holds the sweep's peak engine memory.
 #[test]
 fn mem_stats_flag_fills_the_timing_artifact_memory_section() {
     let experiments = env!("CARGO_BIN_EXE_experiments");
@@ -258,15 +260,7 @@ fn mem_stats_flag_fills_the_timing_artifact_memory_section() {
     std::fs::create_dir_all(&dir).unwrap();
     let timing_path = dir.join("timing.json");
     let output = std::process::Command::new(experiments)
-        .args([
-            "sweep",
-            "--quick",
-            "--trials",
-            "1",
-            "--seed",
-            "3",
-            "--mem-stats",
-        ])
+        .args(["sweep", "--quick", "--trials", "1", "--seed", "3"])
         .arg("--out")
         .arg(dir.join("report.json"))
         .arg("--timing-out")
@@ -275,7 +269,7 @@ fn mem_stats_flag_fills_the_timing_artifact_memory_section() {
         .expect("experiments sweep runs");
     assert!(
         output.status.success(),
-        "experiments sweep --mem-stats failed:\n{}",
+        "experiments sweep failed:\n{}",
         String::from_utf8_lossy(&output.stderr)
     );
     let timing = std::fs::read_to_string(&timing_path).unwrap();

@@ -66,14 +66,45 @@ pub fn diameter_bound(g: &gossip_graph::Graph) -> gossip_graph::Latency {
         .unwrap_or_else(|| g.max_latency().max(1))
 }
 
-/// Largest diameter guess the guess-and-double drivers try: the total
-/// latency (a trivial upper bound on the diameter), rounded up to a power of
-/// two.
-pub(crate) fn guess_cap(g: &gossip_graph::Graph) -> gossip_graph::Latency {
+/// One guess of [`guess_and_double`]: the label the guess's Termination_Check
+/// is named after, the guess's phases, the rounds its check costs, and the
+/// rumor sets it leaves.
+type GuessPass = (String, Vec<Phase>, u64, Vec<gossip_sim::RumorSet>);
+
+/// Guess-and-double for an unknown diameter (Algorithms 4 and 5): runs
+/// `pass(guess, rumors)` for guesses `1, 2, 4, …` up to the total latency
+/// rounded up to a power of two (a trivial upper bound on the diameter),
+/// carrying the rumor sets from guess to guess.  After every guess it
+/// charges a Termination_Check (`"{label}: termination-check"`) and stops
+/// once every rumor set is full.
+pub(crate) fn guess_and_double(
+    g: &gossip_graph::Graph,
+    algorithm: &str,
+    mut pass: impl FnMut(gossip_graph::Latency, Vec<gossip_sim::RumorSet>) -> GuessPass,
+) -> DisseminationReport {
     let total: u128 = g.total_latency().max(1);
     let mut cap: gossip_graph::Latency = 1;
     while (cap as u128) < total && cap < gossip_graph::Latency::MAX / 2 {
         cap *= 2;
     }
-    cap
+    let mut phases = Vec::new();
+    let mut rumors = gossip_sim::Seeding::AllToAll.initial_sets(g.node_count());
+    let mut guess: gossip_graph::Latency = 1;
+    let mut completed = false;
+    while guess <= cap {
+        let (label, pass_phases, check_rounds, next) = pass(guess, rumors);
+        rumors = next;
+        phases.extend(pass_phases);
+        phases.push(Phase::new(
+            format!("{label}: termination-check"),
+            check_rounds,
+            0,
+        ));
+        if rumors.iter().all(gossip_sim::RumorSet::is_full) {
+            completed = true;
+            break;
+        }
+        guess = guess.saturating_mul(2);
+    }
+    DisseminationReport::from_phases(algorithm, phases, completed)
 }

@@ -88,35 +88,12 @@ pub fn run_known_diameter_with(g: &Graph, d: Latency, seed: u64) -> Disseminatio
 /// more `T(k)` pass (the check broadcasts and gathers rumor-set digests using
 /// the same schedule).
 pub fn run_unknown_diameter(g: &Graph, seed: u64) -> DisseminationReport {
-    let mut phases: Vec<Phase> = Vec::new();
-    let mut rumors = Seeding::AllToAll.initial_sets(g.node_count());
-    let mut guess: Latency = 1;
-    let cap = crate::guess_cap(g);
-    let mut completed = false;
-
-    while guess <= cap {
-        let (report, new_rumors) = run_schedule(g, guess, seed ^ guess, rumors);
-        rumors = new_rumors;
-        let pass_rounds = report.rounds;
-        let pass_activations = report.activations;
-        phases.push(Phase::new(
-            format!("T({guess})"),
-            pass_rounds,
-            pass_activations,
-        ));
-        phases.push(Phase::new(
-            format!("T({guess}): termination-check"),
-            pass_rounds,
-            0,
-        ));
-        if rumors.iter().all(RumorSet::is_full) {
-            completed = true;
-            break;
-        }
-        guess = guess.saturating_mul(2);
-    }
-
-    DisseminationReport::from_phases("pattern-broadcast (unknown D)", phases, completed)
+    crate::guess_and_double(g, "pattern-broadcast (unknown D)", |guess, rumors| {
+        let (report, rumors) = run_schedule(g, guess, seed ^ guess, rumors);
+        let label = format!("T({guess})");
+        let pass = Phase::new(label.clone(), report.rounds, report.activations);
+        (label, vec![pass], report.rounds, rumors)
+    })
 }
 
 #[cfg(test)]

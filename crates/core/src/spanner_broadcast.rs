@@ -47,38 +47,18 @@ pub fn run_known_diameter_with(g: &Graph, d: Latency, seed: u64) -> Disseminatio
 /// followed by a Termination_Check whose cost equals one more broadcast pass
 /// over the same spanner (Algorithm 3).
 pub fn run_unknown_diameter(g: &Graph, seed: u64) -> DisseminationReport {
-    let mut phases: Vec<Phase> = Vec::new();
-    let mut rumors = Seeding::AllToAll.initial_sets(g.node_count());
-    let mut guess: Latency = 1;
-    let cap = crate::guess_cap(g);
-    let mut completed = false;
-
-    while guess <= cap {
-        let (report, new_rumors) = run_with_guess(g, guess, seed ^ guess, rumors);
-        rumors = new_rumors;
-        for p in report.phases {
-            phases.push(Phase::new(
-                format!("k={guess}: {}", p.name),
-                p.rounds,
-                p.activations,
-            ));
-        }
-        // Termination_Check: one more broadcast pass over the current spanner
-        // so every node can compare rumor sets and flags (Algorithm 3).
-        let check_rounds = phases.last().map(|p| p.rounds).unwrap_or(0);
-        phases.push(Phase::new(
-            format!("k={guess}: termination-check"),
-            check_rounds,
-            0,
-        ));
-        if rumors.iter().all(RumorSet::is_full) {
-            completed = true;
-            break;
-        }
-        guess = guess.saturating_mul(2);
-    }
-
-    DisseminationReport::from_phases("spanner-broadcast (unknown D)", phases, completed)
+    crate::guess_and_double(g, "spanner-broadcast (unknown D)", |guess, rumors| {
+        let (report, rumors) = run_with_guess(g, guess, seed ^ guess, rumors);
+        // Termination_Check: one more broadcast pass over the current
+        // spanner, so it costs what the last phase cost (Algorithm 3).
+        let check_rounds = report.phases.last().map_or(0, |p| p.rounds);
+        let phases = report
+            .phases
+            .into_iter()
+            .map(|p| Phase::new(format!("k={guess}: {}", p.name), p.rounds, p.activations))
+            .collect();
+        (format!("k={guess}"), phases, check_rounds, rumors)
+    })
 }
 
 /// One Spanner Broadcast pass with diameter guess `k`, starting from the given

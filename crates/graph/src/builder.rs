@@ -1,15 +1,14 @@
 //! Incremental, validated graph construction.
 
-use std::collections::HashSet;
-
-use crate::graph::EdgeRecord;
+use crate::graph::{check_edge, EdgeRecord};
 use crate::{Graph, GraphError, Latency, NodeId};
 
 /// Builder for [`Graph`] values.
 ///
-/// The builder validates every edge as it is added (no self loops, no
-/// duplicates, positive latency, endpoints in range) so that an invalid graph
-/// is rejected at the point the mistake is made rather than at build time.
+/// [`add_edge`](Self::add_edge) rejects an edge with an endpoint out of
+/// range, a self loop or a zero latency at the call that adds it.  A pair
+/// added twice (in either orientation) is rejected by [`build`](Self::build),
+/// which checks the whole edge list once.
 ///
 /// # Example
 ///
@@ -27,8 +26,6 @@ use crate::{Graph, GraphError, Latency, NodeId};
 pub struct GraphBuilder {
     node_count: usize,
     edges: Vec<EdgeRecord>,
-    // gossip-lint: allow(unordered-iter): O(1) duplicate-edge membership test on the graph-build hot path, never iterated
-    seen: HashSet<(u32, u32)>,
 }
 
 impl GraphBuilder {
@@ -37,7 +34,6 @@ impl GraphBuilder {
         GraphBuilder {
             node_count,
             edges: Vec::new(),
-            seen: HashSet::new(),
         }
     }
 
@@ -62,83 +58,11 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error if either endpoint is out of range, if `u == v`, if
-    /// the latency is zero, or if the edge was already added.
-    pub fn add_edge(&mut self, u: usize, v: usize, latency: Latency) -> Result<(), GraphError> {
-        if u >= self.node_count {
-            return Err(GraphError::NodeOutOfRange {
-                node: u,
-                node_count: self.node_count,
-            });
-        }
-        if v >= self.node_count {
-            return Err(GraphError::NodeOutOfRange {
-                node: v,
-                node_count: self.node_count,
-            });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop { node: u });
-        }
-        if latency == 0 {
-            return Err(GraphError::ZeroLatency { u, v });
-        }
-        let key = (u.min(v) as u32, u.max(v) as u32);
-        if !self.seen.insert(key) {
-            return Err(GraphError::DuplicateEdge { u, v });
-        }
-        self.edges.push(EdgeRecord {
-            u: NodeId::new(u.min(v)),
-            v: NodeId::new(u.max(v)),
-            latency,
-        });
-        Ok(())
-    }
-
-    /// Adds an undirected edge `{u, v}` that the caller *guarantees* is not a
-    /// duplicate, skipping the duplicate-edge `HashSet` entirely.
-    ///
-    /// This is the validated fast path for generator-produced edge lists:
-    /// structured generators (cliques, grids, stars, …) enumerate each
-    /// unordered pair exactly once by construction, and at dense sizes the
-    /// hash insertions dominate the build (~4 s for a 4096-node clique).  All
-    /// cheap validation — endpoint range, self loops, positive latency — is
-    /// still performed; only the duplicate check is skipped.
-    ///
-    /// Because trusted edges bypass the `seen` set, [`has_edge`](Self::has_edge)
-    /// and [`add_edge_if_absent`](Self::add_edge_if_absent) do not know about
-    /// them.  That is safe when the checked calls can never collide with the
-    /// trusted ones (e.g. bridge edges between cliques whose internal edges
-    /// were added trusted); builders mixing the two paths must ensure it.
-    ///
-    /// # Errors
-    ///
     /// Returns an error if either endpoint is out of range, if `u == v`, or
-    /// if the latency is zero.
-    pub fn add_edge_trusted(
-        &mut self,
-        u: usize,
-        v: usize,
-        latency: Latency,
-    ) -> Result<(), GraphError> {
-        if u >= self.node_count {
-            return Err(GraphError::NodeOutOfRange {
-                node: u,
-                node_count: self.node_count,
-            });
-        }
-        if v >= self.node_count {
-            return Err(GraphError::NodeOutOfRange {
-                node: v,
-                node_count: self.node_count,
-            });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop { node: u });
-        }
-        if latency == 0 {
-            return Err(GraphError::ZeroLatency { u, v });
-        }
+    /// if the latency is zero.  A duplicate pair is reported by
+    /// [`build`](Self::build).
+    pub fn add_edge(&mut self, u: usize, v: usize, latency: Latency) -> Result<(), GraphError> {
+        check_edge(self.node_count, u, v, latency)?;
         self.edges.push(EdgeRecord {
             u: NodeId::new(u.min(v)),
             v: NodeId::new(u.max(v)),
@@ -148,40 +72,17 @@ impl GraphBuilder {
     }
 
     /// Reserves capacity for at least `additional` more edges (useful before
-    /// a bulk [`add_edge_trusted`](Self::add_edge_trusted) loop).
+    /// a bulk [`add_edge`](Self::add_edge) loop).
     pub fn reserve_edges(&mut self, additional: usize) {
         self.edges.reserve(additional);
-    }
-
-    /// Adds the edge only if it is not already present; returns whether it was added.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range endpoints, self loops, or zero latency.
-    pub fn add_edge_if_absent(
-        &mut self,
-        u: usize,
-        v: usize,
-        latency: Latency,
-    ) -> Result<bool, GraphError> {
-        let key = (u.min(v) as u32, u.max(v) as u32);
-        if self.seen.contains(&key) {
-            return Ok(false);
-        }
-        self.add_edge(u, v, latency)?;
-        Ok(true)
-    }
-
-    /// Returns `true` if the unordered pair `{u, v}` was already added.
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.seen.contains(&(u.min(v) as u32, u.max(v) as u32))
     }
 
     /// Finalises the builder into an immutable [`Graph`].
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::Empty`] if the graph has no nodes.
+    /// Returns [`GraphError::Empty`] if the graph has no nodes and
+    /// [`GraphError::DuplicateEdge`] if a pair was added twice.
     pub fn build(self) -> Result<Graph, GraphError> {
         Graph::from_parts(self.node_count, self.edges)
     }
@@ -233,20 +134,28 @@ mod tests {
             Err(GraphError::ZeroLatency { u: 0, v: 1 })
         );
         b.add_edge(0, 1, 1).unwrap();
-        assert_eq!(
-            b.add_edge(1, 0, 3),
-            Err(GraphError::DuplicateEdge { u: 1, v: 0 })
-        );
+        b.add_edge(1, 0, 3).unwrap();
+        assert_eq!(b.build(), Err(GraphError::DuplicateEdge { u: 0, v: 1 }));
     }
 
     #[test]
-    fn add_edge_if_absent_is_idempotent() {
-        let mut b = GraphBuilder::new(3);
-        assert!(b.add_edge_if_absent(0, 1, 1).unwrap());
-        assert!(!b.add_edge_if_absent(1, 0, 9).unwrap());
-        assert_eq!(b.edge_count(), 1);
-        assert!(b.has_edge(0, 1));
-        assert!(!b.has_edge(0, 2));
+    fn duplicate_in_either_orientation_fails_at_build() {
+        for (u, v) in [(1, 2), (2, 1)] {
+            let mut b = GraphBuilder::new(4);
+            b.add_edge(0, 3, 1).unwrap();
+            b.add_edge(2, 1, 5).unwrap();
+            b.add_edge(3, 1, 1).unwrap();
+            b.add_edge(u, v, 5).unwrap();
+            assert_eq!(b.build(), Err(GraphError::DuplicateEdge { u: 1, v: 2 }));
+        }
+        // A repeated edge fails `build_connected` the same way.
+        let mut b = GraphBuilder::new(2);
+        b.add_edge(0, 1, 1).unwrap();
+        b.add_edge(0, 1, 1).unwrap();
+        assert_eq!(
+            b.build_connected(),
+            Err(GraphError::DuplicateEdge { u: 0, v: 1 })
+        );
     }
 
     #[test]
@@ -275,62 +184,5 @@ mod tests {
     #[test]
     fn empty_builder_rejected() {
         assert_eq!(GraphBuilder::new(0).build().unwrap_err(), GraphError::Empty);
-    }
-
-    #[test]
-    fn trusted_path_validates_everything_but_duplicates() {
-        let mut b = GraphBuilder::new(3);
-        b.reserve_edges(3);
-        assert_eq!(
-            b.add_edge_trusted(0, 5, 1),
-            Err(GraphError::NodeOutOfRange {
-                node: 5,
-                node_count: 3
-            })
-        );
-        assert_eq!(
-            b.add_edge_trusted(7, 0, 1),
-            Err(GraphError::NodeOutOfRange {
-                node: 7,
-                node_count: 3
-            })
-        );
-        assert_eq!(
-            b.add_edge_trusted(1, 1, 1),
-            Err(GraphError::SelfLoop { node: 1 })
-        );
-        assert_eq!(
-            b.add_edge_trusted(0, 1, 0),
-            Err(GraphError::ZeroLatency { u: 0, v: 1 })
-        );
-        b.add_edge_trusted(2, 0, 4).unwrap();
-        let g = b.build().unwrap();
-        assert_eq!(g.edge_count(), 1);
-        // Endpoints are normalised exactly like the checked path.
-        let e = g.edge(crate::EdgeId::new(0));
-        assert_eq!((e.u, e.v, e.latency), (NodeId::new(0), NodeId::new(2), 4));
-    }
-
-    #[test]
-    fn trusted_path_builds_the_same_graph_as_the_checked_path() {
-        let checked = {
-            let mut b = GraphBuilder::new(6);
-            for u in 0..6 {
-                for v in (u + 1)..6 {
-                    b.add_edge(u, v, 2).unwrap();
-                }
-            }
-            b.build().unwrap()
-        };
-        let trusted = {
-            let mut b = GraphBuilder::new(6);
-            for u in 0..6 {
-                for v in (u + 1)..6 {
-                    b.add_edge_trusted(u, v, 2).unwrap();
-                }
-            }
-            b.build().unwrap()
-        };
-        assert_eq!(checked, trusted);
     }
 }

@@ -15,13 +15,10 @@ pub fn clique(n: usize, latency: Latency) -> Result<Graph, GraphError> {
         });
     }
     let mut b = GraphBuilder::new(n);
-    // Each unordered pair is enumerated exactly once: the duplicate-free
-    // trusted path applies (and at n = 4096 it cuts the build from seconds
-    // to tens of milliseconds).
     b.reserve_edges(n * n.saturating_sub(1) / 2);
     for u in 0..n {
         for v in (u + 1)..n {
-            b.add_edge_trusted(u, v, latency)?;
+            b.add_edge(u, v, latency)?;
         }
     }
     b.build()
@@ -40,7 +37,7 @@ pub fn path(n: usize, latency: Latency) -> Result<Graph, GraphError> {
     }
     let mut b = GraphBuilder::new(n);
     for u in 0..n.saturating_sub(1) {
-        b.add_edge_trusted(u, u + 1, latency)?;
+        b.add_edge(u, u + 1, latency)?;
     }
     b.build()
 }
@@ -58,7 +55,7 @@ pub fn cycle(n: usize, latency: Latency) -> Result<Graph, GraphError> {
     }
     let mut b = GraphBuilder::new(n);
     for u in 0..n {
-        b.add_edge_trusted(u, (u + 1) % n, latency)?;
+        b.add_edge(u, (u + 1) % n, latency)?;
     }
     b.build()
 }
@@ -80,7 +77,7 @@ pub fn star(n: usize, latency: Latency) -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new(n);
     b.reserve_edges(n - 1);
     for leaf in 1..n {
-        b.add_edge_trusted(0, leaf, latency)?;
+        b.add_edge(0, leaf, latency)?;
     }
     b.build()
 }
@@ -101,10 +98,10 @@ pub fn grid(rows: usize, cols: usize, latency: Latency) -> Result<Graph, GraphEr
         for c in 0..cols {
             let id = r * cols + c;
             if c + 1 < cols {
-                b.add_edge_trusted(id, id + 1, latency)?;
+                b.add_edge(id, id + 1, latency)?;
             }
             if r + 1 < rows {
-                b.add_edge_trusted(id, id + cols, latency)?;
+                b.add_edge(id, id + cols, latency)?;
             }
         }
     }
@@ -126,7 +123,7 @@ pub fn binary_tree(n: usize, latency: Latency) -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new(n);
     for child in 1..n {
         let parent = (child - 1) / 2;
-        b.add_edge_trusted(parent, child, latency)?;
+        b.add_edge(parent, child, latency)?;
     }
     b.build()
 }
@@ -152,7 +149,7 @@ pub fn complete_bipartite(
     b.reserve_edges(left * right);
     for u in 0..left {
         for v in 0..right {
-            b.add_edge_trusted(u, left + v, latency)?;
+            b.add_edge(u, left + v, latency)?;
         }
     }
     b.build()

@@ -29,14 +29,11 @@ pub fn ring_of_cliques(k: usize, s: usize, bridge_latency: Latency) -> Result<Gr
     }
     let mut b = GraphBuilder::new(k * s);
     let node = |clique: usize, i: usize| clique * s + i;
-    // Intra-clique pairs are enumerated exactly once: trusted fast path.
-    // (The bridges below join *different* cliques, so the checked calls can
-    // never collide with these edges.)
     b.reserve_edges(k * s * s.saturating_sub(1) / 2);
     for c in 0..k {
         for i in 0..s {
             for j in (i + 1)..s {
-                b.add_edge_trusted(node(c, i), node(c, j), 1)?;
+                b.add_edge(node(c, i), node(c, j), 1)?;
             }
         }
     }
@@ -46,7 +43,7 @@ pub fn ring_of_cliques(k: usize, s: usize, bridge_latency: Latency) -> Result<Gr
         if k == 2 && c == 1 {
             break;
         }
-        b.add_edge_if_absent(node(c, s - 1), node(next, 0), bridge_latency)?;
+        b.add_edge(node(c, s - 1), node(next, 0), bridge_latency)?;
     }
     b.build_connected()
 }
@@ -65,18 +62,16 @@ pub fn dumbbell(s: usize, bridge_latency: Latency) -> Result<Graph, GraphError> 
         });
     }
     let mut b = GraphBuilder::new(2 * s);
-    // Intra-clique pairs are enumerated exactly once, and the bridge joins
-    // the two sides: trusted fast path throughout.
     b.reserve_edges(s * (s - 1) + 1);
     for side in 0..2 {
         let offset = side * s;
         for i in 0..s {
             for j in (i + 1)..s {
-                b.add_edge_trusted(offset + i, offset + j, 1)?;
+                b.add_edge(offset + i, offset + j, 1)?;
             }
         }
     }
-    b.add_edge_trusted(s - 1, s, bridge_latency)?;
+    b.add_edge(s - 1, s, bridge_latency)?;
     b.build_connected()
 }
 
@@ -108,15 +103,12 @@ pub fn barbell(s: usize, bridge_len: usize, bridge_latency: Latency) -> Result<G
         });
     }
     let mut b = GraphBuilder::new(2 * s + bridge_len - 1);
-    // Intra-clique pairs are enumerated exactly once, and every bridge edge
-    // touches a fresh relay node (or joins the two cliques): trusted fast
-    // path throughout.
     b.reserve_edges(s * (s - 1) + bridge_len);
     for side in 0..2 {
         let offset = side * s;
         for i in 0..s {
             for j in (i + 1)..s {
-                b.add_edge_trusted(offset + i, offset + j, 1)?;
+                b.add_edge(offset + i, offset + j, 1)?;
             }
         }
     }
@@ -125,10 +117,10 @@ pub fn barbell(s: usize, bridge_len: usize, bridge_latency: Latency) -> Result<G
     let mut prev = s - 1;
     for relay in 0..bridge_len - 1 {
         let node = 2 * s + relay;
-        b.add_edge_trusted(prev, node, bridge_latency)?;
+        b.add_edge(prev, node, bridge_latency)?;
         prev = node;
     }
-    b.add_edge_trusted(prev, s, bridge_latency)?;
+    b.add_edge(prev, s, bridge_latency)?;
     b.build_connected()
 }
 

@@ -47,11 +47,6 @@ pub fn erdos_renyi<R: Rng + ?Sized>(
         });
     }
     let mut b = GraphBuilder::new(n);
-    // Each unordered pair is considered exactly once (in both samplers), so
-    // no duplicate is possible: trusted fast path.  (The connectivity repair
-    // below links representatives of *distinct* components, which by
-    // definition share no edge, so its checked `add_edge_if_absent` calls
-    // cannot collide either.)
     // `log(1-p)` is finite and negative for representable p in (0, 1); a p
     // so small that `1 - p == 1.0` would make it 0 (and the skip ratio
     // ±inf), so such degenerate probabilities take the per-pair path.
@@ -75,42 +70,26 @@ pub fn erdos_renyi<R: Rng + ?Sized>(
                 v += 1;
             }
             if v < n {
-                b.add_edge_trusted(v, w as usize, latency)?;
+                b.add_edge(v, w as usize, latency)?;
             }
         }
     } else if p > 0.0 {
         for u in 0..n {
             for v in (u + 1)..n {
                 if rng.gen_bool(p) {
-                    b.add_edge_trusted(u, v, latency)?;
+                    b.add_edge(u, v, latency)?;
                 }
             }
         }
     }
-    // Connectivity repair: connect consecutive components along the node order.
+    // Connectivity repair: link one representative of every component to a
+    // representative of component 0.  Nodes of distinct components share no
+    // edge, so no repair edge is a duplicate.
     let g = b.clone().build()?;
-    if g.is_connected() {
+    let (comp_count, component) = g.components();
+    if comp_count == 1 {
         return Ok(g);
     }
-    let mut component = vec![usize::MAX; n];
-    let mut comp_count = 0;
-    for start in 0..n {
-        if component[start] != usize::MAX {
-            continue;
-        }
-        let mut stack = vec![crate::NodeId::new(start)];
-        component[start] = comp_count;
-        while let Some(v) = stack.pop() {
-            for (w, _) in g.neighbors(v) {
-                if component[w.index()] == usize::MAX {
-                    component[w.index()] = comp_count;
-                    stack.push(w);
-                }
-            }
-        }
-        comp_count += 1;
-    }
-    // Link one representative of every component to a representative of component 0.
     let mut representatives = vec![usize::MAX; comp_count];
     for (v, &c) in component.iter().enumerate() {
         if representatives[c] == usize::MAX {
@@ -118,7 +97,7 @@ pub fn erdos_renyi<R: Rng + ?Sized>(
         }
     }
     for c in 1..comp_count {
-        b.add_edge_if_absent(representatives[0], representatives[c], latency)?;
+        b.add_edge(representatives[0], representatives[c], latency)?;
     }
     b.build_connected()
 }
@@ -163,13 +142,18 @@ pub fn random_regular<R: Rng + ?Sized>(
     }
 
     let mut b = GraphBuilder::new(n);
+    // Every node's neighbors so far: the duplicate test of the configuration
+    // model and the repair pass, and (by its length) the node's degree.
+    let mut adjacent: Vec<Vec<usize>> = vec![Vec::new(); n];
     // Configuration model.
     let mut stubs: Vec<usize> = (0..n).flat_map(|v| std::iter::repeat_n(v, d)).collect();
     stubs.shuffle(rng);
     for pair in stubs.chunks_exact(2) {
         let (u, v) = (pair[0], pair[1]);
-        if u != v {
-            let _ = b.add_edge_if_absent(u, v, latency);
+        if u != v && !adjacent[u].contains(&v) {
+            adjacent[u].push(v);
+            adjacent[v].push(u);
+            b.add_edge(u, v, latency)?;
         }
     }
 
@@ -177,15 +161,8 @@ pub fn random_regular<R: Rng + ?Sized>(
     // paired with each other first; when no two deficient nodes can be
     // joined, the remaining one borrows the lowest-degree non-neighbor
     // (which can exceed d by a small additive constant, but never by much).
-    let mut degree = vec![0usize; n];
-    {
-        let g = b.clone().build()?;
-        for v in g.nodes() {
-            degree[v.index()] = g.degree(v);
-        }
-    }
     loop {
-        let mut deficient: Vec<usize> = (0..n).filter(|&v| degree[v] < d).collect();
+        let mut deficient: Vec<usize> = (0..n).filter(|&v| adjacent[v].len() < d).collect();
         if deficient.is_empty() {
             break;
         }
@@ -193,7 +170,7 @@ pub fn random_regular<R: Rng + ?Sized>(
         let mut paired = None;
         'pairs: for i in 0..deficient.len() {
             for j in (i + 1)..deficient.len() {
-                if !b.has_edge(deficient[i], deficient[j]) {
+                if !adjacent[deficient[i]].contains(&deficient[j]) {
                     paired = Some((deficient[i], deficient[j]));
                     break 'pairs;
                 }
@@ -205,52 +182,37 @@ pub fn random_regular<R: Rng + ?Sized>(
                 // A node with degree < d <= n - 1 always has a non-neighbor.
                 let u = deficient[0];
                 let v = (0..n)
-                    .filter(|&w| w != u && !b.has_edge(u, w))
-                    .min_by_key(|&w| degree[w])
+                    .filter(|&w| w != u && !adjacent[u].contains(&w))
+                    .min_by_key(|&w| adjacent[w].len())
                     .expect("a deficient node cannot be adjacent to all others");
                 (u, v)
             }
         };
+        adjacent[u].push(v);
+        adjacent[v].push(u);
         b.add_edge(u, v, latency)?;
-        degree[u] += 1;
-        degree[v] += 1;
     }
 
     // Connectivity repair (adds at most one extra degree to a few nodes).
     let g = b.clone().build()?;
-    if g.is_connected() {
+    let (comp_count, component) = g.components();
+    if comp_count == 1 {
         return Ok(g);
-    }
-    let mut component = vec![usize::MAX; n];
-    let mut comp_count = 0;
-    for start in 0..n {
-        if component[start] != usize::MAX {
-            continue;
-        }
-        let mut stack = vec![crate::NodeId::new(start)];
-        component[start] = comp_count;
-        while let Some(v) = stack.pop() {
-            for (w, _) in g.neighbors(v) {
-                if component[w.index()] == usize::MAX {
-                    component[w.index()] = comp_count;
-                    stack.push(w);
-                }
-            }
-        }
-        comp_count += 1;
     }
     // Chain the components through their minimum-degree nodes (a star on one
     // representative would concentrate up to `comp_count` extra edges on a
     // single node and break the near-regularity contract for small `d`).
+    // Nodes of distinct components share no edge, so no link is a duplicate.
     let mut representatives = vec![usize::MAX; comp_count];
-    for v in 0..n {
-        let c = component[v];
-        if representatives[c] == usize::MAX || degree[v] < degree[representatives[c]] {
+    for (v, &c) in component.iter().enumerate() {
+        if representatives[c] == usize::MAX
+            || adjacent[v].len() < adjacent[representatives[c]].len()
+        {
             representatives[c] = v;
         }
     }
     for c in 1..comp_count {
-        b.add_edge_if_absent(representatives[c - 1], representatives[c], latency)?;
+        b.add_edge(representatives[c - 1], representatives[c], latency)?;
     }
     b.build_connected()
 }

@@ -56,8 +56,31 @@ pub struct Graph {
     max_latency: Latency,
 }
 
+/// The one per-edge rule: both endpoints lie below `node_count`, the
+/// endpoints differ, and the latency is positive.
+pub(crate) fn check_edge(
+    node_count: usize,
+    u: usize,
+    v: usize,
+    latency: Latency,
+) -> Result<(), GraphError> {
+    if let Some(node) = [u, v].into_iter().find(|&x| x >= node_count) {
+        return Err(GraphError::NodeOutOfRange { node, node_count });
+    }
+    if u == v {
+        return Err(GraphError::SelfLoop { node: u });
+    }
+    if latency == 0 {
+        return Err(GraphError::ZeroLatency { u, v });
+    }
+    Ok(())
+}
+
 impl Graph {
-    // gossip-lint: allow(panic-path): GraphBuilder::add_edge validates both endpoints against node_count before an EdgeRecord exists
+    /// Builds a graph from its edge list, in edge-id order.  Every record is
+    /// checked by [`check_edge`], and a pair that appears twice (in either
+    /// orientation) is a [`GraphError::DuplicateEdge`].
+    // gossip-lint: allow(panic-path): check_edge bounds both endpoints of a record by node_count before they index adjacency
     pub(crate) fn from_parts(
         node_count: usize,
         edges: Vec<EdgeRecord>,
@@ -68,14 +91,26 @@ impl Graph {
         let mut adjacency = vec![Vec::new(); node_count];
         let mut max_latency: Latency = 0;
         for (idx, e) in edges.iter().enumerate() {
+            check_edge(node_count, e.u.index(), e.v.index(), e.latency)?;
             let id = EdgeId::new(idx);
             adjacency[e.u.index()].push((e.v, id));
             adjacency[e.v.index()].push((e.u, id));
             max_latency = max_latency.max(e.latency);
         }
-        // Deterministic neighbor order: by neighbor id, then edge id.
-        for list in &mut adjacency {
+        // Deterministic neighbor order: by neighbor id, then edge id.  A
+        // repeated pair then sits side by side in its endpoints' lists.
+        for (node, list) in adjacency.iter_mut().enumerate() {
             list.sort_unstable();
+            let repeated = list.windows(2).find_map(|pair| match pair {
+                [(a, _), (b, _)] if a == b => Some(*a),
+                _ => None,
+            });
+            if let Some(other) = repeated {
+                return Err(GraphError::DuplicateEdge {
+                    u: node,
+                    v: other.index(),
+                });
+            }
         }
         Ok(Graph {
             adjacency,
@@ -213,26 +248,34 @@ impl Graph {
         2 * self.edge_count() as u64
     }
 
-    /// Returns `true` if the graph is connected (single node graphs are connected).
-    pub fn is_connected(&self) -> bool {
-        let n = self.node_count();
-        if n == 0 {
-            return false;
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![NodeId::new(0)];
-        seen[0] = true;
-        let mut count = 1usize;
-        while let Some(v) = stack.pop() {
-            for (w, _) in self.neighbors(v) {
-                if !seen[w.index()] {
-                    seen[w.index()] = true;
-                    count += 1;
-                    stack.push(w);
+    /// Connected components: their count and each node's label, components
+    /// numbered `0..count` in the order of their smallest node.
+    pub fn components(&self) -> (usize, Vec<usize>) {
+        let mut label = vec![usize::MAX; self.node_count()];
+        let mut count = 0;
+        let mut stack = Vec::new();
+        for start in self.nodes() {
+            if label[start.index()] != usize::MAX {
+                continue;
+            }
+            label[start.index()] = count;
+            stack.push(start);
+            while let Some(v) = stack.pop() {
+                for &(w, _) in self.neighbor_slice(v) {
+                    if label[w.index()] == usize::MAX {
+                        label[w.index()] = count;
+                        stack.push(w);
+                    }
                 }
             }
+            count += 1;
         }
-        count == n
+        (count, label)
+    }
+
+    /// Returns `true` if the graph is connected (single node graphs are connected).
+    pub fn is_connected(&self) -> bool {
+        self.components().0 == 1
     }
 
     /// Returns a copy of the graph restricted to edges with latency `<= bound`.
@@ -355,6 +398,48 @@ mod tests {
         let f = g.latency_filtered(2);
         assert_eq!(f.edge_count(), 1);
         assert!(!f.is_connected());
+    }
+
+    #[test]
+    fn components_count_and_label_in_smallest_node_order() {
+        let g = path3();
+        assert_eq!(g.components(), (1, vec![0, 0, 0]));
+        // Components {0, 3}, {1}, {2, 4, 5}.
+        let mut b = GraphBuilder::new(6);
+        b.add_edge(3, 0, 1).unwrap();
+        b.add_edge(5, 2, 1).unwrap();
+        b.add_edge(4, 5, 2).unwrap();
+        let g = b.build().unwrap();
+        assert_eq!(g.components(), (3, vec![0, 1, 2, 0, 2, 2]));
+        assert!(!g.is_connected());
+    }
+
+    #[test]
+    fn from_parts_validates_records_the_builder_never_saw() {
+        let record = |u: usize, v: usize, latency: Latency| EdgeRecord {
+            u: NodeId::new(u),
+            v: NodeId::new(v),
+            latency,
+        };
+        assert_eq!(
+            Graph::from_parts(3, vec![record(0, 3, 1)]),
+            Err(GraphError::NodeOutOfRange {
+                node: 3,
+                node_count: 3
+            })
+        );
+        assert_eq!(
+            Graph::from_parts(3, vec![record(2, 2, 1)]),
+            Err(GraphError::SelfLoop { node: 2 })
+        );
+        assert_eq!(
+            Graph::from_parts(3, vec![record(0, 1, 0)]),
+            Err(GraphError::ZeroLatency { u: 0, v: 1 })
+        );
+        assert_eq!(
+            Graph::from_parts(3, vec![record(1, 2, 1), record(0, 1, 1), record(2, 1, 4)]),
+            Err(GraphError::DuplicateEdge { u: 1, v: 2 })
+        );
     }
 
     #[test]

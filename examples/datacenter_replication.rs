@@ -16,6 +16,18 @@ use gossip_conductance::{analyze, Method};
 use gossip_core::{push_pull, spanner_broadcast, unified};
 use gossip_graph::{metrics, GraphBuilder, Latency, NodeId};
 
+/// The links of a ring over `k` members, as `(member, next)` pairs.  A
+/// two-member ring is one link (its second would repeat the first), and a
+/// lone member has none.
+fn ring_links(k: usize) -> impl Iterator<Item = (usize, usize)> {
+    let links = match k {
+        0 | 1 => 0,
+        2 => 1,
+        _ => k,
+    };
+    (0..links).map(move |i| (i, (i + 1) % k))
+}
+
 /// Builds `regions × racks_per_region × servers_per_rack` servers.
 /// Intra-rack edges have latency 1, intra-region rack-to-rack uplinks latency
 /// `region_latency`, and the WAN links between region gateways `wan_latency`.
@@ -44,25 +56,19 @@ fn datacenter(
             }
         }
         // Rack leaders form a ring inside the region.
-        for rack in 0..racks_per_region {
-            let next = (rack + 1) % racks_per_region;
-            if racks_per_region > 1 {
-                b.add_edge_if_absent(
-                    server(region, rack, 0),
-                    server(region, next, 0),
-                    region_latency,
-                )
-                .unwrap();
-            }
+        for (rack, next) in ring_links(racks_per_region) {
+            b.add_edge(
+                server(region, rack, 0),
+                server(region, next, 0),
+                region_latency,
+            )
+            .unwrap();
         }
     }
     // Region gateways (rack 0, server 0 of each region) form a WAN ring.
-    for region in 0..regions {
-        let next = (region + 1) % regions;
-        if regions > 1 {
-            b.add_edge_if_absent(server(region, 0, 0), server(next, 0, 0), wan_latency)
-                .unwrap();
-        }
+    for (region, next) in ring_links(regions) {
+        b.add_edge(server(region, 0, 0), server(next, 0, 0), wan_latency)
+            .unwrap();
     }
     b.build_connected()
         .expect("datacenter topology is connected")

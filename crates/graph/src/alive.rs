@@ -2,8 +2,9 @@
 //!
 //! A [`Graph`] is immutable after construction, but fault injection needs
 //! nodes to *crash* (and possibly rejoin) and edges to be *cut* mid-run
-//! without rebuilding the adjacency (one neighbor list per node, with node
-//! ids below `n` and edge ids below `m`).  An [`AliveView`] is that overlay:
+//! without rebuilding the adjacency (one flat arc array, each node's slice
+//! of it bounded by the graph's offsets, with node ids below `n` and edge
+//! ids below `m`).  An [`AliveView`] is that overlay:
 //! two liveness bitsets (nodes, edges) plus lazily materialised per-node
 //! *filtered neighbor lists* for exactly the nodes whose incident topology a
 //! fault has touched.  Untouched nodes keep borrowing the graph's own

@@ -42,16 +42,24 @@ impl EdgeRecord {
 
 /// An undirected, connected-or-not graph with integer edge latencies.
 ///
-/// The representation is a flat edge list plus a per-node adjacency list of
-/// `(neighbor, edge-id)` pairs, which is the access pattern the simulator and
-/// the algorithms need: iterate over a node's incident edges, look up the
-/// latency of an edge, and map an edge id back to its endpoints.
+/// The representation is a flat edge list plus a flat adjacency: one `arcs`
+/// array holding every node's incident `(neighbor, edge-id)` pairs back to
+/// back, and `offsets`, where node `v`'s pairs are
+/// `arcs[offsets[v]..offsets[v + 1]]`.  That is the access pattern the
+/// simulator and the algorithms need: iterate over a node's incident edges,
+/// look up the latency of an edge, and map an edge id back to its endpoints
+/// — from three allocations, whatever the node count.
 ///
 /// `Graph` is immutable after construction; build one through
 /// [`GraphBuilder`](crate::GraphBuilder) or one of the [`generators`](crate::generators).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
-    adjacency: Vec<Vec<(NodeId, EdgeId)>>,
+    /// `n + 1` prefix sums of the degrees: node `v`'s slice of `arcs` starts
+    /// at `offsets[v]` and ends at `offsets[v + 1]`.
+    offsets: Vec<usize>,
+    /// Every node's `(neighbor, edge)` pairs, sorted by neighbor id, then
+    /// edge id, within the node's slice.
+    arcs: Vec<(NodeId, EdgeId)>,
     edges: Vec<EdgeRecord>,
     max_latency: Latency,
 }
@@ -80,7 +88,10 @@ impl Graph {
     /// Builds a graph from its edge list, in edge-id order.  Every record is
     /// checked by [`check_edge`], and a pair that appears twice (in either
     /// orientation) is a [`GraphError::DuplicateEdge`].
-    // gossip-lint: allow(panic-path): check_edge bounds both endpoints of a record by node_count before they index adjacency
+    ///
+    /// The adjacency is a counting sort of the edge list: degrees give the
+    /// offsets, and each record lands in both endpoints' slices.
+    // gossip-lint: allow(panic-path): check_edge bounds both endpoints of a record by node_count before they index offsets and cursor, and a node's cursor stays inside its own slice of arcs
     pub(crate) fn from_parts(
         node_count: usize,
         edges: Vec<EdgeRecord>,
@@ -88,18 +99,30 @@ impl Graph {
         if node_count == 0 {
             return Err(GraphError::Empty);
         }
-        let mut adjacency = vec![Vec::new(); node_count];
+        let mut offsets = vec![0usize; node_count + 1];
         let mut max_latency: Latency = 0;
-        for (idx, e) in edges.iter().enumerate() {
+        for e in &edges {
             check_edge(node_count, e.u.index(), e.v.index(), e.latency)?;
-            let id = EdgeId::new(idx);
-            adjacency[e.u.index()].push((e.v, id));
-            adjacency[e.v.index()].push((e.u, id));
+            offsets[e.u.index() + 1] += 1;
+            offsets[e.v.index() + 1] += 1;
             max_latency = max_latency.max(e.latency);
         }
+        for v in 0..node_count {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..node_count].to_vec();
+        let mut arcs = vec![(NodeId::default(), EdgeId::default()); 2 * edges.len()];
+        for (idx, e) in edges.iter().enumerate() {
+            let id = EdgeId::new(idx);
+            for (from, to) in [(e.u, e.v), (e.v, e.u)] {
+                arcs[cursor[from.index()]] = (to, id);
+                cursor[from.index()] += 1;
+            }
+        }
         // Deterministic neighbor order: by neighbor id, then edge id.  A
-        // repeated pair then sits side by side in its endpoints' lists.
-        for (node, list) in adjacency.iter_mut().enumerate() {
+        // repeated pair then sits side by side in its endpoints' slices.
+        for node in 0..node_count {
+            let list = &mut arcs[offsets[node]..offsets[node + 1]];
             list.sort_unstable();
             let repeated = list.windows(2).find_map(|pair| match pair {
                 [(a, _), (b, _)] if a == b => Some(*a),
@@ -113,7 +136,8 @@ impl Graph {
             }
         }
         Ok(Graph {
-            adjacency,
+            offsets,
+            arcs,
             edges,
             max_latency,
         })
@@ -122,7 +146,7 @@ impl Graph {
     /// Number of nodes `n = |V|`.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.adjacency.len()
+        self.offsets.len() - 1
     }
 
     /// Number of undirected edges `m = |E|`.
@@ -180,14 +204,13 @@ impl Graph {
     ///
     /// Panics if `v` is not a valid node id of this graph.
     #[inline]
-    // gossip-lint: allow(panic-path): adjacency holds one list per node, and a NodeId of this graph is < n
     pub fn degree(&self, v: NodeId) -> usize {
-        self.adjacency[v.index()].len()
+        self.neighbor_slice(v).len()
     }
 
     /// Maximum degree `Δ` over all nodes.
     pub fn max_degree(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).max().unwrap_or(0)
+        self.nodes().map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
     /// Iterator over `(neighbor, edge-id)` pairs incident to `v`, in
@@ -197,10 +220,9 @@ impl Graph {
     ///
     /// Panics if `v` is not a valid node id of this graph.
     #[inline]
-    // gossip-lint: allow(panic-path): adjacency holds one list per node, and a NodeId of this graph is < n
     pub fn neighbors(&self, v: NodeId) -> NeighborIter<'_> {
         NeighborIter {
-            inner: self.adjacency[v.index()].iter(),
+            inner: self.neighbor_slice(v).iter(),
         }
     }
 
@@ -212,20 +234,20 @@ impl Graph {
     ///
     /// Panics if `v` is not a valid node id of this graph.
     #[inline]
-    // gossip-lint: allow(panic-path): adjacency holds one list per node, and a NodeId of this graph is < n
+    // gossip-lint: allow(panic-path): offsets holds n + 1 ascending bounds into arcs, and a NodeId of this graph is < n
     pub fn neighbor_slice(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
-        &self.adjacency[v.index()]
+        let i = v.index();
+        &self.arcs[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// Looks up the edge between `u` and `v`, if any.
-    // gossip-lint: allow(panic-path): adjacency holds one list per node, and the probe (u or v) is a NodeId of this graph, so < n
     pub fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
         let (probe, target) = if self.degree(u) <= self.degree(v) {
             (u, v)
         } else {
             (v, u)
         };
-        self.adjacency[probe.index()]
+        self.neighbor_slice(probe)
             .iter()
             .find(|(w, _)| *w == target)
             .map(|(_, e)| *e)

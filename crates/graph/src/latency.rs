@@ -57,6 +57,36 @@ pub enum LatencyScheme {
 }
 
 impl LatencyScheme {
+    /// Checks the scheme's parameters: positive latencies, a non-empty
+    /// range, probabilities and fractions in `[0, 1]`, at least one class.
+    fn validate(&self) -> Result<(), GraphError> {
+        let in_unit = |x: f64| (0.0..=1.0).contains(&x);
+        let reason = match *self {
+            LatencyScheme::Uniform(0) => "uniform latency must be positive",
+            LatencyScheme::TwoLevel { fast, slow, .. } if fast == 0 || slow == 0 => {
+                "latencies must be positive"
+            }
+            LatencyScheme::TwoLevel {
+                fast_probability, ..
+            } if !in_unit(fast_probability) => "fast_probability must lie in [0, 1]",
+            LatencyScheme::PowerLawClasses { classes: 0 } => {
+                "at least one latency class is required"
+            }
+            LatencyScheme::UniformRandom { min: 0, .. }
+            | LatencyScheme::BimodalFraction { slow: 0, .. } => "latencies must be positive",
+            LatencyScheme::UniformRandom { min, max } if min > max => {
+                "latency range must be non-empty"
+            }
+            LatencyScheme::BimodalFraction { slow_fraction, .. } if !in_unit(slow_fraction) => {
+                "slow_fraction must lie in [0, 1]"
+            }
+            _ => return Ok(()),
+        };
+        Err(GraphError::InvalidParameters {
+            reason: reason.to_string(),
+        })
+    }
+
     /// Draws one latency according to the scheme, for the schemes that assign
     /// latencies to edges *independently*.
     ///
@@ -70,37 +100,25 @@ impl LatencyScheme {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::SchemeNotPerEdge`] for schemes whose guarantee
-    /// spans the whole edge set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheme parameters are invalid (zero latency, empty range,
-    /// probability outside `[0, 1]`, zero classes).
+    /// Returns [`GraphError::InvalidParameters`] if the scheme parameters are
+    /// invalid (zero latency, empty range, probability outside `[0, 1]`, zero
+    /// classes), before drawing anything from `rng`; and
+    /// [`GraphError::SchemeNotPerEdge`] for schemes whose guarantee spans the
+    /// whole edge set.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Latency, GraphError> {
+        self.validate()?;
         match *self {
-            LatencyScheme::Uniform(l) => {
-                assert!(l > 0, "uniform latency must be positive");
-                Ok(l)
-            }
+            LatencyScheme::Uniform(l) => Ok(l),
             LatencyScheme::TwoLevel {
                 fast,
                 slow,
                 fast_probability,
-            } => {
-                assert!(fast > 0 && slow > 0, "latencies must be positive");
-                assert!(
-                    (0.0..=1.0).contains(&fast_probability),
-                    "fast_probability must lie in [0, 1]"
-                );
-                Ok(if rng.gen_bool(fast_probability) {
-                    fast
-                } else {
-                    slow
-                })
-            }
+            } => Ok(if rng.gen_bool(fast_probability) {
+                fast
+            } else {
+                slow
+            }),
             LatencyScheme::PowerLawClasses { classes } => {
-                assert!(classes > 0, "at least one latency class is required");
                 // P[class i] ∝ 2^{-i}; sample by repeated coin flips, capped at `classes`.
                 let mut class = 1usize;
                 while class < classes && rng.gen_bool(0.5) {
@@ -108,11 +126,7 @@ impl LatencyScheme {
                 }
                 Ok(1u64 << class.min(32))
             }
-            LatencyScheme::UniformRandom { min, max } => {
-                assert!(min > 0, "latencies must be positive");
-                assert!(min <= max, "latency range must be non-empty");
-                Ok(rng.gen_range(min..=max))
-            }
+            LatencyScheme::UniformRandom { min, max } => Ok(rng.gen_range(min..=max)),
             LatencyScheme::BimodalFraction { .. } => Err(GraphError::SchemeNotPerEdge {
                 scheme: "bimodal-fraction",
             }),
@@ -128,18 +142,16 @@ impl LatencyScheme {
     ///
     /// # Errors
     ///
-    /// Never fails for a valid input graph; the `Result` mirrors the builder API.
+    /// Returns [`GraphError::InvalidParameters`] if the scheme parameters are
+    /// invalid (see [`sample`](Self::sample)), before drawing anything from
+    /// `rng`, even on an edgeless graph.
     pub fn apply<R: Rng + ?Sized>(&self, g: &Graph, rng: &mut R) -> Result<Graph, GraphError> {
+        self.validate()?;
         if let LatencyScheme::BimodalFraction {
             slow,
             slow_fraction,
         } = *self
         {
-            assert!(slow > 0, "latencies must be positive");
-            assert!(
-                (0.0..=1.0).contains(&slow_fraction),
-                "slow_fraction must lie in [0, 1]"
-            );
             let m = g.edge_count();
             let k = ((m as f64) * slow_fraction).round() as usize;
             let k = k.min(m);
@@ -321,9 +333,71 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "latency range must be non-empty")]
-    fn empty_range_panics() {
+    fn empty_range_is_an_error() {
         let mut rng = SmallRng::seed_from_u64(7);
-        let _ = LatencyScheme::UniformRandom { min: 9, max: 3 }.sample(&mut rng);
+        assert_eq!(
+            LatencyScheme::UniformRandom { min: 9, max: 3 }.sample(&mut rng),
+            Err(GraphError::InvalidParameters {
+                reason: "latency range must be non-empty".to_string()
+            })
+        );
+    }
+
+    #[test]
+    fn invalid_parameters_are_errors_before_any_draw() {
+        let g = generators::path(4, 1).unwrap();
+        for (scheme, reason) in [
+            (
+                LatencyScheme::Uniform(0),
+                "uniform latency must be positive",
+            ),
+            (
+                LatencyScheme::TwoLevel {
+                    fast: 0,
+                    slow: 5,
+                    fast_probability: 0.5,
+                },
+                "latencies must be positive",
+            ),
+            (
+                LatencyScheme::TwoLevel {
+                    fast: 1,
+                    slow: 5,
+                    fast_probability: 1.5,
+                },
+                "fast_probability must lie in [0, 1]",
+            ),
+            (
+                LatencyScheme::PowerLawClasses { classes: 0 },
+                "at least one latency class is required",
+            ),
+            (
+                LatencyScheme::UniformRandom { min: 0, max: 3 },
+                "latencies must be positive",
+            ),
+            (
+                LatencyScheme::BimodalFraction {
+                    slow: 0,
+                    slow_fraction: 0.5,
+                },
+                "latencies must be positive",
+            ),
+            (
+                LatencyScheme::BimodalFraction {
+                    slow: 4,
+                    slow_fraction: f64::NAN,
+                },
+                "slow_fraction must lie in [0, 1]",
+            ),
+        ] {
+            let expected = Err(GraphError::InvalidParameters {
+                reason: reason.to_string(),
+            });
+            let mut rng = SmallRng::seed_from_u64(7);
+            assert_eq!(scheme.apply(&g, &mut rng), expected, "{scheme:?}");
+            // The rejection drew nothing: the stream is where it started.
+            assert_eq!(rng, SmallRng::seed_from_u64(7), "{scheme:?}");
+            assert_eq!(scheme.sample(&mut rng).map(|_| ()), expected.map(|_| ()));
+        }
     }
 }

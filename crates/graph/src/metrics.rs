@@ -4,11 +4,16 @@
 //! (shortest-path distances with latencies as weights), the *hop diameter*
 //! (unweighted), and the maximum degree `Δ`.  This module computes all three,
 //! plus the building blocks (single-source Dijkstra / BFS).
+//!
+//! Every sweep, weighted or not, runs one kernel: Dijkstra over a monotone
+//! radix queue, with a unit weight per edge for hop distances.  Callers that
+//! sweep many sources reuse one [`Sweeps`] workspace, so the distance buffer
+//! and the queue's buckets are allocated once per diameter, not once per
+//! sweep.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-use crate::{Graph, Latency, NodeId};
+use crate::{EdgeId, Graph, Latency, NodeId};
 
 /// Distance value used by the shortest-path routines.
 ///
@@ -19,6 +24,130 @@ pub type Distance = u64;
 
 /// Sentinel distance for unreachable nodes.
 pub const UNREACHABLE: Distance = u64::MAX;
+
+/// A monotone radix queue of `(key, node)` entries: a priority queue for
+/// keys that never fall below the last key popped.
+///
+/// Bucket `b ≥ 1` holds the keys whose highest bit differing from `last`
+/// (the last minimum popped) is bit `b − 1`; bucket 0 holds keys equal to
+/// `last`.  A pop from an empty bucket 0 takes the lowest non-empty bucket,
+/// makes its minimum the new `last`, and re-buckets its entries, each into a
+/// strictly lower bucket.  Dijkstra's keys are monotone — latencies are
+/// positive and the clamp at `UNREACHABLE − 1` keeps `min(d + ℓ, U − 1) ≥ d`
+/// — so one queue serves every latency up to `u64::MAX`, and an entry moves
+/// at most 64 times.
+struct RadixQueue {
+    buckets: [Vec<(Distance, NodeId)>; 65],
+    last: Distance,
+}
+
+impl Default for RadixQueue {
+    fn default() -> Self {
+        RadixQueue {
+            buckets: std::array::from_fn(|_| Vec::new()),
+            last: 0,
+        }
+    }
+}
+
+impl RadixQueue {
+    /// The bucket of `key` relative to `last`.
+    fn bucket_of(&self, key: Distance) -> usize {
+        (Distance::BITS - (key ^ self.last).leading_zeros()) as usize
+    }
+
+    /// Empties the queue and resets its floor to 0, keeping the buckets'
+    /// capacity.
+    fn reset(&mut self) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.last = 0;
+    }
+
+    /// Queues `node` under `key`, which must be at least the last key popped.
+    fn enqueue(&mut self, key: Distance, node: NodeId) {
+        debug_assert!(key >= self.last, "radix queue keys must be monotone");
+        let b = self.bucket_of(key);
+        self.buckets[b].push((key, node));
+    }
+
+    /// Removes an entry with the smallest key, or returns `None` if the
+    /// queue is empty.
+    fn dequeue_min(&mut self) -> Option<(Distance, NodeId)> {
+        if self.buckets[0].is_empty() {
+            let b = self.buckets.iter().position(|bucket| !bucket.is_empty())?;
+            let mut moved = std::mem::take(&mut self.buckets[b]);
+            let min = moved.iter().map(|&(key, _)| key).min()?;
+            debug_assert!(min >= self.last, "radix queue popped below its floor");
+            self.last = min;
+            for &(key, node) in &moved {
+                let to = self.bucket_of(key);
+                self.buckets[to].push((key, node));
+            }
+            moved.clear();
+            self.buckets[b] = moved;
+        }
+        let entry = self.buckets[0].pop();
+        debug_assert!(
+            entry.is_none_or(|(key, _)| key == self.last),
+            "radix queue bucket 0 holds a key other than the floor"
+        );
+        entry
+    }
+}
+
+/// Reusable scratch for repeated single-source sweeps: a distance buffer and
+/// a [`RadixQueue`], both keeping their capacity from one sweep to the next.
+#[derive(Default)]
+pub(crate) struct Sweeps {
+    dist: Vec<Distance>,
+    queue: RadixQueue,
+}
+
+impl Sweeps {
+    /// Weighted distances from `source` (see [`dijkstra`]), borrowed from the
+    /// workspace until its next sweep.
+    pub(crate) fn dijkstra(&mut self, g: &Graph, source: NodeId) -> &[Distance] {
+        self.shortest_paths(g, source, |e| g.latency(e))
+    }
+
+    /// Hop distances from `source` (see [`bfs_hops`]), borrowed from the
+    /// workspace until its next sweep.
+    pub(crate) fn bfs_hops(&mut self, g: &Graph, source: NodeId) -> &[Distance] {
+        self.shortest_paths(g, source, |_| 1)
+    }
+
+    /// The one kernel: Dijkstra from `source` with edge weights `weight`,
+    /// saturating and clamping every distance at `UNREACHABLE − 1`.
+    fn shortest_paths(
+        &mut self,
+        g: &Graph,
+        source: NodeId,
+        weight: impl Fn(EdgeId) -> Latency,
+    ) -> &[Distance] {
+        let n = g.node_count();
+        assert!(source.index() < n, "source node out of range");
+        let dist = &mut self.dist;
+        dist.clear();
+        dist.resize(n, UNREACHABLE);
+        dist[source.index()] = 0;
+        let queue = &mut self.queue;
+        queue.reset();
+        queue.enqueue(0, source);
+        while let Some((d, v)) = queue.dequeue_min() {
+            if d > dist[v.index()] {
+                continue;
+            }
+            for &(w, e) in g.neighbor_slice(v) {
+                let nd = d.saturating_add(weight(e)).min(UNREACHABLE - 1);
+                if nd < dist[w.index()] {
+                    dist[w.index()] = nd;
+                    queue.enqueue(nd, w);
+                }
+            }
+        }
+        dist
+    }
+}
 
 /// Single-source shortest-path distances with latencies as weights (Dijkstra).
 ///
@@ -33,50 +162,21 @@ pub const UNREACHABLE: Distance = u64::MAX;
 ///
 /// Panics if `source` is not a node of `g`.
 pub fn dijkstra(g: &Graph, source: NodeId) -> Vec<Distance> {
-    let n = g.node_count();
-    assert!(source.index() < n, "source node out of range");
-    let mut dist = vec![UNREACHABLE; n];
-    dist[source.index()] = 0;
-    let mut heap: BinaryHeap<Reverse<(Distance, u32)>> = BinaryHeap::new();
-    heap.push(Reverse((0, source.index() as u32)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        let v_idx = v as usize;
-        if d > dist[v_idx] {
-            continue;
-        }
-        for (w, e) in g.neighbors(NodeId::new(v_idx)) {
-            let nd = d.saturating_add(g.latency(e)).min(UNREACHABLE - 1);
-            if nd < dist[w.index()] {
-                dist[w.index()] = nd;
-                heap.push(Reverse((nd, w.index() as u32)));
-            }
-        }
-    }
-    dist
+    let mut sweeps = Sweeps::default();
+    sweeps.dijkstra(g, source);
+    sweeps.dist
 }
 
-/// Single-source hop distances ignoring latencies (BFS).
+/// Single-source hop distances ignoring latencies: the same kernel as
+/// [`dijkstra`], with every edge weighing one round.
 ///
 /// # Panics
 ///
 /// Panics if `source` is not a node of `g`.
 pub fn bfs_hops(g: &Graph, source: NodeId) -> Vec<Distance> {
-    let n = g.node_count();
-    assert!(source.index() < n, "source node out of range");
-    let mut dist = vec![UNREACHABLE; n];
-    dist[source.index()] = 0;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()];
-        for (w, _) in g.neighbors(v) {
-            if dist[w.index()] == UNREACHABLE {
-                dist[w.index()] = d + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
+    let mut sweeps = Sweeps::default();
+    sweeps.bfs_hops(g, source);
+    sweeps.dist
 }
 
 /// Weighted eccentricity of `source`: the largest finite Dijkstra distance.
@@ -91,14 +191,16 @@ pub fn eccentricity(g: &Graph, source: NodeId) -> Option<Distance> {
 ///
 /// Runs Dijkstra only from the nodes whose eccentricity bounds cannot rule
 /// them out (see [`bounding_diameters`]): a handful of sweeps on grids and
-/// dumbbells, about a fifth of the nodes on a bimodal Erdős–Rényi graph.  The
-/// worst case is still one sweep per node — `O(n · m log n)` — on
-/// vertex-transitive graphs such as a cycle, where every node has the same
-/// eccentricity and no bound prunes another node.
+/// dumbbells, about a fifth of the nodes on a bimodal Erdős–Rényi graph.
+/// Each sweep costs `O(m + n log C)` on the radix queue, where `C ≤ 2⁶⁴` is
+/// the range of the keys.  The worst case is still one sweep per node —
+/// `O(n · (m + n log C))` — on vertex-transitive graphs such as a cycle,
+/// where every node has the same eccentricity and no bound prunes another
+/// node.
 ///
 /// Returns `None` if the graph is disconnected.
 pub fn weighted_diameter(g: &Graph) -> Option<Distance> {
-    bounding_diameters(g, dijkstra).map(|(d, _)| d)
+    bounding_diameters(g, Sweeps::dijkstra).map(|(d, _)| d)
 }
 
 /// Largest graph (in nodes) for which [`estimate_diameter`] falls back to
@@ -166,21 +268,21 @@ pub fn estimate_diameter(g: &Graph) -> Option<DiameterEstimate> {
 /// (`threshold = 0` forces the sweep estimator, `threshold = usize::MAX`
 /// forces the exact path).
 pub fn estimate_diameter_with_threshold(g: &Graph, threshold: usize) -> Option<DiameterEstimate> {
-    estimate_with(g, threshold, weighted_diameter, dijkstra)
+    estimate_with(g, threshold, weighted_diameter, Sweeps::dijkstra)
 }
 
 /// Bounds the **hop** (unweighted) diameter; the BFS analogue of
 /// [`estimate_diameter`], with the same exact fallback below
 /// [`EXACT_DIAMETER_THRESHOLD`] and the same disconnected/empty behavior.
 pub fn estimate_hop_diameter(g: &Graph) -> Option<DiameterEstimate> {
-    estimate_with(g, EXACT_DIAMETER_THRESHOLD, hop_diameter, bfs_hops)
+    estimate_with(g, EXACT_DIAMETER_THRESHOLD, hop_diameter, Sweeps::bfs_hops)
 }
 
 fn estimate_with(
     g: &Graph,
     threshold: usize,
     exact: impl Fn(&Graph) -> Option<Distance>,
-    sweep: impl Fn(&Graph, NodeId) -> Vec<Distance>,
+    sweep: impl for<'s> Fn(&'s mut Sweeps, &Graph, NodeId) -> &'s [Distance],
 ) -> Option<DiameterEstimate> {
     let n = g.node_count();
     if n == 0 {
@@ -191,7 +293,8 @@ fn estimate_with(
     }
     // Sweep 1 from node 0; it both bounds the diameter and picks the next
     // root (the farthest node, as in the classic double sweep).
-    let (far, ecc0) = sweep_extent(&sweep(g, NodeId::new(0)))?;
+    let mut sweeps = Sweeps::default();
+    let (far, ecc0) = sweep_extent(sweep(&mut sweeps, g, NodeId::new(0)))?;
     let mut lower = ecc0;
     let mut upper = ecc0.saturating_mul(2);
     let mut next_root = far;
@@ -209,7 +312,7 @@ fn estimate_with(
             continue;
         }
         visited.push(root);
-        let (far, ecc) = sweep_extent(&sweep(g, root))?;
+        let (far, ecc) = sweep_extent(sweep(&mut sweeps, g, root))?;
         lower = lower.max(ecc);
         upper = upper.min(ecc.saturating_mul(2));
         next_root = far;
@@ -240,7 +343,7 @@ fn sweep_extent(dist: &[Distance]) -> Option<(NodeId, Distance)> {
 ///
 /// Returns `None` if the graph is disconnected.
 pub fn hop_diameter(g: &Graph) -> Option<Distance> {
-    bounding_diameters(g, bfs_hops).map(|(d, _)| d)
+    bounding_diameters(g, Sweeps::bfs_hops).map(|(d, _)| d)
 }
 
 /// The exact diameter under `sweep` (Dijkstra or BFS) by eccentricity-bound
@@ -260,11 +363,12 @@ pub fn hop_diameter(g: &Graph) -> Option<Distance> {
 /// Returns `None` if the first sweep leaves a node unreachable.
 fn bounding_diameters(
     g: &Graph,
-    sweep: impl Fn(&Graph, NodeId) -> Vec<Distance>,
+    sweep: impl for<'s> Fn(&'s mut Sweeps, &Graph, NodeId) -> &'s [Distance],
 ) -> Option<(Distance, usize)> {
     // Each candidate with its eccentricity bounds `(node, lower, upper)`.
     let mut candidates: Vec<(NodeId, Distance, Distance)> =
         g.nodes().map(|v| (v, 0, Distance::MAX)).collect();
+    let mut workspace = Sweeps::default();
     let mut diameter = 0;
     let mut sweeps = 0;
     let mut by_upper = true;
@@ -281,9 +385,9 @@ fn bounding_diameters(
         let Some(&(source, _, _)) = next else {
             return Some((diameter, sweeps));
         };
-        let dist = sweep(g, source);
+        let dist = sweep(&mut workspace, g, source);
         sweeps += 1;
-        let (_, ecc) = sweep_extent(&dist)?;
+        let (_, ecc) = sweep_extent(dist)?;
         diameter = diameter.max(ecc);
         candidates.retain_mut(|(v, lower, upper)| {
             let d = dist[v.index()];
@@ -522,13 +626,44 @@ mod tests {
             ("512-node bimodal dumbbell", &bell, 8),
             ("32x32 grid", &grid, 16),
         ] {
-            let (d, sweeps) = bounding_diameters(g, dijkstra).unwrap();
+            let (d, sweeps) = bounding_diameters(g, Sweeps::dijkstra).unwrap();
             let all_pairs = g.nodes().filter_map(|v| eccentricity(g, v)).max();
             assert_eq!(Some(d), all_pairs, "{name}");
             assert!(sweeps <= ceiling, "{name}: {sweeps} sweeps > {ceiling}");
         }
-        let (_, hop_sweeps) = bounding_diameters(&grid, bfs_hops).unwrap();
+        let (_, hop_sweeps) = bounding_diameters(&grid, Sweeps::bfs_hops).unwrap();
         assert!(hop_sweeps <= 16, "32x32 grid, hops: {hop_sweeps} sweeps");
+    }
+
+    /// The queue against a binary heap: under any interleaving of monotone
+    /// pushes and pops, keys leave in sorted order, for steps from 0 (every
+    /// key equal) up to 2⁶³ (keys clamped at `UNREACHABLE − 1`).
+    #[test]
+    fn radix_queue_pops_keys_in_order() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        use std::collections::BinaryHeap;
+        let mut rng = SmallRng::seed_from_u64(3);
+        for max_step in [0, 1, 16, 1 << 40, Distance::MAX / 2 + 1] {
+            let mut queue = RadixQueue::default();
+            let mut heap = BinaryHeap::new();
+            let mut last: Distance = 0;
+            for node in 0..4000 {
+                if rng.gen_bool(0.6) {
+                    let step = rng.gen_range(0..=max_step);
+                    let key = last.saturating_add(step).min(UNREACHABLE - 1);
+                    queue.enqueue(key, NodeId::new(node));
+                    heap.push(Reverse(key));
+                } else {
+                    let popped = queue.dequeue_min().map(|(key, _)| key);
+                    assert_eq!(popped, heap.pop().map(|Reverse(key)| key));
+                    last = popped.unwrap_or(last);
+                }
+            }
+            while let Some(Reverse(key)) = heap.pop() {
+                assert_eq!(queue.dequeue_min().map(|(key, _)| key), Some(key));
+            }
+            assert_eq!(queue.dequeue_min(), None, "step {max_step}");
+        }
     }
 
     #[test]

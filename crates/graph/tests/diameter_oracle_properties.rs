@@ -1,39 +1,86 @@
-//! Property tests for the exact diameters ([`metrics::weighted_diameter`],
+//! Property tests for the shortest-path kernel ([`metrics::dijkstra`],
+//! [`metrics::bfs_hops`]), the exact diameters ([`metrics::weighted_diameter`],
 //! [`metrics::hop_diameter`]) and the diameter-bound oracle
 //! ([`metrics::estimate_diameter`]): across every graph family the sweep
-//! draws from, the exact routines must equal an independent all-pairs
-//! reference, the bracket must contain that diameter, and below the
-//! exact-computation threshold the bracket must *be* the diameter.
+//! draws from, the kernel must equal a Bellman–Ford reference over the edge
+//! list from every source, the exact routines must equal the all-pairs
+//! maximum of that reference, the bracket must contain that diameter, and
+//! below the exact-computation threshold the bracket must *be* the diameter.
 
 use gossip_graph::metrics::{
     self, bfs_hops, dijkstra, estimate_diameter, estimate_diameter_with_threshold,
     estimate_hop_diameter, DiameterEstimate, Distance, EXACT_DIAMETER_THRESHOLD, UNREACHABLE,
 };
-use gossip_graph::{generators, latency::LatencyScheme, Graph, GraphBuilder, NodeId};
+use gossip_graph::{generators, latency::LatencyScheme, EdgeRecord, Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// The reference diameter: the largest distance over a sweep from every
-/// node, or `None` if some sweep leaves a node unreachable.
-fn all_pairs_diameter(g: &Graph, sweep: fn(&Graph, NodeId) -> Vec<Distance>) -> Option<Distance> {
-    let mut diameter = 0;
-    for v in g.nodes() {
-        for d in sweep(g, v) {
-            if d == UNREACHABLE {
-                return None;
+/// Bellman–Ford from `source` over the edge list, with `weight` per edge:
+/// relax every edge in both directions until nothing changes, saturating
+/// and clamping each sum at `UNREACHABLE − 1` as the kernel does.  It shares
+/// no code with the kernel — no queue, no adjacency.
+fn bellman_ford(g: &Graph, source: NodeId, weight: fn(&EdgeRecord) -> Distance) -> Vec<Distance> {
+    let mut dist = vec![UNREACHABLE; g.node_count()];
+    dist[source.index()] = 0;
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for e in g.edges() {
+            for (from, to) in [(e.u, e.v), (e.v, e.u)] {
+                let d = dist[from.index()];
+                if d == UNREACHABLE {
+                    continue;
+                }
+                let through = d.saturating_add(weight(e)).min(UNREACHABLE - 1);
+                if through < dist[to.index()] {
+                    dist[to.index()] = through;
+                    changed = true;
+                }
             }
-            diameter = diameter.max(d);
         }
     }
-    Some(diameter)
+    dist
+}
+
+fn by_latency(e: &EdgeRecord) -> Distance {
+    e.latency
+}
+
+fn by_hop(_: &EdgeRecord) -> Distance {
+    1
+}
+
+/// The reference diameter: the largest Bellman–Ford distance over every
+/// source, or `None` if some node is unreachable.  On the way it asserts
+/// that `sweep` (the kernel under test) matches the reference from every
+/// source.
+fn all_pairs_diameter(
+    g: &Graph,
+    sweep: fn(&Graph, NodeId) -> Vec<Distance>,
+    weight: fn(&EdgeRecord) -> Distance,
+) -> Option<Distance> {
+    let mut diameter = 0;
+    for v in g.nodes() {
+        let reference = bellman_ford(g, v, weight);
+        assert_eq!(
+            sweep(g, v),
+            reference,
+            "sweep from {v:?}, n={}",
+            g.node_count()
+        );
+        diameter = reference.into_iter().fold(diameter, Distance::max);
+    }
+    // `UNREACHABLE` is the largest distance, so it wins the max exactly
+    // when some pair is disconnected.
+    (diameter != UNREACHABLE).then_some(diameter)
 }
 
 /// On a connected graph: both exact diameters equal the all-pairs reference,
 /// and the oracle's `lower ≤ D ≤ upper` holds on both the sweep path
 /// (threshold 0) and the defaulted path, for the weighted and the hop metric.
 fn check_bracket(g: &Graph) {
-    let d = all_pairs_diameter(g, dijkstra).expect("test graphs are connected");
+    let d = all_pairs_diameter(g, dijkstra, by_latency).expect("test graphs are connected");
     assert_eq!(metrics::weighted_diameter(g), Some(d));
     for threshold in [0, EXACT_DIAMETER_THRESHOLD] {
         let est = estimate_diameter_with_threshold(g, threshold).unwrap();
@@ -46,7 +93,7 @@ fn check_bracket(g: &Graph) {
             g.node_count()
         );
     }
-    let hop = all_pairs_diameter(g, bfs_hops).unwrap();
+    let hop = all_pairs_diameter(g, bfs_hops, by_hop).unwrap();
     assert_eq!(metrics::hop_diameter(g), Some(hop));
     let hop_est = estimate_hop_diameter(g).unwrap();
     assert!(
@@ -137,7 +184,7 @@ proptest! {
     #[test]
     fn sweep_lower_bound_is_exact_on_trees(n in 2usize..80, latency in 1u64..20) {
         let g = generators::binary_tree(n, latency).unwrap();
-        let d = all_pairs_diameter(&g, dijkstra).unwrap();
+        let d = all_pairs_diameter(&g, dijkstra, by_latency).unwrap();
         let est = estimate_diameter_with_threshold(&g, 0).unwrap();
         prop_assert_eq!(est.lower, d);
     }
@@ -155,7 +202,7 @@ fn exact_diameters_match_the_reference_on_boundary_graphs() {
     b.add_edge(0, 1, 1).unwrap();
     b.add_edge(2, 3, 1).unwrap();
     let split = b.build().unwrap();
-    assert_eq!(all_pairs_diameter(&split, dijkstra), None);
+    assert_eq!(all_pairs_diameter(&split, dijkstra, by_latency), None);
     assert_eq!(metrics::weighted_diameter(&split), None);
     assert_eq!(metrics::hop_diameter(&split), None);
 
@@ -169,4 +216,29 @@ fn exact_diameters_match_the_reference_on_boundary_graphs() {
     );
 
     check_bracket(&generators::cycle(257, 3).unwrap());
+
+    // Paths summing past `u64::MAX` clamp at `UNREACHABLE − 1`: 2⁶³ + 2⁶³ on
+    // a path, and on a cycle whose 2⁶³ edges alternate with unit edges, so
+    // clamped keys share the queue with small ones.
+    let huge = Distance::MAX / 2 + 1;
+    let clamped = generators::path(4, huge).unwrap();
+    check_bracket(&clamped);
+    assert_eq!(metrics::weighted_diameter(&clamped), Some(UNREACHABLE - 1));
+    let mut b = GraphBuilder::new(12);
+    for i in 0..12 {
+        b.add_edge(i, (i + 1) % 12, if i % 2 == 0 { huge } else { 1 })
+            .unwrap();
+    }
+    check_bracket(&b.build().unwrap());
+}
+
+/// Many equal keys: uniform latencies on dense and regular graphs, where
+/// every pop ties with many queued entries.
+#[test]
+fn kernel_matches_the_reference_under_ties() {
+    check_bracket(&generators::clique(40, 7).unwrap());
+    check_bracket(&generators::grid(12, 12, 1).unwrap());
+    let mut rng = SmallRng::seed_from_u64(11);
+    let g = generators::erdos_renyi(60, 0.3, 1, &mut rng).unwrap();
+    check_bracket(&LatencyScheme::Uniform(1 << 52).apply(&g, &mut rng).unwrap());
 }

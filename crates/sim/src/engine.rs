@@ -150,6 +150,11 @@ impl SimConfig {
         self
     }
 
+    /// The rumor set by [`track_rumor`](Self::track_rumor), if any.
+    pub fn tracked_rumor(&self) -> Option<RumorId> {
+        self.tracked_rumor
+    }
+
     /// Attaches a deterministic fault schedule (crash-stop churn, link
     /// cuts, message loss — see [`FaultPlan`]) to the run.  The report then
     /// carries a [`FaultReport`](crate::FaultReport) with the
@@ -1386,7 +1391,7 @@ impl<'a> RoundState<'a> {
     /// now) is cancelled, never delivered.  An event that
     /// changes nothing (crashing a dead node, reviving a live one, cutting a
     /// cut edge) is an uncounted no-op.
-    // gossip-lint: allow(panic-path): node and edge ids are below the graph's n and m (one adjacency list per node); per-node vecs are sized n at construction
+    // gossip-lint: allow(panic-path): node and edge ids are below the graph's n and m (its n + 1 offsets bound every node's slice of the flat arc array); per-node vecs are sized n at construction
     fn apply_faults(&mut self, round: u64) {
         let Some(mut faults) = self.faults.take() else {
             return;
@@ -1461,7 +1466,7 @@ impl<'a> RoundState<'a> {
     /// destination gets its tracked-rumor time stamped from its merged set
     /// and settles a pending rejoin recovery; last, both endpoints
     /// of every delivered exchange get `on_exchange`.
-    // gossip-lint: allow(panic-path): node and edge ids are below the graph's n and m (one adjacency list per node); per-node vecs are sized n at construction
+    // gossip-lint: allow(panic-path): node and edge ids are below the graph's n and m (its n + 1 offsets bound every node's slice of the flat arc array); per-node vecs are sized n at construction
     fn deliver<P: Protocol>(&mut self, protocol: &mut P, round: u64) {
         let completions = self.calendar.take(round);
         for fl in &completions {

@@ -159,7 +159,7 @@ impl<'g> OracleSimulation<'g> {
 
     /// Runs `protocol` with snapshot-at-initiation semantics over the dense
     /// rows, walking and asking every alive node every round.
-    // gossip-lint: allow(panic-path): node and edge ids are below the graph's n and m (one adjacency list per node); rows, sets and counts are sized n
+    // gossip-lint: allow(panic-path): node and edge ids are below the graph's n and m (its n + 1 offsets bound every node's slice of the flat arc array); rows, sets and counts are sized n
     pub fn run<P: Protocol>(&mut self, protocol: &mut P) -> RunReport {
         let n = self.graph.node_count();
         let stride = self.stride;

@@ -14,15 +14,28 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+use gossip_graph::metrics::{dijkstra, Distance};
 use gossip_graph::{EdgeId, Graph, Latency, NodeId};
 use gossip_sim::oracle::OracleSimulation;
 use gossip_sim::{ExchangeEvent, NodeView, Protocol, RunReport, Seeding, SimConfig, Simulation};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+/// Rounds by which a node's first-informed time may undercut its latency
+/// distance from the tracked rumor's origin: none.  The origin holds its
+/// rumor at round 0, an exchange initiated in round `r` delivers in round
+/// `r + ℓ`, and deliveries precede decisions within a round, so a node
+/// informed in round `t` forwards the rumor in round `t` at the earliest.
+pub const CAUSAL_SLACK: Distance = 0;
+
 /// Runs one protocol under one config and one initial [`Seeding`] on the
 /// production engine and on the dense-bitset spec [`OracleSimulation`], and
 /// requires identical semantic reports and identical final rumor sets.
+///
+/// When a rumor is tracked and its origin `s` holds it at seeding, it also
+/// requires causality: every first-informed time is at least
+/// `dist_ℓ(s, v) − CAUSAL_SLACK`.  Informed times keep the first time, so
+/// this holds under loss, cuts and amnesiac rejoins too.
 ///
 /// Reports are compared through [`RunReport::semantics`]: the engine fills in
 /// [`MemStats`](gossip_sim::MemStats) diagnostics the oracle (by design) does
@@ -66,7 +79,33 @@ pub fn assert_matches_oracle<P: Protocol>(
         oracle.into_rumors(),
         "rumor-state mismatch: {label}"
     );
+    assert_causal(g, config, seeding, &report, label);
     report
+}
+
+/// The causality half of [`assert_matches_oracle`]: no node learns the
+/// tracked rumor sooner than the latency distance from its origin allows.
+fn assert_causal(g: &Graph, config: &SimConfig, seeding: Seeding, report: &RunReport, label: &str) {
+    let (Some(rumor), Some(times)) = (config.tracked_rumor(), &report.informed_times) else {
+        return;
+    };
+    let origin = NodeId::new(rumor.index());
+    let seeded = match seeding {
+        Seeding::AllToAll => rumor.index() < g.node_count(),
+        Seeding::Broadcast(source) => source == origin,
+    };
+    if !seeded {
+        return;
+    }
+    let dist = dijkstra(g, origin);
+    for (v, (&at, &d)) in times.iter().zip(&dist).enumerate() {
+        if let Some(at) = at {
+            assert!(
+                at.saturating_add(CAUSAL_SLACK) >= d,
+                "node {v} informed at round {at}, before its distance {d} from {origin:?}: {label}"
+            );
+        }
+    }
 }
 
 /// Random push–pull biased toward the fast links a node has learned of: a
@@ -136,4 +175,59 @@ pub fn example_binary(name: &str) -> Option<PathBuf> {
         .join("examples")
         .join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
     candidate.is_file().then_some(candidate)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gossip_graph::GraphBuilder;
+    use gossip_sim::{stateless, RumorId, Termination};
+
+    /// Every node pushes to its higher-id neighbor every round.
+    struct PushRight;
+
+    impl Protocol for PushRight {
+        type Shared = ();
+        type Node = ();
+
+        fn split(&mut self, n: usize) -> (&(), &mut [()]) {
+            (&(), stateless(n))
+        }
+
+        fn on_round(_: &(), _: &mut (), view: &NodeView<'_>, _: &mut SmallRng) -> Option<NodeId> {
+            view.neighbors
+                .last()
+                .map(|&(w, _)| w)
+                .filter(|&w| w > view.node)
+        }
+    }
+
+    /// On a weighted path pushed left to right, each node is informed the
+    /// round its latency distance from the source elapses, so the
+    /// causality bound is tight: `CAUSAL_SLACK` is the exact offset.
+    #[test]
+    fn causal_slack_is_exact_on_a_weighted_path() {
+        let mut b = GraphBuilder::new(6);
+        for (i, latency) in [3, 1, 4, 1, 5].into_iter().enumerate() {
+            b.add_edge(i, i + 1, latency).unwrap();
+        }
+        let g = b.build().unwrap();
+        let source = NodeId::new(0);
+        let config = SimConfig::new(1)
+            .termination(Termination::AllKnowRumorOf(source))
+            .track_rumor(RumorId::of_node(source));
+        let report = assert_matches_oracle(
+            &g,
+            &config,
+            Seeding::Broadcast(source),
+            || PushRight,
+            "push-right on a weighted path",
+        );
+        let times: Vec<Option<u64>> = dijkstra(&g, source)
+            .into_iter()
+            .map(|d| Some(d - CAUSAL_SLACK))
+            .collect();
+        assert_eq!(report.informed_times, Some(times));
+        assert_eq!(report.rounds, 14);
+    }
 }

@@ -170,6 +170,144 @@ mod tests {
     use super::*;
     use crate::{weight_ell_conductance, Method};
     use gossip_graph::generators;
+    use gossip_graph::latency::LatencyScheme;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    /// The bimodal re-weighting of perfbench's graphs: a quarter of the edges
+    /// get latency 16.
+    const BIMODAL: LatencyScheme = LatencyScheme::BimodalFraction {
+        slow: 16,
+        slow_fraction: 0.25,
+    };
+
+    /// perfbench's seed derivation (splitmix64 of `seed ^ splitmix64(salt)`).
+    fn derive_seed(seed: u64, salt: u64) -> u64 {
+        let splitmix64 = |mut z: u64| {
+            z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        splitmix64(seed ^ splitmix64(salt))
+    }
+
+    /// `spanner-route`'s dumbbell in perfbench for `seed`: two 256-cliques
+    /// joined by a latency-16 bridge, then re-weighted bimodally.
+    fn perfbench_dumbbell(seed: u64) -> Graph {
+        let mut rng = SmallRng::seed_from_u64(derive_seed(seed, 0x5e7));
+        let bell = generators::dumbbell(256, 16).unwrap();
+        BIMODAL.apply(&bell, &mut rng).unwrap()
+    }
+
+    /// A bimodal Erdős–Rényi graph on 1024 nodes (expected degree ~16).
+    fn bimodal_er_1024() -> Graph {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let g = generators::erdos_renyi(1024, 0.016, 1, &mut rng).unwrap();
+        BIMODAL.apply(&g, &mut rng).unwrap()
+    }
+
+    /// The path on 48 nodes whose edge `u` has latency `u + 1`: 47 distinct
+    /// latencies, of which the sweep keeps 17.
+    fn latency_path_47() -> Graph {
+        let mut b = gossip_graph::GraphBuilder::new(48);
+        for u in 0..47 {
+            b.add_edge(u, u + 1, u as Latency + 1).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// The graphs whose Fiedler orderings are pinned, covering dense and
+    /// sparse `G_ℓ`, several components, isolated nodes, edges inserted out of
+    /// neighbour order (random regular) and a two-node graph whose iteration
+    /// collapses to zero.
+    fn ordering_cases() -> Vec<(&'static str, Graph)> {
+        // Nodes 3, 4 and 5 are isolated in G_1, nodes 3 and 5 in G_2.
+        let mut b = gossip_graph::GraphBuilder::new(7);
+        for (u, v, l) in [
+            (0, 1, 1),
+            (1, 2, 1),
+            (2, 3, 4),
+            (3, 4, 4),
+            (4, 0, 2),
+            (5, 0, 4),
+        ] {
+            b.add_edge(u, v, l).unwrap();
+        }
+        b.add_edge(6, 1, 1).unwrap();
+        let isolated = b.build().unwrap();
+        let mut rng = SmallRng::seed_from_u64(3);
+        let regular = generators::random_regular(96, 5, 1, &mut rng).unwrap();
+        let regular = BIMODAL.apply(&regular, &mut rng).unwrap();
+        vec![
+            ("perfbench dumbbell seed 1", perfbench_dumbbell(1)),
+            ("perfbench dumbbell seed 2", perfbench_dumbbell(2)),
+            (
+                "perfbench dumbbell seed 777001",
+                perfbench_dumbbell(777_001),
+            ),
+            ("bimodal ER 1024", bimodal_er_1024()),
+            ("grid 48x48", generators::grid(48, 48, 1).unwrap()),
+            (
+                "ring of cliques 8x16",
+                generators::ring_of_cliques(8, 16, 16).unwrap(),
+            ),
+            ("star 20", generators::star(20, 16).unwrap()),
+            ("latency path 47", latency_path_47()),
+            ("isolated in G_l", isolated),
+            ("bimodal random regular 96", regular),
+            ("path 2", generators::path(2, 1).unwrap()),
+        ]
+    }
+
+    /// FNV-1a digest of the Fiedler ordering at every threshold the sweep
+    /// keeps, each threshold mixed in before its ordering: equal digests mean
+    /// the same orderings.
+    fn ordering_digest(g: &Graph) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for ell in sweep_thresholds(g.distinct_latencies()) {
+            mix(ell);
+            for v in fiedler_ordering(g, ell) {
+                mix(v.index() as u64);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn perfbench_dumbbell_is_the_benchmark_graph() {
+        // perfbench's `conductance.ell_over_phi` counter on seed 1.
+        let report = crate::analyze(&perfbench_dumbbell(1), Method::SweepCut).unwrap();
+        assert_eq!(report.ell_star as f64 / report.phi_star, 65281.0);
+    }
+
+    #[test]
+    fn fiedler_orderings_match_the_pinned_digests() {
+        const GOLDEN: [(&str, u64); 11] = [
+            ("perfbench dumbbell seed 1", 0xc446_3d73_90e4_b258),
+            ("perfbench dumbbell seed 2", 0x37fe_0c1d_ff28_bd2c),
+            ("perfbench dumbbell seed 777001", 0x9d33_2bcf_2d57_2e44),
+            ("bimodal ER 1024", 0xc794_9b04_837e_6548),
+            ("grid 48x48", 0x0f8f_9c37_5df7_2c5c),
+            ("ring of cliques 8x16", 0xccbc_1ca9_d8c1_1134),
+            ("star 20", 0x0d12_1e1d_7337_8295),
+            ("latency path 47", 0x655c_45fc_d08d_66ca),
+            ("isolated in G_l", 0xa202_d059_2578_7d65),
+            ("bimodal random regular 96", 0xaa4d_57b2_0a16_2e54),
+            ("path 2", 0x7a25_5da4_4dc1_82c5),
+        ];
+        let digests: Vec<(&str, u64)> = ordering_cases()
+            .iter()
+            .map(|(name, g)| (*name, ordering_digest(g)))
+            .collect();
+        assert_eq!(digests, GOLDEN);
+    }
 
     #[test]
     fn fiedler_ordering_separates_dumbbell_sides() {

@@ -13,8 +13,135 @@
 use gossip_graph::cut::Cut;
 use gossip_graph::{Graph, Latency, NodeId};
 
-/// Number of power-iteration steps used to approximate the Fiedler vector.
+/// Number of power-iteration steps that define the Fiedler iterate.  The
+/// solve returns the vector exactly this many steps give, but runs at most
+/// this many: it stops once an iterate repeats (see [`REPEAT_WINDOW`]).
 const POWER_ITERATIONS: usize = 200;
+
+/// How many of the latest iterates the power iteration keeps to recognise a
+/// repeat.  A step is a pure function of the iterate, so an iterate equal,
+/// bit for bit, to the one `p ≤ REPEAT_WINDOW` steps back starts a cycle of
+/// period `p`, and the iterate after [`POWER_ITERATIONS`] steps is one of the
+/// last `p` already computed.
+const REPEAT_WINDOW: usize = 8;
+
+/// The operator `M = D^{-1/2} A D^{-1/2}` of `G_ℓ`, laid out for a gather:
+/// node `i`'s neighbours in `G_ℓ` are `neighbours[offsets[i]..offsets[i + 1]]`
+/// in edge-id order, so `(M x)[i]` adds its terms `x[j] / (√deg i · √deg j)`
+/// in the order a scatter over the edge list would.
+struct NormalizedAdjacency {
+    /// `√deg` of every node in `G_ℓ`.
+    sqrt_deg: Vec<f64>,
+    /// The top eigenvector `D^{1/2}·1`, normalised (zero when `G_ℓ` has no
+    /// edges).
+    top: Vec<f64>,
+    offsets: Vec<usize>,
+    neighbours: Vec<NodeId>,
+}
+
+impl NormalizedAdjacency {
+    fn new(g: &Graph, ell: Latency) -> Self {
+        let n = g.node_count();
+        let arcs = || g.edges().filter(|rec| rec.latency <= ell);
+        // Degrees in G_ℓ, shifted by one slot, then their prefix sums.
+        let mut offsets = vec![0usize; n + 1];
+        for rec in arcs() {
+            offsets[rec.u.index() + 1] += 1;
+            offsets[rec.v.index() + 1] += 1;
+        }
+        let sqrt_deg: Vec<f64> = offsets[1..].iter().map(|&d| (d as f64).sqrt()).collect();
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut neighbours = vec![NodeId::default(); offsets[n]];
+        for rec in arcs() {
+            for (from, to) in [(rec.u, rec.v), (rec.v, rec.u)] {
+                neighbours[cursor[from.index()]] = to;
+                cursor[from.index()] += 1;
+            }
+        }
+        let norm1: f64 = sqrt_deg.iter().map(|x| x * x).sum::<f64>().sqrt();
+        let top = sqrt_deg
+            .iter()
+            .map(|&x| if norm1 > 0.0 { x / norm1 } else { 0.0 })
+            .collect();
+        NormalizedAdjacency {
+            sqrt_deg,
+            top,
+            offsets,
+            neighbours,
+        }
+    }
+
+    /// One power-iteration step from `x`: deflate the top eigenvector into
+    /// `z`, then `y = (M + I) z / ‖(M + I) z‖`.  The `+I` shift makes the
+    /// dominant (in magnitude) eigenvalue the largest algebraic one, which
+    /// keeps the iteration from locking onto the most negative eigenvalue of
+    /// `M`.  Returns `false`, leaving `y` unnormalised, when the norm
+    /// collapses below `1e-15`.
+    fn step(&self, x: &[f64], z: &mut [f64], y: &mut [f64]) -> bool {
+        let dot: f64 = x.iter().zip(&self.top).map(|(a, b)| a * b).sum();
+        for ((zi, xi), ti) in z.iter_mut().zip(x).zip(&self.top) {
+            *zi = xi - dot * ti;
+        }
+        // Both endpoints of an arc have degree >= 1 in G_ℓ: no weight is zero.
+        for (i, (yi, window)) in y.iter_mut().zip(self.offsets.windows(2)).enumerate() {
+            let si = self.sqrt_deg[i];
+            let mut sum = 0.0;
+            for j in &self.neighbours[window[0]..window[1]] {
+                sum += z[j.index()] / (si * self.sqrt_deg[j.index()]);
+            }
+            *yi = sum + z[i];
+        }
+        let norm: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
+        if norm < 1e-15 {
+            return false;
+        }
+        for v in y.iter_mut() {
+            *v /= norm;
+        }
+        true
+    }
+
+    /// The iterate after [`POWER_ITERATIONS`] steps from a fixed start, and
+    /// the number of steps run to find it.  When the norm collapses the
+    /// iterate is the last deflated vector.
+    fn power_iterate(&self) -> (Vec<f64>, usize) {
+        let n = self.sqrt_deg.len();
+        // Deterministic pseudo-random start vector (no RNG needed: a fixed
+        // quasi-random sequence keeps the whole analysis reproducible).
+        let start: Vec<f64> = (0..n)
+            .map(|i| (i as f64 * 0.754_877_666 + 0.1).sin())
+            .collect();
+        // Iterate `t` lives in slot `t % SLOTS`: the latest one and the
+        // `REPEAT_WINDOW` before it.
+        const SLOTS: usize = REPEAT_WINDOW + 1;
+        let mut ring = vec![Vec::new(); SLOTS];
+        ring[0] = start;
+        let mut z = vec![0f64; n];
+        for t in 1..=POWER_ITERATIONS {
+            let mut y = std::mem::take(&mut ring[t % SLOTS]);
+            y.resize(n, 0.0);
+            if !self.step(&ring[(t - 1) % SLOTS], &mut z, &mut y) {
+                return (z, t);
+            }
+            ring[t % SLOTS] = y;
+            let y = &ring[t % SLOTS];
+            let same =
+                |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits());
+            if let Some(p) = (1..=REPEAT_WINDOW.min(t)).find(|&p| same(&ring[(t - p) % SLOTS], y)) {
+                // Iterates cycle with period p from t - p on.
+                let last = t - p + (POWER_ITERATIONS - t) % p;
+                return (std::mem::take(&mut ring[last % SLOTS]), t);
+            }
+        }
+        (
+            std::mem::take(&mut ring[POWER_ITERATIONS % SLOTS]),
+            POWER_ITERATIONS,
+        )
+    }
+}
 
 /// Computes an approximate Fiedler ordering of the nodes of `g`: nodes sorted
 /// by their coordinate in the (approximate) second eigenvector of the
@@ -26,74 +153,14 @@ const POWER_ITERATIONS: usize = 200;
 /// are placed at the end of the ordering.
 pub fn fiedler_ordering(g: &Graph, ell: Latency) -> Vec<NodeId> {
     let n = g.node_count();
-    // Degrees within G_ℓ.
-    let mut deg = vec![0f64; n];
-    for rec in g.edges() {
-        if rec.latency <= ell {
-            deg[rec.u.index()] += 1.0;
-            deg[rec.v.index()] += 1.0;
-        }
-    }
-
-    // Power iteration on M = D^{-1/2} A D^{-1/2}, deflating the top
-    // eigenvector v1 ∝ D^{1/2}·1 (eigenvalue 1).
-    let sqrt_deg: Vec<f64> = deg.iter().map(|&d| d.sqrt()).collect();
-    let norm1: f64 = sqrt_deg.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let v1: Vec<f64> = sqrt_deg
-        .iter()
-        .map(|&x| if norm1 > 0.0 { x / norm1 } else { 0.0 })
-        .collect();
-
-    // The arcs of G_ℓ with their normalising weight `√deg(u)·√deg(v)`, built
-    // once in edge order so every iteration accumulates in the same order.
-    let arcs: Vec<(usize, usize, f64)> = g
-        .edges()
-        .filter(|rec| rec.latency <= ell)
-        .map(|rec| {
-            let (ui, vi) = (rec.u.index(), rec.v.index());
-            (ui, vi, sqrt_deg[ui] * sqrt_deg[vi])
-        })
-        .collect();
-
-    // Deterministic pseudo-random start vector (no RNG needed: a fixed
-    // quasi-random sequence keeps the whole analysis reproducible).
-    let mut x: Vec<f64> = (0..n)
-        .map(|i| (i as f64 * 0.754_877_666 + 0.1).sin())
-        .collect();
-    let mut y = vec![0f64; n];
-
-    for _ in 0..POWER_ITERATIONS {
-        // Deflate: x <- x - (x·v1) v1
-        let dot: f64 = x.iter().zip(&v1).map(|(a, b)| a * b).sum();
-        for i in 0..n {
-            x[i] -= dot * v1[i];
-        }
-        // y = M x (both endpoints of an arc have degree >= 1 in G_ℓ).
-        y.fill(0.0);
-        for &(ui, vi, weight) in &arcs {
-            y[ui] += x[vi] / weight;
-            y[vi] += x[ui] / weight;
-        }
-        // Shift by +I to make the dominant (in magnitude) eigenvalue the largest
-        // algebraic one: y <- y + x.  This keeps the iteration from locking onto
-        // the most negative eigenvalue of M.
-        for i in 0..n {
-            y[i] += x[i];
-        }
-        let norm: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if norm < 1e-15 {
-            break;
-        }
-        for i in 0..n {
-            x[i] = y[i] / norm;
-        }
-    }
+    let op = NormalizedAdjacency::new(g, ell);
+    let (x, _) = op.power_iterate();
 
     // Sweep coordinate: the Fiedler value is D^{-1/2} x.
     let key: Vec<f64> = (0..n)
         .map(|i| {
-            if sqrt_deg[i] > 0.0 {
-                x[i] / sqrt_deg[i]
+            if op.sqrt_deg[i] > 0.0 {
+                x[i] / op.sqrt_deg[i]
             } else {
                 f64::INFINITY
             }
@@ -173,6 +240,126 @@ mod tests {
     use gossip_graph::latency::LatencyScheme;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// The power iteration as a scatter over the edge list with stored
+    /// weights, running all [`POWER_ITERATIONS`] steps: the reference the
+    /// gather and its repeat stop must match bit for bit.
+    fn scatter_reference(g: &Graph, ell: Latency) -> Vec<f64> {
+        let n = g.node_count();
+        let mut deg = vec![0f64; n];
+        for rec in g.edges() {
+            if rec.latency <= ell {
+                deg[rec.u.index()] += 1.0;
+                deg[rec.v.index()] += 1.0;
+            }
+        }
+        let sqrt_deg: Vec<f64> = deg.iter().map(|&d| d.sqrt()).collect();
+        let norm1: f64 = sqrt_deg.iter().map(|x| x * x).sum::<f64>().sqrt();
+        let v1: Vec<f64> = sqrt_deg
+            .iter()
+            .map(|&x| if norm1 > 0.0 { x / norm1 } else { 0.0 })
+            .collect();
+        let arcs: Vec<(usize, usize, f64)> = g
+            .edges()
+            .filter(|rec| rec.latency <= ell)
+            .map(|rec| {
+                let (ui, vi) = (rec.u.index(), rec.v.index());
+                (ui, vi, sqrt_deg[ui] * sqrt_deg[vi])
+            })
+            .collect();
+        let mut x: Vec<f64> = (0..n)
+            .map(|i| (i as f64 * 0.754_877_666 + 0.1).sin())
+            .collect();
+        let mut y = vec![0f64; n];
+        for _ in 0..POWER_ITERATIONS {
+            let dot: f64 = x.iter().zip(&v1).map(|(a, b)| a * b).sum();
+            for i in 0..n {
+                x[i] -= dot * v1[i];
+            }
+            y.fill(0.0);
+            for &(ui, vi, weight) in &arcs {
+                y[ui] += x[vi] / weight;
+                y[vi] += x[ui] / weight;
+            }
+            for i in 0..n {
+                y[i] += x[i];
+            }
+            let norm: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
+            if norm < 1e-15 {
+                break;
+            }
+            for i in 0..n {
+                x[i] = y[i] / norm;
+            }
+        }
+        x
+    }
+
+    /// Asserts that the gather returns the reference `x` bit for bit at every
+    /// distinct latency of `g`.
+    fn assert_matches_reference(name: &str, g: &Graph) {
+        for ell in g.distinct_latencies() {
+            let (x, steps) = NormalizedAdjacency::new(g, ell).power_iterate();
+            let reference = scatter_reference(g, ell);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&x),
+                bits(&reference),
+                "{name} at ell = {ell} ({steps} steps)"
+            );
+        }
+    }
+
+    /// Steps the power iteration runs on `g` at `ell`.
+    fn steps(g: &Graph, ell: Latency) -> usize {
+        NormalizedAdjacency::new(g, ell).power_iterate().1
+    }
+
+    #[test]
+    fn gather_matches_the_scatter_reference_bit_for_bit() {
+        for (name, g) in ordering_cases() {
+            assert_matches_reference(name, &g);
+        }
+    }
+
+    #[test]
+    fn repeat_stop_ends_cycling_solves_early() {
+        // G_1 is eight disjoint 16-cliques; the dumbbell's G_16 is all of it.
+        let cliques = generators::ring_of_cliques(8, 16, 16).unwrap();
+        assert_eq!(steps(&cliques, 1), 107);
+        assert_eq!(steps(&perfbench_dumbbell(1), 16), 76);
+        let er = bimodal_er_1024();
+        for ell in [1, 16] {
+            assert_eq!(steps(&er, ell), POWER_ITERATIONS, "ER 1024 at ell = {ell}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn gather_matches_the_scatter_reference_on_generated_graphs(
+            n in 2usize..40,
+            draws in 0usize..160,
+            max_latency in 1u64..5,
+            seed in 0u64..1_000_000,
+        ) {
+            // Edges in random order, so neighbour order and edge-id order
+            // differ, and nodes no draw touches are isolated.
+            use rand::Rng;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut b = gossip_graph::GraphBuilder::new(n);
+            let mut seen = std::collections::BTreeSet::new();
+            for _ in 0..draws {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let latency = rng.gen_range(1..max_latency + 1);
+                if u != v && seen.insert((u.min(v), u.max(v))) {
+                    b.add_edge(u, v, latency).unwrap();
+                }
+            }
+            assert_matches_reference("generated", &b.build().unwrap());
+        }
+    }
 
     /// The bimodal re-weighting of perfbench's graphs: a quarter of the edges
     /// get latency 16.
@@ -375,11 +562,7 @@ mod tests {
 
     #[test]
     fn candidate_cuts_sweep_seventeen_orderings_for_47_latencies() {
-        let mut b = gossip_graph::GraphBuilder::new(48);
-        for u in 0..47 {
-            b.add_edge(u, u + 1, u as Latency + 1).unwrap();
-        }
-        let g = b.build().unwrap();
+        let g = latency_path_47();
         assert_eq!(g.distinct_latencies().len(), 47);
         // 17 orderings × 47 prefix cuts, 48 singletons and the half cut.
         assert_eq!(candidate_cuts(&g).len(), 17 * 47 + 48 + 1);

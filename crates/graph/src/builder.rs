@@ -47,13 +47,6 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Adds `count` extra nodes and returns the id of the first new node.
-    pub fn add_nodes(&mut self, count: usize) -> NodeId {
-        let first = self.node_count;
-        self.node_count += count;
-        NodeId::new(first)
-    }
-
     /// Adds an undirected edge `{u, v}` with the given latency.
     ///
     /// # Errors
@@ -156,17 +149,6 @@ mod tests {
             b.build_connected(),
             Err(GraphError::DuplicateEdge { u: 0, v: 1 })
         );
-    }
-
-    #[test]
-    fn add_nodes_extends_range() {
-        let mut b = GraphBuilder::new(1);
-        let first_new = b.add_nodes(2);
-        assert_eq!(first_new, NodeId::new(1));
-        assert_eq!(b.node_count(), 3);
-        b.add_edge(0, 2, 1).unwrap();
-        let g = b.build().unwrap();
-        assert_eq!(g.node_count(), 3);
     }
 
     #[test]

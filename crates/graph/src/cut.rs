@@ -66,26 +66,6 @@ impl Cut {
         self.membership[v.index()]
     }
 
-    /// Nodes on the `U` side.
-    pub fn side_u(&self) -> Vec<NodeId> {
-        self.membership
-            .iter()
-            .enumerate()
-            .filter(|&(_i, &m)| m)
-            .map(|(i, &_m)| NodeId::new(i))
-            .collect()
-    }
-
-    /// Nodes on the `V \ U` side.
-    pub fn side_rest(&self) -> Vec<NodeId> {
-        self.membership
-            .iter()
-            .enumerate()
-            .filter(|&(_i, &m)| !m)
-            .map(|(i, &_m)| NodeId::new(i))
-            .collect()
-    }
-
     /// Number of nodes on the `U` side.
     pub fn size_u(&self) -> usize {
         self.membership.iter().filter(|&&m| m).count()
@@ -113,11 +93,6 @@ impl Cut {
         g.edges()
             .filter(|rec| rec.latency <= bound && self.contains(rec.u) != self.contains(rec.v))
             .count()
-    }
-
-    /// Total number of cut edges (any latency).
-    pub fn cut_size(&self, g: &Graph) -> usize {
-        self.cut_edges_within(g, Latency::MAX)
     }
 
     /// Volume of each side, `(Vol(U), Vol(V \ U))`.
@@ -214,8 +189,10 @@ mod tests {
         assert!(cut.contains(NodeId::new(0)));
         assert!(!cut.contains(NodeId::new(2)));
         assert_eq!(cut.size_u(), 2);
-        assert_eq!(cut.side_u(), vec![NodeId::new(0), NodeId::new(1)]);
-        assert_eq!(cut.side_rest(), vec![NodeId::new(2), NodeId::new(3)]);
+        let (side_u, side_rest): (Vec<NodeId>, Vec<NodeId>) =
+            g.nodes().partition(|&v| cut.contains(v));
+        assert_eq!(side_u, vec![NodeId::new(0), NodeId::new(1)]);
+        assert_eq!(side_rest, vec![NodeId::new(2), NodeId::new(3)]);
         assert!(cut.is_proper());
     }
 
@@ -224,7 +201,7 @@ mod tests {
         let g = cycle4();
         let cut = Cut::from_side(&g, [NodeId::new(0), NodeId::new(1)]);
         // Crossing edges: (1,2) latency 1 and (3,0) latency 8.
-        assert_eq!(cut.cut_size(&g), 2);
+        assert_eq!(cut.cut_edges_within(&g, Latency::MAX), 2);
         assert_eq!(cut.cut_edges_within(&g, 1), 1);
         assert_eq!(cut.cut_edges_within(&g, 7), 1);
         assert_eq!(cut.cut_edges_within(&g, 8), 2);

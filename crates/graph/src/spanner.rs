@@ -13,7 +13,7 @@
 // for runs to be reproducible.
 use std::collections::BTreeSet;
 
-use crate::metrics::{dijkstra, Distance, Sweeps, UNREACHABLE};
+use crate::metrics::{Sweeps, UNREACHABLE};
 use crate::{EdgeId, Graph, GraphError, Latency, NodeId};
 
 /// A subset of a graph's edges, each given a direction, forming a spanner.
@@ -22,7 +22,8 @@ pub struct DirectedSpanner {
     node_count: usize,
     /// `out[v]` lists `(target, edge-id in the parent graph)` pairs.
     out: Vec<Vec<(NodeId, EdgeId)>>,
-    /// Set of selected (undirected) edge ids, for O(1) membership checks.
+    /// Set of selected (undirected) edge ids: keeps each edge's first
+    /// orientation only, and iterates in ascending id order.
     selected: BTreeSet<EdgeId>,
 }
 
@@ -62,11 +63,6 @@ impl DirectedSpanner {
         }
         self.out[from.index()].push((to, e));
         true
-    }
-
-    /// Returns `true` if the undirected edge `e` is part of the spanner.
-    pub fn contains_edge(&self, e: EdgeId) -> bool {
-        self.selected.contains(&e)
     }
 
     /// Out-edges of `v`: `(target, parent edge id)` pairs in insertion order.
@@ -139,14 +135,6 @@ impl DirectedSpanner {
     pub fn total_latency(&self, g: &Graph) -> Latency {
         self.selected.iter().map(|&e| g.latency(e)).sum()
     }
-
-    /// Weighted distances from `source` inside the spanner.
-    pub fn distances_from(&self, g: &Graph, source: NodeId) -> Vec<Distance> {
-        match self.to_graph(g) {
-            Ok(s) => dijkstra(&s, source),
-            Err(_) => vec![UNREACHABLE; self.node_count],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +168,7 @@ mod tests {
         assert_eq!(s.out_degree(NodeId::new(1)), 1);
         assert_eq!(s.out_degree(NodeId::new(2)), 0);
         assert_eq!(s.max_out_degree(), 1);
-        assert!(s.contains_edge(e01));
+        assert_eq!(s.edge_ids().collect::<Vec<_>>(), vec![e01, e12]);
     }
 
     #[test]
@@ -220,7 +208,7 @@ mod tests {
             let e = g.find_edge(NodeId::new(u), NodeId::new(v)).unwrap();
             s.add_oriented(&g, NodeId::new(u), e);
         }
-        let d = s.distances_from(&g, NodeId::new(0));
+        let d = crate::metrics::dijkstra(&s.to_graph(&g).unwrap(), NodeId::new(0));
         assert_eq!(d, vec![0, 1, 2, 1]);
     }
 }

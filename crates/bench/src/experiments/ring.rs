@@ -1,7 +1,7 @@
 //! E4 / F2 — the Theorem 13 ring of gadgets (Figure 2): the
 //! `Ω(min(Δ + D, ℓ/φ))` trade-off and the conductance facts of Lemmas 15–17.
 
-use gossip_conductance::{critical_conductance, phi_ell_of_cut, Method};
+use gossip_conductance::{analyze, phi_ell_of_cut, Method};
 use gossip_core::push_pull;
 use gossip_graph::cut::Cut;
 use gossip_graph::metrics;
@@ -49,7 +49,7 @@ pub fn e4_tradeoff(scale: Scale) -> Table {
         let delta = g.max_degree() as u64;
         // φ_ℓ of the balanced ring cut (Lemma 15 gives α exactly; the sweep
         // estimate over the whole graph is close).
-        let phi = critical_conductance(g, Method::SweepCut)
+        let phi = analyze(g, Method::SweepCut)
             .map(|c| c.phi_star)
             .unwrap_or(0.0);
         let bound = ((d + delta) as f64).min(if phi > 0.0 {
@@ -110,7 +110,7 @@ pub fn f2_ring_conductance(scale: Scale) -> Table {
         let half_nodes: Vec<NodeId> = (0..(k / 2) * s).map(NodeId::new).collect();
         let cut = Cut::from_side(g, half_nodes);
         let phi_cut = phi_ell_of_cut(g, &cut, 8).unwrap_or(0.0);
-        let phi_graph = critical_conductance(g, Method::SweepCut)
+        let phi_graph = analyze(g, Method::SweepCut)
             .map(|c| c.phi_star)
             .unwrap_or(0.0);
         let d = metrics::estimate_diameter(g).map(|e| e.upper).unwrap_or(0);

@@ -2,7 +2,7 @@
 //! and spanner broadcast (Lemmas 19–23, Theorem 20/25), pattern broadcast
 //! (Lemmas 26–28) and the unified bound (Theorem 31).
 
-use gossip_conductance::{critical_conductance, Method};
+use gossip_conductance::{analyze, Method};
 use gossip_core::{pattern, push_pull, spanner, spanner_broadcast, unified};
 use gossip_graph::{generators, metrics, Graph, NodeId};
 use rand::rngs::SmallRng;
@@ -51,7 +51,7 @@ pub fn e5_push_pull(scale: Scale) -> Table {
         ],
     );
     for (name, g) in slow_cut_family(scale, &mut rng) {
-        let Ok(crit) = critical_conductance(&g, Method::SweepCut) else {
+        let Ok(crit) = analyze(&g, Method::SweepCut) else {
             continue;
         };
         let bound = if crit.phi_star > 0.0 {

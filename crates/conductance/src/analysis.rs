@@ -40,18 +40,6 @@ impl Method {
     }
 }
 
-/// The critical weighted conductance `φ*` and critical latency `ℓ*`
-/// (Definition 2), together with the per-threshold profile used to find them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CriticalConductance {
-    /// Critical weighted conductance `φ*`.
-    pub phi_star: f64,
-    /// Critical latency `ℓ*` (the threshold achieving the maximal `φ_ℓ/ℓ`).
-    pub ell_star: Latency,
-    /// `(ℓ, φ_ℓ)` for every candidate threshold considered, ascending in `ℓ`.
-    pub profile: Vec<(Latency, f64)>,
-}
-
 /// Everything Section 2 of the paper defines, for one graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConductanceReport {
@@ -65,7 +53,8 @@ pub struct ConductanceReport {
     pub phi_classical: f64,
     /// Number of non-empty latency classes `L`.
     pub nonempty_classes: usize,
-    /// `(ℓ, φ_ℓ)` profile over candidate thresholds.
+    /// `(ℓ, φ_ℓ)` for every distinct latency `ℓ`, ascending.  `φ_ℓ` at any
+    /// other `ℓ` is the entry of the largest latency `≤ ℓ` (0 below all).
     pub profile: Vec<(Latency, f64)>,
 }
 
@@ -127,98 +116,44 @@ fn minima(g: &Graph, method: Method) -> Result<Minima, ConductanceError> {
     Ok(minima)
 }
 
-/// Weight-ℓ conductance `φ_ℓ(G)` (Definition 1): minimum over cuts of `φ_ℓ(C)`.
+/// Computes the full [`ConductanceReport`] from a single pass over the cuts
+/// `method` considers: the `(ℓ, φ_ℓ)` profile, `φ*` and `ℓ*`, `φ_avg`, the
+/// classical conductance, and the number of non-empty latency classes.
+///
+/// `φ*` and `ℓ*` (Definition 2) maximise `φ_ℓ / ℓ` over the profile's
+/// thresholds (the distinct latencies of the graph).  Ties are broken towards
+/// the smaller latency, which matches the paper's use of `ℓ*` as the cheapest
+/// threshold achieving the critical ratio.  `φ_ℓ` at any other `ℓ` is the
+/// profile entry of the largest latency `≤ ℓ` (0 below every latency), since
+/// the cut edges of latency `≤ ℓ` change only at a distinct latency.
 ///
 /// # Errors
 ///
 /// Returns an error for graphs with fewer than two nodes, no edges, or when
 /// exact enumeration is requested on a graph that is too large.
-pub fn weight_ell_conductance(
-    g: &Graph,
-    ell: Latency,
-    method: Method,
-) -> Result<f64, ConductanceError> {
-    minima(g, method)?
-        .phi_ell(ell)
-        .ok_or(ConductanceError::NoEdges)
-}
-
-/// Classical conductance: `φ_ℓ` with `ℓ = ℓ_max` (i.e. ignoring latencies).
-///
-/// # Errors
-///
-/// Same conditions as [`weight_ell_conductance`].
-pub fn classical_conductance(g: &Graph, method: Method) -> Result<f64, ConductanceError> {
-    weight_ell_conductance(g, g.max_latency().max(1), method)
-}
-
-/// Critical weighted conductance `φ*` and critical latency `ℓ*` (Definition 2):
-/// over all candidate thresholds `ℓ` (the distinct latencies of the graph),
-/// pick the one maximising `φ_ℓ / ℓ`.  Ties are broken towards the smaller
-/// latency, which matches the paper's use of `ℓ*` as the cheapest threshold
-/// achieving the critical ratio.
-///
-/// # Errors
-///
-/// Same conditions as [`weight_ell_conductance`].
-pub fn critical_conductance(
-    g: &Graph,
-    method: Method,
-) -> Result<CriticalConductance, ConductanceError> {
-    critical_of(&minima(g, method)?)
-}
-
-fn critical_of(minima: &Minima) -> Result<CriticalConductance, ConductanceError> {
+pub fn analyze(g: &Graph, method: Method) -> Result<ConductanceReport, ConductanceError> {
+    let minima = minima(g, method)?;
     let profile = minima.profile();
-    let Some((&first, rest)) = profile.split_first() else {
+    // The last threshold is `ℓ_max`, where every cut edge counts: its `φ_ℓ`
+    // is the classical conductance.
+    let (Some(&first), Some(&(_, phi_classical)), Some(phi_avg)) =
+        (profile.first(), profile.last(), minima.phi_avg())
+    else {
         return Err(ConductanceError::NoEdges);
     };
     let mut best = first;
-    for &(ell, phi) in rest {
-        let ratio = phi / ell as f64;
-        let best_ratio = best.1 / best.0 as f64;
-        if ratio > best_ratio + 1e-15 {
+    for &(ell, phi) in profile.iter().skip(1) {
+        if phi / ell as f64 > best.1 / best.0 as f64 + 1e-15 {
             best = (ell, phi);
         }
     }
-    Ok(CriticalConductance {
+    Ok(ConductanceReport {
         phi_star: best.1,
         ell_star: best.0,
-        profile,
-    })
-}
-
-/// Average weighted conductance `φ_avg(G)` (Definition 4): minimum over cuts
-/// of the average cut conductance.
-///
-/// # Errors
-///
-/// Same conditions as [`weight_ell_conductance`].
-pub fn average_conductance(g: &Graph, method: Method) -> Result<f64, ConductanceError> {
-    minima(g, method)?
-        .phi_avg()
-        .ok_or(ConductanceError::NoEdges)
-}
-
-/// Computes the full [`ConductanceReport`]: `φ*`, `ℓ*`, `φ_avg`, the classical
-/// conductance, and the number of non-empty latency classes, from a single
-/// pass over the cuts `method` considers.
-///
-/// # Errors
-///
-/// Same conditions as [`weight_ell_conductance`].
-pub fn analyze(g: &Graph, method: Method) -> Result<ConductanceReport, ConductanceError> {
-    let minima = minima(g, method)?;
-    let critical = critical_of(&minima)?;
-    Ok(ConductanceReport {
-        phi_star: critical.phi_star,
-        ell_star: critical.ell_star,
-        phi_avg: minima.phi_avg().ok_or(ConductanceError::NoEdges)?,
-        phi_classical: minima
-            .phi_ell(g.max_latency().max(1))
-            .ok_or(ConductanceError::NoEdges)?,
+        phi_avg,
+        phi_classical,
         nonempty_classes: nonempty_latency_classes(g),
-        profile: critical.profile,
+        profile,
     })
 }
 
@@ -271,25 +206,24 @@ mod tests {
             b.add_edge(u, (u + 1) % 8, latency).unwrap();
         }
         let g = b.build().unwrap();
-        let critical = critical_conductance(&g, Method::Exact).unwrap();
+        let report = analyze(&g, Method::Exact).unwrap();
         // φ_ℓ is non-decreasing in ℓ.
-        for w in critical.profile.windows(2) {
+        for w in report.profile.windows(2) {
             assert!(w[0].1 <= w[1].1 + 1e-12);
         }
-        let report = analyze(&g, Method::Exact).unwrap();
         assert!(report.theorem5_holds());
     }
 
     #[test]
     fn weight_ell_is_monotone_in_ell() {
         let g = generators::dumbbell(4, 10).unwrap();
-        let phi_1 = weight_ell_conductance(&g, 1, Method::Exact).unwrap();
-        let phi_5 = weight_ell_conductance(&g, 5, Method::Exact).unwrap();
-        let phi_10 = weight_ell_conductance(&g, 10, Method::Exact).unwrap();
-        assert!(phi_1 <= phi_5 + 1e-12);
-        assert!(phi_5 <= phi_10 + 1e-12);
+        let report = analyze(&g, Method::Exact).unwrap();
+        let [(1, phi_1), (10, phi_10)] = report.profile[..] else {
+            panic!("profile {:?}", report.profile);
+        };
         assert_eq!(phi_1, 0.0); // bridge cut has no fast cut edge
         assert!(phi_10 > 0.0);
+        assert_eq!(report.phi_classical, phi_10);
     }
 
     #[test]

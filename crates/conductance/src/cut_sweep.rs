@@ -175,21 +175,6 @@ impl Minima {
             .collect()
     }
 
-    /// `φ_ℓ` at any threshold: the cut edges of latency `≤ ell` are those of
-    /// latency `≤` the largest distinct latency not above `ell`, and none when
-    /// `ell` is below every latency.  `None` when no cut had a defined
-    /// conductance.
-    pub(crate) fn phi_ell(&self, ell: Latency) -> Option<f64> {
-        // φ_avg is finite exactly when some cut was folded.
-        if !self.phi_avg.is_finite() {
-            return None;
-        }
-        match self.latencies.partition_point(|&l| l <= ell) {
-            0 => Some(0.0),
-            level => Some(self.phi_ell[level - 1]),
-        }
-    }
-
     /// `φ_avg`, or `None` when no cut had a defined conductance.
     pub(crate) fn phi_avg(&self) -> Option<f64> {
         self.phi_avg.is_finite().then_some(self.phi_avg)

@@ -39,7 +39,7 @@ pub fn enumerate_cuts(g: &Graph) -> Result<Vec<Cut>, ConductanceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{weight_ell_conductance, Method};
+    use crate::{analyze, Method};
     use gossip_graph::generators;
     use gossip_graph::GraphBuilder;
 
@@ -66,7 +66,7 @@ mod tests {
     #[test]
     fn exact_minimum_finds_the_bridge_cut_of_a_dumbbell() {
         let g = generators::dumbbell(4, 8).unwrap();
-        let value = weight_ell_conductance(&g, 8, Method::Exact).unwrap();
+        let value = analyze(&g, Method::Exact).unwrap().phi_classical;
         // The bottleneck is the bridge: 1 cut edge over min volume (4 clique
         // nodes: 3+3+3+4 = 13).
         assert!((value - 1.0 / 13.0).abs() < 1e-12);
@@ -77,7 +77,7 @@ mod tests {
         // For K_4 with unit latencies the conductance is minimised by the
         // balanced cut: 4 cut edges / volume 6 = 2/3.
         let g = generators::clique(4, 1).unwrap();
-        let value = weight_ell_conductance(&g, 1, Method::Exact).unwrap();
+        let value = analyze(&g, Method::Exact).unwrap().phi_classical;
         assert!((value - 2.0 / 3.0).abs() < 1e-12);
     }
 
@@ -85,7 +85,7 @@ mod tests {
     fn exact_minimum_reports_no_edges() {
         let g = GraphBuilder::new(3).build().unwrap();
         assert_eq!(
-            weight_ell_conductance(&g, 1, Method::Exact).unwrap_err(),
+            analyze(&g, Method::Exact).unwrap_err(),
             ConductanceError::NoEdges
         );
     }

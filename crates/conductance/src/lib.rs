@@ -28,11 +28,12 @@
 //!
 //! ## Cost
 //!
-//! Every analysis entry point makes one pass over the cuts its method
-//! considers, moving a single node across the cut from one cut to the next
-//! and updating the volume and per-latency cut-edge counts in `O(deg v)`;
-//! no cut is materialised.  [`analyze`] derives all its quantities from that
-//! one pass.  [`Method::SweepCut`] costs one Fiedler solve per sweep
+//! [`analyze`] is the one analysis entry point.  It makes one pass over the
+//! cuts its method considers, moving a single node across the cut from one
+//! cut to the next and updating the volume and per-latency cut-edge counts in
+//! `O(deg v)`; no cut is materialised.  Every quantity of the
+//! [`ConductanceReport`] comes from that one pass, and `φ_ℓ` at any `ℓ` is
+//! read from its profile.  [`Method::SweepCut`] costs one Fiedler solve per sweep
 //! threshold (see [`candidate_cuts`]) plus `O(m + n·L)` per ordering, with
 //! `L` the number of distinct latencies.  A solve is at most 200
 //! power-iteration steps of `O(n + m_ℓ)` each (`m_ℓ` edges in `G_ℓ`): every
@@ -68,10 +69,7 @@ mod error;
 mod exact;
 mod sweep;
 
-pub use analysis::{
-    analyze, average_conductance, classical_conductance, critical_conductance,
-    weight_ell_conductance, ConductanceReport, CriticalConductance, Method, MAX_AUTO_EXACT_NODES,
-};
+pub use analysis::{analyze, ConductanceReport, Method, MAX_AUTO_EXACT_NODES};
 pub use cut_eval::{nonempty_latency_classes, phi_avg_of_cut, phi_ell_of_cut};
 pub use error::ConductanceError;
 pub use exact::{enumerate_cuts, MAX_EXACT_NODES};

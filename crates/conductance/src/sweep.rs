@@ -235,7 +235,7 @@ pub fn candidate_cuts(g: &Graph) -> Vec<Cut> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{weight_ell_conductance, Method};
+    use crate::{analyze, Method};
     use gossip_graph::generators;
     use gossip_graph::latency::LatencyScheme;
     use rand::rngs::SmallRng;
@@ -470,7 +470,7 @@ mod tests {
     #[test]
     fn perfbench_dumbbell_is_the_benchmark_graph() {
         // perfbench's `conductance.ell_over_phi` counter on seed 1.
-        let report = crate::analyze(&perfbench_dumbbell(1), Method::SweepCut).unwrap();
+        let report = analyze(&perfbench_dumbbell(1), Method::SweepCut).unwrap();
         assert_eq!(report.ell_star as f64 / report.phi_star, 65281.0);
     }
 
@@ -513,8 +513,8 @@ mod tests {
     #[test]
     fn sweep_matches_exact_on_dumbbell() {
         let g = generators::dumbbell(5, 4).unwrap();
-        let exact = weight_ell_conductance(&g, 4, Method::Exact).unwrap();
-        let sweep = weight_ell_conductance(&g, 4, Method::SweepCut).unwrap();
+        let exact = analyze(&g, Method::Exact).unwrap().phi_classical;
+        let sweep = analyze(&g, Method::SweepCut).unwrap().phi_classical;
         assert!((exact - sweep).abs() < 1e-9, "exact={exact} sweep={sweep}");
     }
 
@@ -524,8 +524,8 @@ mod tests {
             generators::cycle(10, 1).unwrap(),
             generators::clique(8, 1).unwrap(),
         ] {
-            let exact = weight_ell_conductance(&g, 1, Method::Exact).unwrap();
-            let sweep = weight_ell_conductance(&g, 1, Method::SweepCut).unwrap();
+            let exact = analyze(&g, Method::Exact).unwrap().phi_classical;
+            let sweep = analyze(&g, Method::SweepCut).unwrap().phi_classical;
             // Sweep is an upper bound; on these symmetric families it should be exact.
             assert!(sweep >= exact - 1e-9);
             assert!(
@@ -571,7 +571,7 @@ mod tests {
     #[test]
     fn sweep_handles_star_with_slow_spokes() {
         let g = generators::star(20, 16).unwrap();
-        let value = weight_ell_conductance(&g, 16, Method::SweepCut).unwrap();
+        let value = analyze(&g, Method::SweepCut).unwrap().phi_classical;
         // Every proper cut of a star has at least one cut edge and the smaller
         // side has volume >= 1, so the minimum is 1/side-volume; the best cut
         // puts half the leaves on one side: value = ~ (n/2)/(n/2) but volumes:

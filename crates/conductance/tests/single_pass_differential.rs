@@ -1,15 +1,15 @@
 //! Differential test of the single-pass conductance analysis against the
 //! per-cut reference: materialise every cut the method considers
 //! ([`candidate_cuts`] / [`enumerate_cuts`]), score each one with
-//! [`phi_ell_of_cut`] / [`phi_avg_of_cut`], and take the minima.  Every
-//! public entry point must agree with the reference bit for bit, under both
-//! `Method::Exact` and `Method::SweepCut` (and `Method::Auto`).
+//! [`phi_ell_of_cut`] / [`phi_avg_of_cut`], and take the minima.  [`analyze`]
+//! must agree with the reference bit for bit, under both `Method::Exact` and
+//! `Method::SweepCut` (and `Method::Auto`), and so must `φ_ℓ` read from its
+//! profile at any threshold.
 
 use gossip_conductance::{
-    analyze, average_conductance, candidate_cuts, classical_conductance, critical_conductance,
-    enumerate_cuts, nonempty_latency_classes, phi_avg_of_cut, phi_ell_of_cut,
-    weight_ell_conductance, ConductanceError, ConductanceReport, CriticalConductance, Method,
-    MAX_AUTO_EXACT_NODES, MAX_EXACT_NODES,
+    analyze, candidate_cuts, enumerate_cuts, nonempty_latency_classes, phi_avg_of_cut,
+    phi_ell_of_cut, ConductanceError, ConductanceReport, Method, MAX_AUTO_EXACT_NODES,
+    MAX_EXACT_NODES,
 };
 use gossip_graph::cut::Cut;
 use gossip_graph::latency::LatencyScheme;
@@ -56,7 +56,10 @@ fn reference_average(g: &Graph, cuts: &[Cut]) -> Result<f64, ConductanceError> {
     minimum(cuts.iter().filter_map(|c| phi_avg_of_cut(g, c)))
 }
 
-fn reference_critical(g: &Graph, cuts: &[Cut]) -> Result<CriticalConductance, ConductanceError> {
+/// The reference `(φ*, ℓ*, profile)`.
+type Critical = (f64, Latency, Vec<(Latency, f64)>);
+
+fn reference_critical(g: &Graph, cuts: &[Cut]) -> Result<Critical, ConductanceError> {
     let profile: Vec<(Latency, f64)> = g
         .distinct_latencies()
         .into_iter()
@@ -75,11 +78,7 @@ fn reference_critical(g: &Graph, cuts: &[Cut]) -> Result<CriticalConductance, Co
             best = (ell, phi);
         }
     }
-    Ok(CriticalConductance {
-        phi_star: best.1,
-        ell_star: best.0,
-        profile,
-    })
+    Ok((best.1, best.0, profile))
 }
 
 // ---- bit-exact comparison --------------------------------------------------
@@ -101,11 +100,17 @@ fn report_bits(r: &ConductanceReport) -> ReportBits {
     )
 }
 
-fn critical_bits(c: &CriticalConductance) -> (u64, Latency, Vec<(Latency, u64)>) {
-    (c.phi_star.to_bits(), c.ell_star, profile_bits(&c.profile))
+/// `φ_ℓ` read from a report's profile: the entry of the largest latency
+/// `≤ ell`, and 0 below every latency.
+fn phi_ell_from_profile(r: &ConductanceReport, ell: Latency) -> f64 {
+    r.profile
+        .iter()
+        .rev()
+        .find(|&&(l, _)| l <= ell)
+        .map_or(0.0, |&(_, phi)| phi)
 }
 
-/// Thresholds probing `weight_ell_conductance`: zero, the smallest and
+/// Thresholds probing `φ_ℓ` off the profile: zero, the smallest and
 /// largest latency, a few values strictly between two latencies of the graph,
 /// and one beyond the maximum.
 fn probe_thresholds(g: &Graph) -> Vec<Latency> {
@@ -118,46 +123,26 @@ fn probe_thresholds(g: &Graph) -> Vec<Latency> {
     out
 }
 
-/// Asserts that every public entry point equals the per-cut reference, bit
-/// for bit, on `g` under `method`.
+/// Asserts that `analyze` equals the per-cut reference, bit for bit, on `g`
+/// under `method`.
 fn assert_single_pass_matches(g: &Graph, method: Method) {
     let cuts = reference_cuts(g, method);
     let want = cuts.as_ref().map_err(Clone::clone).and_then(|cuts| {
-        let critical = reference_critical(g, cuts)?;
+        let (phi_star, ell_star, profile) = reference_critical(g, cuts)?;
         Ok(ConductanceReport {
-            phi_star: critical.phi_star,
-            ell_star: critical.ell_star,
+            phi_star,
+            ell_star,
             phi_avg: reference_average(g, cuts)?,
             phi_classical: reference_weight_ell(g, cuts, g.max_latency().max(1))?,
             nonempty_classes: nonempty_latency_classes(g),
-            profile: critical.profile,
+            profile,
         })
     });
+    let report = analyze(g, method);
     assert_eq!(
-        analyze(g, method).as_ref().map(report_bits),
+        report.as_ref().map(report_bits),
         want.as_ref().map(report_bits),
         "analyze under {method:?}"
-    );
-    assert_eq!(
-        critical_conductance(g, method).map(|c| critical_bits(&c)),
-        want.as_ref()
-            .map(|r| (r.phi_star.to_bits(), r.ell_star, profile_bits(&r.profile)))
-            .map_err(Clone::clone),
-        "critical_conductance under {method:?}"
-    );
-    assert_eq!(
-        average_conductance(g, method).map(f64::to_bits),
-        want.as_ref()
-            .map(|r| r.phi_avg.to_bits())
-            .map_err(Clone::clone),
-        "average_conductance under {method:?}"
-    );
-    assert_eq!(
-        classical_conductance(g, method).map(f64::to_bits),
-        want.as_ref()
-            .map(|r| r.phi_classical.to_bits())
-            .map_err(Clone::clone),
-        "classical_conductance under {method:?}"
     );
     for ell in probe_thresholds(g) {
         let want = cuts
@@ -165,9 +150,12 @@ fn assert_single_pass_matches(g: &Graph, method: Method) {
             .map_err(Clone::clone)
             .and_then(|cuts| reference_weight_ell(g, cuts, ell));
         assert_eq!(
-            weight_ell_conductance(g, ell, method).map(f64::to_bits),
+            report
+                .as_ref()
+                .map(|r| phi_ell_from_profile(r, ell).to_bits())
+                .map_err(Clone::clone),
             want.map(f64::to_bits),
-            "weight_ell_conductance at ell = {ell} under {method:?}"
+            "phi_ell from the profile at ell = {ell} under {method:?}"
         );
     }
 }

@@ -9,33 +9,34 @@
 //! guess-and-double driver as the diameter, this is the `Õ(D + Δ)` "discover
 //! the important edges" step that lets the known-latency algorithm run.
 
-use std::collections::HashMap;
-
 use gossip_graph::{EdgeId, Graph, Latency, NodeId};
 use gossip_sim::{ExchangeEvent, NodeView, Protocol, SimConfig, Simulation, Termination};
 use rand::rngs::SmallRng;
 
 use crate::DisseminationReport;
 
-/// One node's probing state: the next neighbor to probe and the latencies
-/// its completed probes revealed.
+/// One node's probing state: the next neighbor to probe and, in arrival
+/// order, the answers to its own probes over edges of latency at most the
+/// bound.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Prober {
     next: usize,
-    // gossip-lint: allow(unordered-iter): keyed insert per edge only, never iterated
-    latencies: HashMap<EdgeId, Latency>,
+    latencies: Vec<(EdgeId, Latency)>,
 }
 
 /// Protocol in which every node probes each of its neighbors exactly once,
-/// one per round, in neighbor-id order.
+/// one per round, in neighbor-id order, and keeps the answers of latency at
+/// most `bound`.
 #[derive(Debug, Clone)]
 struct ProbeAll {
+    bound: Latency,
     nodes: Vec<Prober>,
 }
 
 impl ProbeAll {
-    fn new(g: &Graph) -> Self {
+    fn new(g: &Graph, bound: Latency) -> Self {
         ProbeAll {
+            bound,
             nodes: vec![Prober::default(); g.node_count()],
         }
     }
@@ -60,8 +61,11 @@ impl Protocol for ProbeAll {
     }
 
     fn on_exchange(&mut self, node: NodeId, event: &ExchangeEvent) {
+        if !event.initiated_here || event.latency > self.bound {
+            return;
+        }
         if let Some(st) = self.nodes.get_mut(node.index()) {
-            st.latencies.insert(event.edge, event.latency);
+            st.latencies.push((event.edge, event.latency));
         }
     }
 }
@@ -69,9 +73,9 @@ impl Protocol for ProbeAll {
 /// Result of a latency-discovery phase.
 #[derive(Debug, Clone)]
 pub struct DiscoveryOutcome {
-    /// Per-node map from incident edge to discovered latency.
-    // gossip-lint: allow(unordered-iter): read only by `facts` (map sizes) and `covers` (keyed `contains_key`), never iterated
-    pub discovered: Vec<HashMap<EdgeId, Latency>>,
+    /// Per node, each discovered incident edge with its latency, sorted by
+    /// edge id.
+    pub discovered: Vec<Vec<(EdgeId, Latency)>>,
     /// Rounds spent (≈ Δ + bound).
     pub report: DisseminationReport,
 }
@@ -79,22 +83,28 @@ pub struct DiscoveryOutcome {
 impl DiscoveryOutcome {
     /// Number of `(node, edge)` latency facts discovered.
     pub fn facts(&self) -> usize {
-        self.discovered.iter().map(HashMap::len).sum()
+        self.discovered.iter().map(Vec::len).sum()
     }
 
     /// Returns `true` if every edge of latency at most `bound` has been
     /// discovered by both of its endpoints.
     pub fn covers(&self, g: &Graph, bound: Latency) -> bool {
-        g.edges().zip(g.edge_ids()).all(|(rec, e)| {
-            rec.latency > bound
-                || (self.discovered[rec.u.index()].contains_key(&e)
-                    && self.discovered[rec.v.index()].contains_key(&e))
-        })
+        let knows = |v: NodeId, e: EdgeId| {
+            self.discovered[v.index()]
+                .binary_search_by_key(&e, |&(edge, _)| edge)
+                .is_ok()
+        };
+        g.edges()
+            .zip(g.edge_ids())
+            .all(|(rec, e)| rec.latency > bound || (knows(rec.u, e) && knows(rec.v, e)))
     }
 }
 
 /// Probes every incident edge and waits up to `bound` extra rounds for the
 /// responses; discovers exactly the incident edges of latency ≤ `bound`.
+/// A node learns an edge only from the answer to its own probe, and only
+/// if that answer's latency is at most `bound`, even when it arrives within
+/// the budget.
 ///
 /// The number of rounds consumed is `Δ + bound` (all probes are sent in the
 /// first `Δ` rounds; anything that has not answered after `bound` more rounds
@@ -103,10 +113,14 @@ pub fn discover(g: &Graph, bound: Latency, seed: u64) -> DiscoveryOutcome {
     let max_degree = g.max_degree() as u64;
     let budget = max_degree + bound;
     let config = SimConfig::new(seed).termination(Termination::FixedRounds(budget));
-    let mut protocol = ProbeAll::new(g);
+    let mut protocol = ProbeAll::new(g, bound);
     let report = Simulation::new(g, config).run(&mut protocol);
+    let mut discovered: Vec<_> = protocol.nodes.into_iter().map(|st| st.latencies).collect();
+    for latencies in &mut discovered {
+        latencies.sort_unstable_by_key(|&(edge, _)| edge);
+    }
     DiscoveryOutcome {
-        discovered: protocol.nodes.into_iter().map(|st| st.latencies).collect(),
+        discovered,
         report: DisseminationReport::single(
             "latency-discovery",
             report.rounds,
@@ -152,6 +166,31 @@ mod tests {
         assert!(out.report.rounds <= g.max_degree() as u64 + 4);
     }
 
+    /// On a star whose spoke 0–3 is slower than the bound, the slow answer
+    /// arrives within the `Δ + bound` budget but is not kept, and no node
+    /// learns an edge from a neighbor's probe: the centre and leaves 1 and 2
+    /// each learn their latency-1 spokes from their own probes.
+    #[test]
+    fn discovery_keeps_only_own_answers_within_the_bound() {
+        let mut b = gossip_graph::GraphBuilder::new(4);
+        b.add_edge(0, 1, 1).unwrap();
+        b.add_edge(0, 2, 1).unwrap();
+        b.add_edge(0, 3, 2).unwrap();
+        let g = b.build().unwrap();
+        let out = discover(&g, 1, 1);
+        assert_eq!(out.facts(), 4);
+        assert!(out.covers(&g, 1));
+        assert!(
+            !out.covers(&g, 2),
+            "the latency-2 spoke must not be discovered"
+        );
+        let spoke = |v| g.find_edge(NodeId::new(0), NodeId::new(v)).unwrap();
+        assert_eq!(out.discovered[0], [(spoke(1), 1), (spoke(2), 1)]);
+        assert_eq!(out.discovered[3], []);
+        assert_eq!(out.report.rounds, 3 + 1);
+        assert_eq!(out.report.activations, 6);
+    }
+
     #[test]
     fn discovery_cost_scales_with_degree() {
         let small = generators::star(8, 2).unwrap();
@@ -176,7 +215,7 @@ mod tests {
         let config =
             SimConfig::new(3).termination(Termination::FixedRounds(g.max_degree() as u64 + 5));
         let run = |threads: usize| {
-            let mut probe = ProbeAll::new(&g);
+            let mut probe = ProbeAll::new(&g, 5);
             let mut sim = Simulation::new(&g, config.clone().threads(threads));
             let report = sim.run(&mut probe);
             (report, sim.into_rumors(), probe)
@@ -193,7 +232,7 @@ mod tests {
         }
 
         let mut oracle = OracleSimulation::new(&g, config.clone());
-        let mut oracle_probe = ProbeAll::new(&g);
+        let mut oracle_probe = ProbeAll::new(&g, 5);
         let oracle_report = oracle.run(&mut oracle_probe);
         assert_eq!(oracle_report.semantics(), report.semantics());
         assert_eq!(oracle.into_rumors(), rumors);

@@ -51,25 +51,6 @@ pub fn all_to_all(g: &Graph, seed: u64) -> DisseminationReport {
     .with_mem(report.mem)
 }
 
-/// Local broadcast via push–pull: run until every node knows the rumor of
-/// every neighbor connected by an edge of latency at most `bound`.
-///
-/// The lower bound of Theorem 10 applies to this primitive: on the
-/// bipartite construction, push–pull needs `Ω(log n/φ_ℓ + ℓ)` rounds.
-pub fn local_broadcast(g: &Graph, bound: gossip_graph::Latency, seed: u64) -> DisseminationReport {
-    let config = SimConfig::new(seed)
-        .termination(Termination::LocalBroadcast(bound))
-        .max_rounds(round_cap(g));
-    let report = Simulation::new(g, config).run(&mut RandomPushPull::new(g));
-    DisseminationReport::single(
-        "push-pull (local broadcast)",
-        report.rounds,
-        report.activations,
-        report.completed,
-    )
-    .with_mem(report.mem)
-}
-
 /// The generous round cap of the single-phase protocol runs: `4n` rounds
 /// per unit of maximum latency, at least 10 000.
 pub fn round_cap(g: &Graph) -> u64 {
@@ -124,7 +105,10 @@ mod tests {
     fn local_broadcast_ignores_edges_above_bound() {
         let g = generators::dumbbell(6, 1000).unwrap();
         // Local broadcast over fast edges only never needs to use the slow bridge.
-        let r = local_broadcast(&g, 1, 2);
+        let config = SimConfig::new(2)
+            .termination(Termination::LocalBroadcast(1))
+            .max_rounds(round_cap(&g));
+        let r = Simulation::new(&g, config).run(&mut RandomPushPull::new(&g));
         assert!(r.completed);
         assert!(r.rounds < 500);
     }

@@ -10,9 +10,7 @@
 
 use gossip_graph::spanner::DirectedSpanner;
 use gossip_graph::{Graph, Latency, NodeId};
-use gossip_sim::{
-    Activity, NodeView, Protocol, RumorSet, Seeding, SimConfig, Simulation, Termination,
-};
+use gossip_sim::{Activity, NodeView, Protocol, RumorSet, SimConfig, Simulation, Termination};
 use rand::rngs::SmallRng;
 
 use crate::DisseminationReport;
@@ -110,23 +108,6 @@ fn phase_graph(g: &Graph, spanner: &DirectedSpanner) -> Graph {
         .expect("spanner edges are a subset of a valid graph")
 }
 
-/// Runs RR Broadcast over `spanner` with parameter `k` until all-to-all
-/// dissemination completes (or the Lemma-21 round budget, scaled by the
-/// spanner stretch, is exhausted).
-///
-/// The phase simulation runs over the spanner subgraph, not the full parent
-/// graph — see [`RrBroadcast::new`]'s out-lists: no other edge can carry an
-/// exchange.
-pub fn all_to_all(
-    g: &Graph,
-    spanner: &DirectedSpanner,
-    k: Latency,
-    seed: u64,
-) -> DisseminationReport {
-    let rumors = Seeding::AllToAll.initial_sets(g.node_count());
-    run_with_rumors(g, spanner, k, seed, rumors).0
-}
-
 /// Runs RR Broadcast starting from the given rumor sets; returns the report
 /// and the final rumor sets.  Used by the guess-and-double driver, which needs
 /// to carry knowledge across doubling phases.
@@ -173,6 +154,18 @@ mod tests {
     use crate::spanner::log_spanner;
     use gossip_graph::generators;
     use gossip_graph::metrics;
+    use gossip_sim::Seeding;
+
+    /// RR Broadcast from all-to-all seeding.
+    fn all_to_all(
+        g: &Graph,
+        spanner: &DirectedSpanner,
+        k: Latency,
+        seed: u64,
+    ) -> DisseminationReport {
+        let rumors = Seeding::AllToAll.initial_sets(g.node_count());
+        run_with_rumors(g, spanner, k, seed, rumors).0
+    }
 
     #[test]
     fn rr_broadcast_completes_on_spanner_of_clique() {

@@ -63,26 +63,6 @@ impl UnifiedReport {
             completed,
         }
     }
-
-    /// Collapses the detailed report into a [`DisseminationReport`].
-    pub fn to_report(&self) -> DisseminationReport {
-        DisseminationReport::from_phases(
-            "unified",
-            vec![
-                Phase::new(
-                    "push-pull",
-                    self.push_pull.rounds,
-                    self.push_pull.activations,
-                ),
-                Phase::new(
-                    "spanner-route",
-                    self.spanner_route.rounds,
-                    self.spanner_route.activations,
-                ),
-            ],
-            self.completed,
-        )
-    }
 }
 
 /// Unified algorithm in the *unknown latency* setting (Theorem 31, first
@@ -157,11 +137,11 @@ mod tests {
     }
 
     #[test]
-    fn to_report_exposes_both_phases() {
+    fn report_exposes_both_routes() {
         let g = generators::cycle(10, 2).unwrap();
         let r = run_known_latencies_with(&g, NodeId::new(0), crate::diameter_bound(&g), 1);
-        let rep = r.to_report();
-        assert!(rep.phase_rounds("push-pull") > 0);
-        assert!(rep.phase_rounds("spanner-route") > 0);
+        assert!(r.push_pull.rounds > 0);
+        assert!(r.spanner_route.rounds > 0);
+        assert!(r.spanner_route.phase_rounds("rr-broadcast") > 0);
     }
 }

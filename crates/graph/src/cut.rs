@@ -161,12 +161,6 @@ pub fn latency_class_count(max_latency: Latency) -> usize {
     }
 }
 
-/// Upper bound `2^i` of latency class `i` (1-based).
-pub fn latency_class_upper_bound(class: usize) -> Latency {
-    assert!(class >= 1, "latency classes are 1-based");
-    1u64 << class.min(62)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,8 +252,12 @@ mod tests {
 
     #[test]
     fn latency_class_upper_bounds() {
-        assert_eq!(latency_class_upper_bound(1), 2);
-        assert_eq!(latency_class_upper_bound(3), 8);
+        // Class `i` is `(2^{i-1}, 2^i]`: `2^i` is its last latency.
+        for class in 1..=63 {
+            let upper: Latency = 1 << class;
+            assert_eq!(latency_class(upper), class);
+            assert_eq!(latency_class(upper + 1), class + 1);
+        }
     }
 
     #[test]

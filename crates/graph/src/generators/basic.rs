@@ -175,7 +175,6 @@ mod tests {
         let g = path(5, 3).unwrap();
         assert_eq!(g.edge_count(), 4);
         assert_eq!(metrics::weighted_diameter(&g), Some(12));
-        assert_eq!(metrics::hop_diameter(&g), Some(4));
         assert!(path(0, 1).is_err());
         assert_eq!(path(1, 1).unwrap().edge_count(), 0);
     }

@@ -32,12 +32,6 @@ impl EdgeRecord {
             )
         }
     }
-
-    /// Returns `true` if `node` is one of the two endpoints.
-    #[inline]
-    pub fn touches(&self, node: NodeId) -> bool {
-        node == self.u || node == self.v
-    }
 }
 
 /// An undirected, connected-or-not graph with integer edge latencies.
@@ -253,11 +247,6 @@ impl Graph {
             .map(|(_, e)| *e)
     }
 
-    /// Returns `true` if `u` and `v` are joined by an edge.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.find_edge(u, v).is_some()
-    }
-
     /// Volume of a set of nodes: the sum of degrees, `Vol(U) = Σ_{v∈U} deg(v)`.
     ///
     /// This is the quantity the paper's conductance definitions normalise by.
@@ -390,8 +379,8 @@ mod tests {
         let g = path3();
         let e = g.find_edge(NodeId::new(2), NodeId::new(1)).unwrap();
         assert_eq!(g.latency(e), 5);
-        assert!(g.has_edge(NodeId::new(0), NodeId::new(1)));
-        assert!(!g.has_edge(NodeId::new(0), NodeId::new(2)));
+        assert!(g.find_edge(NodeId::new(0), NodeId::new(1)).is_some());
+        assert_eq!(g.find_edge(NodeId::new(0), NodeId::new(2)), None);
     }
 
     #[test]
@@ -400,8 +389,6 @@ mod tests {
         let e = g.edge(g.find_edge(NodeId::new(0), NodeId::new(1)).unwrap());
         assert_eq!(e.other(NodeId::new(0)), NodeId::new(1));
         assert_eq!(e.other(NodeId::new(1)), NodeId::new(0));
-        assert!(e.touches(NodeId::new(0)));
-        assert!(!e.touches(NodeId::new(2)));
     }
 
     #[test]

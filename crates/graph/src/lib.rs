@@ -16,12 +16,12 @@
 //! * [`generators`] — the graph families used throughout the paper's proofs
 //!   and the evaluation harness (cliques, expanders, rings of cliques,
 //!   Erdős–Rényi, grids, stars, dumbbells, bipartite gadgets, …),
-//! * [`metrics`] — weighted distances (Dijkstra), weighted/hop diameter,
-//!   degrees and volumes,
+//! * [`metrics`] — weighted distances (Dijkstra) and the weighted diameter
+//!   `D`, exact or bracketed, with a summary of `n`, `m`, `Δ` and `ℓ_max`,
 //! * [`cut`] — cuts, cut edges and their latency-class decomposition
 //!   (the raw material of Definitions 1–4 of the paper),
 //! * [`spanner`] — directed subgraph/spanner representation with per-node
-//!   orientation and stretch verification (Lemma 19 / Theorem 20),
+//!   orientation and stretch measurement (Lemma 19 / Theorem 20),
 //! * [`latency`] — latency-assignment strategies used to build weighted
 //!   instances of the unweighted families.
 //!

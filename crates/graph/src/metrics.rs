@@ -1,19 +1,18 @@
 //! Distance and degree metrics on latency-weighted graphs.
 //!
 //! The paper's bounds are stated in terms of the *weighted diameter* `D`
-//! (shortest-path distances with latencies as weights), the *hop diameter*
-//! (unweighted), and the maximum degree `Δ`.  This module computes all three,
-//! plus the building blocks (single-source Dijkstra / BFS).
+//! (shortest-path distances with latencies as weights) and the maximum degree
+//! `Δ`.  This module computes `D`, exactly or as a bracket, on single-source
+//! Dijkstra sweeps.
 //!
-//! Every sweep, weighted or not, runs one kernel: Dijkstra over a monotone
-//! radix queue, with a unit weight per edge for hop distances.  Callers that
-//! sweep many sources reuse one [`Sweeps`] workspace, so the distance buffer
-//! and the queue's buckets are allocated once per diameter, not once per
-//! sweep.
+//! Every sweep runs one kernel: Dijkstra over a monotone radix queue.  Callers
+//! that sweep many sources reuse one [`Sweeps`] workspace, so the distance
+//! buffer and the queue's buckets are allocated once per diameter, not once
+//! per sweep.
 
 use std::cmp::Reverse;
 
-use crate::{EdgeId, Graph, Latency, NodeId};
+use crate::{Graph, Latency, NodeId};
 
 /// Distance value used by the shortest-path routines.
 ///
@@ -104,26 +103,10 @@ pub(crate) struct Sweeps {
 }
 
 impl Sweeps {
-    /// Weighted distances from `source` (see [`dijkstra`]), borrowed from the
-    /// workspace until its next sweep.
+    /// The one kernel: weighted distances from `source` (see [`dijkstra`]),
+    /// saturating and clamping every distance at `UNREACHABLE − 1`, borrowed
+    /// from the workspace until its next sweep.
     pub(crate) fn dijkstra(&mut self, g: &Graph, source: NodeId) -> &[Distance] {
-        self.shortest_paths(g, source, |e| g.latency(e))
-    }
-
-    /// Hop distances from `source` (see [`bfs_hops`]), borrowed from the
-    /// workspace until its next sweep.
-    pub(crate) fn bfs_hops(&mut self, g: &Graph, source: NodeId) -> &[Distance] {
-        self.shortest_paths(g, source, |_| 1)
-    }
-
-    /// The one kernel: Dijkstra from `source` with edge weights `weight`,
-    /// saturating and clamping every distance at `UNREACHABLE − 1`.
-    fn shortest_paths(
-        &mut self,
-        g: &Graph,
-        source: NodeId,
-        weight: impl Fn(EdgeId) -> Latency,
-    ) -> &[Distance] {
         let n = g.node_count();
         assert!(source.index() < n, "source node out of range");
         let dist = &mut self.dist;
@@ -138,7 +121,7 @@ impl Sweeps {
                 continue;
             }
             for &(w, e) in g.neighbor_slice(v) {
-                let nd = d.saturating_add(weight(e)).min(UNREACHABLE - 1);
+                let nd = d.saturating_add(g.latency(e)).min(UNREACHABLE - 1);
                 if nd < dist[w.index()] {
                     dist[w.index()] = nd;
                     queue.enqueue(nd, w);
@@ -167,25 +150,6 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> Vec<Distance> {
     sweeps.dist
 }
 
-/// Single-source hop distances ignoring latencies: the same kernel as
-/// [`dijkstra`], with every edge weighing one round.
-///
-/// # Panics
-///
-/// Panics if `source` is not a node of `g`.
-pub fn bfs_hops(g: &Graph, source: NodeId) -> Vec<Distance> {
-    let mut sweeps = Sweeps::default();
-    sweeps.bfs_hops(g, source);
-    sweeps.dist
-}
-
-/// Weighted eccentricity of `source`: the largest finite Dijkstra distance.
-///
-/// Returns `None` if some node is unreachable from `source`.
-pub fn eccentricity(g: &Graph, source: NodeId) -> Option<Distance> {
-    sweep_extent(&dijkstra(g, source)).map(|(_, ecc)| ecc)
-}
-
 /// Exact weighted diameter `D`: the maximum over all pairs of the weighted
 /// shortest-path distance.
 ///
@@ -200,25 +164,25 @@ pub fn eccentricity(g: &Graph, source: NodeId) -> Option<Distance> {
 ///
 /// Returns `None` if the graph is disconnected.
 pub fn weighted_diameter(g: &Graph) -> Option<Distance> {
-    bounding_diameters(g, Sweeps::dijkstra).map(|(d, _)| d)
+    bounding_diameters(g).map(|(d, _)| d)
 }
 
 /// Largest graph (in nodes) for which [`estimate_diameter`] falls back to
-/// the exact diameter ([`weighted_diameter`] / [`hop_diameter`]).
+/// the exact diameter ([`weighted_diameter`]).
 ///
 /// Below this size the exact diameter is cheap — the bound-pruned sweeps
 /// rarely visit more than a fraction of the nodes, and even the
 /// vertex-transitive worst case is `n ≤ 1024` sweeps — and every experiment
 /// table that prints `D` stays byte-identical to the historical exact output.
-/// Above it, the estimators run a constant number of sweeps instead.  The
+/// Above it, the estimator runs a constant number of sweeps instead.  The
 /// cheaper exact routine does not raise this threshold: doing so would change
 /// [`estimate_diameter`]'s upper bound, and so the "known D" every heavy
 /// protocol consumes, on graphs above 1024 nodes (a 48×48 grid, say), and
 /// with it their run results.
 pub const EXACT_DIAMETER_THRESHOLD: usize = 1024;
 
-/// Lower and upper bounds on a diameter, as produced by
-/// [`estimate_diameter`] / [`estimate_hop_diameter`].
+/// Lower and upper bounds on the weighted diameter, as produced by
+/// [`estimate_diameter`].
 ///
 /// The paper's phase algorithms only need the diameter `D` up to constant
 /// factors (the guess-and-double drivers tolerate a factor-2 overshoot by
@@ -268,33 +232,17 @@ pub fn estimate_diameter(g: &Graph) -> Option<DiameterEstimate> {
 /// (`threshold = 0` forces the sweep estimator, `threshold = usize::MAX`
 /// forces the exact path).
 pub fn estimate_diameter_with_threshold(g: &Graph, threshold: usize) -> Option<DiameterEstimate> {
-    estimate_with(g, threshold, weighted_diameter, Sweeps::dijkstra)
-}
-
-/// Bounds the **hop** (unweighted) diameter; the BFS analogue of
-/// [`estimate_diameter`], with the same exact fallback below
-/// [`EXACT_DIAMETER_THRESHOLD`] and the same disconnected/empty behavior.
-pub fn estimate_hop_diameter(g: &Graph) -> Option<DiameterEstimate> {
-    estimate_with(g, EXACT_DIAMETER_THRESHOLD, hop_diameter, Sweeps::bfs_hops)
-}
-
-fn estimate_with(
-    g: &Graph,
-    threshold: usize,
-    exact: impl Fn(&Graph) -> Option<Distance>,
-    sweep: impl for<'s> Fn(&'s mut Sweeps, &Graph, NodeId) -> &'s [Distance],
-) -> Option<DiameterEstimate> {
     let n = g.node_count();
     if n == 0 {
         return Some(DiameterEstimate::exact(0));
     }
     if n <= threshold {
-        return exact(g).map(DiameterEstimate::exact);
+        return weighted_diameter(g).map(DiameterEstimate::exact);
     }
     // Sweep 1 from node 0; it both bounds the diameter and picks the next
     // root (the farthest node, as in the classic double sweep).
     let mut sweeps = Sweeps::default();
-    let (far, ecc0) = sweep_extent(sweep(&mut sweeps, g, NodeId::new(0)))?;
+    let (far, ecc0) = sweep_extent(sweeps.dijkstra(g, NodeId::new(0)))?;
     let mut lower = ecc0;
     let mut upper = ecc0.saturating_mul(2);
     let mut next_root = far;
@@ -312,7 +260,7 @@ fn estimate_with(
             continue;
         }
         visited.push(root);
-        let (far, ecc) = sweep_extent(sweep(&mut sweeps, g, root))?;
+        let (far, ecc) = sweep_extent(sweeps.dijkstra(g, root))?;
         lower = lower.max(ecc);
         upper = upper.min(ecc.saturating_mul(2));
         next_root = far;
@@ -338,17 +286,9 @@ fn sweep_extent(dist: &[Distance]) -> Option<(NodeId, Distance)> {
     Some((far, ecc))
 }
 
-/// Exact hop (unweighted) diameter: the BFS analogue of
-/// [`weighted_diameter`], with the same pruning and the same worst case.
-///
-/// Returns `None` if the graph is disconnected.
-pub fn hop_diameter(g: &Graph) -> Option<Distance> {
-    bounding_diameters(g, Sweeps::bfs_hops).map(|(d, _)| d)
-}
-
-/// The exact diameter under `sweep` (Dijkstra or BFS) by eccentricity-bound
-/// pruning — the BoundingDiameters scheme of Takes & Kosters (CIKM 2011) —
-/// and the number of sweeps it ran.
+/// The exact weighted diameter by eccentricity-bound pruning — the
+/// BoundingDiameters scheme of Takes & Kosters (CIKM 2011) — and the number
+/// of sweeps it ran.
 ///
 /// A sweep from `v` with eccentricity `e` bounds every node `w` at distance
 /// `d` by `max(d, e − d) ≤ ecc(w) ≤ e + d` (triangle inequality).  A node
@@ -361,10 +301,7 @@ pub fn hop_diameter(g: &Graph) -> Option<Distance> {
 /// bound), ties going to the higher degree and then the lower node id.
 ///
 /// Returns `None` if the first sweep leaves a node unreachable.
-fn bounding_diameters(
-    g: &Graph,
-    sweep: impl for<'s> Fn(&'s mut Sweeps, &Graph, NodeId) -> &'s [Distance],
-) -> Option<(Distance, usize)> {
+fn bounding_diameters(g: &Graph) -> Option<(Distance, usize)> {
     // Each candidate with its eccentricity bounds `(node, lower, upper)`.
     let mut candidates: Vec<(NodeId, Distance, Distance)> =
         g.nodes().map(|v| (v, 0, Distance::MAX)).collect();
@@ -385,7 +322,7 @@ fn bounding_diameters(
         let Some(&(source, _, _)) = next else {
             return Some((diameter, sweeps));
         };
-        let dist = sweep(&mut workspace, g, source);
+        let dist = workspace.dijkstra(g, source);
         sweeps += 1;
         let (_, ecc) = sweep_extent(dist)?;
         diameter = diameter.max(ecc);
@@ -397,14 +334,6 @@ fn bounding_diameters(
         });
         by_upper = !by_upper;
     }
-}
-
-/// Weighted distance between a specific pair of nodes.
-///
-/// Returns `None` if `target` is unreachable from `source`.
-pub fn distance(g: &Graph, source: NodeId, target: NodeId) -> Option<Distance> {
-    let d = dijkstra(g, source)[target.index()];
-    (d != UNREACHABLE).then_some(d)
 }
 
 /// A compact summary of the structural parameters the paper's bounds use.
@@ -419,26 +348,23 @@ pub struct GraphSummary {
     /// Weighted-diameter bounds (exact below [`EXACT_DIAMETER_THRESHOLD`];
     /// `None` if disconnected).
     pub weighted_diameter: Option<DiameterEstimate>,
-    /// Hop-diameter bounds (same exactness rules; `None` if disconnected).
-    pub hop_diameter: Option<DiameterEstimate>,
     /// Maximum edge latency `ℓ_max`.
     pub max_latency: Latency,
 }
 
 /// Computes a [`GraphSummary`].
 ///
-/// Diameters come from the sweep estimators ([`estimate_diameter`] /
-/// [`estimate_hop_diameter`]): exact — and flagged as such — below
-/// [`EXACT_DIAMETER_THRESHOLD`] nodes, constant-sweep bounds above it.
-/// Summarizing a large graph therefore costs a constant number of sweeps,
-/// not the up to `n` sweeps each exact diameter may need.
+/// The diameter comes from the sweep estimator ([`estimate_diameter`]):
+/// exact — and flagged as such — below [`EXACT_DIAMETER_THRESHOLD`] nodes,
+/// constant-sweep bounds above it.  Summarizing a large graph therefore costs
+/// a constant number of sweeps, not the up to `n` sweeps the exact diameter
+/// may need.
 pub fn summarize(g: &Graph) -> GraphSummary {
     GraphSummary {
         nodes: g.node_count(),
         edges: g.edge_count(),
         max_degree: g.max_degree(),
         weighted_diameter: estimate_diameter(g),
-        hop_diameter: estimate_hop_diameter(g),
         max_latency: g.max_latency(),
     }
 }
@@ -466,24 +392,17 @@ mod tests {
     }
 
     #[test]
-    fn bfs_ignores_latency() {
-        let g = slow_triangle();
-        let d = bfs_hops(&g, NodeId::new(0));
-        assert_eq!(d, vec![0, 1, 1]);
-    }
-
-    #[test]
     fn diameters() {
         let g = slow_triangle();
         assert_eq!(weighted_diameter(&g), Some(2));
-        assert_eq!(hop_diameter(&g), Some(1));
     }
 
     #[test]
     fn eccentricity_and_pairwise_distance() {
         let g = slow_triangle();
-        assert_eq!(eccentricity(&g, NodeId::new(0)), Some(2));
-        assert_eq!(distance(&g, NodeId::new(0), NodeId::new(2)), Some(2));
+        let from_0 = dijkstra(&g, NodeId::new(0));
+        assert_eq!(sweep_extent(&from_0), Some((NodeId::new(2), 2)));
+        assert_eq!(from_0[2], 2);
     }
 
     #[test]
@@ -493,9 +412,9 @@ mod tests {
         b.add_edge(2, 3, 1).unwrap();
         let g = b.build().unwrap();
         assert_eq!(weighted_diameter(&g), None);
-        assert_eq!(hop_diameter(&g), None);
-        assert_eq!(eccentricity(&g, NodeId::new(0)), None);
-        assert_eq!(distance(&g, NodeId::new(0), NodeId::new(3)), None);
+        let from_0 = dijkstra(&g, NodeId::new(0));
+        assert_eq!(sweep_extent(&from_0), None);
+        assert_eq!(from_0[3], UNREACHABLE);
     }
 
     #[test]
@@ -506,7 +425,6 @@ mod tests {
         b.add_edge(2, 3, 5).unwrap();
         let g = b.build().unwrap();
         assert_eq!(weighted_diameter(&g), Some(12));
-        assert_eq!(hop_diameter(&g), Some(3));
     }
 
     #[test]
@@ -516,12 +434,8 @@ mod tests {
         b.add_edge(0, 1, u64::MAX / 2 + 1).unwrap();
         b.add_edge(1, 2, u64::MAX / 2 + 1).unwrap();
         let g = b.build().unwrap();
-        assert_eq!(
-            distance(&g, NodeId::new(0), NodeId::new(2)),
-            Some(u64::MAX - 1)
-        );
+        assert_eq!(dijkstra(&g, NodeId::new(0))[2], u64::MAX - 1);
         assert_eq!(weighted_diameter(&g), Some(u64::MAX - 1));
-        assert_eq!(hop_diameter(&g), Some(2));
     }
 
     #[test]
@@ -532,7 +446,6 @@ mod tests {
         assert_eq!(s.edges, 3);
         assert_eq!(s.max_degree, 2);
         assert_eq!(s.weighted_diameter, Some(DiameterEstimate::exact(2)));
-        assert_eq!(s.hop_diameter, Some(DiameterEstimate::exact(1)));
         assert_eq!(s.max_latency, 10);
     }
 
@@ -540,7 +453,7 @@ mod tests {
     fn single_node_metrics() {
         let g = GraphBuilder::new(1).build().unwrap();
         assert_eq!(weighted_diameter(&g), Some(0));
-        assert_eq!(hop_diameter(&g), Some(0));
+        assert_eq!(dijkstra(&g, NodeId::new(0)), vec![0]);
     }
 
     #[test]
@@ -548,7 +461,7 @@ mod tests {
         // A `node_count() == 0` graph is unconstructible (`GraphError::Empty`
         // from every constructor), so no metric can panic on it — the
         // `Some(0)` guards in the sweep-based routines are pure defense and
-        // agree with `weighted_diameter`/`hop_diameter`'s empty-loop result.
+        // agree with `weighted_diameter`'s empty-loop result.
         assert_eq!(
             GraphBuilder::new(0).build().unwrap_err(),
             crate::GraphError::Empty
@@ -557,9 +470,7 @@ mod tests {
         let g = GraphBuilder::new(1).build().unwrap();
         assert_eq!(g.node_count(), 1);
         assert_eq!(weighted_diameter(&g), Some(0));
-        assert_eq!(hop_diameter(&g), Some(0));
         assert_eq!(estimate_diameter(&g), Some(DiameterEstimate::exact(0)));
-        assert_eq!(estimate_hop_diameter(&g), Some(DiameterEstimate::exact(0)));
         // And with the sweep path forced (threshold 0), still Some(0).
         assert_eq!(
             estimate_diameter_with_threshold(&g, 0),
@@ -573,8 +484,6 @@ mod tests {
         let est = estimate_diameter(&g).unwrap();
         assert!(est.is_exact());
         assert_eq!(est.upper, weighted_diameter(&g).unwrap());
-        let hop = estimate_hop_diameter(&g).unwrap();
-        assert_eq!(hop, DiameterEstimate::exact(1));
     }
 
     #[test]
@@ -600,7 +509,6 @@ mod tests {
         let g = b.build().unwrap();
         assert_eq!(estimate_diameter(&g), None);
         assert_eq!(estimate_diameter_with_threshold(&g, 0), None);
-        assert_eq!(estimate_hop_diameter(&g), None);
     }
 
     /// The pruning's work, pinned as a sweep count rather than a clock: a
@@ -626,13 +534,14 @@ mod tests {
             ("512-node bimodal dumbbell", &bell, 8),
             ("32x32 grid", &grid, 16),
         ] {
-            let (d, sweeps) = bounding_diameters(g, Sweeps::dijkstra).unwrap();
-            let all_pairs = g.nodes().filter_map(|v| eccentricity(g, v)).max();
+            let (d, sweeps) = bounding_diameters(g).unwrap();
+            let all_pairs = g
+                .nodes()
+                .filter_map(|v| sweep_extent(&dijkstra(g, v)).map(|(_, ecc)| ecc))
+                .max();
             assert_eq!(Some(d), all_pairs, "{name}");
             assert!(sweeps <= ceiling, "{name}: {sweeps} sweeps > {ceiling}");
         }
-        let (_, hop_sweeps) = bounding_diameters(&grid, Sweeps::bfs_hops).unwrap();
-        assert!(hop_sweeps <= 16, "32x32 grid, hops: {hop_sweeps} sweeps");
     }
 
     /// The queue against a binary heap: under any interleaving of monotone

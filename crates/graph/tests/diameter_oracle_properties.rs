@@ -1,26 +1,25 @@
-//! Property tests for the shortest-path kernel ([`metrics::dijkstra`],
-//! [`metrics::bfs_hops`]), the exact diameters ([`metrics::weighted_diameter`],
-//! [`metrics::hop_diameter`]) and the diameter-bound oracle
-//! ([`metrics::estimate_diameter`]): across every graph family the sweep
-//! draws from, the kernel must equal a Bellman–Ford reference over the edge
-//! list from every source, the exact routines must equal the all-pairs
+//! Property tests for the shortest-path kernel ([`metrics::dijkstra`]), the
+//! exact diameter ([`metrics::weighted_diameter`]) and the diameter-bound
+//! oracle ([`metrics::estimate_diameter`]): across every graph family the
+//! sweep draws from, the kernel must equal a Bellman–Ford reference over the
+//! edge list from every source, the exact diameter must equal the all-pairs
 //! maximum of that reference, the bracket must contain that diameter, and
 //! below the exact-computation threshold the bracket must *be* the diameter.
 
 use gossip_graph::metrics::{
-    self, bfs_hops, dijkstra, estimate_diameter, estimate_diameter_with_threshold,
-    estimate_hop_diameter, DiameterEstimate, Distance, EXACT_DIAMETER_THRESHOLD, UNREACHABLE,
+    self, dijkstra, estimate_diameter, estimate_diameter_with_threshold, DiameterEstimate,
+    Distance, EXACT_DIAMETER_THRESHOLD, UNREACHABLE,
 };
-use gossip_graph::{generators, latency::LatencyScheme, EdgeRecord, Graph, GraphBuilder, NodeId};
+use gossip_graph::{generators, latency::LatencyScheme, Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Bellman–Ford from `source` over the edge list, with `weight` per edge:
+/// Bellman–Ford from `source` over the edge list, with latencies as weights:
 /// relax every edge in both directions until nothing changes, saturating
 /// and clamping each sum at `UNREACHABLE − 1` as the kernel does.  It shares
 /// no code with the kernel — no queue, no adjacency.
-fn bellman_ford(g: &Graph, source: NodeId, weight: fn(&EdgeRecord) -> Distance) -> Vec<Distance> {
+fn bellman_ford(g: &Graph, source: NodeId) -> Vec<Distance> {
     let mut dist = vec![UNREACHABLE; g.node_count()];
     dist[source.index()] = 0;
     let mut changed = true;
@@ -32,7 +31,7 @@ fn bellman_ford(g: &Graph, source: NodeId, weight: fn(&EdgeRecord) -> Distance) 
                 if d == UNREACHABLE {
                     continue;
                 }
-                let through = d.saturating_add(weight(e)).min(UNREACHABLE - 1);
+                let through = d.saturating_add(e.latency).min(UNREACHABLE - 1);
                 if through < dist[to.index()] {
                     dist[to.index()] = through;
                     changed = true;
@@ -43,28 +42,16 @@ fn bellman_ford(g: &Graph, source: NodeId, weight: fn(&EdgeRecord) -> Distance) 
     dist
 }
 
-fn by_latency(e: &EdgeRecord) -> Distance {
-    e.latency
-}
-
-fn by_hop(_: &EdgeRecord) -> Distance {
-    1
-}
-
 /// The reference diameter: the largest Bellman–Ford distance over every
 /// source, or `None` if some node is unreachable.  On the way it asserts
-/// that `sweep` (the kernel under test) matches the reference from every
+/// that [`dijkstra`] (the kernel under test) matches the reference from every
 /// source.
-fn all_pairs_diameter(
-    g: &Graph,
-    sweep: fn(&Graph, NodeId) -> Vec<Distance>,
-    weight: fn(&EdgeRecord) -> Distance,
-) -> Option<Distance> {
+fn all_pairs_diameter(g: &Graph) -> Option<Distance> {
     let mut diameter = 0;
     for v in g.nodes() {
-        let reference = bellman_ford(g, v, weight);
+        let reference = bellman_ford(g, v);
         assert_eq!(
-            sweep(g, v),
+            dijkstra(g, v),
             reference,
             "sweep from {v:?}, n={}",
             g.node_count()
@@ -76,11 +63,11 @@ fn all_pairs_diameter(
     (diameter != UNREACHABLE).then_some(diameter)
 }
 
-/// On a connected graph: both exact diameters equal the all-pairs reference,
+/// On a connected graph: the exact diameter equals the all-pairs reference,
 /// and the oracle's `lower ≤ D ≤ upper` holds on both the sweep path
-/// (threshold 0) and the defaulted path, for the weighted and the hop metric.
+/// (threshold 0) and the defaulted path.
 fn check_bracket(g: &Graph) {
-    let d = all_pairs_diameter(g, dijkstra, by_latency).expect("test graphs are connected");
+    let d = all_pairs_diameter(g).expect("test graphs are connected");
     assert_eq!(metrics::weighted_diameter(g), Some(d));
     for threshold in [0, EXACT_DIAMETER_THRESHOLD] {
         let est = estimate_diameter_with_threshold(g, threshold).unwrap();
@@ -93,20 +80,10 @@ fn check_bracket(g: &Graph) {
             g.node_count()
         );
     }
-    let hop = all_pairs_diameter(g, bfs_hops, by_hop).unwrap();
-    assert_eq!(metrics::hop_diameter(g), Some(hop));
-    let hop_est = estimate_hop_diameter(g).unwrap();
-    assert!(
-        hop_est.lower <= hop && hop <= hop_est.upper,
-        "hop bracket [{}, {}] misses D={hop}",
-        hop_est.lower,
-        hop_est.upper,
-    );
     // Every test instance is below the exact-computation threshold, so the
-    // defaulted estimators must pin the exact value.
+    // defaulted estimator must pin the exact value.
     assert!(g.node_count() <= EXACT_DIAMETER_THRESHOLD);
     assert_eq!(estimate_diameter(g), Some(DiameterEstimate::exact(d)));
-    assert_eq!(estimate_hop_diameter(g), Some(DiameterEstimate::exact(hop)));
 }
 
 proptest! {
@@ -184,7 +161,7 @@ proptest! {
     #[test]
     fn sweep_lower_bound_is_exact_on_trees(n in 2usize..80, latency in 1u64..20) {
         let g = generators::binary_tree(n, latency).unwrap();
-        let d = all_pairs_diameter(&g, dijkstra, by_latency).unwrap();
+        let d = all_pairs_diameter(&g).unwrap();
         let est = estimate_diameter_with_threshold(&g, 0).unwrap();
         prop_assert_eq!(est.lower, d);
     }
@@ -202,9 +179,8 @@ fn exact_diameters_match_the_reference_on_boundary_graphs() {
     b.add_edge(0, 1, 1).unwrap();
     b.add_edge(2, 3, 1).unwrap();
     let split = b.build().unwrap();
-    assert_eq!(all_pairs_diameter(&split, dijkstra, by_latency), None);
+    assert_eq!(all_pairs_diameter(&split), None);
     assert_eq!(metrics::weighted_diameter(&split), None);
-    assert_eq!(metrics::hop_diameter(&split), None);
 
     let mut b = GraphBuilder::new(2);
     b.add_edge(0, 1, Distance::MAX - 1).unwrap();

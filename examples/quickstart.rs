@@ -17,14 +17,13 @@ fn main() {
     let g = generators::dumbbell(8, 64).expect("valid parameters");
     let summary = metrics::summarize(&g);
     println!("graph: dumbbell of two 8-cliques, bridge latency 64");
-    // Small graph, so the summary's diameter estimates are exact.
+    // Small graph, so the summary's diameter estimate is exact.
     println!(
-        "  n = {}, m = {}, max degree = {}, weighted diameter = {:?}, hop diameter = {:?}",
+        "  n = {}, m = {}, max degree = {}, weighted diameter = {:?}",
         summary.nodes,
         summary.edges,
         summary.max_degree,
-        summary.weighted_diameter.map(|e| e.upper),
-        summary.hop_diameter.map(|e| e.upper)
+        summary.weighted_diameter.map(|e| e.upper)
     );
 
     // Section 2: the weighted-conductance profile of the graph.

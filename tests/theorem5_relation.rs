@@ -3,7 +3,7 @@
 //! (exactly) on every graph family the generators can produce, across latency
 //! schemes, including property-based random instances.
 
-use gossip_conductance::{analyze, average_conductance, critical_conductance, Method};
+use gossip_conductance::{analyze, Method};
 use gossip_graph::latency::LatencyScheme;
 use gossip_graph::{generators, Graph};
 use proptest::prelude::*;
@@ -98,8 +98,8 @@ fn latency_scaling_leaves_phi_star_but_scales_the_ratio() {
     }
     let doubled = b.build().unwrap();
 
-    let a = critical_conductance(&base, Method::Exact).unwrap();
-    let b = critical_conductance(&doubled, Method::Exact).unwrap();
+    let a = analyze(&base, Method::Exact).unwrap();
+    let b = analyze(&doubled, Method::Exact).unwrap();
     assert!((a.phi_star - b.phi_star).abs() < 1e-12);
     assert_eq!(b.ell_star, a.ell_star * 2);
 }
@@ -141,8 +141,8 @@ fn theorem5_upper_bound_counterexample() {
 #[test]
 fn sweep_estimates_never_undershoot_exact_values() {
     for (name, g) in exact_families() {
-        let exact_phi = average_conductance(&g, Method::Exact).unwrap();
-        let sweep_phi = average_conductance(&g, Method::SweepCut).unwrap();
+        let exact_phi = analyze(&g, Method::Exact).unwrap().phi_avg;
+        let sweep_phi = analyze(&g, Method::SweepCut).unwrap().phi_avg;
         assert!(
             sweep_phi >= exact_phi - 1e-9,
             "{name}: sweep phi_avg {sweep_phi} below exact {exact_phi}"
@@ -199,7 +199,7 @@ proptest! {
         bridge in 2u64..100,
     ) {
         let g = generators::dumbbell(n, bridge).unwrap();
-        let crit = critical_conductance(&g, Method::Exact).unwrap();
+        let crit = analyze(&g, Method::Exact).unwrap();
         let best_ratio = crit.phi_star / crit.ell_star as f64;
         for (ell, phi) in &crit.profile {
             prop_assert!(best_ratio >= phi / *ell as f64 - 1e-12);

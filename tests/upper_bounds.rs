@@ -3,7 +3,7 @@
 //! (Lemmas 26–28) and the unified algorithm (Theorem 31) all complete within
 //! (a constant multiple of) their claimed round bounds on a battery of graphs.
 
-use gossip_conductance::{critical_conductance, Method};
+use gossip_conductance::{analyze, Method};
 use gossip_core::{pattern, push_pull, spanner, spanner_broadcast, unified};
 use gossip_graph::{generators, metrics, Graph, NodeId};
 use rand::rngs::SmallRng;
@@ -37,7 +37,7 @@ fn battery() -> Vec<(&'static str, Graph)> {
 #[test]
 fn push_pull_completes_within_theorem29_bound() {
     for (name, g) in battery() {
-        let crit = critical_conductance(&g, Method::SweepCut).unwrap();
+        let crit = analyze(&g, Method::SweepCut).unwrap();
         let report = push_pull::broadcast(&g, NodeId::new(0), 13);
         assert!(report.completed, "{name}: push-pull did not complete");
         if crit.phi_star > 0.0 {

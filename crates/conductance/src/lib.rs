@@ -39,7 +39,9 @@
 //! power-iteration steps of `O(n + m_ℓ)` each (`m_ℓ` edges in `G_ℓ`): every
 //! node gathers its own terms over its `G_ℓ` neighbours in edge-id order, and
 //! the solve stops as soon as an iterate repeats one of the last few bit for
-//! bit, returning the vector all 200 steps would give.  [`Method::Exact`] costs
+//! bit, returning the vector all 200 steps would give.  On a large `G_ℓ` the
+//! gathers of a step are split across up to `rayon::current_num_threads()`
+//! threads, with the same bits at any thread count.  [`Method::Exact`] costs
 //! `O(2^{n-1}·(Δ + L))` over a Gray-code order.  The results are
 //! bit-identical to minimising [`phi_ell_of_cut`] and [`phi_avg_of_cut`] over
 //! [`candidate_cuts`] / [`enumerate_cuts`], which remain the per-cut

@@ -9,6 +9,25 @@
 //! quadratic factor of the true conductance, and in practice it is very close;
 //! the test-suite cross-checks the sweep estimates against exact values on
 //! small graphs.
+//!
+//! The Fiedler vector comes from at most 200 power-iteration steps.  On a
+//! large `G_ℓ` a solve splits each step across up to
+//! `rayon::current_num_threads()` workers: the calling thread and helper
+//! threads that live for the whole solve, each owning a contiguous node range
+//! cut at equal `G_ℓ` arc counts.  The calling thread deflates the iterate;
+//! every worker then gathers its nodes' entries from that one deflated
+//! vector, each entry summed over the node's own neighbours in edge-id
+//! order; the calling thread then takes the norm, normalises and checks for
+//! a repeat.  No entry depends on which worker computes it, so every iterate,
+//! step count and ordering is the same bits at any worker count.  Below
+//! `MIN_ARCS_PER_WORKER` (2¹⁴) arcs per worker a step stays on the calling
+//! thread, since a handoff to a helper and back costs about as much as
+//! gathering that many arcs.
+
+use std::ops::Range;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{RwLock, RwLockReadGuard};
+use std::thread::Scope;
 
 use gossip_graph::cut::Cut;
 use gossip_graph::{Graph, Latency, NodeId};
@@ -24,6 +43,11 @@ const POWER_ITERATIONS: usize = 200;
 /// period `p`, and the iterate after [`POWER_ITERATIONS`] steps is one of the
 /// last `p` already computed.
 const REPEAT_WINDOW: usize = 8;
+
+/// Fewest `G_ℓ` arcs per worker for which a solve splits its steps: handing
+/// a step to a helper thread and back costs a few microseconds, about what
+/// gathering this many arcs takes.
+const MIN_ARCS_PER_WORKER: usize = 1 << 14;
 
 /// The operator `M = D^{-1/2} A D^{-1/2}` of `G_ℓ`, laid out for a gather:
 /// node `i`'s neighbours in `G_ℓ` are `neighbours[offsets[i]..offsets[i + 1]]`
@@ -74,25 +98,62 @@ impl NormalizedAdjacency {
         }
     }
 
-    /// One power-iteration step from `x`: deflate the top eigenvector into
-    /// `z`, then `y = (M + I) z / ‖(M + I) z‖`.  The `+I` shift makes the
-    /// dominant (in magnitude) eigenvalue the largest algebraic one, which
-    /// keeps the iteration from locking onto the most negative eigenvalue of
-    /// `M`.  Returns `false`, leaving `y` unnormalised, when the norm
-    /// collapses below `1e-15`.
-    fn step(&self, x: &[f64], z: &mut [f64], y: &mut [f64]) -> bool {
-        let dot: f64 = x.iter().zip(&self.top).map(|(a, b)| a * b).sum();
-        for ((zi, xi), ti) in z.iter_mut().zip(x).zip(&self.top) {
-            *zi = xi - dot * ti;
-        }
+    /// `y = ((M + I) z)[nodes]`: each node of `nodes` sums its own terms over
+    /// its `G_ℓ` neighbours in edge-id order, so the entries do not depend on
+    /// which thread computes them.
+    fn gather(&self, nodes: Range<usize>, z: &[f64], y: &mut [f64]) {
+        let windows = self.offsets[nodes.start..=nodes.end].windows(2);
+        let own = self.sqrt_deg[nodes.clone()].iter().zip(&z[nodes]);
         // Both endpoints of an arc have degree >= 1 in G_ℓ: no weight is zero.
-        for (i, (yi, window)) in y.iter_mut().zip(self.offsets.windows(2)).enumerate() {
-            let si = self.sqrt_deg[i];
+        for ((yi, window), (&si, &zi)) in y.iter_mut().zip(windows).zip(own) {
             let mut sum = 0.0;
             for j in &self.neighbours[window[0]..window[1]] {
                 sum += z[j.index()] / (si * self.sqrt_deg[j.index()]);
             }
-            *yi = sum + z[i];
+            *yi = sum + zi;
+        }
+    }
+
+    /// Workers a solve splits each step across: one per
+    /// [`MIN_ARCS_PER_WORKER`] arcs of `G_ℓ`, at most the pool size.
+    fn workers(&self) -> usize {
+        let most = self.neighbours.len() / MIN_ARCS_PER_WORKER;
+        if most < 2 {
+            1
+        } else {
+            rayon::current_num_threads().min(most)
+        }
+    }
+
+    /// The first node of each of `workers` contiguous node ranges, cut at
+    /// equal `G_ℓ` arc counts, then the node count.
+    fn range_bounds(&self, workers: usize) -> Vec<usize> {
+        let (n, arcs) = (self.sqrt_deg.len(), self.neighbours.len());
+        let cut = |k: usize| self.offsets.partition_point(|&o| o < k * arcs / workers);
+        (0..workers).map(cut).chain([n]).collect()
+    }
+
+    /// One power-iteration step from `x`: deflate the top eigenvector into
+    /// `z`, then `y = (M + I) z / ‖(M + I) z‖`.  The `+I` shift makes the
+    /// dominant (in magnitude) eigenvalue the largest algebraic one, which
+    /// keeps the iteration from locking onto the most negative eigenvalue of
+    /// `M`.  The calling thread gathers the nodes before the first helper's
+    /// range, each helper its own; the rest is serial.  Returns `false`,
+    /// leaving `y` unnormalised, when the norm collapses below `1e-15`.
+    fn step(&self, x: &[f64], z: &RwLock<Vec<f64>>, y: &mut [f64], helpers: &mut [Helper]) -> bool {
+        let dot: f64 = x.iter().zip(&self.top).map(|(a, b)| a * b).sum();
+        let mut deflated = z.write().expect(POISONED);
+        for ((zi, xi), ti) in deflated.iter_mut().zip(x).zip(&self.top) {
+            *zi = xi - dot * ti;
+        }
+        drop(deflated);
+        for helper in helpers.iter_mut() {
+            helper.start();
+        }
+        let own = 0..helpers.first().map_or(y.len(), |h| h.nodes.start);
+        self.gather(own.clone(), &read(z), &mut y[own]);
+        for helper in helpers.iter_mut() {
+            helper.finish(y);
         }
         let norm: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
         if norm < 1e-15 {
@@ -108,38 +169,117 @@ impl NormalizedAdjacency {
     /// the number of steps run to find it.  When the norm collapses the
     /// iterate is the last deflated vector.
     fn power_iterate(&self) -> (Vec<f64>, usize) {
+        self.power_iterate_on(self.workers())
+    }
+
+    /// [`power_iterate`](Self::power_iterate) with each step split across
+    /// `workers` threads: the calling thread and `workers - 1` helpers that
+    /// live for the whole solve.  Every entry of every iterate is computed
+    /// the same way whatever the split, so the result is the same bits.
+    fn power_iterate_on(&self, workers: usize) -> (Vec<f64>, usize) {
         let n = self.sqrt_deg.len();
-        // Deterministic pseudo-random start vector (no RNG needed: a fixed
-        // quasi-random sequence keeps the whole analysis reproducible).
-        let start: Vec<f64> = (0..n)
-            .map(|i| (i as f64 * 0.754_877_666 + 0.1).sin())
-            .collect();
-        // Iterate `t` lives in slot `t % SLOTS`: the latest one and the
-        // `REPEAT_WINDOW` before it.
-        const SLOTS: usize = REPEAT_WINDOW + 1;
-        let mut ring = vec![Vec::new(); SLOTS];
-        ring[0] = start;
-        let mut z = vec![0f64; n];
-        for t in 1..=POWER_ITERATIONS {
-            let mut y = std::mem::take(&mut ring[t % SLOTS]);
-            y.resize(n, 0.0);
-            if !self.step(&ring[(t - 1) % SLOTS], &mut z, &mut y) {
-                return (z, t);
+        let bounds = self.range_bounds(workers.max(1));
+        let z = RwLock::new(vec![0f64; n]);
+        std::thread::scope(|scope| {
+            let mut helpers: Vec<Helper> = bounds[1..]
+                .windows(2)
+                .map(|w| Helper::spawn(scope, self, &z, w[0]..w[1]))
+                .collect();
+            // Deterministic pseudo-random start vector (no RNG needed: a fixed
+            // quasi-random sequence keeps the whole analysis reproducible).
+            let start: Vec<f64> = (0..n)
+                .map(|i| (i as f64 * 0.754_877_666 + 0.1).sin())
+                .collect();
+            // Iterate `t` lives in slot `t % SLOTS`: the latest one and the
+            // `REPEAT_WINDOW` before it.
+            const SLOTS: usize = REPEAT_WINDOW + 1;
+            let mut ring = vec![Vec::new(); SLOTS];
+            ring[0] = start;
+            for t in 1..=POWER_ITERATIONS {
+                let mut y = std::mem::take(&mut ring[t % SLOTS]);
+                y.resize(n, 0.0);
+                if !self.step(&ring[(t - 1) % SLOTS], &z, &mut y, &mut helpers) {
+                    return (std::mem::take(&mut *z.write().expect(POISONED)), t);
+                }
+                ring[t % SLOTS] = y;
+                let y = &ring[t % SLOTS];
+                let same =
+                    |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits());
+                if let Some(p) =
+                    (1..=REPEAT_WINDOW.min(t)).find(|&p| same(&ring[(t - p) % SLOTS], y))
+                {
+                    // Iterates cycle with period p from t - p on.
+                    let last = t - p + (POWER_ITERATIONS - t) % p;
+                    return (std::mem::take(&mut ring[last % SLOTS]), t);
+                }
             }
-            ring[t % SLOTS] = y;
-            let y = &ring[t % SLOTS];
-            let same =
-                |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits());
-            if let Some(p) = (1..=REPEAT_WINDOW.min(t)).find(|&p| same(&ring[(t - p) % SLOTS], y)) {
-                // Iterates cycle with period p from t - p on.
-                let last = t - p + (POWER_ITERATIONS - t) % p;
-                return (std::mem::take(&mut ring[last % SLOTS]), t);
+            (
+                std::mem::take(&mut ring[POWER_ITERATIONS % SLOTS]),
+                POWER_ITERATIONS,
+            )
+        })
+    }
+}
+
+/// Why the deflated vector's lock is never poisoned.
+const POISONED: &str =
+    "only the solving thread writes the deflated vector, and its panic ends the solve";
+
+/// The deflated vector, for reading.
+fn read(z: &RwLock<Vec<f64>>) -> RwLockReadGuard<'_, Vec<f64>> {
+    z.read().expect(POISONED)
+}
+
+/// A helper thread of a split solve.  Each step it receives the buffer for
+/// its node range, gathers those entries from the deflated vector, and sends
+/// the buffer back, so no step allocates.
+struct Helper {
+    nodes: Range<usize>,
+    buffer: Vec<f64>,
+    to_helper: SyncSender<Vec<f64>>,
+    from_helper: Receiver<Vec<f64>>,
+}
+
+impl Helper {
+    fn spawn<'scope, 'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        op: &'env NormalizedAdjacency,
+        z: &'env RwLock<Vec<f64>>,
+        nodes: Range<usize>,
+    ) -> Self {
+        let (to_helper, inbox) = sync_channel::<Vec<f64>>(1);
+        let (outbox, from_helper) = sync_channel(1);
+        let range = nodes.clone();
+        // The loop ends when the solve drops `to_helper`.
+        scope.spawn(move || {
+            for mut y in inbox {
+                op.gather(range.clone(), &read(z), &mut y);
+                if outbox.send(y).is_err() {
+                    break;
+                }
             }
+        });
+        Helper {
+            buffer: vec![0.0; nodes.len()],
+            nodes,
+            to_helper,
+            from_helper,
         }
-        (
-            std::mem::take(&mut ring[POWER_ITERATIONS % SLOTS]),
-            POWER_ITERATIONS,
-        )
+    }
+
+    /// Starts the helper on the deflated vector the step just wrote.
+    fn start(&mut self) {
+        // Sending and receiving fail only once the helper has panicked, and
+        // the scope raises that panic again when the solve ends.
+        let _ = self.to_helper.send(std::mem::take(&mut self.buffer));
+    }
+
+    /// Waits for the helper and copies its entries into `y`.
+    fn finish(&mut self, y: &mut [f64]) {
+        if let Ok(buffer) = self.from_helper.recv() {
+            y[self.nodes.clone()].copy_from_slice(&buffer);
+            self.buffer = buffer;
+        }
     }
 }
 
@@ -310,6 +450,25 @@ mod tests {
         }
     }
 
+    /// Asserts that 2, 3 and 4 workers return the iterate and step count of
+    /// one worker, bit for bit, at every distinct latency of `g`.
+    fn assert_worker_count_invariant(name: &str, g: &Graph) {
+        let bits = |(x, steps): (Vec<f64>, usize)| {
+            (x.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), steps)
+        };
+        for ell in g.distinct_latencies() {
+            let op = NormalizedAdjacency::new(g, ell);
+            let serial = bits(op.power_iterate_on(1));
+            for workers in 2..=4 {
+                assert_eq!(
+                    bits(op.power_iterate_on(workers)),
+                    serial,
+                    "{name} at ell = {ell} on {workers} workers"
+                );
+            }
+        }
+    }
+
     /// Steps the power iteration runs on `g` at `ell`.
     fn steps(g: &Graph, ell: Latency) -> usize {
         NormalizedAdjacency::new(g, ell).power_iterate().1
@@ -319,6 +478,13 @@ mod tests {
     fn gather_matches_the_scatter_reference_bit_for_bit() {
         for (name, g) in ordering_cases() {
             assert_matches_reference(name, &g);
+        }
+    }
+
+    #[test]
+    fn worker_count_does_not_change_the_iterate() {
+        for (name, g) in ordering_cases() {
+            assert_worker_count_invariant(name, &g);
         }
     }
 
@@ -357,7 +523,9 @@ mod tests {
                     b.add_edge(u, v, latency).unwrap();
                 }
             }
-            assert_matches_reference("generated", &b.build().unwrap());
+            let g = b.build().unwrap();
+            assert_matches_reference("generated", &g);
+            assert_worker_count_invariant("generated", &g);
         }
     }
 

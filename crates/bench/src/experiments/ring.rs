@@ -47,10 +47,10 @@ pub fn e4_tradeoff(scale: Scale) -> Table {
         let g = &ring.graph;
         let d = metrics::estimate_diameter(g).map(|e| e.upper).unwrap_or(0);
         let delta = g.max_degree() as u64;
-        // φ_ℓ of the balanced ring cut (Lemma 15 gives α exactly; the sweep
-        // estimate over the whole graph is close).
+        // φ_ℓ at the swept slow latency (Lemma 15 gives α for the balanced
+        // ring cut exactly; the sweep estimate over the whole graph is close).
         let phi = analyze(g, Method::SweepCut)
-            .map(|c| c.phi_star)
+            .map(|c| c.phi_ell(ell))
             .unwrap_or(0.0);
         let bound = ((d + delta) as f64).min(if phi > 0.0 {
             ell as f64 / phi
@@ -98,10 +98,12 @@ pub fn f2_ring_conductance(scale: Scale) -> Table {
             "k/2",
         ],
     );
+    // The ring's slow latency, the ℓ both φ_ℓ columns are taken at.
+    let ell = 8;
     let mut rng = SmallRng::seed_from_u64(0xF2);
     for (n, alpha) in configs {
         let (k, s) = theorem13_parameters(n, alpha);
-        let Ok(ring) = theorem13_ring(k, s, 8, &mut rng) else {
+        let Ok(ring) = theorem13_ring(k, s, ell, &mut rng) else {
             continue;
         };
         let g = &ring.graph;
@@ -109,9 +111,9 @@ pub fn f2_ring_conductance(scale: Scale) -> Table {
         // The balanced cut that splits the ring into two arcs of k/2 layers.
         let half_nodes: Vec<NodeId> = (0..(k / 2) * s).map(NodeId::new).collect();
         let cut = Cut::from_side(g, half_nodes);
-        let phi_cut = phi_ell_of_cut(g, &cut, 8).unwrap_or(0.0);
+        let phi_cut = phi_ell_of_cut(g, &cut, ell).unwrap_or(0.0);
         let phi_graph = analyze(g, Method::SweepCut)
-            .map(|c| c.phi_star)
+            .map(|c| c.phi_ell(ell))
             .unwrap_or(0.0);
         let d = metrics::estimate_diameter(g).map(|e| e.upper).unwrap_or(0);
         table.push_row(vec![

@@ -54,11 +54,18 @@ pub struct ConductanceReport {
     /// Number of non-empty latency classes `L`.
     pub nonempty_classes: usize,
     /// `(ℓ, φ_ℓ)` for every distinct latency `ℓ`, ascending.  `φ_ℓ` at any
-    /// other `ℓ` is the entry of the largest latency `≤ ℓ` (0 below all).
+    /// other `ℓ` is [`phi_ell`](Self::phi_ell).
     pub profile: Vec<(Latency, f64)>,
 }
 
 impl ConductanceReport {
+    /// `φ_ℓ` at any `ell`: the profile entry of the largest latency `≤ ell`,
+    /// and 0 below every latency (no cut edge counts there).
+    pub fn phi_ell(&self, ell: Latency) -> f64 {
+        let upto = self.profile.partition_point(|&(l, _)| l <= ell);
+        self.profile[..upto].last().map_or(0.0, |&(_, phi)| phi)
+    }
+
     /// Lower bound of Theorem 5: `φ*/(2ℓ*)`.
     pub fn theorem5_lower(&self) -> f64 {
         self.phi_star / (2.0 * self.ell_star as f64)
@@ -123,9 +130,10 @@ fn minima(g: &Graph, method: Method) -> Result<Minima, ConductanceError> {
 /// `φ*` and `ℓ*` (Definition 2) maximise `φ_ℓ / ℓ` over the profile's
 /// thresholds (the distinct latencies of the graph).  Ties are broken towards
 /// the smaller latency, which matches the paper's use of `ℓ*` as the cheapest
-/// threshold achieving the critical ratio.  `φ_ℓ` at any other `ℓ` is the
-/// profile entry of the largest latency `≤ ℓ` (0 below every latency), since
-/// the cut edges of latency `≤ ℓ` change only at a distinct latency.
+/// threshold achieving the critical ratio.  `φ_ℓ` at any other `ℓ` is
+/// [`ConductanceReport::phi_ell`], the profile entry of the largest latency
+/// `≤ ℓ` (0 below every latency), since the cut edges of latency `≤ ℓ` change
+/// only at a distinct latency.
 ///
 /// # Errors
 ///

@@ -3,8 +3,8 @@
 //! ([`candidate_cuts`] / [`enumerate_cuts`]), score each one with
 //! [`phi_ell_of_cut`] / [`phi_avg_of_cut`], and take the minima.  [`analyze`]
 //! must agree with the reference bit for bit, under both `Method::Exact` and
-//! `Method::SweepCut` (and `Method::Auto`), and so must `φ_ℓ` read from its
-//! profile at any threshold.
+//! `Method::SweepCut` (and `Method::Auto`), and so must
+//! [`ConductanceReport::phi_ell`] at any threshold.
 
 use gossip_conductance::{
     analyze, candidate_cuts, enumerate_cuts, nonempty_latency_classes, phi_avg_of_cut,
@@ -100,16 +100,6 @@ fn report_bits(r: &ConductanceReport) -> ReportBits {
     )
 }
 
-/// `φ_ℓ` read from a report's profile: the entry of the largest latency
-/// `≤ ell`, and 0 below every latency.
-fn phi_ell_from_profile(r: &ConductanceReport, ell: Latency) -> f64 {
-    r.profile
-        .iter()
-        .rev()
-        .find(|&&(l, _)| l <= ell)
-        .map_or(0.0, |&(_, phi)| phi)
-}
-
 /// Thresholds probing `φ_ℓ` off the profile: zero, the smallest and
 /// largest latency, a few values strictly between two latencies of the graph,
 /// and one beyond the maximum.
@@ -152,10 +142,10 @@ fn assert_single_pass_matches(g: &Graph, method: Method) {
         assert_eq!(
             report
                 .as_ref()
-                .map(|r| phi_ell_from_profile(r, ell).to_bits())
+                .map(|r| r.phi_ell(ell).to_bits())
                 .map_err(Clone::clone),
             want.map(f64::to_bits),
-            "phi_ell from the profile at ell = {ell} under {method:?}"
+            "ConductanceReport::phi_ell at ell = {ell} under {method:?}"
         );
     }
 }

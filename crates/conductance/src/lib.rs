@@ -33,7 +33,8 @@
 //! cut to the next and updating the volume and per-latency cut-edge counts in
 //! `O(deg v)`; no cut is materialised.  Every quantity of the
 //! [`ConductanceReport`] comes from that one pass, and `φ_ℓ` at any `ℓ` is
-//! read from its profile.  [`Method::SweepCut`] costs one Fiedler solve per sweep
+//! read from its profile by [`ConductanceReport::phi_ell`].
+//! [`Method::SweepCut`] costs one Fiedler solve per sweep
 //! threshold (see [`candidate_cuts`]) plus `O(m + n·L)` per ordering, with
 //! `L` the number of distinct latencies.  A solve is at most 200
 //! power-iteration steps of `O(n + m_ℓ)` each (`m_ℓ` edges in `G_ℓ`): every

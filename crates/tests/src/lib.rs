@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use gossip_graph::metrics::{dijkstra, Distance};
+use gossip_graph::metrics::{dijkstra, estimate_diameter, Distance};
 use gossip_graph::{EdgeId, Graph, Latency, NodeId};
 use gossip_sim::oracle::OracleSimulation;
 use gossip_sim::{ExchangeEvent, NodeView, Protocol, RunReport, Seeding, SimConfig, Simulation};
@@ -35,7 +35,11 @@ pub const CAUSAL_SLACK: Distance = 0;
 /// When a rumor is tracked and its origin `s` holds it at seeding, it also
 /// requires causality: every first-informed time is at least
 /// `dist_ℓ(s, v) − CAUSAL_SLACK`.  Informed times keep the first time, so
-/// this holds under loss, cuts and amnesiac rejoins too.
+/// this holds under loss, cuts and amnesiac rejoins too.  A fault-free
+/// all-to-all run that ends with every node knowing every rumor (a completed
+/// [`AllKnowAll`](gossip_sim::Termination::AllKnowAll) run) must also have
+/// taken at least the weighted diameter `D` in rounds, since the rumor of
+/// one end of a diametral pair travels at least `D` to the other.
 ///
 /// Reports are compared through [`RunReport::semantics`]: the engine fills in
 /// [`MemStats`](gossip_sim::MemStats) diagnostics the oracle (by design) does
@@ -80,7 +84,36 @@ pub fn assert_matches_oracle<P: Protocol>(
         "rumor-state mismatch: {label}"
     );
     assert_causal(g, config, seeding, &report, label);
+    assert_all_know_all_takes_the_diameter(g, seeding, &report, label);
     report
+}
+
+/// The diameter half of [`assert_matches_oracle`]: a completed, fault-free
+/// all-to-all run on a connected graph lasts at least `D` rounds.  The
+/// estimator's lower bound is the exact `D` up to
+/// [`EXACT_DIAMETER_THRESHOLD`](gossip_graph::metrics::EXACT_DIAMETER_THRESHOLD)
+/// nodes and at most `D` above.
+fn assert_all_know_all_takes_the_diameter(
+    g: &Graph,
+    seeding: Seeding,
+    report: &RunReport,
+    label: &str,
+) {
+    let all_know_all = seeding == Seeding::AllToAll
+        && report.completed
+        && report.faults.is_none()
+        && report.min_rumors_known == g.node_count();
+    if !all_know_all {
+        return;
+    }
+    if let Some(d) = estimate_diameter(g) {
+        assert!(
+            report.rounds >= d.lower,
+            "all-to-all finished in {} rounds, below the diameter {}: {label}",
+            report.rounds,
+            d.lower
+        );
+    }
 }
 
 /// The causality half of [`assert_matches_oracle`]: no node learns the

@@ -13,7 +13,7 @@
 // for runs to be reproducible.
 use std::collections::BTreeSet;
 
-use crate::metrics::{Sweeps, UNREACHABLE};
+use crate::metrics::{batch_width, BatchSweeps, UNREACHABLE};
 use crate::{EdgeId, Graph, GraphError, Latency, NodeId};
 
 /// A subset of a graph's edges, each given a direction, forming a spanner.
@@ -101,25 +101,27 @@ impl DirectedSpanner {
     /// Measures the worst-case multiplicative stretch of the spanner with
     /// respect to the parent graph: `max_{u,v} dist_S(u,v) / dist_G(u,v)`.
     ///
-    /// Runs all-pairs Dijkstra on both graphs (`O(n · (m + n log C))` on the
-    /// radix-queue kernel of [`metrics`](crate::metrics)), so use it on
-    /// test/experiment-sized graphs.  Returns `None` if the spanner does not
-    /// connect some pair that the parent graph connects (infinite stretch).
+    /// Runs all-pairs Dijkstra on both graphs, up to 64 sources per
+    /// traversal on the batch kernel of [`metrics`](crate::metrics), so use
+    /// it on test/experiment-sized graphs.  Returns `None` if the spanner
+    /// does not connect some pair that the parent graph connects (infinite
+    /// stretch).
     pub fn stretch(&self, g: &Graph) -> Option<f64> {
         let s = self.to_graph(g).ok()?;
-        let (mut in_g, mut in_s) = (Sweeps::default(), Sweeps::default());
+        let (mut in_g, mut in_s) = (BatchSweeps::default(), BatchSweeps::default());
+        let sources: Vec<NodeId> = g.nodes().collect();
         let mut worst: f64 = 1.0;
-        for v in g.nodes() {
-            let dg = in_g.dijkstra(g, v);
-            let ds = in_s.dijkstra(&s, v);
-            for i in 0..g.node_count() {
-                if dg[i] == UNREACHABLE || dg[i] == 0 {
+        for batch in sources.chunks(batch_width(g.node_count())) {
+            let dg = in_g.dijkstra(g, batch);
+            let ds = in_s.dijkstra(&s, batch);
+            for (&dg, &ds) in dg.iter().zip(ds) {
+                if dg == UNREACHABLE || dg == 0 {
                     continue;
                 }
-                if ds[i] == UNREACHABLE {
+                if ds == UNREACHABLE {
                     return None;
                 }
-                worst = worst.max(ds[i] as f64 / dg[i] as f64);
+                worst = worst.max(ds as f64 / dg as f64);
             }
         }
         Some(worst)

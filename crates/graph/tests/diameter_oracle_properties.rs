@@ -1,19 +1,21 @@
-//! Property tests for the shortest-path kernel ([`metrics::dijkstra`]), the
-//! exact diameter ([`metrics::weighted_diameter`]) and the diameter-bound
-//! oracle ([`metrics::estimate_diameter`]): across every graph family the
-//! sweep draws from, the kernel must equal a Bellman–Ford reference over the
-//! edge list from every source, the exact diameter must equal the all-pairs
-//! maximum of that reference, the bracket must contain that diameter, and
-//! below the exact-computation threshold the bracket must *be* the diameter.
+//! Property tests for the shortest-path kernels ([`metrics::dijkstra`] and
+//! [`metrics::dijkstra_batch`]), the exact diameter
+//! ([`metrics::weighted_diameter`]) and the diameter-bound oracle
+//! ([`metrics::estimate_diameter`]): across every graph family the sweep
+//! draws from, the single-source kernel must equal a Bellman–Ford reference
+//! over the edge list from every source, every column of a batch table must
+//! equal both, the exact diameter must equal the all-pairs maximum of that
+//! reference, the bracket must contain that diameter, and below the
+//! exact-computation threshold the bracket must *be* the diameter.
 
 use gossip_graph::metrics::{
-    self, dijkstra, estimate_diameter, estimate_diameter_with_threshold, DiameterEstimate,
-    Distance, EXACT_DIAMETER_THRESHOLD, UNREACHABLE,
+    self, dijkstra, dijkstra_batch, estimate_diameter, estimate_diameter_with_threshold,
+    DiameterEstimate, Distance, EXACT_DIAMETER_THRESHOLD, UNREACHABLE,
 };
 use gossip_graph::{generators, latency::LatencyScheme, Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Bellman–Ford from `source` over the edge list, with latencies as weights:
 /// relax every edge in both directions until nothing changes, saturating
@@ -61,6 +63,34 @@ fn all_pairs_diameter(g: &Graph) -> Option<Distance> {
     // `UNREACHABLE` is the largest distance, so it wins the max exactly
     // when some pair is disconnected.
     (diameter != UNREACHABLE).then_some(diameter)
+}
+
+/// Sweeps `g` in one batch from each of `sources` and checks every column
+/// of the table against [`dijkstra`] and the Bellman–Ford reference from its
+/// source; then checks the exact diameter against the reference's all-pairs
+/// maximum, `None` when `g` is disconnected.
+fn check_batch(g: &Graph, sources: &[NodeId]) {
+    let k = sources.len();
+    let table = dijkstra_batch(g, sources);
+    assert_eq!(table.len(), g.node_count() * k);
+    for (b, &source) in sources.iter().enumerate() {
+        let column: Vec<Distance> = table.iter().skip(b).step_by(k).copied().collect();
+        let reference = bellman_ford(g, source);
+        assert_eq!(
+            column,
+            dijkstra(g, source),
+            "column {b} of {k}, from {source:?}"
+        );
+        assert_eq!(column, reference, "column {b} of {k}, from {source:?}");
+    }
+    assert_eq!(metrics::weighted_diameter(g), all_pairs_diameter(g));
+}
+
+/// `width` sources: the node ids from `first` on, wrapping around `g`'s
+/// nodes, so distinct while `width ≤ n` and repeating after that.
+fn spread_sources(g: &Graph, width: usize, first: usize) -> Vec<NodeId> {
+    let n = g.node_count();
+    (0..width).map(|b| NodeId::new((first + b) % n)).collect()
 }
 
 /// On a connected graph: the exact diameter equals the all-pairs reference,
@@ -156,6 +186,33 @@ proptest! {
         check_bracket(&generators::cycle(n, 1 << 53).unwrap());
     }
 
+    /// Batch tables against the single-source kernel and the reference, at
+    /// widths 1, 2, 63 and 64, on sparse random graphs that are often
+    /// disconnected, with latencies from unit through 2⁵³-scale to 2⁶²-scale
+    /// (whose sums clamp at `UNREACHABLE − 1` after a few hops).
+    #[test]
+    fn batch_columns_match_the_reference(
+        n in 2usize..100,
+        p in 0.005f64..0.2,
+        scale in 0usize..4,
+        width in 0usize..4,
+        first in 0usize..100,
+        seed in 0u64..1_000,
+    ) {
+        let (min, max) = [(1, 1), (1, 16), (1 << 52, 1 << 53), (1 << 62, 1 << 63)][scale];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new(n);
+        for u in 0..n {
+            for v in u + 1..n {
+                if rng.gen_bool(p) {
+                    b.add_edge(u, v, rng.gen_range(min..=max)).unwrap();
+                }
+            }
+        }
+        let g = b.build().unwrap();
+        check_batch(&g, &spread_sources(&g, [1, 2, 63, 64][width], first));
+    }
+
     /// On trees the first sweep already finds a diametral endpoint, so the
     /// sweep path's *lower* bound is exact — a sharper pin than the bracket.
     #[test]
@@ -205,7 +262,18 @@ fn exact_diameters_match_the_reference_on_boundary_graphs() {
         b.add_edge(i, (i + 1) % 12, if i % 2 == 0 { huge } else { 1 })
             .unwrap();
     }
-    check_bracket(&b.build().unwrap());
+    let alternating = b.build().unwrap();
+    check_bracket(&alternating);
+
+    // The same clamped graphs, a disconnected one and a cycle the exact
+    // diameter sweeps in batches, through the batch kernel at every width.
+    let cycle = generators::cycle(130, 1 << 53).unwrap();
+    for g in [&clamped, &alternating, &split, &single, &cycle] {
+        for width in [1, 2, 63, 64] {
+            check_batch(g, &spread_sources(g, width, 1));
+        }
+    }
+    assert_eq!(metrics::weighted_diameter(&cycle), Some(65 << 53));
 }
 
 /// Many equal keys: uniform latencies on dense and regular graphs, where

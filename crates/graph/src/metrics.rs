@@ -8,14 +8,14 @@
 //! Two kernels share one monotone radix queue.  Single sweeps run Dijkstra
 //! from one source; callers that sweep many sources reuse one [`Sweeps`]
 //! workspace, so the distance buffer and the queue's buckets are allocated
-//! once per diameter, not once per sweep.  The batch kernel
-//! ([`dijkstra_batch`]) computes the distances from up to 64 sources in one
-//! traversal, its queue entries carrying a node and a bit mask of the
-//! sources that reach it.  On a bimodal Erdős–Rényi graph of 1024 nodes one
-//! batch of 64 sources takes about 0.3 ms, against about 1.4 ms for 64
-//! single sweeps (2-vCPU VM); a batch of one source takes about as long as
-//! a single sweep there, but about 2.7× as long on a star of 2¹⁷ nodes, so
-//! single sweeps keep their own kernel.
+//! once per diameter, not once per sweep.  The batch kernel computes the
+//! distances from up to 64 sources in one traversal, its queue entries
+//! carrying a node and a bit mask of the sources that reach it;
+//! [`dijkstra_batch`] runs it 64 sources at a time.  On a bimodal
+//! Erdős–Rényi graph of 1024 nodes one batch of 64 sources takes about
+//! 0.3 ms, against about 1.4 ms for 64 single sweeps (2-vCPU VM); a batch of
+//! one source takes about as long as a single sweep there, but about 2.7×
+//! as long on a star of 2¹⁷ nodes, so single sweeps keep their own kernel.
 //!
 //! The exact diameter prunes its sources by eccentricity bounds
 //! (BoundingDiameters).  Its first 16 sweeps are single sweeps, which close
@@ -28,7 +28,7 @@
 
 use std::cmp::Reverse;
 
-use crate::{Graph, Latency, NodeId};
+use crate::{Graph, GraphError, Latency, NodeId};
 
 /// Distance value used by the shortest-path routines.
 ///
@@ -338,24 +338,43 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> Vec<Distance> {
     sweeps.dist
 }
 
-/// Weighted distances from up to 64 sources in one traversal: the table
+/// Weighted distances from many sources, 64 per traversal: the table
 /// `dist[v·k + b]`, the distance from `sources[b]` to `v` for each of the
 /// `k = sources.len()` sources.
 ///
 /// Column `b` equals [`dijkstra`] from `sources[b]`: the same
 /// [`UNREACHABLE`] sentinel and the same clamp at `UNREACHABLE − 1`.  One
-/// batch costs far less than `k` sweeps when the sources' shortest paths
-/// share layers — about 0.3 ms against 1.4 ms for 64 sources on a bimodal
-/// Erdős–Rényi graph of 1024 nodes — but up to about 2.7× one sweep for a
-/// single source, so single sweeps keep [`dijkstra`].
+/// traversal costs far less than 64 sweeps when the sources' shortest paths
+/// share layers — about 0.3 ms against 1.4 ms on a bimodal Erdős–Rényi
+/// graph of 1024 nodes — but up to about 2.7× one sweep for a single
+/// source, so single sweeps keep [`dijkstra`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if there are more than 64 sources or one is not a node of `g`.
-pub fn dijkstra_batch(g: &Graph, sources: &[NodeId]) -> Vec<Distance> {
+/// [`GraphError::NodeOutOfRange`] if a source is not a node of `g`.
+pub fn dijkstra_batch(g: &Graph, sources: &[NodeId]) -> Result<Vec<Distance>, GraphError> {
+    let (n, k) = (g.node_count(), sources.len());
+    if let Some(foreign) = sources.iter().find(|s| s.index() >= n) {
+        return Err(GraphError::NodeOutOfRange {
+            node: foreign.index(),
+            node_count: n,
+        });
+    }
+    let mut table = vec![UNREACHABLE; n * k];
     let mut sweeps = BatchSweeps::default();
-    sweeps.dijkstra(g, sources);
-    sweeps.dist
+    for (c, batch) in sources.chunks(MAX_BATCH).enumerate() {
+        let part = sweeps.dijkstra(g, batch);
+        for (row, part) in table
+            .chunks_exact_mut(k)
+            .zip(part.chunks_exact(batch.len()))
+        {
+            row.iter_mut()
+                .skip(c * MAX_BATCH)
+                .zip(part)
+                .for_each(|(d, &p)| *d = p);
+        }
+    }
+    Ok(table)
 }
 
 /// Exact weighted diameter `D`: the maximum over all pairs of the weighted
@@ -969,16 +988,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "source node out of range")]
-    fn dijkstra_batch_panics_on_bad_source() {
+    fn dijkstra_batch_rejects_a_foreign_source() {
         let g = slow_triangle();
-        let _ = dijkstra_batch(&g, &[NodeId::new(0), NodeId::new(17)]);
+        assert_eq!(
+            dijkstra_batch(&g, &[NodeId::new(0), NodeId::new(17)]),
+            Err(GraphError::NodeOutOfRange {
+                node: 17,
+                node_count: 3
+            })
+        );
+        assert_eq!(dijkstra_batch(&g, &[]), Ok(Vec::new()));
     }
 
+    /// Past 64 sources the batches' columns land in their own places: every
+    /// column of a 130-source table is its source's single sweep.
     #[test]
-    #[should_panic(expected = "a batch sweeps at most 64 sources")]
-    fn dijkstra_batch_panics_on_too_many_sources() {
+    fn dijkstra_batch_sweeps_any_number_of_sources() {
         let g = slow_triangle();
-        let _ = dijkstra_batch(&g, &[NodeId::new(0); MAX_BATCH + 1]);
+        let sources: Vec<NodeId> = (0..2 * MAX_BATCH + 2)
+            .map(|b| NodeId::new(b * 7 % 3))
+            .collect();
+        let table = dijkstra_batch(&g, &sources).unwrap();
+        assert_eq!(table.len(), 3 * sources.len());
+        for (b, &source) in sources.iter().enumerate() {
+            let column: Vec<Distance> = table
+                .iter()
+                .skip(b)
+                .step_by(sources.len())
+                .copied()
+                .collect();
+            assert_eq!(column, dijkstra(&g, source), "column {b}");
+        }
     }
 }

@@ -71,7 +71,7 @@ fn all_pairs_diameter(g: &Graph) -> Option<Distance> {
 /// maximum, `None` when `g` is disconnected.
 fn check_batch(g: &Graph, sources: &[NodeId]) {
     let k = sources.len();
-    let table = dijkstra_batch(g, sources);
+    let table = dijkstra_batch(g, sources).unwrap();
     assert_eq!(table.len(), g.node_count() * k);
     for (b, &source) in sources.iter().enumerate() {
         let column: Vec<Distance> = table.iter().skip(b).step_by(k).copied().collect();
@@ -187,7 +187,7 @@ proptest! {
     }
 
     /// Batch tables against the single-source kernel and the reference, at
-    /// widths 1, 2, 63 and 64, on sparse random graphs that are often
+    /// widths 1, 2, 63 and 64, and 65 and 130 (two and three traversals), on sparse random graphs that are often
     /// disconnected, with latencies from unit through 2⁵³-scale to 2⁶²-scale
     /// (whose sums clamp at `UNREACHABLE − 1` after a few hops).
     #[test]
@@ -195,7 +195,7 @@ proptest! {
         n in 2usize..100,
         p in 0.005f64..0.2,
         scale in 0usize..4,
-        width in 0usize..4,
+        width in 0usize..6,
         first in 0usize..100,
         seed in 0u64..1_000,
     ) {
@@ -210,7 +210,7 @@ proptest! {
             }
         }
         let g = b.build().unwrap();
-        check_batch(&g, &spread_sources(&g, [1, 2, 63, 64][width], first));
+        check_batch(&g, &spread_sources(&g, [1, 2, 63, 64, 65, 130][width], first));
     }
 
     /// On trees the first sweep already finds a diametral endpoint, so the
@@ -266,10 +266,11 @@ fn exact_diameters_match_the_reference_on_boundary_graphs() {
     check_bracket(&alternating);
 
     // The same clamped graphs, a disconnected one and a cycle the exact
-    // diameter sweeps in batches, through the batch kernel at every width.
+    // diameter sweeps in batches, through the batch kernel at every width,
+    // and past 64 sources, where one table takes several traversals.
     let cycle = generators::cycle(130, 1 << 53).unwrap();
     for g in [&clamped, &alternating, &split, &single, &cycle] {
-        for width in [1, 2, 63, 64] {
+        for width in [1, 2, 63, 64, 65, 130] {
             check_batch(g, &spread_sources(g, width, 1));
         }
     }

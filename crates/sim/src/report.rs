@@ -37,11 +37,14 @@ pub struct MemStats {
     /// the frozen benchmark harness reads it; ROADMAP item 2 deletes it.
     pub shadow_advances: u64,
     /// Peak bytes held by the per-node *paged* rumor sets at any merge
-    /// boundary — 16 per sparse or dense page entry plus 512 per dense
-    /// page's block, summed over all nodes — plus the fixed per-node set
-    /// overhead.  Empty and full pages are free, a sparse page (at most 5
-    /// ids) costs its entry alone, and a fully saturated set collapses to
-    /// zero pages — this is what replaces the old dense `n²/8` floor.
+    /// boundary — 16 per sparse or dense page entry plus the heap bytes of
+    /// each dense page's block (512 for a 4096-bit page; for a last page of
+    /// `cap < 4096` bits, 8 per word of the smallest of 8, 16, 32 or 64
+    /// words that holds `⌈cap/64⌉`), summed over all nodes — plus 32 bytes
+    /// per node for the set itself.  Empty
+    /// and full pages are free, a sparse page (at most 5 ids) costs its
+    /// entry alone, and a fully saturated set collapses to zero pages — this
+    /// is what replaces the old dense `n²/8` floor.
     pub rumor_set_bytes: u64,
     /// Dense rumor-set pages (heap blocks) alive when the run ended.
     pub pages_live: u64,
@@ -56,9 +59,10 @@ pub struct MemStats {
     /// an `O(pages)` complement).  Kept because the frozen benchmark
     /// harness reads it; ROADMAP item 2 deletes it.
     pub collapsed_nodes: u64,
-    /// Peak bytes of the engine's dissemination state: rumor sets + the
-    /// delta window's peak (the in-phase batches included).  The graph
-    /// itself and protocol state are not included.
+    /// Peak bytes of the engine's dissemination state: rumor sets (see
+    /// [`rumor_set_bytes`](Self::rumor_set_bytes), blocks sized to the
+    /// universe's pages) + the delta window's peak (the in-phase batches
+    /// included).  The graph itself and protocol state are not included.
     pub peak_engine_bytes: u64,
     /// Rounds the event-driven scheduler actually executed (delivered
     /// exchanges or asked active nodes to act).

@@ -14,7 +14,10 @@
 //! * **sparse** — at most `SPARSE_MAX` (5) in-page offsets, sorted, inline in
 //!   the directory entry (no heap block: Roaring's "array container" at the
 //!   size of the entry);
-//! * **dense** — an owned 64-word block holding the page's bits;
+//! * **dense** — an owned block holding the page's bits: 64 words, or, on
+//!   the universe's last page when it holds `cap < 4096` bits, the smallest
+//!   of 8, 16, 32 or 64 words that holds its `⌈cap/64⌉`, so a 1024-id
+//!   universe's page owns 16 words;
 //! * **full** — a sentinel meaning every bit of the page is set (no
 //!   storage).
 //!
@@ -141,11 +144,30 @@ const SPARSE_MAX: usize = 5;
 enum PageEntry {
     /// Every bit of the page (up to its capacity) is set; no storage.
     Full { index: u32 },
-    /// `SPARSE_MAX < ones < capacity` bits, held in an owned 64-word block.
+    /// `SPARSE_MAX < ones < capacity` bits, held in an owned 64-word block:
+    /// a 4096-bit page, or a short last page of more than 2048 bits.
     Dense {
         index: u32,
         ones: u16,
         words: Box<[u64; PAGE_WORDS]>,
+    },
+    /// As `Dense`, on a short last page of 1025 to 2048 bits: 32 words.
+    Dense32 {
+        index: u32,
+        ones: u16,
+        words: Box<[u64; 32]>,
+    },
+    /// As `Dense`, on a short last page of 513 to 1024 bits: 16 words.
+    Dense16 {
+        index: u32,
+        ones: u16,
+        words: Box<[u64; 16]>,
+    },
+    /// As `Dense`, on a short last page of at most 512 bits: 8 words.
+    Dense8 {
+        index: u32,
+        ones: u16,
+        words: Box<[u64; 8]>,
     },
     /// `0 < len <= SPARSE_MAX` bits (and `len < capacity`): their in-page
     /// offsets `ids[..len]`, ascending; the unused slots stay 0.
@@ -158,12 +180,12 @@ enum PageEntry {
 
 /// Bytes of one directory entry, whatever its state.
 const ENTRY_BYTES: u64 = std::mem::size_of::<PageEntry>() as u64;
-/// Heap bytes of a dense page's block.
-const BLOCK_BYTES: u64 = (PAGE_WORDS * 8) as u64;
 
 // A sparse page is free only while it fits the entry a dense page needs
 // anyway: tag, page number, block pointer.
 const _: () = assert!(ENTRY_BYTES == 16);
+// Every node holds one set: universe and length as `u32`, and the directory.
+const _: () = assert!(std::mem::size_of::<RumorSet>() == 32);
 
 impl PageEntry {
     /// The page number.
@@ -171,8 +193,88 @@ impl PageEntry {
         match *self {
             PageEntry::Full { index }
             | PageEntry::Dense { index, .. }
+            | PageEntry::Dense32 { index, .. }
+            | PageEntry::Dense16 { index, .. }
+            | PageEntry::Dense8 { index, .. }
             | PageEntry::Sparse { index, .. } => index,
         }
+    }
+
+    /// A dense page of capacity `cap` holding `ones` bits, whose block `fill`
+    /// writes.  The block is the smallest of 8, 16, 32 or 64 words that
+    /// holds the page's `⌈cap/64⌉`: a fixed-size array behind a thin
+    /// pointer, so the entry stays 16 bytes and a word is one load away.
+    fn dense(index: u32, cap: u32, ones: u16, fill: impl FnOnce(&mut [u64])) -> PageEntry {
+        let mut page = match (cap as usize).div_ceil(64) {
+            ..=8 => PageEntry::Dense8 {
+                index,
+                ones,
+                words: Box::new([0; 8]),
+            },
+            9..=16 => PageEntry::Dense16 {
+                index,
+                ones,
+                words: Box::new([0; 16]),
+            },
+            17..=32 => PageEntry::Dense32 {
+                index,
+                ones,
+                words: Box::new([0; 32]),
+            },
+            _ => PageEntry::Dense {
+                index,
+                ones,
+                words: Box::new([0; PAGE_WORDS]),
+            },
+        };
+        if let Some((_, block)) = page.block_mut() {
+            fill(block);
+        }
+        page
+    }
+
+    /// A dense page's block; empty for a full or sparse page.
+    fn block(&self) -> &[u64] {
+        match self {
+            PageEntry::Full { .. } | PageEntry::Sparse { .. } => &[],
+            PageEntry::Dense { words, .. } => words.as_slice(),
+            PageEntry::Dense32 { words, .. } => words.as_slice(),
+            PageEntry::Dense16 { words, .. } => words.as_slice(),
+            PageEntry::Dense8 { words, .. } => words.as_slice(),
+        }
+    }
+
+    /// A dense page's bit count and block.
+    fn block_mut(&mut self) -> Option<(&mut u16, &mut [u64])> {
+        match self {
+            PageEntry::Full { .. } | PageEntry::Sparse { .. } => None,
+            PageEntry::Dense { ones, words, .. } => Some((ones, words.as_mut_slice())),
+            PageEntry::Dense32 { ones, words, .. } => Some((ones, words.as_mut_slice())),
+            PageEntry::Dense16 { ones, words, .. } => Some((ones, words.as_mut_slice())),
+            PageEntry::Dense8 { ones, words, .. } => Some((ones, words.as_mut_slice())),
+        }
+    }
+
+    /// ORs the in-page word masks `masks` into a dense page's block and
+    /// returns how many bits were new; the page becomes the full sentinel
+    /// once it holds all `cap` bits.
+    fn union_block(&mut self, cap: u32, masks: impl Iterator<Item = (usize, u64)>) -> u32 {
+        let index = self.index();
+        let Some((ones, words)) = self.block_mut() else {
+            return 0;
+        };
+        let mut added = 0;
+        for (w, bits) in masks {
+            if let Some(word) = words.get_mut(w) {
+                added += (bits & !*word).count_ones();
+                *word |= bits;
+            }
+        }
+        *ones += added as u16;
+        if u32::from(*ones) == cap {
+            *self = PageEntry::Full { index };
+        }
+        added
     }
 
     /// In-page word `w` of a page of capacity `cap` (0 past the page).
@@ -183,6 +285,7 @@ impl PageEntry {
             PageEntry::Sparse { len, ids, .. } => {
                 sparse_word(ids.iter().take(usize::from(*len)), w)
             }
+            short => short.block().get(w).copied().unwrap_or(0),
         }
     }
 }
@@ -199,8 +302,8 @@ fn sparse_word<'a>(ids: impl Iterator<Item = &'a u16>, w: usize) -> u64 {
 pub(crate) struct PageFootprint {
     /// Dense pages (heap blocks).
     pub(crate) dense: u64,
-    /// Bytes: one directory entry per sparse or dense page, plus one block
-    /// per dense page.  Full entries are not charged.
+    /// Bytes: one directory entry per sparse or dense page, plus the bytes of
+    /// each dense page's block.  Full entries are not charged.
     pub(crate) bytes: u64,
 }
 
@@ -208,9 +311,9 @@ pub(crate) struct PageFootprint {
 /// directory of 4096-bit pages (see the module docs for the representation).
 #[derive(Clone, PartialEq, Eq)]
 pub struct RumorSet {
-    universe: usize,
+    universe: u32,
     /// Number of rumors in the set (maintained incrementally).
-    len: usize,
+    len: u32,
     /// Non-empty pages, sorted by `index`.  Empty when the set is empty *or*
     /// fully saturated (`len == universe`), the canonical collapsed form.
     pages: Vec<PageEntry>,
@@ -259,9 +362,18 @@ fn word_runs(word_base: usize, mut bits: u64, mut f: impl FnMut(usize, u32)) {
 
 impl RumorSet {
     /// Creates an empty rumor set over a universe of `universe` rumors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `universe` exceeds `u32::MAX`, past which a [`RumorId`]
+    /// cannot name every rumor.
     pub fn empty(universe: usize) -> Self {
+        assert!(
+            universe <= u32::MAX as usize,
+            "universe of {universe} rumors exceeds u32::MAX"
+        );
         RumorSet {
-            universe,
+            universe: universe as u32,
             len: 0,
             pages: Vec::new(),
         }
@@ -280,14 +392,14 @@ impl RumorSet {
 
     /// Size of the rumor universe.
     pub fn universe(&self) -> usize {
-        self.universe
+        self.universe as usize
     }
 
     /// Number of set bits the page can hold (4096 except for the last page).
     fn page_capacity(&self, page: u32) -> u32 {
         let start = page as usize * PAGE_BITS;
-        debug_assert!(start < self.universe || self.universe == 0);
-        (self.universe - start).min(PAGE_BITS) as u32
+        debug_assert!(start < self.universe() || self.universe == 0);
+        (self.universe() - start).min(PAGE_BITS) as u32
     }
 
     /// Collapses to the canonical full representation once saturated.
@@ -311,24 +423,25 @@ impl RumorSet {
     }
 
     /// What the set's pages cost: its dense pages and their bytes — 16 per
-    /// sparse or dense directory entry plus 512 per dense block.  The one
-    /// cost function behind the engine's rumor-set counters.
+    /// sparse or dense directory entry plus 8 per word of each dense block:
+    /// 512 for a 4096-bit page, less for a short last page (see
+    /// [`PageEntry::dense`]).  The one cost function behind the engine's
+    /// rumor-set counters.
     pub(crate) fn page_footprint(&self) -> PageFootprint {
         let mut cost = PageFootprint::default();
-        for entry in &self.pages {
-            match entry {
-                PageEntry::Full { .. } => {}
-                PageEntry::Sparse { .. } => cost.bytes += ENTRY_BYTES,
-                PageEntry::Dense { .. } => {
-                    cost.dense += 1;
-                    cost.bytes += ENTRY_BYTES + BLOCK_BYTES;
-                }
-            }
+        for entry in self
+            .pages
+            .iter()
+            .filter(|e| !matches!(e, PageEntry::Full { .. }))
+        {
+            let block = 8 * entry.block().len() as u64;
+            cost.dense += u64::from(block > 0);
+            cost.bytes += ENTRY_BYTES + block;
         }
         cost
     }
 
-    /// Fixed per-set bytes (the struct itself, pages excluded).
+    /// Fixed per-set bytes (the struct itself, pages excluded): 32.
     pub(crate) fn base_cost_bytes() -> u64 {
         std::mem::size_of::<RumorSet>() as u64
     }
@@ -346,7 +459,7 @@ impl RumorSet {
     // gossip-lint: allow(panic-path): page/word indices derive from the rumor < universe bound
     pub fn contains(&self, rumor: RumorId) -> bool {
         let i = rumor.index();
-        if i >= self.universe {
+        if i >= self.universe() {
             return false;
         }
         if self.len == self.universe {
@@ -364,7 +477,7 @@ impl RumorSet {
 
     /// Number of rumors in the set.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// Returns `true` if the set is empty.
@@ -416,7 +529,7 @@ impl RumorSet {
     /// without touching any storage at all.
     pub fn iter(&self) -> RumorIter<'_> {
         RumorIter {
-            universe: self.universe,
+            universe: self.universe(),
             full: self.universe > 0 && self.len == self.universe,
             next_id: 0,
             pages: &self.pages,
@@ -451,7 +564,7 @@ impl RumorSet {
     fn union_run(&mut self, lo: usize, len: u32) -> u32 {
         let hi = lo + len as usize;
         assert!(
-            hi <= self.universe,
+            hi <= self.universe(),
             "run {lo}..{hi} outside universe of size {}",
             self.universe
         );
@@ -470,7 +583,7 @@ impl RumorSet {
                     // The run covers the whole (absent) page: full sentinel,
                     // no allocation.
                     self.pages.insert(at, PageEntry::Full { index: page });
-                    self.len += cap as usize;
+                    self.len += cap;
                     cap
                 }
                 _ => self.union_page(page, slot, word_masks(a, b - a)),
@@ -487,7 +600,7 @@ impl RumorSet {
     /// happens here, in the union that crosses the threshold.  Adds the new
     /// bits to `len` but leaves the saturation collapse to the caller, which
     /// may still be walking later pages.
-    // gossip-lint: allow(panic-path): p is the page's search or insertion slot, mask words are < PAGE_WORDS, and sparse offsets are < capacity
+    // gossip-lint: allow(panic-path): p is the page's search or insertion slot, mask words are below the page's ⌈cap/64⌉, which a new block holds, and sparse offsets are < capacity
     fn union_page<I>(&mut self, page: u32, slot: Result<usize, usize>, masks: I) -> u32
     where
         I: Iterator<Item = (usize, u64)> + Clone,
@@ -508,19 +621,6 @@ impl RumorSet {
         let entry = &mut self.pages[p];
         let added = match entry {
             PageEntry::Full { .. } => 0,
-            PageEntry::Dense { ones, words, .. } => {
-                let mut added = 0;
-                for (w, bits) in masks {
-                    let new = bits & !words[w];
-                    words[w] |= bits;
-                    added += new.count_ones();
-                }
-                *ones += added as u16;
-                if u32::from(*ones) == cap {
-                    *entry = PageEntry::Full { index: page };
-                }
-                added
-            }
             PageEntry::Sparse { len, ids, .. } => {
                 let (held, mut ids) = (usize::from(*len), *ids);
                 // Collect the new offsets while they still fit inline.
@@ -546,23 +646,20 @@ impl RumorSet {
                         ids,
                     }
                 } else {
-                    let mut block = Box::new([0u64; PAGE_WORDS]);
-                    for &i in &ids[..held] {
-                        block[usize::from(i) / 64] |= 1 << (i % 64);
-                    }
-                    for (w, bits) in masks {
-                        block[w] |= bits;
-                    }
-                    PageEntry::Dense {
-                        index: page,
-                        ones: ones as u16,
-                        words: block,
-                    }
+                    PageEntry::dense(page, cap, ones as u16, |block| {
+                        for &i in &ids[..held] {
+                            block[usize::from(i) / 64] |= 1 << (i % 64);
+                        }
+                        for (w, bits) in masks {
+                            block[w] |= bits;
+                        }
+                    })
                 };
                 added
             }
+            dense => dense.union_block(cap, masks),
         };
-        self.len += added as usize;
+        self.len += added;
         added
     }
 
@@ -620,7 +717,7 @@ impl RumorSet {
             return;
         }
         let mut stored = self.pages.iter().peekable();
-        for page in 0..self.universe.div_ceil(PAGE_BITS) as u32 {
+        for page in 0..self.universe().div_ceil(PAGE_BITS) as u32 {
             let page_start = page as usize * PAGE_BITS;
             let cap = self.page_capacity(page);
             match stored.next_if(|e| e.index() == page) {
@@ -640,7 +737,7 @@ impl RumorSet {
 
     /// Number of 64-bit words a dense bitset over this universe needs.
     fn word_count(&self) -> usize {
-        self.universe.div_ceil(64)
+        self.universe().div_ceil(64)
     }
 }
 
@@ -965,6 +1062,13 @@ impl PageEntry {
                 }
                 out
             }
+            short => {
+                let mut out = [0; PAGE_WORDS];
+                for (o, &w) in out.iter_mut().zip(short.block()) {
+                    *o = w;
+                }
+                out
+            }
         }
     }
 }
@@ -981,7 +1085,7 @@ impl NewRumors {
         if self.words.len() != src.word_count() {
             // First use: a run's universe never changes.
             self.words = vec![0; src.word_count()];
-            self.touched = vec![false; src.universe.div_ceil(PAGE_BITS)];
+            self.touched = vec![false; src.universe().div_ceil(PAGE_BITS)];
         }
         let mut add_page = |entry: &PageEntry| {
             let page = entry.index();
@@ -1014,7 +1118,7 @@ impl NewRumors {
             }
         };
         if src.is_full() {
-            for index in 0..src.universe.div_ceil(PAGE_BITS) as u32 {
+            for index in 0..src.universe().div_ceil(PAGE_BITS) as u32 {
                 add_page(&PageEntry::Full { index });
             }
         } else {
@@ -1203,7 +1307,37 @@ mod tests {
         assert_eq!(s.page_footprint().bytes, 3 * ENTRY_BYTES);
         s.insert(RumorId(100));
         assert_eq!(s.live_pages(), 1);
-        assert_eq!(s.page_footprint().bytes, 3 * ENTRY_BYTES + BLOCK_BYTES);
+        assert_eq!(s.page_footprint().bytes, 3 * ENTRY_BYTES + 512);
+    }
+
+    /// What a dense page is charged: its 16-byte entry plus its block.  A
+    /// 4096-bit page's block is 64 words; a short last page's block is the
+    /// smallest of 8, 16, 32 or 64 words that holds it.
+    #[test]
+    fn a_dense_page_is_charged_its_entry_and_its_block() {
+        let dense_at = |universe: usize, pages: usize| {
+            let mut s = RumorSet::empty(universe);
+            for page in 0..pages {
+                for i in (0..14).step_by(2) {
+                    s.insert(RumorId::from(page * PAGE_BITS + i));
+                }
+            }
+            s.page_footprint()
+        };
+        // A 1024-id universe is one short page: a block of 16 words.
+        let churn = dense_at(1024, 1);
+        assert_eq!(churn.dense, 1);
+        assert_eq!(churn.bytes, 16 + 128);
+        assert_eq!(dense_at(1025, 1).bytes, 16 + 256);
+        assert_eq!(dense_at(2048, 1).bytes, 16 + 256);
+        assert_eq!(dense_at(2049, 1).bytes, 16 + 512);
+        // A 2^17-id universe is 32 whole pages of 16 + 512 bytes each.
+        let star = dense_at(131072, 32);
+        assert_eq!(star.dense, 32);
+        assert_eq!(star.bytes, 32 * (16 + 512));
+        // A last page of 70 bits needs 2 words and gets the smallest block,
+        // 8; the page before it gets all 64.
+        assert_eq!(dense_at(PAGE_BITS + 70, 2).bytes, 16 + 512 + 16 + 64);
     }
 
     #[test]
@@ -1693,7 +1827,8 @@ mod tests {
 
     /// A set's page cost recounted from its contents alone: every page that
     /// is neither empty nor full costs an entry, and a block past
-    /// `SPARSE_MAX` ids; a saturated set costs nothing.
+    /// `SPARSE_MAX` ids — its `⌈cap/64⌉` words rounded up to 8, 16, 32 or
+    /// 64; a saturated set costs nothing.
     fn recount(model: &[bool]) -> PageFootprint {
         let mut cost = PageFootprint::default();
         if model.iter().all(|&b| b) {
@@ -1705,11 +1840,26 @@ mod tests {
                 cost.bytes += ENTRY_BYTES;
                 if ones > SPARSE_MAX {
                     cost.dense += 1;
-                    cost.bytes += BLOCK_BYTES;
+                    cost.bytes += 8 * page.len().div_ceil(64).next_power_of_two().max(8) as u64;
                 }
             }
         }
         cost
+    }
+
+    /// A universe of whole pages, then a last page of 1..=`SPARSE_MAX` bits
+    /// (it goes straight from sparse to full) or of 6..=4095 bits (it goes
+    /// dense in a block of 8 to 64 words), biased towards one-word pages
+    /// and word edges.
+    fn universe_with_tail(rng: &mut SmallRng, universe: usize) -> usize {
+        let whole = universe / PAGE_BITS * PAGE_BITS;
+        match rng.gen_range(0..8u32) {
+            0 | 1 => whole + rng.gen_range(1..=SPARSE_MAX),
+            2 => whole + rng.gen_range(SPARSE_MAX + 1..=64),
+            3 => whole + 64 * rng.gen_range(1..PAGE_WORDS) - 1 + rng.gen_range(0..3usize),
+            _ if universe > whole && universe - whole > SPARSE_MAX => universe,
+            _ => whole + rng.gen_range(SPARSE_MAX + 1..PAGE_BITS),
+        }
     }
 
     /// One round of the window model: per node, the ids it learned.
@@ -1731,6 +1881,7 @@ mod tests {
         fn delta_window_matches_naive_batches(seed in 0u64..1 << 32, universe in 1usize..9000) {
             const NODES: usize = 4;
             let mut rng = SmallRng::seed_from_u64(seed);
+            let universe = universe_with_tail(&mut rng, universe);
             let mut used = vec![vec![false; universe]; NODES];
             let mut sets = vec![RumorSet::empty(universe); NODES];
             let mut model: Vec<ModelRound> = Vec::new();
@@ -1798,8 +1949,9 @@ mod tests {
         /// `RumorSet` against a `Vec<bool>` model over random sequences of
         /// `insert`, `insert_run`, windowed `union_words` and complement
         /// fills, biased towards the few-id pages that stay sparse and
-        /// towards short last pages (capacity <= `SPARSE_MAX`), which go
-        /// straight from sparse to full.  After every step the contents,
+        /// towards short last pages: of capacity <= `SPARSE_MAX`, which go
+        /// straight from sparse to full, and of 6..=4095 bits, which go
+        /// dense in a block sized to them.  After every step the contents,
         /// `len`, the reported count of new ids, the new runs phase A would
         /// gather and the page cost match; at the end, two other
         /// construction orders compare `==`, and `is_subset` holds exactly
@@ -1807,11 +1959,7 @@ mod tests {
         #[test]
         fn rumor_set_matches_bool_model(seed in 0u64..1 << 32, universe in 1usize..9000) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let universe = if rng.gen_bool(0.3) {
-                universe / PAGE_BITS * PAGE_BITS + rng.gen_range(1..=SPARSE_MAX)
-            } else {
-                universe
-            };
+            let universe = universe_with_tail(&mut rng, universe);
             let words = universe.div_ceil(64);
             let mut set = RumorSet::empty(universe);
             let mut model = vec![false; universe];

@@ -59,11 +59,7 @@ pub fn f1_gadgets(scale: Scale) -> Table {
                 Cell::from(net.graph.node_count()),
                 Cell::from(net.graph.edge_count()),
                 Cell::from(fast_cross),
-                Cell::from(
-                    metrics::estimate_diameter(&net.graph)
-                        .map(|e| e.upper)
-                        .unwrap_or(0),
-                ),
+                Cell::from(metrics::weighted_diameter(&net.graph).unwrap_or(0)),
             ]);
         }
     }

@@ -45,7 +45,7 @@ pub fn e4_tradeoff(scale: Scale) -> Table {
             continue;
         };
         let g = &ring.graph;
-        let d = metrics::estimate_diameter(g).map(|e| e.upper).unwrap_or(0);
+        let d = metrics::weighted_diameter(g).unwrap_or(0);
         let delta = g.max_degree() as u64;
         // φ_ℓ at the swept slow latency (Lemma 15 gives α for the balanced
         // ring cut exactly; the sweep estimate over the whole graph is close).
@@ -115,7 +115,7 @@ pub fn f2_ring_conductance(scale: Scale) -> Table {
         let phi_graph = analyze(g, Method::SweepCut)
             .map(|c| c.phi_ell(ell))
             .unwrap_or(0.0);
-        let d = metrics::estimate_diameter(g).map(|e| e.upper).unwrap_or(0);
+        let d = metrics::weighted_diameter(g).unwrap_or(0);
         table.push_row(vec![
             Cell::from(g.node_count() / 2),
             Cell::from(alpha),

@@ -162,7 +162,7 @@ pub fn e6_spanner_broadcast(scale: Scale) -> Table {
         ],
     );
     for (name, g) in graphs {
-        let d = metrics::estimate_diameter(&g).map(|e| e.upper).unwrap_or(0);
+        let d = metrics::weighted_diameter(&g).unwrap_or(0);
         let bound = d as f64 * log2(g.node_count()).powi(3);
         let known =
             spanner_broadcast::run_known_diameter_with(&g, gossip_core::diameter_bound(&g), 0x66);
@@ -217,10 +217,7 @@ pub fn e7_pattern(scale: Scale) -> Table {
         ],
     );
     for (name, g) in graphs {
-        let d = metrics::estimate_diameter(&g)
-            .map(|e| e.upper)
-            .unwrap_or(1)
-            .max(1);
+        let d = metrics::weighted_diameter(&g).unwrap_or(1).max(1);
         let bound = d as f64 * log2(g.node_count()).powi(2) * (d as f64).log2().max(1.0);
         let report = pattern::run_known_diameter_with(&g, gossip_core::diameter_bound(&g), 0x77);
         table.push_row(vec![

@@ -50,20 +50,19 @@ pub mod unified;
 
 pub use report::{DisseminationReport, Phase};
 
-/// The "known D" the phase drivers consume: the diameter-bound oracle's
-/// upper bound (exact below [`gossip_graph::metrics::EXACT_DIAMETER_THRESHOLD`],
-/// a constant-sweep bound `≥ D` above it), falling back to the maximum edge
-/// latency for disconnected graphs — on which no all-to-all algorithm can
-/// complete, so any positive guess only bounds the wasted work.
+/// The "known D" the phase drivers consume:
+/// [`gossip_graph::metrics::diameter_upper_bound`] (the exact `D` up to 1024
+/// nodes, a constant-sweep bound in `[D, 2D]` above), falling back to the
+/// maximum edge latency for disconnected graphs — on which no all-to-all
+/// algorithm can complete, so any positive guess only bounds the wasted
+/// work.
 ///
 /// Callers pass it to the known-diameter entry points
 /// (`run_known_diameter_with`, `run_known_latencies_with`); drivers that
 /// amortise the bound across runs (the sweep caches one per shared
 /// topology) compute it once.
 pub fn diameter_bound(g: &gossip_graph::Graph) -> gossip_graph::Latency {
-    gossip_graph::metrics::estimate_diameter(g)
-        .map(|e| e.upper)
-        .unwrap_or_else(|| g.max_latency().max(1))
+    gossip_graph::metrics::diameter_upper_bound(g).unwrap_or_else(|| g.max_latency().max(1))
 }
 
 /// One guess of [`guess_and_double`]: the label the guess's Termination_Check

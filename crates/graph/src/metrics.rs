@@ -2,11 +2,11 @@
 //!
 //! The paper's bounds are stated in terms of the *weighted diameter* `D`
 //! (shortest-path distances with latencies as weights) and the maximum degree
-//! `Δ`.  This module computes `D`, exactly or as a bracket, on Dijkstra
-//! sweeps.
+//! `Δ`.  This module computes the exact `D` on Dijkstra sweeps, and a
+//! cheaper upper bound on it for callers that only need a known `D`.
 //!
 //! Two kernels share one monotone radix queue.  Single sweeps run Dijkstra
-//! from one source; callers that sweep many sources reuse one [`Sweeps`]
+//! from one source; callers that sweep many sources reuse one `Sweeps`
 //! workspace, so the distance buffer and the queue's buckets are allocated
 //! once per diameter, not once per sweep.  The batch kernel computes the
 //! distances from up to 64 sources in one traversal, its queue entries
@@ -329,13 +329,27 @@ impl BatchSweeps {
 /// is one), so diameters and eccentricities built on them stay exact up to
 /// that cap.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `source` is not a node of `g`.
-pub fn dijkstra(g: &Graph, source: NodeId) -> Vec<Distance> {
+/// [`GraphError::NodeOutOfRange`] if `source` is not a node of `g`.
+pub fn dijkstra(g: &Graph, source: NodeId) -> Result<Vec<Distance>, GraphError> {
+    check_sources(g, &[source])?;
     let mut sweeps = Sweeps::default();
     sweeps.dijkstra(g, source);
-    sweeps.dist
+    Ok(sweeps.dist)
+}
+
+/// [`GraphError::NodeOutOfRange`] for the first of `sources` that is not a
+/// node of `g`.
+fn check_sources(g: &Graph, sources: &[NodeId]) -> Result<(), GraphError> {
+    let node_count = g.node_count();
+    match sources.iter().find(|s| s.index() >= node_count) {
+        Some(foreign) => Err(GraphError::NodeOutOfRange {
+            node: foreign.index(),
+            node_count,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Weighted distances from many sources, 64 per traversal: the table
@@ -353,13 +367,8 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> Vec<Distance> {
 ///
 /// [`GraphError::NodeOutOfRange`] if a source is not a node of `g`.
 pub fn dijkstra_batch(g: &Graph, sources: &[NodeId]) -> Result<Vec<Distance>, GraphError> {
+    check_sources(g, sources)?;
     let (n, k) = (g.node_count(), sources.len());
-    if let Some(foreign) = sources.iter().find(|s| s.index() >= n) {
-        return Err(GraphError::NodeOutOfRange {
-            node: foreign.index(),
-            node_count: n,
-        });
-    }
     let mut table = vec![UNREACHABLE; n * k];
     let mut sweeps = BatchSweeps::default();
     for (c, batch) in sources.chunks(MAX_BATCH).enumerate() {
@@ -381,127 +390,67 @@ pub fn dijkstra_batch(g: &Graph, sources: &[NodeId]) -> Result<Vec<Distance>, Gr
 /// shortest-path distance.
 ///
 /// Runs Dijkstra only from the nodes whose eccentricity bounds cannot rule
-/// them out (see [`bounding_diameters`]): a handful of sweeps on grids and
+/// them out (BoundingDiameters, below): a handful of sweeps on grids and
 /// dumbbells, about a fifth of the nodes on a bimodal Erdős–Rényi graph.
 /// Each sweep costs `O(m + n log C)` on the radix queue, where `C ≤ 2⁶⁴` is
-/// the range of the keys.  The worst case is still one sweep per node —
-/// `O(n · (m + n log C))` — on vertex-transitive graphs such as a cycle,
-/// where every node has the same eccentricity and no bound prunes another
-/// node.
+/// the range of the keys.  The worst case is still one sweep per node,
+/// `Θ(n·m)` up to the queue's `log C`, on vertex-transitive graphs such as
+/// a cycle, where every node has the same eccentricity and no bound prunes
+/// another node.
 ///
 /// The first 16 sweeps are single sweeps; the rest run up to 64 sources per
 /// traversal on the batch kernel (see [`dijkstra_batch`]).  The result is
-/// the same `D` at every batch width (see [`batched_diameters`]); only the
-/// sweep count may differ, since a batch picks its sources before any of
-/// its sweeps has tightened the bounds.  On a bimodal Erdős–Rényi graph of
-/// 1024 nodes (about 230 sweeps) the diameter takes about 2.2 ms on one
-/// thread (2-vCPU VM).
+/// the same `D` at every batch width; only the sweep count may differ,
+/// since a batch picks its sources before any of its sweeps has tightened
+/// the bounds.  On one thread of a 2-vCPU VM, a bimodal Erdős–Rényi graph
+/// of 1024 nodes (about 230 sweeps) takes about 2.2 ms, and a unit cycle of
+/// 4096 nodes (all 4096 sweeps) about 0.35 s.
 ///
 /// Returns `None` if the graph is disconnected.
 pub fn weighted_diameter(g: &Graph) -> Option<Distance> {
     bounding_diameters(g).map(|(d, _)| d)
 }
 
-/// Largest graph (in nodes) for which [`estimate_diameter`] falls back to
-/// the exact diameter ([`weighted_diameter`]).
+/// Largest graph (in nodes) on which [`diameter_upper_bound`] is the exact
+/// diameter.  Raising it would change the bound, and so the known `D` every
+/// heavy protocol consumes, on larger graphs (a 48×48 grid, say), and with
+/// it their run results.
+const EXACT_BOUND_NODES: usize = 1024;
+
+/// An upper bound on the weighted diameter `D` from a constant number of
+/// sweeps, for callers that need a known `D` but not its exact value.
 ///
-/// Below this size the exact diameter is cheap — the bound-pruned sweeps
-/// rarely visit more than a fraction of the nodes, and even the
-/// vertex-transitive worst case is `n ≤ 1024` sweeps — and every experiment
-/// table that prints `D` stays byte-identical to the historical exact output.
-/// Above it, the estimator runs a constant number of sweeps instead.  The
-/// cheaper exact routine does not raise this threshold: doing so would change
-/// [`estimate_diameter`]'s upper bound, and so the "known D" every heavy
-/// protocol consumes, on graphs above 1024 nodes (a 48×48 grid, say), and
-/// with it their run results.
-pub const EXACT_DIAMETER_THRESHOLD: usize = 1024;
-
-/// Lower and upper bounds on the weighted diameter, as produced by
-/// [`estimate_diameter`].
+/// Graphs of at most 1024 nodes get the exact [`weighted_diameter`].
+/// Larger graphs get `min 2·ecc(root)` (the triangle inequality gives
+/// `D ≤ 2·ecc(v)` for every `v`, so the bound lies in `[D, 2D]`) over the
+/// sweeps from node 0, from the farthest node found, from the farthest
+/// node of *that* sweep, and from the maximum-degree node, whose
+/// eccentricity is often close to `D/2` on star-like topologies.
 ///
-/// The paper's phase algorithms only need the diameter `D` up to constant
-/// factors (the guess-and-double drivers tolerate a factor-2 overshoot by
-/// construction), so the hot path consumes `upper` — guaranteed `≥ D` —
-/// while `lower` is kept for reporting and for sanity checks
-/// (`lower ≤ D ≤ upper` always holds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiameterEstimate {
-    /// Lower bound: the largest eccentricity seen from any sweep root
-    /// (every eccentricity is `≤ D`).
-    pub lower: Distance,
-    /// Upper bound: the smallest `2·ecc(root)` over the sweep roots (the
-    /// triangle inequality gives `D ≤ 2·ecc(v)` for every `v`).
-    pub upper: Distance,
-}
-
-impl DiameterEstimate {
-    /// An exact estimate (`lower == upper == d`).
-    pub fn exact(d: Distance) -> Self {
-        DiameterEstimate { lower: d, upper: d }
-    }
-
-    /// `true` when the bounds have closed (the estimate *is* the diameter).
-    pub fn is_exact(&self) -> bool {
-        self.lower == self.upper
-    }
-}
-
-/// Bounds the **weighted** diameter with a few Dijkstra sweeps instead of the
-/// exact computation ([`weighted_diameter`], up to `n` sweeps).
-///
-/// Graphs of at most [`EXACT_DIAMETER_THRESHOLD`] nodes are computed exactly
-/// (the estimate [`is_exact`](DiameterEstimate::is_exact)).  Larger graphs
-/// get a constant number of sweeps: from node 0, from the farthest node
-/// found (the classic double sweep, whose eccentricity is a strong lower
-/// bound), from the farthest node of *that* sweep, and from the
-/// maximum-degree node.  Each root contributes `ecc(root)` to the lower
-/// bound and `2·ecc(root)` to the upper bound.
-///
-/// Returns `None` if the graph is disconnected; the empty graph is
-/// `Some(exact(0))`.
-pub fn estimate_diameter(g: &Graph) -> Option<DiameterEstimate> {
-    estimate_diameter_with_threshold(g, EXACT_DIAMETER_THRESHOLD)
-}
-
-/// [`estimate_diameter`] with an explicit exact-fallback threshold
-/// (`threshold = 0` forces the sweep estimator, `threshold = usize::MAX`
-/// forces the exact path).
-pub fn estimate_diameter_with_threshold(g: &Graph, threshold: usize) -> Option<DiameterEstimate> {
+/// Returns `None` if the graph is disconnected.
+pub fn diameter_upper_bound(g: &Graph) -> Option<Distance> {
     let n = g.node_count();
-    if n == 0 {
-        return Some(DiameterEstimate::exact(0));
+    if n <= EXACT_BOUND_NODES {
+        return weighted_diameter(g);
     }
-    if n <= threshold {
-        return weighted_diameter(g).map(DiameterEstimate::exact);
-    }
-    // Sweep 1 from node 0; it both bounds the diameter and picks the next
-    // root (the farthest node, as in the classic double sweep).
+    let hub = g.nodes().max_by_key(|&v| g.degree(v))?;
     let mut sweeps = Sweeps::default();
-    let (far, ecc0) = sweep_extent(sweeps.dijkstra(g, NodeId::new(0)))?;
-    let mut lower = ecc0;
-    let mut upper = ecc0.saturating_mul(2);
-    let mut next_root = far;
-    // Two more peripheral sweeps (farthest-of-farthest), plus the
-    // maximum-degree node — a hub's eccentricity is often close to `D/2`,
-    // which tightens the upper bound on star-like topologies.
-    let hub = (0..n)
-        .map(NodeId::new)
-        .max_by_key(|&v| g.degree(v))
-        .unwrap_or(NodeId::new(0));
-    let mut visited = vec![NodeId::new(0)];
-    for root in [Some(next_root), None, Some(hub)] {
-        let root = root.unwrap_or(next_root);
-        if visited.contains(&root) {
+    let mut swept = Vec::with_capacity(4);
+    let mut far = NodeId::new(0);
+    let mut upper = Distance::MAX;
+    // Node 0, the farthest node twice over, then the hub; a root already
+    // swept is skipped.
+    for pick in 0..4 {
+        let root = if pick == 3 { hub } else { far };
+        if swept.contains(&root) {
             continue;
         }
-        visited.push(root);
-        let (far, ecc) = sweep_extent(sweeps.dijkstra(g, root))?;
-        lower = lower.max(ecc);
+        swept.push(root);
+        let (next, ecc) = sweep_extent(sweeps.dijkstra(g, root))?;
         upper = upper.min(ecc.saturating_mul(2));
-        next_root = far;
+        far = next;
     }
-    // `min 2·ecc ≥ D ≥ max ecc` always, so the bounds are already ordered.
-    Some(DiameterEstimate { lower, upper })
+    Some(upper)
 }
 
 /// Farthest node and eccentricity of a sweep's distance vector, or `None`
@@ -700,26 +649,20 @@ pub struct GraphSummary {
     pub edges: usize,
     /// Maximum degree `Δ`.
     pub max_degree: usize,
-    /// Weighted-diameter bounds (exact below [`EXACT_DIAMETER_THRESHOLD`];
-    /// `None` if disconnected).
-    pub weighted_diameter: Option<DiameterEstimate>,
+    /// Weighted diameter `D` ([`weighted_diameter`]; `None` if
+    /// disconnected).
+    pub weighted_diameter: Option<Distance>,
     /// Maximum edge latency `ℓ_max`.
     pub max_latency: Latency,
 }
 
-/// Computes a [`GraphSummary`].
-///
-/// The diameter comes from the sweep estimator ([`estimate_diameter`]):
-/// exact — and flagged as such — below [`EXACT_DIAMETER_THRESHOLD`] nodes,
-/// constant-sweep bounds above it.  Summarizing a large graph therefore costs
-/// a constant number of sweeps, not the up to `n` sweeps the exact diameter
-/// may need.
+/// Computes a [`GraphSummary`], the diameter exactly.
 pub fn summarize(g: &Graph) -> GraphSummary {
     GraphSummary {
         nodes: g.node_count(),
         edges: g.edge_count(),
         max_degree: g.max_degree(),
-        weighted_diameter: estimate_diameter(g),
+        weighted_diameter: weighted_diameter(g),
         max_latency: g.max_latency(),
     }
 }
@@ -741,7 +684,7 @@ mod tests {
     #[test]
     fn dijkstra_prefers_fast_multi_hop_path() {
         let g = slow_triangle();
-        let d = dijkstra(&g, NodeId::new(0));
+        let d = dijkstra(&g, NodeId::new(0)).unwrap();
         // Direct edge has latency 10 but the two-hop path costs 2.
         assert_eq!(d, vec![0, 1, 2]);
     }
@@ -755,7 +698,7 @@ mod tests {
     #[test]
     fn eccentricity_and_pairwise_distance() {
         let g = slow_triangle();
-        let from_0 = dijkstra(&g, NodeId::new(0));
+        let from_0 = dijkstra(&g, NodeId::new(0)).unwrap();
         assert_eq!(sweep_extent(&from_0), Some((NodeId::new(2), 2)));
         assert_eq!(from_0[2], 2);
     }
@@ -767,7 +710,8 @@ mod tests {
         b.add_edge(2, 3, 1).unwrap();
         let g = b.build().unwrap();
         assert_eq!(weighted_diameter(&g), None);
-        let from_0 = dijkstra(&g, NodeId::new(0));
+        assert_eq!(diameter_upper_bound(&g), None);
+        let from_0 = dijkstra(&g, NodeId::new(0)).unwrap();
         assert_eq!(sweep_extent(&from_0), None);
         assert_eq!(from_0[3], UNREACHABLE);
     }
@@ -789,7 +733,7 @@ mod tests {
         b.add_edge(0, 1, u64::MAX / 2 + 1).unwrap();
         b.add_edge(1, 2, u64::MAX / 2 + 1).unwrap();
         let g = b.build().unwrap();
-        assert_eq!(dijkstra(&g, NodeId::new(0))[2], u64::MAX - 1);
+        assert_eq!(dijkstra(&g, NodeId::new(0)).unwrap()[2], u64::MAX - 1);
         assert_eq!(weighted_diameter(&g), Some(u64::MAX - 1));
     }
 
@@ -800,7 +744,7 @@ mod tests {
         assert_eq!(s.nodes, 3);
         assert_eq!(s.edges, 3);
         assert_eq!(s.max_degree, 2);
-        assert_eq!(s.weighted_diameter, Some(DiameterEstimate::exact(2)));
+        assert_eq!(s.weighted_diameter, Some(2));
         assert_eq!(s.max_latency, 10);
     }
 
@@ -808,62 +752,50 @@ mod tests {
     fn single_node_metrics() {
         let g = GraphBuilder::new(1).build().unwrap();
         assert_eq!(weighted_diameter(&g), Some(0));
-        assert_eq!(dijkstra(&g, NodeId::new(0)), vec![0]);
+        assert_eq!(dijkstra(&g, NodeId::new(0)), Ok(vec![0]));
     }
 
     #[test]
     fn empty_and_single_node_behavior_is_consistent() {
         // A `node_count() == 0` graph is unconstructible (`GraphError::Empty`
-        // from every constructor), so no metric can panic on it — the
-        // `Some(0)` guards in the sweep-based routines are pure defense and
-        // agree with `weighted_diameter`'s empty-loop result.
+        // from every constructor), so no metric can panic on it.
         assert_eq!(
             GraphBuilder::new(0).build().unwrap_err(),
             crate::GraphError::Empty
         );
-        // The smallest constructible graph: every diameter notion agrees.
+        // The smallest constructible graph: both diameter notions agree.
         let g = GraphBuilder::new(1).build().unwrap();
         assert_eq!(g.node_count(), 1);
         assert_eq!(weighted_diameter(&g), Some(0));
-        assert_eq!(estimate_diameter(&g), Some(DiameterEstimate::exact(0)));
-        // And with the sweep path forced (threshold 0), still Some(0).
-        assert_eq!(
-            estimate_diameter_with_threshold(&g, 0),
-            Some(DiameterEstimate::exact(0))
-        );
+        assert_eq!(diameter_upper_bound(&g), Some(0));
     }
 
     #[test]
     fn estimate_is_exact_below_the_threshold() {
         let g = slow_triangle();
-        let est = estimate_diameter(&g).unwrap();
-        assert!(est.is_exact());
-        assert_eq!(est.upper, weighted_diameter(&g).unwrap());
+        assert_eq!(diameter_upper_bound(&g), weighted_diameter(&g));
+        let grid = crate::generators::grid(32, 32, 1).unwrap();
+        assert_eq!(grid.node_count(), EXACT_BOUND_NODES);
+        assert_eq!(diameter_upper_bound(&grid), Some(62));
     }
 
+    /// The 48×48 unit grid, the grid of perfbench's `spanner-route`: the
+    /// sweeps from the two corners see eccentricity 94 = D, and the hub,
+    /// the last node of degree 4, sits next to the far corner with
+    /// eccentricity 92, so the bound is 184, inside `[D, 2D]`.
     #[test]
     fn estimate_brackets_the_diameter_above_the_threshold() {
-        // Long path: the double sweep is exact on trees, so lower == D.
-        let mut b = GraphBuilder::new(40);
-        for i in 0..39 {
-            b.add_edge(i, i + 1, (i as Latency % 3) + 1).unwrap();
-        }
-        let g = b.build().unwrap();
-        let d = weighted_diameter(&g).unwrap();
-        // Force the sweep estimator with threshold 0.
-        let est = estimate_diameter_with_threshold(&g, 0).unwrap();
-        assert!(est.lower <= d && d <= est.upper, "{est:?} vs D={d}");
-        assert_eq!(est.lower, d, "double sweep is exact on paths");
+        let g = crate::generators::grid(48, 48, 1).unwrap();
+        assert_eq!(weighted_diameter(&g), Some(94));
+        assert_eq!(diameter_upper_bound(&g), Some(184));
     }
 
     #[test]
     fn estimate_reports_disconnection() {
-        let mut b = GraphBuilder::new(4);
+        let mut b = GraphBuilder::new(EXACT_BOUND_NODES + 2);
         b.add_edge(0, 1, 1).unwrap();
-        b.add_edge(2, 3, 1).unwrap();
         let g = b.build().unwrap();
-        assert_eq!(estimate_diameter(&g), None);
-        assert_eq!(estimate_diameter_with_threshold(&g, 0), None);
+        assert_eq!(diameter_upper_bound(&g), None);
     }
 
     /// The graphs whose diameters pin the pruning's work, each with its
@@ -892,7 +824,7 @@ mod tests {
     /// The largest eccentricity over all sources.
     fn all_pairs_diameter(g: &Graph) -> Option<Distance> {
         g.nodes()
-            .map(|v| sweep_extent(&dijkstra(g, v)).map(|(_, ecc)| ecc))
+            .map(|v| sweep_extent(&dijkstra(g, v).unwrap()).map(|(_, ecc)| ecc))
             .collect::<Option<Vec<_>>>()?
             .into_iter()
             .max()
@@ -981,10 +913,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "source node out of range")]
-    fn dijkstra_panics_on_bad_source() {
+    fn dijkstra_rejects_a_foreign_source() {
         let g = slow_triangle();
-        let _ = dijkstra(&g, NodeId::new(17));
+        assert_eq!(
+            dijkstra(&g, NodeId::new(17)),
+            Err(GraphError::NodeOutOfRange {
+                node: 17,
+                node_count: 3
+            })
+        );
     }
 
     #[test]
@@ -1017,7 +954,7 @@ mod tests {
                 .step_by(sources.len())
                 .copied()
                 .collect();
-            assert_eq!(column, dijkstra(&g, source), "column {b}");
+            assert_eq!(Ok(column), dijkstra(&g, source), "column {b}");
         }
     }
 }

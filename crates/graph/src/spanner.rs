@@ -203,6 +203,6 @@ mod tests {
             s.add_oriented(&g, NodeId::new(u), e);
         }
         let d = crate::metrics::dijkstra(&s.to_graph(&g).unwrap(), NodeId::new(0));
-        assert_eq!(d, vec![0, 1, 2, 1]);
+        assert_eq!(d, Ok(vec![0, 1, 2, 1]));
     }
 }

@@ -1,16 +1,15 @@
 //! Property tests for the shortest-path kernels ([`metrics::dijkstra`] and
 //! [`metrics::dijkstra_batch`]), the exact diameter
-//! ([`metrics::weighted_diameter`]) and the diameter-bound oracle
-//! ([`metrics::estimate_diameter`]): across every graph family the sweep
+//! ([`metrics::weighted_diameter`]) and the known-D bound
+//! ([`metrics::diameter_upper_bound`]): across every graph family the sweep
 //! draws from, the single-source kernel must equal a Bellman–Ford reference
 //! over the edge list from every source, every column of a batch table must
 //! equal both, the exact diameter must equal the all-pairs maximum of that
-//! reference, the bracket must contain that diameter, and below the
-//! exact-computation threshold the bracket must *be* the diameter.
+//! reference, and the bound must equal the diameter up to 1024 nodes and
+//! lie in `[D, 2D]` above.
 
 use gossip_graph::metrics::{
-    self, dijkstra, dijkstra_batch, estimate_diameter, estimate_diameter_with_threshold,
-    DiameterEstimate, Distance, EXACT_DIAMETER_THRESHOLD, UNREACHABLE,
+    self, diameter_upper_bound, dijkstra, dijkstra_batch, Distance, UNREACHABLE,
 };
 use gossip_graph::{generators, latency::LatencyScheme, Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
@@ -53,8 +52,8 @@ fn all_pairs_diameter(g: &Graph) -> Option<Distance> {
     for v in g.nodes() {
         let reference = bellman_ford(g, v);
         assert_eq!(
-            dijkstra(g, v),
-            reference,
+            dijkstra(g, v).as_ref(),
+            Ok(&reference),
             "sweep from {v:?}, n={}",
             g.node_count()
         );
@@ -77,8 +76,8 @@ fn check_batch(g: &Graph, sources: &[NodeId]) {
         let column: Vec<Distance> = table.iter().skip(b).step_by(k).copied().collect();
         let reference = bellman_ford(g, source);
         assert_eq!(
-            column,
-            dijkstra(g, source),
+            Ok(&column),
+            dijkstra(g, source).as_ref(),
             "column {b} of {k}, from {source:?}"
         );
         assert_eq!(column, reference, "column {b} of {k}, from {source:?}");
@@ -93,27 +92,24 @@ fn spread_sources(g: &Graph, width: usize, first: usize) -> Vec<NodeId> {
     (0..width).map(|b| NodeId::new((first + b) % n)).collect()
 }
 
-/// On a connected graph: the exact diameter equals the all-pairs reference,
-/// and the oracle's `lower ≤ D ≤ upper` holds on both the sweep path
-/// (threshold 0) and the defaulted path.
-fn check_bracket(g: &Graph) {
+/// On a connected graph of at most 1024 nodes: the exact diameter equals
+/// the all-pairs reference, and so does the known-D bound.
+fn check_exact(g: &Graph) {
     let d = all_pairs_diameter(g).expect("test graphs are connected");
     assert_eq!(metrics::weighted_diameter(g), Some(d));
-    for threshold in [0, EXACT_DIAMETER_THRESHOLD] {
-        let est = estimate_diameter_with_threshold(g, threshold).unwrap();
-        assert!(
-            est.lower <= d && d <= est.upper,
-            "weighted bracket [{}, {}] misses D={} (threshold {threshold}, n={})",
-            est.lower,
-            est.upper,
-            d,
-            g.node_count()
-        );
-    }
-    // Every test instance is below the exact-computation threshold, so the
-    // defaulted estimator must pin the exact value.
-    assert!(g.node_count() <= EXACT_DIAMETER_THRESHOLD);
-    assert_eq!(estimate_diameter(g), Some(DiameterEstimate::exact(d)));
+    assert_eq!(diameter_upper_bound(g), Some(d), "n={}", g.node_count());
+}
+
+/// On a connected graph of more than 1024 nodes: the known-D bound lies in
+/// `[D, 2D]`.
+fn check_upper_bound(g: &Graph) {
+    let d = metrics::weighted_diameter(g).expect("test graphs are connected");
+    let bound = diameter_upper_bound(g).expect("test graphs are connected");
+    assert!(
+        d <= bound && bound <= 2 * d,
+        "bound {bound} vs D={d}, n={}",
+        g.node_count()
+    );
 }
 
 proptest! {
@@ -125,15 +121,15 @@ proptest! {
         latency in 1u64..20,
         bridge in 1u64..50,
     ) {
-        check_bracket(&generators::clique(n, latency).unwrap());
-        check_bracket(&generators::cycle(n.max(3), latency).unwrap());
-        check_bracket(&generators::path(n, latency).unwrap());
-        check_bracket(&generators::star(n.max(3), latency).unwrap());
-        check_bracket(&generators::grid(2 + n % 7, 2 + n % 5, latency).unwrap());
-        check_bracket(&generators::binary_tree(n, latency).unwrap());
-        check_bracket(&generators::dumbbell(n.max(2), bridge).unwrap());
-        check_bracket(&generators::ring_of_cliques(3 + n % 4, n.clamp(2, 9), bridge).unwrap());
-        check_bracket(&generators::barbell(n.clamp(2, 12), 1 + n % 5, bridge).unwrap());
+        check_exact(&generators::clique(n, latency).unwrap());
+        check_exact(&generators::cycle(n.max(3), latency).unwrap());
+        check_exact(&generators::path(n, latency).unwrap());
+        check_exact(&generators::star(n.max(3), latency).unwrap());
+        check_exact(&generators::grid(2 + n % 7, 2 + n % 5, latency).unwrap());
+        check_exact(&generators::binary_tree(n, latency).unwrap());
+        check_exact(&generators::dumbbell(n.max(2), bridge).unwrap());
+        check_exact(&generators::ring_of_cliques(3 + n % 4, n.clamp(2, 9), bridge).unwrap());
+        check_exact(&generators::barbell(n.clamp(2, 12), 1 + n % 5, bridge).unwrap());
     }
 
     #[test]
@@ -148,7 +144,7 @@ proptest! {
         let g = LatencyScheme::UniformRandom { min: 1, max: max_latency }
             .apply(&g, &mut rng)
             .unwrap();
-        check_bracket(&g);
+        check_exact(&g);
     }
 
     /// Bimodal latencies, the shape the Erdős–Rényi benchmark workloads
@@ -166,7 +162,7 @@ proptest! {
         let g = LatencyScheme::BimodalFraction { slow, slow_fraction }
             .apply(&g, &mut rng)
             .unwrap();
-        check_bracket(&g);
+        check_exact(&g);
     }
 
     /// Latencies near 2⁵³, on random graphs and on cycles (every node of a
@@ -182,8 +178,8 @@ proptest! {
         let g = LatencyScheme::UniformRandom { min: 1 << 52, max: 1 << 53 }
             .apply(&g, &mut rng)
             .unwrap();
-        check_bracket(&g);
-        check_bracket(&generators::cycle(n, 1 << 53).unwrap());
+        check_exact(&g);
+        check_exact(&generators::cycle(n, 1 << 53).unwrap());
     }
 
     /// Batch tables against the single-source kernel and the reference, at
@@ -212,15 +208,30 @@ proptest! {
         let g = b.build().unwrap();
         check_batch(&g, &spread_sources(&g, [1, 2, 63, 64, 65, 130][width], first));
     }
+}
 
-    /// On trees the first sweep already finds a diametral endpoint, so the
-    /// sweep path's *lower* bound is exact — a sharper pin than the bracket.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The known-D bound above its exact cutoff (below it, `check_exact`
+    /// pins it to `D`), on a bimodal Erdős–Rényi graph, a cycle (every
+    /// root's eccentricity is `D`), a grid and a dumbbell (two hubs of
+    /// equal degree).
     #[test]
-    fn sweep_lower_bound_is_exact_on_trees(n in 2usize..80, latency in 1u64..20) {
-        let g = generators::binary_tree(n, latency).unwrap();
-        let d = all_pairs_diameter(&g).unwrap();
-        let est = estimate_diameter_with_threshold(&g, 0).unwrap();
-        prop_assert_eq!(est.lower, d);
+    fn upper_bound_lies_within_twice_the_diameter_above_1024_nodes(
+        n in 1056usize..1120,
+        slow in 2u64..32,
+        seed in 0u64..1_000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let er = generators::erdos_renyi(n, 0.01, 1, &mut rng).unwrap();
+        let er = LatencyScheme::BimodalFraction { slow, slow_fraction: 0.25 }
+            .apply(&er, &mut rng)
+            .unwrap();
+        check_upper_bound(&er);
+        check_upper_bound(&generators::cycle(n, slow).unwrap());
+        check_upper_bound(&generators::grid(n / 32, 32, 1).unwrap());
+        check_upper_bound(&generators::dumbbell(n / 2, slow).unwrap());
     }
 }
 
@@ -230,7 +241,7 @@ proptest! {
 #[test]
 fn exact_diameters_match_the_reference_on_boundary_graphs() {
     let single = GraphBuilder::new(1).build().unwrap();
-    check_bracket(&single);
+    check_exact(&single);
 
     let mut b = GraphBuilder::new(4);
     b.add_edge(0, 1, 1).unwrap();
@@ -242,20 +253,20 @@ fn exact_diameters_match_the_reference_on_boundary_graphs() {
     let mut b = GraphBuilder::new(2);
     b.add_edge(0, 1, Distance::MAX - 1).unwrap();
     let saturating = b.build().unwrap();
-    check_bracket(&saturating);
+    check_exact(&saturating);
     assert_eq!(
         metrics::weighted_diameter(&saturating),
         Some(Distance::MAX - 1)
     );
 
-    check_bracket(&generators::cycle(257, 3).unwrap());
+    check_exact(&generators::cycle(257, 3).unwrap());
 
     // Paths summing past `u64::MAX` clamp at `UNREACHABLE − 1`: 2⁶³ + 2⁶³ on
     // a path, and on a cycle whose 2⁶³ edges alternate with unit edges, so
     // clamped keys share the queue with small ones.
     let huge = Distance::MAX / 2 + 1;
     let clamped = generators::path(4, huge).unwrap();
-    check_bracket(&clamped);
+    check_exact(&clamped);
     assert_eq!(metrics::weighted_diameter(&clamped), Some(UNREACHABLE - 1));
     let mut b = GraphBuilder::new(12);
     for i in 0..12 {
@@ -263,7 +274,7 @@ fn exact_diameters_match_the_reference_on_boundary_graphs() {
             .unwrap();
     }
     let alternating = b.build().unwrap();
-    check_bracket(&alternating);
+    check_exact(&alternating);
 
     // The same clamped graphs, a disconnected one and a cycle the exact
     // diameter sweeps in batches, through the batch kernel at every width,
@@ -281,9 +292,9 @@ fn exact_diameters_match_the_reference_on_boundary_graphs() {
 /// every pop ties with many queued entries.
 #[test]
 fn kernel_matches_the_reference_under_ties() {
-    check_bracket(&generators::clique(40, 7).unwrap());
-    check_bracket(&generators::grid(12, 12, 1).unwrap());
+    check_exact(&generators::clique(40, 7).unwrap());
+    check_exact(&generators::grid(12, 12, 1).unwrap());
     let mut rng = SmallRng::seed_from_u64(11);
     let g = generators::erdos_renyi(60, 0.3, 1, &mut rng).unwrap();
-    check_bracket(&LatencyScheme::Uniform(1 << 52).apply(&g, &mut rng).unwrap());
+    check_exact(&LatencyScheme::Uniform(1 << 52).apply(&g, &mut rng).unwrap());
 }

@@ -6,7 +6,7 @@
 //! pragma allowlist (`// gossip-lint: allow(<rule>): <reason>`), and whose
 //! blind spots are documented on each rule function.  Test code (integration
 //! tests, benches, examples, `#[cfg(test)]` items) is exempt from every rule
-//! except [`forbid-unsafe`](check_crate_root), which inspects crate roots.
+//! except `forbid-unsafe`, which inspects crate roots.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -8,7 +8,7 @@
 //! tests are exempted like inline `#[cfg(test)]` blocks; stage two
 //! classifies files, runs the per-file rules, and indexes `fn` items;
 //! stage three builds the call graph and runs the audit rules
-//! ([`panic-path`](audit_panic_path), [`idle-purity`](audit_idle_purity),
+//! (`panic-path`, `idle-purity`,
 //! and shared-state, which is per-file but configured here); stage four
 //! enriches findings with their enclosing item and line snippet (the
 //! inputs to the stable finding id) and applies each file's pragmas.

@@ -6,7 +6,7 @@
 //! then Alice can solve `Guessing(2m, P)` in at most as many rounds — she
 //! simulates the algorithm and submits the cross edges it activates as
 //! guesses.  This module performs that simulation literally: it runs a gossip
-//! protocol on a [`GadgetNetwork`](crate::gadgets::GadgetNetwork), records the
+//! protocol on a [`GadgetNetwork`], records the
 //! cross edges activated in every round, replays them as guesses against the
 //! actual guessing game, and reports both round counts so tests and
 //! experiments can check `game rounds ≤ gossip rounds`.

@@ -1262,7 +1262,7 @@ impl<'g> Simulation<'g> {
     /// # Determinism and parallelism
     ///
     /// Each node's per-round RNG stream is derived independently from
-    /// `(seed, round, node)` (see [`decision_rng`]), a decision writes only
+    /// `(seed, round, node)` (see `decision_rng`), a decision writes only
     /// its own node's [`Protocol::Node`] state, and a completion merge is an
     /// order-free union, grouped by ascending destination node.  Both
     /// passes fan out across

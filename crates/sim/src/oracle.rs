@@ -19,7 +19,7 @@
 //! pins the event-driven scheduler's skipping as unobservable (the
 //! `activity_equivalence` and `engine_skip` suites rely on this).  It draws
 //! each node's per-round RNG from
-//! [`decision_rng`]`(seed, round, node)`, keeping protocol decisions
+//! `decision_rng(seed, round, node)`, keeping protocol decisions
 //! byte-aligned with the engine at any thread count.  Reports compare via
 //! [`RunReport::semantics`](crate::RunReport::semantics) (the oracle reports
 //! no memory counters).  Any intentional semantic change to the engine must

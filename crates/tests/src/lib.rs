@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use gossip_graph::metrics::{dijkstra, estimate_diameter, Distance};
+use gossip_graph::metrics::{dijkstra, weighted_diameter, Distance};
 use gossip_graph::{EdgeId, Graph, Latency, NodeId};
 use gossip_sim::oracle::OracleSimulation;
 use gossip_sim::{ExchangeEvent, NodeView, Protocol, RunReport, Seeding, SimConfig, Simulation};
@@ -89,10 +89,8 @@ pub fn assert_matches_oracle<P: Protocol>(
 }
 
 /// The diameter half of [`assert_matches_oracle`]: a completed, fault-free
-/// all-to-all run on a connected graph lasts at least `D` rounds.  The
-/// estimator's lower bound is the exact `D` up to
-/// [`EXACT_DIAMETER_THRESHOLD`](gossip_graph::metrics::EXACT_DIAMETER_THRESHOLD)
-/// nodes and at most `D` above.
+/// all-to-all run on a connected graph lasts at least the exact weighted
+/// diameter `D` rounds.
 fn assert_all_know_all_takes_the_diameter(
     g: &Graph,
     seeding: Seeding,
@@ -106,12 +104,11 @@ fn assert_all_know_all_takes_the_diameter(
     if !all_know_all {
         return;
     }
-    if let Some(d) = estimate_diameter(g) {
+    if let Some(d) = weighted_diameter(g) {
         assert!(
-            report.rounds >= d.lower,
-            "all-to-all finished in {} rounds, below the diameter {}: {label}",
-            report.rounds,
-            d.lower
+            report.rounds >= d,
+            "all-to-all finished in {} rounds, below the diameter {d}: {label}",
+            report.rounds
         );
     }
 }
@@ -130,7 +127,7 @@ fn assert_causal(g: &Graph, config: &SimConfig, seeding: Seeding, report: &RunRe
     if !seeded {
         return;
     }
-    let dist = dijkstra(g, origin);
+    let dist = dijkstra(g, origin).expect("a seeded rumor's origin is a node of the graph");
     for (v, (&at, &d)) in times.iter().zip(&dist).enumerate() {
         if let Some(at) = at {
             assert!(
@@ -257,6 +254,7 @@ mod tests {
             "push-right on a weighted path",
         );
         let times: Vec<Option<u64>> = dijkstra(&g, source)
+            .unwrap()
             .into_iter()
             .map(|d| Some(d - CAUSAL_SLACK))
             .collect();

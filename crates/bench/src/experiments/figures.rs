@@ -17,10 +17,7 @@ fn log2(n: usize) -> f64 {
 /// F1 — Figure 1: the asymmetric and symmetric guessing-game gadgets, their
 /// sizes, the number of hidden fast cross edges, and their weighted diameters.
 pub fn f1_gadgets(scale: Scale) -> Table {
-    let sizes: Vec<usize> = match scale {
-        Scale::Quick => vec![4, 8],
-        Scale::Full | Scale::Large | Scale::Huge => vec![8, 16, 32, 64],
-    };
+    let sizes: Vec<usize> = scale.pick(vec![4, 8], vec![8, 16, 32, 64]);
     let mut table = Table::new(
         "F1 (Figure 1): guessing-game gadgets G and Gsym",
         &[
@@ -69,14 +66,8 @@ pub fn f1_gadgets(scale: Scale) -> Table {
 /// F8 — Figures 8–9 / Appendix A.1: the ℓ-DTG local broadcast completes in
 /// `O(ℓ·log² n)` rounds with `O(log n)` iterations.
 pub fn f8_dtg(scale: Scale) -> Table {
-    let sizes: Vec<usize> = match scale {
-        Scale::Quick => vec![16, 32],
-        Scale::Full | Scale::Large | Scale::Huge => vec![32, 64, 128, 256],
-    };
-    let ells: Vec<u64> = match scale {
-        Scale::Quick => vec![1, 4],
-        Scale::Full | Scale::Large | Scale::Huge => vec![1, 4, 16],
-    };
+    let sizes: Vec<usize> = scale.pick(vec![16, 32], vec![32, 64, 128, 256]);
+    let ells: Vec<u64> = scale.pick(vec![1, 4], vec![1, 4, 16]);
     let mut table = Table::new(
         "F8 (Appendix A.1): ell-DTG local broadcast rounds vs ell log^2 n",
         &[

@@ -38,10 +38,7 @@ where
 /// E2(a) — Lemma 7: rounds to solve `Guessing(2m, |T| = 1)` as a function of `m`.
 pub fn e2_singleton_game(scale: Scale) -> Table {
     let trials = scale.pick(10, 30);
-    let sizes: Vec<usize> = match scale {
-        Scale::Quick => vec![8, 16, 32],
-        Scale::Full | Scale::Large | Scale::Huge => vec![16, 32, 64, 128, 256, 512],
-    };
+    let sizes: Vec<usize> = scale.pick(vec![8, 16, 32], vec![16, 32, 64, 128, 256, 512]);
     let mut table = Table::new(
         "E2a (Lemma 7): rounds to solve Guessing(2m, |T|=1), average over trials",
         &[
@@ -88,10 +85,7 @@ pub fn e2_singleton_game(scale: Scale) -> Table {
 /// E2(b) — Theorem 9: local broadcast on the gadget+expander network needs
 /// rounds growing with `Δ`, even though the diameter stays `O(log n)`.
 pub fn e2_theorem9_network(scale: Scale) -> Table {
-    let deltas: Vec<usize> = match scale {
-        Scale::Quick => vec![4, 8],
-        Scale::Full | Scale::Large | Scale::Huge => vec![8, 16, 32, 64],
-    };
+    let deltas: Vec<usize> = scale.pick(vec![4, 8], vec![8, 16, 32, 64]);
     let n = scale.pick(48, 256);
     let mut table = Table::new(
         "E2b (Theorem 9): push-pull local broadcast on the Theorem-9 network",
@@ -120,10 +114,10 @@ pub fn e2_theorem9_network(scale: Scale) -> Table {
 pub fn e3_random_game(scale: Scale) -> Table {
     let trials = scale.pick(6, 20);
     let m = scale.pick(32, 128);
-    let ps: Vec<f64> = match scale {
-        Scale::Quick => vec![0.25, 0.1],
-        Scale::Full | Scale::Large | Scale::Huge => vec![0.25, 0.125, 0.0625, 0.03125, 0.015625],
-    };
+    let ps: Vec<f64> = scale.pick(
+        vec![0.25, 0.1],
+        vec![0.25, 0.125, 0.0625, 0.03125, 0.015625],
+    );
     let mut table = Table::new(
         "E3a (Lemma 8): rounds to solve Guessing(2m, Random_p)",
         &[
@@ -169,9 +163,9 @@ pub fn e3_random_game(scale: Scale) -> Table {
 /// guessing-game rounds (Lemma 6).
 pub fn e3_theorem10_network(scale: Scale) -> Table {
     let n = scale.pick(24, 96);
-    let configs: Vec<(f64, u64)> = match scale {
-        Scale::Quick => vec![(0.3, 2), (0.1, 8)],
-        Scale::Full | Scale::Large | Scale::Huge => vec![
+    let configs: Vec<(f64, u64)> = scale.pick(
+        vec![(0.3, 2), (0.1, 8)],
+        vec![
             (0.4, 2),
             (0.2, 2),
             (0.1, 2),
@@ -179,7 +173,7 @@ pub fn e3_theorem10_network(scale: Scale) -> Table {
             (0.05, 16),
             (0.05, 64),
         ],
-    };
+    );
     let mut table = Table::new(
         "E3b (Theorem 10): push-pull local broadcast on G(2n, ell, n^2, Random_phi)",
         &[

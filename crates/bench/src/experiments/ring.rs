@@ -17,14 +17,8 @@ use crate::{Cell, Scale, Table};
 /// the cost grows with `ℓ`; once it crosses `Δ + D` the cost flattens out
 /// (the algorithm is better off hunting for the fast edges).
 pub fn e4_tradeoff(scale: Scale) -> Table {
-    let (layers, layer_size) = match scale {
-        Scale::Quick => (4, 4),
-        Scale::Full | Scale::Large | Scale::Huge => (8, 8),
-    };
-    let ells: Vec<u64> = match scale {
-        Scale::Quick => vec![2, 8, 32],
-        Scale::Full | Scale::Large | Scale::Huge => vec![2, 4, 8, 16, 32, 64, 128, 256],
-    };
+    let (layers, layer_size) = scale.pick((4, 4), (8, 8));
+    let ells: Vec<u64> = scale.pick(vec![2, 8, 32], vec![2, 4, 8, 16, 32, 64, 128, 256]);
     let mut table = Table::new(
         "E4 (Theorem 13): push-pull broadcast on the ring of gadgets, sweeping ell",
         &[
@@ -78,12 +72,10 @@ pub fn e4_tradeoff(scale: Scale) -> Table {
 /// the node count (Lemma 15), the graph conductance matches it up to constants
 /// (Lemma 16), and `D = Θ(layers/2)`.
 pub fn f2_ring_conductance(scale: Scale) -> Table {
-    let configs: Vec<(usize, f64)> = match scale {
-        Scale::Quick => vec![(24, 0.125), (32, 0.25)],
-        Scale::Full | Scale::Large | Scale::Huge => {
-            vec![(48, 0.0625), (64, 0.125), (96, 0.1875), (128, 0.25)]
-        }
-    };
+    let configs: Vec<(usize, f64)> = scale.pick(
+        vec![(24, 0.125), (32, 0.25)],
+        vec![(48, 0.0625), (64, 0.125), (96, 0.1875), (128, 0.25)],
+    );
     let mut table = Table::new(
         "F2 (Lemmas 15-17): structure of the Theorem-13 ring",
         &[

@@ -16,14 +16,8 @@ fn log2(n: usize) -> f64 {
 
 /// The "well connected with planted slow cut" family used by E5 and E8.
 fn slow_cut_family(scale: Scale, rng: &mut SmallRng) -> Vec<(String, Graph)> {
-    let sizes: Vec<usize> = match scale {
-        Scale::Quick => vec![32, 64],
-        Scale::Full | Scale::Large | Scale::Huge => vec![64, 128, 256, 512],
-    };
-    let slows: Vec<u64> = match scale {
-        Scale::Quick => vec![4, 16],
-        Scale::Full | Scale::Large | Scale::Huge => vec![1, 4, 16, 64],
-    };
+    let sizes: Vec<usize> = scale.pick(vec![32, 64], vec![64, 128, 256, 512]);
+    let slows: Vec<u64> = scale.pick(vec![4, 16], vec![1, 4, 16, 64]);
     let mut out = Vec::new();
     for &n in &sizes {
         for &slow in &slows {
@@ -76,10 +70,7 @@ pub fn e5_push_pull(scale: Scale) -> Table {
 /// E6(a) — Lemma 19 / Theorem 20: size, out-degree and stretch of the
 /// directed Baswana–Sen spanner as `n` grows.
 pub fn e6_spanner(scale: Scale) -> Table {
-    let sizes: Vec<usize> = match scale {
-        Scale::Quick => vec![32, 64],
-        Scale::Full | Scale::Large | Scale::Huge => vec![64, 128, 256, 512],
-    };
+    let sizes: Vec<usize> = scale.pick(vec![32, 64], vec![64, 128, 256, 512]);
     let mut rng = SmallRng::seed_from_u64(0xE6);
     let mut table = Table::new(
         "E6a (Lemma 19 / Theorem 20): directed spanner size, out-degree and stretch",
@@ -121,15 +112,15 @@ pub fn e6_spanner(scale: Scale) -> Table {
 /// with and without knowledge of the diameter.
 pub fn e6_spanner_broadcast(scale: Scale) -> Table {
     let mut rng = SmallRng::seed_from_u64(0x6E6);
-    let graphs: Vec<(String, Graph)> = match scale {
-        Scale::Quick => vec![
+    let graphs: Vec<(String, Graph)> = scale.pick(
+        vec![
             ("dumbbell(6, 8)".into(), generators::dumbbell(6, 8).unwrap()),
             (
                 "ring_of_cliques(4, 6, 8)".into(),
                 generators::ring_of_cliques(4, 6, 8).unwrap(),
             ),
         ],
-        Scale::Full | Scale::Large | Scale::Huge => vec![
+        vec![
             (
                 "dumbbell(16, 16)".into(),
                 generators::dumbbell(16, 16).unwrap(),
@@ -147,7 +138,7 @@ pub fn e6_spanner_broadcast(scale: Scale) -> Table {
                 generators::slow_cut_expander(128, 6, 32, &mut rng).unwrap(),
             ),
         ],
-    };
+    );
     let mut table = Table::new(
         "E6b (Lemma 23 / Theorem 25): spanner broadcast rounds vs D log^3 n",
         &[
@@ -183,12 +174,12 @@ pub fn e6_spanner_broadcast(scale: Scale) -> Table {
 
 /// E7 — Lemmas 26–28: pattern broadcast in `O(D·log² n·log D)` rounds.
 pub fn e7_pattern(scale: Scale) -> Table {
-    let graphs: Vec<(String, Graph)> = match scale {
-        Scale::Quick => vec![
+    let graphs: Vec<(String, Graph)> = scale.pick(
+        vec![
             ("cycle(12, lat 2)".into(), generators::cycle(12, 2).unwrap()),
             ("dumbbell(5, 8)".into(), generators::dumbbell(5, 8).unwrap()),
         ],
-        Scale::Full | Scale::Large | Scale::Huge => vec![
+        vec![
             ("cycle(32, lat 2)".into(), generators::cycle(32, 2).unwrap()),
             (
                 "dumbbell(12, 16)".into(),
@@ -203,7 +194,7 @@ pub fn e7_pattern(scale: Scale) -> Table {
                 generators::ring_of_cliques(6, 6, 8).unwrap(),
             ),
         ],
-    };
+    );
     let mut table = Table::new(
         "E7 (Lemmas 26-28): pattern broadcast rounds vs D log^2 n log D",
         &[
@@ -238,15 +229,15 @@ pub fn e7_pattern(scale: Scale) -> Table {
 /// small-diameter / poor-conductance regime (spanner route).
 pub fn e8_unified(scale: Scale) -> Table {
     let mut rng = SmallRng::seed_from_u64(0xE8);
-    let graphs: Vec<(String, Graph)> = match scale {
-        Scale::Quick => vec![
+    let graphs: Vec<(String, Graph)> = scale.pick(
+        vec![
             ("clique(24)".into(), generators::clique(24, 1).unwrap()),
             (
                 "dumbbell(8, 64)".into(),
                 generators::dumbbell(8, 64).unwrap(),
             ),
         ],
-        Scale::Full | Scale::Large | Scale::Huge => vec![
+        vec![
             ("clique(64)".into(), generators::clique(64, 1).unwrap()),
             (
                 "slow_cut_expander(128, 6, 4)".into(),
@@ -271,7 +262,7 @@ pub fn e8_unified(scale: Scale) -> Table {
                     .graph,
             ),
         ],
-    };
+    );
     let mut table = Table::new(
         "E8 (Theorem 31): unified algorithm - push-pull vs the spanner route",
         &[

@@ -33,13 +33,16 @@ pub enum Scale {
     /// Everything in [`Scale::Large`] plus the huge tier opened by the
     /// interval-compressed engine: 65536-node all-to-all stars, a
     /// 131072-node one-to-all star, and a 16384-node Erdős–Rényi broadcast.
-    /// Opt-in (`experiments sweep --huge`); not part of the CI sweep.
+    /// Opt-in (`experiments sweep --huge`): the CI Large sweep leaves it
+    /// out, and CI's thread-scaling smoke runs only its 65536-node star
+    /// cells.
     Huge,
 }
 
 impl Scale {
     /// Picks between the quick and full value ([`Scale::Large`] and
-    /// [`Scale::Huge`] count as full).
+    /// [`Scale::Huge`] count as full).  Both values are built before the
+    /// pick, so neither may depend on the other's side effects.
     pub fn pick<T>(self, quick: T, full: T) -> T {
         match self {
             Scale::Quick => quick,

@@ -29,11 +29,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use gossip_core::{pattern, push_pull, spanner_broadcast, unified};
+use gossip_core::{pattern, run_single_phase, spanner_broadcast, unified};
 use gossip_graph::latency::LatencyScheme;
 use gossip_graph::{generators, Graph, Latency, NodeId};
 use gossip_sim::protocols::{RandomPushPull, RoundRobinFlood};
-use gossip_sim::{ChurnSpec, FaultPlan, FaultReport, RumorId, SimConfig, Simulation, Termination};
+use gossip_sim::{ChurnSpec, FaultPlan, FaultReport, Seeding};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -292,8 +292,8 @@ impl ProtocolKind {
     /// Runs one trial of this protocol on `g` (broadcasts start at node 0)
     /// from the trial seed: the protocol runs on `seed ^ 0x03` and, when the
     /// cell carries a churn spec, the [`FaultPlan`] derives from
-    /// `seed ^ 0x04`.  The single-phase protocols run the engine directly,
-    /// capped at [`push_pull::round_cap`]; a faulted run may legitimately
+    /// `seed ^ 0x04`.  The single-phase protocols run through
+    /// [`run_single_phase`]; a faulted run may legitimately
     /// *not* complete (the source can crash, rumors can strand on dead
     /// nodes).  The heavy protocols run through `gossip_core` on the
     /// diameter bound `d` (`None` computes it on the spot).
@@ -346,26 +346,28 @@ impl ProtocolKind {
             | ProtocolKind::Flooding
             | ProtocolKind::PushPullAllToAll
             | ProtocolKind::FloodingAllToAll => {
-                let mut config = SimConfig::new(protocol_seed).max_rounds(push_pull::round_cap(g));
-                if let Some(spec) = faults {
-                    config = config.faults(FaultPlan::random_churn(g, seed ^ 0x04, spec));
-                }
-                let source = NodeId::new(0);
-                let mut sim = match self {
-                    ProtocolKind::PushPull | ProtocolKind::Flooding => Simulation::broadcast(
-                        g,
-                        config
-                            .termination(Termination::AllKnowRumorOf(source))
-                            .track_rumor(RumorId::of_node(source)),
-                        source,
-                    ),
-                    _ => Simulation::new(g, config.termination(Termination::AllKnowAll)),
+                let plan = faults.map(|spec| FaultPlan::random_churn(g, seed ^ 0x04, spec));
+                let seeding = match self {
+                    ProtocolKind::PushPull | ProtocolKind::Flooding => {
+                        Seeding::Broadcast(NodeId::new(0))
+                    }
+                    _ => Seeding::AllToAll,
                 };
                 let r = match self {
-                    ProtocolKind::PushPull | ProtocolKind::PushPullAllToAll => {
-                        sim.run(&mut RandomPushPull::new(g))
-                    }
-                    _ => sim.run(&mut RoundRobinFlood::new(g)),
+                    ProtocolKind::PushPull | ProtocolKind::PushPullAllToAll => run_single_phase(
+                        g,
+                        seeding,
+                        &mut RandomPushPull::new(g),
+                        protocol_seed,
+                        plan,
+                    ),
+                    _ => run_single_phase(
+                        g,
+                        seeding,
+                        &mut RoundRobinFlood::new(g),
+                        protocol_seed,
+                        plan,
+                    ),
                 };
                 outcome(r.rounds, r.activations, r.completed, r.mem, r.faults)
             }

@@ -116,7 +116,6 @@ impl DtgNode {
 /// `tests/activity_equivalence.rs`).
 #[derive(Debug)]
 pub struct EllDtg {
-    bound: Latency,
     nodes: Vec<DtgNode>,
 }
 
@@ -127,9 +126,10 @@ impl EllDtg {
             .nodes()
             .map(|v| {
                 let fast_neighbors: Vec<NodeId> = g
-                    .neighbors(v)
-                    .filter(|&(_, e)| g.latency(e) <= bound)
-                    .map(|(w, _)| w)
+                    .neighbor_slice(v)
+                    .iter()
+                    .filter(|&&(_, e)| g.latency(e) <= bound)
+                    .map(|&(w, _)| w)
                     .collect();
                 DtgNode {
                     done: fast_neighbors.is_empty(),
@@ -142,20 +142,14 @@ impl EllDtg {
                 }
             })
             .collect();
-        EllDtg { bound, nodes }
+        EllDtg { nodes }
     }
 
     /// The protocol restarted to replay every node's recorded links.
     fn replay(self) -> Self {
         EllDtg {
-            bound: self.bound,
             nodes: self.nodes.into_iter().map(DtgNode::replay).collect(),
         }
-    }
-
-    /// Latency bound ℓ of this invocation.
-    pub fn bound(&self) -> Latency {
-        self.bound
     }
 
     /// Largest number of iterations any node performed (the quantity the
@@ -292,8 +286,9 @@ pub fn run_with_rumors(
 /// every neighbor connected to it by an edge of latency at most `bound`.
 pub fn local_broadcast_achieved(g: &Graph, bound: Latency, rumors: &[RumorSet]) -> bool {
     g.nodes().all(|v| {
-        g.neighbors(v)
-            .all(|(w, e)| g.latency(e) > bound || rumors[v.index()].contains(RumorId::of_node(w)))
+        g.neighbor_slice(v)
+            .iter()
+            .all(|&(w, e)| g.latency(e) > bound || rumors[v.index()].contains(RumorId::of_node(w)))
     })
 }
 

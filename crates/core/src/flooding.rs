@@ -11,41 +11,23 @@
 
 use gossip_graph::{Graph, NodeId};
 use gossip_sim::protocols::RoundRobinFlood;
-use gossip_sim::{RumorId, SimConfig, Simulation, Termination};
+use gossip_sim::Seeding;
 
-use crate::push_pull::round_cap;
-use crate::DisseminationReport;
+use crate::{run_single_phase, DisseminationReport};
 
 /// One-to-all dissemination from `source` by round-robin flooding; only the
-/// source starts with a rumor ([`Simulation::broadcast`]).
+/// source starts with a rumor.
 pub fn broadcast(g: &Graph, source: NodeId, seed: u64) -> DisseminationReport {
-    let config = SimConfig::new(seed)
-        .termination(Termination::AllKnowRumorOf(source))
-        .track_rumor(RumorId::of_node(source))
-        .max_rounds(round_cap(g));
-    let report = Simulation::broadcast(g, config, source).run(&mut RoundRobinFlood::new(g));
-    DisseminationReport::single(
-        "flooding",
-        report.rounds,
-        report.activations,
-        report.completed,
-    )
-    .with_mem(report.mem)
+    let seeding = Seeding::Broadcast(source);
+    let r = run_single_phase(g, seeding, &mut RoundRobinFlood::new(g), seed, None);
+    DisseminationReport::from_run("flooding", r)
 }
 
 /// All-to-all dissemination by round-robin flooding.
 pub fn all_to_all(g: &Graph, seed: u64) -> DisseminationReport {
-    let config = SimConfig::new(seed)
-        .termination(Termination::AllKnowAll)
-        .max_rounds(round_cap(g));
-    let report = Simulation::new(g, config).run(&mut RoundRobinFlood::new(g));
-    DisseminationReport::single(
-        "flooding (all-to-all)",
-        report.rounds,
-        report.activations,
-        report.completed,
-    )
-    .with_mem(report.mem)
+    let seeding = Seeding::AllToAll;
+    let r = run_single_phase(g, seeding, &mut RoundRobinFlood::new(g), seed, None);
+    DisseminationReport::from_run("flooding (all-to-all)", r)
 }
 
 #[cfg(test)]

@@ -50,6 +50,11 @@ pub mod unified;
 
 pub use report::{DisseminationReport, Phase};
 
+use gossip_graph::Graph;
+use gossip_sim::{
+    FaultPlan, Protocol, RumorId, RunReport, Seeding, SimConfig, Simulation, Termination,
+};
+
 /// The "known D" the phase drivers consume:
 /// [`gossip_graph::metrics::diameter_upper_bound`] (the exact `D` up to 1024
 /// nodes, a constant-sweep bound in `[D, 2D]` above), falling back to the
@@ -63,6 +68,51 @@ pub use report::{DisseminationReport, Phase};
 /// topology) compute it once.
 pub fn diameter_bound(g: &gossip_graph::Graph) -> gossip_graph::Latency {
     gossip_graph::metrics::diameter_upper_bound(g).unwrap_or_else(|| g.max_latency().max(1))
+}
+
+/// Runs `protocol` once on `g` from `seeding`, with `seed` and an optional
+/// fault plan: the one run setup every single-phase entry point
+/// ([`push_pull`], [`flooding`]) and the sweep share.
+///
+/// A one-to-all run ([`Seeding::Broadcast`]) ends once every alive node
+/// knows the source's rumor and tracks that rumor's spread; an all-to-all
+/// run ends once every alive node knows every rumor.  Either run is capped
+/// at `4n` rounds per unit of maximum latency, at least 10 000, and reports
+/// `completed == false` if it hits the cap.
+///
+/// # Panics
+///
+/// Panics if a broadcast source is not a node of `g`.
+pub fn run_single_phase<P: Protocol>(
+    g: &Graph,
+    seeding: Seeding,
+    protocol: &mut P,
+    seed: u64,
+    faults: Option<FaultPlan>,
+) -> RunReport {
+    let mut config = SimConfig::new(seed).max_rounds(round_cap(g));
+    if let Some(plan) = faults {
+        config = config.faults(plan);
+    }
+    let mut sim = match seeding {
+        Seeding::AllToAll => Simulation::new(g, config.termination(Termination::AllKnowAll)),
+        Seeding::Broadcast(source) => Simulation::broadcast(
+            g,
+            config
+                .termination(Termination::AllKnowRumorOf(source))
+                .track_rumor(RumorId::of_node(source)),
+            source,
+        ),
+    };
+    sim.run(protocol)
+}
+
+/// The round cap of [`run_single_phase`].
+pub(crate) fn round_cap(g: &Graph) -> u64 {
+    (g.node_count() as u64)
+        .saturating_mul(g.max_latency().max(1))
+        .saturating_mul(4)
+        .max(10_000)
 }
 
 /// One guess of [`guess_and_double`]: the label the guess's Termination_Check

@@ -11,59 +11,34 @@
 
 use gossip_graph::{Graph, NodeId};
 use gossip_sim::protocols::RandomPushPull;
-use gossip_sim::{RumorId, SimConfig, Simulation, Termination};
+use gossip_sim::Seeding;
 
-use crate::DisseminationReport;
+use crate::{run_single_phase, DisseminationReport};
 
 /// One-to-all dissemination from `source` using push–pull.
 ///
-/// Only the source starts with a rumor
-/// ([`Simulation::broadcast`]).  Runs until every node knows it (or an internal round cap
-/// proportional to `n · ℓ_max` is hit, in which case `completed` is `false`).
+/// Only the source starts with a rumor.  Runs until every node knows it (or
+/// [`run_single_phase`]'s round cap is hit, in which case `completed` is
+/// `false`).
 pub fn broadcast(g: &Graph, source: NodeId, seed: u64) -> DisseminationReport {
-    let config = SimConfig::new(seed)
-        .termination(Termination::AllKnowRumorOf(source))
-        .track_rumor(RumorId::of_node(source))
-        .max_rounds(round_cap(g));
-    let report = Simulation::broadcast(g, config, source).run(&mut RandomPushPull::new(g));
-    DisseminationReport::single(
-        "push-pull",
-        report.rounds,
-        report.activations,
-        report.completed,
-    )
-    .with_mem(report.mem)
+    let seeding = Seeding::Broadcast(source);
+    let r = run_single_phase(g, seeding, &mut RandomPushPull::new(g), seed, None);
+    DisseminationReport::from_run("push-pull", r)
 }
 
 /// All-to-all dissemination using push–pull: every node starts with its own
 /// rumor and the run ends when every node knows every rumor.
 pub fn all_to_all(g: &Graph, seed: u64) -> DisseminationReport {
-    let config = SimConfig::new(seed)
-        .termination(Termination::AllKnowAll)
-        .max_rounds(round_cap(g));
-    let report = Simulation::new(g, config).run(&mut RandomPushPull::new(g));
-    DisseminationReport::single(
-        "push-pull (all-to-all)",
-        report.rounds,
-        report.activations,
-        report.completed,
-    )
-    .with_mem(report.mem)
-}
-
-/// The generous round cap of the single-phase protocol runs: `4n` rounds
-/// per unit of maximum latency, at least 10 000.
-pub fn round_cap(g: &Graph) -> u64 {
-    (g.node_count() as u64)
-        .saturating_mul(g.max_latency().max(1))
-        .saturating_mul(4)
-        .max(10_000)
+    let seeding = Seeding::AllToAll;
+    let r = run_single_phase(g, seeding, &mut RandomPushPull::new(g), seed, None);
+    DisseminationReport::from_run("push-pull (all-to-all)", r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gossip_graph::generators;
+    use gossip_sim::{SimConfig, Simulation, Termination};
 
     #[test]
     fn broadcast_on_clique_is_logarithmic() {
@@ -107,7 +82,7 @@ mod tests {
         // Local broadcast over fast edges only never needs to use the slow bridge.
         let config = SimConfig::new(2)
             .termination(Termination::LocalBroadcast(1))
-            .max_rounds(round_cap(&g));
+            .max_rounds(crate::round_cap(&g));
         let r = Simulation::new(&g, config).run(&mut RandomPushPull::new(&g));
         assert!(r.completed);
         assert!(r.rounds < 500);

@@ -79,10 +79,13 @@ impl DisseminationReport {
         }
     }
 
-    /// Attaches the engine's deterministic memory counters (builder style).
-    pub fn with_mem(mut self, mem: Option<gossip_sim::MemStats>) -> Self {
-        self.mem = mem;
-        self
+    /// Builds the single-phase report of one engine run, with the run's
+    /// deterministic memory counters.
+    pub fn from_run(algorithm: impl Into<String>, run: gossip_sim::RunReport) -> Self {
+        DisseminationReport {
+            mem: run.mem,
+            ..Self::single(algorithm, run.rounds, run.activations, run.completed)
+        }
     }
 
     /// Rounds spent in the named phase (0 if the phase does not exist).

@@ -156,7 +156,7 @@ pub fn baswana_sen(g: &Graph, k: usize, seed: u64) -> DirectedSpanner {
             let vid = NodeId::new(v);
             // Best (least-weight) alive edge towards each adjacent cluster.
             best.clear();
-            for (w, e) in g.neighbors(vid) {
+            for &(w, e) in g.neighbor_slice(vid) {
                 if !alive[e.index()] {
                     continue;
                 }
@@ -185,7 +185,7 @@ pub fn baswana_sen(g: &Graph, k: usize, seed: u64) -> DirectedSpanner {
                     for &c in &best.touched {
                         spanner.add_oriented(g, vid, best.entry[c].1);
                     }
-                    for (w, e) in g.neighbors(vid) {
+                    for &(w, e) in g.neighbor_slice(vid) {
                         if alive[e.index()] && clustering[w.index()].is_some() {
                             alive[e.index()] = false;
                         }
@@ -202,7 +202,7 @@ pub fn baswana_sen(g: &Graph, k: usize, seed: u64) -> DirectedSpanner {
                             spanner.add_oriented(g, vid, e);
                         }
                     }
-                    for (nbr, e) in g.neighbors(vid) {
+                    for &(nbr, e) in g.neighbor_slice(vid) {
                         if !alive[e.index()] {
                             continue;
                         }
@@ -239,7 +239,7 @@ pub fn baswana_sen(g: &Graph, k: usize, seed: u64) -> DirectedSpanner {
     for v in 0..n {
         let vid = NodeId::new(v);
         best.clear();
-        for (w, e) in g.neighbors(vid) {
+        for &(w, e) in g.neighbor_slice(vid) {
             if !alive[e.index()] {
                 continue;
             }
@@ -263,9 +263,13 @@ pub fn baswana_sen(g: &Graph, k: usize, seed: u64) -> DirectedSpanner {
 /// giving `O(log n)` stretch, `O(n log n)` edges and `O(log n)` out-degree
 /// with high probability (Lemma 19 / Theorem 20).
 pub fn log_spanner(g: &Graph, seed: u64) -> DirectedSpanner {
-    let n = g.node_count().max(2);
-    let k = (usize::BITS - (n - 1).leading_zeros()) as usize;
-    baswana_sen(g, k.max(1), seed)
+    baswana_sen(g, ceil_log2(g.node_count()) as usize, seed)
+}
+
+/// `⌈log₂ n⌉`, at least 1: the `k` of [`log_spanner`], and the number of
+/// `D`-DTG repetitions Spanner Broadcast charges for discovery.
+pub(crate) fn ceil_log2(n: usize) -> u64 {
+    u64::from(usize::BITS - (n.max(2) - 1).leading_zeros())
 }
 
 /// Expected stretch bound `2k − 1` for a given `k`.

@@ -22,11 +22,6 @@ use gossip_sim::{RumorSet, Seeding};
 
 use crate::{dtg, rr_broadcast, spanner, DisseminationReport, Phase};
 
-fn ceil_log2(n: usize) -> u64 {
-    let n = n.max(2) as u64;
-    64 - (n - 1).leading_zeros() as u64
-}
-
 /// Runs Spanner Broadcast with a known diameter `d` (Algorithm 2 / Lemma 23).
 ///
 /// "Known D" is usually [`crate::diameter_bound`]`(g)`, the diameter-bound
@@ -70,7 +65,7 @@ pub fn run_with_guess(
     rumors: Vec<RumorSet>,
 ) -> (DisseminationReport, Vec<RumorSet>) {
     let filtered = g.latency_filtered(k);
-    let log_n = ceil_log2(g.node_count());
+    let log_n = spanner::ceil_log2(g.node_count());
 
     // Phase 1: neighborhood discovery = O(log n) repetitions of k-DTG on G_k.
     let (dtg_report, rumors, _) = dtg::run_with_rumors(&filtered, k, seed, rumors, false);

@@ -207,22 +207,8 @@ impl Graph {
         self.nodes().map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
-    /// Iterator over `(neighbor, edge-id)` pairs incident to `v`, in
-    /// deterministic (neighbor-id) order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not a valid node id of this graph.
-    #[inline]
-    pub fn neighbors(&self, v: NodeId) -> NeighborIter<'_> {
-        NeighborIter {
-            inner: self.neighbor_slice(v).iter(),
-        }
-    }
-
     /// The incident `(neighbor, edge)` pairs of `v` as a slice, in
-    /// deterministic (neighbor-id) order.  Equivalent to collecting
-    /// [`neighbors`](Self::neighbors) but without allocation.
+    /// deterministic (neighbor-id) order.
     ///
     /// # Panics
     ///
@@ -319,29 +305,6 @@ impl Graph {
     }
 }
 
-/// Iterator over the `(neighbor, edge)` pairs incident to a node.
-///
-/// Produced by [`Graph::neighbors`].
-#[derive(Debug, Clone)]
-pub struct NeighborIter<'a> {
-    inner: std::slice::Iter<'a, (NodeId, EdgeId)>,
-}
-
-impl Iterator for NeighborIter<'_> {
-    type Item = (NodeId, EdgeId);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next().copied()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-impl ExactSizeIterator for NeighborIter<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,9 +332,12 @@ mod tests {
         assert_eq!(g.degree(NodeId::new(0)), 1);
         assert_eq!(g.degree(NodeId::new(1)), 2);
         assert_eq!(g.max_degree(), 2);
-        let nbrs: Vec<NodeId> = g.neighbors(NodeId::new(1)).map(|(v, _)| v).collect();
+        let nbrs: Vec<NodeId> = g
+            .neighbor_slice(NodeId::new(1))
+            .iter()
+            .map(|&(v, _)| v)
+            .collect();
         assert_eq!(nbrs, vec![NodeId::new(0), NodeId::new(2)]);
-        assert_eq!(g.neighbors(NodeId::new(1)).len(), 2);
     }
 
     #[test]

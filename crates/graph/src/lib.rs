@@ -62,5 +62,5 @@ pub mod spanner;
 pub use alive::AliveView;
 pub use builder::GraphBuilder;
 pub use error::GraphError;
-pub use graph::{EdgeRecord, Graph, NeighborIter};
+pub use graph::{EdgeRecord, Graph};
 pub use ids::{EdgeId, Latency, NodeId};

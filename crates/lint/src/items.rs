@@ -10,6 +10,7 @@
 //! robust against closures, match arms, and struct literals.
 
 use crate::lexer::{Lexed, TokKind, Token};
+use crate::rules::{scan_attribute, skip_braces};
 
 /// One indexed `fn` item.
 #[derive(Debug, Clone)]
@@ -87,7 +88,8 @@ enum Scope {
 /// Indexes one file's `fn` items and attaches its contract annotations.
 ///
 /// `test_mask` must cover `lexed.tokens` (see
-/// [`test_regions`](crate::rules::test_regions)); `module` is the file's
+/// [`FileInput::test_mask`](crate::rules::FileInput::test_mask)); `module`
+/// is the file's
 /// diagnostic module path.
 pub fn index_file(
     file: usize,
@@ -122,7 +124,7 @@ pub fn index_file(
                 if attr_start.is_none() {
                     attr_start = Some(i);
                 }
-                i = skip_attribute(tokens, i);
+                i = scan_attribute(tokens, i).0;
             }
             (TokKind::Ident, "macro_rules") => {
                 // `macro_rules! name { ... }` bodies contain token soup
@@ -421,40 +423,6 @@ fn impl_header(tokens: &[Token], impl_idx: usize) -> Option<(String, usize)> {
         j += 1;
     }
     None
-}
-
-/// Returns the index just past an attribute starting at `#`.
-fn skip_attribute(tokens: &[Token], at: usize) -> usize {
-    let mut j = at + 2;
-    let mut depth = 1i32;
-    while j < tokens.len() && depth > 0 {
-        match tokens[j].text.as_str() {
-            "[" => depth += 1,
-            "]" => depth -= 1,
-            _ => {}
-        }
-        j += 1;
-    }
-    j
-}
-
-/// Returns the index just past the brace block opening at `open` (which
-/// must point at `{`); token-balanced.
-fn skip_braces(tokens: &[Token], open: usize) -> usize {
-    if tokens.get(open).is_none_or(|t| t.text != "{") {
-        return open + 1;
-    }
-    let mut depth = 1i32;
-    let mut j = open + 1;
-    while j < tokens.len() && depth > 0 {
-        match tokens[j].text.as_str() {
-            "{" => depth += 1,
-            "}" => depth -= 1,
-            _ => {}
-        }
-        j += 1;
-    }
-    j
 }
 
 /// Finds the index of the opening delimiter matching the closing one at

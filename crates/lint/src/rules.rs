@@ -80,7 +80,7 @@ pub(crate) const MUTATING_METHODS: &[&str] = &[
     "sort_by",
     "sort_unstable",
     "set",
-    "insert_run",
+    "union_run",
     "insert_delta",
     "union_words",
     "add_difference",
@@ -163,7 +163,7 @@ pub fn test_regions(tokens: &[Token]) -> (Vec<bool>, Vec<String>) {
 /// Scans one `#[...]` attribute starting at the `#`; returns the index just
 /// past the closing `]` and whether the attribute gates the item to tests
 /// (`#[test]`, `#[cfg(test)]`, `#[cfg(any(test, ...))]`).
-fn scan_attribute(tokens: &[Token], at: usize) -> (usize, bool) {
+pub(crate) fn scan_attribute(tokens: &[Token], at: usize) -> (usize, bool) {
     let mut j = at + 2; // past `#[`
     let first = tokens.get(j).map(|t| t.text.as_str()).unwrap_or("");
     let mut depth = 1i32;
@@ -190,25 +190,32 @@ fn item_end(tokens: &[Token], from: usize) -> usize {
         match tokens[j].text.as_str() {
             "(" | "[" => depth += 1,
             ")" | "]" => depth -= 1,
-            "{" => {
-                let mut braces = 1i32;
-                j += 1;
-                while j < tokens.len() && braces > 0 {
-                    match tokens[j].text.as_str() {
-                        "{" => braces += 1,
-                        "}" => braces -= 1,
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                return j.saturating_sub(1);
-            }
+            "{" => return skip_braces(tokens, j).saturating_sub(1),
             ";" if depth <= 0 => return j,
             _ => {}
         }
         j += 1;
     }
     tokens.len().saturating_sub(1)
+}
+
+/// Returns the index just past the brace block opening at `open`, token
+/// balanced; `open + 1` when `open` is not a `{`.
+pub(crate) fn skip_braces(tokens: &[Token], open: usize) -> usize {
+    if tokens.get(open).is_none_or(|t| t.text != "{") {
+        return open + 1;
+    }
+    let mut depth = 1i32;
+    let mut j = open + 1;
+    while j < tokens.len() && depth > 0 {
+        match tokens[j].text.as_str() {
+            "{" => depth += 1,
+            "}" => depth -= 1,
+            _ => {}
+        }
+        j += 1;
+    }
+    j
 }
 
 /// Marks every token inside a `use ...;` item (imports of `HashMap` are not
@@ -338,9 +345,10 @@ pub struct FileInput<'a> {
     pub module: &'a str,
     /// The lexed file.
     pub lexed: &'a Lexed,
+    /// One flag per token of `lexed`: the [`test_regions`] mask, or all
     /// `true` when the whole file is test code (integration test, bench,
     /// example, or a `#[cfg(test)] mod foo;` file module).
-    pub whole_file_test: bool,
+    pub test_mask: &'a [bool],
     /// `true` when the file is a crate root (`src/lib.rs`, `src/main.rs`,
     /// `src/bin/*.rs`) and must carry `#![forbid(unsafe_code)]`.
     pub crate_root: bool,
@@ -360,22 +368,18 @@ pub struct FileAnalysis {
 /// file's pragmas — a `panic-path` pragma must be able to suppress a
 /// finding produced by the workspace-level call-graph walk.
 pub fn file_findings(input: &FileInput<'_>) -> Vec<Finding> {
-    let tokens = &input.lexed.tokens;
-    let (mut test_mask, _) = test_regions(tokens);
-    if input.whole_file_test {
-        test_mask.iter_mut().for_each(|b| *b = true);
-    }
+    let (tokens, test_mask) = (&input.lexed.tokens, input.test_mask);
 
     let mut raw: Vec<Finding> = Vec::new();
     let mut push = |rule: &'static str, line: u32, message: String| {
         raw.push(Finding::new(rule, input.path, line, input.module, message));
     };
 
-    rule_unordered_iter(tokens, &test_mask, &mut push);
-    rule_wall_clock(tokens, &test_mask, &mut push);
-    rule_ambient_rng(tokens, &test_mask, &mut push);
-    rule_par_order(tokens, &test_mask, &mut push);
-    rule_debug_assert(tokens, &test_mask, &mut push);
+    rule_unordered_iter(tokens, test_mask, &mut push);
+    rule_wall_clock(tokens, test_mask, &mut push);
+    rule_ambient_rng(tokens, test_mask, &mut push);
+    rule_par_order(tokens, test_mask, &mut push);
+    rule_debug_assert(tokens, test_mask, &mut push);
     if input.crate_root {
         rule_forbid_unsafe(tokens, &mut push);
     }
@@ -794,11 +798,15 @@ pub fn analyze_source(
     crate_root: bool,
 ) -> FileAnalysis {
     let lexed = crate::lexer::lex(content);
+    let (mut mask, _) = test_regions(&lexed.tokens);
+    if whole_file_test {
+        mask.fill(true);
+    }
     let input = FileInput {
         path,
         module,
         lexed: &lexed,
-        whole_file_test,
+        test_mask: &mask,
         crate_root,
     };
     analyze_file(&input)

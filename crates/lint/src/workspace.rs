@@ -200,18 +200,21 @@ struct FileCtx {
 /// Runs the per-file rules *and* the workspace audit rules over an
 /// in-memory source set.
 pub fn analyze_sources_with(files: &[SourceFile], config: &AuditConfig) -> Report {
-    // Stage one: lex everything, collect `#[cfg(test)] mod name;` modules.
+    // Stage one: lex everything, mark test regions, collect
+    // `#[cfg(test)] mod name;` modules.
     let mut lexed: Vec<Lexed> = Vec::new();
+    let mut masks: Vec<Vec<bool>> = Vec::new();
     let mut test_files: BTreeSet<PathBuf> = BTreeSet::new();
     for file in files {
         let lx = lex(&file.content);
-        let (_, test_mods) = test_regions(&lx.tokens);
+        let (mask, test_mods) = test_regions(&lx.tokens);
         for name in &test_mods {
             for candidate in test_mod_candidates(Path::new(&file.rel), name) {
                 test_files.insert(candidate);
             }
         }
         lexed.push(lx);
+        masks.push(mask);
     }
 
     // Stage two: classify, run the per-file rules, index items.
@@ -225,20 +228,20 @@ pub fn analyze_sources_with(files: &[SourceFile], config: &AuditConfig) -> Repor
             whole_file_test: is_test_path(rel) || test_files.contains(rel),
             crate_root: is_crate_root(rel),
         };
+        if ctx.whole_file_test {
+            masks[fi].fill(true);
+        }
+        let test_mask = &masks[fi];
         let input = FileInput {
             path: &file.rel,
             module: &ctx.module,
             lexed: lx,
-            whole_file_test: ctx.whole_file_test,
+            test_mask,
             crate_root: ctx.crate_root,
         };
         raw.extend(file_findings(&input));
 
-        let (mut test_mask, _) = test_regions(&lx.tokens);
-        if ctx.whole_file_test {
-            test_mask.iter_mut().for_each(|b| *b = true);
-        }
-        let (file_items, contract_issues) = index_file(fi, &ctx.module, lx, &test_mask);
+        let (file_items, contract_issues) = index_file(fi, &ctx.module, lx, test_mask);
         for issue in contract_issues {
             raw.push(Finding::new(
                 "contract",
@@ -258,7 +261,7 @@ pub fn analyze_sources_with(files: &[SourceFile], config: &AuditConfig) -> Repor
             .iter()
             .any(|p| file.rel.starts_with(p.as_str()))
         {
-            for site in effects::shared_state_sites(&lx.tokens, &test_mask) {
+            for site in effects::shared_state_sites(&lx.tokens, test_mask) {
                 raw.push(Finding::new(
                     "shared-state",
                     &file.rel,
@@ -306,7 +309,7 @@ pub fn analyze_sources_with(files: &[SourceFile], config: &AuditConfig) -> Repor
             path: &file.rel,
             module: &ctx.module,
             lexed: lx,
-            whole_file_test: ctx.whole_file_test,
+            test_mask: &masks[fi],
             crate_root: ctx.crate_root,
         };
         let outcome = apply_pragmas(&input, by_file.remove(&fi).unwrap_or_default());

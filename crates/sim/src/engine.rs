@@ -541,25 +541,14 @@ struct Flight {
     lost: bool,
 }
 
-/// Scheduler-side view of one node, maintained by the engine (the protocol's
-/// [`Activity`] answers drive the transitions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NodeState {
-    /// In the active worklist; consulted every round.
-    Active,
-    /// Out of the worklist; re-activated by the next wake event.
-    Idle,
-    /// Retired permanently; never consulted or woken again.
-    Quiescent,
-}
-
-/// The event-driven scheduler: a per-node [`NodeState`], the sorted worklist
-/// of active nodes (ascending node order keeps protocol calls — and
+/// The event-driven scheduler: each node's last [`Activity`] answer (a node
+/// is in the worklist exactly while it is [`Activity::Active`]), the sorted
+/// worklist of active nodes (ascending node order keeps protocol calls — and
 /// therefore RNG draws — in exactly the order of an all-nodes sweep), and
 /// the buffer wake events accumulate in before being merged back into the
 /// worklist.
 struct Scheduler {
-    state: Vec<NodeState>,
+    state: Vec<Activity>,
     worklist: Vec<u32>,
     woken: Vec<u32>,
     /// Scratch the next worklist is built in, then swapped with `worklist`.
@@ -573,7 +562,7 @@ struct Scheduler {
 impl Scheduler {
     fn new(n: usize) -> Self {
         Scheduler {
-            state: vec![NodeState::Active; n],
+            state: vec![Activity::Active; n],
             worklist: (0..n as u32).collect(),
             woken: Vec::new(),
             spare: Vec::new(),
@@ -582,16 +571,16 @@ impl Scheduler {
     }
 
     /// An ordinary wake event: re-activates node `i` if it is
-    /// [`NodeState::Idle`].
+    /// [`Activity::IdleUntilWoken`].
     fn wake(&mut self, i: usize) {
-        self.wake_where(i, |s| s == NodeState::Idle);
+        self.wake_where(i, |s| s == Activity::IdleUntilWoken);
     }
 
     /// A fault wake event: unlike ordinary wake events, it re-activates even
-    /// [`NodeState::Quiescent`] nodes — see [`Activity::Quiescent`], whose
-    /// retirement promise excludes topology changes.
+    /// [`Activity::Quiescent`] nodes, whose retirement promise excludes
+    /// topology changes.
     fn force_wake(&mut self, i: usize) {
-        self.wake_where(i, |s| s != NodeState::Active);
+        self.wake_where(i, |s| s != Activity::Active);
     }
 
     /// Force-wakes every alive node among `nodes`: a fault changed the
@@ -607,9 +596,9 @@ impl Scheduler {
     /// Re-activates node `i` if its state satisfies `wakes`.  Re-waking an
     /// already-woken node is a no-op: it is `Active` and queued.
     // gossip-lint: allow(panic-path): state is sized n at construction; node ids are dense
-    fn wake_where(&mut self, i: usize, wakes: impl Fn(NodeState) -> bool) {
+    fn wake_where(&mut self, i: usize, wakes: impl Fn(Activity) -> bool) {
         if wakes(self.state[i]) {
-            self.state[i] = NodeState::Active;
+            self.state[i] = Activity::Active;
             self.woken.push(i as u32);
         }
     }
@@ -1410,8 +1399,8 @@ impl<'a> RoundState<'a> {
                     faults.tally.crashes += 1;
                     self.cancel_flights(&mut faults, |fl| fl.initiator == v || fl.responder == v);
                     self.progress.crash_node(v);
-                    self.sched.state[v.index()] = NodeState::Quiescent;
-                    let neighbors = self.graph.neighbors(v).map(|(w, _)| w);
+                    self.sched.state[v.index()] = Activity::Quiescent;
+                    let neighbors = self.graph.neighbor_slice(v).iter().map(|&(w, _)| w);
                     self.sched.wake_survivors(&faults.alive, neighbors);
                 }
                 FaultEvent::Rejoin(v) => {
@@ -1426,7 +1415,7 @@ impl<'a> RoundState<'a> {
                         self.config.termination,
                         faults.seeding,
                     );
-                    let neighbors = self.graph.neighbors(v).map(|(w, _)| w);
+                    let neighbors = self.graph.neighbor_slice(v).iter().map(|&(w, _)| w);
                     self.sched
                         .wake_survivors(&faults.alive, std::iter::once(v).chain(neighbors));
                 }
@@ -1596,10 +1585,10 @@ impl<'a> RoundState<'a> {
                 // already `Quiescent`; a rejoin force-wake re-admits it).
                 Decide::Dead => continue,
                 Decide::Silent(activity) => {
-                    match activity {
-                        Activity::Active => self.sched.spare.push(u),
-                        Activity::IdleUntilWoken => self.sched.state[i] = NodeState::Idle,
-                        Activity::Quiescent => self.sched.state[i] = NodeState::Quiescent,
+                    if activity == Activity::Active {
+                        self.sched.spare.push(u);
+                    } else {
+                        self.sched.state[i] = activity;
                     }
                     continue;
                 }

@@ -164,10 +164,10 @@ impl FaultPlan {
     }
 
     fn push(mut self, round: u64, event: FaultEvent) -> Self {
-        self.events.push((round, event));
-        // Stable: same-round events keep their insertion order, which is the
-        // order both engines apply them in.
-        self.events.sort_by_key(|&(r, _)| r);
+        // After every event of the same round: same-round events keep their
+        // insertion order, which is the order both engines apply them in.
+        let at = self.events.partition_point(|&(r, _)| r <= round);
+        self.events.insert(at, (round, event));
         self
     }
 }
@@ -285,6 +285,29 @@ mod tests {
             .events()
             .iter()
             .all(|&(r, ref e)| matches!(e, FaultEvent::Rejoin(_)) || (1..=10).contains(&r)));
+
+        // The churn-broadcast benchmark's spec on a 1024-node Erdős–Rényi
+        // graph: hundreds of events, inserted out of round order.
+        let g = generators::erdos_renyi(1024, 0.016, 1, &mut SmallRng::seed_from_u64(5)).unwrap();
+        let spec = ChurnSpec {
+            crash_permille: 100,
+            rejoin_after: Some(6),
+            cut_permille: 20,
+            window: (1, 12),
+            ..spec
+        };
+        let plan = FaultPlan::random_churn(&g, 42, &spec);
+        let events = plan.events();
+        assert!(events.windows(2).all(|w| w[0].0 <= w[1].0), "by round");
+        let mut rejoins = 0;
+        for &(r, e) in events {
+            if let FaultEvent::Rejoin(v) = e {
+                let crash = events.iter().find(|&&(_, c)| c == FaultEvent::Crash(v));
+                assert_eq!(crash.map(|&(c, _)| c + 6), Some(r), "{v:?}");
+                rejoins += 1;
+            }
+        }
+        assert_eq!(rejoins, 102, "100 permille of 1024 nodes");
     }
 
     #[test]

@@ -468,7 +468,7 @@ impl<'g> OracleSimulation<'g> {
                 .all(|v| !node_alive(v) || self.counts[v.index()] == self.universe),
             Termination::LocalBroadcast(bound) => self.graph.nodes().all(|v| {
                 !node_alive(v)
-                    || self.graph.neighbors(v).all(|(w, e)| {
+                    || self.graph.neighbor_slice(v).iter().all(|&(w, e)| {
                         self.graph.latency(e) > bound
                             || !node_alive(w)
                             || !edge_alive(e)

@@ -543,8 +543,7 @@ impl RumorSet {
         }
     }
 
-    /// Inserts the `len` consecutive rumors `first, …, first+len-1` and
-    /// returns how many were new.
+    /// Inserts the rumors `lo..lo+len` and returns how many were new.
     ///
     /// One run of consecutive rumor ids is unioned in `O(len/64)` time, and
     /// a run covering a whole absent page materialises the full sentinel
@@ -554,12 +553,6 @@ impl RumorSet {
     /// # Panics
     ///
     /// Panics if the run extends past the universe.
-    fn insert_run(&mut self, first: RumorId, len: u32) -> u32 {
-        self.union_run(first.index(), len)
-    }
-
-    /// Inserts the rumors `lo..lo+len` and returns how many were new.
-    /// Shared by [`insert`](Self::insert) and [`insert_run`](Self::insert_run).
     // gossip-lint: allow(panic-path): run bounds are asserted against the universe on entry
     fn union_run(&mut self, lo: usize, len: u32) -> u32 {
         let hi = lo + len as usize;
@@ -700,7 +693,7 @@ impl RumorSet {
         match delta {
             Delta::Runs(runs) => runs
                 .iter()
-                .map(|&(first, len)| self.insert_run(first, len))
+                .map(|&(first, len)| self.union_run(first.index(), len))
                 .sum(),
             Delta::Words(word_lo, words) => self.union_words(word_lo, words),
         }
@@ -1366,7 +1359,7 @@ mod tests {
         let before = a.clone();
         let mut b = a.clone();
 
-        assert_eq!(a.insert_run(RumorId(60), 80), 78, "70 and 128 were held");
+        assert_eq!(a.union_run(60, 80), 78, "70 and 128 were held");
         for i in 60..140u32 {
             b.insert(RumorId(i));
         }
@@ -1378,7 +1371,7 @@ mod tests {
         );
 
         // Zero-length runs are a no-op.
-        assert_eq!(a.insert_run(RumorId(0), 0), 0);
+        assert_eq!(a.union_run(0, 0), 0);
         assert_eq!(a, b);
     }
 
@@ -1389,7 +1382,7 @@ mod tests {
         let before = a.clone();
         let mut b = a.clone();
         // Spans pages 0..=3 (the last one partial).
-        let added = a.insert_run(RumorId(100), (3 * PAGE_BITS + 100 - 100 - 7) as u32);
+        let added = a.union_run(100, (3 * PAGE_BITS + 100 - 100 - 7) as u32);
         let mut naive = vec![false; 3 * PAGE_BITS + 100];
         naive[5000] = true;
         for (i, slot) in naive
@@ -1420,10 +1413,10 @@ mod tests {
     #[test]
     fn full_page_runs_do_not_allocate() {
         let mut s = RumorSet::empty(2 * PAGE_BITS);
-        assert_eq!(s.insert_run(RumorId(0), PAGE_BITS as u32), PAGE_BITS as u32);
+        assert_eq!(s.union_run(0, PAGE_BITS as u32), PAGE_BITS as u32);
         assert_eq!(s.live_pages(), 0, "a whole-page run is a sentinel page");
         assert_eq!(s.len(), PAGE_BITS);
-        s.insert_run(RumorId(PAGE_BITS as u32), PAGE_BITS as u32);
+        s.union_run(PAGE_BITS, PAGE_BITS as u32);
         assert!(s.is_full());
         assert_eq!(s.live_pages(), 0, "full sets collapse to zero pages");
     }
@@ -1438,7 +1431,7 @@ mod tests {
             by_bits.insert(RumorId::from(i));
         }
         let mut by_run = RumorSet::empty(n);
-        by_run.insert_run(RumorId(0), n as u32);
+        by_run.union_run(0, n as u32);
         assert_eq!(by_bits, by_run);
         assert!(by_bits.is_full());
         assert_eq!(by_bits.live_pages(), 0);
@@ -1448,7 +1441,7 @@ mod tests {
             partial_bits.insert(RumorId::from(i));
         }
         let mut partial_run = RumorSet::empty(n);
-        partial_run.insert_run(RumorId(0), PAGE_BITS as u32);
+        partial_run.union_run(0, PAGE_BITS as u32);
         assert_eq!(partial_bits, partial_run, "full page == sentinel page");
     }
 
@@ -1456,7 +1449,7 @@ mod tests {
     #[should_panic(expected = "outside universe")]
     fn insert_run_past_universe_panics() {
         let mut s = RumorSet::empty(10);
-        s.insert_run(RumorId(8), 3);
+        s.union_run(8, 3);
     }
 
     #[test]
@@ -1523,7 +1516,7 @@ mod tests {
         let n = PAGE_BITS + 50;
         let mut s = RumorSet::empty(n);
         s.insert(RumorId(3));
-        s.insert_run(RumorId(0), PAGE_BITS as u32); // page 0 full
+        s.union_run(0, PAGE_BITS as u32); // page 0 full
         s.insert(RumorId(PAGE_BITS as u32 + 10));
         let mut missing = Vec::new();
         s.complement_runs(&mut missing);
@@ -1739,10 +1732,10 @@ mod tests {
         let far = PAGE_BITS as u32 + 7;
         let dst = RumorSet::singleton(n, RumorId(12));
         let mut a = RumorSet::empty(n);
-        a.insert_run(RumorId(10), 5); // 10..15; dst holds 12
+        a.union_run(10, 5); // 10..15; dst holds 12
         a.insert(RumorId(far));
         let mut b = RumorSet::empty(n);
-        b.insert_run(RumorId(14), 6); // 14..20: overlaps a's run and extends it
+        b.union_run(14, 6); // 14..20: overlaps a's run and extends it
         b.insert(RumorId(far));
         let batch = |tasks: &[(&RumorSet, &[Delta<'_>])]| {
             let mut acc = NewRumors::default();
@@ -1777,7 +1770,7 @@ mod tests {
         assert!(out.is_empty());
         // A full destination learns nothing; a full source adds the rest.
         let mut full = RumorSet::empty(n);
-        full.insert_run(RumorId(0), n as u32);
+        full.union_run(0, n as u32);
         acc.add_difference(&a, &[], &full);
         acc.drain_runs(&mut out);
         assert!(out.is_empty());
@@ -1903,7 +1896,7 @@ mod tests {
                     prop_assert!(batch.is_empty() || added <= as_runs, "dearer than runs");
                     prop_assert_eq!(layer, !batch.is_empty() && added < as_runs);
                     for &(first, len) in &batch {
-                        sets[node].insert_run(first, len);
+                        sets[node].union_run(first.index(), len);
                     }
                     ids[node] = learned.iter().map(|&i| i as u32).collect();
                 }
@@ -1947,7 +1940,7 @@ mod tests {
         }
 
         /// `RumorSet` against a `Vec<bool>` model over random sequences of
-        /// `insert`, `insert_run`, windowed `union_words` and complement
+        /// `insert`, `union_run`, windowed `union_words` and complement
         /// fills, biased towards the few-id pages that stay sparse and
         /// towards short last pages: of capacity <= `SPARSE_MAX`, which go
         /// straight from sparse to full, and of 6..=4095 bits, which go
@@ -1977,7 +1970,7 @@ mod tests {
                         let max: usize = if rng.gen_bool(0.8) { 4 } else { 5000 };
                         let len = rng.gen_range(1..=max).min(universe - first);
                         model[first..first + len].fill(true);
-                        set.insert_run(RumorId::from(first), len as u32)
+                        set.union_run(first, len as u32)
                     }
                     10..=14 => {
                         let word_lo = rng.gen_range(0..words);

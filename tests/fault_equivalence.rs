@@ -620,7 +620,7 @@ fn residual_accounting_matches_brute_force_at_4096_nodes() {
         seen[start] = true;
         while let Some(v) = stack.pop() {
             size += 1;
-            for (w, e) in g.neighbors(NodeId::new(v)) {
+            for &(w, e) in g.neighbor_slice(NodeId::new(v)) {
                 if !dead[w.index()] && !cut[e.index()] && !seen[w.index()] {
                     seen[w.index()] = true;
                     stack.push(w.index());

@@ -10,7 +10,6 @@
 //!                   [--min-size N] [--max-size N] [--threads N] [--faults]
 //!                   [--out PATH] [--timing-out PATH] [--json] [--markdown]
 //! experiments bench-check --baseline PATH --current PATH
-//!                         [--mem-tolerance F] [--time-tolerance F]
 //! ```
 //!
 //! With no experiment ids, every experiment (E1–E8, F1, F2, F8) is run.
@@ -40,23 +39,23 @@
 //! rumors, re-dissemination latency) instead of all-clean completions.
 //! Fault cells hash their churn spec into the trial seeds, so adding the
 //! tier never perturbs the fault-free cells.  Alongside the report, every
-//! sweep writes a `BENCH_sweep.json`
-//! wall-clock timing artifact (schema `gossip-bench-timing/v2`,
-//! `--timing-out` to relocate) that CI uploads to track the perf trajectory,
-//! including the sweep's peak-memory aggregates (from the engine's
-//! deterministic `MemStats` counters).
+//! sweep writes a `BENCH_sweep.json` wall-clock timing artifact
+//! (`gossip_bench::bench_check::TimingArtifact`, `--timing-out` to
+//! relocate) that CI uploads to track the perf trajectory, including the
+//! sweep's peak-memory aggregates (from the engine's deterministic
+//! `MemStats` counters).
 //!
 //! The `bench-check` subcommand diffs a fresh timing artifact against a
 //! committed baseline (`BENCH_sweep_baseline.json`) and exits non-zero when
-//! the sweep's peak engine memory regressed beyond `--mem-tolerance`
-//! (default +25%, deterministic) or the wall-clock regressed beyond
-//! `--time-tolerance` (default +50%, machine-noise-tolerant) — the CI step
-//! that turns the uploaded artifacts into an enforced perf trajectory.
+//! the sweep's peak engine memory regressed beyond +25% (deterministic) or
+//! the wall-clock beyond +50% (machine-noise-tolerant) — the CI step that
+//! turns the uploaded artifacts into an enforced perf trajectory.
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
+use gossip_bench::bench_check::{self, TimingArtifact};
 use gossip_bench::experiments;
 use gossip_bench::sweep::SweepSpec;
 use gossip_bench::{Scale, Table};
@@ -126,6 +125,21 @@ struct SweepOptions {
     markdown: bool,
 }
 
+/// Parses the value of the numeric flag `name`, rejecting values below `min`.
+fn number<T>(name: &str, value: String, min: u8) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+    T::Err: std::fmt::Display,
+{
+    let n: T = value
+        .parse()
+        .map_err(|e| format!("invalid {name} '{value}': {e}"))?;
+    if n < T::from(min) {
+        return Err(format!("{name} must be at least {min}"));
+    }
+    Ok(n)
+}
+
 fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, String> {
     let mut options = SweepOptions {
         scale: Scale::Full,
@@ -142,10 +156,10 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, String> {
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value_of = |name: &str| {
+        let mut value = || {
             iter.next()
                 .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
+                .ok_or_else(|| format!("{arg} requires a value"))
         };
         match arg.as_str() {
             "--quick" => options.scale = Scale::Quick,
@@ -155,55 +169,13 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, String> {
             "--faults" => options.faults = true,
             "--json" => options.json = true,
             "--markdown" => options.markdown = true,
-            "--seed" => {
-                let v = value_of("--seed")?;
-                options.seed = Some(
-                    v.parse()
-                        .map_err(|e| format!("invalid --seed '{v}': {e}"))?,
-                );
-            }
-            "--trials" => {
-                let v = value_of("--trials")?;
-                let trials: u64 = v
-                    .parse()
-                    .map_err(|e| format!("invalid --trials '{v}': {e}"))?;
-                if trials == 0 {
-                    return Err("--trials must be at least 1".to_string());
-                }
-                options.trials = Some(trials);
-            }
-            "--min-size" => {
-                let v = value_of("--min-size")?;
-                let min: usize = v
-                    .parse()
-                    .map_err(|e| format!("invalid --min-size '{v}': {e}"))?;
-                if min == 0 {
-                    return Err("--min-size must be at least 1".to_string());
-                }
-                options.min_size = Some(min);
-            }
-            "--max-size" => {
-                let v = value_of("--max-size")?;
-                let max: usize = v
-                    .parse()
-                    .map_err(|e| format!("invalid --max-size '{v}': {e}"))?;
-                if max == 0 {
-                    return Err("--max-size must be at least 1".to_string());
-                }
-                options.max_size = Some(max);
-            }
-            "--threads" => {
-                let v = value_of("--threads")?;
-                let threads: usize = v
-                    .parse()
-                    .map_err(|e| format!("invalid --threads '{v}': {e}"))?;
-                if threads == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                options.threads = Some(threads);
-            }
-            "--out" => options.out = value_of("--out")?,
-            "--timing-out" => options.timing_out = value_of("--timing-out")?,
+            "--seed" => options.seed = Some(number(arg, value()?, 0)?),
+            "--trials" => options.trials = Some(number(arg, value()?, 1)?),
+            "--min-size" => options.min_size = Some(number(arg, value()?, 1)?),
+            "--max-size" => options.max_size = Some(number(arg, value()?, 1)?),
+            "--threads" => options.threads = Some(number(arg, value()?, 1)?),
+            "--out" => options.out = value()?,
+            "--timing-out" => options.timing_out = value()?,
             "--help" | "-h" => {
                 return Err(
                     "usage: experiments sweep [--quick|--full|--large|--huge] [--seed N] \
@@ -282,79 +254,25 @@ fn run_sweep(args: &[String]) -> ExitCode {
     }
     eprintln!("sweep: report written to {}", options.out);
 
-    // Wall-clock timing artifact (schema gossip-bench-timing/v2): unlike the
-    // report it is *not* deterministic — it records how fast this machine ran
-    // the sweep, so CI can track the perf trajectory across commits.  It
-    // also carries the sweep's peak-memory aggregates, which *are*
-    // deterministic (engine counters, not allocator probes).
-    let elapsed_seconds = elapsed.as_secs_f64();
-    let total_runs = spec.trial_count();
+    // The timing artifact is *not* deterministic: it records how fast this
+    // machine ran the sweep, so CI can track the perf trajectory across
+    // commits.  Its peak-memory and round aggregates are deterministic
+    // engine counters.
     let (peak_mem_scenario, peak_mem_bytes) = report.peak_mem_max().unwrap_or_default();
     let (rounds_simulated_total, rounds_skipped_total) = report.rounds_totals();
-    let timing = gossip_bench::json::Json::object(vec![
-        (
-            "schema",
-            gossip_bench::json::Json::Str("gossip-bench-timing/v2".to_string()),
-        ),
-        (
-            "scale",
-            gossip_bench::json::Json::Str(options.scale.name().to_string()),
-        ),
-        ("threads", gossip_bench::json::Json::Int(threads as i64)),
-        (
-            "scenarios",
-            gossip_bench::json::Json::Int(scenario_count as i64),
-        ),
-        (
-            "trials_per_scenario",
-            gossip_bench::json::Json::Int(spec.trials as i64),
-        ),
-        (
-            "total_runs",
-            gossip_bench::json::Json::Int(total_runs as i64),
-        ),
-        (
-            "elapsed_seconds",
-            gossip_bench::json::Json::Float(elapsed_seconds),
-        ),
-        (
-            "runs_per_second",
-            gossip_bench::json::Json::Float(if elapsed_seconds > 0.0 {
-                total_runs as f64 / elapsed_seconds
-            } else {
-                0.0
-            }),
-        ),
-        ("mem_stats", gossip_bench::json::Json::Bool(true)),
-        // Fault-injection tier size (0 without --faults).  `bench-check`
-        // parses artifacts unknown-field-tolerantly, so baselines predating
-        // the fault tier keep working.
-        (
-            "fault_cells",
-            gossip_bench::json::Json::Int(spec.fault_cell_count() as i64),
-        ),
-        // Event-driven scheduler aggregates (deterministic engine counters):
-        // total rounds walked vs fast-forwarded across all scenarios.
-        // `bench-check` parses artifacts leniently, so baselines predating
-        // these fields keep working.
-        (
-            "rounds_simulated_total",
-            gossip_bench::json::Json::Int(rounds_simulated_total as i64),
-        ),
-        (
-            "rounds_skipped_total",
-            gossip_bench::json::Json::Int(rounds_skipped_total as i64),
-        ),
-        (
-            "peak_mem_bytes",
-            gossip_bench::json::Json::Int(peak_mem_bytes as i64),
-        ),
-        (
-            "peak_mem_scenario",
-            gossip_bench::json::Json::Str(peak_mem_scenario),
-        ),
-    ]);
-    if let Err(e) = std::fs::write(&options.timing_out, format!("{}\n", timing.to_pretty())) {
+    let timing = TimingArtifact {
+        scale: options.scale.name().to_string(),
+        threads: threads as u64,
+        scenarios: scenario_count as u64,
+        trials_per_scenario: spec.trials,
+        elapsed_seconds: elapsed.as_secs_f64(),
+        fault_cells: spec.fault_cell_count() as u64,
+        rounds_simulated_total,
+        rounds_skipped_total,
+        peak_mem_bytes,
+        peak_mem_scenario,
+    };
+    if let Err(e) = std::fs::write(&options.timing_out, format!("{}\n", timing.to_json())) {
         eprintln!(
             "cannot write timing artifact to '{}': {e}",
             options.timing_out
@@ -377,10 +295,7 @@ fn run_sweep(args: &[String]) -> ExitCode {
 fn run_bench_check(args: &[String]) -> ExitCode {
     let mut baseline_path = None;
     let mut current_path = None;
-    let mut mem_tolerance = gossip_bench::bench_check::DEFAULT_MEM_TOLERANCE;
-    let mut time_tolerance = gossip_bench::bench_check::DEFAULT_TIME_TOLERANCE;
-    let usage = "usage: experiments bench-check --baseline PATH --current PATH \
-                 [--mem-tolerance F] [--time-tolerance F]";
+    let usage = "usage: experiments bench-check --baseline PATH --current PATH";
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let mut value_of = |name: &str| {
@@ -391,16 +306,6 @@ fn run_bench_check(args: &[String]) -> ExitCode {
         let parsed = match arg.as_str() {
             "--baseline" => value_of("--baseline").map(|v| baseline_path = Some(v)),
             "--current" => value_of("--current").map(|v| current_path = Some(v)),
-            "--mem-tolerance" => value_of("--mem-tolerance").and_then(|v| {
-                v.parse()
-                    .map(|f| mem_tolerance = f)
-                    .map_err(|e| format!("invalid --mem-tolerance '{v}': {e}"))
-            }),
-            "--time-tolerance" => value_of("--time-tolerance").and_then(|v| {
-                v.parse()
-                    .map(|f| time_tolerance = f)
-                    .map_err(|e| format!("invalid --time-tolerance '{v}': {e}"))
-            }),
             "--help" | "-h" => Err(usage.to_string()),
             other => Err(format!("unknown bench-check option '{other}' ({usage})")),
         };
@@ -413,11 +318,10 @@ fn run_bench_check(args: &[String]) -> ExitCode {
         eprintln!("{usage}");
         return ExitCode::FAILURE;
     };
-    let load = |path: &str| -> Result<gossip_bench::bench_check::TimingArtifact, String> {
+    let load = |path: &str| -> Result<TimingArtifact, String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-        gossip_bench::bench_check::TimingArtifact::parse(&text)
-            .map_err(|e| format!("cannot parse '{path}': {e}"))
+        TimingArtifact::parse(&text).map_err(|e| format!("cannot parse '{path}': {e}"))
     };
     let (baseline, current) = match (load(&baseline_path), load(&current_path)) {
         (Ok(b), Ok(c)) => (b, c),
@@ -428,8 +332,7 @@ fn run_bench_check(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let outcome =
-        gossip_bench::bench_check::check(&baseline, &current, mem_tolerance, time_tolerance);
+    let outcome = bench_check::check(&baseline, &current);
     println!(
         "bench-check: '{current_path}' vs baseline '{baseline_path}' (scale {})",
         baseline.scale

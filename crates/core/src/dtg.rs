@@ -266,7 +266,12 @@ pub fn run_with_rumors(
     let mut sim = Simulation::new(g, config.clone());
     let mut report = sim.run(&mut protocol);
     let iterations = protocol.max_iterations();
-    let rumors = if rumors == Seeding::AllToAll.initial_sets(g.node_count()) {
+    let n = g.node_count();
+    let canonical = rumors.len() == n
+        && rumors.iter().enumerate().all(|(i, set)| {
+            set.universe() == n && set.len() == 1 && set.contains(RumorId::of_node(NodeId::new(i)))
+        });
+    let rumors = if canonical {
         sim.into_rumors()
     } else {
         let mut sim = Simulation::with_rumors(g, config, rumors);

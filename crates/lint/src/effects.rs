@@ -14,8 +14,18 @@ use crate::rules::{AMBIENT_RNG, MUTATING_METHODS};
 /// Panic-site categories, in severity/reporting order.
 pub const PANIC_KINDS: &[&str] = &["unwrap/expect", "panic-macro", "indexing", "division"];
 
-/// Macros that unconditionally panic when reached.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+/// Macros that panic when reached (the asserts when their condition fails).
+/// `debug_assert*` is a different identifier and stays exempt: release
+/// builds compile it out.
+const PANIC_MACROS: &[&str] = &[
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+];
 
 /// Interior-mutability type names: state that can change behind a `&self`.
 const INTERIOR_MUT: &[&str] = &[
@@ -42,9 +52,10 @@ pub struct PanicSite {
 /// Collects the potential panic sites in `tokens[range]` (a fn body).
 ///
 /// Flagged: `.unwrap()`/`.expect(..)`, `panic!`/`unreachable!`/`todo!`/
-/// `unimplemented!`, expression-position `[..]` indexing and slicing, and
-/// `/`/`%` (plus their compound-assign forms) whose divisor is not a
-/// nonzero numeric literal (`x / 64` is exempt, `x % ring_len` is not).
+/// `unimplemented!`/`assert!`/`assert_eq!`/`assert_ne!` (not `debug_assert*`),
+/// expression-position `[..]` indexing and slicing, and `/`/`%` (plus their
+/// compound-assign forms) whose divisor is not a nonzero numeric literal
+/// (`x / 64` is exempt, `x % ring_len` is not).
 pub fn panic_sites(tokens: &[Token], range: (usize, usize)) -> Vec<PanicSite> {
     let (start, end) = range;
     let mut out = Vec::new();
@@ -369,6 +380,11 @@ mod tests {
                  let a = xs[i];
                  let b = xs.first().unwrap();
                  if i > n { panic!(\"boom\") }
+                 assert!(i < n);
+                 assert_eq!(i, n);
+                 assert_ne!(i, n);
+                 debug_assert!(i < n);
+                 debug_assert_eq!(i, n);
                  let c = i % n;
                  let d = i / 64;
                  a + b + (c as u64) + (d as u64)
@@ -378,7 +394,15 @@ mod tests {
         let kinds: Vec<&str> = sites.iter().map(|s| s.kind).collect();
         assert_eq!(
             kinds,
-            vec!["indexing", "unwrap/expect", "panic-macro", "division"]
+            vec![
+                "indexing",
+                "unwrap/expect",
+                "panic-macro",
+                "panic-macro",
+                "panic-macro",
+                "panic-macro",
+                "division"
+            ]
         );
     }
 

@@ -1730,7 +1730,6 @@ impl<'a> RoundState<'a> {
             protocol: protocol.name().to_string(),
             rounds: round,
             activations: self.activations,
-            messages: self.activations * 2,
             completed,
             rejections: self.rejections,
             informed_times: if progress.informed_times.is_empty() {

@@ -95,10 +95,10 @@ impl FaultPlan {
     }
 
     /// Sets the per-exchange message-loss rate (parts per million) and the
-    /// seed of the dedicated loss RNG stream.
+    /// seed of the dedicated loss RNG stream.  A rate above 1_000_000 is
+    /// certain loss, the same as 1_000_000.
     pub fn message_loss(mut self, rate_ppm: u32, seed: u64) -> Self {
-        assert!(rate_ppm <= 1_000_000, "loss rate is at most 1.0 (ppm)");
-        self.loss_rate_ppm = rate_ppm;
+        self.loss_rate_ppm = rate_ppm.min(1_000_000);
         self.loss_seed = seed;
         self
     }

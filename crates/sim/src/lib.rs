@@ -59,4 +59,4 @@ pub use engine::{
 };
 pub use fault::{ChurnSpec, FaultEvent, FaultPlan};
 pub use report::{FaultReport, MemStats, RunReport};
-pub use rumor::{RumorId, RumorIter, RumorSet, Seeding};
+pub use rumor::{RumorId, RumorSet, Seeding};

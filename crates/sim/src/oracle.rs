@@ -407,7 +407,6 @@ impl<'g> OracleSimulation<'g> {
             protocol: protocol.name().to_string(),
             rounds: round,
             activations,
-            messages: activations * 2,
             completed,
             rejections,
             informed_times: if informed_times.is_empty() {

@@ -130,8 +130,6 @@ pub struct RunReport {
     pub rounds: u64,
     /// Number of exchanges initiated (edge activations).
     pub activations: u64,
-    /// Number of messages sent (two per exchange: request + response).
-    pub messages: u64,
     /// `true` if the termination condition was met (as opposed to hitting the round cap).
     pub completed: bool,
     /// Number of schedule errors: rounds in which a protocol chose a target
@@ -185,7 +183,12 @@ impl fmt::Display for RunReport {
         write!(
             f,
             "{}: {} rounds, {} activations, {} messages, completed = {}",
-            self.protocol, self.rounds, self.activations, self.messages, self.completed
+            self.protocol,
+            self.rounds,
+            self.activations,
+            // Two messages per exchange: request and response.
+            2 * self.activations,
+            self.completed
         )?;
         if self.rejections > 0 {
             write!(f, ", {} rejected targets", self.rejections)?;
@@ -203,7 +206,6 @@ mod tests {
             protocol: "test".into(),
             rounds: 10,
             activations: 20,
-            messages: 40,
             completed: true,
             rejections: 0,
             informed_times: informed,

@@ -367,6 +367,7 @@ impl RumorSet {
     ///
     /// Panics if `universe` exceeds `u32::MAX`, past which a [`RumorId`]
     /// cannot name every rumor.
+    // gossip-lint: allow(panic-path): on the delivery path (rejoin_node via Seeding::initial_set) the universe is an existing set's universe(), a widened u32
     pub fn empty(universe: usize) -> Self {
         assert!(
             universe <= u32::MAX as usize,
@@ -411,15 +412,6 @@ impl RumorSet {
                 .all(|e| matches!(e, PageEntry::Full { .. })));
             self.pages = Vec::new();
         }
-    }
-
-    /// Number of dense pages — the set's heap blocks.  Empty, sparse and
-    /// full pages hold no block; this is what [`MemStats`]'s page counters
-    /// aggregate.
-    ///
-    /// [`MemStats`]: crate::MemStats
-    pub fn live_pages(&self) -> usize {
-        self.page_footprint().dense as usize
     }
 
     /// What the set's pages cost: its dense pages and their bytes — 16 per
@@ -527,20 +519,29 @@ impl RumorSet {
     /// word and peels set bits — so materialising a sparse set stays cheap
     /// for large universes, and a saturation-collapsed full set iterates
     /// without touching any storage at all.
-    pub fn iter(&self) -> RumorIter<'_> {
-        RumorIter {
-            universe: self.universe(),
-            full: self.universe > 0 && self.len == self.universe,
-            next_id: 0,
-            pages: &self.pages,
-            page_pos: 0,
-            cur_entry: None,
-            cur_base: 0,
-            cur_cap: 0,
-            cur_words: 0,
-            word_idx: 0,
-            word: 0,
-        }
+    pub fn iter(&self) -> impl Iterator<Item = RumorId> + '_ {
+        let universe = self.universe();
+        // A saturation-collapsed full set holds no pages: count its ids.
+        let (full, pages): (_, &[PageEntry]) = if self.is_full() {
+            (0..self.universe, &[])
+        } else {
+            (0..0, &self.pages)
+        };
+        full.map(RumorId).chain(pages.iter().flat_map(move |entry| {
+            let base = entry.index() as usize * PAGE_BITS;
+            let cap = (universe - base).min(PAGE_BITS) as u32;
+            (0..(cap as usize).div_ceil(64)).flat_map(move |w| {
+                let first = (base + w * 64) as u32;
+                let mut word = entry.word(w, cap);
+                std::iter::from_fn(move || {
+                    (word != 0).then(|| {
+                        let bit = word.trailing_zeros();
+                        word &= word - 1;
+                        RumorId(first + bit)
+                    })
+                })
+            })
+        }))
     }
 
     /// Inserts the rumors `lo..lo+len` and returns how many were new.
@@ -1139,64 +1140,6 @@ impl NewRumors {
     }
 }
 
-/// Iterator over the rumors of a [`RumorSet`], in increasing id order.
-///
-/// Produced by [`RumorSet::iter`].
-#[derive(Debug, Clone)]
-pub struct RumorIter<'a> {
-    universe: usize,
-    /// Saturation-collapsed full set: iterate ids directly, no storage.
-    full: bool,
-    next_id: usize,
-    pages: &'a [PageEntry],
-    /// Index of the next page to load.
-    page_pos: usize,
-    cur_entry: Option<&'a PageEntry>,
-    cur_base: usize,
-    cur_cap: u32,
-    cur_words: usize,
-    word_idx: usize,
-    word: u64,
-}
-
-impl Iterator for RumorIter<'_> {
-    type Item = RumorId;
-
-    fn next(&mut self) -> Option<RumorId> {
-        if self.full {
-            if self.next_id < self.universe {
-                let r = RumorId(self.next_id as u32);
-                self.next_id += 1;
-                return Some(r);
-            }
-            return None;
-        }
-        loop {
-            if self.word != 0 {
-                let bit = self.word.trailing_zeros();
-                self.word &= self.word - 1;
-                return Some(RumorId((self.cur_base + self.word_idx * 64) as u32 + bit));
-            }
-            if let Some(entry) = self.cur_entry {
-                self.word_idx += 1;
-                if self.word_idx < self.cur_words {
-                    self.word = entry.word(self.word_idx, self.cur_cap);
-                    continue;
-                }
-                self.cur_entry = None;
-            }
-            let entry = self.pages.get(self.page_pos)?;
-            self.page_pos += 1;
-            self.cur_base = entry.index() as usize * PAGE_BITS;
-            self.cur_cap = (self.universe - self.cur_base).min(PAGE_BITS) as u32;
-            self.cur_words = (self.cur_cap as usize).div_ceil(64);
-            self.word_idx = 0;
-            self.word = entry.word(0, self.cur_cap);
-            self.cur_entry = Some(entry);
-        }
-    }
-}
-
 impl fmt::Debug for RumorSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "RumorSet({}/{}: ", self.len(), self.universe)?;
@@ -1257,7 +1200,7 @@ mod tests {
             vec![RumorId(0), RumorId(1), RumorId(2)]
         );
         // Saturation collapse: a full set holds no pages at all.
-        assert_eq!(s.live_pages(), 0);
+        assert_eq!(s.page_footprint().dense, 0);
     }
 
     #[test]
@@ -1296,10 +1239,10 @@ mod tests {
         assert!(RumorSet::empty(100).iter().next().is_none());
         // Pages 0, 1 and 2 hold 5, 2 and 2 ids: three sparse entries, no
         // blocks.  A sixth id on page 0 promotes it to dense.
-        assert_eq!(s.live_pages(), 0);
+        assert_eq!(s.page_footprint().dense, 0);
         assert_eq!(s.page_footprint().bytes, 3 * ENTRY_BYTES);
         s.insert(RumorId(100));
-        assert_eq!(s.live_pages(), 1);
+        assert_eq!(s.page_footprint().dense, 1);
         assert_eq!(s.page_footprint().bytes, 3 * ENTRY_BYTES + 512);
     }
 
@@ -1352,7 +1295,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_run_matches_individual_inserts() {
+    fn union_run_matches_individual_inserts() {
         let mut a = RumorSet::empty(200);
         a.insert(RumorId(70));
         a.insert(RumorId(128));
@@ -1376,7 +1319,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_run_crossing_pages_matches_individual_inserts() {
+    fn union_run_crossing_pages_matches_individual_inserts() {
         let mut a = RumorSet::empty(3 * PAGE_BITS + 100);
         a.insert(RumorId(5000));
         let before = a.clone();
@@ -1407,18 +1350,29 @@ mod tests {
         assert_eq!(expanded, expected);
         assert_eq!(added as usize, expected.len());
         // Whole interior pages became sentinel pages, not allocations.
-        assert!(a.live_pages() <= 2, "only boundary pages may stay dense");
+        assert!(
+            a.page_footprint().dense <= 2,
+            "only boundary pages may stay dense"
+        );
     }
 
     #[test]
     fn full_page_runs_do_not_allocate() {
         let mut s = RumorSet::empty(2 * PAGE_BITS);
         assert_eq!(s.union_run(0, PAGE_BITS as u32), PAGE_BITS as u32);
-        assert_eq!(s.live_pages(), 0, "a whole-page run is a sentinel page");
+        assert_eq!(
+            s.page_footprint().dense,
+            0,
+            "a whole-page run is a sentinel page"
+        );
         assert_eq!(s.len(), PAGE_BITS);
         s.union_run(PAGE_BITS, PAGE_BITS as u32);
         assert!(s.is_full());
-        assert_eq!(s.live_pages(), 0, "full sets collapse to zero pages");
+        assert_eq!(
+            s.page_footprint().dense,
+            0,
+            "full sets collapse to zero pages"
+        );
     }
 
     #[test]
@@ -1434,7 +1388,7 @@ mod tests {
         by_run.union_run(0, n as u32);
         assert_eq!(by_bits, by_run);
         assert!(by_bits.is_full());
-        assert_eq!(by_bits.live_pages(), 0);
+        assert_eq!(by_bits.page_footprint().dense, 0);
 
         let mut partial_bits = RumorSet::empty(n);
         for i in 0..PAGE_BITS {
@@ -1447,7 +1401,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "outside universe")]
-    fn insert_run_past_universe_panics() {
+    fn union_run_past_universe_panics() {
         let mut s = RumorSet::empty(10);
         s.union_run(8, 3);
     }
@@ -1531,7 +1485,7 @@ mod tests {
             expected.len()
         );
         assert!(s.is_full());
-        assert_eq!(s.live_pages(), 0);
+        assert_eq!(s.page_footprint().dense, 0);
         missing.clear();
         s.complement_runs(&mut missing);
         assert!(missing.is_empty(), "a full set misses nothing");
@@ -2006,7 +1960,6 @@ mod tests {
                 prop_assert_eq!(set.iter().map(RumorId::index).collect::<Vec<_>>(), ids);
                 let cost = recount(&model);
                 prop_assert_eq!(set.page_footprint(), cost);
-                prop_assert_eq!(set.live_pages() as u64, cost.dense);
             }
             assert_matches_naive(&set, &model);
             let mut backwards = RumorSet::empty(universe);

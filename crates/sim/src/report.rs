@@ -36,15 +36,16 @@ pub struct MemStats {
     /// Always 0: the delayed shadows this counted are gone.  Kept because
     /// the frozen benchmark harness reads it; ROADMAP item 7 deletes it.
     pub shadow_advances: u64,
-    /// Peak bytes held by the per-node *paged* rumor sets at any merge
-    /// boundary — 16 per sparse or dense page entry plus the heap bytes of
-    /// each dense page's block (512 for a 4096-bit page; for a last page of
+    /// Peak bytes held by the per-node rumor sets at any merge boundary —
+    /// 16 per sparse or dense page entry plus the heap bytes of each dense
+    /// page's block (512 for a 4096-bit page; for a last page of
     /// `cap < 4096` bits, 8 per word of the smallest of 8, 16, 32 or 64
     /// words that holds `⌈cap/64⌉`), summed over all nodes — plus 32 bytes
-    /// per node for the set itself.  Empty
-    /// and full pages are free, a sparse page (at most 5 ids) costs its
-    /// entry alone, and a fully saturated set collapses to zero pages — this
-    /// is what replaces the old dense `n²/8` floor.
+    /// per node for the set's header.  A set of at most 5 ids keeps them in
+    /// its header and costs nothing more; in a paged set, empty and full
+    /// pages are free and a sparse page (at most 5 ids) costs its entry
+    /// alone; a fully saturated set collapses to zero pages — this is what
+    /// replaces the old dense `n²/8` floor.
     pub rumor_set_bytes: u64,
     /// Dense rumor-set pages (heap blocks) alive when the run ended.
     pub pages_live: u64,

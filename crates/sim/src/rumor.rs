@@ -6,12 +6,15 @@
 //!
 //! # Paged rumor sets
 //!
-//! [`RumorSet`] stores that set as an **adaptive paged bitset**: the universe
-//! is split into fixed 4096-bit pages, kept in a sorted directory of 16-byte
-//! entries with four page states —
+//! [`RumorSet`] stores that set in one of two forms.  A set of at most
+//! `SPARSE_MAX` (5) rumors keeps their ids **inline** in its 32-byte header,
+//! ascending, and owns no heap at all.  Every other set is an **adaptive
+//! paged bitset**: the universe is split into fixed 4096-bit pages, kept in
+//! a sorted, exact-length directory of 16-byte entries with four page
+//! states —
 //!
 //! * **empty** — the page is simply absent (no storage);
-//! * **sparse** — at most `SPARSE_MAX` (5) in-page offsets, sorted, inline in
+//! * **sparse** — at most `SPARSE_MAX` in-page offsets, sorted, inline in
 //!   the directory entry (no heap block: Roaring's "array container" at the
 //!   size of the entry);
 //! * **dense** — an owned block holding the page's bits: 64 words, or, on
@@ -22,19 +25,24 @@
 //!   storage).
 //!
 //! A set whose every page is full additionally **saturation-collapses** to
-//! the canonical full representation — no pages at all — so a node that has
-//! learned everything costs a few machine words instead of `n/8` bytes.  In
-//! the saturating all-to-all regime this is what breaks the dense-bitset
-//! `2·n²/8` memory wall: nodes spend most of a run either nearly-empty
-//! (a few sparse entries) or fully informed (zero pages).
+//! the canonical full representation — an empty directory — so a node that
+//! has learned everything costs its header instead of `n/8` bytes.  In the
+//! saturating all-to-all regime this is what breaks the dense-bitset
+//! `2·n²/8` memory wall: nodes spend most of a run either nearly empty
+//! (a few inline ids) or fully informed (no pages).  Membership, subset and
+//! complement reads and iteration use an inline set's ids directly; merge
+//! phase A and the move to pages read them as the sparse entries of their
+//! pages, built on the stack, through the page code.
 //!
-//! The representation is kept **canonical** at all times: pages are sorted
-//! and unique and never empty, and a page's state is a function of its bit
+//! The representation is kept **canonical** at all times: a full set is
+//! the empty directory; any other set of at most `SPARSE_MAX` ids is
+//! inline, its unused slots 0; every other set's pages are sorted and
+//! unique and never empty, and a page's state is a function of its bit
 //! count `ones` and capacity `cap` alone — full iff `ones == cap`, else
-//! sparse iff `ones <= SPARSE_MAX`, else dense.  Sets only grow, so a page
-//! only ever moves sparse → dense → full (possibly skipping a step), inside
-//! the union that crosses the threshold.  Fully saturated sets are always
-//! collapsed.  Structural equality is therefore semantic equality and
+//! sparse iff `ones <= SPARSE_MAX`, else dense.  Sets only grow, so a set
+//! only leaves the inline form, and a page only ever moves sparse → dense
+//! → full (possibly skipping a step), inside the union that crosses the
+//! threshold.  Structural equality is therefore semantic equality and
 //! `#[derive(PartialEq)]` is sound.
 //!
 //! # The delta window
@@ -132,9 +140,12 @@ pub(crate) type RumorRun = (RumorId, u32);
 
 /// Bits per page of a [`RumorSet`].
 pub(crate) const PAGE_BITS: usize = 4096;
+/// Page number of id `i`: `i >> PAGE_SHIFT`.
+const PAGE_SHIFT: u32 = PAGE_BITS.trailing_zeros();
 /// 64-bit words per page.
 const PAGE_WORDS: usize = PAGE_BITS / 64;
-/// Most set bits a page stores inline as sorted offsets (the sparse state).
+/// Most ids a set keeps inline in its header, and most set bits a page
+/// stores inline in its entry as sorted offsets (the sparse state).
 const SPARSE_MAX: usize = 5;
 
 /// One non-empty page of a [`RumorSet`], in the canonical state its bit
@@ -184,7 +195,8 @@ const ENTRY_BYTES: u64 = std::mem::size_of::<PageEntry>() as u64;
 // A sparse page is free only while it fits the entry a dense page needs
 // anyway: tag, page number, block pointer.
 const _: () = assert!(ENTRY_BYTES == 16);
-// Every node holds one set: universe and length as `u32`, and the directory.
+// Every node holds one set: universe and length as `u32`, and the inline
+// ids or the directory's pointer and length.
 const _: () = assert!(std::mem::size_of::<RumorSet>() == 32);
 
 impl PageEntry {
@@ -303,20 +315,32 @@ pub(crate) struct PageFootprint {
     /// Dense pages (heap blocks).
     pub(crate) dense: u64,
     /// Bytes: one directory entry per sparse or dense page, plus the bytes of
-    /// each dense page's block.  Full entries are not charged.
+    /// each dense page's block.  Full entries are not charged, and neither
+    /// is an inline set, which lives in its header.
     pub(crate) bytes: u64,
 }
 
-/// A set of rumors over the universe `0..universe`, stored as a sorted
-/// directory of 4096-bit pages (see the module docs for the representation).
+/// A set of rumors over the universe `0..universe`: at most `SPARSE_MAX`
+/// ids inline, or a sorted directory of 4096-bit pages (see the module docs
+/// for the representation).
 #[derive(Clone, PartialEq, Eq)]
 pub struct RumorSet {
     universe: u32,
     /// Number of rumors in the set (maintained incrementally).
     len: u32,
-    /// Non-empty pages, sorted by `index`.  Empty when the set is empty *or*
-    /// fully saturated (`len == universe`), the canonical collapsed form.
-    pages: Vec<PageEntry>,
+    store: Store,
+}
+
+/// Where a [`RumorSet`] keeps its ids.
+#[derive(Clone, PartialEq, Eq)]
+enum Store {
+    /// A set of `len <= SPARSE_MAX` ids that is not full: the ids
+    /// `[..len]`, ascending; the unused slots stay 0.
+    Ids([u32; SPARSE_MAX]),
+    /// Every other set: its non-empty pages, sorted by `index`, in a
+    /// directory of exactly their number.  Empty when the set is full
+    /// (`len == universe`), the canonical collapsed form.
+    Pages(Box<[PageEntry]>),
 }
 
 /// The in-page word holding bit `w*64..` of a full page of capacity `cap`.
@@ -360,6 +384,48 @@ fn word_runs(word_base: usize, mut bits: u64, mut f: impl FnMut(usize, u32)) {
     }
 }
 
+/// The set bits of `word` as ascending ids: bit `k` is id `first + k`.
+fn ones(first: u32, mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros();
+            word &= word - 1;
+            first + bit
+        })
+    })
+}
+
+/// The pages of an inline set's ascending ids `ids` in a universe of
+/// `universe` rumors, ascending: a sparse entry per page they touch, or the
+/// full sentinel for a short last page they fill — the canonical page form
+/// of those ids.
+fn inline_entries(ids: &[u32], universe: usize) -> impl Iterator<Item = PageEntry> + '_ {
+    let mut rest = ids;
+    std::iter::from_fn(move || {
+        let &first = rest.first()?;
+        let index = first >> PAGE_SHIFT;
+        let on_page = rest
+            .iter()
+            .take_while(|&&i| i >> PAGE_SHIFT == index)
+            .count();
+        let (page, tail) = rest.split_at_checked(on_page)?;
+        rest = tail;
+        let base = index << PAGE_SHIFT;
+        if on_page == (universe - base as usize).min(PAGE_BITS) {
+            return Some(PageEntry::Full { index });
+        }
+        let mut offsets = [0; SPARSE_MAX];
+        for (offset, &i) in offsets.iter_mut().zip(page) {
+            *offset = (i - base) as u16;
+        }
+        Some(PageEntry::Sparse {
+            index,
+            len: on_page as u8,
+            ids: offsets,
+        })
+    })
+}
+
 impl RumorSet {
     /// Creates an empty rumor set over a universe of `universe` rumors.
     ///
@@ -373,10 +439,16 @@ impl RumorSet {
             universe <= u32::MAX as usize,
             "universe of {universe} rumors exceeds u32::MAX"
         );
+        // An empty universe's empty set is also full: the empty directory.
+        let store = if universe == 0 {
+            Store::Pages(Box::default())
+        } else {
+            Store::Ids([0; SPARSE_MAX])
+        };
         RumorSet {
             universe: universe as u32,
             len: 0,
-            pages: Vec::new(),
+            store,
         }
     }
 
@@ -403,26 +475,78 @@ impl RumorSet {
         (self.universe() - start).min(PAGE_BITS) as u32
     }
 
-    /// Collapses to the canonical full representation once saturated.
-    fn collapse_if_full(&mut self) {
-        if self.len == self.universe && !self.pages.is_empty() {
-            debug_assert!(self
-                .pages
-                .iter()
-                .all(|e| matches!(e, PageEntry::Full { .. })));
-            self.pages = Vec::new();
+    /// An inline set's ids, ascending; empty for a paged set.
+    fn inline_ids(&self) -> &[u32] {
+        match &self.store {
+            Store::Ids(ids) => ids.get(..self.len as usize).unwrap_or_default(),
+            Store::Pages(_) => &[],
         }
+    }
+
+    /// Opens the set's pages for a union that may insert pages: the stored
+    /// directory, or an inline set's ids as their page entries, as one
+    /// `Vec` that [`put_pages`](Self::put_pages) stores back.
+    fn take_pages(&mut self) -> Vec<PageEntry> {
+        if let Store::Pages(pages) = &mut self.store {
+            return std::mem::take(pages).into_vec();
+        }
+        inline_entries(self.inline_ids(), self.universe()).collect()
+    }
+
+    /// Ends a union that went through [`take_pages`](Self::take_pages): adds
+    /// its `added` new ids to `len` and stores `pages` at their exact
+    /// length, or the empty directory once the set is full (saturation
+    /// collapse).  Returns `added`.
+    fn put_pages(&mut self, pages: Vec<PageEntry>, added: u32) -> u32 {
+        self.len += added;
+        self.store = Store::Pages(if self.is_full() {
+            debug_assert!(pages.iter().all(|e| matches!(e, PageEntry::Full { .. })));
+            Box::default()
+        } else {
+            pages.into_boxed_slice()
+        });
+        added
+    }
+
+    /// Unions the ascending ids `new` into an inline set when the union
+    /// stays inline — at most `SPARSE_MAX` ids — or fills the set, which
+    /// collapses.  Returns how many ids were new; `None`, with the set
+    /// untouched, when the set is paged or the union outgrows it.
+    fn union_inline(&mut self, new: impl Iterator<Item = u32>) -> Option<u32> {
+        let Store::Ids(mut ids) = self.store else {
+            return None;
+        };
+        let held = self.len as usize;
+        let mut len = held;
+        for id in new {
+            if !ids.iter().take(held).any(|&h| h == id) {
+                *ids.get_mut(len)? = id;
+                len += 1;
+            }
+        }
+        if let Some(grown) = ids.get_mut(..len) {
+            grown.sort_unstable();
+        }
+        self.len = len as u32;
+        self.store = if self.is_full() {
+            Store::Pages(Box::default())
+        } else {
+            Store::Ids(ids)
+        };
+        Some((len - held) as u32)
     }
 
     /// What the set's pages cost: its dense pages and their bytes — 16 per
     /// sparse or dense directory entry plus 8 per word of each dense block:
     /// 512 for a 4096-bit page, less for a short last page (see
-    /// [`PageEntry::dense`]).  The one cost function behind the engine's
-    /// rumor-set counters.
+    /// [`PageEntry::dense`]).  An inline set costs nothing.  The one cost
+    /// function behind the engine's rumor-set counters.
     pub(crate) fn page_footprint(&self) -> PageFootprint {
         let mut cost = PageFootprint::default();
-        for entry in self
-            .pages
+        let Store::Pages(pages) = &self.store else {
+            return cost;
+        };
+        for entry in pages
             .iter()
             .filter(|e| !matches!(e, PageEntry::Full { .. }))
         {
@@ -433,7 +557,8 @@ impl RumorSet {
         cost
     }
 
-    /// Fixed per-set bytes (the struct itself, pages excluded): 32.
+    /// Fixed per-set bytes, the header: 32.  It holds an inline set's ids,
+    /// or a paged set's directory pointer and length.
     pub(crate) fn base_cost_bytes() -> u64 {
         std::mem::size_of::<RumorSet>() as u64
     }
@@ -457,13 +582,14 @@ impl RumorSet {
         if self.len == self.universe {
             return true;
         }
+        let Store::Pages(pages) = &self.store else {
+            return self.inline_ids().contains(&rumor.0);
+        };
         let page = (i / PAGE_BITS) as u32;
         let bit = i % PAGE_BITS;
-        match self.pages.binary_search_by_key(&page, PageEntry::index) {
+        match pages.binary_search_by_key(&page, PageEntry::index) {
             Err(_) => false,
-            Ok(p) => {
-                self.pages[p].word(bit / 64, self.page_capacity(page)) & (1 << (bit % 64)) != 0
-            }
+            Ok(p) => pages[p].word(bit / 64, self.page_capacity(page)) & (1 << (bit % 64)) != 0,
         }
     }
 
@@ -483,8 +609,9 @@ impl RumorSet {
     }
 
     /// Returns `true` if every rumor of the set is also in `other` (a set
-    /// over the same universe).  Walks the set's pages, stopping at the
-    /// first one `other` does not cover.
+    /// over the same universe).  An inline set asks `other` for each of its
+    /// ids; a paged set walks its pages, stopping at the first one `other`
+    /// does not cover.
     pub(crate) fn is_subset(&self, other: &RumorSet) -> bool {
         if self.is_empty() || other.is_full() {
             return true;
@@ -492,10 +619,18 @@ impl RumorSet {
         if self.is_full() || self.len > other.len {
             return false;
         }
-        self.pages.iter().all(|entry| {
+        // A paged set here holds more than `SPARSE_MAX` ids, so `other`,
+        // holding at least as many, is paged too.
+        let (Store::Pages(mine), Store::Pages(theirs)) = (&self.store, &other.store) else {
+            return self
+                .inline_ids()
+                .iter()
+                .all(|&i| other.contains(RumorId(i)));
+        };
+        mine.iter().all(|entry| {
             let page = entry.index();
-            let held = other.pages.binary_search_by_key(&page, PageEntry::index);
-            let Some(held) = held.ok().and_then(|p| other.pages.get(p)) else {
+            let held = theirs.binary_search_by_key(&page, PageEntry::index);
+            let Some(held) = held.ok().and_then(|p| theirs.get(p)) else {
                 return false;
             };
             let cap = self.page_capacity(page);
@@ -517,38 +652,37 @@ impl RumorSet {
     ///
     /// Runs in `O(pages·words + len)` — it walks the non-empty pages word by
     /// word and peels set bits — so materialising a sparse set stays cheap
-    /// for large universes, and a saturation-collapsed full set iterates
-    /// without touching any storage at all.
+    /// for large universes; an inline set yields its ids, and a
+    /// saturation-collapsed full set iterates without touching any storage
+    /// at all.
     pub fn iter(&self) -> impl Iterator<Item = RumorId> + '_ {
         let universe = self.universe();
         // A saturation-collapsed full set holds no pages: count its ids.
-        let (full, pages): (_, &[PageEntry]) = if self.is_full() {
-            (0..self.universe, &[])
+        let full = if self.is_full() {
+            0..self.universe
         } else {
-            (0..0, &self.pages)
+            0..0
         };
-        full.map(RumorId).chain(pages.iter().flat_map(move |entry| {
+        let stored: &[PageEntry] = match &self.store {
+            Store::Pages(pages) => pages,
+            Store::Ids(_) => &[],
+        };
+        let paged = stored.iter().flat_map(move |entry| {
             let base = entry.index() as usize * PAGE_BITS;
             let cap = (universe - base).min(PAGE_BITS) as u32;
-            (0..(cap as usize).div_ceil(64)).flat_map(move |w| {
-                let first = (base + w * 64) as u32;
-                let mut word = entry.word(w, cap);
-                std::iter::from_fn(move || {
-                    (word != 0).then(|| {
-                        let bit = word.trailing_zeros();
-                        word &= word - 1;
-                        RumorId(first + bit)
-                    })
-                })
-            })
-        }))
+            (0..(cap as usize).div_ceil(64))
+                .flat_map(move |w| ones((base + w * 64) as u32, entry.word(w, cap)))
+        });
+        full.chain(self.inline_ids().iter().copied())
+            .chain(paged)
+            .map(RumorId)
     }
 
     /// Inserts the rumors `lo..lo+len` and returns how many were new.
     ///
     /// One run of consecutive rumor ids is unioned in `O(len/64)` time, and
     /// a run covering a whole absent page materialises the full sentinel
-    /// directly — no allocation, which is how a saturating merge fills a
+    /// directly — no block, which is how a saturating merge fills a
     /// 131072-rumor set with 32 page flips.
     ///
     /// # Panics
@@ -565,96 +699,28 @@ impl RumorSet {
         if len == 0 || self.len == self.universe {
             return 0;
         }
+        if let Some(added) = self.union_inline(lo as u32..hi as u32) {
+            return added;
+        }
+        let mut pages = self.take_pages();
         let mut added = 0;
         for page in (lo / PAGE_BITS) as u32..=((hi - 1) / PAGE_BITS) as u32 {
             let page_start = page as usize * PAGE_BITS;
             let cap = self.page_capacity(page);
             let a = lo.max(page_start) - page_start;
             let b = (hi - page_start).min(PAGE_BITS);
-            let slot = self.pages.binary_search_by_key(&page, PageEntry::index);
+            let slot = pages.binary_search_by_key(&page, PageEntry::index);
             added += match slot {
                 Err(at) if a == 0 && b >= cap as usize => {
                     // The run covers the whole (absent) page: full sentinel,
-                    // no allocation.
-                    self.pages.insert(at, PageEntry::Full { index: page });
-                    self.len += cap;
+                    // no block.
+                    pages.insert(at, PageEntry::Full { index: page });
                     cap
                 }
-                _ => self.union_page(page, slot, word_masks(a, b - a)),
+                _ => union_page(&mut pages, page, cap, slot, word_masks(a, b - a)),
             };
         }
-        self.collapse_if_full();
-        added
-    }
-
-    /// Unions the in-page word masks `masks` (`(word, bits)`, ascending
-    /// words) into page `page`, whose directory search gave `slot`, and
-    /// returns how many bits were new.  The page ends
-    /// in its canonical state: promotion from sparse to dense or full
-    /// happens here, in the union that crosses the threshold.  Adds the new
-    /// bits to `len` but leaves the saturation collapse to the caller, which
-    /// may still be walking later pages.
-    // gossip-lint: allow(panic-path): p is the page's search or insertion slot, mask words are below the page's ⌈cap/64⌉, which a new block holds, and sparse offsets are < capacity
-    fn union_page<I>(&mut self, page: u32, slot: Result<usize, usize>, masks: I) -> u32
-    where
-        I: Iterator<Item = (usize, u64)> + Clone,
-    {
-        let cap = self.page_capacity(page);
-        let p = match slot {
-            Ok(p) => p,
-            Err(at) => {
-                let empty = PageEntry::Sparse {
-                    index: page,
-                    len: 0,
-                    ids: [0; SPARSE_MAX],
-                };
-                self.pages.insert(at, empty);
-                at
-            }
-        };
-        let entry = &mut self.pages[p];
-        let added = match entry {
-            PageEntry::Full { .. } => 0,
-            PageEntry::Sparse { len, ids, .. } => {
-                let (held, mut ids) = (usize::from(*len), *ids);
-                // Collect the new offsets while they still fit inline.
-                let mut added = 0;
-                for (w, bits) in masks.clone() {
-                    let mut new = bits & !sparse_word(ids[..held].iter(), w);
-                    while new != 0 && held + (added as usize) < SPARSE_MAX {
-                        ids[held + added as usize] = (w * 64) as u16 + new.trailing_zeros() as u16;
-                        new &= new - 1;
-                        added += 1;
-                    }
-                    added += new.count_ones();
-                }
-                let ones = held + added as usize;
-                debug_assert!(ones > 0, "a union onto an absent page adds bits");
-                *entry = if ones == cap as usize {
-                    PageEntry::Full { index: page }
-                } else if ones <= SPARSE_MAX {
-                    ids[..ones].sort_unstable();
-                    PageEntry::Sparse {
-                        index: page,
-                        len: ones as u8,
-                        ids,
-                    }
-                } else {
-                    PageEntry::dense(page, cap, ones as u16, |block| {
-                        for &i in &ids[..held] {
-                            block[usize::from(i) / 64] |= 1 << (i % 64);
-                        }
-                        for (w, bits) in masks {
-                            block[w] |= bits;
-                        }
-                    })
-                };
-                added
-            }
-            dense => dense.union_block(cap, masks),
-        };
-        self.len += added;
-        added
+        self.put_pages(pages, added)
     }
 
     /// Unions a raw dense word window into the set and returns how many
@@ -667,6 +733,13 @@ impl RumorSet {
         if self.len == self.universe || words.is_empty() {
             return 0;
         }
+        let ids = (word_lo..).zip(words);
+        if let Some(added) =
+            self.union_inline(ids.flat_map(|(w, &bits)| ones((w * 64) as u32, bits)))
+        {
+            return added;
+        }
+        let mut pages = self.take_pages();
         let mut added = 0;
         for page in (word_lo / PAGE_WORDS) as u32..=((word_hi - 1) / PAGE_WORDS) as u32 {
             let page_lo = page as usize * PAGE_WORDS;
@@ -677,15 +750,14 @@ impl RumorSet {
             if src.iter().all(|&w| w == 0) {
                 continue;
             }
-            let slot = self.pages.binary_search_by_key(&page, PageEntry::index);
+            let slot = pages.binary_search_by_key(&page, PageEntry::index);
             let masks = src
                 .iter()
                 .enumerate()
                 .map(|(k, &bits)| (a - page_lo + k, bits));
-            added += self.union_page(page, slot, masks);
+            added += union_page(&mut pages, page, self.page_capacity(page), slot, masks);
         }
-        self.collapse_if_full();
-        added
+        self.put_pages(pages, added)
     }
 
     /// Unions one delta batch into the set and returns how many rumors were
@@ -710,7 +782,16 @@ impl RumorSet {
         if self.len == self.universe {
             return;
         }
-        let mut stored = self.pages.iter().peekable();
+        let Store::Pages(pages) = &self.store else {
+            // An inline set misses the runs between its ids.
+            let mut next = 0;
+            for i in self.inline_ids().iter().copied().chain([self.universe]) {
+                push_new_run(out, next as usize, i - next);
+                next = i + 1;
+            }
+            return;
+        };
+        let mut stored = pages.iter().peekable();
         for page in 0..self.universe().div_ceil(PAGE_BITS) as u32 {
             let page_start = page as usize * PAGE_BITS;
             let cap = self.page_capacity(page);
@@ -732,6 +813,79 @@ impl RumorSet {
     /// Number of 64-bit words a dense bitset over this universe needs.
     fn word_count(&self) -> usize {
         self.universe().div_ceil(64)
+    }
+}
+
+/// Unions the in-page word masks `masks` (`(word, bits)`, ascending words)
+/// into page `page` of capacity `cap`, whose search in the directory
+/// `pages` gave `slot`, and returns how many bits were new.  The page ends
+/// in its canonical state: promotion from sparse to dense or full happens
+/// here, in the union that crosses the threshold.  The caller adds the new
+/// bits to the set's `len` and collapses a saturated set once it has walked
+/// every page.
+// gossip-lint: allow(panic-path): p is the page's search or insertion slot, mask words are below the page's ⌈cap/64⌉, which a new block holds, and sparse offsets are < capacity
+fn union_page<I>(
+    pages: &mut Vec<PageEntry>,
+    page: u32,
+    cap: u32,
+    slot: Result<usize, usize>,
+    masks: I,
+) -> u32
+where
+    I: Iterator<Item = (usize, u64)> + Clone,
+{
+    let p = match slot {
+        Ok(p) => p,
+        Err(at) => {
+            let empty = PageEntry::Sparse {
+                index: page,
+                len: 0,
+                ids: [0; SPARSE_MAX],
+            };
+            pages.insert(at, empty);
+            at
+        }
+    };
+    let entry = &mut pages[p];
+    match entry {
+        PageEntry::Full { .. } => 0,
+        PageEntry::Sparse { len, ids, .. } => {
+            let (held, mut ids) = (usize::from(*len), *ids);
+            // Collect the new offsets while they still fit inline.
+            let mut added = 0;
+            for (w, bits) in masks.clone() {
+                let mut new = bits & !sparse_word(ids[..held].iter(), w);
+                while new != 0 && held + (added as usize) < SPARSE_MAX {
+                    ids[held + added as usize] = (w * 64) as u16 + new.trailing_zeros() as u16;
+                    new &= new - 1;
+                    added += 1;
+                }
+                added += new.count_ones();
+            }
+            let ones = held + added as usize;
+            debug_assert!(ones > 0, "a union onto an absent page adds bits");
+            *entry = if ones == cap as usize {
+                PageEntry::Full { index: page }
+            } else if ones <= SPARSE_MAX {
+                ids[..ones].sort_unstable();
+                PageEntry::Sparse {
+                    index: page,
+                    len: ones as u8,
+                    ids,
+                }
+            } else {
+                PageEntry::dense(page, cap, ones as u16, |block| {
+                    for &i in &ids[..held] {
+                        block[usize::from(i) / 64] |= 1 << (i % 64);
+                    }
+                    for (w, bits) in masks {
+                        block[w] |= bits;
+                    }
+                })
+            };
+            added
+        }
+        dense => dense.union_block(cap, masks),
     }
 }
 
@@ -1085,8 +1239,28 @@ impl NewRumors {
             let page = entry.index();
             let cap = src.page_capacity(page);
             let mut words = entry.words(cap);
-            let held = dst.pages.binary_search_by_key(&page, PageEntry::index);
-            match held.ok().and_then(|p| dst.pages.get(p)) {
+            let held = match &dst.store {
+                Store::Pages(pages) => {
+                    let held = pages.binary_search_by_key(&page, PageEntry::index);
+                    held.ok().and_then(|p| pages.get(p))
+                }
+                Store::Ids(_) => {
+                    // An inline set's ids on this page, cleared directly.
+                    let base = page << PAGE_SHIFT;
+                    for &i in dst
+                        .inline_ids()
+                        .iter()
+                        .filter(|&&i| i >> PAGE_SHIFT == page)
+                    {
+                        let bit = (i - base) as usize;
+                        if let Some(w) = words.get_mut(bit / 64) {
+                            *w &= !(1 << (bit % 64));
+                        }
+                    }
+                    None
+                }
+            };
+            match held {
                 Some(PageEntry::Full { .. }) => return,
                 Some(held) => {
                     for (w, h) in words.iter_mut().zip(held.words(cap)) {
@@ -1111,12 +1285,16 @@ impl NewRumors {
                 }
             }
         };
-        if src.is_full() {
-            for index in 0..src.universe().div_ceil(PAGE_BITS) as u32 {
-                add_page(&PageEntry::Full { index });
+        match &src.store {
+            _ if src.is_full() => {
+                for index in 0..src.universe().div_ceil(PAGE_BITS) as u32 {
+                    add_page(&PageEntry::Full { index });
+                }
             }
-        } else {
-            src.pages.iter().for_each(add_page);
+            Store::Pages(pages) => pages.iter().for_each(add_page),
+            Store::Ids(_) => {
+                inline_entries(src.inline_ids(), src.universe()).for_each(|entry| add_page(&entry))
+            }
         }
     }
 
@@ -1373,6 +1551,72 @@ mod tests {
             0,
             "full sets collapse to zero pages"
         );
+    }
+
+    /// Every order of the ids `ids`.
+    fn orders(ids: &[u32]) -> Vec<Vec<u32>> {
+        if ids.is_empty() {
+            return vec![Vec::new()];
+        }
+        (0..ids.len())
+            .flat_map(|k| {
+                let mut rest = ids.to_vec();
+                let first = rest.remove(k);
+                orders(&rest).into_iter().map(move |mut order| {
+                    order.insert(0, first);
+                    order
+                })
+            })
+            .collect()
+    }
+
+    /// A set of at most `SPARSE_MAX` ids lives inline in its header on a
+    /// 2^17-id universe: it has no page cost, and it equals the same ids
+    /// unioned as runs whatever order they were inserted in.  A sixth id
+    /// moves the set to pages: six ids on two pages cost two entries.
+    #[test]
+    fn sets_of_at_most_five_ids_stay_inline() {
+        let n = 1 << 17;
+        let ids = [4097u32, 5, 131_071, 6, 4];
+        for k in 0..=SPARSE_MAX {
+            let mut sorted = ids[..k].to_vec();
+            sorted.sort_unstable();
+            let mut by_runs = RumorSet::empty(n);
+            for (first, len) in runs_of(sorted.iter().map(|&i| i as usize)) {
+                by_runs.union_run(first.index(), len);
+            }
+            assert_eq!(by_runs.len(), k);
+            for order in orders(&ids[..k]) {
+                let mut set = RumorSet::empty(n);
+                for &i in &order {
+                    set.insert(RumorId(i));
+                }
+                assert!(matches!(set.store, Store::Ids(_)), "{order:?}");
+                assert_eq!(set.page_footprint(), PageFootprint::default());
+                assert_eq!(set, by_runs, "{order:?}");
+            }
+        }
+        let mut six = RumorSet::empty(n);
+        for i in [4, 5, 6, 7, 4096, 4097] {
+            six.insert(RumorId(i));
+        }
+        let cost = six.page_footprint();
+        assert_eq!((cost.dense, cost.bytes), (0, 2 * ENTRY_BYTES));
+        assert_eq!(six.iter().count(), 6);
+        // Inline ids that fill a short last page become its full sentinel
+        // when the set moves to pages, as a union of all six at once gives.
+        let n = PAGE_BITS + 3;
+        let mut tail_first = RumorSet::empty(n);
+        tail_first.union_run(PAGE_BITS, 3);
+        assert!(matches!(tail_first.store, Store::Ids(_)));
+        tail_first.union_run(0, 3);
+        let mut words = vec![0; n.div_ceil(64)];
+        set_words_range(&mut words, 0, 3);
+        set_words_range(&mut words, PAGE_BITS, 3);
+        let mut at_once = RumorSet::empty(n);
+        at_once.union_words(0, &words);
+        assert_eq!(tail_first, at_once);
+        assert_eq!(tail_first.page_footprint().bytes, ENTRY_BYTES);
     }
 
     #[test]
@@ -1772,13 +2016,14 @@ mod tests {
         runs
     }
 
-    /// A set's page cost recounted from its contents alone: every page that
-    /// is neither empty nor full costs an entry, and a block past
-    /// `SPARSE_MAX` ids — its `⌈cap/64⌉` words rounded up to 8, 16, 32 or
-    /// 64; a saturated set costs nothing.
+    /// A set's page cost recounted from its contents alone: a saturated
+    /// set, or one of at most `SPARSE_MAX` ids (inline), costs nothing;
+    /// otherwise every page that is neither empty nor full costs an entry,
+    /// and a block past `SPARSE_MAX` ids — its `⌈cap/64⌉` words rounded up
+    /// to 8, 16, 32 or 64.
     fn recount(model: &[bool]) -> PageFootprint {
         let mut cost = PageFootprint::default();
-        if model.iter().all(|&b| b) {
+        if model.iter().all(|&b| b) || model.iter().filter(|&&b| b).count() <= SPARSE_MAX {
             return cost;
         }
         for page in model.chunks(PAGE_BITS) {
@@ -1817,7 +2062,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The delta window against a naive list of per-round batches: no
         /// batch costs more than its runs, a batch is a layer exactly when
@@ -1898,7 +2143,10 @@ mod tests {
         /// fills, biased towards the few-id pages that stay sparse and
         /// towards short last pages: of capacity <= `SPARSE_MAX`, which go
         /// straight from sparse to full, and of 6..=4095 bits, which go
-        /// dense in a block sized to them.  After every step the contents,
+        /// dense in a block sized to them.  A third of the cases draw a
+        /// universe of 1 to `SPARSE_MAX` ids, which a small set fills, and a
+        /// third add at most 7 single ids to a universe of two pages and a
+        /// tail, across the inline boundary.  After every step the contents,
         /// `len`, the reported count of new ids, the new runs phase A would
         /// gather and the page cost match; at the end, two other
         /// construction orders compare `==`, and `is_subset` holds exactly
@@ -1906,14 +2154,29 @@ mod tests {
         #[test]
         fn rumor_set_matches_bool_model(seed in 0u64..1 << 32, universe in 1usize..9000) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let universe = universe_with_tail(&mut rng, universe);
+            let (universe, steps, single) = match rng.gen_range(0..3u32) {
+                0 => (rng.gen_range(1..=SPARSE_MAX), rng.gen_range(1..60u32), false),
+                1 => {
+                    let multi_page = 2 * PAGE_BITS + universe % PAGE_BITS;
+                    (universe_with_tail(&mut rng, multi_page), rng.gen_range(0..=7u32), true)
+                }
+                _ => (universe_with_tail(&mut rng, universe), rng.gen_range(1..60u32), false),
+            };
             let words = universe.div_ceil(64);
             let mut set = RumorSet::empty(universe);
             let mut model = vec![false; universe];
-            for _ in 0..rng.gen_range(1..60u32) {
+            for _ in 0..steps {
                 let before = model.clone();
                 let before_set = set.clone();
-                let added = match rng.gen_range(0..16u32) {
+                let added = if single {
+                    let i = rng.gen_range(0..universe);
+                    model[i] = true;
+                    match rng.gen_range(0..3u32) {
+                        0 => u32::from(set.insert(RumorId::from(i))),
+                        1 => set.union_run(i, 1),
+                        _ => set.union_words(i / 64, &[1 << (i % 64)]),
+                    }
+                } else { match rng.gen_range(0..16u32) {
                     0..=5 => {
                         let i = rng.gen_range(0..universe);
                         model[i] = true;
@@ -1949,7 +2212,7 @@ mod tests {
                         set.insert_delta(Delta::Runs(&missing))
                     }
                     _ => 0,
-                };
+                } };
                 let fresh: Vec<usize> = (0..universe).filter(|&i| model[i] && !before[i]).collect();
                 prop_assert_eq!(added as usize, fresh.len());
                 prop_assert!(before_set.is_subset(&set));

@@ -258,10 +258,10 @@ fn dense_log_layers_match_the_oracle() {
     );
 }
 
-/// The sparse page path across pages: all-to-all push–pull on a 9000-node
-/// star spans 3 rumor pages, with sparse entries on pages 1 and 2 (each
-/// leaf's own id and rumor 0) until the saturating merges fill them.  On 3
-/// workers; `engine_parallel` pins the 1-worker run to it.
+/// The inline-to-paged path across pages: all-to-all push–pull on a
+/// 9000-node star spans 3 rumor pages; each leaf holds its own id and
+/// rumor 0 inline until the saturating merge moves them to pages and fills
+/// them.  On 3 workers; `engine_parallel` pins the 1-worker run to it.
 #[test]
 fn multi_page_star_matches_the_oracle() {
     let g = generators::star(9000, 1).unwrap();

@@ -121,7 +121,8 @@ fn random_regular(n: usize) -> Graph {
 }
 
 /// Expander endgame at a debug-friendly size.  Measured (release, x86-64):
-/// heap 5.0 MB against 4.5 MB counted; 11.2 MB against 9.8 MB with
+/// heap 4.8 MB against 4.5 MB counted (5.0 MB with a heap page directory
+/// on every set); 11.2 MB against 9.8 MB with
 /// acquisition logs, 73.3 MB when merge phase A still collected every raw
 /// run of a delivery phase.
 #[test]
@@ -135,8 +136,9 @@ fn erdos_renyi_4096_heap_peak_is_within_1_5x_the_counted_peak() {
 
 /// The size of perfbench's `churn-broadcast` graph: 1024 nodes, so each set
 /// is one short page whose dense block holds 16 words, not 64.  Measured:
-/// heap 1.91 MB against 1.54 MB counted (2.31 MB against 1.94 MB with
-/// 64-word blocks on every page).
+/// heap 1.88 MB against 1.54 MB counted (1.91 MB with a heap page
+/// directory on every set, 2.31 MB against 1.94 MB with 64-word blocks on
+/// every page).
 #[test]
 fn erdos_renyi_1024_bimodal_heap_peak_is_within_1_5x_the_counted_peak() {
     let build = || {
@@ -151,8 +153,9 @@ fn erdos_renyi_1024_bimodal_heap_peak_is_within_1_5x_the_counted_peak() {
     assert_heap_within_counter(build, "bimodal ER 1024");
 }
 
-/// Measured: heap 18.2 MB against 17.4 MB counted (39.9 MB against 34.5 MB
-/// with acquisition logs, 286.6 MB with the phase-wide run buffer).
+/// Measured: heap 18.0 MB against 17.4 MB counted (18.2 MB with a heap
+/// page directory on every set, 39.9 MB against 34.5 MB with acquisition
+/// logs, 286.6 MB with the phase-wide run buffer).
 #[cfg(not(debug_assertions))]
 #[test]
 fn random_regular_8192_heap_peak_is_within_1_5x_the_counted_peak() {
@@ -172,19 +175,19 @@ fn random_regular_16384_heap_peak_stays_under_250_mb() {
     );
 }
 
-/// Measured: heap 24.8 MB against 11.5 MB counted (25.8 MB against
+/// Measured: heap 16.4 MB against 7.3 MB counted (24.8 MB against
+/// 11.5 MB with a heap page directory on every set, 25.8 MB against
 /// 12.5 MB with 40-byte set headers, 49.1 MB against 16.7 MB with per-node
-/// acquisition logs and shadow vectors).  The gap is
-/// per-node state that `MemStats` does not count: each rumor set's page
-/// directory capacity, the calendar's flights, the merge tasks, the
+/// acquisition logs and shadow vectors).  The gap is per-node state that
+/// `MemStats` does not count: the calendar's flights, the merge tasks, the
 /// scheduler and decision buffers.  Hence an absolute bound, the measured
 /// peak plus 10%, not the 1.5× ratio.
 #[cfg(not(debug_assertions))]
 #[test]
-fn star_131072_heap_peak_stays_under_27_3_mb() {
+fn star_131072_heap_peak_stays_under_18_1_mb() {
     let (heap, counted) = run_heap_peak(|| generators::star(1 << 17, 1).unwrap());
     assert!(
-        heap < 27_300_000,
-        "star 2^17: heap peak {heap} B (counted {counted} B) exceeds 27.3 MB"
+        heap < 18_100_000,
+        "star 2^17: heap peak {heap} B (counted {counted} B) exceeds 18.1 MB"
     );
 }

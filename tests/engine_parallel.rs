@@ -186,9 +186,9 @@ fn skipping_endgame_is_identical_across_thread_counts() {
     );
 }
 
-/// A star past one rumor page: 9000 nodes span 3 pages, so every leaf on
-/// pages 1 and 2 holds two sparse entries (its own id, and rumor 0 after
-/// the hub's first delivery) while the hub's pages go dense and then full.
+/// A star past one rumor page: 9000 nodes span 3 pages; every leaf holds
+/// two ids inline (its own, and rumor 0 after the hub's first delivery)
+/// while the hub's pages go dense and then full.
 /// The merge walk's page-cost trace must compose to the same `MemStats`
 /// on every pool size.
 #[test]

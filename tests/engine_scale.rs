@@ -154,10 +154,10 @@ fn push_pull_all_to_all_on_a_32768_node_star_stays_under_one_gigabyte() {
 
 /// THE ISSUE acceptance gate (release only): push–pull *all-to-all* on a
 /// **131072-node star** — the workload the dense-bitset layout could never
-/// touch (`2·n²/8` ≈ 4.3 GiB for sets + shadows alone).  With paged sets a
-/// node costs a couple of sparse entries (its own singleton page, plus page 0
-/// once the hub's first exchange delivers rumor 0) until a saturating merge
-/// flips whole pages to the full sentinel and the set collapses to nothing;
+/// touch (`2·n²/8` ≈ 4.3 GiB for sets + shadows alone).  A leaf holds two
+/// ids inline in its set's header (its own, plus rumor 0 once the hub's
+/// first exchange delivers it) until a saturating merge flips whole pages
+/// to the full sentinel and the set collapses to its header;
 /// on unit latencies the window holds nothing beyond the current phase.
 /// The deterministic peak must stay under 32 MiB and the endgame must
 /// short-circuit (the full hub's merges are complements) fast enough to
@@ -179,7 +179,7 @@ fn push_pull_all_to_all_on_a_131072_node_star_stays_under_32_mebibytes() {
         mem.peak_engine_bytes
     );
     assert_eq!(mem.saturated_nodes, 131072);
-    // A leaf holds two sparse entries at most (own page + page 0 from the
+    // A leaf holds two inline ids at most (its own + rumor 0 from the
     // hub's first delivery): the saturating merge arrives as a few huge
     // consecutive runs and flips every further page straight to the full
     // sentinel — never a dense materialisation of the whole universe.  Only
@@ -349,8 +349,9 @@ fn sharded_one_to_all_on_a_million_node_star_is_thread_invariant() {
 /// **2²⁰-node star** on 4 workers — every node ends up knowing
 /// all 2²⁰ rumors.  Dense bitsets would cost `2·n²/8` ≈ 275 GiB for sets and
 /// shadows; the paged, saturation-collapsing layout must keep the
-/// deterministic peak under 256 MiB (measured: 134.4 MB; the transient is
-/// ~2 sparse entries per node before the saturating merges flip pages
+/// deterministic peak under 256 MiB (measured: 58.7 MB, 92.2 MB with a
+/// heap page directory on every set; the transient is ~2 ids per node,
+/// inline in its set's header, before the saturating merges flip pages
 /// straight to the full sentinel), and the run must finish within the
 /// wall-clock budget.
 #[cfg(not(debug_assertions))]

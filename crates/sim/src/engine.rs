@@ -640,47 +640,17 @@ impl Scheduler {
 #[derive(Default)]
 struct Calendar {
     rounds: BTreeMap<u64, Vec<Flight>>,
-    /// A delivered round's `Vec`, emptied by `recycle`: a new key that
-    /// completes before every pending one takes it, with its capacity,
-    /// instead of allocating.  Such a key is delivered ahead of every round
-    /// pending when it was made, so the capacity comes back soon instead of
-    /// idling under a slow flight's key for that flight's whole latency.
-    spare: Vec<Flight>,
 }
 
 impl Calendar {
     /// Queues `flight` to complete at round `at`.
     fn push(&mut self, at: u64, flight: Flight) {
-        if let Some(flights) = self.rounds.get_mut(&at) {
-            flights.push(flight);
-            return;
-        }
-        let next = self
-            .rounds
-            .first_key_value()
-            .is_none_or(|(&first, _)| at < first);
-        let mut flights = if next {
-            std::mem::take(&mut self.spare)
-        } else {
-            Vec::new()
-        };
-        flights.push(flight);
-        self.rounds.insert(at, flights);
+        self.rounds.entry(at).or_default().push(flight);
     }
 
-    /// Removes and returns the exchanges completing at `round`; hand the
-    /// `Vec` back to `recycle` once done with it.
+    /// Removes and returns the exchanges completing at `round`.
     fn take(&mut self, round: u64) -> Vec<Flight> {
         self.rounds.remove(&round).unwrap_or_default()
-    }
-
-    /// Keeps a delivered round's `Vec`, emptied, as the spare, unless the
-    /// spare already holds more capacity.
-    fn recycle(&mut self, mut flights: Vec<Flight>) {
-        if flights.capacity() > self.spare.capacity() {
-            flights.clear();
-            self.spare = flights;
-        }
     }
 
     /// The next round strictly after `round` at which an exchange completes:
@@ -1483,9 +1453,8 @@ impl<'a> RoundState<'a> {
     /// adds nothing and gets no task); the
     /// merges give the same sets whatever the thread count; each changed
     /// destination gets its tracked-rumor time stamped from its merged set
-    /// and settles a pending rejoin recovery; then both endpoints
-    /// of every delivered exchange get `on_exchange`; last, the round's
-    /// flight `Vec` goes back to the calendar for reuse.
+    /// and settles a pending rejoin recovery; last, both endpoints
+    /// of every delivered exchange get `on_exchange`.
     // gossip-lint: allow(panic-path): node and edge ids are below the graph's n and m (its n + 1 offsets bound every node's slice of the flat arc array); per-node vecs are sized n at construction
     fn deliver<P: Protocol>(&mut self, protocol: &mut P, round: u64) {
         let completions = self.calendar.take(round);
@@ -1528,7 +1497,7 @@ impl<'a> RoundState<'a> {
             self.progress.check_recovery(node, set, round);
         }
 
-        for fl in completions.iter().filter(|fl| !fl.lost) {
+        for fl in completions.into_iter().filter(|fl| !fl.lost) {
             let latency = self.graph.latency(fl.edge);
             for (node, peer, initiated_here) in [
                 (fl.initiator, fl.responder, true),
@@ -1550,7 +1519,6 @@ impl<'a> RoundState<'a> {
                 self.sched.wake(node.index());
             }
         }
-        self.calendar.recycle(completions);
     }
 
     /// Phase 3: evaluates the termination condition at the round boundary

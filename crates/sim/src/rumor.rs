@@ -680,45 +680,61 @@ impl RumorSet {
 
     /// Inserts the rumors `lo..lo+len` and returns how many were new.
     ///
-    /// One run of consecutive rumor ids is unioned in `O(len/64)` time, and
-    /// a run covering a whole absent page materialises the full sentinel
-    /// directly — no block, which is how a saturating merge fills a
-    /// 131072-rumor set with 32 page flips.
-    ///
     /// # Panics
     ///
     /// Panics if the run extends past the universe.
-    // gossip-lint: allow(panic-path): run bounds are asserted against the universe on entry
     fn union_run(&mut self, lo: usize, len: u32) -> u32 {
-        let hi = lo + len as usize;
-        assert!(
-            hi <= self.universe(),
-            "run {lo}..{hi} outside universe of size {}",
-            self.universe
-        );
-        if len == 0 || self.len == self.universe {
+        self.union_runs(&[(RumorId(lo as u32), len)])
+    }
+
+    /// Inserts every run of `runs` and returns how many rumors were new.
+    ///
+    /// One run of consecutive rumor ids is unioned in `O(len/64)` time, and
+    /// a run covering a whole absent page materialises the full sentinel
+    /// directly — no block, which is how a saturating merge fills a
+    /// 131072-rumor set with 32 page flips.  The directory is opened and
+    /// stored back once for the whole batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run extends past the universe.
+    // gossip-lint: allow(panic-path): run bounds are asserted against the universe on entry
+    fn union_runs(&mut self, runs: &[RumorRun]) -> u32 {
+        for &(first, len) in runs {
+            let (lo, hi) = (first.index(), first.index() + len as usize);
+            assert!(
+                hi <= self.universe(),
+                "run {lo}..{hi} outside universe of size {}",
+                self.universe
+            );
+        }
+        if self.len == self.universe {
             return 0;
         }
-        if let Some(added) = self.union_inline(lo as u32..hi as u32) {
+        let ids = runs.iter().flat_map(|&(first, len)| first.0..first.0 + len);
+        if let Some(added) = self.union_inline(ids) {
             return added;
         }
         let mut pages = self.take_pages();
         let mut added = 0;
-        for page in (lo / PAGE_BITS) as u32..=((hi - 1) / PAGE_BITS) as u32 {
-            let page_start = page as usize * PAGE_BITS;
-            let cap = self.page_capacity(page);
-            let a = lo.max(page_start) - page_start;
-            let b = (hi - page_start).min(PAGE_BITS);
-            let slot = pages.binary_search_by_key(&page, PageEntry::index);
-            added += match slot {
-                Err(at) if a == 0 && b >= cap as usize => {
-                    // The run covers the whole (absent) page: full sentinel,
-                    // no block.
-                    pages.insert(at, PageEntry::Full { index: page });
-                    cap
-                }
-                _ => union_page(&mut pages, page, cap, slot, word_masks(a, b - a)),
-            };
+        for &(first, len) in runs.iter().filter(|&&(_, len)| len > 0) {
+            let (lo, hi) = (first.index(), first.index() + len as usize);
+            for page in (lo / PAGE_BITS) as u32..=((hi - 1) / PAGE_BITS) as u32 {
+                let page_start = page as usize * PAGE_BITS;
+                let cap = self.page_capacity(page);
+                let a = lo.max(page_start) - page_start;
+                let b = (hi - page_start).min(PAGE_BITS);
+                let slot = pages.binary_search_by_key(&page, PageEntry::index);
+                added += match slot {
+                    Err(at) if a == 0 && b >= cap as usize => {
+                        // The run covers the whole (absent) page: full
+                        // sentinel, no block.
+                        pages.insert(at, PageEntry::Full { index: page });
+                        cap
+                    }
+                    _ => union_page(&mut pages, page, cap, slot, word_masks(a, b - a)),
+                };
+            }
         }
         self.put_pages(pages, added)
     }
@@ -764,10 +780,7 @@ impl RumorSet {
     /// new.
     pub(crate) fn insert_delta(&mut self, delta: Delta<'_>) -> u32 {
         match delta {
-            Delta::Runs(runs) => runs
-                .iter()
-                .map(|&(first, len)| self.union_run(first.index(), len))
-                .sum(),
+            Delta::Runs(runs) => self.union_runs(runs),
             Delta::Words(word_lo, words) => self.union_words(word_lo, words),
         }
     }
@@ -2062,7 +2075,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The delta window against a naive list of per-round batches: no
         /// batch costs more than its runs, a batch is a layer exactly when
@@ -2143,40 +2156,51 @@ mod tests {
         /// fills, biased towards the few-id pages that stay sparse and
         /// towards short last pages: of capacity <= `SPARSE_MAX`, which go
         /// straight from sparse to full, and of 6..=4095 bits, which go
-        /// dense in a block sized to them.  A third of the cases draw a
-        /// universe of 1 to `SPARSE_MAX` ids, which a small set fills, and a
-        /// third add at most 7 single ids to a universe of two pages and a
-        /// tail, across the inline boundary.  After every step the contents,
-        /// `len`, the reported count of new ids, the new runs phase A would
-        /// gather and the page cost match; at the end, two other
-        /// construction orders compare `==`, and `is_subset` holds exactly
-        /// when a step added nothing.
+        /// dense in a block sized to them.  Each case also draws such a
+        /// sequence on a universe of 1 to `SPARSE_MAX` ids, which a small
+        /// set fills, and adds 0 to 7 single ids to a universe of two pages
+        /// and a tail, across the inline boundary; `check_against_model`
+        /// says what is checked.
         #[test]
         fn rumor_set_matches_bool_model(seed in 0u64..1 << 32, universe in 1usize..9000) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let (universe, steps, single) = match rng.gen_range(0..3u32) {
-                0 => (rng.gen_range(1..=SPARSE_MAX), rng.gen_range(1..60u32), false),
-                1 => {
-                    let multi_page = 2 * PAGE_BITS + universe % PAGE_BITS;
-                    (universe_with_tail(&mut rng, multi_page), rng.gen_range(0..=7u32), true)
+            let mixed = universe_with_tail(&mut rng, universe);
+            let steps = rng.gen_range(1..60u32);
+            check_against_model(&mut rng, mixed, steps, false);
+            let tiny = rng.gen_range(1..=SPARSE_MAX);
+            let steps = rng.gen_range(1..60u32);
+            check_against_model(&mut rng, tiny, steps, false);
+            let multi_page = universe_with_tail(&mut rng, 2 * PAGE_BITS + universe % PAGE_BITS);
+            let steps = rng.gen_range(0..=7u32);
+            check_against_model(&mut rng, multi_page, steps, true);
+        }
+    }
+
+    /// Runs `steps` random steps on a set over `universe` and its
+    /// `Vec<bool>` model: single-id inserts (`insert`, one-id `union_run`,
+    /// one-bit `union_words`) when `single`, otherwise the mix of
+    /// `rumor_set_matches_bool_model`.  After every step the contents,
+    /// `len`, the reported count of new ids, the new runs phase A would
+    /// gather and the page cost match; at the end, two other construction
+    /// orders compare `==`, and `is_subset` holds exactly when a step added
+    /// nothing.
+    fn check_against_model(rng: &mut SmallRng, universe: usize, steps: u32, single: bool) {
+        let words = universe.div_ceil(64);
+        let mut set = RumorSet::empty(universe);
+        let mut model = vec![false; universe];
+        for _ in 0..steps {
+            let before = model.clone();
+            let before_set = set.clone();
+            let added = if single {
+                let i = rng.gen_range(0..universe);
+                model[i] = true;
+                match rng.gen_range(0..3u32) {
+                    0 => u32::from(set.insert(RumorId::from(i))),
+                    1 => set.union_run(i, 1),
+                    _ => set.union_words(i / 64, &[1 << (i % 64)]),
                 }
-                _ => (universe_with_tail(&mut rng, universe), rng.gen_range(1..60u32), false),
-            };
-            let words = universe.div_ceil(64);
-            let mut set = RumorSet::empty(universe);
-            let mut model = vec![false; universe];
-            for _ in 0..steps {
-                let before = model.clone();
-                let before_set = set.clone();
-                let added = if single {
-                    let i = rng.gen_range(0..universe);
-                    model[i] = true;
-                    match rng.gen_range(0..3u32) {
-                        0 => u32::from(set.insert(RumorId::from(i))),
-                        1 => set.union_run(i, 1),
-                        _ => set.union_words(i / 64, &[1 << (i % 64)]),
-                    }
-                } else { match rng.gen_range(0..16u32) {
+            } else {
+                match rng.gen_range(0..16u32) {
                     0..=5 => {
                         let i = rng.gen_range(0..universe);
                         model[i] = true;
@@ -2207,36 +2231,35 @@ mod tests {
                     _ if rng.gen_bool(0.3) => {
                         let mut missing = Vec::new();
                         set.complement_runs(&mut missing);
-                        prop_assert_eq!(&missing, &runs_of((0..universe).filter(|&i| !model[i])));
+                        assert_eq!(&missing, &runs_of((0..universe).filter(|&i| !model[i])));
                         model.fill(true);
                         set.insert_delta(Delta::Runs(&missing))
                     }
                     _ => 0,
-                } };
-                let fresh: Vec<usize> = (0..universe).filter(|&i| model[i] && !before[i]).collect();
-                prop_assert_eq!(added as usize, fresh.len());
-                prop_assert!(before_set.is_subset(&set));
-                prop_assert_eq!(set.is_subset(&before_set), fresh.is_empty());
-                prop_assert_eq!(new_runs(&before_set, &set), runs_of(fresh));
-                let ids: Vec<usize> = (0..universe).filter(|&i| model[i]).collect();
-                prop_assert_eq!(set.len(), ids.len());
-                prop_assert_eq!(set.iter().map(RumorId::index).collect::<Vec<_>>(), ids);
-                let cost = recount(&model);
-                prop_assert_eq!(set.page_footprint(), cost);
-            }
-            assert_matches_naive(&set, &model);
-            let mut backwards = RumorSet::empty(universe);
-            for i in (0..universe).rev().filter(|&i| model[i]) {
-                backwards.insert(RumorId::from(i));
-            }
-            prop_assert_eq!(&backwards, &set);
-            let mut bitset = vec![0u64; words];
-            for i in (0..universe).filter(|&i| model[i]) {
-                set_words_range(&mut bitset, i, 1);
-            }
-            let mut at_once = RumorSet::empty(universe);
-            at_once.union_words(0, &bitset);
-            prop_assert_eq!(&at_once, &set);
+                }
+            };
+            let fresh: Vec<usize> = (0..universe).filter(|&i| model[i] && !before[i]).collect();
+            assert_eq!(added as usize, fresh.len());
+            assert!(before_set.is_subset(&set));
+            assert_eq!(set.is_subset(&before_set), fresh.is_empty());
+            assert_eq!(new_runs(&before_set, &set), runs_of(fresh));
+            let ids: Vec<usize> = (0..universe).filter(|&i| model[i]).collect();
+            assert_eq!(set.len(), ids.len());
+            assert_eq!(set.iter().map(RumorId::index).collect::<Vec<_>>(), ids);
+            assert_eq!(set.page_footprint(), recount(&model));
         }
+        assert_matches_naive(&set, &model);
+        let mut backwards = RumorSet::empty(universe);
+        for i in (0..universe).rev().filter(|&i| model[i]) {
+            backwards.insert(RumorId::from(i));
+        }
+        assert_eq!(&backwards, &set);
+        let mut bitset = vec![0u64; words];
+        for i in (0..universe).filter(|&i| model[i]) {
+            set_words_range(&mut bitset, i, 1);
+        }
+        let mut at_once = RumorSet::empty(universe);
+        at_once.union_words(0, &bitset);
+        assert_eq!(&at_once, &set);
     }
 }

@@ -82,7 +82,8 @@ pub(crate) const MUTATING_METHODS: &[&str] = &[
     "set",
     "union_run",
     "insert_delta",
-    "union_words",
+    "union_runs",
+    "union_masks",
     "add_difference",
     "drain_runs",
     "age_out",

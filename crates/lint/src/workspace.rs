@@ -110,15 +110,22 @@ impl Default for AuditConfig {
             // Rumor-set merge operations (the parallel-merge contract).
             "RumorSet::insert",
             "RumorSet::insert_delta",
+            "RumorSet::union_masks",
             "RumorSet::complement_runs",
             // The delta window and the merge's batch builder, driven from
-            // both merge phases.
+            // both merge phases, with the readers of a stored batch.
             "NewRumors::add_difference",
             "NewRumors::drain_runs",
             "PhaseBatches::push",
             "PhaseBatches::get",
             "PhaseBatches::iter",
             "PhaseBatches::extend",
+            "PhaseBatches::delta",
+            "PhaseBatches::footprint",
+            "Delta::id_count",
+            "Delta::clear_from_page",
+            "id_masks",
+            "split_head",
             "DeltaWindow::push",
             "DeltaWindow::age_out",
             "DeltaWindow::deltas_since",

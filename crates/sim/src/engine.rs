@@ -15,10 +15,11 @@
 //!   and the only history the engine keeps is one [`DeltaWindow`]: each
 //!   delivery phase's per-node batches of new rumors, dropped once no
 //!   flight can reference them (after `max_latency − 1` rounds; on
-//!   unit-latency graphs nothing outlives its phase).  A batch is stored as
-//!   interval runs, or as one dense bitset layer over the id window it spans
-//!   when that is cheaper — the expander doubling endgame, where a node
-//!   learns about half the universe in scattered ids.
+//!   unit-latency graphs nothing outlives its phase).  A batch is stored in
+//!   the cheapest of three flat forms: interval runs, a list of 16-bit
+//!   offsets from a base id, or the dense word window it spans — the last
+//!   two for the expander doubling endgame, where a node learns about half
+//!   the universe in scattered ids.
 //! * **Paged rumor sets.**  Rumor sets are adaptive paged bitsets
 //!   ([`RumorSet`]): 4096-bit pages stored sparsely, with a zero-allocation
 //!   *full* sentinel for saturated pages, so per-node cost tracks what the
@@ -673,7 +674,7 @@ struct MemCounters {
     peak_runs: u64,
     /// Peak of `window.bytes` over the run so far.
     peak_bytes: u64,
-    /// Batches stored as dense layers.
+    /// Batches stored as dense word windows.
     dense_batches: u64,
     /// Batches aged out of the window.
     aged_batches: u64,

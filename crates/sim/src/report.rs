@@ -17,16 +17,19 @@ use std::fmt;
 pub struct MemStats {
     /// Peak number of interval runs held by the delta window — the recent
     /// delivery phases' per-node batches of new rumors, the current phase
-    /// included — at any point of the run (8 bytes each; dense layers are
-    /// not runs).
+    /// included — at any point of the run (8 bytes each; batches stored as
+    /// an id list or a dense word window hold no runs).
     pub peak_log_runs: u64,
-    /// Peak bytes held by the delta window: 8 per batch's index entry, 8 per
-    /// interval run and, per dense layer, its word window and a fixed
-    /// header.  Runs and layers are summed at the same instants, so this is
-    /// the real peak of their total, not `peak_log_runs × 8`.
+    /// Peak bytes held by the delta window: 8 per batch's index entry, plus
+    /// each batch in its stored form — 8 per interval run; for an id list,
+    /// 2 per id (a 16-bit offset) and 4 for its base id; for a dense word
+    /// window, 8 per word and 4 for its first word's index.  All forms are
+    /// summed at the same instants, so this is the real peak of their
+    /// total, not `peak_log_runs × 8`.
     pub peak_log_bytes: u64,
     /// Batches (one node's new rumors of one delivery phase) stored as a
-    /// dense layer because that was cheaper than their interval runs.
+    /// dense word window because that took fewer bytes than their interval
+    /// runs or their id list.
     pub dense_batches: u64,
     /// Interval runs still in the window when the run ended.
     pub live_log_runs: u64,

@@ -52,8 +52,10 @@
 //! as of its initiation round, which is the peer's current set minus the
 //! deltas it learned since ([`NewRumors::add_difference`]); a round older
 //! than every snapshot still in flight is dropped.  One node's delta of one
-//! phase is stored as interval runs, or as one dense layer over the id
-//! window it spans when that is cheaper ([`PhaseBatches::push`]).
+//! phase is stored in the cheapest of three forms ([`PhaseBatches::push`]):
+//! interval runs, sorted 16-bit offsets from a base id, or the dense word
+//! window it spans.  A phase keeps all of its batches in one flat array of
+//! 16-bit slots, read in place.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -144,6 +146,8 @@ pub(crate) const PAGE_BITS: usize = 4096;
 const PAGE_SHIFT: u32 = PAGE_BITS.trailing_zeros();
 /// 64-bit words per page.
 const PAGE_WORDS: usize = PAGE_BITS / 64;
+/// Page number of word `w`: `w >> PAGE_WORD_SHIFT`.
+const PAGE_WORD_SHIFT: u32 = PAGE_WORDS.trailing_zeros();
 /// Most ids a set keeps inline in its header, and most set bits a page
 /// stores inline in its entry as sorted offsets (the sparse state).
 const SPARSE_MAX: usize = 5;
@@ -684,7 +688,7 @@ impl RumorSet {
     ///
     /// Panics if the run extends past the universe.
     fn union_run(&mut self, lo: usize, len: u32) -> u32 {
-        self.union_runs(&[(RumorId(lo as u32), len)])
+        self.union_runs(std::iter::once((RumorId(lo as u32), len)))
     }
 
     /// Inserts every run of `runs` and returns how many rumors were new.
@@ -699,8 +703,8 @@ impl RumorSet {
     ///
     /// Panics if a run extends past the universe.
     // gossip-lint: allow(panic-path): run bounds are asserted against the universe on entry
-    fn union_runs(&mut self, runs: &[RumorRun]) -> u32 {
-        for &(first, len) in runs {
+    fn union_runs(&mut self, runs: impl Iterator<Item = RumorRun> + Clone) -> u32 {
+        for (first, len) in runs.clone() {
             let (lo, hi) = (first.index(), first.index() + len as usize);
             assert!(
                 hi <= self.universe(),
@@ -711,13 +715,13 @@ impl RumorSet {
         if self.len == self.universe {
             return 0;
         }
-        let ids = runs.iter().flat_map(|&(first, len)| first.0..first.0 + len);
+        let ids = runs.clone().flat_map(|(first, len)| first.0..first.0 + len);
         if let Some(added) = self.union_inline(ids) {
             return added;
         }
         let mut pages = self.take_pages();
         let mut added = 0;
-        for &(first, len) in runs.iter().filter(|&&(_, len)| len > 0) {
+        for (first, len) in runs.filter(|&(_, len)| len > 0) {
             let (lo, hi) = (first.index(), first.index() + len as usize);
             for page in (lo / PAGE_BITS) as u32..=((hi - 1) / PAGE_BITS) as u32 {
                 let page_start = page as usize * PAGE_BITS;
@@ -739,49 +743,81 @@ impl RumorSet {
         self.put_pages(pages, added)
     }
 
-    /// Unions a raw dense word window into the set and returns how many
-    /// rumors were new: `words[k]` holds universe bits `(word_lo + k)·64 ..`,
-    /// so a dense delta layer is the window it spans.
-    // gossip-lint: allow(panic-path): the window's page slices are bounded by the window itself
-    fn union_words(&mut self, word_lo: usize, words: &[u64]) -> u32 {
-        let word_hi = word_lo + words.len();
-        debug_assert!(word_hi <= self.word_count(), "window past the universe");
-        if self.len == self.universe || words.is_empty() {
+    /// Unions word masks into the set and returns how many rumors were new:
+    /// `(w, bits)` sets the `bits` of universe word `w` (ids `w·64 ..`),
+    /// in ascending `w`, a word possibly more than once.  The masks are read
+    /// once: a dense page takes its masks as they come, and any other
+    /// page's masks are gathered on the stack first, since its union needs
+    /// them twice.  The directory is opened and stored back once, and each
+    /// page touched is searched once.
+    fn union_masks(&mut self, masks: impl Iterator<Item = (usize, u64)> + Clone) -> u32 {
+        if self.len == self.universe {
             return 0;
         }
-        let ids = (word_lo..).zip(words);
-        if let Some(added) =
-            self.union_inline(ids.flat_map(|(w, &bits)| ones((w * 64) as u32, bits)))
-        {
+        let ids = masks
+            .clone()
+            .flat_map(|(w, bits)| ones((w * 64) as u32, bits));
+        if let Some(added) = self.union_inline(ids) {
             return added;
         }
         let mut pages = self.take_pages();
         let mut added = 0;
-        for page in (word_lo / PAGE_WORDS) as u32..=((word_hi - 1) / PAGE_WORDS) as u32 {
-            let page_lo = page as usize * PAGE_WORDS;
-            // The window's words inside this page, and where they sit in it.
-            let a = word_lo.max(page_lo);
-            let b = word_hi.min(page_lo + PAGE_WORDS);
-            let src = &words[a - word_lo..b - word_lo];
-            if src.iter().all(|&w| w == 0) {
-                continue;
-            }
+        let mut masks = masks.filter(|&(_, bits)| bits != 0).peekable();
+        while let Some(&(w, _)) = masks.peek() {
+            let page = w >> PAGE_WORD_SHIFT;
+            let page_lo = page << PAGE_WORD_SHIFT;
+            let on_page =
+                std::iter::from_fn(|| masks.next_if(|&(w, _)| w >> PAGE_WORD_SHIFT == page))
+                    .map(|(w, bits)| (w - page_lo, bits));
+            let (page, cap) = (page as u32, self.page_capacity(page as u32));
             let slot = pages.binary_search_by_key(&page, PageEntry::index);
-            let masks = src
-                .iter()
-                .enumerate()
-                .map(|(k, &bits)| (a - page_lo + k, bits));
-            added += union_page(&mut pages, page, self.page_capacity(page), slot, masks);
+            match slot.ok().and_then(|p| pages.get_mut(p)) {
+                Some(entry) if !entry.block().is_empty() => {
+                    added += entry.union_block(cap, on_page);
+                }
+                Some(PageEntry::Full { .. }) => on_page.for_each(drop),
+                _ => {
+                    let mut block = [0u64; PAGE_WORDS];
+                    let (mut lo, mut hi) = (PAGE_WORDS, 0);
+                    for (k, bits) in on_page {
+                        if let Some(word) = block.get_mut(k) {
+                            *word |= bits;
+                        }
+                        (lo, hi) = (lo.min(k), hi.max(k + 1));
+                    }
+                    let gathered = block.get(lo..hi).unwrap_or_default().iter().copied();
+                    added += union_page(&mut pages, page, cap, slot, (lo..).zip(gathered));
+                }
+            }
         }
         self.put_pages(pages, added)
     }
 
-    /// Unions one delta batch into the set and returns how many rumors were
-    /// new.
+    /// Unions one delta batch — ids the set lacks, in any stored form — into
+    /// the set and returns how many rumors were new.  A batch that holds
+    /// every id the set misses fills it straight to the full form, with no
+    /// directory opened.
     pub(crate) fn insert_delta(&mut self, delta: Delta<'_>) -> u32 {
+        let count = delta.id_count();
+        if count > 0 && count == u64::from(self.universe - self.len) {
+            debug_assert!(
+                if count <= u64::from(self.len) {
+                    delta.ids().all(|i| !self.contains(RumorId(i)))
+                } else {
+                    self.iter().all(|r| !delta.holds(r.0))
+                },
+                "a batch holds only ids the set lacks"
+            );
+            self.len = self.universe;
+            self.store = Store::Pages(Box::default());
+            return count as u32;
+        }
         match delta {
-            Delta::Runs(runs) => self.union_runs(runs),
-            Delta::Words(word_lo, words) => self.union_words(word_lo, words),
+            Delta::Runs(runs) => self.union_runs(runs.iter().map(|&slots| run_of(slots))),
+            Delta::Ids(base, offsets) => self.union_masks(id_masks(base, offsets)),
+            Delta::Words(word_lo, words) => {
+                self.union_masks((word_lo..).zip(words.iter().map(|&slots| unquad(slots))))
+            }
         }
     }
 
@@ -925,35 +961,119 @@ fn word_masks(lo: usize, len: usize) -> impl Iterator<Item = (usize, u64)> + Clo
     })
 }
 
-/// Sets the bits `lo..lo+len` in a raw bitset word slice (how a batch is
-/// built into a dense delta layer).
-// gossip-lint: allow(panic-path): callers pass lo..lo+len ranges within the word slice
-fn set_words_range(words: &mut [u64], lo: usize, len: usize) {
-    for (w, mask) in word_masks(lo, len) {
-        words[w] |= mask;
-    }
+/// The four 16-bit slots that store `v`, least significant first.
+fn quad(v: u64) -> [u16; 4] {
+    [
+        v as u16,
+        (v >> 16) as u16,
+        (v >> 32) as u16,
+        (v >> 48) as u16,
+    ]
+}
+
+/// The `u64` stored in four 16-bit slots.
+fn unquad([a, b, c, d]: [u16; 4]) -> u64 {
+    u64::from(a) | u64::from(b) << 16 | u64::from(c) << 32 | u64::from(d) << 48
+}
+
+/// The run stored in four 16-bit slots: its first id in the low half.
+fn run_of(slots: [u16; 4]) -> RumorRun {
+    let v = unquad(slots);
+    (RumorId(v as u32), (v >> 32) as u32)
+}
+
+/// The word masks of the ascending ids `base + offset`, one per id: its
+/// universe word and its bit there.
+fn id_masks(base: u32, offsets: &[u16]) -> impl Iterator<Item = (usize, u64)> + Clone + '_ {
+    offsets.iter().map(move |&o| {
+        let id = base as usize + usize::from(o);
+        (id / 64, 1 << (id % 64))
+    })
+}
+
+/// The `u32` stored in a batch's first two slots, and the slots after it.
+fn split_head(slots: &[u16]) -> Option<(u32, &[u16])> {
+    let (&[lo, hi], rest) = slots.split_first_chunk()?;
+    Some((u32::from(lo) | u32::from(hi) << 16, rest))
 }
 
 /// One node's acquisitions of one delivery phase, as the [`DeltaWindow`]
-/// stores them.
+/// stores them: in the 16-bit slots of [`PhaseBatches`], read in place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Delta<'a> {
-    /// Maximal runs of consecutive ids, ascending.
-    Runs(&'a [RumorRun]),
-    /// The set bits of a word window whose word `k` holds universe bits
-    /// `(word_lo + k)·64 ..` (`word_lo`, window).
-    Words(usize, &'a [u64]),
+    /// Maximal runs of consecutive ids, ascending; a run is the `u64`
+    /// `first | len << 32` in four slots.
+    Runs(&'a [[u16; 4]]),
+    /// The ids `base + offset` of ascending offsets (`base`, offsets).
+    Ids(u32, &'a [u16]),
+    /// The set bits of a word window whose word `k`, in four slots, holds
+    /// universe bits `(word_lo + k)·64 ..` (`word_lo`, window).
+    Words(usize, &'a [[u16; 4]]),
 }
 
-impl Delta<'_> {
-    /// Clears this delta's ids from `words`, the words of page `page`.
-    fn clear_from_page(self, page: usize, words: &mut [u64; PAGE_WORDS]) {
-        let page_lo = page * PAGE_WORDS;
+impl<'a> Delta<'a> {
+    /// Number of ids.
+    fn id_count(self) -> u64 {
+        match self {
+            Delta::Runs(runs) => runs.iter().map(|&r| u64::from(run_of(r).1)).sum(),
+            Delta::Ids(_, offsets) => offsets.len() as u64,
+            Delta::Words(_, words) => words
+                .iter()
+                .map(|&w| u64::from(unquad(w).count_ones()))
+                .sum(),
+        }
+    }
+
+    /// The ids, ascending.
+    fn ids(self) -> impl Iterator<Item = u32> + 'a {
+        let (runs, (base, offsets), (word_lo, words)): (&[_], (u32, &[_]), (usize, &[_])) =
+            match self {
+                Delta::Runs(runs) => (runs, (0, &[]), (0, &[])),
+                Delta::Ids(base, offsets) => (&[], (base, offsets), (0, &[])),
+                Delta::Words(word_lo, words) => (&[], (0, &[]), (word_lo, words)),
+            };
+        let runs = runs.iter().flat_map(|&r| {
+            let (first, len) = run_of(r);
+            first.0..first.0 + len
+        });
+        let listed = offsets.iter().map(move |&o| base + u32::from(o));
+        let dense = (word_lo..)
+            .zip(words)
+            .flat_map(|(w, &bits)| ones((w * 64) as u32, unquad(bits)));
+        runs.chain(listed).chain(dense)
+    }
+
+    /// Whether the batch holds id `i`.
+    fn holds(self, i: u32) -> bool {
         match self {
             Delta::Runs(runs) => {
-                let (lo, hi) = (page * PAGE_BITS, (page + 1) * PAGE_BITS);
-                let first = runs.partition_point(|&(f, len)| f.index() + len as usize <= lo);
-                for &(f, len) in runs.iter().skip(first) {
+                let after = runs.partition_point(|&r| run_of(r).0 .0 <= i);
+                after
+                    .checked_sub(1)
+                    .and_then(|k| runs.get(k))
+                    .is_some_and(|&r| i - run_of(r).0 .0 < run_of(r).1)
+            }
+            Delta::Ids(base, offsets) => i
+                .checked_sub(base)
+                .and_then(|o| u16::try_from(o).ok())
+                .is_some_and(|o| offsets.binary_search(&o).is_ok()),
+            Delta::Words(word_lo, words) => (i as usize / 64)
+                .checked_sub(word_lo)
+                .and_then(|k| words.get(k))
+                .is_some_and(|&w| unquad(w) & 1 << (i % 64) != 0),
+        }
+    }
+
+    /// Clears this delta's ids from `words`, the words of page `page`.
+    fn clear_from_page(self, page: usize, words: &mut [u64; PAGE_WORDS]) {
+        let (lo, hi) = (page * PAGE_BITS, (page + 1) * PAGE_BITS);
+        match self {
+            Delta::Runs(runs) => {
+                let first = runs.partition_point(|&r| {
+                    let (f, len) = run_of(r);
+                    f.index() + len as usize <= lo
+                });
+                for (f, len) in runs.iter().skip(first).map(|&r| run_of(r)) {
                     if f.index() >= hi {
                         break;
                     }
@@ -966,7 +1086,20 @@ impl Delta<'_> {
                     }
                 }
             }
+            Delta::Ids(base, offsets) => {
+                let base = base as usize;
+                let from = offsets.partition_point(|&o| base + usize::from(o) < lo);
+                for id in offsets.iter().skip(from).map(|&o| base + usize::from(o)) {
+                    if id >= hi {
+                        break;
+                    }
+                    if let Some(word) = words.get_mut((id - lo) / 64) {
+                        *word &= !(1 << (id % 64));
+                    }
+                }
+            }
             Delta::Words(word_lo, window) => {
+                let page_lo = page * PAGE_WORDS;
                 let a = word_lo.max(page_lo);
                 let b = (word_lo + window.len()).min(page_lo + PAGE_WORDS);
                 let pairs = words.iter_mut().skip(a - page_lo);
@@ -974,32 +1107,38 @@ impl Delta<'_> {
                     .zip(window.iter().skip(a - word_lo))
                     .take(b.saturating_sub(a))
                 {
-                    *word &= !bits;
+                    *word &= !unquad(bits);
                 }
             }
         }
     }
 }
 
-/// A batch stored as a dense layer: the bitset over the word window its
-/// ids span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Layer {
-    dst: u32,
-    /// Universe word index of `words[0]`.
-    word_lo: u32,
-    words: Box<[u64]>,
+/// How [`PhaseBatches`] stores one batch: whichever form costs the fewest
+/// 16-bit slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Form {
+    /// The maximal runs: 4 slots (8 bytes) per run.
+    Runs = 0,
+    /// A sorted list of 16-bit offsets from a `u32` base id, allowed when
+    /// the ids span at most 65,536: 2 slots for the base, 1 per id.
+    Ids = 1,
+    /// The dense word window the ids span: 2 slots for its first word's
+    /// index, 4 per word.
+    Words = 2,
 }
 
+/// An index entry's form tag, the [`Form`]'s discriminant, sits above its
+/// slot end.
+const FORM_SHIFT: u32 = 30;
+/// Slots of a stored `u32`: an id list's base, a word window's first word.
+const HEAD_SLOTS: usize = 2;
+/// Slots of a stored `u64`: a run, a dense word.
+const QUAD_SLOTS: usize = 4;
 /// Bytes of one index entry, one per batch.
 const INDEX_BYTES: u64 = std::mem::size_of::<(u32, u32)>() as u64;
-/// Bytes of one interval run.
-const RUN_BYTES: u64 = std::mem::size_of::<RumorRun>() as u64;
-
-/// Bytes a dense layer holds besides its index entry: header and window.
-fn layer_bytes(words: usize) -> u64 {
-    (std::mem::size_of::<Layer>() + 8 * words) as u64
-}
+/// Bytes of one slot.
+const SLOT_BYTES: u64 = std::mem::size_of::<u16>() as u64;
 
 /// Storage the [`DeltaWindow`] holds, gains or releases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1008,10 +1147,9 @@ pub(crate) struct BatchFootprint {
     pub(crate) batches: u64,
     /// Interval runs.
     pub(crate) runs: u64,
-    /// Dense layers.
+    /// Batches stored as dense word windows.
     pub(crate) layers: u64,
-    /// Bytes: 8 per batch's index entry, 8 per run, header and window per
-    /// layer.
+    /// Bytes: 8 per batch's index entry, 2 per slot.
     pub(crate) bytes: u64,
 }
 
@@ -1033,46 +1171,91 @@ impl std::ops::SubAssign for BatchFootprint {
     }
 }
 
-/// One delivery phase's batches, stored flat: one `(destination, end)`
-/// index entry per node that learned something, ascending by destination,
-/// one run vector and one layer list.  A destination's runs are
-/// `runs[previous end..end]`; an empty range means its batch is the next
-/// layer.
+/// One delivery phase's batches, stored flat: one index entry per node
+/// that learned something, ascending by destination, and one array of
+/// 16-bit slots holding every batch in its [`Form`].  An entry is
+/// `(destination, form << 30 | end)`: its batch is `slots[previous
+/// end..end]`, so one lookup finds it.  A phase holds fewer than 2^30
+/// slots (2 GiB).
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct PhaseBatches {
     index: Vec<(u32, u32)>,
-    runs: Vec<RumorRun>,
-    layers: Vec<Layer>,
+    slots: Vec<u16>,
 }
 
 impl PhaseBatches {
     /// Appends `dst`'s batch, given as the maximal runs of its new ids in
-    /// increasing order (`dst` above every destination pushed so far).  The
-    /// batch is stored as its runs, or as one dense layer over the word
-    /// window it spans when the layer's header and window cost less than
-    /// the runs.  Returns whether it became a layer.
-    pub(crate) fn push(&mut self, dst: u32, batch: &[RumorRun]) -> bool {
-        let (Some(&(lo, _)), Some(&(last, len))) = (batch.first(), batch.last()) else {
-            return false;
-        };
-        let word_lo = lo.index() / 64;
-        let words = (last.index() + len as usize - 1) / 64 + 1 - word_lo;
-        let layer = layer_bytes(words) < RUN_BYTES * batch.len() as u64;
-        if layer {
-            let mut bits = vec![0u64; words].into_boxed_slice();
-            for &(first, n) in batch {
-                set_words_range(&mut bits, first.index() - word_lo * 64, n as usize);
-            }
-            self.layers.push(Layer {
-                dst,
-                word_lo: word_lo as u32,
-                words: bits,
-            });
+    /// increasing order (`dst` above every destination pushed so far), in
+    /// the form that takes the fewest slots — runs on a tie, then the id
+    /// list.  Returns the form, or `None` for an empty batch, which is not
+    /// stored.
+    pub(crate) fn push(&mut self, dst: u32, batch: &[RumorRun]) -> Option<Form> {
+        let (&(lo, _), &(last, len)) = (batch.first()?, batch.last()?);
+        let (lo, hi) = (lo.index(), last.index() + len as usize);
+        let ids: usize = batch.iter().map(|&(_, len)| len as usize).sum();
+        let (word_lo, words) = (lo / 64, (hi - 1) / 64 + 1 - lo / 64);
+        let as_runs = QUAD_SLOTS * batch.len();
+        let as_ids = if hi - lo <= 1 << 16 {
+            HEAD_SLOTS + ids
         } else {
-            self.runs.extend_from_slice(batch);
+            usize::MAX
+        };
+        let as_words = HEAD_SLOTS + QUAD_SLOTS * words;
+        let (form, slots) = if as_runs <= as_ids.min(as_words) {
+            (Form::Runs, as_runs)
+        } else if as_ids <= as_words {
+            (Form::Ids, as_ids)
+        } else {
+            (Form::Words, as_words)
+        };
+        // Grow to a power of two: the slot array starts at whatever the
+        // first batches take, and doubling from there can leave half the
+        // last block unused.
+        let need = self.slots.len() + slots;
+        if need > self.slots.capacity() {
+            self.slots
+                .reserve_exact(need.next_power_of_two() - self.slots.len());
         }
-        self.index.push((dst, self.runs.len() as u32));
-        layer
+        match form {
+            Form::Runs => {
+                let runs = batch
+                    .iter()
+                    .map(|&(f, n)| u64::from(f.0) | u64::from(n) << 32);
+                self.slots.extend(runs.flat_map(quad));
+            }
+            Form::Ids => {
+                self.slots.extend([lo as u16, (lo >> 16) as u16]);
+                let offsets = batch
+                    .iter()
+                    .flat_map(|&(f, n)| f.0..f.0 + n)
+                    .map(|i| (i as usize - lo) as u16);
+                self.slots.extend(offsets);
+            }
+            Form::Words => {
+                self.slots.extend([word_lo as u16, (word_lo >> 16) as u16]);
+                let start = self.slots.len();
+                self.slots.resize(start + QUAD_SLOTS * words, 0);
+                let (window, _) = self
+                    .slots
+                    .get_mut(start..)
+                    .unwrap_or_default()
+                    .as_chunks_mut();
+                for &(f, n) in batch {
+                    for (w, mask) in word_masks(f.index() - word_lo * 64, n as usize) {
+                        if let Some(word) = window.get_mut(w) {
+                            *word = quad(unquad(*word) | mask);
+                        }
+                    }
+                }
+            }
+        }
+        debug_assert!(
+            self.slots.len() < 1 << FORM_SHIFT,
+            "a phase past 2^30 slots"
+        );
+        self.index
+            .push((dst, ((form as u32) << FORM_SHIFT) | self.slots.len() as u32));
+        Some(form)
     }
 
     /// Appends another phase piece whose destinations all lie above this
@@ -1082,31 +1265,41 @@ impl PhaseBatches {
             *self = other;
             return;
         }
-        let offset = self.runs.len() as u32;
+        let offset = self.slots.len() as u32;
         self.index.extend(
             other
                 .index
                 .into_iter()
-                .map(|(dst, end)| (dst, end + offset)),
+                .map(|(dst, entry)| (dst, entry + offset)),
         );
-        self.runs.extend(other.runs);
-        self.layers.extend(other.layers);
+        self.slots.extend(other.slots);
+    }
+
+    /// The batch of index entry `entry`, whose slots start at `start`.
+    fn delta(&self, start: u32, entry: u32) -> Option<Delta<'_>> {
+        let end = entry & ((1 << FORM_SHIFT) - 1);
+        let slots = self.slots.get(start as usize..end as usize)?;
+        // The tag is the form's discriminant.
+        Some(match entry >> FORM_SHIFT {
+            0 => Delta::Runs(slots.as_chunks().0),
+            1 => {
+                let (base, offsets) = split_head(slots)?;
+                Delta::Ids(base, offsets)
+            }
+            _ => {
+                let (word_lo, words) = split_head(slots)?;
+                Delta::Words(word_lo as usize, words.as_chunks().0)
+            }
+        })
     }
 
     /// Every destination's batch, ascending by destination.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, Delta<'_>)> {
         let mut start = 0;
-        let mut layers = self.layers.iter();
-        self.index.iter().filter_map(move |&(dst, end)| {
-            let runs = (start as usize)..(end as usize);
-            start = end;
-            if runs.is_empty() {
-                layers
-                    .next()
-                    .map(|l| (dst, Delta::Words(l.word_lo as usize, &l.words)))
-            } else {
-                self.runs.get(runs).map(|runs| (dst, Delta::Runs(runs)))
-            }
+        self.index.iter().filter_map(move |&(dst, entry)| {
+            let delta = self.delta(start, entry);
+            start = entry & ((1 << FORM_SHIFT) - 1);
+            Some((dst, delta?))
         })
     }
 
@@ -1119,32 +1312,26 @@ impl PhaseBatches {
         let start = k
             .checked_sub(1)
             .and_then(|j| self.index.get(j))
-            .map_or(0, |&(_, end)| end);
-        let end = self.index.get(k)?.1;
-        if start < end {
-            return self.runs.get(start as usize..end as usize).map(Delta::Runs);
-        }
-        let l = self.layers.binary_search_by_key(&node, |l| l.dst).ok()?;
-        let layer = self.layers.get(l)?;
-        Some(Delta::Words(layer.word_lo as usize, &layer.words))
+            .map_or(0, |&(_, entry)| entry & ((1 << FORM_SHIFT) - 1));
+        self.delta(start, self.index.get(k)?.1)
     }
 
     /// What the batches hold.
     pub(crate) fn footprint(&self) -> BatchFootprint {
         let batches = self.index.len() as u64;
-        let runs = self.runs.len() as u64;
-        BatchFootprint {
+        let mut held = BatchFootprint {
             batches,
-            runs,
-            layers: self.layers.len() as u64,
-            bytes: INDEX_BYTES * batches
-                + RUN_BYTES * runs
-                + self
-                    .layers
-                    .iter()
-                    .map(|l| layer_bytes(l.words.len()))
-                    .sum::<u64>(),
+            bytes: INDEX_BYTES * batches + SLOT_BYTES * self.slots.len() as u64,
+            ..BatchFootprint::default()
+        };
+        for (_, delta) in self.iter() {
+            match delta {
+                Delta::Runs(runs) => held.runs += runs.len() as u64,
+                Delta::Ids(..) => {}
+                Delta::Words(..) => held.layers += 1,
+            }
         }
+        held
     }
 }
 
@@ -1164,8 +1351,10 @@ pub(crate) struct DeltaWindow {
 
 impl DeltaWindow {
     /// Stores round `round`'s batches (after every stored round).
-    pub(crate) fn push(&mut self, round: u64, batches: PhaseBatches) {
+    pub(crate) fn push(&mut self, round: u64, mut batches: PhaseBatches) {
         if !batches.index.is_empty() {
+            batches.index.shrink_to_fit();
+            batches.slots.shrink_to_fit();
             self.rounds.push_back((round, batches));
         }
     }
@@ -1346,6 +1535,37 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
+
+    /// Sets the bits `lo..lo+len` in a raw bitset word slice.
+    fn set_words_range(words: &mut [u64], lo: usize, len: usize) {
+        for (w, mask) in word_masks(lo, len) {
+            words[w] |= mask;
+        }
+    }
+
+    /// Unions the set bits of a word window — `words[k]` holds universe
+    /// bits `(word_lo + k)·64 ..` — into `set`.
+    fn union_window(set: &mut RumorSet, word_lo: usize, words: &[u64]) -> u32 {
+        set.union_masks((word_lo..).zip(words.iter().copied()))
+    }
+
+    /// `runs` stored as node 0's batch of a phase, in the form `push` picks.
+    fn stored(runs: &[RumorRun]) -> PhaseBatches {
+        let mut phase = PhaseBatches::default();
+        phase.push(0, runs);
+        phase
+    }
+
+    /// Unions the batch `runs`, ids `set` lacks, into `set` in its stored
+    /// form.
+    fn insert_batch(set: &mut RumorSet, runs: &[RumorRun]) -> u32 {
+        stored(runs)
+            .get(0)
+            .map_or(0, |delta| set.insert_delta(delta))
+    }
+
+    /// Bytes of one stored run.
+    const RUN_BYTES: u64 = QUAD_SLOTS as u64 * SLOT_BYTES;
 
     /// Exhaustive semantic mirror: a `RumorSet` must behave exactly like a
     /// plain boolean vector.
@@ -1627,7 +1847,7 @@ mod tests {
         set_words_range(&mut words, 0, 3);
         set_words_range(&mut words, PAGE_BITS, 3);
         let mut at_once = RumorSet::empty(n);
-        at_once.union_words(0, &words);
+        union_window(&mut at_once, 0, &words);
         assert_eq!(tail_first, at_once);
         assert_eq!(tail_first.page_footprint().bytes, ENTRY_BYTES);
     }
@@ -1673,7 +1893,7 @@ mod tests {
         set_words_range(&mut window, 5, 1); // already known
         set_words_range(&mut window, 64, 1); // 64
         set_words_range(&mut window, PAGE_BITS + 129, 1); // second page
-        assert_eq!(dst.union_words(0, &window), 4);
+        assert_eq!(union_window(&mut dst, 0, &window), 4);
         assert_eq!(
             new_runs(&before, &dst),
             vec![
@@ -1683,7 +1903,11 @@ mod tests {
             ]
         );
         assert_eq!(dst.len(), 5);
-        assert_eq!(dst.union_words(0, &window), 0, "second union adds nothing");
+        assert_eq!(
+            union_window(&mut dst, 0, &window),
+            0,
+            "second union adds nothing"
+        );
     }
 
     #[test]
@@ -1708,7 +1932,7 @@ mod tests {
             let mut set = RumorSet::singleton(n, RumorId::from(held));
             let before = set.clone();
             let mut naive = set.clone();
-            assert_eq!(set.union_words(word_lo, &window), 4);
+            assert_eq!(union_window(&mut set, word_lo, &window), 4);
             for &i in &ids {
                 naive.insert(RumorId::from(i));
             }
@@ -1737,10 +1961,7 @@ mod tests {
             .collect();
         let expected: Vec<usize> = (PAGE_BITS..n).filter(|&i| i != PAGE_BITS + 10).collect();
         assert_eq!(expanded, expected);
-        assert_eq!(
-            s.insert_delta(Delta::Runs(&missing)) as usize,
-            expected.len()
-        );
+        assert_eq!(insert_batch(&mut s, &missing) as usize, expected.len());
         assert!(s.is_full());
         assert_eq!(s.page_footprint().dense, 0);
         missing.clear();
@@ -1768,62 +1989,176 @@ mod tests {
     /// run per stretch, plus the batch's index entry.
     #[test]
     fn phase_batches_store_consecutive_ids_as_runs() {
-        let mut learned = RumorSet::empty(100);
-        for i in [7u32, 8, 9, 10, 3, 4, 42] {
-            learned.insert(RumorId(i));
-        }
-        let batch = new_runs(&RumorSet::empty(100), &learned);
-        assert_eq!(
-            batch,
-            vec![(RumorId(3), 2), (RumorId(7), 4), (RumorId(42), 1)]
-        );
+        let mut learned = RumorSet::empty(2000);
+        learned.union_run(3, 200);
+        learned.union_run(1000, 300);
+        let batch = new_runs(&RumorSet::empty(2000), &learned);
+        assert_eq!(batch, vec![(RumorId(3), 200), (RumorId(1000), 300)]);
         let mut phase = PhaseBatches::default();
-        assert!(
-            !phase.push(5, &batch),
-            "three runs are cheaper than a layer"
-        );
+        assert_eq!(phase.push(5, &batch), Some(Form::Runs));
         let held = phase.footprint();
-        assert_eq!((held.batches, held.runs, held.layers), (1, 3, 0));
-        assert_eq!(held.bytes, INDEX_BYTES + 3 * RUN_BYTES);
-        assert_eq!(phase.get(5), Some(Delta::Runs(&batch)));
+        assert_eq!((held.batches, held.runs, held.layers), (1, 2, 0));
+        assert_eq!(held.bytes, INDEX_BYTES + 2 * RUN_BYTES);
+        let Some(Delta::Runs(runs)) = phase.get(5) else {
+            panic!("node 5's batch is runs");
+        };
+        assert_eq!(runs.iter().map(|&r| run_of(r)).collect::<Vec<_>>(), batch);
         assert_eq!(phase.get(4), None);
-        assert!(!phase.push(6, &[]), "an empty batch is not stored");
+        assert_eq!(phase.push(6, &[]), None, "an empty batch is not stored");
         assert_eq!(phase.footprint(), held);
     }
 
+    /// Each batch takes the form with the fewest slots: a fragmented batch
+    /// becomes the dense window it spans, a scattered one the list of its
+    /// 16-bit offsets, and a scattered one spanning more than 65,536 ids
+    /// stays runs.  Every form reads back as its ids, in place.
     #[test]
     fn phase_batches_store_fragmented_batches_as_dense_layers() {
-        // Every third id of 0..300: 100 one-id runs (800 bytes) against a
-        // 5-word window (40 bytes) plus the layer's header.
+        // Every third id of 0..300: 100 runs (400 slots) or offsets (102)
+        // against a 5-word window (22).
         let fragmented: Vec<RumorRun> = (0..300).step_by(3).map(|i| (RumorId(i), 1)).collect();
+        // Every 100th id of 0..10000: 100 runs (400 slots) or a 157-word
+        // window (630) against 100 offsets and a base (102).
+        let scattered: Vec<RumorRun> = (0..10_000).step_by(100).map(|i| (RumorId(i), 1)).collect();
+        // Two ids 70,000 apart, past what a 16-bit offset reaches.
+        let wide = [(RumorId(0), 1), (RumorId(70_000), 1)];
         let compact = [(RumorId(400), 64)];
         let mut phase = PhaseBatches::default();
-        assert!(!phase.push(1, &compact), "one run is cheaper than a layer");
-        assert!(phase.push(2, &fragmented));
-        assert!(!phase.push(9, &compact));
+        assert_eq!(phase.push(1, &compact), Some(Form::Runs));
+        assert_eq!(phase.push(2, &fragmented), Some(Form::Words));
+        assert_eq!(phase.push(3, &scattered), Some(Form::Ids));
+        assert_eq!(phase.push(4, &wide), Some(Form::Runs));
+        assert_eq!(phase.push(9, &compact), Some(Form::Runs));
         let held = phase.footprint();
-        assert_eq!((held.batches, held.runs, held.layers), (3, 2, 1));
-        assert_eq!(held.bytes, 3 * INDEX_BYTES + 2 * RUN_BYTES + layer_bytes(5));
-        // The layer reads back as the set of its ids; the batches around it
-        // as their runs.
-        let Some(Delta::Words(word_lo, words)) = phase.get(2) else {
-            panic!("node 2's batch is a layer");
+        assert_eq!((held.batches, held.runs, held.layers), (5, 4, 1));
+        let slots = 4 * QUAD_SLOTS + (HEAD_SLOTS + 5 * QUAD_SLOTS) + (HEAD_SLOTS + 100);
+        assert_eq!(held.bytes, 5 * INDEX_BYTES + SLOT_BYTES * slots as u64);
+        let want = [&compact[..], &fragmented, &scattered, &wide, &compact];
+        assert_eq!(phase.iter().count(), want.len());
+        for ((dst, delta), want) in phase.iter().zip(want) {
+            assert_eq!(delta.ids().collect::<Vec<_>>(), ids_of(want), "node {dst}");
+            assert_eq!(phase.get(dst), Some(delta));
+            assert_eq!(delta.id_count(), ids_of(want).len() as u64);
+        }
+        let Some(Delta::Ids(0, offsets)) = phase.get(3) else {
+            panic!("node 3's batch is an id list from 0");
         };
-        let mut set = RumorSet::empty(500);
-        assert_eq!(set.union_words(word_lo, words), 100);
-        let ids: Vec<u32> = set.iter().map(|r| r.0).collect();
-        assert_eq!(ids, (0..300).step_by(3).collect::<Vec<u32>>());
-        let all: Vec<(u32, Delta<'_>)> = phase.iter().collect();
-        assert_eq!(all.len(), 3);
-        assert_eq!(all[0], (1, Delta::Runs(&compact)));
-        assert_eq!(all[1], (2, Delta::Words(word_lo, words)));
-        assert_eq!(all[2], (9, Delta::Runs(&compact)));
-        // The break-even point inside one word: four runs cost what the
-        // layer's header and word cost, five cost more.
+        assert_eq!(offsets.len(), 100);
+        // Inside one word, a base and one slot per id cost no more than a
+        // base and the word up to four ids (the list wins the tie), and
+        // less than a run each; a fifth id tips it to the word.  A run of
+        // four ids costs what its four offsets do, and stays a run.
         let runs = |k: u32| (0..k).map(|i| (RumorId(2 * i), 1)).collect::<Vec<_>>();
-        assert_eq!(layer_bytes(1), 4 * RUN_BYTES);
-        assert!(!PhaseBatches::default().push(0, &runs(4)));
-        assert!(PhaseBatches::default().push(0, &runs(5)));
+        for k in 1..=4 {
+            assert_eq!(PhaseBatches::default().push(0, &runs(k)), Some(Form::Ids));
+        }
+        assert_eq!(PhaseBatches::default().push(0, &runs(5)), Some(Form::Words));
+        let four = [(RumorId(0), 4), (RumorId(70), 2)];
+        assert_eq!(
+            PhaseBatches::default().push(0, &four[..1]),
+            Some(Form::Runs)
+        );
+        assert_eq!(PhaseBatches::default().push(0, &four), Some(Form::Runs));
+    }
+
+    /// The ids of the runs `runs`, ascending.
+    fn ids_of(runs: &[RumorRun]) -> Vec<u32> {
+        runs.iter().flat_map(|&(f, n)| f.0..f.0 + n).collect()
+    }
+
+    /// Slots of `batch` in each form, as `PhaseBatches::push` may store it:
+    /// runs, the id list (when its ids span at most 65,536) and the word
+    /// window.
+    fn slot_costs(batch: &[RumorRun]) -> (usize, Option<usize>, usize) {
+        let ids = ids_of(batch);
+        let (lo, hi) = (ids[0] as usize, *ids.last().unwrap() as usize + 1);
+        let words = (hi - 1) / 64 - lo / 64 + 1;
+        let list = (hi - lo <= 1 << 16).then_some(HEAD_SLOTS + ids.len());
+        (
+            QUAD_SLOTS * batch.len(),
+            list,
+            HEAD_SLOTS + QUAD_SLOTS * words,
+        )
+    }
+
+    /// What a batch cost in the window before it had flat forms: its index
+    /// entry plus its 8-byte runs, or a boxed dense layer — a 24-byte
+    /// header and its word window — when that cost less.
+    fn runs_or_boxed_layer_bytes(batch: &[RumorRun]) -> u64 {
+        let (runs, _, words) = slot_costs(batch);
+        let (runs, layer) = (2 * runs as u64, 24 + 8 * ((words - HEAD_SLOTS) / 4) as u64);
+        INDEX_BYTES + runs.min(layer)
+    }
+
+    /// The cost rule: every batch takes the form with the fewest slots, and
+    /// no stored batch costs more than its runs or its boxed dense layer,
+    /// whichever cost less.  Batches are random scattered ids, fragmented
+    /// windows and runs, over universes on both sides of 2^16.
+    #[test]
+    fn no_batch_costs_more_than_its_runs_or_a_boxed_layer() {
+        let mut rng = SmallRng::seed_from_u64(41);
+        let mut seen = BTreeSet::new();
+        for _ in 0..2000 {
+            let universe = rng.gen_range(1..1usize << 18);
+            let mut used = vec![false; universe];
+            let batch = runs_of(random_batch(&mut rng, &mut used));
+            let mut phase = PhaseBatches::default();
+            let Some(form) = phase.push(0, &batch) else {
+                continue;
+            };
+            let bytes = phase.footprint().bytes;
+            assert!(bytes <= runs_or_boxed_layer_bytes(&batch), "{batch:?}");
+            let (runs, list, words) = slot_costs(&batch);
+            let fewest = runs.min(list.unwrap_or(usize::MAX)).min(words);
+            assert_eq!(bytes, INDEX_BYTES + SLOT_BYTES * fewest as u64);
+            assert!(list.is_some() || form != Form::Ids, "{batch:?}");
+            seen.insert(format!("{form:?}"));
+        }
+        assert_eq!(seen.len(), 3, "every form is drawn: {seen:?}");
+    }
+
+    /// A batch that holds every id a set misses fills the set straight to
+    /// the full form, in each stored form; one that holds fewer goes
+    /// through the union.
+    #[test]
+    fn a_batch_of_every_missing_id_fills_the_set() {
+        let fill = |universe: usize, held: &[u32], form: Form| {
+            let mut set = RumorSet::empty(universe);
+            for &i in held {
+                set.insert(RumorId(i));
+            }
+            let mut missing = Vec::new();
+            set.complement_runs(&mut missing);
+            let mut phase = PhaseBatches::default();
+            assert_eq!(phase.push(0, &missing), Some(form));
+            let delta = phase.get(0).unwrap();
+            assert_eq!(delta.id_count() as usize, universe - held.len());
+            // One id short of the complement still unions.
+            let mut short = set.clone();
+            let (last, len) = *missing.last().unwrap();
+            let mut fewer = missing.clone();
+            *fewer.last_mut().unwrap() = (last, len - 1);
+            fewer.retain(|&(_, len)| len > 0);
+            assert_eq!(
+                insert_batch(&mut short, &fewer) as u64,
+                delta.id_count() - 1
+            );
+            assert_eq!(short.len(), universe - 1);
+            assert_eq!(set.insert_delta(delta) as u64, delta.id_count());
+            let mut full = RumorSet::empty(universe);
+            full.union_run(0, universe as u32);
+            assert_eq!(set, full);
+            assert_eq!(set.page_footprint(), PageFootprint::default());
+        };
+        // The star's leaf: one id of 2^17 misses two runs.
+        fill(1 << 17, &[77], Form::Runs);
+        // Three scattered holes in a 1000-id set: an id list.
+        let holes = [3, 500, 900];
+        let held: Vec<u32> = (0..1000).filter(|i| !holes.contains(i)).collect();
+        fill(1000, &held, Form::Ids);
+        // Every third id held of 300: the other 200 as a 5-word window.
+        let thirds: Vec<u32> = (0..300).step_by(3).collect();
+        fill(300, &thirds, Form::Words);
     }
 
     /// `deltas_since` yields a node's batches of exactly the rounds after
@@ -1842,10 +2177,7 @@ mod tests {
         let firsts = |node: u32, since: u64| -> Vec<u32> {
             window
                 .deltas_since(node, since)
-                .map(|d| match d {
-                    Delta::Runs(runs) => runs[0].0 .0,
-                    Delta::Words(..) => panic!("single runs stay runs"),
-                })
+                .filter_map(|d| d.ids().next())
                 .collect()
         };
         assert_eq!(firsts(0, 0), vec![90, 50, 10]);
@@ -1867,7 +2199,7 @@ mod tests {
         let batch = new_runs(&RumorSet::empty(1000), &set);
         assert_eq!(batch, vec![(RumorId(0), 500), (RumorId(501), 499)]);
         let mut phase = PhaseBatches::default();
-        assert!(!phase.push(0, &batch));
+        assert_eq!(phase.push(0, &batch), Some(Form::Runs));
         assert_eq!(phase.footprint().bytes, INDEX_BYTES + 2 * RUN_BYTES);
     }
 
@@ -1923,10 +2255,11 @@ mod tests {
             "rounds 3 and 4 remain"
         );
         assert_eq!(window.deltas_since(3, 0).count(), 0);
-        assert_eq!(
-            window.deltas_since(0, 3).collect::<Vec<_>>(),
-            vec![Delta::Runs(&[(RumorId(4000), 2)])]
-        );
+        let later: Vec<Vec<u32>> = window
+            .deltas_since(0, 3)
+            .map(|d| d.ids().collect())
+            .collect();
+        assert_eq!(later, vec![vec![4000, 4001]]);
         let mut rest = pushed[2];
         rest += pushed[3];
         assert_eq!(window.age_out(u64::MAX), rest);
@@ -1962,7 +2295,8 @@ mod tests {
         assert_eq!(batch(&[(&b, &[]), (&a, &[]), (&b, &[])]), want);
         // A snapshot of `b` from before it learned 14..17 adds only 17..20;
         // `a` still adds 14.
-        let since = [Delta::Runs(&[(RumorId(14), 3)])];
+        let earlier = stored(&[(RumorId(14), 3)]);
+        let since = [earlier.get(0).unwrap()];
         assert_eq!(
             batch(&[(&b, &since), (&a, &[])]),
             vec![
@@ -1993,16 +2327,23 @@ mod tests {
     }
 
     /// A random set of ids not yet `used` (a node learns each rumor once):
-    /// sparse runs, or a fragmented window (possibly crossing the first
-    /// page boundary).
+    /// sparse runs, up to 40 ids scattered over a random span (past 65,536
+    /// ids in a large universe), or a fragmented window (possibly crossing
+    /// the first page boundary).
     fn random_batch(rng: &mut SmallRng, used: &mut [bool]) -> BTreeSet<usize> {
         let universe = used.len();
         let mut ids = BTreeSet::new();
-        let kind = rng.gen_range(0..3u32);
+        let kind = rng.gen_range(0..4u32);
         if kind == 0 {
             for _ in 0..rng.gen_range(1..4u32) {
                 let a = rng.gen_range(0..universe);
                 ids.extend(a..(a + rng.gen_range(1..20usize)).min(universe));
+            }
+        } else if kind == 3 {
+            let span = rng.gen_range(1..=universe);
+            let a = rng.gen_range(0..=universe - span);
+            for _ in 0..rng.gen_range(1..40u32) {
+                ids.insert(a + rng.gen_range(0..span));
             }
         } else {
             let w = rng.gen_range(64..1024usize).min(universe);
@@ -2077,16 +2418,22 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The delta window against a naive list of per-round batches: no
-        /// batch costs more than its runs, a batch is a layer exactly when
-        /// that is cheaper, aging out returns what the aged rounds held,
+        /// The delta window against a naive list of per-round batches, on
+        /// universes below 9000 ids and, in one case of eight, above 2^16:
+        /// each batch takes the form with the fewest slots (an id list only
+        /// within 65,536 ids) and costs no more than its runs or a boxed
+        /// layer, aging out returns what the aged rounds held,
         /// `deltas_since` yields exactly the batches of the later rounds,
         /// and a node's current set minus them is its set as of that round.
         #[test]
         fn delta_window_matches_naive_batches(seed in 0u64..1 << 32, universe in 1usize..9000) {
             const NODES: usize = 4;
             let mut rng = SmallRng::seed_from_u64(seed);
-            let universe = universe_with_tail(&mut rng, universe);
+            let universe = if rng.gen_bool(0.125) {
+                universe_with_tail(&mut rng, (1 << 16) + 8 * universe)
+            } else {
+                universe_with_tail(&mut rng, universe)
+            };
             let mut used = vec![vec![false; universe]; NODES];
             let mut sets = vec![RumorSet::empty(universe); NODES];
             let mut model: Vec<ModelRound> = Vec::new();
@@ -2101,12 +2448,18 @@ mod tests {
                     }
                     let learned = random_batch(&mut rng, &mut used[node]);
                     let batch = runs_of(learned.iter().copied());
-                    let as_runs = INDEX_BYTES + RUN_BYTES * batch.len() as u64;
                     let before = phase.footprint().bytes;
-                    let layer = phase.push(node as u32, &batch);
+                    let form = phase.push(node as u32, &batch);
                     let added = phase.footprint().bytes - before;
-                    prop_assert!(batch.is_empty() || added <= as_runs, "dearer than runs");
-                    prop_assert_eq!(layer, !batch.is_empty() && added < as_runs);
+                    if let Some(form) = form {
+                        prop_assert!(added <= runs_or_boxed_layer_bytes(&batch), "dearer than before");
+                        let (runs, list, words) = slot_costs(&batch);
+                        let fewest = runs.min(list.unwrap_or(usize::MAX)).min(words);
+                        prop_assert_eq!(added, INDEX_BYTES + SLOT_BYTES * fewest as u64);
+                        prop_assert!(list.is_some() || form != Form::Ids, "an id list past 65,536");
+                    } else {
+                        prop_assert!(batch.is_empty());
+                    }
                     for &(first, len) in &batch {
                         sets[node].union_run(first.index(), len);
                     }
@@ -2152,8 +2505,8 @@ mod tests {
         }
 
         /// `RumorSet` against a `Vec<bool>` model over random sequences of
-        /// `insert`, `union_run`, windowed `union_words` and complement
-        /// fills, biased towards the few-id pages that stay sparse and
+        /// `insert`, `union_run`, windowed word-mask unions, batches of
+        /// missing ids in their stored form and complement fills, biased towards the few-id pages that stay sparse and
         /// towards short last pages: of capacity <= `SPARSE_MAX`, which go
         /// straight from sparse to full, and of 6..=4095 bits, which go
         /// dense in a block sized to them.  Each case also draws such a
@@ -2178,7 +2531,7 @@ mod tests {
 
     /// Runs `steps` random steps on a set over `universe` and its
     /// `Vec<bool>` model: single-id inserts (`insert`, one-id `union_run`,
-    /// one-bit `union_words`) when `single`, otherwise the mix of
+    /// a one-bit word mask) when `single`, otherwise the mix of
     /// `rumor_set_matches_bool_model`.  After every step the contents,
     /// `len`, the reported count of new ids, the new runs phase A would
     /// gather and the page cost match; at the end, two other construction
@@ -2197,10 +2550,10 @@ mod tests {
                 match rng.gen_range(0..3u32) {
                     0 => u32::from(set.insert(RumorId::from(i))),
                     1 => set.union_run(i, 1),
-                    _ => set.union_words(i / 64, &[1 << (i % 64)]),
+                    _ => union_window(&mut set, i / 64, &[1 << (i % 64)]),
                 }
             } else {
-                match rng.gen_range(0..16u32) {
+                match rng.gen_range(0..18u32) {
                     0..=5 => {
                         let i = rng.gen_range(0..universe);
                         model[i] = true;
@@ -2226,14 +2579,28 @@ mod tests {
                                 model[i] = true;
                             }
                         }
-                        set.union_words(word_lo, &window)
+                        union_window(&mut set, word_lo, &window)
+                    }
+                    15 | 16 => {
+                        // Ids the set lacks, over a random span, as a
+                        // batch in the form `push` picks for it.
+                        let span = rng.gen_range(1..=universe);
+                        let a = rng.gen_range(0..=universe - span);
+                        let density = [0.002, 0.05, 0.5, 1.0][rng.gen_range(0..4usize)];
+                        let fresh: Vec<usize> = (a..a + span)
+                            .filter(|&i| !model[i] && rng.gen_bool(density))
+                            .collect();
+                        for &i in &fresh {
+                            model[i] = true;
+                        }
+                        insert_batch(&mut set, &runs_of(fresh))
                     }
                     _ if rng.gen_bool(0.3) => {
                         let mut missing = Vec::new();
                         set.complement_runs(&mut missing);
                         assert_eq!(&missing, &runs_of((0..universe).filter(|&i| !model[i])));
                         model.fill(true);
-                        set.insert_delta(Delta::Runs(&missing))
+                        insert_batch(&mut set, &missing)
                     }
                     _ => 0,
                 }
@@ -2259,7 +2626,7 @@ mod tests {
             set_words_range(&mut bitset, i, 1);
         }
         let mut at_once = RumorSet::empty(universe);
-        at_once.union_words(0, &bitset);
+        union_window(&mut at_once, 0, &bitset);
         assert_eq!(&at_once, &set);
     }
 }

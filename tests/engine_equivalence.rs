@@ -339,7 +339,7 @@ proptest! {
         );
         prop_assert_eq!(report.rejections, 0);
         let mem = report.mem.unwrap();
-        prop_assert!(mem.peak_log_runs > 0, "the window held no run");
+        prop_assert!(mem.peak_log_bytes > 0, "the window held no batch");
         prop_assert!(mem.truncated_runs > 0, "no batch aged out of the window");
         assert_matches_oracle(
             &g,

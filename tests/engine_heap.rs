@@ -15,6 +15,12 @@
 //! `MemStats` counts it as part of the window's peak.  The larger cases only
 //! fire in release builds (`cargo test --release`, which CI runs for this
 //! suite).
+//!
+//! The allocator also counts its calls (`alloc`, `alloc_zeroed`,
+//! `realloc`), a deterministic work count: each serial case is gated at its
+//! measured count plus 5% (the harness's own threads may allocate a few
+//! times during a measurement), and the star at one call per 100
+//! exchanges, so a change that allocates per exchange fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,11 +33,13 @@ use gossip_sim::{SimConfig, Simulation, Termination};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// The system allocator, plus a count of live heap bytes and their peak.
+/// The system allocator, plus a count of live heap bytes and their peak,
+/// and of the calls that allocate or resize a block.
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 impl Counting {
     fn grew(by: usize) {
@@ -48,6 +56,7 @@ impl Counting {
 // unchanged; the counters only observe sizes.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
             Counting::grew(layout.size());
@@ -56,6 +65,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
             Counting::grew(layout.size());
@@ -69,6 +79,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         let new = System.realloc(ptr, layout, new_size);
         if !new.is_null() {
             if new_size >= layout.size() {
@@ -87,30 +98,60 @@ static GLOBAL: Counting = Counting;
 /// Serialises the measurements.
 static MEASURING: Mutex<()> = Mutex::new(());
 
+/// What one measured run did.
+struct Measured {
+    /// Heap peak above the baseline, in bytes.
+    heap: u64,
+    /// The run's `peak_engine_bytes`.
+    counted: u64,
+    /// Calls to `alloc`, `alloc_zeroed` and `realloc`.
+    calls: u64,
+    /// Exchanges the run initiated.
+    exchanges: u64,
+}
+
 /// Builds a graph with `build`, runs push–pull all-to-all (`AllKnowAll`,
-/// seed 7) on it and returns the run's heap peak above the baseline, and
-/// its `peak_engine_bytes`.
-fn run_heap_peak(build: impl FnOnce() -> Graph) -> (u64, u64) {
+/// seed 7) on it with `threads` workers and measures the run.
+fn measure(build: impl FnOnce() -> Graph, threads: usize) -> Measured {
     let _measuring = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     let g = &build();
-    let config = SimConfig::new(7).termination(Termination::AllKnowAll);
+    let config = SimConfig::new(7)
+        .termination(Termination::AllKnowAll)
+        .threads(threads);
     let mut protocol = RandomPushPull::new(g);
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
+    let calls = CALLS.load(Ordering::Relaxed);
     let report = Simulation::new(g, config).run(&mut protocol);
+    let calls = CALLS.load(Ordering::Relaxed) - calls;
     let heap = PEAK.load(Ordering::Relaxed) - base;
     assert!(report.completed, "dissemination must finish: {report}");
     assert_eq!(report.min_rumors_known, g.node_count());
     let counted = report.mem.expect("the engine reports MemStats");
-    (heap as u64, counted.peak_engine_bytes)
+    Measured {
+        heap: heap as u64,
+        counted: counted.peak_engine_bytes,
+        calls: calls as u64,
+        exchanges: report.activations,
+    }
 }
 
-/// Asserts the run's heap peak is at most 1.5× the counted engine peak.
-fn assert_heap_within_counter(build: impl FnOnce() -> Graph, label: &str) {
-    let (heap, counted) = run_heap_peak(build);
+/// Asserts the serial run's heap peak is at most 1.5× the counted engine
+/// peak, and that it makes at most `max_calls` allocator calls.
+fn assert_heap_within_counter(build: impl FnOnce() -> Graph, label: &str, max_calls: u64) {
+    let Measured {
+        heap,
+        counted,
+        calls,
+        exchanges,
+    } = measure(build, 1);
     assert!(
         2 * heap <= 3 * counted,
         "{label}: heap peak {heap} B exceeds 1.5× peak_engine_bytes {counted} B"
+    );
+    assert!(
+        calls <= max_calls,
+        "{label}: {calls} allocator calls over {exchanges} exchanges, more than {max_calls}"
     );
 }
 
@@ -121,24 +162,27 @@ fn random_regular(n: usize) -> Graph {
 }
 
 /// Expander endgame at a debug-friendly size.  Measured (release, x86-64):
-/// heap 4.8 MB against 4.5 MB counted (5.0 MB with a heap page directory
-/// on every set); 11.2 MB against 9.8 MB with
-/// acquisition logs, 73.3 MB when merge phase A still collected every raw
-/// run of a delivery phase.
+/// heap 4.72 MB against 4.42 MB counted, 12,979 allocator calls over
+/// 46,628 exchanges (4.83 MB against 4.51 MB and 37,956 calls with a boxed
+/// dense layer per batch; 5.0 MB with a heap page directory on every set;
+/// 11.2 MB against 9.8 MB with acquisition logs, 73.3 MB when merge phase A
+/// still collected every raw run of a delivery phase).
 #[test]
 fn erdos_renyi_4096_heap_peak_is_within_1_5x_the_counted_peak() {
     let build = || {
         let mut rng = SmallRng::seed_from_u64(1);
         generators::erdos_renyi(4096, 0.005, 1, &mut rng).unwrap()
     };
-    assert_heap_within_counter(build, "ER 4096");
+    assert_heap_within_counter(build, "ER 4096", 13_627);
 }
 
 /// The size of perfbench's `churn-broadcast` graph: 1024 nodes, so each set
 /// is one short page whose dense block holds 16 words, not 64.  Measured:
-/// heap 1.88 MB against 1.54 MB counted (1.91 MB with a heap page
-/// directory on every set, 2.31 MB against 1.94 MB with 64-word blocks on
-/// every page).
+/// heap 1.29 MB against 1.13 MB counted, 4,325 allocator calls over 19,547
+/// exchanges (1.87 MB against 1.54 MB and 11,037 calls with boxed dense
+/// layers and batch arrays stored at their grown capacity; 1.91 MB with a
+/// heap page directory on every set, 2.31 MB against 1.94 MB with 64-word
+/// blocks on every page).
 #[test]
 fn erdos_renyi_1024_bimodal_heap_peak_is_within_1_5x_the_counted_peak() {
     let build = || {
@@ -150,16 +194,18 @@ fn erdos_renyi_1024_bimodal_heap_peak_is_within_1_5x_the_counted_peak() {
         };
         bimodal.apply(&g, &mut rng).unwrap()
     };
-    assert_heap_within_counter(build, "bimodal ER 1024");
+    assert_heap_within_counter(build, "bimodal ER 1024", 4_541);
 }
 
-/// Measured: heap 18.0 MB against 17.4 MB counted (18.2 MB with a heap
-/// page directory on every set, 39.9 MB against 34.5 MB with acquisition
-/// logs, 286.6 MB with the phase-wide run buffer).
+/// Measured: heap 17.97 MB against 17.15 MB counted, 33,803 allocator calls
+/// over 113,174 exchanges (17.99 MB against 17.38 MB and 88,479 calls with a
+/// boxed dense layer per batch; 18.2 MB with a heap page directory on every
+/// set, 39.9 MB against 34.5 MB with acquisition logs, 286.6 MB with the
+/// phase-wide run buffer).
 #[cfg(not(debug_assertions))]
 #[test]
 fn random_regular_8192_heap_peak_is_within_1_5x_the_counted_peak() {
-    assert_heap_within_counter(|| random_regular(8192), "RR 8192");
+    assert_heap_within_counter(|| random_regular(8192), "RR 8192", 35_493);
 }
 
 /// The merge-buffer gate: 930.6 MB while merge phase A collected every raw
@@ -168,7 +214,7 @@ fn random_regular_8192_heap_peak_is_within_1_5x_the_counted_peak() {
 #[cfg(not(debug_assertions))]
 #[test]
 fn random_regular_16384_heap_peak_stays_under_250_mb() {
-    let (heap, counted) = run_heap_peak(|| random_regular(16384));
+    let Measured { heap, counted, .. } = measure(|| random_regular(16384), 1);
     assert!(
         heap < 250_000_000,
         "RR 16384: heap peak {heap} B (counted {counted} B) exceeds 250 MB"
@@ -185,9 +231,29 @@ fn random_regular_16384_heap_peak_stays_under_250_mb() {
 #[cfg(not(debug_assertions))]
 #[test]
 fn star_131072_heap_peak_stays_under_18_1_mb() {
-    let (heap, counted) = run_heap_peak(|| generators::star(1 << 17, 1).unwrap());
+    let Measured { heap, counted, .. } = measure(|| generators::star(1 << 17, 1).unwrap(), 1);
     assert!(
         heap < 18_100_000,
         "star 2^17: heap peak {heap} B (counted {counted} B) exceeds 18.1 MB"
     );
+}
+
+/// Round 1 teaches each of the 131,071 leaves every id it lacks in one
+/// batch, which fills its set without opening a page directory.  Measured:
+/// 177 to 185 allocator calls at 1 worker and 286 at 2 over 262,143 exchanges
+/// (655,339 and 655,448 while a filled leaf built and dropped a directory
+/// of 32 full sentinels).
+#[cfg(not(debug_assertions))]
+#[test]
+fn star_131072_allocates_at_most_one_call_per_100_exchanges() {
+    for threads in [1, 2] {
+        let star = || generators::star(1 << 17, 1).unwrap();
+        let Measured {
+            calls, exchanges, ..
+        } = measure(star, threads);
+        assert!(
+            100 * calls <= exchanges,
+            "star 2^17, {threads} workers: {calls} allocator calls over {exchanges} exchanges"
+        );
+    }
 }

@@ -94,9 +94,15 @@ fn fast_forward_jumps_a_whole_latency() {
             "latency {latency}: walked {} rounds ({mem:?})",
             mem.rounds_simulated
         );
-        // Each node's one new rumor is one run, and the round at the
-        // target (more than a latency later) ages both batches out.
-        assert_eq!(mem.peak_log_runs, 2, "latency {latency} ({mem:?})");
+        // Each node's one new rumor is one id-list batch — an 8-byte index
+        // entry, a 4-byte base and one 2-byte offset, no run — and the
+        // round at the target (more than a latency later) ages both
+        // batches out.
+        assert_eq!(
+            (mem.peak_log_runs, mem.peak_log_bytes),
+            (0, 2 * 14),
+            "latency {latency} ({mem:?})"
+        );
         assert_eq!((mem.truncated_runs, mem.live_log_runs), (2, 0), "{mem:?}");
         assert_eq!(mem.saturated_nodes, 2);
         assert_eq!(mem.active_final, 0);

@@ -84,6 +84,7 @@ pub(crate) const MUTATING_METHODS: &[&str] = &[
     "insert_delta",
     "union_runs",
     "union_masks",
+    "saturate",
     "add_difference",
     "drain_runs",
     "age_out",

@@ -120,7 +120,8 @@ impl Default for AuditConfig {
             "PhaseBatches::get",
             "PhaseBatches::iter",
             "PhaseBatches::extend",
-            "PhaseBatches::delta",
+            "PhaseBatches::batch",
+            "PhaseBatches::push_fill",
             "PhaseBatches::footprint",
             "Delta::id_count",
             "Delta::clear_from_page",

@@ -14,12 +14,16 @@
 //!   nothing at initiation — its snapshot round is `completes_at − ℓ(e)` —
 //!   and the only history the engine keeps is one [`DeltaWindow`]: each
 //!   delivery phase's per-node batches of new rumors, dropped once no
-//!   flight can reference them (after `max_latency − 1` rounds; on
-//!   unit-latency graphs nothing outlives its phase).  A batch is stored in
-//!   the cheapest of three flat forms: interval runs, a list of 16-bit
-//!   offsets from a base id, or the dense word window it spans — the last
-//!   two for the expander doubling endgame, where a node learns about half
-//!   the universe in scattered ids.
+//!   flight can reference them (after `max_latency − 1` rounds).  A phase
+//!   is kept at all only while a flight still in the calendar can read it:
+//!   every later flight starts after it.  When none is left (on
+//!   unit-latency graphs, every round), the phase is counted and dropped,
+//!   and a destination whose peer snapshots the whole universe gets a fill
+//!   entry with no ids instead of its complement.  A kept batch
+//!   is stored in the cheapest of three flat forms: interval runs, a list
+//!   of 16-bit offsets from a base id, or the dense word window it spans —
+//!   the last two for the expander doubling endgame, where a node learns
+//!   about half the universe in scattered ids.
 //! * **Paged rumor sets.**  Rumor sets are adaptive paged bitsets
 //!   ([`RumorSet`]): 4096-bit pages stored sparsely, with a zero-allocation
 //!   *full* sentinel for saturated pages, so per-node cost tracks what the
@@ -85,8 +89,8 @@ use rayon::prelude::*;
 use crate::fault::{self, FaultEvent, FaultPlan};
 use crate::report::{FaultReport, MemStats, RunReport};
 use crate::rumor::{
-    BatchFootprint, Delta, DeltaWindow, NewRumors, PageFootprint, PhaseBatches, RumorId, RumorRun,
-    RumorSet, Seeding,
+    Batch, BatchFootprint, Delta, DeltaWindow, NewRumors, PageFootprint, PhaseBatches, RumorId,
+    RumorRun, RumorSet, Seeding,
 };
 
 /// When the simulation stops (in addition to the `max_rounds` safety cap).
@@ -169,7 +173,8 @@ impl SimConfig {
     /// Number of worker threads for intra-run parallelism (default 1 =
     /// fully serial).  [`Simulation::run`] shards both per-round passes —
     /// the protocol's decisions and the completion merges — across this
-    /// many workers on the vendored rayon pool, for every [`Protocol`].
+    /// many workers, for every [`Protocol`].  Each parallel pass spawns its
+    /// workers as scoped threads (the vendored rayon subset keeps no pool).
     ///
     /// Purely a wall-clock knob: every shard boundary is resolved by a
     /// deterministic reduction in shard order, so reports are
@@ -774,11 +779,14 @@ impl PageTrace {
 /// as the destination's batch.  A task's snapshot is its source's current
 /// set minus the source's window batches after the snapshot round; a source
 /// that is full with no such batch snapshots the whole universe, so the
-/// destination's batch is simply its complement.
+/// destination's batch is simply its complement.  When no flight left in
+/// the calendar can read the phase (`readable` is false), that complement
+/// is a fill entry, with no ids.
 fn merge_shard_phase_a(
     tasks: &[MergeTask],
     rumors: &[RumorSet],
     window: &DeltaWindow,
+    readable: bool,
 ) -> PhaseBatches {
     let mut out = PhaseBatches::default();
     let mut acc = NewRumors::default();
@@ -807,6 +815,10 @@ fn merge_shard_phase_a(
         batch.clear();
         acc.drain_runs(&mut batch);
         if saturated_peer {
+            if !readable {
+                out.push_fill(dst);
+                continue;
+            }
             batch.clear();
             dst_set.complement_runs(&mut batch);
         }
@@ -820,10 +832,13 @@ fn merge_shard_phase_a(
 /// `rumors` slice starts at destination `base`.
 fn merge_shard_phase_b(new: &PhaseBatches, base: usize, rumors: &mut [RumorSet]) -> PageTrace {
     let mut pages = PageTrace::default();
-    for (dst, delta) in new.iter() {
+    for (dst, batch) in new.iter() {
         if let Some(set) = rumors.get_mut(dst as usize - base) {
             let before = set.page_footprint();
-            set.insert_delta(delta);
+            match batch {
+                Batch::Delta(delta) => set.insert_delta(delta),
+                Batch::Fill => set.saturate(),
+            };
             pages.record(before, set.page_footprint());
         }
     }
@@ -883,11 +898,13 @@ fn split_lens<T>(mut slice: &mut [T], lens: impl IntoIterator<Item = usize>) -> 
 /// single-shard path runs the identical canonical walk.
 const MIN_PAR_TASKS: usize = 64;
 
-/// Executes independent shard jobs, fanned out on the vendored rayon pool
-/// when more than one worker is configured.  Results come back in job order
-/// (rayon's indexed `collect`), so callers can reduce them deterministically
-/// in shard order; with one worker (or one job) the jobs run inline on the
-/// calling thread in the same order.
+/// Executes independent shard jobs, fanned out to `threads` scoped worker
+/// threads when more than one worker is configured: the vendored rayon
+/// subset's `build()` allocates nothing and each parallel call spawns its
+/// workers anew (about 9 allocator calls per fan-out of two jobs).  Results
+/// come back in job order (rayon's indexed `collect`), so callers can
+/// reduce them deterministically in shard order; with one worker (or one
+/// job) the jobs run inline on the calling thread in the same order.
 fn run_jobs<T: Send, R: Send>(threads: usize, jobs: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
     if threads <= 1 || jobs.len() <= 1 {
         return jobs.into_iter().map(f).collect();
@@ -968,14 +985,22 @@ impl<'g> Progress<'g> {
     }
 
     /// Executes a delivery phase's merge tasks grouped by ascending
-    /// destination, sharded by destination across `threads` workers on the
-    /// vendored rayon pool, and stores the phase's batches as the window's entry for
-    /// `round`.  Pushes every destination that learned at least one rumor
-    /// onto `changed`, ascending.
+    /// destination, sharded by destination across `threads` workers, and
+    /// stores the phase's batches as the window's entry for `round`.
+    /// Pushes every destination that learned at least one rumor onto
+    /// `changed`, ascending.
     ///
     /// First the window ages out every round no flight can still reference:
     /// a flight completing at `round` or later was initiated at
     /// `round − max_latency` or later, and reads only the rounds after that.
+    ///
+    /// `readable` says whether a flight still in the calendar, which was
+    /// initiated before `round`, can read this round.  Every later flight is
+    /// initiated at `round` or after, and reads only later rounds.  So when
+    /// no flight is left, no round is read again: a destination whose peer
+    /// snapshots the whole universe gets a fill entry, with no ids; the
+    /// phase's batches are counted while phase B holds them, then dropped;
+    /// and the window is emptied.
     ///
     /// The merge runs in two phases.  Phase A ([`merge_shard_phase_a`])
     /// reads only the tasks, every rumor set and the window, and builds each
@@ -1010,6 +1035,7 @@ impl<'g> Progress<'g> {
         round: u64,
         threads: usize,
         changed: &mut Vec<u32>,
+        readable: bool,
     ) {
         let floor = round.saturating_sub(self.graph.max_latency());
         self.mem.shrink_window(self.window.age_out(floor));
@@ -1030,7 +1056,7 @@ impl<'g> Progress<'g> {
         let (sets, window) = (&*rumors, &self.window);
         let jobs = shards.iter().map(|&(tasks, _)| tasks).collect();
         let shard_new = run_jobs(threads, jobs, |tasks| {
-            merge_shard_phase_a(tasks, sets, window)
+            merge_shard_phase_a(tasks, sets, window, readable)
         });
         for new in &shard_new {
             changed.extend(new.iter().map(|(dst, _)| dst));
@@ -1052,13 +1078,25 @@ impl<'g> Progress<'g> {
         }
 
         // The phase's batches, concatenated in shard order, are the
-        // window's entry for this round.
-        let mut batches = PhaseBatches::default();
-        for new in shard_new {
-            batches.extend(new);
+        // window's entry for this round; a phase no flight can read is only
+        // counted.
+        if readable {
+            let mut batches = PhaseBatches::default();
+            for new in shard_new {
+                batches.extend(new);
+            }
+            self.mem.grow_window(batches.footprint());
+            self.window.push(round, batches);
+        } else {
+            let mut held = BatchFootprint::default();
+            for new in &shard_new {
+                held += new.footprint();
+            }
+            self.mem.grow_window(held);
+            // No stored round is read again either.
+            held += self.window.age_out(round);
+            self.mem.shrink_window(held);
         }
-        self.mem.grow_window(batches.footprint());
-        self.window.push(round, batches);
     }
 
     /// Stops a crashing node's pending rejoin recovery, if any.  Its rumor
@@ -1490,6 +1528,8 @@ impl<'a> RoundState<'a> {
             round,
             self.config.threads,
             &mut self.changed_dsts,
+            // Only a flight still in the calendar can read this round.
+            !self.calendar.rounds.is_empty(),
         );
         self.merge_tasks.clear();
         for &node in &self.changed_dsts {
@@ -1750,6 +1790,34 @@ mod tests {
     use super::*;
     use crate::protocols::{RandomPushPull, RoundRobinFlood, Silent};
     use gossip_graph::generators;
+
+    /// A destination whose peer snapshots the whole universe gets its
+    /// complement as runs while a flight can read the phase, and a fill
+    /// entry, one index entry and no slot, when none can.  Phase B fills
+    /// its set either way.
+    #[test]
+    fn a_full_peer_stores_ids_only_while_a_flight_can_read_the_phase() {
+        let n = 300;
+        let mut full = RumorSet::empty(n);
+        for i in 0..n {
+            full.insert(RumorId::from(i));
+        }
+        let rumors = [full, RumorSet::singleton(n, RumorId(1))];
+        let tasks = [MergeTask {
+            dst: 1,
+            src: 0,
+            since: 0,
+        }];
+        // The complement of {1}: the runs 0..1 and 2..300.
+        for (readable, runs, bytes) in [(true, 2, 8 + 2 * 8), (false, 0, 8)] {
+            let new = merge_shard_phase_a(&tasks, &rumors, &DeltaWindow::default(), readable);
+            let held = new.footprint();
+            assert_eq!((held.batches, held.runs, held.bytes), (1, runs, bytes));
+            let mut sets = rumors.clone();
+            merge_shard_phase_b(&new, 0, &mut sets);
+            assert!(sets[1].is_full(), "readable: {readable}");
+        }
+    }
 
     #[test]
     fn silent_protocol_never_completes() {

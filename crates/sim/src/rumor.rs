@@ -51,11 +51,14 @@
 //! each of the last few delivery phases.  An exchange delivers a peer's set
 //! as of its initiation round, which is the peer's current set minus the
 //! deltas it learned since ([`NewRumors::add_difference`]); a round older
-//! than every snapshot still in flight is dropped.  One node's delta of one
-//! phase is stored in the cheapest of three forms ([`PhaseBatches::push`]):
-//! interval runs, sorted 16-bit offsets from a base id, or the dense word
-//! window it spans.  A phase keeps all of its batches in one flat array of
-//! 16-bit slots, read in place.
+//! than every snapshot still in flight is dropped, and a phase that no
+//! flight in the calendar can read is never stored.  One node's delta of
+//! one phase is stored in the cheapest of three forms
+//! ([`PhaseBatches::push`]): interval runs, sorted 16-bit offsets from a
+//! base id, or the dense word window it spans.  A phase keeps all of its
+//! batches in one flat array of 16-bit slots, read in place.  A phase that
+//! is never stored may also hold fill entries ([`Batch::Fill`]): a
+//! destination that learns every id it lacks, recorded with no ids.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -808,9 +811,7 @@ impl RumorSet {
                 },
                 "a batch holds only ids the set lacks"
             );
-            self.len = self.universe;
-            self.store = Store::Pages(Box::default());
-            return count as u32;
+            return self.saturate();
         }
         match delta {
             Delta::Runs(runs) => self.union_runs(runs.iter().map(|&slots| run_of(slots))),
@@ -819,6 +820,16 @@ impl RumorSet {
                 self.union_masks((word_lo..).zip(words.iter().map(|&slots| unquad(slots))))
             }
         }
+    }
+
+    /// Fills the set to the full form, with no directory opened, and
+    /// returns how many rumors were new: the union of a fill entry
+    /// ([`Batch::Fill`]).
+    pub(crate) fn saturate(&mut self) -> u32 {
+        let added = self.universe - self.len;
+        self.len = self.universe;
+        self.store = Store::Pages(Box::default());
+        added
     }
 
     /// Pushes every maximal run of rumors the set does *not* hold onto
@@ -1128,9 +1139,12 @@ pub(crate) enum Form {
     Words = 2,
 }
 
-/// An index entry's form tag, the [`Form`]'s discriminant, sits above its
-/// slot end.
+/// An index entry's form tag, the [`Form`]'s discriminant or
+/// [`FILL_TAG`], sits above its slot end.
 const FORM_SHIFT: u32 = 30;
+/// The tag of a fill entry ([`Batch::Fill`]): the spare tag above the
+/// three forms', with no slots.
+const FILL_TAG: u32 = 3;
 /// Slots of a stored `u32`: an id list's base, a word window's first word.
 const HEAD_SLOTS: usize = 2;
 /// Slots of a stored `u64`: a run, a dense word.
@@ -1139,6 +1153,16 @@ const QUAD_SLOTS: usize = 4;
 const INDEX_BYTES: u64 = std::mem::size_of::<(u32, u32)>() as u64;
 /// Bytes of one slot.
 const SLOT_BYTES: u64 = std::mem::size_of::<u16>() as u64;
+
+/// One index entry of [`PhaseBatches`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Batch<'a> {
+    /// A batch of ids the destination lacks, in its stored form.
+    Delta(Delta<'a>),
+    /// Every id the destination lacks, stored as no ids.  Only a phase
+    /// that no flight can read holds one, so the window never stores it.
+    Fill,
+}
 
 /// Storage the [`DeltaWindow`] holds, gains or releases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1175,7 +1199,8 @@ impl std::ops::SubAssign for BatchFootprint {
 /// that learned something, ascending by destination, and one array of
 /// 16-bit slots holding every batch in its [`Form`].  An entry is
 /// `(destination, form << 30 | end)`: its batch is `slots[previous
-/// end..end]`, so one lookup finds it.  A phase holds fewer than 2^30
+/// end..end]`, so one lookup finds it.  A fill entry ([`Batch::Fill`])
+/// takes the tag [`FILL_TAG`] and no slots.  A phase holds fewer than 2^30
 /// slots (2 GiB).
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct PhaseBatches {
@@ -1258,6 +1283,14 @@ impl PhaseBatches {
         Some(form)
     }
 
+    /// Appends a fill entry for `dst` (above every destination pushed so
+    /// far): it learns every id it lacks.  Only a phase that no flight can
+    /// read may hold one.
+    pub(crate) fn push_fill(&mut self, dst: u32) {
+        self.index
+            .push((dst, FILL_TAG << FORM_SHIFT | self.slots.len() as u32));
+    }
+
     /// Appends another phase piece whose destinations all lie above this
     /// one's (merge shards, in shard order).
     pub(crate) fn extend(&mut self, other: PhaseBatches) {
@@ -1276,34 +1309,37 @@ impl PhaseBatches {
     }
 
     /// The batch of index entry `entry`, whose slots start at `start`.
-    fn delta(&self, start: u32, entry: u32) -> Option<Delta<'_>> {
+    fn batch(&self, start: u32, entry: u32) -> Option<Batch<'_>> {
         let end = entry & ((1 << FORM_SHIFT) - 1);
         let slots = self.slots.get(start as usize..end as usize)?;
-        // The tag is the form's discriminant.
+        // The tag is the form's discriminant, or the fill tag.
         Some(match entry >> FORM_SHIFT {
-            0 => Delta::Runs(slots.as_chunks().0),
+            0 => Batch::Delta(Delta::Runs(slots.as_chunks().0)),
             1 => {
                 let (base, offsets) = split_head(slots)?;
-                Delta::Ids(base, offsets)
+                Batch::Delta(Delta::Ids(base, offsets))
             }
-            _ => {
+            2 => {
                 let (word_lo, words) = split_head(slots)?;
-                Delta::Words(word_lo as usize, words.as_chunks().0)
+                Batch::Delta(Delta::Words(word_lo as usize, words.as_chunks().0))
             }
+            _ => Batch::Fill,
         })
     }
 
     /// Every destination's batch, ascending by destination.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, Delta<'_>)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, Batch<'_>)> {
         let mut start = 0;
         self.index.iter().filter_map(move |&(dst, entry)| {
-            let delta = self.delta(start, entry);
+            let batch = self.batch(start, entry);
             start = entry & ((1 << FORM_SHIFT) - 1);
-            Some((dst, delta?))
+            Some((dst, batch?))
         })
     }
 
-    /// `node`'s batch, if it learned anything in this phase.
+    /// `node`'s batch, if it learned anything in this phase; the window
+    /// never stores a fill entry, so a stored phase has a batch for every
+    /// node it lists.
     fn get(&self, node: u32) -> Option<Delta<'_>> {
         let k = self
             .index
@@ -1313,7 +1349,10 @@ impl PhaseBatches {
             .checked_sub(1)
             .and_then(|j| self.index.get(j))
             .map_or(0, |&(_, entry)| entry & ((1 << FORM_SHIFT) - 1));
-        self.delta(start, self.index.get(k)?.1)
+        match self.batch(start, self.index.get(k)?.1)? {
+            Batch::Delta(delta) => Some(delta),
+            Batch::Fill => None,
+        }
     }
 
     /// What the batches hold.
@@ -1324,11 +1363,11 @@ impl PhaseBatches {
             bytes: INDEX_BYTES * batches + SLOT_BYTES * self.slots.len() as u64,
             ..BatchFootprint::default()
         };
-        for (_, delta) in self.iter() {
-            match delta {
-                Delta::Runs(runs) => held.runs += runs.len() as u64,
-                Delta::Ids(..) => {}
-                Delta::Words(..) => held.layers += 1,
+        for (_, batch) in self.iter() {
+            match batch {
+                Batch::Delta(Delta::Runs(runs)) => held.runs += runs.len() as u64,
+                Batch::Delta(Delta::Words(..)) => held.layers += 1,
+                Batch::Delta(Delta::Ids(..)) | Batch::Fill => {}
             }
         }
         held
@@ -1342,7 +1381,9 @@ impl PhaseBatches {
 /// of its initiation round `r = t − ℓ`.  Sets only grow at deliveries, so
 /// that snapshot is the endpoint's current set minus what it learned in
 /// rounds `r + 1 ..= t − 1` — at most `max_latency − 1` rounds of batches.
-/// Older rounds can never be referenced and are aged out.
+/// Older rounds can never be referenced and are aged out; and once no
+/// flight is left in the calendar, no round is read again, so the engine
+/// empties the window and stores no round.
 #[derive(Debug, Default)]
 pub(crate) struct DeltaWindow {
     /// `(round, batches)`, rounds increasing.
@@ -1350,8 +1391,14 @@ pub(crate) struct DeltaWindow {
 }
 
 impl DeltaWindow {
-    /// Stores round `round`'s batches (after every stored round).
+    /// Stores round `round`'s batches (after every stored round).  A round
+    /// that a flight can read holds no fill entry: the ids are what the
+    /// flight subtracts.
     pub(crate) fn push(&mut self, round: u64, mut batches: PhaseBatches) {
+        debug_assert!(
+            batches.iter().all(|(_, batch)| batch != Batch::Fill),
+            "a stored round holds a fill entry"
+        );
         if !batches.index.is_empty() {
             batches.index.shrink_to_fit();
             batches.slots.shrink_to_fit();
@@ -2035,7 +2082,10 @@ mod tests {
         assert_eq!(held.bytes, 5 * INDEX_BYTES + SLOT_BYTES * slots as u64);
         let want = [&compact[..], &fragmented, &scattered, &wide, &compact];
         assert_eq!(phase.iter().count(), want.len());
-        for ((dst, delta), want) in phase.iter().zip(want) {
+        for ((dst, batch), want) in phase.iter().zip(want) {
+            let Batch::Delta(delta) = batch else {
+                panic!("node {dst}'s batch is a fill entry");
+            };
             assert_eq!(delta.ids().collect::<Vec<_>>(), ids_of(want), "node {dst}");
             assert_eq!(phase.get(dst), Some(delta));
             assert_eq!(delta.id_count(), ids_of(want).len() as u64);
@@ -2159,6 +2209,36 @@ mod tests {
         // Every third id held of 300: the other 200 as a 5-word window.
         let thirds: Vec<u32> = (0..300).step_by(3).collect();
         fill(300, &thirds, Form::Words);
+    }
+
+    /// A fill entry costs one index entry and no slot, reads back as a
+    /// fill (and as no stored batch), survives concatenation, and unions
+    /// into its destination as the full set.
+    #[test]
+    fn a_fill_entry_costs_one_index_entry_and_fills_the_set() {
+        let batch = [(RumorId(3), 200), (RumorId(1000), 300)];
+        let mut phase = PhaseBatches::default();
+        phase.push(1, &batch);
+        let runs_only = phase.footprint();
+        phase.push_fill(4);
+        let mut tail = PhaseBatches::default();
+        tail.push_fill(9);
+        phase.extend(tail);
+        let held = phase.footprint();
+        assert_eq!((held.batches, held.runs, held.layers), (3, 2, 0));
+        assert_eq!(held.bytes, runs_only.bytes + 2 * INDEX_BYTES);
+        let entries: Vec<_> = phase.iter().collect();
+        assert!(matches!(entries[0], (1, Batch::Delta(Delta::Runs(_)))));
+        assert_eq!(entries[1..], [(4, Batch::Fill), (9, Batch::Fill)]);
+        assert_eq!((phase.get(4), phase.get(9)), (None, None));
+        let mut set = RumorSet::singleton(1 << 17, RumorId(77));
+        set.insert(RumorId(0));
+        assert_eq!(set.saturate(), (1 << 17) - 2);
+        let mut full = RumorSet::empty(1 << 17);
+        full.union_run(0, 1 << 17);
+        assert_eq!(set, full);
+        assert_eq!(set.page_footprint(), PageFootprint::default());
+        assert_eq!(set.saturate(), 0, "a full set learns nothing");
     }
 
     /// `deltas_since` yields a node's batches of exactly the rounds after

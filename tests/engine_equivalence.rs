@@ -258,24 +258,69 @@ fn dense_log_layers_match_the_oracle() {
     );
 }
 
-/// The inline-to-paged path across pages: all-to-all push–pull on a
-/// 9000-node star spans 3 rumor pages; each leaf holds its own id and
-/// rumor 0 inline until the saturating merge moves them to pages and fills
-/// them.  On 3 workers; `engine_parallel` pins the 1-worker run to it.
+/// Stars past one rumor page: all-to-all push–pull on a 9000-node star
+/// spans 3 rumor pages; each leaf holds its own id and rumor 0 inline
+/// until the saturating merge from the full hub fills it.  On unit
+/// latencies no flight is left to read that round, so the merge is a fill
+/// entry; on latency 2 (4200 nodes, 2 pages) the next round's flights are
+/// in flight, so the window stores the complement's runs across pages.  On 3
+/// workers; `engine_parallel` pins the 1-worker unit-latency run to it.
 #[test]
 fn multi_page_star_matches_the_oracle() {
-    let g = generators::star(9000, 1).unwrap();
-    let config = SimConfig::new(23)
-        .termination(Termination::AllKnowAll)
-        .threads(3);
-    let report = assert_matches_oracle(
-        &g,
-        &config,
-        Seeding::AllToAll,
-        || RandomPushPull::new(&g),
-        "multi-page star",
-    );
-    assert!(report.completed, "{report}");
+    for (n, latency) in [(9000, 1), (4200, 2)] {
+        let g = generators::star(n, latency).unwrap();
+        let config = SimConfig::new(23)
+            .termination(Termination::AllKnowAll)
+            .threads(3);
+        let label = format!("multi-page star, {n} nodes, latency {latency}");
+        let report = assert_matches_oracle(
+            &g,
+            &config,
+            Seeding::AllToAll,
+            || RandomPushPull::new(&g),
+            &label,
+        );
+        assert!(report.completed, "{label}: {report}");
+        let mem = report.mem.unwrap();
+        assert_eq!(mem.peak_log_runs > 2, latency > 1, "{label}: {mem:?}");
+    }
+}
+
+/// A full peer fills a destination while a slow flight still reads the
+/// destination's snapshot: that round is kept with the destination's real
+/// ids, never as a fill entry.  On the bimodal path `0 —12— 1 —1— 2 —12—
+/// 3 —12— 4`, node 2 is full once rumor 4 arrives (round 24 at the
+/// earliest), and node 1 learns rumor 4 from it while node 0's slow
+/// flights to node 1 are in flight, as they are every round until node 0
+/// is full.  Node 0 must learn rumor 4 from a snapshot of node 1 taken
+/// after node 1 learned it, a full latency later; a flight that could not
+/// subtract node 1's batch of that round would deliver it early.
+#[test]
+fn a_round_a_slow_flight_reads_keeps_a_filled_destinations_ids() {
+    let mut b = gossip_graph::GraphBuilder::new(5);
+    for (u, v, latency) in [(0, 1, 12), (1, 2, 1), (2, 3, 12), (3, 4, 12)] {
+        b.add_edge(u, v, latency).unwrap();
+    }
+    let g = b.build().unwrap();
+    for seed in 0..8 {
+        let config = SimConfig::new(seed)
+            .termination(Termination::AllKnowAll)
+            .track_rumor(RumorId::from(4usize));
+        let label = format!("filled destination, seed {seed}");
+        let report = assert_matches_oracle(
+            &g,
+            &config,
+            Seeding::AllToAll,
+            || RandomPushPull::new(&g),
+            &label,
+        );
+        assert!(report.completed, "{label}: {report}");
+        let times = report.informed_times.expect("rumor 4 is tracked");
+        let (Some(far), Some(near)) = (times[0], times[1]) else {
+            panic!("{label}: nodes 0 and 1 learn rumor 4: {times:?}");
+        };
+        assert!(far >= near + 12, "{label}: {times:?}");
+    }
 }
 
 proptest! {

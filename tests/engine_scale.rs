@@ -14,8 +14,9 @@ use rand::SeedableRng;
 
 /// The PR-2 acceptance gate: push–pull *all-to-all* on a 4096-node
 /// Erdős–Rényi graph, single-threaded, < 5 s in release mode.  On a
-/// unit-latency graph no snapshot outlives its round, so every delivery
-/// phase's batches age out of the window at the next one.
+/// unit-latency graph no flight is left after a delivery to read its
+/// round, so every delivery phase's batches are counted and dropped, never
+/// stored in the window.
 #[test]
 fn push_pull_all_to_all_on_4096_node_erdos_renyi() {
     let mut rng = SmallRng::seed_from_u64(1);
@@ -27,9 +28,10 @@ fn push_pull_all_to_all_on_4096_node_erdos_renyi() {
     assert!(report.completed, "dissemination must finish: {report}");
     assert_eq!(report.min_rumors_known, 4096);
     let mem = report.mem.unwrap();
-    assert!(mem.truncated_runs > 0, "batches must age out of the window");
+    assert!(mem.truncated_runs > 0, "batches must leave the window");
+    assert_eq!(mem.live_log_runs, 0, "{mem:?}");
     // Dense delta layers: the endgame's scattered per-round acquisitions are
-    // stored as one bitset window each instead of ~n one-entry runs.
+    // built as one bitset window each instead of ~n one-entry runs.
     assert!(mem.dense_batches > 0, "{mem:?}");
     assert!(
         mem.peak_engine_bytes < 32 << 20,
@@ -45,13 +47,13 @@ fn push_pull_all_to_all_on_4096_node_erdos_renyi() {
 }
 
 /// Always-on memory gate at a debug-friendly size: all-to-all on a 4096-node
-/// star must stay tiny — interval runs store the star's bursty
-/// acquisitions as a handful of runs per node, a unit-latency window holds
-/// nothing beyond the current phase, and a leaf's rumor set holds at most
-/// two ids (its own and the hub's) until a saturating merge fills it, which
-/// a sparse page stores inline without a heap block.  The whole
-/// dissemination state stays under the 1 MiB budget asserted here (a dense
-/// bitset layout alone would be ~2 MiB per direction).
+/// star must stay tiny.  The hub's batch is one run of leaf ids and a
+/// leaf's first batch one id; no flight is left after a delivery, so the
+/// window stores no round, and the full hub fills each leaf with a fill
+/// entry, which holds no ids.  A leaf's rumor set holds at most two ids
+/// (its own and the hub's), inline in its header, until that fill.  The
+/// whole dissemination state stays under the 1 MiB budget asserted here (a
+/// dense bitset layout alone would be ~2 MiB per direction).
 #[test]
 fn star_all_to_all_memory_stays_within_one_mebibyte_at_4096() {
     let g = generators::star(4096, 1).unwrap();
@@ -76,14 +78,9 @@ fn star_all_to_all_memory_stays_within_one_mebibyte_at_4096() {
         mem.saturated_nodes, 4096,
         "all-to-all completion saturates every node"
     );
-    // The whole point of interval runs: a phase's ~n new ids per node
-    // compress to a handful of runs each (the complement of a leaf's few
-    // ids, or the hub's ascending leaf ids).
-    assert!(
-        mem.peak_log_runs < 8 * 4096,
-        "star batches must compress to O(1) runs per node, got {}",
-        mem.peak_log_runs
-    );
+    // The hub's ascending leaf ids are one run; a leaf's one id is an id
+    // list and its fill holds no run.  Nothing stays in the window.
+    assert_eq!((mem.peak_log_runs, mem.live_log_runs), (1, 0), "{mem:?}");
 }
 
 /// Always-on saturation gate: run a small all-to-all past completion
@@ -156,12 +153,12 @@ fn push_pull_all_to_all_on_a_32768_node_star_stays_under_one_gigabyte() {
 /// **131072-node star** — the workload the dense-bitset layout could never
 /// touch (`2·n²/8` ≈ 4.3 GiB for sets + shadows alone).  A leaf holds two
 /// ids inline in its set's header (its own, plus rumor 0 once the hub's
-/// first exchange delivers it) until a saturating merge flips whole pages
-/// to the full sentinel and the set collapses to its header;
-/// on unit latencies the window holds nothing beyond the current phase.
-/// The deterministic peak must stay under 32 MiB and the endgame must
-/// short-circuit (the full hub's merges are complements) fast enough to
-/// finish within the wall-clock budget.
+/// first exchange delivers it) until a merge from the full hub fills the
+/// set to its header; on unit latencies no flight is left after a
+/// delivery, so the window stores no round and that merge is a fill entry
+/// with no ids.  The deterministic peak must stay under 32 MiB and the
+/// endgame must short-circuit fast enough to finish within the wall-clock
+/// budget.
 #[cfg(not(debug_assertions))]
 #[test]
 fn push_pull_all_to_all_on_a_131072_node_star_stays_under_32_mebibytes() {
@@ -180,10 +177,10 @@ fn push_pull_all_to_all_on_a_131072_node_star_stays_under_32_mebibytes() {
     );
     assert_eq!(mem.saturated_nodes, 131072);
     // A leaf holds two inline ids at most (its own + rumor 0 from the
-    // hub's first delivery): the saturating merge arrives as a few huge
-    // consecutive runs and flips every further page straight to the full
-    // sentinel — never a dense materialisation of the whole universe.  Only
-    // the hub's 32 pages can hold a block.
+    // hub's first delivery): the saturating merge is a fill entry that
+    // turns the set full with no page built — never a dense
+    // materialisation of the whole universe.  Only the hub's 32 pages can
+    // hold a block.
     assert!(
         mem.pages_peak <= 32,
         "only the hub's pages may go dense, got {}",
